@@ -80,11 +80,14 @@ bench-multicore: cmds
 	@cat .bench_multicore.json; rm -f .bench_multicore.json
 
 # Preconditioning guards: the exactness, KKT, and iteration-cut properties
-# of the warm-start stage, plus a filtered perf-suite run regenerating just
-# the hard elastic tier's records — the spe250/precond row is where the
-# outer-iteration win is gated (seabench -compare flags any growth).
+# of the warm-start stage, the ISP cell kernels' bit-identity with the
+# per-cell reference and a one-shot smoke of their benchmark, plus a
+# filtered perf-suite run regenerating just the hard elastic tier's records —
+# the spe250/precond row is where the outer-iteration win is gated (seabench
+# -compare flags any growth).
 bench-precond: cmds
-	$(GO) test -count=1 -run 'TestPrecond|TestScalingSolversTracePerSweep|TestCSRMatchesDenseBitwise' ./internal/core/ ./internal/baseline/ ./internal/scale/
+	$(GO) test -count=1 -run 'TestPrecond|TestScalingSolversTracePerSweep|TestCSRMatchesDenseBitwise|TestISPKernelsMatchReference' ./internal/core/ ./internal/baseline/ ./internal/scale/
+	$(GO) test -run xxx -bench BenchmarkISPRun -benchtime 1x ./internal/scale/
 	$(GO) run ./cmd/seabench -table none -benchjson .bench_precond.json -benchfilter table5/spe250
 	@cat .bench_precond.json; rm -f .bench_precond.json
 

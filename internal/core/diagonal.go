@@ -539,11 +539,14 @@ const (
 )
 
 // statesFor returns the warm-start state array for the current iteration,
-// growing the slot table lazily; nil means solve cold this phase. nev > 0
-// pre-sizes fresh slots' permutation buffers from a single slab (the known
-// per-subproblem event count of unbounded problems), so engaging warm starts
-// mid-solve does not cost one allocation per subproblem.
-func (st *diagState) statesFor(slots *[][]equilibrate.State, dim, nev int) []equilibrate.State {
+// growing the slot table lazily; nil means solve cold this phase. Fresh
+// slots of unbounded problems get their permutation buffers from a single
+// slab, sized by the known per-subproblem event count — nv (the variables
+// per subproblem) for dense storage, the span of spans (the CSR RowPtr or
+// CSC offsets) for sparse — so engaging warm starts mid-solve does not cost
+// one allocation per subproblem. Bounds make the count value-dependent, so
+// bounded problems grow each buffer on first use.
+func (st *diagState) statesFor(slots *[][]equilibrate.State, dim, nv int, spans []int) []equilibrate.State {
 	if !st.warm {
 		return nil
 	}
@@ -561,27 +564,28 @@ func (st *diagState) statesFor(slots *[][]equilibrate.State, dim, nev int) []equ
 	}
 	if (*slots)[k] == nil {
 		sts := make([]equilibrate.State, dim)
-		equilibrate.PresizeStates(sts, nev)
+		switch {
+		case st.p.Upper != nil || st.p.Lower != nil:
+			// Value-dependent event counts: each buffer grows on first use.
+		case st.pat != nil:
+			equilibrate.PresizeStatesSpans(sts, spans)
+		default:
+			equilibrate.PresizeStates(sts, nv)
+		}
 		(*slots)[k] = sts
 	}
 	return (*slots)[k]
-}
-
-// phaseEvents returns the exact per-subproblem event count of a phase with
-// nv variables per subproblem, or 0 when it is data-dependent — bounds make
-// it value-dependent, CSR storage makes it vary per subproblem.
-func (st *diagState) phaseEvents(nv int) int {
-	if st.pat == nil && st.p.Upper == nil && st.p.Lower == nil {
-		return nv
-	}
-	return 0
 }
 
 // rowPhase solves the m independent row equilibrium subproblems in parallel,
 // updating x row-wise, λ, and rowSum.
 func (st *diagState) rowPhase(ph *PhaseCosts) error {
 	st.curPH = ph
-	st.curRowStates = st.statesFor(&st.rowStates, st.m, st.phaseEvents(st.n))
+	var rowPtr []int
+	if st.pat != nil {
+		rowPtr = st.pat.RowPtr
+	}
+	st.curRowStates = st.statesFor(&st.rowStates, st.m, st.n, rowPtr)
 	if err := st.runner.ForChunksCtx(st.ctx, st.p.M, st.rowBody); err != nil {
 		return err
 	}
@@ -781,7 +785,7 @@ func (st *diagState) rowChunkBatched(chunk, lo, hi int) {
 // folds the mirror back into the row-major iterate.
 func (st *diagState) colPhase(ph *PhaseCosts) error {
 	st.curPH = ph
-	st.curColStates = st.statesFor(&st.colStates, st.n, st.phaseEvents(st.m))
+	st.curColStates = st.statesFor(&st.colStates, st.n, st.m, st.cscPtr)
 	if err := st.runner.ForChunksCtx(st.ctx, st.p.N, st.colBody); err != nil {
 		return err
 	}

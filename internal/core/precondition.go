@@ -57,12 +57,17 @@ type precondState struct {
 	dlo   []float64
 	dhi   []float64
 
-	// Warm-start scratch.
+	// Warm-start scratch. sys keeps the ISP stage's column brackets across
+	// solves (Reuse resets its escalation state, so every solve runs the
+	// cold trajectory); colSum/colASum are its column-pass accumulators.
 	slopes  []float64
 	mu0     []float64
 	lambda0 []float64
 	colA    []float64
 	colB    []float64
+	sys     scale.System
+	colSum  []float64
+	colASum []float64
 
 	// Unscaling factors and bookkeeping for the current solve.
 	sigma     float64
@@ -253,13 +258,14 @@ func (ps *precondState) ispWarmStart(sp *DiagonalProblem, o *Options) bool {
 	for k, g := range sp.Gamma {
 		ps.slopes[k] = 0.5 / g
 	}
-	sys := scale.System{
+	sys := &ps.sys
+	sys.Reuse(scale.System{
 		A:         matrixView(sp, ps.slopes),
 		X0:        sp.X0,
 		Lo:        sp.Lower,
 		Up:        sp.Upper,
 		RowTarget: sp.S0,
-	}
+	})
 	switch sp.Kind {
 	case FixedTotals:
 		sys.ColTarget = sp.D0
@@ -280,7 +286,9 @@ func (ps *precondState) ispWarmStart(sp *DiagonalProblem, o *Options) bool {
 		copy(mu, o.Mu0) // refine the caller's (already rescaled) estimate
 	}
 	ps.mu0 = mu
-	sys.Run(ps.lambda0, mu, o.PrecondSweeps, o.Epsilon, nil, nil, nil)
+	ps.colSum = resizeF(ps.colSum, sp.N)
+	ps.colASum = resizeF(ps.colASum, sp.N)
+	sys.Run(ps.lambda0, mu, o.PrecondSweeps, o.Epsilon, ps.colSum, ps.colASum, nil)
 	return true
 }
 

@@ -383,3 +383,49 @@ func TestCSRSteadyStateAllocs(t *testing.T) {
 		t.Errorf("steady-state CSR solve allocates %.1f allocs/op, want ≤ 8 (allocation-flat)", avg)
 	}
 }
+
+// TestCSRColdWarmOnsetAllocsFlat: a cold, arena-less CSR solve that runs past
+// warmOnset engages the kernel warm-start states mid-solve; their
+// permutation buffers come from one slab per phase, split at the RowPtr/CSC
+// offsets, so the solve's allocation count must not grow with the number of
+// rows and columns.
+func TestCSRColdWarmOnsetAllocsFlat(t *testing.T) {
+	allocs := func(m int) float64 {
+		rng := rand.New(rand.NewPCG(uint64(m), 29))
+		pt := testPattern(t, m, m, 5, 0, rng)
+		nnz := pt.Nnz()
+		p := &DiagonalProblem{M: m, N: m, Pattern: pt, Kind: ElasticTotals,
+			X0: make([]float64, nnz), Gamma: make([]float64, nnz),
+			S0: make([]float64, m), Alpha: make([]float64, m), D0: make([]float64, m), Beta: make([]float64, m)}
+		for k := range p.X0 {
+			p.X0[k] = rng.Float64() * 10
+			p.Gamma[k] = 0.5 + rng.Float64()
+		}
+		for i := 0; i < m; i++ {
+			p.S0[i], p.Alpha[i] = 30+rng.Float64()*10, 0.05+rng.Float64()*0.05
+			p.D0[i], p.Beta[i] = 20+rng.Float64()*10, 0.05+rng.Float64()*0.05
+		}
+		o := DefaultOptions()
+		o.Criterion = MaxAbsDelta
+		o.Epsilon = 1e-10
+		o.MaxIterations = 5000
+		sol, err := SolveDiagonal(context.Background(), p, o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sol.Iterations <= warmOnset+1 {
+			t.Fatalf("m=%d converged in %d iterations; the test needs > %d to engage warm starts", m, sol.Iterations, warmOnset+1)
+		}
+		return testing.AllocsPerRun(3, func() {
+			if _, err := SolveDiagonal(context.Background(), p, o); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	// Scratch that grows by doubling may take a step or two more at the
+	// larger size; one allocation per subproblem would add hundreds.
+	small, large := allocs(40), allocs(320)
+	if large > small+4 {
+		t.Fatalf("cold CSR solve allocates %.0f/op at m=320 vs %.0f/op at m=40; the warm-start states must not allocate per subproblem", large, small)
+	}
+}

@@ -434,3 +434,20 @@ func PresizeStates(sts []State, nev int) {
 		}
 	}
 }
+
+// PresizeStatesSpans is PresizeStates for subproblems of differing sizes:
+// State i gets capacity ptr[i+1]−ptr[i] (a CSR or CSC offset array over the
+// subproblems' events), all carved from one slab.
+func PresizeStatesSpans(sts []State, ptr []int) {
+	if len(sts) == 0 {
+		return
+	}
+	base := ptr[0]
+	slab := make([]int32, ptr[len(sts)]-base)
+	for i := range sts {
+		lo, hi := ptr[i]-base, ptr[i+1]-base
+		if cap(sts[i].perm) < hi-lo {
+			sts[i].perm = slab[lo:lo:hi]
+		}
+	}
+}

@@ -382,3 +382,27 @@ func TestPresizeStates(t *testing.T) {
 		t.Fatal("neighbor state disturbed by out-of-slab growth")
 	}
 }
+
+// TestPresizeStatesSpans: each state gets exactly its span's capacity from
+// the shared slab (an empty span none), and a solve of exactly that size
+// saves without reallocating.
+func TestPresizeStatesSpans(t *testing.T) {
+	ptr := []int{3, 35, 35, 40}
+	sts := make([]State, 3)
+	PresizeStatesSpans(sts, ptr)
+	for i := range sts {
+		if want := ptr[i+1] - ptr[i]; cap(sts[i].perm) != want {
+			t.Fatalf("state %d: perm cap %d, want %d", i, cap(sts[i].perm), want)
+		}
+	}
+	rng := rand.New(rand.NewPCG(9, 9))
+	p := buildProblem(rng, warmCase{n: 32})
+	x := make([]float64, 32)
+	slab := sts[0].perm[:1]
+	if _, err := p.SolveState(x, nil, &sts[0]); err != nil {
+		t.Fatal(err)
+	}
+	if sts[0].nev != 32 || &sts[0].perm[0] != &slab[0] {
+		t.Fatalf("state 0: nev %d, or the save left the slab", sts[0].nev)
+	}
+}

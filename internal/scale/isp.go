@@ -56,6 +56,15 @@ type System struct {
 	winCount int
 }
 
+// Reuse makes s the system next while keeping s's scratch buffers: the
+// escalation state starts fresh, exactly as on a new System, so a
+// long-lived System reruns on new data without reallocating.
+func (s *System) Reuse(next System) {
+	colLo, colHi := s.colLo, s.colHi
+	*s = next
+	s.colLo, s.colHi = colLo, colHi
+}
+
 // Validate checks the system's dimensions and entry ranges.
 func (s *System) Validate() error {
 	if err := s.A.Validate(); err != nil {
@@ -100,22 +109,170 @@ func (s *System) Validate() error {
 	return nil
 }
 
-// clampAt evaluates x_k = clamp(x⁰_k + a_k·d, l_k, u_k) and reports whether
-// the entry is strictly interior (contributing slope a_k to the row/column
-// derivative).
-func (s *System) clampAt(k int, d float64) (x float64, interior bool) {
-	x = s.X0[k] + s.A.Val[k]*d
-	lo := 0.0
+// rowCells is one row's stored cells, sliced once per row so the ISP
+// kernels' per-cell loops index plain slices: a, x0 and (when the system has
+// them) lo, up share the row's storage span. cols is nil for dense storage,
+// where cell t sits in column t. Every kernel picks its loop — dense or CSR,
+// classical (lo = up = nil: x ≥ 0 only) or boxed — once per row.
+type rowCells struct {
+	a, x0, lo, up []float64
+	cols          []int32
+}
+
+func (s *System) row(i int) rowCells {
+	k0, k1 := s.A.Row(i)
+	r := rowCells{a: s.A.Val[k0:k1], x0: s.X0[k0:k1]}
+	if s.A.ColIdx != nil {
+		r.cols = s.A.ColIdx[k0:k1]
+	}
 	if s.Lo != nil {
-		lo = s.Lo[k]
+		r.lo = s.Lo[k0:k1]
 	}
-	if x <= lo {
-		return lo, false
+	if s.Up != nil {
+		r.up = s.Up[k0:k1]
 	}
-	if s.Up != nil && x >= s.Up[k] {
-		return s.Up[k], false
+	return r
+}
+
+// clampBox evaluates x = clamp(x, l_t, u_t) on a boxed row (nil lo: lower
+// bound 0; nil up: no upper bound) and reports whether the cell is strictly
+// interior, contributing its slope to the row/column derivative.
+func clampBox(x float64, lo, up []float64, t int) (float64, bool) {
+	l := 0.0
+	if lo != nil {
+		l = lo[t]
+	}
+	if x <= l {
+		return l, false
+	}
+	if up != nil && x >= up[t] {
+		return up[t], false
 	}
 	return x, true
+}
+
+// interiorSlope returns a when the classical cell value x is interior
+// (x > 0, or NaN as in clampBox) and +0 when it clamps at 0, by masking a's
+// bits instead of branching: which cells clamp shifts with every dual step,
+// so a branch there mispredicts often.
+func interiorSlope(x, a float64) float64 {
+	var mask uint64
+	if !(x <= 0) {
+		mask = ^uint64(0)
+	}
+	return math.Float64frombits(math.Float64bits(a) & mask)
+}
+
+// sums is the row kernel: the row's Σ_t x_t and interior slope Σ a_t at row
+// dual z, with x_t = clamp(x⁰_t + a_t·(z + μ_j)) summed left to right. The
+// classical loops add max(x, 0) and interiorSlope unconditionally: a clamped
+// cell adds +0 to each sum, which starts at +0 and only ever gains
+// non-negatives there, so the result is bit-identical to skipping the cell.
+func (r *rowCells) sums(z float64, mu []float64) (sum, asum float64) {
+	a, x0, cols := r.a, r.x0[:len(r.a)], r.cols
+	switch {
+	case r.lo == nil && r.up == nil && cols == nil:
+		mu = mu[:len(a)]
+		for t, at := range a {
+			x := x0[t] + at*(z+mu[t])
+			sum += max(x, 0)
+			asum += interiorSlope(x, at)
+		}
+	case r.lo == nil && r.up == nil:
+		cols = cols[:len(a)]
+		for t, at := range a {
+			x := x0[t] + at*(z+mu[cols[t]])
+			sum += max(x, 0)
+			asum += interiorSlope(x, at)
+		}
+	case cols == nil:
+		mu = mu[:len(a)]
+		for t, at := range a {
+			x, in := clampBox(x0[t]+at*(z+mu[t]), r.lo, r.up, t)
+			sum += x
+			if in {
+				asum += at
+			}
+		}
+	default:
+		cols = cols[:len(a)]
+		for t, at := range a {
+			x, in := clampBox(x0[t]+at*(z+mu[cols[t]]), r.lo, r.up, t)
+			sum += x
+			if in {
+				asum += at
+			}
+		}
+	}
+	return sum, asum
+}
+
+// scatter is the column kernel: it adds the row's cells at row dual z into
+// colSum and their interior slopes into colASum, with the same clamp and
+// the same branch-free classical loops as sums.
+func (r *rowCells) scatter(z float64, mu, colSum, colASum []float64) {
+	a, x0, cols := r.a, r.x0[:len(r.a)], r.cols
+	switch {
+	case r.lo == nil && r.up == nil && cols == nil:
+		mu, colSum, colASum = mu[:len(a)], colSum[:len(a)], colASum[:len(a)]
+		for t, at := range a {
+			x := x0[t] + at*(z+mu[t])
+			colSum[t] += max(x, 0)
+			colASum[t] += interiorSlope(x, at)
+		}
+	case r.lo == nil && r.up == nil:
+		cols = cols[:len(a)]
+		for t, at := range a {
+			j := cols[t]
+			x := x0[t] + at*(z+mu[j])
+			colSum[j] += max(x, 0)
+			colASum[j] += interiorSlope(x, at)
+		}
+	case cols == nil:
+		mu, colSum, colASum = mu[:len(a)], colSum[:len(a)], colASum[:len(a)]
+		for t, at := range a {
+			x, in := clampBox(x0[t]+at*(z+mu[t]), r.lo, r.up, t)
+			colSum[t] += x
+			if in {
+				colASum[t] += at
+			}
+		}
+	default:
+		cols = cols[:len(a)]
+		for t, at := range a {
+			j := cols[t]
+			x, in := clampBox(x0[t]+at*(z+mu[j]), r.lo, r.up, t)
+			colSum[j] += x
+			if in {
+				colASum[j] += at
+			}
+		}
+	}
+}
+
+// eval writes the row's cells at row dual z into x (the row's storage span),
+// adds them into colSum and returns their sum. It runs once per solve, so
+// one boxed loop per storage serves classical rows too.
+func (r *rowCells) eval(z float64, mu, x, colSum []float64) (sum float64) {
+	a, x0, cols := r.a, r.x0[:len(r.a)], r.cols
+	x = x[:len(a)]
+	if cols == nil {
+		mu, colSum = mu[:len(a)], colSum[:len(a)]
+		for t, at := range a {
+			x[t], _ = clampBox(x0[t]+at*(z+mu[t]), r.lo, r.up, t)
+			sum += x[t]
+			colSum[t] += x[t]
+		}
+		return sum
+	}
+	cols = cols[:len(a)]
+	for t, at := range a {
+		j := cols[t]
+		x[t], _ = clampBox(x0[t]+at*(z+mu[j]), r.lo, r.up, t)
+		sum += x[t]
+		colSum[j] += x[t]
+	}
+	return sum
 }
 
 // rowAbs returns row i's equation in absolute form: with z = λ_i,
@@ -191,19 +348,12 @@ func newtonStep(z, g, slope float64, blo, bhi, step *float64) (next float64, ok 
 // residual.
 func (s *System) solveRow(i int, lambda, mu []float64, innerTol float64, inner int) (first float64) {
 	target, diag := s.rowAbs(i, mu)
-	lo, hi := s.A.Row(i)
+	r := s.row(i)
 	z := lambda[i]
 	blo, bhi := math.Inf(-1), math.Inf(1)
 	step := 1.0
 	for it := 0; it < inner; it++ {
-		var sum, asum float64
-		for k := lo; k < hi; k++ {
-			x, interior := s.clampAt(k, z+mu[s.A.Col(i, k)])
-			sum += x
-			if interior {
-				asum += s.A.Val[k]
-			}
-		}
+		sum, asum := r.sums(z, mu)
 		g := sum + diag*z - target
 		if it == 0 {
 			first = math.Abs(g)
@@ -240,15 +390,8 @@ func (s *System) solveColumns(lambda, mu, colSum, colASum []float64, innerTol fl
 			colASum[j] = 0
 		}
 		for i := 0; i < m; i++ {
-			lo, hi := s.A.Row(i)
-			for k := lo; k < hi; k++ {
-				j := s.A.Col(i, k)
-				x, interior := s.clampAt(k, lambda[i]+mu[j])
-				colSum[j] += x
-				if interior {
-					colASum[j] += s.A.Val[k]
-				}
-			}
+			r := s.row(i)
+			r.scatter(lambda[i], mu, colSum, colASum)
 		}
 		var worst float64
 		moved := false
@@ -377,16 +520,9 @@ func (s *System) Eval(lambda, mu []float64, x, rowSum, colSum []float64) float64
 		colSum[j] = 0
 	}
 	for i := 0; i < m; i++ {
-		lo, hi := s.A.Row(i)
-		var sum float64
-		for k := lo; k < hi; k++ {
-			j := s.A.Col(i, k)
-			xv, _ := s.clampAt(k, lambda[i]+mu[j])
-			x[k] = xv
-			sum += xv
-			colSum[j] += xv
-		}
-		rowSum[i] = sum
+		k0, k1 := s.A.Row(i)
+		r := s.row(i)
+		rowSum[i] = r.eval(lambda[i], mu, x[k0:k1], colSum)
 	}
 	var worst float64
 	for i := 0; i < m; i++ {

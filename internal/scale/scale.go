@@ -55,7 +55,7 @@ func CSR(m, n int, val []float64, rowPtr []int, colIdx []int32) Matrix {
 }
 
 // Nnz returns the stored-cell count.
-func (a Matrix) Nnz() int {
+func (a *Matrix) Nnz() int {
 	if a.RowPtr != nil {
 		return a.RowPtr[a.M]
 	}
@@ -63,7 +63,7 @@ func (a Matrix) Nnz() int {
 }
 
 // Row returns row i's index span into Val.
-func (a Matrix) Row(i int) (lo, hi int) {
+func (a *Matrix) Row(i int) (lo, hi int) {
 	if a.RowPtr != nil {
 		return a.RowPtr[i], a.RowPtr[i+1]
 	}
@@ -71,7 +71,7 @@ func (a Matrix) Row(i int) (lo, hi int) {
 }
 
 // Col returns the column of stored position k within row i's span.
-func (a Matrix) Col(i, k int) int {
+func (a *Matrix) Col(i, k int) int {
 	if a.ColIdx != nil {
 		return int(a.ColIdx[k])
 	}
@@ -81,7 +81,7 @@ func (a Matrix) Col(i, k int) int {
 // Validate checks the view's structural consistency and rejects non-finite
 // entries. The CSR skeleton itself is assumed already validated by the
 // owner (core.Pattern.Validate); only lengths are rechecked here.
-func (a Matrix) Validate() error {
+func (a *Matrix) Validate() error {
 	if a.M <= 0 || a.N <= 0 {
 		return fmt.Errorf("scale: invalid dimensions %d×%d", a.M, a.N)
 	}
@@ -105,7 +105,7 @@ func (a Matrix) Validate() error {
 }
 
 // RowSums accumulates Σ_j a_ij into dst (length M).
-func (a Matrix) RowSums(dst []float64) {
+func (a *Matrix) RowSums(dst []float64) {
 	for i := 0; i < a.M; i++ {
 		lo, hi := a.Row(i)
 		var s float64
@@ -117,7 +117,7 @@ func (a Matrix) RowSums(dst []float64) {
 }
 
 // ColSums accumulates Σ_i a_ij into dst (length N).
-func (a Matrix) ColSums(dst []float64) {
+func (a *Matrix) ColSums(dst []float64) {
 	for j := range dst {
 		dst[j] = 0
 	}
