@@ -62,12 +62,15 @@ bench-check: cmds
 	st=$$?; rm -f .bench_check.json; exit $$st
 
 # Sparse-tier perf snapshot: the CSR storage guards (bit-exact equivalence
-# with the densified form, steady-state allocation flatness) plus a filtered
-# perf-suite run regenerating just the sparse/ records. The committed
-# BENCH_sea.json is regenerated unfiltered by bench-check; this target is the
-# quick iteration loop for sparse hot-path work.
+# with the densified form, steady-state allocation flatness, batch-budget and
+# procs independence of the one phase body on dense and CSR input), a
+# one-shot smoke of the row/column phase benchmarks on both storages, plus a
+# filtered perf-suite run regenerating just the sparse/ records. The
+# committed BENCH_sea.json is regenerated unfiltered by bench-check; this
+# target is the quick iteration loop for sparse hot-path work.
 bench-sparse: cmds
-	$(GO) test -count=1 -run 'TestCSRMatchesDensifiedAcrossProcs|TestCSRSteadyStateAllocs' ./internal/core/
+	$(GO) test -count=1 -run 'TestCSRMatchesDensifiedAcrossProcs|TestCSRSteadyStateAllocs|TestBatched' ./internal/core/
+	$(GO) test -run xxx -bench 'RowPhase|ColumnPhase' -benchtime 1x ./internal/core/
 	$(GO) run ./cmd/seabench -table none -benchjson .bench_sparse.json -benchfilter sparse/
 	@cat .bench_sparse.json; rm -f .bench_sparse.json
 

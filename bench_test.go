@@ -412,20 +412,6 @@ func BenchmarkBaseline_Unsigned(b *testing.B) {
 	}
 }
 
-// Solver-level kernel ablation on a Table 1 instance.
-func BenchmarkAblation_SolverKernelExact(b *testing.B) { benchSolverKernel(b, core.KernelExact) }
-func BenchmarkAblation_SolverKernelBisection(b *testing.B) {
-	benchSolverKernel(b, core.KernelBisection)
-}
-
-func benchSolverKernel(b *testing.B, k core.Kernel) {
-	b.Helper()
-	p := problems.Table1(300, 16)
-	o := fixedOpts(0.01)
-	o.Kernel = k
-	solveDiag(b, p, o)
-}
-
 // Sparse (banded) versus dense G on the same general problem: the per-
 // iteration dense product drops from O((mn)²) to O(mn·bandwidth).
 func BenchmarkExtension_SparseBandedG(b *testing.B) {

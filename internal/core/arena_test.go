@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"math"
 	"math/rand/v2"
 	"testing"
 
@@ -26,11 +27,27 @@ func sameSolution(t *testing.T, name string, got, want *Solution) {
 			t.Fatalf("%s: Mu[%d] = %v, want %v", name, j, got.Mu[j], want.Mu[j])
 		}
 	}
+	sameBits(t, name+": S", got.S, want.S)
+	sameBits(t, name+": D", got.D, want.D)
+	sameBits(t, name+": Residual", []float64{got.Residual}, []float64{want.Residual})
 	if got.Iterations != want.Iterations {
 		t.Fatalf("%s: %d iterations, want %d", name, got.Iterations, want.Iterations)
 	}
 	if got.Objective != want.Objective || got.DualValue != want.DualValue {
 		t.Fatalf("%s: objective/dual %v/%v, want %v/%v", name, got.Objective, got.DualValue, want.Objective, want.DualValue)
+	}
+}
+
+// sameBits requires got and want to match bit for bit.
+func sameBits(t *testing.T, name string, got, want []float64) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: length %d, want %d", name, len(got), len(want))
+	}
+	for k := range want {
+		if math.Float64bits(got[k]) != math.Float64bits(want[k]) {
+			t.Fatalf("%s[%d] = %v, want %v (bit-exact)", name, k, got[k], want[k])
+		}
 	}
 }
 

@@ -2,64 +2,94 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"math/rand/v2"
+	"slices"
 	"testing"
+
+	"sea/internal/metrics"
 )
 
-// TestBatchedMatchesUnbatchedAcrossProcs is the batched kernel's core-level
-// contract: for every worker count and batch chunk size — including the
-// degenerate one-subproblem-per-batch and everything-in-one-batch extremes —
-// the batched phases produce the same solution, bit for bit, as the
-// unbatched ablation path (Options.DisableBatch).
+// restoreBatchEvents returns the default batch budget and puts it back when
+// the test ends, so a test may move it freely. Core tests do not run in
+// parallel, so the package variable is not shared with a concurrent solve.
+func restoreBatchEvents(t *testing.T) int {
+	t.Helper()
+	def := batchEvents
+	t.Cleanup(func() { batchEvents = def })
+	return def
+}
+
+// tracedSolve solves p with fresh Counters and CostTrace attached.
+func tracedSolve(t *testing.T, p *DiagonalProblem, o *Options) (*Solution, metrics.Snapshot, *CostTrace) {
+	t.Helper()
+	c := &metrics.Counters{}
+	ct := &CostTrace{}
+	o.Counters = c
+	o.CostTrace = ct
+	sol, err := SolveDiagonal(context.Background(), p, o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sol, c.Snapshot(), ct
+}
+
+// TestBatchedMatchesUnbatchedAcrossProcs is the batched phase body's core-
+// level contract: for every worker count and batch budget — including
+// everything-in-one-batch — the phases produce the same solution, bit for
+// bit, and the same per-task cost trace and kernel counters, as the budget-1
+// reference that batches one subproblem at a time. (The equilibrate package
+// proves a one-subproblem batch bit-identical to the solo kernel, which thus
+// stays the oracle one layer down.) The cost trace is the parsim speedup
+// model's input, so it must not depend on how the work was partitioned
+// either. Covered on the dense bounded problem and on a bounded CSR family.
 func TestBatchedMatchesUnbatchedAcrossProcs(t *testing.T) {
-	p := determinismProblem(t)
-	opts := func() *Options {
+	def := restoreBatchEvents(t)
+	problems := map[string]*DiagonalProblem{
+		"dense":             determinismProblem(t),
+		"csr/fixed/bounded": sparseFamilies(t)["fixed/bounded"],
+	}
+	opts := func(procs int) *Options {
 		o := DefaultOptions()
 		o.Criterion = MaxAbsDelta
 		o.Epsilon = 1e-6
+		o.Procs = procs
 		return o
 	}
-
-	refOpts := opts()
-	refOpts.DisableBatch = true
-	ref, err := SolveDiagonal(context.Background(), p, refOpts)
-	if err != nil {
-		t.Fatalf("unbatched reference solve: %v", err)
-	}
-	if !ref.Converged {
-		t.Fatal("unbatched reference did not converge")
-	}
-
-	for _, procs := range []int{1, 2, 7, 16} {
-		for _, events := range []int{0, 1, 997, 1 << 20} {
-			o := opts()
-			o.Procs = procs
-			o.BatchEvents = events
-			sol, err := SolveDiagonal(context.Background(), p, o)
-			if err != nil {
-				t.Fatalf("procs=%d events=%d: %v", procs, events, err)
+	for name, p := range problems {
+		batchEvents = 1
+		ref, refC, refCT := tracedSolve(t, p, opts(1))
+		if !ref.Converged {
+			t.Fatalf("%s: budget-1 reference did not converge", name)
+		}
+		for _, procs := range []int{1, 2, 7, 16} {
+			for _, events := range []int{1, 997, def, 1 << 20} {
+				batchEvents = events
+				tag := fmt.Sprintf("%s/procs=%d/events=%d", name, procs, events)
+				sol, c, ct := tracedSolve(t, p, opts(procs))
+				sameSolution(t, tag, sol, ref)
+				if c.Equilibrations != refC.Equilibrations || c.Ops != refC.Ops {
+					t.Fatalf("%s: counters equil=%d ops=%d, want %d/%d",
+						tag, c.Equilibrations, c.Ops, refC.Equilibrations, refC.Ops)
+				}
+				sameCostTrace(t, tag, ct, refCT)
 			}
-			sameSolution(t, testName(procs, events), sol, ref)
 		}
 	}
 }
 
-func testName(procs, events int) string {
-	return "procs=" + itoa(procs) + "/events=" + itoa(events)
-}
-
-func itoa(v int) string {
-	if v == 0 {
-		return "0"
+// sameCostTrace requires identical per-phase Row/Col/Serial costs.
+func sameCostTrace(t *testing.T, name string, got, want *CostTrace) {
+	t.Helper()
+	if len(got.Phases) != len(want.Phases) {
+		t.Fatalf("%s: %d traced phases, want %d", name, len(got.Phases), len(want.Phases))
 	}
-	var b [20]byte
-	i := len(b)
-	for v > 0 {
-		i--
-		b[i] = byte('0' + v%10)
-		v /= 10
+	for k, w := range want.Phases {
+		g := got.Phases[k]
+		if !slices.Equal(g.Row, w.Row) || !slices.Equal(g.Col, w.Col) || g.Serial != w.Serial {
+			t.Fatalf("%s: phase %d costs differ from the budget-1 reference", name, k)
+		}
 	}
-	return string(b[i:])
 }
 
 // onsetProblem builds an elastic instance whose dual descent takes well over
@@ -96,9 +126,10 @@ func onsetProblem(t *testing.T) *DiagonalProblem {
 
 // TestBatchedLongSolveWarmOnset drives the solve past the warm-start onset
 // (iterations > warmOnset without an arena) with a tight tolerance, so the
-// batched path exercises warm replays through the mid-solve State slots —
-// and still matches the unbatched path bit for bit.
+// batched body exercises warm replays through the mid-solve State slots —
+// and still matches the budget-1 reference bit for bit.
 func TestBatchedLongSolveWarmOnset(t *testing.T) {
+	def := restoreBatchEvents(t)
 	p := onsetProblem(t)
 	opts := func() *Options {
 		o := DefaultOptions()
@@ -108,19 +139,18 @@ func TestBatchedLongSolveWarmOnset(t *testing.T) {
 		return o
 	}
 
-	refOpts := opts()
-	refOpts.DisableBatch = true
-	ref, err := SolveDiagonal(context.Background(), p, refOpts)
+	batchEvents = 1
+	ref, err := SolveDiagonal(context.Background(), p, opts())
 	if err != nil {
-		t.Fatalf("unbatched reference solve: %v", err)
+		t.Fatalf("budget-1 reference solve: %v", err)
 	}
 	if ref.Iterations <= warmOnset {
 		t.Fatalf("instance converged in %d iterations; the test needs > %d to engage warm onset",
 			ref.Iterations, warmOnset)
 	}
 
-	o := opts()
-	sol, err := SolveDiagonal(context.Background(), p, o)
+	batchEvents = def
+	sol, err := SolveDiagonal(context.Background(), p, opts())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,28 +158,30 @@ func TestBatchedLongSolveWarmOnset(t *testing.T) {
 }
 
 // TestBatchedArenaWarmBitExact runs back-to-back arena solves — the second
-// replays per-iteration warm slots through the batch — against unbatched
+// replays per-iteration warm slots through the batch — against budget-1
 // arena solves of the same sequence.
 func TestBatchedArenaWarmBitExact(t *testing.T) {
+	def := restoreBatchEvents(t)
 	p := determinismProblem(t)
-	opts := func(disable bool) *Options {
+	opts := func() *Options {
 		o := DefaultOptions()
 		o.Criterion = MaxAbsDelta
 		o.Epsilon = 1e-6
-		o.DisableBatch = disable
 		o.Arena = NewArena()
 		return o
 	}
-	ob, ou := opts(false), opts(true)
+	ob, ou := opts(), opts()
 	for round := 0; round < 3; round++ {
+		batchEvents = 1
 		want, err := SolveDiagonal(context.Background(), p, ou)
 		if err != nil {
-			t.Fatalf("round %d unbatched: %v", round, err)
+			t.Fatalf("round %d budget-1: %v", round, err)
 		}
+		batchEvents = def
 		got, err := SolveDiagonal(context.Background(), p, ob)
 		if err != nil {
 			t.Fatalf("round %d batched: %v", round, err)
 		}
-		sameSolution(t, "arena-round-"+itoa(round), got, want)
+		sameSolution(t, fmt.Sprintf("arena-round-%d", round), got, want)
 	}
 }

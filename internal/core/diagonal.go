@@ -113,39 +113,25 @@ type diagState struct {
 	supplyBuf  []float64 // supplies scratch for checkConvergence, hoisted off the hot loop
 	checkTasks []int64   // shared parallel-check trace costs (row i's entry is its stored width)
 
-	// rowStates[k][i] / colStates[k][j] carry the kernel's warm-start
-	// permutation for row i / column j, bucketed by iteration slot k (see
-	// statesFor for the slot policy — per-iteration under an arena so
-	// repeated solves replay the matching iteration, consecutive-iteration
-	// otherwise). State i is always handed to subproblem i regardless of how
-	// the index range is chunked, so warm starting cannot perturb the
-	// disjoint-partition determinism contract — and the kernel guarantees
-	// warm results are bit-identical to cold ones anyway.
-	rowStates [][]equilibrate.State
-	colStates [][]equilibrate.State
-	warm      bool // thread the states (off under Options.DisableWarmStart)
-	// curRowStates/curColStates are the slot arrays of the phase being
-	// dispatched (written by rowPhase/colPhase before the dispatch, read by
-	// the chunk bodies; nil disables warm starting for the phase).
-	curRowStates []equilibrate.State
-	curColStates []equilibrate.State
+	// rows and cols describe the two phases to the one phase body,
+	// phaseChunk (see side). They are re-bound at the end of every
+	// newDiagState, since an adopted state may carry a different problem.
+	rows, cols side
+	warm       bool // thread the warm-start states (off under Options.DisableWarmStart)
+
+	// denseRowPtr/denseColPtr are the arithmetic offsets k·n / k·m that give
+	// dense storage the same subproblem-span form as CSR's row pointers,
+	// built once per state (dense shapes never change under adoption).
+	denseRowPtr, denseColPtr []int
 
 	runner  parallel.Runner
 	ownPool *parallel.Pool // set when the state created (and must close) its runner
 
-	workspaces []*equilibrate.Workspace
-	batches    []*equilibrate.Batch // per-worker batched-kernel buffers
-	errs       []error
-
-	// useBatch routes the phase bodies through the batched kernel (the
-	// default for the exact kernel); batchTarget is its per-chunk event
-	// budget. Both are re-resolved from Options on every solve.
-	useBatch    bool
-	batchTarget int
+	batches []*equilibrate.Batch // per-worker batched-kernel buffers
+	errs    []error
 
 	// Phase bodies are bound once per state, not per dispatch, so the hot
-	// loop creates no closures; curPH carries the cost-trace sink of the
-	// phase being dispatched (written before the dispatch, read inside it).
+	// loop creates no closures.
 	rowBody       func(chunk, lo, hi int)
 	colBody       func(chunk, lo, hi int)
 	aTBody        func(chunk, lo, hi int)
@@ -153,7 +139,6 @@ type diagState struct {
 	reconcileBody func(chunk, lo, hi int)
 	deltaBody     func(chunk, lo, hi int)
 	sumBody       func(chunk, lo, hi int)
-	curPH         *PhaseCosts
 
 	iterations int
 	converged  bool
@@ -192,6 +177,10 @@ func newDiagState(ctx context.Context, p *DiagonalProblem, o *Options) *diagStat
 			aT:        make([]float64, nv),
 			x0T:       make([]float64, nv),
 			supplyBuf: make([]float64, m),
+		}
+		if p.Pattern == nil {
+			st.denseRowPtr = spanOffsets(m, n)
+			st.denseColPtr = spanOffsets(n, m)
 		}
 		st.bindBodies()
 		if ar != nil {
@@ -239,21 +228,13 @@ func newDiagState(ctx context.Context, p *DiagonalProblem, o *Options) *diagStat
 	if procs < 1 {
 		procs = 1
 	}
-	st.useBatch = o.Kernel != KernelBisection && !o.DisableBatch
-	st.batchTarget = o.BatchEvents
-	if st.batchTarget <= 0 {
-		st.batchTarget = defaultBatchEvents
+	// Budget plus one subproblem of overshoot (bounded rows build up to
+	// 2·maxDim events), so a batch never regrows mid-phase.
+	batchHint := batchEvents
+	if batchHint < 2*maxDim {
+		batchHint = 2 * maxDim
 	}
-	batchHint := 0
-	if st.useBatch {
-		// Budget plus one subproblem of overshoot (bounded rows build up to
-		// 2·maxDim events), so a batch never regrows mid-phase.
-		if batchHint = st.batchTarget; batchHint < 2*maxDim {
-			batchHint = 2 * maxDim
-		}
-	}
-	for len(st.workspaces) < procs {
-		st.workspaces = append(st.workspaces, equilibrate.NewWorkspace(maxDim))
+	for len(st.batches) < procs {
 		st.batches = append(st.batches, equilibrate.NewBatch(batchHint))
 		st.errs = append(st.errs, nil)
 	}
@@ -291,7 +272,96 @@ func newDiagState(ctx context.Context, p *DiagonalProblem, o *Options) *diagStat
 	} else {
 		st.lowerT = nil
 	}
+	st.bindSides()
 	return st
+}
+
+// side is one phase — rows or columns — as the phase body sees it: a run of
+// independent exact-equilibration subproblems over the cells of a per-cell
+// layout. Subproblem k owns cells ptr[k]..ptr[k+1] of the per-cell slices,
+// which are in storage order for the row side and column-mirror order for
+// the column side, so one body serves both phases and both storages.
+type side struct {
+	name string // "row" or "column", for error messages
+
+	// ptr holds the subproblem spans (CSR RowPtr / CSC cscPtr, or the dense
+	// arithmetic offsets). idx is the opposite-dimension index of each cell
+	// (ColIdx / cscRow), nil for dense storage, where cell t of every
+	// subproblem faces opposite index t.
+	ptr []int
+	idx []int32
+
+	x0, a  []float64 // prior and slopes a = 1/(2γ)
+	lo, up []float64 // cell bounds, nil when absent
+	x      []float64 // the iterate the kernel writes
+
+	// other is the opposite side's multipliers (μ for rows, λ for columns);
+	// mult and total receive this side's multipliers and kernel totals.
+	other, mult, total []float64
+
+	// r and w are the target totals and elastic weights (w nil for fixed
+	// totals); balanced problems subtract e·other[k] from the target, with
+	// e = 1/(2w). ilo/ihi are the total intervals of interval problems,
+	// which bypass r and w.
+	r, w     []float64
+	balanced bool
+	ilo, ihi []float64
+
+	// slots[k][i] carries the kernel's warm-start permutation for
+	// subproblem i in iteration slot k (see statesFor), and states is the
+	// slot array of the phase being dispatched (nil solves cold). State i
+	// always goes to subproblem i however the range is chunked or batched,
+	// so warm starting cannot perturb the disjoint-partition determinism
+	// contract — and warm results are bit-identical to cold ones anyway.
+	// costs is the phase's cost-trace sink, nil when untraced.
+	slots  [][]equilibrate.State
+	states []equilibrate.State
+	costs  []int64
+}
+
+// bindSides points the row and column sides at the current problem and
+// buffers, keeping their warm-start slot tables.
+func (st *diagState) bindSides() {
+	p := st.p
+	rows := side{
+		name: "row", ptr: st.denseRowPtr,
+		x0: p.X0, a: st.aRow, lo: p.Lower, up: p.Upper, x: st.x,
+		other: st.mu, mult: st.lambda, total: st.rowSum,
+		slots: st.rows.slots,
+	}
+	cols := side{
+		name: "column", ptr: st.denseColPtr,
+		x0: st.x0T, a: st.aT, lo: st.lowerT, up: st.upperT, x: st.xT,
+		other: st.lambda, mult: st.mu, total: st.colSum,
+		slots: st.cols.slots,
+	}
+	if pt := st.pat; pt != nil {
+		rows.ptr, rows.idx = pt.RowPtr, pt.ColIdx
+		cols.ptr, cols.idx = st.cscPtr, st.cscRow
+	}
+	switch p.Kind {
+	case FixedTotals:
+		rows.r, cols.r = p.S0, p.D0
+	case ElasticTotals:
+		rows.r, rows.w = p.S0, p.Alpha
+		cols.r, cols.w = p.D0, p.Beta
+	case Balanced:
+		rows.r, rows.w, rows.balanced = p.S0, p.Alpha, true
+		cols.r, cols.w, cols.balanced = p.S0, p.Alpha, true
+	case IntervalTotals:
+		rows.ilo, rows.ihi = p.SLo, p.SHi
+		cols.ilo, cols.ihi = p.DLo, p.DHi
+	}
+	st.rows, st.cols = rows, cols
+}
+
+// spanOffsets returns the dense subproblem spans k·w for k = 0..count.
+func spanOffsets(count, w int) []int {
+	ptr := make([]int, count+1)
+	for k := range ptr {
+		ptr[k] = k * w
+	}
+	return ptr
 }
 
 // mirror writes src's column-mirror image into dst: a dense transpose, or a
@@ -302,14 +372,6 @@ func (st *diagState) mirror(dst, src []float64) {
 		return
 	}
 	st.gatherCSC(dst, src, 0, st.n)
-}
-
-// rowSpan returns row i's index range into the storage-order per-cell arrays.
-func (st *diagState) rowSpan(i int) (int, int) {
-	if st.pat == nil {
-		return i * st.n, (i + 1) * st.n
-	}
-	return st.pat.RowPtr[i], st.pat.RowPtr[i+1]
 }
 
 // buildCSC derives the CSC view of st.pat by counting sort: one pass counts
@@ -378,8 +440,8 @@ func (st *diagState) reset() {
 
 // bindBodies creates the dispatch closures once for the state's lifetime.
 func (st *diagState) bindBodies() {
-	st.rowBody = st.rowChunk
-	st.colBody = st.colChunk
+	st.rowBody = func(chunk, lo, hi int) { st.phaseChunk(&st.rows, chunk, lo, hi) }
+	st.colBody = func(chunk, lo, hi int) { st.phaseChunk(&st.cols, chunk, lo, hi) }
 	// The transpose-flavored bodies are chunked over source rows when dense
 	// and over columns of the CSC mirror when sparse; newDiagState and
 	// refreshX0T dispatch over the matching dimension.
@@ -405,8 +467,9 @@ func (st *diagState) bindBodies() {
 		st.scatterCSC(st.x, st.xT, lo, hi)
 	}
 	st.deltaBody = func(_, lo, hi int) {
+		ptr := st.rows.ptr
 		for i := lo; i < hi; i++ {
-			s, e := st.rowSpan(i)
+			s, e := ptr[i], ptr[i+1]
 			row := st.x[s:e]
 			prev := st.xPrev[s:e]
 			st.checkBuf[i] = mat.MaxAbsDiff(row, prev)
@@ -414,8 +477,9 @@ func (st *diagState) bindBodies() {
 		}
 	}
 	st.sumBody = func(_, lo, hi int) {
+		ptr := st.rows.ptr
 		for i := lo; i < hi; i++ {
-			s, e := st.rowSpan(i)
+			s, e := ptr[i], ptr[i+1]
 			st.rowSum[i] = mat.Sum(st.x[s:e])
 		}
 	}
@@ -538,15 +602,14 @@ const (
 	warmOnset    = 8
 )
 
-// statesFor returns the warm-start state array for the current iteration,
-// growing the slot table lazily; nil means solve cold this phase. Fresh
-// slots of unbounded problems get their permutation buffers from a single
-// slab, sized by the known per-subproblem event count — nv (the variables
-// per subproblem) for dense storage, the span of spans (the CSR RowPtr or
-// CSC offsets) for sparse — so engaging warm starts mid-solve does not cost
-// one allocation per subproblem. Bounds make the count value-dependent, so
-// bounded problems grow each buffer on first use.
-func (st *diagState) statesFor(slots *[][]equilibrate.State, dim, nv int, spans []int) []equilibrate.State {
+// statesFor returns the warm-start state array of sd for the current
+// iteration, growing its slot table lazily; nil means solve cold this phase.
+// Fresh slots of unbounded problems get their permutation buffers from a
+// single slab, sized by the known per-subproblem event count (the span
+// widths), so engaging warm starts mid-solve does not cost one allocation
+// per subproblem. Bounds make the count value-dependent, so bounded problems
+// grow each buffer on first use.
+func (st *diagState) statesFor(sd *side) []equilibrate.State {
 	if !st.warm {
 		return nil
 	}
@@ -559,396 +622,189 @@ func (st *diagState) statesFor(slots *[][]equilibrate.State, dim, nv int, spans 
 	} else if st.iterations <= warmOnset {
 		return nil
 	}
-	for len(*slots) <= k {
-		*slots = append(*slots, nil)
+	for len(sd.slots) <= k {
+		sd.slots = append(sd.slots, nil)
 	}
-	if (*slots)[k] == nil {
-		sts := make([]equilibrate.State, dim)
-		switch {
-		case st.p.Upper != nil || st.p.Lower != nil:
-			// Value-dependent event counts: each buffer grows on first use.
-		case st.pat != nil:
-			equilibrate.PresizeStatesSpans(sts, spans)
-		default:
-			equilibrate.PresizeStates(sts, nv)
+	if sd.slots[k] == nil {
+		sts := make([]equilibrate.State, len(sd.ptr)-1)
+		if st.p.Upper == nil && st.p.Lower == nil {
+			equilibrate.PresizeStatesSpans(sts, sd.ptr)
 		}
-		(*slots)[k] = sts
+		sd.slots[k] = sts
 	}
-	return (*slots)[k]
+	return sd.slots[k]
 }
 
 // rowPhase solves the m independent row equilibrium subproblems in parallel,
 // updating x row-wise, λ, and rowSum.
 func (st *diagState) rowPhase(ph *PhaseCosts) error {
-	st.curPH = ph
-	var rowPtr []int
-	if st.pat != nil {
-		rowPtr = st.pat.RowPtr
+	var costs []int64
+	if ph != nil {
+		costs = ph.Row
 	}
-	st.curRowStates = st.statesFor(&st.rowStates, st.m, st.n, rowPtr)
-	if err := st.runner.ForChunksCtx(st.ctx, st.p.M, st.rowBody); err != nil {
+	return st.phase(&st.rows, st.rowBody, costs)
+}
+
+// colPhase solves the n independent column equilibrium subproblems in
+// parallel, updating x column-wise, μ, and colSum. Every array it touches
+// per column — the mirrored prior, slopes and bounds, and the column-major
+// mirror the kernel writes into — is contiguous; a blocked transpose (dense)
+// or CSC scatter (CSR) then folds the mirror back into the iterate.
+func (st *diagState) colPhase(ph *PhaseCosts) error {
+	var costs []int64
+	if ph != nil {
+		costs = ph.Col
+	}
+	if err := st.phase(&st.cols, st.colBody, costs); err != nil {
+		return err
+	}
+	// Each band writes a disjoint set of x entries, so the result is
+	// partition-independent.
+	st.runner.ForChunks(st.p.N, st.reconcileBody)
+	return nil
+}
+
+// phase dispatches one side's subproblems over the workers.
+func (st *diagState) phase(sd *side, body func(chunk, lo, hi int), costs []int64) error {
+	sd.costs = costs
+	sd.states = st.statesFor(sd)
+	if err := st.runner.ForChunksCtx(st.ctx, len(sd.ptr)-1, body); err != nil {
 		return err
 	}
 	return st.takeErr()
 }
 
-// defaultBatchEvents is the batched kernel's per-chunk event budget: enough
+// batchEvents is the batched kernel's per-chunk event budget: enough
 // concatenated breakpoint events (16 bytes of key each) that the fused radix
 // amortizes its counting passes over many subproblems while the working set
 // (keys + ping-pong + canonical ≈ 3×16 B×budget) stays inside L2. See
-// docs/PERFORMANCE.md.
-const defaultBatchEvents = 1 << 12
+// docs/PERFORMANCE.md. It is a variable only so the batch-boundary tests
+// can move it; solutions do not depend on it.
+var batchEvents = 1 << 12
 
-// batchRows returns the end of the batch starting at lo: as many subproblems
-// as fit the event budget (estimated at perRow events each), always at least
-// one.
-func batchRows(lo, hi, perRow, target int) int {
-	rows := target / perRow
-	if rows < 1 {
-		rows = 1
-	}
-	// Cap the subproblem count too: past this the per-segment metadata the
-	// batch streams (problem copies, offsets, results) outgrows the event
-	// data itself — the regime of very small subproblems, where huge batches
-	// stop paying (measured on the sparse table5/spe250 instances).
-	if rows > maxBatchRows {
-		rows = maxBatchRows
-	}
-	if end := lo + rows; end < hi {
-		return end
-	}
-	return hi
-}
-
-// maxBatchRows caps the subproblems per batch regardless of their size.
+// maxBatchRows caps the subproblems per batch regardless of their size: past
+// this the per-segment metadata the batch streams (problem copies, offsets,
+// results) outgrows the event data itself — the regime of very small
+// subproblems, where huge batches stop paying (measured on the sparse
+// table5/spe250 instances).
 const maxBatchRows = 128
 
-// rowChunk is the row-phase body for one worker's index range.
-func (st *diagState) rowChunk(chunk, lo, hi int) {
-	if st.pat != nil {
-		st.rowChunkSparse(chunk, lo, hi)
-		return
+// batchEnd returns the end of the batch starting at lo: as many subproblems
+// as fit the event budget given their widths (perEntry events per cell of
+// span ptr[k]..ptr[k+1]), always at least one, capped at maxBatchRows.
+// Sizing by actual width means skewed sparse supports cannot blow the
+// budget.
+func batchEnd(lo, hi, perEntry, target int, ptr []int) int {
+	events := 0
+	end := lo
+	for end < hi {
+		ev := perEntry * (ptr[end+1] - ptr[end])
+		if end > lo && (events+ev > target || end-lo >= maxBatchRows) {
+			break
+		}
+		events += ev
+		end++
 	}
-	if st.useBatch {
-		st.rowChunkBatched(chunk, lo, hi)
-		return
-	}
-	p, o := st.p, st.o
-	n := st.n
-	ws := st.workspaces[chunk]
-	ph := st.curPH
-	for i := lo; i < hi; i++ {
-		x0 := p.X0[i*n : (i+1)*n]
-		a := st.aRow[i*n : (i+1)*n]
-		c, _ := ws.Scratch(n)
-		for j := 0; j < n; j++ {
-			c[j] = x0[j] + a[j]*st.mu[j]
-		}
-		prob := equilibrate.Problem{C: c, A: a}
-		if p.Upper != nil {
-			prob.U = p.Upper[i*n : (i+1)*n]
-		}
-		if p.Lower != nil {
-			prob.L = p.Lower[i*n : (i+1)*n]
-		}
-		switch p.Kind {
-		case FixedTotals:
-			prob.R = p.S0[i]
-		case ElasticTotals:
-			prob.E = 0.5 / p.Alpha[i]
-			prob.R = p.S0[i]
-		case Balanced:
-			e := 0.5 / p.Alpha[i]
-			prob.E = e
-			prob.R = p.S0[i] - e*st.mu[i]
-		}
-		var est *equilibrate.State
-		if st.curRowStates != nil {
-			est = &st.curRowStates[i]
-		}
-		var res equilibrate.Result
-		var err error
-		if p.Kind == IntervalTotals {
-			res, err = prob.SolveIntervalState(p.SLo[i], p.SHi[i], st.x[i*n:(i+1)*n], ws, est)
-		} else if o.Kernel == KernelBisection {
-			res, err = prob.SolveBisection(st.x[i*n:(i+1)*n], o.KernelTol)
-		} else {
-			res, err = prob.SolveState(st.x[i*n:(i+1)*n], ws, est)
-		}
-		if err != nil {
-			if st.errs[chunk] == nil {
-				st.errs[chunk] = fmt.Errorf("row %d: %w", i, err)
-			}
-			return
-		}
-		st.lambda[i] = res.Lambda
-		st.rowSum[i] = res.Total
-		cost := res.Ops + int64(2*n)
-		if ph != nil {
-			ph.Row[i] = cost
-		}
-		if o.Counters != nil {
-			o.Counters.Equilibrations.Add(1)
-			o.Counters.Ops.Add(cost)
-		}
-	}
+	return end
 }
 
-// rowChunkBatched is the batched row-phase body: it walks [lo,hi) in
-// event-budget batches, accumulating each row's subproblem into the worker's
-// Batch and solving the whole group with the fused sort. Per-row outputs,
-// trace costs, and warm-start states are identical to rowChunk's — the batch
-// kernel is bit-exact — so the two bodies are interchangeable.
-func (st *diagState) rowChunkBatched(chunk, lo, hi int) {
-	p, o := st.p, st.o
-	n := st.n
+// phaseChunk is the phase body for one worker's subproblem range [lo,hi) of
+// either side: it walks the range in event-budget batches, accumulating each
+// subproblem into the worker's Batch and solving the group with the fused
+// sort. The batch kernel is bit-exact with the solo kernel, so per-subproblem
+// outputs, trace costs, and warm-start states do not depend on the batch
+// boundaries. Structural zeros of CSR storage never enter a subproblem, and
+// the kernel skips pinned (u = l) cells, so a densified copy of a CSR problem
+// walks a bit-identical event stream.
+func (st *diagState) phaseChunk(sd *side, chunk, lo, hi int) {
+	// Everything the loops read is hoisted into locals: the stores into the
+	// batch's coefficient arena would otherwise force a reload through sd
+	// on every cell.
 	b := st.batches[chunk]
-	ph := st.curPH
-	perRow := n
-	if p.Upper != nil {
-		perRow = 2 * n
+	ptr, idx, other := sd.ptr, sd.idx, sd.other
+	x0, a, x, lower, upper := sd.x0, sd.a, sd.x, sd.lo, sd.up
+	r, w, balanced, ilo, ihi := sd.r, sd.w, sd.balanced, sd.ilo, sd.ihi
+	states, mult, total, costs := sd.states, sd.mult, sd.total, sd.costs
+	perEntry := 1
+	if upper != nil {
+		perEntry = 2
 	}
+	counters := st.o.Counters
 	for lo < hi {
-		end := batchRows(lo, hi, perRow, st.batchTarget)
+		end := batchEnd(lo, hi, perEntry, batchEvents, ptr)
 		b.Reset()
-		for i := lo; i < end; i++ {
-			x0 := p.X0[i*n : (i+1)*n]
-			a := st.aRow[i*n : (i+1)*n]
-			c := b.Coef(n)
-			for j := 0; j < n; j++ {
-				c[j] = x0[j] + a[j]*st.mu[j]
+		for k := lo; k < end; k++ {
+			s, e := ptr[k], ptr[k+1]
+			x0k, ak := x0[s:e], a[s:e]
+			c := b.Coef(e - s)
+			if idx == nil {
+				ok := other[:len(c)]
+				for t := range c {
+					c[t] = x0k[t] + ak[t]*ok[t]
+				}
+			} else {
+				ik := idx[s:e]
+				for t := range c {
+					c[t] = x0k[t] + ak[t]*other[ik[t]]
+				}
 			}
-			prob := equilibrate.Problem{C: c, A: a}
-			if p.Upper != nil {
-				prob.U = p.Upper[i*n : (i+1)*n]
+			prob := equilibrate.Problem{C: c, A: ak}
+			if upper != nil {
+				prob.U = upper[s:e]
 			}
-			if p.Lower != nil {
-				prob.L = p.Lower[i*n : (i+1)*n]
-			}
-			switch p.Kind {
-			case FixedTotals:
-				prob.R = p.S0[i]
-			case ElasticTotals:
-				prob.E = 0.5 / p.Alpha[i]
-				prob.R = p.S0[i]
-			case Balanced:
-				e := 0.5 / p.Alpha[i]
-				prob.E = e
-				prob.R = p.S0[i] - e*st.mu[i]
+			if lower != nil {
+				prob.L = lower[s:e]
 			}
 			var est *equilibrate.State
-			if st.curRowStates != nil {
-				est = &st.curRowStates[i]
+			if states != nil {
+				est = &states[k]
 			}
 			var err error
-			if p.Kind == IntervalTotals {
-				err = b.AddInterval(&prob, p.SLo[i], p.SHi[i], st.x[i*n:(i+1)*n], est)
+			if ilo != nil {
+				err = b.AddInterval(&prob, ilo[k], ihi[k], x[s:e], est)
 			} else {
-				err = b.Add(&prob, st.x[i*n:(i+1)*n], est)
+				prob.R = r[k]
+				if w != nil {
+					el := 0.5 / w[k]
+					prob.E = el
+					if balanced {
+						prob.R = r[k] - el*other[k]
+					}
+				}
+				err = b.Add(&prob, x[s:e], est)
 			}
 			if err != nil {
-				if st.errs[chunk] == nil {
-					st.errs[chunk] = fmt.Errorf("row %d: %w", i, err)
-				}
+				st.fail(chunk, sd, k, err)
 				return
 			}
 		}
 		if bad, err := b.Solve(); err != nil {
-			if st.errs[chunk] == nil {
-				st.errs[chunk] = fmt.Errorf("row %d: %w", lo+bad, err)
-			}
+			st.fail(chunk, sd, lo+bad, err)
 			return
 		}
 		var costSum int64
-		for i := lo; i < end; i++ {
-			res := b.Result(i - lo)
-			st.lambda[i] = res.Lambda
-			st.rowSum[i] = res.Total
-			cost := res.Ops + int64(2*n)
+		for k := lo; k < end; k++ {
+			res := b.Result(k - lo)
+			mult[k] = res.Lambda
+			total[k] = res.Total
+			cost := res.Ops + int64(2*(ptr[k+1]-ptr[k]))
 			costSum += cost
-			if ph != nil {
-				ph.Row[i] = cost
+			if costs != nil {
+				costs[k] = cost
 			}
 		}
-		if o.Counters != nil {
-			o.Counters.Equilibrations.Add(int64(end - lo))
-			o.Counters.Ops.Add(costSum)
+		if counters != nil {
+			counters.Equilibrations.Add(int64(end - lo))
+			counters.Ops.Add(costSum)
 		}
 		lo = end
 	}
 }
 
-// colPhase solves the n independent column equilibrium subproblems in
-// parallel, updating x column-wise, μ, and colSum. Every array it touches
-// per column — the transposed prior, slopes and bounds, and the column-major
-// mirror the kernel writes into — is contiguous; a blocked transpose then
-// folds the mirror back into the row-major iterate.
-func (st *diagState) colPhase(ph *PhaseCosts) error {
-	st.curPH = ph
-	st.curColStates = st.statesFor(&st.colStates, st.n, st.m, st.cscPtr)
-	if err := st.runner.ForChunksCtx(st.ctx, st.p.N, st.colBody); err != nil {
-		return err
-	}
-	if err := st.takeErr(); err != nil {
-		return err
-	}
-	// Reconcile the column-major mirror into the row-major iterate, banded
-	// over the workers. Each band writes a disjoint set of x entries, so the
-	// result is partition-independent.
-	st.runner.ForChunks(st.p.N, st.reconcileBody)
-	return nil
-}
-
-// colChunk is the column-phase body for one worker's index range.
-func (st *diagState) colChunk(chunk, lo, hi int) {
-	if st.pat != nil {
-		st.colChunkSparse(chunk, lo, hi)
-		return
-	}
-	if st.useBatch {
-		st.colChunkBatched(chunk, lo, hi)
-		return
-	}
-	p, o := st.p, st.o
-	m := st.m
-	ws := st.workspaces[chunk]
-	ph := st.curPH
-	for j := lo; j < hi; j++ {
-		x0c := st.x0T[j*m : (j+1)*m]
-		a := st.aT[j*m : (j+1)*m]
-		c, _ := ws.Scratch(m)
-		for i := 0; i < m; i++ {
-			c[i] = x0c[i] + a[i]*st.lambda[i]
-		}
-		prob := equilibrate.Problem{C: c, A: a}
-		if st.upperT != nil {
-			prob.U = st.upperT[j*m : (j+1)*m]
-		}
-		if st.lowerT != nil {
-			prob.L = st.lowerT[j*m : (j+1)*m]
-		}
-		switch p.Kind {
-		case FixedTotals:
-			prob.R = p.D0[j]
-		case ElasticTotals:
-			prob.E = 0.5 / p.Beta[j]
-			prob.R = p.D0[j]
-		case Balanced:
-			e := 0.5 / p.Alpha[j]
-			prob.E = e
-			prob.R = p.S0[j] - e*st.lambda[j]
-		}
-		var est *equilibrate.State
-		if st.curColStates != nil {
-			est = &st.curColStates[j]
-		}
-		xcol := st.xT[j*m : (j+1)*m]
-		var res equilibrate.Result
-		var err error
-		if p.Kind == IntervalTotals {
-			res, err = prob.SolveIntervalState(p.DLo[j], p.DHi[j], xcol, ws, est)
-		} else if o.Kernel == KernelBisection {
-			res, err = prob.SolveBisection(xcol, o.KernelTol)
-		} else {
-			res, err = prob.SolveState(xcol, ws, est)
-		}
-		if err != nil {
-			if st.errs[chunk] == nil {
-				st.errs[chunk] = fmt.Errorf("column %d: %w", j, err)
-			}
-			return
-		}
-		st.mu[j] = res.Lambda
-		st.colSum[j] = res.Total
-		cost := res.Ops + int64(2*m)
-		if ph != nil {
-			ph.Col[j] = cost
-		}
-		if o.Counters != nil {
-			o.Counters.Equilibrations.Add(1)
-			o.Counters.Ops.Add(cost)
-		}
-	}
-}
-
-// colChunkBatched is the batched column-phase body; see rowChunkBatched.
-func (st *diagState) colChunkBatched(chunk, lo, hi int) {
-	p, o := st.p, st.o
-	m := st.m
-	b := st.batches[chunk]
-	ph := st.curPH
-	perCol := m
-	if st.upperT != nil {
-		perCol = 2 * m
-	}
-	for lo < hi {
-		end := batchRows(lo, hi, perCol, st.batchTarget)
-		b.Reset()
-		for j := lo; j < end; j++ {
-			x0c := st.x0T[j*m : (j+1)*m]
-			a := st.aT[j*m : (j+1)*m]
-			c := b.Coef(m)
-			for i := 0; i < m; i++ {
-				c[i] = x0c[i] + a[i]*st.lambda[i]
-			}
-			prob := equilibrate.Problem{C: c, A: a}
-			if st.upperT != nil {
-				prob.U = st.upperT[j*m : (j+1)*m]
-			}
-			if st.lowerT != nil {
-				prob.L = st.lowerT[j*m : (j+1)*m]
-			}
-			switch p.Kind {
-			case FixedTotals:
-				prob.R = p.D0[j]
-			case ElasticTotals:
-				prob.E = 0.5 / p.Beta[j]
-				prob.R = p.D0[j]
-			case Balanced:
-				e := 0.5 / p.Alpha[j]
-				prob.E = e
-				prob.R = p.S0[j] - e*st.lambda[j]
-			}
-			var est *equilibrate.State
-			if st.curColStates != nil {
-				est = &st.curColStates[j]
-			}
-			xcol := st.xT[j*m : (j+1)*m]
-			var err error
-			if p.Kind == IntervalTotals {
-				err = b.AddInterval(&prob, p.DLo[j], p.DHi[j], xcol, est)
-			} else {
-				err = b.Add(&prob, xcol, est)
-			}
-			if err != nil {
-				if st.errs[chunk] == nil {
-					st.errs[chunk] = fmt.Errorf("column %d: %w", j, err)
-				}
-				return
-			}
-		}
-		if bad, err := b.Solve(); err != nil {
-			if st.errs[chunk] == nil {
-				st.errs[chunk] = fmt.Errorf("column %d: %w", lo+bad, err)
-			}
-			return
-		}
-		var costSum int64
-		for j := lo; j < end; j++ {
-			res := b.Result(j - lo)
-			st.mu[j] = res.Lambda
-			st.colSum[j] = res.Total
-			cost := res.Ops + int64(2*m)
-			costSum += cost
-			if ph != nil {
-				ph.Col[j] = cost
-			}
-		}
-		if o.Counters != nil {
-			o.Counters.Equilibrations.Add(int64(end - lo))
-			o.Counters.Ops.Add(costSum)
-		}
-		lo = end
+// fail records a worker's first error, attributed to subproblem k of sd.
+func (st *diagState) fail(chunk int, sd *side, k int, err error) {
+	if st.errs[chunk] == nil {
+		st.errs[chunk] = fmt.Errorf("%s %d: %w", sd.name, k, err)
 	}
 }
 
@@ -1049,8 +905,7 @@ func (st *diagState) checkConvergence(ph *PhaseCosts) bool {
 			if st.checkTasks == nil {
 				st.checkTasks = make([]int64, m)
 				for i := range st.checkTasks {
-					s, e := st.rowSpan(i)
-					st.checkTasks[i] = int64(e - s)
+					st.checkTasks[i] = int64(st.rows.ptr[i+1] - st.rows.ptr[i])
 				}
 			}
 			ph.Check = st.checkTasks

@@ -8,32 +8,6 @@ import (
 	"sea/internal/trace"
 )
 
-// Kernel selects how each row/column equilibrium subproblem is solved.
-type Kernel int
-
-const (
-	// KernelExact is the paper's sort-and-sweep exact equilibration:
-	// machine-exact multipliers in O(n log n).
-	KernelExact Kernel = iota
-	// KernelBisection brackets and bisects the piecewise-linear KKT
-	// equation instead of sorting: O(n·log(range/tol)) with answers
-	// accurate to a small tolerance. On modern hardware the linear scans
-	// often beat the sort (see the kernel ablation benchmarks); the paper's
-	// algorithm is KernelExact.
-	KernelBisection
-)
-
-func (k Kernel) String() string {
-	switch k {
-	case KernelExact:
-		return "exact"
-	case KernelBisection:
-		return "bisection"
-	default:
-		return "unknown"
-	}
-}
-
 // Precond selects the preconditioning stage run before the diagonal
 // solver's SEA sweeps (Options.Precondition).
 type Precond int
@@ -46,8 +20,8 @@ const (
 	// scaled problem, and unscales the solution. Because the factors are
 	// powers of two and the scaled KKT system is an exact relabeling of the
 	// original, the unscaled solution is bit-for-bit identical to the
-	// unpreconditioned one under KernelExact — this mode exists to tame
-	// overflow/underflow on badly ranged data, not to cut iterations.
+	// unpreconditioned one — this mode exists to tame overflow/underflow
+	// on badly ranged data, not to cut iterations.
 	PrecondScale
 	// PrecondSinkhorn additionally warm-starts the dual from a
 	// Sinkhorn–Knopp balancing of the (positive-floored) prior: the
@@ -197,12 +171,6 @@ type Options struct {
 	// paper suggests at the end of Section 4.2. The residual reduction
 	// remains serial but is O(m) instead of O(m·n).
 	ParallelConvCheck bool
-	// Kernel selects the subproblem solver (exact equilibration or
-	// bisection). Interval-totals subproblems always use the exact kernel.
-	Kernel Kernel
-	// KernelTol is the bisection kernel's multiplier tolerance; it defaults
-	// to Epsilon·1e-4 so kernel error stays far below the outer tolerance.
-	KernelTol float64
 	// MaxIterations caps the number of row+column sweeps (diagonal solver)
 	// or projection steps (general solver).
 	MaxIterations int
@@ -280,19 +248,6 @@ type Options struct {
 	// are bit-identical either way (warm starts are exact); this exists as
 	// the ablation switch that makes the warm-start speedup attributable.
 	DisableWarmStart bool
-	// DisableBatch turns off the batched equilibration kernel, solving every
-	// row/column subproblem with an individual sort-and-sweep. Results are
-	// bit-identical either way (the batch produces each subproblem's unique
-	// canonical breakpoint order); this exists as the ablation switch that
-	// makes the fused-sort speedup attributable, and as the reference path
-	// the batched-vs-unbatched property tests compare against.
-	DisableBatch bool
-	// BatchEvents overrides the batched kernel's per-chunk event budget —
-	// the number of concatenated breakpoint events one fused radix pass
-	// covers. 0 means the tuned default (see docs/PERFORMANCE.md); 1
-	// degenerates to one subproblem per batch. Exposed for the segment-
-	// boundary property tests; solutions do not depend on it.
-	BatchEvents int
 }
 
 // DefaultOptions returns the options used throughout the paper's
@@ -338,9 +293,6 @@ func (o *Options) withDefaults() *Options {
 	}
 	if out.BoundMultipliers && out.MultiplierBound <= 0 {
 		out.MultiplierBound = 1e12
-	}
-	if out.KernelTol <= 0 {
-		out.KernelTol = out.Epsilon * 1e-4
 	}
 	if out.PrecondSweeps <= 0 {
 		out.PrecondSweeps = DefaultPrecondSweeps

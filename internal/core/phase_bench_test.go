@@ -35,10 +35,19 @@ func benchDiagProblem(b *testing.B, m, n int) *DiagonalProblem {
 }
 
 // benchPhaseState prepares a diagState mid-solve: one full iteration seeds
-// the multipliers so the benchmarked phase sees steady-state inputs.
-func benchPhaseState(b *testing.B, procs int) *diagState {
+// the multipliers so the benchmarked phase sees steady-state inputs. With
+// csr set the same problem runs Sparsify'd — a full CSR support, so the pair
+// isolates the cost of the per-cell index gather against the dense direct
+// path.
+func benchPhaseState(b *testing.B, procs int, csr bool) *diagState {
 	b.Helper()
 	p := benchDiagProblem(b, 500, 500)
+	if csr {
+		var err error
+		if p, err = p.Sparsify(); err != nil {
+			b.Fatal(err)
+		}
+	}
 	o := DefaultOptions()
 	o.Procs = procs
 	st := newDiagState(context.Background(), p, o.withDefaults())
@@ -55,32 +64,27 @@ func benchPhaseState(b *testing.B, procs int) *diagState {
 // The row/column phase pair isolates the tiling win: the column phase used
 // to gather and scatter with stride n, and should now sit within a small
 // factor of the row phase instead of far behind it. ReportAllocs guards the
-// steady-state zero-allocation property.
+// steady-state zero-allocation property. Each runs on dense and CSR storage.
 
-func BenchmarkRowPhase(b *testing.B)         { benchRowPhase(b, 1) }
-func BenchmarkRowPhaseParallel(b *testing.B) { benchRowPhase(b, runtime.NumCPU()) }
+func BenchmarkRowPhase(b *testing.B)         { benchPhase(b, 1, (*diagState).rowPhase) }
+func BenchmarkRowPhaseParallel(b *testing.B) { benchPhase(b, runtime.NumCPU(), (*diagState).rowPhase) }
 
-func benchRowPhase(b *testing.B, procs int) {
-	st := benchPhaseState(b, procs)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := st.rowPhase(nil); err != nil {
-			b.Fatal(err)
-		}
-	}
+func BenchmarkColumnPhase(b *testing.B) { benchPhase(b, 1, (*diagState).colPhase) }
+func BenchmarkColumnPhaseParallel(b *testing.B) {
+	benchPhase(b, runtime.NumCPU(), (*diagState).colPhase)
 }
 
-func BenchmarkColumnPhase(b *testing.B)         { benchColPhase(b, 1) }
-func BenchmarkColumnPhaseParallel(b *testing.B) { benchColPhase(b, runtime.NumCPU()) }
-
-func benchColPhase(b *testing.B, procs int) {
-	st := benchPhaseState(b, procs)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := st.colPhase(nil); err != nil {
-			b.Fatal(err)
-		}
+func benchPhase(b *testing.B, procs int, phase func(*diagState, *PhaseCosts) error) {
+	for _, storage := range []string{"dense", "csr"} {
+		b.Run(storage, func(b *testing.B) {
+			st := benchPhaseState(b, procs, storage == "csr")
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := phase(st, nil); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

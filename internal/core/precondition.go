@@ -22,13 +22,11 @@ import (
 //     scalars are the ONLY exact data scalings available — and because
 //     they are powers of two, every scaled entry, every arithmetic step of
 //     the solve, and every unscaled output is bit-for-bit a relabeling of
-//     the unpreconditioned computation (under KernelExact; the bisection
-//     kernel's absolute brackets are not scale-covariant). Tolerances move
-//     with the data: ε and the kernel/multiplier tolerances are rescaled
-//     by the same exact factors (RelBalance's relative residual is
-//     unitless and keeps ε, at the cost of its tiny-denominator guard
-//     |s̃| > 1e-12 testing the scaled supply — the one documented
-//     tolerance wart).
+//     the unpreconditioned computation. Tolerances move with the data: ε
+//     and the multiplier bound are rescaled by the same exact factors
+//     (RelBalance's relative residual is unitless and keeps ε, at the cost
+//     of its tiny-denominator guard |s̃| > 1e-12 testing the scaled supply
+//     — the one documented tolerance wart).
 //
 //  2. Dual warm start (PrecondSinkhorn, PrecondISP). Scaling alone cannot
 //     cut iteration counts — dual block-coordinate ascent is invariant
@@ -88,12 +86,11 @@ func (ps *precondState) apply(p *DiagonalProblem, o *Options) *DiagonalProblem {
 
 	// Tolerances move with the data, by exact power-of-two factors. ε is in
 	// mass units for MaxAbsDelta (|Δx|) and DualGradient (constraint
-	// residual); RelBalance is unitless. The kernel and multiplier bounds
-	// are in multiplier units (·τ/σ).
+	// residual); RelBalance is unitless. The multiplier bound is in
+	// multiplier units (·τ/σ).
 	if o.Criterion != RelBalance {
 		o.Epsilon /= ps.sigma
 	}
-	o.KernelTol *= ps.tau / ps.sigma
 	if o.BoundMultipliers {
 		o.MultiplierBound *= ps.tau / ps.sigma
 	}
@@ -123,9 +120,9 @@ func (ps *precondState) apply(p *DiagonalProblem, o *Options) *DiagonalProblem {
 }
 
 // unscale converts the scaled solve's Solution back to original units in
-// place. Every factor is a power of two, so under KernelExact the result is
-// bit-for-bit the unpreconditioned solution (PrecondScale) or an exact
-// relabeling of the warm-started trajectory's limit.
+// place. Every factor is a power of two, so the result is bit-for-bit the
+// unpreconditioned solution (PrecondScale) or an exact relabeling of the
+// warm-started trajectory's limit.
 func (ps *precondState) unscale(sol *Solution) {
 	σ, τ := ps.sigma, ps.tau
 	if σ != 1 {

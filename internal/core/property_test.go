@@ -227,39 +227,6 @@ func TestParallelConvCheckInvariance(t *testing.T) {
 	}
 }
 
-// TestKernelBisectionMatchesExact: the solver produces the same optimum
-// (within kernel tolerance) under either subproblem kernel, for every
-// problem kind the bisection kernel supports.
-func TestKernelBisectionMatchesExact(t *testing.T) {
-	rng := rand.New(rand.NewPCG(113, 114))
-	for _, mk := range []func() *DiagonalProblem{
-		func() *DiagonalProblem { return randFixed(rng, 6, 7, 100, 2) },
-		func() *DiagonalProblem { return randElastic(rng, 5, 6) },
-		func() *DiagonalProblem { return randBalanced(rng, 6) },
-	} {
-		p := mk()
-		exact, err := SolveDiagonal(context.Background(), p, tightOpts())
-		if err != nil {
-			t.Fatal(err)
-		}
-		o := tightOpts()
-		o.Epsilon = 1e-8
-		o.Kernel = KernelBisection
-		bis, err := SolveDiagonal(context.Background(), p, o)
-		if err != nil {
-			t.Fatalf("%v: %v", p.Kind, err)
-		}
-		for k := range exact.X {
-			if math.Abs(exact.X[k]-bis.X[k]) > 1e-5*(1+math.Abs(exact.X[k])) {
-				t.Fatalf("%v: kernels disagree at %d: %g vs %g", p.Kind, k, exact.X[k], bis.X[k])
-			}
-		}
-		if rep := CheckKKT(p, bis); !rep.Satisfied(1e-4) {
-			t.Errorf("%v: bisection-kernel KKT: %+v", p.Kind, rep)
-		}
-	}
-}
-
 // TestLowerBoundsSolver: the full Ohuchi–Kaji box on a fixed-totals solve.
 func TestLowerBoundsSolver(t *testing.T) {
 	rng := rand.New(rand.NewPCG(115, 116))

@@ -417,27 +417,14 @@ func growInt32(buf []int32, n int) []int32 {
 	return buf[:n]
 }
 
-// PresizeStates gives each cold State in sts permutation capacity for nev
-// events, carved from one shared slab — engaging a phase's warm starts then
-// costs two allocations instead of one per subproblem (the table5/spe250
-// cold-solve alloc regression). States already carrying a permutation keep
-// it, and solves whose event count exceeds nev simply grow individually:
-// presizing is purely an allocation-count optimization.
-func PresizeStates(sts []State, nev int) {
-	if nev <= 0 || len(sts) == 0 {
-		return
-	}
-	slab := make([]int32, len(sts)*nev)
-	for i := range sts {
-		if cap(sts[i].perm) < nev {
-			sts[i].perm = slab[i*nev : i*nev : (i+1)*nev]
-		}
-	}
-}
-
-// PresizeStatesSpans is PresizeStates for subproblems of differing sizes:
-// State i gets capacity ptr[i+1]−ptr[i] (a CSR or CSC offset array over the
-// subproblems' events), all carved from one slab.
+// PresizeStatesSpans gives each cold State in sts permutation capacity for
+// its subproblem's events — State i gets ptr[i+1]−ptr[i] (a CSR or CSC
+// offset array, or uniform offsets i·n) — all carved from one shared slab,
+// so engaging a phase's warm starts costs two allocations instead of one per
+// subproblem (the table5/spe250 cold-solve alloc regression). States
+// already carrying a permutation keep it, and solves whose event count
+// exceeds the span simply grow individually: presizing is purely an
+// allocation-count optimization.
 func PresizeStatesSpans(sts []State, ptr []int) {
 	if len(sts) == 0 {
 		return

@@ -357,35 +357,11 @@ func TestBatchSteadyZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestPresizeStates: presized states absorb saves up to the slab capacity
-// without allocating, and solves exceeding it still work.
-func TestPresizeStates(t *testing.T) {
-	sts := make([]State, 4)
-	PresizeStates(sts, 16)
-	for i := range sts {
-		if cap(sts[i].perm) != 16 {
-			t.Fatalf("state %d: perm cap %d, want 16", i, cap(sts[i].perm))
-		}
-	}
-	// Saving beyond the slab capacity must grow independently, not spill
-	// into the neighbor's slab region.
-	rng := rand.New(rand.NewPCG(9, 9))
-	p := buildProblem(rng, warmCase{n: 32})
-	x := make([]float64, 32)
-	if _, err := p.SolveState(x, nil, &sts[0]); err != nil {
-		t.Fatal(err)
-	}
-	if sts[0].nev != 32 {
-		t.Fatalf("state 0 nev = %d, want 32", sts[0].nev)
-	}
-	if cap(sts[1].perm) != 16 || sts[1].nev != 0 {
-		t.Fatal("neighbor state disturbed by out-of-slab growth")
-	}
-}
-
 // TestPresizeStatesSpans: each state gets exactly its span's capacity from
-// the shared slab (an empty span none), and a solve of exactly that size
-// saves without reallocating.
+// the shared slab (an empty span none), a solve of exactly that size saves
+// without reallocating, and — on uniform spans, the dense layout — a solve
+// exceeding its span grows independently instead of spilling into the
+// neighbor's slab region.
 func TestPresizeStatesSpans(t *testing.T) {
 	ptr := []int{3, 35, 35, 40}
 	sts := make([]State, 3)
@@ -404,5 +380,22 @@ func TestPresizeStatesSpans(t *testing.T) {
 	}
 	if sts[0].nev != 32 || &sts[0].perm[0] != &slab[0] {
 		t.Fatalf("state 0: nev %d, or the save left the slab", sts[0].nev)
+	}
+
+	uniform := make([]State, 4)
+	PresizeStatesSpans(uniform, []int{0, 16, 32, 48, 64})
+	for i := range uniform {
+		if cap(uniform[i].perm) != 16 {
+			t.Fatalf("uniform state %d: perm cap %d, want 16", i, cap(uniform[i].perm))
+		}
+	}
+	if _, err := p.SolveState(x, nil, &uniform[0]); err != nil {
+		t.Fatal(err)
+	}
+	if uniform[0].nev != 32 {
+		t.Fatalf("uniform state 0 nev = %d, want 32", uniform[0].nev)
+	}
+	if cap(uniform[1].perm) != 16 || uniform[1].nev != 0 {
+		t.Fatal("neighbor state disturbed by out-of-slab growth")
 	}
 }

@@ -1,15 +1,14 @@
 // Package metrics collects the instrumentation the experiments need:
 // iteration counters, abstract operation counts (the paper's complexity
 // model charges each exact equilibration 7n + n·ln n + 2n operations), and
-// wall-clock phase timings. Counters are safe for concurrent increment so
-// the parallel row/column phases can record per-task costs.
+// the serving layer's gauges and latency summaries. Counters are safe for
+// concurrent increment so the parallel row/column phases can record
+// per-task costs.
 package metrics
 
 import (
 	"fmt"
-	"sync"
 	"sync/atomic"
-	"time"
 )
 
 // Counters accumulates the quantities every experiment reports.
@@ -69,48 +68,4 @@ func (s Snapshot) Add(o Snapshot) Snapshot {
 func (s Snapshot) String() string {
 	return fmt.Sprintf("outer=%d iter=%d equil=%d ops=%d serialOps=%d checks=%d",
 		s.OuterIterations, s.Iterations, s.Equilibrations, s.Ops, s.SerialOps, s.ConvChecks)
-}
-
-// Stopwatch accumulates named wall-clock phase durations. Safe for
-// concurrent use.
-type Stopwatch struct {
-	mu     sync.Mutex
-	phases map[string]time.Duration
-}
-
-// NewStopwatch returns an empty Stopwatch.
-func NewStopwatch() *Stopwatch {
-	return &Stopwatch{phases: make(map[string]time.Duration)}
-}
-
-// Add accumulates d into the named phase.
-func (s *Stopwatch) Add(phase string, d time.Duration) {
-	s.mu.Lock()
-	s.phases[phase] += d
-	s.mu.Unlock()
-}
-
-// Time runs fn and accumulates its duration into the named phase.
-func (s *Stopwatch) Time(phase string, fn func()) {
-	start := time.Now()
-	fn()
-	s.Add(phase, time.Since(start))
-}
-
-// Get returns the accumulated duration for a phase.
-func (s *Stopwatch) Get(phase string) time.Duration {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.phases[phase]
-}
-
-// Phases returns a copy of all phase durations.
-func (s *Stopwatch) Phases() map[string]time.Duration {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make(map[string]time.Duration, len(s.phases))
-	for k, v := range s.phases {
-		out[k] = v
-	}
-	return out
 }

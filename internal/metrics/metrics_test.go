@@ -4,7 +4,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 )
 
 func TestCountersConcurrent(t *testing.T) {
@@ -48,44 +47,5 @@ func TestSnapshotString(t *testing.T) {
 	c.Iterations.Add(3)
 	if got := c.Snapshot().String(); !strings.Contains(got, "iter=3") {
 		t.Errorf("String() = %q", got)
-	}
-}
-
-func TestStopwatch(t *testing.T) {
-	sw := NewStopwatch()
-	sw.Add("row", 2*time.Millisecond)
-	sw.Add("row", 3*time.Millisecond)
-	if got := sw.Get("row"); got != 5*time.Millisecond {
-		t.Errorf("Get(row) = %v, want 5ms", got)
-	}
-	sw.Time("col", func() { time.Sleep(time.Millisecond) })
-	if got := sw.Get("col"); got < time.Millisecond {
-		t.Errorf("Time(col) recorded %v, want >= 1ms", got)
-	}
-	phases := sw.Phases()
-	if len(phases) != 2 {
-		t.Errorf("Phases() has %d entries, want 2", len(phases))
-	}
-	phases["row"] = 0 // mutating the copy must not affect the stopwatch
-	if sw.Get("row") != 5*time.Millisecond {
-		t.Error("Phases() returned a live reference")
-	}
-}
-
-func TestStopwatchConcurrent(t *testing.T) {
-	sw := NewStopwatch()
-	var wg sync.WaitGroup
-	for w := 0; w < 4; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 100; i++ {
-				sw.Add("p", time.Microsecond)
-			}
-		}()
-	}
-	wg.Wait()
-	if got := sw.Get("p"); got != 400*time.Microsecond {
-		t.Errorf("concurrent Add total = %v, want 400µs", got)
 	}
 }
