@@ -18,10 +18,12 @@ test:
 # Race-check the scheduling substrate and everything built on it: the core
 # solvers (including the batched equilibration kernel, its radix sorts, and
 # the CSR column-mirror scatter whose per-column writes must stay disjoint),
-# the baselines, the sparse wire codec, and the public facade (whose
-# cancellation suite exercises pool teardown under contention).
+# the baselines, the sparse wire codec, the instrumentation channel (trace
+# observers, the atomic counters observer, the parsim cost recorder), and
+# the public facade (whose cancellation suite exercises pool teardown under
+# contention).
 race:
-	$(GO) test -race ./internal/parallel/... ./internal/core/... ./internal/equilibrate/... ./internal/sortx/... ./internal/scale/... ./internal/entropy/... ./internal/baseline/... ./internal/matio/... ./pkg/...
+	$(GO) test -race ./internal/parallel/... ./internal/core/... ./internal/equilibrate/... ./internal/sortx/... ./internal/scale/... ./internal/entropy/... ./internal/baseline/... ./internal/matio/... ./internal/trace/... ./internal/metrics/... ./internal/parsim/... ./pkg/...
 	$(GO) vet ./...
 
 # Build the commands explicitly (CI smoke for the CLI layer).

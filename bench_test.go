@@ -119,12 +119,12 @@ func BenchmarkTable6_SpeedupPipeline(b *testing.B) {
 	p := problems.Table1(120, 7)
 	for i := 0; i < b.N; i++ {
 		o := fixedOpts(0.01)
-		tr := &core.CostTrace{}
-		o.CostTrace = tr
+		tr := &parsim.Recorder{}
+		o.Trace = tr
 		if _, err := core.SolveDiagonal(context.Background(), p, o); err != nil {
 			b.Fatal(err)
 		}
-		parsim.Speedups(tr, []int{2, 4, 6})
+		parsim.Speedups(tr.Phases, []int{2, 4, 6})
 	}
 }
 
@@ -188,12 +188,12 @@ func BenchmarkTable9_SpeedupPipeline(b *testing.B) {
 		o.Epsilon = 0.001
 		o.Criterion = core.MaxAbsDelta
 		o.SkipDominanceCheck = true
-		tr := &core.CostTrace{}
-		o.CostTrace = tr
+		tr := &parsim.Recorder{}
+		o.Trace = tr
 		if _, err := core.SolveGeneral(context.Background(), p, o); err != nil {
 			b.Fatal(err)
 		}
-		parsim.Speedups(tr, []int{2, 4})
+		parsim.Speedups(tr.Phases, []int{2, 4})
 	}
 }
 

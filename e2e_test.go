@@ -72,7 +72,7 @@ func TestE2EIOTableUpdate(t *testing.T) {
 
 	// RAS solves the same instance (feasible pattern) but a different
 	// objective; its result must meet the totals yet differ from SEA's.
-	ras, err := baseline.RAS(context.Background(), p2.M, p2.N, p2.X0, p2.S0, p2.D0, optsWith(1e-9, 10000))
+	ras, err := seaapi.Solve(context.Background(), "ras", &seaapi.Problem{Diagonal: p2}, optsWith(1e-9, 10000))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,12 +8,13 @@ package main
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"log"
 
-	"sea/internal/baseline"
 	"sea/internal/core"
 	"sea/internal/problems"
+	"sea/pkg/sea"
 )
 
 func main() {
@@ -38,7 +39,7 @@ func main() {
 	rasOpts := core.DefaultOptions()
 	rasOpts.Epsilon = 1e-6
 	rasOpts.MaxIterations = 10000
-	ras, err := baseline.RAS(context.Background(), p.M, p.N, p.X0, p.S0, p.D0, rasOpts)
+	ras, err := sea.Solve(context.Background(), "ras", &sea.Problem{Diagonal: p}, rasOpts)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -56,16 +57,6 @@ func main() {
 	s0 := []float64{60, 25, 25} // row 1 must grow to 60...
 	d0 := []float64{40, 35, 35} // ...but column 1 must shrink to 40.
 	fmt.Println("infeasible-RAS instance (zero pattern blocks the totals):")
-	rasBadOpts := core.DefaultOptions()
-	rasBadOpts.Epsilon = 1e-6
-	rasBadOpts.MaxIterations = 2000
-	rasBad, err := baseline.RAS(context.Background(), 3, 3, x0, s0, d0, rasBadOpts)
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("  RAS after %d sweeps: converged=%v (row err %.3f, col err %.3f)\n",
-		rasBad.Iterations, rasBad.Converged, rasBad.MaxRowErr, rasBad.MaxColErr)
-
 	gamma := make([]float64, 9)
 	for k := range gamma {
 		gamma[k] = 1
@@ -74,6 +65,17 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	rasBadOpts := core.DefaultOptions()
+	rasBadOpts.Epsilon = 1e-6
+	rasBadOpts.MaxIterations = 2000
+	rasBad, err := sea.Solve(context.Background(), "ras", &sea.Problem{Diagonal: p2}, rasBadOpts)
+	if !errors.Is(err, sea.ErrNotConverged) {
+		log.Fatalf("RAS on the infeasible pattern: %v", err)
+	}
+	// Sinkhorn measures the row residual relative to max(s0_i, 1); the
+	// column totals hold exactly after every column step.
+	fmt.Printf("  RAS after %d sweeps: converged=%v (row residual %.3f; row sums %.1f, want %.1f)\n",
+		rasBad.Iterations, rasBad.Converged, rasBad.Residual, rasBad.S, s0)
 	o2 := core.DefaultOptions()
 	o2.Criterion = core.DualGradient
 	o2.Epsilon = 1e-9

@@ -2,7 +2,6 @@ package baseline
 
 import (
 	"context"
-	"errors"
 	"math"
 	"math/rand/v2"
 	"testing"
@@ -91,106 +90,6 @@ func TestDykstraRejectsElastic(t *testing.T) {
 	}
 }
 
-func TestRASBalancesFeasibleTable(t *testing.T) {
-	rng := rand.New(rand.NewPCG(53, 54))
-	m, n := 6, 8
-	x0 := make([]float64, m*n)
-	for k := range x0 {
-		x0[k] = 0.5 + rng.Float64()*10
-	}
-	// Targets from a positive matrix: RAS-feasible.
-	want := make([]float64, m*n)
-	for k := range want {
-		want[k] = 0.5 + rng.Float64()*10
-	}
-	s0 := make([]float64, m)
-	d0 := make([]float64, n)
-	for i := 0; i < m; i++ {
-		for j := 0; j < n; j++ {
-			s0[i] += want[i*n+j]
-			d0[j] += want[i*n+j]
-		}
-	}
-	res, err := RAS(context.Background(), m, n, x0, s0, d0, optsWith(1e-10, 10000))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Converged {
-		t.Fatalf("RAS did not converge: rowErr=%g colErr=%g", res.MaxRowErr, res.MaxColErr)
-	}
-	// Zero pattern preserved (none here) and totals met.
-	rowErr, colErr := rasErrors(m, n, res.X, s0, d0)
-	if rowErr > 1e-9 || colErr > 1e-9 {
-		t.Errorf("totals not met: %g, %g", rowErr, colErr)
-	}
-}
-
-func TestRASPreservesZeros(t *testing.T) {
-	x0 := []float64{
-		1, 0, 2,
-		3, 4, 0,
-	}
-	s0 := []float64{4, 6}
-	d0 := []float64{5, 3, 2}
-	res, err := RAS(context.Background(), 2, 3, x0, s0, d0, optsWith(1e-9, 10000))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.X[1] != 0 || res.X[5] != 0 {
-		t.Errorf("RAS moved mass into zero cells: %v", res.X)
-	}
-}
-
-// TestRASNonconvergence reproduces the Mohr–Crown–Polenske failure: a zero
-// pattern that makes the targets unreachable. SEA solves the same instance.
-func TestRASNonconvergence(t *testing.T) {
-	// Row 0 can only place mass in column 0, but column 0's target is
-	// smaller than row 0's: multiplicative scaling can never satisfy both.
-	x0 := []float64{
-		5, 0,
-		1, 1,
-	}
-	s0 := []float64{6, 2}
-	d0 := []float64{3, 5}
-	res, err := RAS(context.Background(), 2, 2, x0, s0, d0, optsWith(1e-6, 500))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Converged {
-		t.Fatalf("RAS converged on an infeasible zero pattern: %+v", res)
-	}
-
-	// SEA, free to move mass into the zero cell, solves it.
-	gamma := []float64{1, 1, 1, 1}
-	p, err := core.NewFixed(2, 2, x0, gamma, s0, d0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sol, err := core.SolveDiagonal(context.Background(), p, seaOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !sol.Converged {
-		t.Error("SEA failed on the RAS-infeasible instance")
-	}
-	if sol.X[1] <= 0 {
-		t.Errorf("SEA should place mass in the zero cell, got %g", sol.X[1])
-	}
-}
-
-func TestRASStructuralError(t *testing.T) {
-	x0 := []float64{0, 0, 1, 1}
-	if _, err := RAS(context.Background(), 2, 2, x0, []float64{3, 2}, []float64{2, 3}, optsWith(1e-6, 100)); !errors.Is(err, ErrRASStructure) {
-		t.Errorf("zero row with positive target: err = %v", err)
-	}
-	if _, err := RAS(context.Background(), 2, 2, []float64{1, -1, 1, 1}, []float64{1, 1}, []float64{1, 1}, optsWith(1e-6, 100)); err == nil {
-		t.Error("negative prior accepted")
-	}
-	if _, err := RAS(context.Background(), 2, 2, []float64{1}, []float64{1, 1}, []float64{1, 1}, optsWith(1e-6, 100)); err == nil {
-		t.Error("dimension mismatch accepted")
-	}
-}
-
 // denseDominantG mirrors the paper's dense weight generator.
 func denseDominantG(rng *rand.Rand, n int) *mat.DenseSym {
 	data := make([]float64, n*n)
@@ -258,7 +157,7 @@ func TestRCMatchesSEAGeneral(t *testing.T) {
 		}
 		var c metrics.Counters
 		o := generalOpts()
-		o.Counters = &c
+		o.Trace = &c
 		rc, err := SolveRC(context.Background(), p, o)
 		if err != nil {
 			t.Fatal(err)

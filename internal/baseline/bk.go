@@ -8,7 +8,6 @@ import (
 
 	"sea/internal/core"
 	"sea/internal/mat"
-	"sea/internal/metrics"
 	"sea/internal/trace"
 )
 
@@ -62,18 +61,13 @@ func SolveBK(ctx context.Context, p *core.GeneralProblem, opts *core.Options) (*
 	g := make([]float64, mn)
 	p.G.MulVec(g, dev)
 	mat.Scale(2, g)
-	if o.Counters != nil {
-		o.Counters.Ops.Add(int64(mn) * int64(mn))
-	}
+	// The gradient setup's operations are charged to the first sweep.
+	ops := int64(mn) * int64(mn)
 
 	_, diagG := p.G.(*mat.Diagonal)
 	grow := make([]float64, mn) // scratch for dense gradient updates
 
 	obs := o.Trace
-	var prevSnap metrics.Snapshot
-	if obs != nil {
-		prevSnap = o.Counters.Snapshot()
-	}
 	sol := &core.Solution{}
 	for sweep := 1; sweep <= o.MaxIterations; sweep++ {
 		sol.Iterations = sweep
@@ -90,7 +84,7 @@ func SolveBK(ctx context.Context, p *core.GeneralProblem, opts *core.Options) (*
 			for i2 := i + 1; i2 < m; i2++ {
 				for j := 0; j < n-1; j++ {
 					for j2 := j + 1; j2 < n; j2++ {
-						theta := bkMove(p, x, g, grow, diagG, i, i2, j, j2, o.Counters)
+						theta := bkMove(p, x, g, grow, diagG, i, i2, j, j2, &ops)
 						if a := math.Abs(theta); a > maxMove {
 							maxMove = a
 						}
@@ -98,20 +92,14 @@ func SolveBK(ctx context.Context, p *core.GeneralProblem, opts *core.Options) (*
 				}
 			}
 		}
-		if o.Counters != nil {
-			o.Counters.Iterations.Add(1)
-		}
 		sol.Residual = maxMove
 		if obs != nil {
-			ev := trace.Event{
+			obs.ObserveIteration(trace.Event{
 				Solver: "bk", Iteration: sweep, Checked: true,
-				Residual: maxMove, RowPhase: time.Since(mark),
-			}
-			snap := o.Counters.Snapshot()
-			ev.Ops = snap.Ops - prevSnap.Ops
-			prevSnap = snap
-			obs.ObserveIteration(ev)
+				Residual: maxMove, RowPhase: time.Since(mark), Ops: ops,
+			})
 		}
+		ops = 0
 		if maxMove <= o.Epsilon {
 			sol.Converged = true
 			break
@@ -136,8 +124,9 @@ func finishBK(sol *core.Solution, p *core.GeneralProblem, x []float64) {
 
 // bkMove performs the exact clipped line search along the elementary cycle
 // (+1 at (i,j) and (i2,j2); −1 at (i,j2) and (i2,j)) and applies the move.
-// It returns the step taken (0 if the cycle is already optimal or blocked).
-func bkMove(p *core.GeneralProblem, x, g, grow []float64, diagG bool, i, i2, j, j2 int, counters *metrics.Counters) float64 {
+// It returns the step taken (0 if the cycle is already optimal or blocked)
+// and adds the gradient update's operations to *ops.
+func bkMove(p *core.GeneralProblem, x, g, grow []float64, diagG bool, i, i2, j, j2 int, ops *int64) float64 {
 	n := p.N
 	kpp := i*n + j   // +θ
 	kpm := i*n + j2  // −θ
@@ -189,17 +178,13 @@ func bkMove(p *core.GeneralProblem, x, g, grow []float64, diagG bool, i, i2, j, 
 		g[kmm] += 2 * theta * p.G.Diag(kmm)
 		g[kpm] -= 2 * theta * p.G.Diag(kpm)
 		g[kmp] -= 2 * theta * p.G.Diag(kmp)
-		if counters != nil {
-			counters.Ops.Add(8)
-		}
+		*ops += 8
 	} else {
 		for a := 0; a < 4; a++ {
 			p.G.Row(ks[a], grow)
 			mat.AXPY(2*theta*sg[a], grow, g)
 		}
-		if counters != nil {
-			counters.Ops.Add(int64(8 * len(g)))
-		}
+		*ops += int64(8 * len(g))
 	}
 	return theta
 }

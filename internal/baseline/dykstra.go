@@ -141,13 +141,6 @@ func SolveDykstra(ctx context.Context, p *core.DiagonalProblem, opts *core.Optio
 			}
 		}
 		sol.Residual = worst
-		if o.Counters != nil {
-			o.Counters.Iterations.Add(1)
-			o.Counters.Equilibrations.Add(int64(m + n))
-			o.Counters.Ops.Add(ops)
-			o.Counters.ConvChecks.Add(1)
-			o.Counters.SerialOps.Add(int64(mn))
-		}
 		if obs != nil {
 			ev.CheckPhase = time.Since(mark)
 			ev.Residual = worst

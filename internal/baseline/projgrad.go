@@ -94,9 +94,6 @@ func SolveProjGrad(ctx context.Context, p *core.GeneralProblem, opts *core.Optio
 		for k := 0; k < mn; k++ {
 			proj.X0[k] = x[k] - step*2*grad[k]
 		}
-		if o.Counters != nil {
-			o.Counters.Ops.Add(int64(mn) * int64(mn))
-		}
 		if obs != nil {
 			now := time.Now()
 			ev.RowPhase = now.Sub(mark)
@@ -112,11 +109,6 @@ func SolveProjGrad(ctx context.Context, p *core.GeneralProblem, opts *core.Optio
 		delta := mat.MaxAbsDiff(pr.X, x)
 		copy(x, pr.X)
 		sol.Residual = delta
-		if o.Counters != nil {
-			o.Counters.Iterations.Add(1)
-			o.Counters.ConvChecks.Add(1)
-			o.Counters.SerialOps.Add(int64(mn))
-		}
 		if obs != nil {
 			ev.ColPhase = time.Since(mark)
 			ev.Inner = pr.Iterations

@@ -1,3 +1,10 @@
+// Package baseline implements the comparison algorithms of the paper's
+// evaluation: the RC equilibration algorithm of Nagurney, Kim and Robinson
+// (1990), the Bachem–Korte (1978) algorithm for quadratic optimization over
+// transportation polytopes, the RAS / iterative-proportional-fitting method
+// of Deming and Stephan (1940) as Sinkhorn–Knopp balancing, and Dykstra's
+// alternating projections as an independent reference solver for
+// cross-validating SEA.
 package baseline
 
 import (
@@ -9,7 +16,6 @@ import (
 	"sea/internal/core"
 	"sea/internal/equilibrate"
 	"sea/internal/mat"
-	"sea/internal/metrics"
 	"sea/internal/parallel"
 	"sea/internal/trace"
 )
@@ -80,6 +86,10 @@ func SolveRC(ctx context.Context, p *core.GeneralProblem, opts *core.Options) (*
 	}
 	st.workspaces = make([]*equilibrate.Workspace, procs)
 	st.colBufs = make([][]float64, procs)
+	st.tallies = make([]tally, procs)
+	if trace.WantsCosts(o.Trace) {
+		st.matvec = matvecCosts(mn)
+	}
 	for c := range st.workspaces {
 		st.workspaces[c] = equilibrate.NewWorkspace(maxDim)
 		st.colBufs[c] = make([]float64, 2*m)
@@ -95,10 +105,6 @@ func SolveRC(ctx context.Context, p *core.GeneralProblem, opts *core.Options) (*
 	xOuter := make([]float64, mn)
 	totalInner := 0
 	obs := o.Trace
-	var prevSnap metrics.Snapshot
-	if obs != nil {
-		prevSnap = o.Counters.Snapshot()
-	}
 	for outer := 1; outer <= o.MaxIterations; outer++ {
 		if err := ctx.Err(); err != nil {
 			sol := st.finish(lambda, mu, outer-1, totalInner, math.NaN())
@@ -106,10 +112,10 @@ func SolveRC(ctx context.Context, p *core.GeneralProblem, opts *core.Options) (*
 			return sol, err
 		}
 		copy(xOuter, st.x)
-		var ev trace.Event
+		st.ev = trace.Event{Solver: "rc", Iteration: outer, Checked: true}
+		st.costs = st.costs[:0]
 		var mark time.Time
 		if obs != nil {
-			ev = trace.Event{Solver: "rc", Iteration: outer, Checked: true}
 			mark = time.Now()
 		}
 
@@ -125,9 +131,8 @@ func SolveRC(ctx context.Context, p *core.GeneralProblem, opts *core.Options) (*
 		totalInner += it
 		if obs != nil {
 			now := time.Now()
-			ev.RowPhase = now.Sub(mark)
+			st.ev.RowPhase = now.Sub(mark)
 			mark = now
-			ev.Inner = it
 		}
 		it, err = st.stage(false, lambda, mu)
 		if err != nil {
@@ -140,22 +145,13 @@ func SolveRC(ctx context.Context, p *core.GeneralProblem, opts *core.Options) (*
 		}
 		totalInner += it
 
-		if o.Counters != nil {
-			o.Counters.OuterIterations.Add(1)
-			o.Counters.ConvChecks.Add(1)
-			o.Counters.SerialOps.Add(int64(mn))
-		}
 		delta := mat.MaxAbsDiff(st.x, xOuter)
+		st.ev.SerialOps += int64(mn)
 		if obs != nil {
-			ev.ColPhase = time.Since(mark)
-			ev.Inner += it
-			ev.Residual = delta
-			snap := o.Counters.Snapshot()
-			ev.Equilibrations = snap.Equilibrations - prevSnap.Equilibrations
-			ev.Ops = snap.Ops - prevSnap.Ops
-			ev.SerialOps = snap.SerialOps - prevSnap.SerialOps
-			prevSnap = snap
-			obs.ObserveIteration(ev)
+			st.ev.ColPhase = time.Since(mark)
+			st.ev.Residual = delta
+			st.ev.Costs = st.costs
+			obs.ObserveIteration(st.ev)
 		}
 		if delta <= o.Epsilon {
 			return st.finish(lambda, mu, outer, totalInner, delta), nil
@@ -180,7 +176,21 @@ type rcState struct {
 	rowStates  []equilibrate.State // warm-start state per row (nil when disabled)
 	colStates  []equilibrate.State // warm-start state per column
 	errs       error
+
+	// Per-solve instrumentation: each worker chunk tallies its
+	// equilibrations in tallies[chunk], folded after every phase into ev,
+	// the trace record of the outer cycle in flight. When the observer
+	// wants costs, matvec is the shared per-task cost of a linear-term
+	// update and costs collects the cycle's phases; otherwise both are nil.
+	tallies []tally
+	ev      trace.Event
+	matvec  []int64
+	costs   []trace.PhaseCosts
 }
+
+// tally is one worker chunk's equilibration count and operation total in
+// the phase being dispatched.
+type tally struct{ equil, ops int64 }
 
 // stage runs one dual stage (rows if rowStage, else columns): the projection
 // method on the general objective subject to only that side's constraints,
@@ -205,26 +215,22 @@ func (st *rcState) stage(rowStage bool, lambda, mu []float64) (int, error) {
 		st.runner.ForChunks(mn, func(_, lo, hi int) {
 			p.G.MulVecRange(st.gx, st.xdev, lo, hi)
 		})
-		if o.Counters != nil {
-			o.Counters.Ops.Add(int64(mn) * int64(mn))
-		}
-		if o.CostTrace != nil {
-			o.CostTrace.Phases = append(o.CostTrace.Phases, core.PhaseCosts{Row: matvecCosts(mn)})
-		}
+		st.ev.Ops += int64(mn) * int64(mn)
 		for k := 0; k < mn; k++ {
 			st.z[k] = st.x[k] - st.gx[k]/st.gammaT[k]
 		}
 
-		var ph *core.PhaseCosts
-		if o.CostTrace != nil {
-			pc := core.PhaseCosts{}
+		var tasks []int64 // this phase's per-task costs, when wanted
+		if st.matvec != nil {
+			pc := trace.PhaseCosts{}
 			if rowStage {
 				pc.Row = make([]int64, m)
+				tasks = pc.Row
 			} else {
 				pc.Col = make([]int64, n)
+				tasks = pc.Col
 			}
-			o.CostTrace.Phases = append(o.CostTrace.Phases, pc)
-			ph = &o.CostTrace.Phases[len(o.CostTrace.Phases)-1]
+			st.costs = append(st.costs, trace.PhaseCosts{Row: st.matvec}, pc)
 		}
 
 		if rowStage {
@@ -254,7 +260,7 @@ func (st *rcState) stage(rowStage bool, lambda, mu []float64) (int, error) {
 						return
 					}
 					lambda[i] = res.Lambda
-					recordTask(o, ph, true, i, res.Ops+int64(2*n))
+					st.record(chunk, tasks, i, res.Ops+int64(2*n))
 				}
 			})
 		} else {
@@ -293,9 +299,14 @@ func (st *rcState) stage(rowStage bool, lambda, mu []float64) (int, error) {
 						st.x[i*n+j] = xcol[i]
 					}
 					mu[j] = res.Lambda
-					recordTask(o, ph, false, j, res.Ops+int64(2*m))
+					st.record(chunk, tasks, j, res.Ops+int64(2*m))
 				}
 			})
+		}
+		for c, t := range st.tallies {
+			st.ev.Equilibrations += t.equil
+			st.ev.Ops += t.ops
+			st.tallies[c] = tally{}
 		}
 		if st.errs != nil {
 			err := st.errs
@@ -305,13 +316,10 @@ func (st *rcState) stage(rowStage bool, lambda, mu []float64) (int, error) {
 
 		// Serial projection-method convergence verification — the phase
 		// that separates RC's parallel stages (paper, Section 5.2).
-		if o.Counters != nil {
-			o.Counters.Iterations.Add(1)
-			o.Counters.ConvChecks.Add(1)
-			o.Counters.SerialOps.Add(int64(mn))
-		}
-		if o.CostTrace != nil {
-			o.CostTrace.Phases = append(o.CostTrace.Phases, core.PhaseCosts{Serial: int64(mn)})
+		st.ev.Inner++
+		st.ev.SerialOps += int64(mn)
+		if st.matvec != nil {
+			st.costs = append(st.costs, trace.PhaseCosts{Serial: int64(mn)})
 		}
 		if mat.MaxAbsDiff(st.x, st.xPrev) <= o.InnerEpsilon {
 			return proj, nil
@@ -362,11 +370,6 @@ func fillOpts(o *core.Options) *core.Options {
 	if out.CheckEvery <= 0 {
 		out.CheckEvery = 1
 	}
-	// Same subsumption rule as core's withDefaults: an iteration observer
-	// implies counters, private ones when the caller attached none.
-	if out.Trace != nil && out.Counters == nil {
-		out.Counters = &metrics.Counters{}
-	}
 	return &out
 }
 
@@ -379,17 +382,12 @@ func matvecCosts(mn int) []int64 {
 	return costs
 }
 
-// recordTask stores one equilibration task's cost in the counters and trace.
-func recordTask(o *core.Options, ph *core.PhaseCosts, row bool, idx int, cost int64) {
-	if o.Counters != nil {
-		o.Counters.Equilibrations.Add(1)
-		o.Counters.Ops.Add(cost)
-	}
-	if ph != nil {
-		if row {
-			ph.Row[idx] = cost
-		} else {
-			ph.Col[idx] = cost
-		}
+// record tallies one equilibration task of the given worker chunk and, when
+// costs are wanted, stores its cost as task idx.
+func (st *rcState) record(chunk int, tasks []int64, idx int, cost int64) {
+	st.tallies[chunk].equil++
+	st.tallies[chunk].ops += cost
+	if tasks != nil {
+		tasks[idx] = cost
 	}
 }

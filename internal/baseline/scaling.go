@@ -12,20 +12,36 @@ import (
 	"sea/internal/trace"
 )
 
-// SolveSinkhorn runs Sinkhorn–Knopp biproportional balancing as a registry
-// solver: alternately scale rows and columns of the prior until the totals
-// are met. Like RAS it preserves the prior's zero pattern and solves an
-// entropy objective rather than the paper's weighted least squares — it is
-// a baseline, reported at the quadratic objective's value for comparison —
-// but unlike the classical "ras" implementation it runs natively on CSR
+// ErrRASStructure is returned when biproportional scaling cannot possibly
+// converge because the zero pattern of the prior makes the target totals
+// unreachable (the infeasible-RAS situation analyzed by Mohr, Crown and
+// Polenske (1987)).
+var ErrRASStructure = errors.New("baseline: RAS structurally infeasible: a zero row/column has a positive target total")
+
+// SolveSinkhorn runs Sinkhorn–Knopp biproportional balancing — the RAS
+// method of Deming and Stephan (1940) — as a registry solver ("sinkhorn",
+// alias "ras"): alternately scale rows and columns of the prior until the
+// totals are met. It preserves the prior's zero pattern (it cannot move mass
+// into zero cells) and solves an entropy objective rather than the paper's
+// weighted least squares — it is a baseline, reported at the quadratic
+// objective's value for comparison. It runs natively on dense and CSR
 // storage and detects Nathanson-style exact finite termination (the sweep
 // map reaching a floating-point fixed point, reported via the trace as a
 // final zero residual).
 //
 // The problem must have fixed totals (the caller checks; this function
-// re-validates structure only). Options supply Epsilon (relative residual
-// tolerance), MaxIterations, Trace and Counters; cancellation is observed
-// after every sweep.
+// re-validates structure only). Options supply Epsilon (the tolerance on
+// the relative row residual, see scale.Sinkhorn), MaxIterations and Trace;
+// cancellation is observed after every sweep.
+//
+// When the targets are unreachable on the prior's zero pattern (Mohr, Crown
+// and Polenske), the factors diverge — some rows' u_i grow without bound
+// while the facing v_j vanish — and would overflow to Inf·0 = NaN cells.
+// Once a factor leaves [1/absorbLimit, absorbLimit], the factors are
+// absorbed into a working copy of the prior (the classical RAS update of
+// the matrix itself) and the sweeps continue from unit factors, so cells
+// the limit empties underflow to zero instead. Convergent solves never come
+// near the limit.
 func SolveSinkhorn(ctx context.Context, p *core.DiagonalProblem, opts *core.Options) (*core.Solution, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -41,21 +57,38 @@ func SolveSinkhorn(ctx context.Context, p *core.DiagonalProblem, opts *core.Opti
 
 	obs := o.Trace
 	ops := int64(2 * a.Nnz())
-	u, v, res, err := scale.Sinkhorn(a, p.S0, p.D0, nil, nil, scale.SinkhornOptions{
-		Tol:      o.Epsilon,
-		MaxIters: o.MaxIterations,
-		Observe: func(iter int, residual float64) {
-			observeSweep(o, obs, "sinkhorn", iter, residual, ops)
-		},
-		Stop: func() bool { return ctx.Err() != nil },
-	})
-	if err != nil {
-		if errors.Is(err, scale.ErrStructure) {
-			return nil, fmt.Errorf("%w (%v)", ErrRASStructure, err)
+	u, v := make([]float64, p.M), make([]float64, p.N)
+	val := p.X0
+	var res scale.Result
+	for {
+		done := res.Iterations
+		var err error
+		diverged := false
+		u, v, res, err = scale.Sinkhorn(a, p.S0, p.D0, u, v, scale.SinkhornOptions{
+			Tol:      o.Epsilon,
+			MaxIters: o.MaxIterations - done,
+			Observe: func(iter int, residual float64) {
+				trace.Sweep(obs, "sinkhorn", done+iter, residual, ops)
+			},
+			Stop: func() bool {
+				diverged = outside(u, absorbLimit) || outside(v, absorbLimit)
+				return diverged || ctx.Err() != nil
+			},
+		})
+		if err != nil {
+			if errors.Is(err, scale.ErrStructure) {
+				return nil, fmt.Errorf("%w (%v)", ErrRASStructure, err)
+			}
+			return nil, err
 		}
-		return nil, err
+		res.Iterations += done
+		if !diverged || ctx.Err() != nil || res.Iterations >= o.MaxIterations {
+			break
+		}
+		val = sinkhornX(p, val, u, v)
+		a = problemMatrix(p, val)
 	}
-	sol := scalingSolution(p, nil, nil, res, sinkhornX(p, u, v))
+	sol := scalingSolution(p, nil, nil, res, sinkhornX(p, val, u, v))
 	if cerr := ctx.Err(); cerr != nil && !res.Converged {
 		sol.Status = core.StatusCancelled
 		return sol, cerr
@@ -95,7 +128,7 @@ func SolveISP(ctx context.Context, p *core.DiagonalProblem, opts *core.Options) 
 	var total scale.Result
 	base := 0
 	observe := func(iter int, residual float64) {
-		observeSweep(o, obs, "isp", base+iter, residual, 2*nnz)
+		trace.Sweep(obs, "isp", base+iter, residual, 2*nnz)
 	}
 	// One Run call per sweep: the duals persist across calls, so this is the
 	// same iteration with a cancellation check between sweeps.
@@ -172,30 +205,24 @@ func ispSystem(p *core.DiagonalProblem) (*scale.System, error) {
 	return sys, nil
 }
 
-// observeSweep forwards one scaling sweep to the counters and the observer,
-// following the same event shape RAS emits: every sweep checks convergence,
-// and the whole sweep is serial work.
-func observeSweep(o *core.Options, obs trace.Observer, solver string, iter int, residual float64, ops int64) {
-	if o.Counters != nil {
-		o.Counters.Iterations.Add(1)
-		o.Counters.ConvChecks.Add(1)
-		o.Counters.SerialOps.Add(ops)
+// absorbLimit bounds SolveSinkhorn's factors between absorptions.
+const absorbLimit = 1e100
+
+// outside reports whether any nonzero factor lies outside [1/limit, limit]
+// (a zero factor belongs to a zero target, not to divergence).
+func outside(f []float64, limit float64) bool {
+	for _, x := range f {
+		if x > limit || (x > 0 && x < 1/limit) {
+			return true
+		}
 	}
-	if obs != nil {
-		obs.ObserveIteration(trace.Event{
-			Solver:    solver,
-			Iteration: iter,
-			Checked:   true,
-			Residual:  residual,
-			SerialOps: ops,
-		})
-	}
+	return false
 }
 
-// sinkhornX materializes the balanced matrix u_i·x⁰_ij·v_j in storage order.
-func sinkhornX(p *core.DiagonalProblem, u, v []float64) []float64 {
-	a := problemMatrix(p, p.X0)
-	x := make([]float64, len(p.X0))
+// sinkhornX materializes the balanced matrix u_i·val_ij·v_j in storage order.
+func sinkhornX(p *core.DiagonalProblem, val, u, v []float64) []float64 {
+	a := problemMatrix(p, val)
+	x := make([]float64, len(val))
 	for i := 0; i < a.M; i++ {
 		lo, hi := a.Row(i)
 		for k := lo; k < hi; k++ {

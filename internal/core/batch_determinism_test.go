@@ -8,6 +8,8 @@ import (
 	"testing"
 
 	"sea/internal/metrics"
+	"sea/internal/parsim"
+	"sea/internal/trace"
 )
 
 // restoreBatchEvents returns the default batch budget and puts it back when
@@ -20,18 +22,17 @@ func restoreBatchEvents(t *testing.T) int {
 	return def
 }
 
-// tracedSolve solves p with fresh Counters and CostTrace attached.
-func tracedSolve(t *testing.T, p *DiagonalProblem, o *Options) (*Solution, metrics.Snapshot, *CostTrace) {
+// tracedSolve solves p with fresh Counters and a cost Recorder observing.
+func tracedSolve(t *testing.T, p *DiagonalProblem, o *Options) (*Solution, metrics.Snapshot, []trace.PhaseCosts) {
 	t.Helper()
 	c := &metrics.Counters{}
-	ct := &CostTrace{}
-	o.Counters = c
-	o.CostTrace = ct
+	rec := &parsim.Recorder{}
+	o.Trace = trace.Multi(c, rec)
 	sol, err := SolveDiagonal(context.Background(), p, o)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return sol, c.Snapshot(), ct
+	return sol, c.Snapshot(), rec.Phases
 }
 
 // TestBatchedMatchesUnbatchedAcrossProcs is the batched phase body's core-
@@ -79,13 +80,13 @@ func TestBatchedMatchesUnbatchedAcrossProcs(t *testing.T) {
 }
 
 // sameCostTrace requires identical per-phase Row/Col/Serial costs.
-func sameCostTrace(t *testing.T, name string, got, want *CostTrace) {
+func sameCostTrace(t *testing.T, name string, got, want []trace.PhaseCosts) {
 	t.Helper()
-	if len(got.Phases) != len(want.Phases) {
-		t.Fatalf("%s: %d traced phases, want %d", name, len(got.Phases), len(want.Phases))
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d traced phases, want %d", name, len(got), len(want))
 	}
-	for k, w := range want.Phases {
-		g := got.Phases[k]
+	for k, w := range want {
+		g := got[k]
 		if !slices.Equal(g.Row, w.Row) || !slices.Equal(g.Col, w.Col) || g.Serial != w.Serial {
 			t.Fatalf("%s: phase %d costs differ from the budget-1 reference", name, k)
 		}

@@ -8,7 +8,6 @@ import (
 
 	"sea/internal/equilibrate"
 	"sea/internal/mat"
-	"sea/internal/metrics"
 	"sea/internal/parallel"
 	"sea/internal/trace"
 )
@@ -130,6 +129,15 @@ type diagState struct {
 	batches []*equilibrate.Batch // per-worker batched-kernel buffers
 	errs    []error
 
+	// Per-solve instrumentation. phaseChunk tallies its subproblems in its
+	// chunk's slot of tallies; phase folds the slots into ev, the trace
+	// record of the iteration in flight, and checkConvergence charges ev
+	// the serial work. costs is the iteration's per-task cost group,
+	// allocated only when the observer asks for costs (trace.WantsCosts).
+	tallies []tally
+	ev      trace.Event
+	costs   []trace.PhaseCosts
+
 	// Phase bodies are bound once per state, not per dispatch, so the hot
 	// loop creates no closures.
 	rowBody       func(chunk, lo, hi int)
@@ -237,6 +245,11 @@ func newDiagState(ctx context.Context, p *DiagonalProblem, o *Options) *diagStat
 	for len(st.batches) < procs {
 		st.batches = append(st.batches, equilibrate.NewBatch(batchHint))
 		st.errs = append(st.errs, nil)
+		st.tallies = append(st.tallies, tally{})
+	}
+	st.costs = nil
+	if trace.WantsCosts(o.Trace) {
+		st.costs = []trace.PhaseCosts{{Row: make([]int64, m), Col: make([]int64, n)}}
 	}
 
 	// Data-dependent constants, recomputed on every solve (an adopted state
@@ -313,7 +326,8 @@ type side struct {
 	// always goes to subproblem i however the range is chunked or batched,
 	// so warm starting cannot perturb the disjoint-partition determinism
 	// contract — and warm results are bit-identical to cold ones anyway.
-	// costs is the phase's cost-trace sink, nil when untraced.
+	// costs receives each subproblem's operation cost, nil unless the
+	// observer wants costs.
 	slots  [][]equilibrate.State
 	states []equilibrate.State
 	costs  []int64
@@ -338,6 +352,9 @@ func (st *diagState) bindSides() {
 	if pt := st.pat; pt != nil {
 		rows.ptr, rows.idx = pt.RowPtr, pt.ColIdx
 		cols.ptr, cols.idx = st.cscPtr, st.cscRow
+	}
+	if st.costs != nil {
+		rows.costs, cols.costs = st.costs[0].Row, st.costs[0].Col
 	}
 	switch p.Kind {
 	case FixedTotals:
@@ -512,66 +529,45 @@ func (st *diagState) refreshX0T() {
 func (st *diagState) run() error {
 	o := st.o
 	obs := o.Trace
-	var prev metrics.Snapshot
-	if obs != nil {
-		prev = o.Counters.Snapshot()
-	}
 	for t := 1; t <= o.MaxIterations; t++ {
 		if err := st.ctx.Err(); err != nil {
 			return err
 		}
 		st.iterations = t
-		var ph *PhaseCosts
-		if o.CostTrace != nil {
-			o.CostTrace.Phases = append(o.CostTrace.Phases, PhaseCosts{
-				Row: make([]int64, st.p.M),
-				Col: make([]int64, st.p.N),
-			})
-			ph = &o.CostTrace.Phases[len(o.CostTrace.Phases)-1]
-		}
-		var ev trace.Event
+		st.beginIteration("sea")
 		var mark time.Time
 		if obs != nil {
-			ev = trace.Event{Solver: "sea", Iteration: t}
 			mark = time.Now()
 		}
-		if err := st.rowPhase(ph); err != nil {
+		if err := st.rowPhase(); err != nil {
 			return err
 		}
 		if obs != nil {
 			now := time.Now()
-			ev.RowPhase = now.Sub(mark)
+			st.ev.RowPhase = now.Sub(mark)
 			mark = now
 		}
-		if err := st.colPhase(ph); err != nil {
+		if err := st.colPhase(); err != nil {
 			return err
 		}
 		if obs != nil {
 			now := time.Now()
-			ev.ColPhase = now.Sub(mark)
+			st.ev.ColPhase = now.Sub(mark)
 			mark = now
 		}
 		if o.BoundMultipliers && st.p.Kind != ElasticTotals {
 			st.boundMultipliers()
 		}
-		if o.Counters != nil {
-			o.Counters.Iterations.Add(1)
-		}
 		checked := t%o.CheckEvery == 0
-		done := checked && st.checkConvergence(ph)
+		done := checked && st.checkConvergence()
 		if obs != nil {
-			ev.CheckPhase = time.Since(mark)
-			ev.Checked = checked
-			ev.Residual = math.NaN()
+			st.ev.CheckPhase = time.Since(mark)
+			st.ev.Checked = checked
+			st.ev.Residual = math.NaN()
 			if checked {
-				ev.Residual = st.residual
+				st.ev.Residual = st.residual
 			}
-			snap := o.Counters.Snapshot()
-			ev.Equilibrations = snap.Equilibrations - prev.Equilibrations
-			ev.Ops = snap.Ops - prev.Ops
-			ev.SerialOps = snap.SerialOps - prev.SerialOps
-			prev = snap
-			obs.ObserveIteration(ev)
+			obs.ObserveIteration(st.ev)
 		}
 		if done {
 			st.converged = true
@@ -580,6 +576,16 @@ func (st *diagState) run() error {
 	}
 	return fmt.Errorf("%w after %d iterations (criterion %v, residual %g, ε %g)",
 		ErrNotConverged, o.MaxIterations, o.Criterion, st.residual, o.Epsilon)
+}
+
+// beginIteration starts the trace record of iteration st.iterations and
+// clears the serial part of its cost group (the phases overwrite every
+// task cost).
+func (st *diagState) beginIteration(solver string) {
+	st.ev = trace.Event{Solver: solver, Iteration: st.iterations, Costs: st.costs}
+	if st.costs != nil {
+		st.costs[0].Check, st.costs[0].Serial = nil, 0
+	}
 }
 
 // Warm-start slot policy: with an arena, each of the first maxWarmSlots
@@ -637,12 +643,8 @@ func (st *diagState) statesFor(sd *side) []equilibrate.State {
 
 // rowPhase solves the m independent row equilibrium subproblems in parallel,
 // updating x row-wise, λ, and rowSum.
-func (st *diagState) rowPhase(ph *PhaseCosts) error {
-	var costs []int64
-	if ph != nil {
-		costs = ph.Row
-	}
-	return st.phase(&st.rows, st.rowBody, costs)
+func (st *diagState) rowPhase() error {
+	return st.phase(&st.rows, st.rowBody)
 }
 
 // colPhase solves the n independent column equilibrium subproblems in
@@ -650,12 +652,8 @@ func (st *diagState) rowPhase(ph *PhaseCosts) error {
 // per column — the mirrored prior, slopes and bounds, and the column-major
 // mirror the kernel writes into — is contiguous; a blocked transpose (dense)
 // or CSC scatter (CSR) then folds the mirror back into the iterate.
-func (st *diagState) colPhase(ph *PhaseCosts) error {
-	var costs []int64
-	if ph != nil {
-		costs = ph.Col
-	}
-	if err := st.phase(&st.cols, st.colBody, costs); err != nil {
+func (st *diagState) colPhase() error {
+	if err := st.phase(&st.cols, st.colBody); err != nil {
 		return err
 	}
 	// Each band writes a disjoint set of x entries, so the result is
@@ -664,15 +662,25 @@ func (st *diagState) colPhase(ph *PhaseCosts) error {
 	return nil
 }
 
-// phase dispatches one side's subproblems over the workers.
-func (st *diagState) phase(sd *side, body func(chunk, lo, hi int), costs []int64) error {
-	sd.costs = costs
+// phase dispatches one side's subproblems over the workers and folds their
+// tallies into the iteration's trace record.
+func (st *diagState) phase(sd *side, body func(chunk, lo, hi int)) error {
 	sd.states = st.statesFor(sd)
-	if err := st.runner.ForChunksCtx(st.ctx, len(sd.ptr)-1, body); err != nil {
+	err := st.runner.ForChunksCtx(st.ctx, len(sd.ptr)-1, body)
+	for c, t := range st.tallies {
+		st.ev.Equilibrations += t.equil
+		st.ev.Ops += t.ops
+		st.tallies[c] = tally{}
+	}
+	if err != nil {
 		return err
 	}
 	return st.takeErr()
 }
+
+// tally is one worker chunk's equilibration count and operation total in
+// the phase being dispatched.
+type tally struct{ equil, ops int64 }
 
 // batchEvents is the batched kernel's per-chunk event budget: enough
 // concatenated breakpoint events (16 bytes of key each) that the fused radix
@@ -712,8 +720,8 @@ func batchEnd(lo, hi, perEntry, target int, ptr []int) int {
 // either side: it walks the range in event-budget batches, accumulating each
 // subproblem into the worker's Batch and solving the group with the fused
 // sort. The batch kernel is bit-exact with the solo kernel, so per-subproblem
-// outputs, trace costs, and warm-start states do not depend on the batch
-// boundaries. Structural zeros of CSR storage never enter a subproblem, and
+// outputs, tallies, task costs, and warm-start states do not depend on the
+// batch boundaries. Structural zeros of CSR storage never enter a subproblem, and
 // the kernel skips pinned (u = l) cells, so a densified copy of a CSR problem
 // walks a bit-identical event stream.
 func (st *diagState) phaseChunk(sd *side, chunk, lo, hi int) {
@@ -729,7 +737,7 @@ func (st *diagState) phaseChunk(sd *side, chunk, lo, hi int) {
 	if upper != nil {
 		perEntry = 2
 	}
-	counters := st.o.Counters
+	tl := &st.tallies[chunk]
 	for lo < hi {
 		end := batchEnd(lo, hi, perEntry, batchEvents, ptr)
 		b.Reset()
@@ -793,10 +801,8 @@ func (st *diagState) phaseChunk(sd *side, chunk, lo, hi int) {
 				costs[k] = cost
 			}
 		}
-		if counters != nil {
-			counters.Equilibrations.Add(int64(end - lo))
-			counters.Ops.Add(costSum)
-		}
+		tl.equil += int64(end - lo)
+		tl.ops += costSum
 		lo = end
 	}
 }
@@ -892,15 +898,15 @@ func (st *diagState) demands(dst []float64) {
 // as the paper implements it; with Options.ParallelConvCheck the O(m·n)
 // scan runs as m parallel tasks and only the O(m) reduction stays serial
 // (the enhancement the paper suggests in Section 4.2).
-func (st *diagState) checkConvergence(ph *PhaseCosts) bool {
+func (st *diagState) checkConvergence() bool {
 	p, o := st.p, st.o
 	m := p.M
 	var serialOps int64
 	if o.ParallelConvCheck {
 		serialOps = int64(2 * m)
-		if ph != nil {
+		if st.costs != nil {
 			// Every check task scans exactly its row's stored width (n dense,
-			// row nnz sparse), every iteration, so all traced phases share one
+			// row nnz sparse), every iteration, so all checks share one
 			// read-only cost slice instead of allocating a fresh one per check.
 			if st.checkTasks == nil {
 				st.checkTasks = make([]int64, m)
@@ -908,17 +914,14 @@ func (st *diagState) checkConvergence(ph *PhaseCosts) bool {
 					st.checkTasks[i] = int64(st.rows.ptr[i+1] - st.rows.ptr[i])
 				}
 			}
-			ph.Check = st.checkTasks
+			st.costs[0].Check = st.checkTasks
 		}
 	} else {
 		serialOps = int64(st.nv + 2*m)
 	}
-	if o.Counters != nil {
-		o.Counters.ConvChecks.Add(1)
-		o.Counters.SerialOps.Add(serialOps)
-	}
-	if ph != nil {
-		ph.Serial = serialOps
+	st.ev.SerialOps += serialOps
+	if st.costs != nil {
+		st.costs[0].Serial = serialOps
 	}
 
 	// perRow dispatches a pre-bound per-row body, in parallel when the check

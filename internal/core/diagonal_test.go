@@ -8,6 +8,8 @@ import (
 	"testing"
 
 	"sea/internal/metrics"
+	"sea/internal/parsim"
+	"sea/internal/trace"
 )
 
 // tightOpts returns options for high-accuracy solves in tests.
@@ -342,7 +344,7 @@ func TestCheckEvery(t *testing.T) {
 		o := tightOpts()
 		o.CheckEvery = every
 		var c metrics.Counters
-		o.Counters = &c
+		o.Trace = &c
 		sol, err := SolveDiagonal(context.Background(), p, o)
 		if err != nil {
 			t.Fatal(err)
@@ -474,9 +476,8 @@ func TestCountersAndTrace(t *testing.T) {
 	p := randFixed(rng, 5, 4, 100, 2)
 	o := tightOpts()
 	var c metrics.Counters
-	tr := &CostTrace{}
-	o.Counters = &c
-	o.CostTrace = tr
+	rec := &parsim.Recorder{}
+	o.Trace = trace.Multi(&c, rec)
 	sol, err := SolveDiagonal(context.Background(), p, o)
 	if err != nil {
 		t.Fatal(err)
@@ -492,10 +493,13 @@ func TestCountersAndTrace(t *testing.T) {
 	if snap.Ops <= 0 || snap.SerialOps <= 0 || snap.ConvChecks <= 0 {
 		t.Errorf("counters not populated: %v", snap)
 	}
-	if len(tr.Phases) != sol.Iterations {
-		t.Errorf("trace has %d phases, want %d", len(tr.Phases), sol.Iterations)
+	if len(rec.Phases) != sol.Iterations {
+		t.Errorf("trace has %d phases, want %d", len(rec.Phases), sol.Iterations)
 	}
-	for i, ph := range tr.Phases {
+	// The per-task costs are the counters' parallel work split by task, and
+	// the serial phases are the counters' serial work.
+	var taskOps, serialOps int64
+	for i, ph := range rec.Phases {
 		if len(ph.Row) != p.M || len(ph.Col) != p.N {
 			t.Fatalf("phase %d: task vectors sized %d/%d", i, len(ph.Row), len(ph.Col))
 		}
@@ -503,10 +507,15 @@ func TestCountersAndTrace(t *testing.T) {
 			if v <= 0 {
 				t.Fatalf("phase %d: zero row task cost", i)
 			}
+			taskOps += v
 		}
+		for _, v := range ph.Col {
+			taskOps += v
+		}
+		serialOps += ph.Serial
 	}
-	if tr.TotalOps() <= 0 {
-		t.Error("TotalOps = 0")
+	if taskOps != snap.Ops || serialOps != snap.SerialOps {
+		t.Errorf("task costs sum to %d ops / %d serial, counters report %d / %d", taskOps, serialOps, snap.Ops, snap.SerialOps)
 	}
 }
 

@@ -7,8 +7,6 @@ import (
 	"time"
 
 	"sea/internal/mat"
-	"sea/internal/metrics"
-	"sea/internal/trace"
 )
 
 // GeneralProblem is the general quadratic constrained matrix problem
@@ -340,9 +338,7 @@ func SolveGeneral(ctx context.Context, p *GeneralProblem, opts *Options) (*Solut
 		for k := 0; k < mn; k++ {
 			dp.X0[k] = st.x[k] - gx[k]/dp.Gamma[k]
 		}
-		if o.Counters != nil {
-			o.Counters.Ops.Add(int64(mn) * int64(mn))
-		}
+		st.ev.Ops += int64(mn) * int64(mn)
 		switch p.Kind {
 		case ElasticTotals:
 			for i := 0; i < m; i++ {
@@ -375,45 +371,33 @@ func SolveGeneral(ctx context.Context, p *GeneralProblem, opts *Options) (*Solut
 	var residual float64 = math.NaN()
 	iterations := 0
 	obs := o.Trace
-	var prevSnap metrics.Snapshot
-	if obs != nil {
-		prevSnap = o.Counters.Snapshot()
-	}
 	for t := 1; t <= o.MaxIterations; t++ {
 		if err := st.ctx.Err(); err != nil {
 			return nil, err
 		}
 		iterations = t
 		st.iterations = t // drives the warm-start slot policy in the phases
-		var ph *PhaseCosts
-		if o.CostTrace != nil {
-			o.CostTrace.Phases = append(o.CostTrace.Phases, PhaseCosts{
-				Row: make([]int64, m),
-				Col: make([]int64, n),
-			})
-			ph = &o.CostTrace.Phases[len(o.CostTrace.Phases)-1]
-		}
-		var ev trace.Event
+		st.beginIteration("sea-general")
+		st.ev.Inner = 2
 		var mark time.Time
 		if obs != nil {
-			ev = trace.Event{Solver: "sea-general", Iteration: t, Inner: 2}
 			mark = time.Now()
 		}
 
 		updateLinear()
-		if err := st.rowPhase(ph); err != nil {
+		if err := st.rowPhase(); err != nil {
 			return nil, fmt.Errorf("core: general iteration %d: %w", t, err)
 		}
 		st.supplies(s)
 		if obs != nil {
 			now := time.Now()
-			ev.RowPhase = now.Sub(mark)
+			st.ev.RowPhase = now.Sub(mark)
 			mark = now
 		}
 
 		updateLinear()
 		st.refreshX0T() // the column phase reads the rewritten prior transposed
-		if err := st.colPhase(ph); err != nil {
+		if err := st.colPhase(); err != nil {
 			return nil, fmt.Errorf("core: general iteration %d: %w", t, err)
 		}
 		st.demands(d)
@@ -422,13 +406,14 @@ func SolveGeneral(ctx context.Context, p *GeneralProblem, opts *Options) (*Solut
 		}
 		if obs != nil {
 			now := time.Now()
-			ev.ColPhase = now.Sub(mark)
+			st.ev.ColPhase = now.Sub(mark)
 			mark = now
 		}
 
 		// Fold the dense linear-update cost into the phase's task costs:
 		// each row owns n rows of G (n·mn operations), each column m.
-		if ph != nil {
+		if st.costs != nil {
+			ph := &st.costs[0]
 			for i := range ph.Row {
 				ph.Row[i] += int64(n) * int64(mn)
 			}
@@ -436,38 +421,27 @@ func SolveGeneral(ctx context.Context, p *GeneralProblem, opts *Options) (*Solut
 				ph.Col[j] += int64(m) * int64(mn)
 			}
 		}
-		if o.Counters != nil {
-			o.Counters.OuterIterations.Add(1)
-		}
 
 		// Serial convergence verification, once per full iteration.
 		checked := t%o.CheckEvery == 0
 		if checked {
 			residual = mat.MaxAbsDiff(st.x, xPrev)
-			if o.Counters != nil {
-				o.Counters.ConvChecks.Add(1)
-				o.Counters.SerialOps.Add(int64(mn))
-			}
-			if ph != nil {
-				ph.Serial = int64(mn)
+			st.ev.SerialOps += int64(mn)
+			if st.costs != nil {
+				st.costs[0].Serial = int64(mn)
 			}
 			if residual <= o.Epsilon {
 				converged = true
 			}
 		}
 		if obs != nil {
-			ev.CheckPhase = time.Since(mark)
-			ev.Checked = checked
-			ev.Residual = math.NaN()
+			st.ev.CheckPhase = time.Since(mark)
+			st.ev.Checked = checked
+			st.ev.Residual = math.NaN()
 			if checked {
-				ev.Residual = residual
+				st.ev.Residual = residual
 			}
-			snap := o.Counters.Snapshot()
-			ev.Equilibrations = snap.Equilibrations - prevSnap.Equilibrations
-			ev.Ops = snap.Ops - prevSnap.Ops
-			ev.SerialOps = snap.SerialOps - prevSnap.SerialOps
-			prevSnap = snap
-			obs.ObserveIteration(ev)
+			obs.ObserveIteration(st.ev)
 		}
 		if converged {
 			break

@@ -110,7 +110,7 @@ func TestGeneralFixedKKT(t *testing.T) {
 		p := randGeneralFixed(rng, m, n)
 		var c metrics.Counters
 		o := generalOpts()
-		o.Counters = &c
+		o.Trace = &c
 		sol, err := SolveGeneral(context.Background(), p, o)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)

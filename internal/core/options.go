@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 
-	"sea/internal/metrics"
 	"sea/internal/parallel"
 	"sea/internal/trace"
 )
@@ -200,18 +199,15 @@ type Options struct {
 	// PrecondSinkhorn/PrecondISP. 0 selects the tuned default
 	// (DefaultPrecondSweeps).
 	PrecondSweeps int
-	// Counters, if non-nil, accumulates instrumentation.
-	Counters *metrics.Counters
 	// Trace, if non-nil, receives one trace.Event per outer iteration:
 	// iteration index, convergence residual, wall-clock phase timings, and
-	// the per-iteration instrumentation deltas (so attaching an observer
-	// subsumes Counters — a solve with a Trace always maintains counters
-	// internally and reports their deltas on every event). A nil Trace
-	// costs one pointer comparison per iteration.
+	// the iteration's own equilibration and operation counts. It is the
+	// only instrumentation hook: attach a *metrics.Counters to sum the
+	// counts, or a *parsim.Recorder to collect the per-task costs of the
+	// simulated-multiprocessor experiments (solvers fill Event.Costs only
+	// for observers that ask, see trace.WantsCosts). A nil Trace costs one
+	// pointer comparison per iteration.
 	Trace trace.Observer
-	// CostTrace, if non-nil, records per-task abstract operation costs for
-	// the simulated-multiprocessor speedup experiments (package parsim).
-	CostTrace *CostTrace
 	// BoundMultipliers enables the paper's Modified Algorithm: when a
 	// multiplier exceeds MultiplierBound in absolute value, its support-
 	// graph connected component is renormalized (a constant added to its
@@ -297,53 +293,5 @@ func (o *Options) withDefaults() *Options {
 	if out.PrecondSweeps <= 0 {
 		out.PrecondSweeps = DefaultPrecondSweeps
 	}
-	// An iteration observer subsumes the counters: events report the
-	// per-iteration counter deltas, so a solve with a Trace always keeps
-	// counters, private ones when the caller attached none.
-	if out.Trace != nil && out.Counters == nil {
-		out.Counters = &metrics.Counters{}
-	}
 	return &out
-}
-
-// CostTrace records, per iteration, the abstract operation cost of every
-// parallel task and of the serial convergence phase. The parsim package
-// replays a trace on a simulated N-processor machine to produce the paper's
-// speedup and efficiency tables.
-type CostTrace struct {
-	Phases []PhaseCosts
-}
-
-// PhaseCosts is the cost breakdown of one iteration (one row phase, one
-// column phase, and any serial work that follows them).
-type PhaseCosts struct {
-	// Row[i] is the op count of row subproblem i; Col[j] of column
-	// subproblem j. Each entry is one schedulable parallel task.
-	Row []int64
-	Col []int64
-	// Check holds the parallel convergence-verification tasks when the
-	// check runs in parallel (Options.ParallelConvCheck); nil otherwise.
-	Check []int64
-	// Serial is the op count of the serial phase (convergence
-	// verification, or just its reduction when the check is parallel),
-	// zero on iterations where no check runs.
-	Serial int64
-}
-
-// TotalOps sums every cost in the trace.
-func (t *CostTrace) TotalOps() int64 {
-	var s int64
-	for _, ph := range t.Phases {
-		for _, v := range ph.Row {
-			s += v
-		}
-		for _, v := range ph.Col {
-			s += v
-		}
-		for _, v := range ph.Check {
-			s += v
-		}
-		s += ph.Serial
-	}
-	return s
 }

@@ -52,10 +52,10 @@ func benchPhaseState(b *testing.B, procs int, csr bool) *diagState {
 	o.Procs = procs
 	st := newDiagState(context.Background(), p, o.withDefaults())
 	b.Cleanup(st.close)
-	if err := st.rowPhase(nil); err != nil {
+	if err := st.rowPhase(); err != nil {
 		b.Fatal(err)
 	}
-	if err := st.colPhase(nil); err != nil {
+	if err := st.colPhase(); err != nil {
 		b.Fatal(err)
 	}
 	return st
@@ -74,14 +74,14 @@ func BenchmarkColumnPhaseParallel(b *testing.B) {
 	benchPhase(b, runtime.NumCPU(), (*diagState).colPhase)
 }
 
-func benchPhase(b *testing.B, procs int, phase func(*diagState, *PhaseCosts) error) {
+func benchPhase(b *testing.B, procs int, phase func(*diagState) error) {
 	for _, storage := range []string{"dense", "csr"} {
 		b.Run(storage, func(b *testing.B) {
 			st := benchPhaseState(b, procs, storage == "csr")
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if err := phase(st, nil); err != nil {
+				if err := phase(st); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -6,6 +6,10 @@ import (
 	"math/rand/v2"
 	"testing"
 	"testing/quick"
+
+	"sea/internal/metrics"
+	"sea/internal/parsim"
+	"sea/internal/trace"
 )
 
 // TestQuickFixedAlwaysOptimal: property-based sweep — every randomly drawn
@@ -165,7 +169,7 @@ func TestSolutionIndependentOfTraceAndCounters(t *testing.T) {
 		t.Fatal(err)
 	}
 	o := tightOpts()
-	o.CostTrace = &CostTrace{}
+	o.Trace = trace.Multi(&metrics.Counters{}, &parsim.Recorder{})
 	traced, err := SolveDiagonal(context.Background(), p, o)
 	if err != nil {
 		t.Fatal(err)
@@ -200,8 +204,8 @@ func TestParallelConvCheckInvariance(t *testing.T) {
 			par.Epsilon = 1e-8
 			par.ParallelConvCheck = true
 			par.Procs = 3
-			tr := &CostTrace{}
-			par.CostTrace = tr
+			tr := &parsim.Recorder{}
+			par.Trace = tr
 			got, err := SolveDiagonal(context.Background(), p, par)
 			if err != nil {
 				t.Fatal(err)

@@ -36,7 +36,6 @@ import (
 
 	"sea/internal/core"
 	"sea/internal/mat"
-	"sea/internal/metrics"
 	"sea/internal/scale"
 	"sea/internal/trace"
 )
@@ -534,7 +533,7 @@ func NewSystem(p *core.DiagonalProblem) (*System, error) {
 // residual reaches Epsilon, and package the duals into a Solution whose
 // Objective is the KL value (ObjectiveKind = ObjectiveEntropy). Options
 // supply Epsilon (absolute residual tolerance), MaxIterations, Mu0 (dual
-// warm start of the column multipliers), Trace and Counters; cancellation
+// warm start of the column multipliers) and Trace; cancellation
 // is observed between sweeps. Procs is ignored: sweeps are serial and
 // bit-identical at any setting.
 func Solve(ctx context.Context, p *core.DiagonalProblem, opts *core.Options) (*core.Solution, error) {
@@ -562,7 +561,7 @@ func Solve(ctx context.Context, p *core.DiagonalProblem, opts *core.Options) (*c
 	for t := 1; t <= o.MaxIterations; t++ {
 		residual = sys.Sweep(lambda, mu, o.Epsilon)
 		iters = t
-		observeSweep(o, t, residual, 2*nnz)
+		trace.Sweep(o.Trace, "entropy", t, residual, 2*nnz)
 		if residual <= o.Epsilon {
 			converged = true
 			break
@@ -632,26 +631,6 @@ func assemble(p *core.DiagonalProblem, sys *System, lambda, mu []float64, iters 
 	return sol
 }
 
-// observeSweep forwards one sweep to the counters and the trace observer,
-// following the scaling solvers' event shape: every sweep checks
-// convergence, and the whole sweep is serial work.
-func observeSweep(o *core.Options, iter int, residual float64, ops int64) {
-	if o.Counters != nil {
-		o.Counters.Iterations.Add(1)
-		o.Counters.ConvChecks.Add(1)
-		o.Counters.SerialOps.Add(ops)
-	}
-	if o.Trace != nil {
-		o.Trace.ObserveIteration(trace.Event{
-			Solver:    "entropy",
-			Iteration: iter,
-			Checked:   true,
-			Residual:  residual,
-			SerialOps: ops,
-		})
-	}
-}
-
 func fillOpts(o *core.Options) *core.Options {
 	if o == nil {
 		return core.DefaultOptions()
@@ -662,9 +641,6 @@ func fillOpts(o *core.Options) *core.Options {
 	}
 	if out.MaxIterations <= 0 {
 		out.MaxIterations = 100000
-	}
-	if out.Trace != nil && out.Counters == nil {
-		out.Counters = &metrics.Counters{}
 	}
 	return &out
 }

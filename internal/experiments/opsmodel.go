@@ -34,7 +34,7 @@ func OpsModel(ctx context.Context, cfg Config) ([]OpsRow, error) {
 		o.Criterion = core.MaxAbsDelta
 		o.Epsilon = cfg.eps(0.01)
 		var c metrics.Counters
-		o.Counters = &c
+		o.Trace = &c
 		sol, err := core.SolveDiagonal(ctx, p, o)
 		if err != nil {
 			return rows, fmt.Errorf("ops model, size %d: %w", n, err)

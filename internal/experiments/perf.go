@@ -261,11 +261,11 @@ func PerfSuite(ctx context.Context, cfg Config) (PerfReport, error) {
 		// One untimed serial solve records the per-task cost trace that
 		// backs the simulated records for worker counts beyond the
 		// physical cores; it doubles as the page-faulting warm-up.
-		tr := &core.CostTrace{}
+		tr := &parsim.Recorder{}
 		var coldBytes uint64
 		{
 			o := baseOpts()
-			o.CostTrace = tr
+			o.Trace = tr
 			var msA, msB runtime.MemStats
 			runtime.ReadMemStats(&msA)
 			if _, err := core.SolveDiagonal(ctx, p, o); err != nil {
@@ -276,7 +276,7 @@ func PerfSuite(ctx context.Context, cfg Config) (PerfReport, error) {
 			// solve allocated: solver state, pool, and kernel scratch.
 			coldBytes = msB.TotalAlloc - msA.TotalAlloc
 		}
-		simSerial := parsim.DefaultMachine(1).Execute(tr)
+		simSerial := parsim.DefaultMachine(1).Execute(tr.Phases)
 
 		var serialNs int64
 		var serialAllocs uint64
@@ -287,7 +287,7 @@ func PerfSuite(ctx context.Context, cfg Config) (PerfReport, error) {
 				// so a wall-clock measurement would show scheduling noise,
 				// not scaling. Replay the recorded cost trace on parsim's
 				// simulated machine instead and mark the record.
-				simN := parsim.DefaultMachine(procs).Execute(tr)
+				simN := parsim.DefaultMachine(procs).Execute(tr.Phases)
 				speedup := float64(simSerial) / float64(simN)
 				simNs := int64(float64(serialNs) / speedup)
 				report.Records = append(report.Records, PerfRecord{

@@ -84,12 +84,12 @@ func appendSpeedups(ctx context.Context, rows *[]SpeedupRow, name string, p *cor
 	cfg.apply(o)
 	o.MaxIterations = 500000
 	o.ParallelConvCheck = parallelCheck
-	tr := &core.CostTrace{}
-	o.CostTrace = tr
+	tr := &parsim.Recorder{}
+	o.Trace = tr
 	if _, err := core.SolveDiagonal(ctx, p, o); err != nil {
 		return fmt.Errorf("speedup example %s: %w", name, err)
 	}
-	for _, m := range parsim.Speedups(tr, table6Procs) {
+	for _, m := range parsim.Speedups(tr.Phases, table6Procs) {
 		*rows = append(*rows, SpeedupRow{Example: name, N: m.Procs, Speedup: m.Speedup, Efficiency: m.Efficiency})
 	}
 	return nil
@@ -112,12 +112,12 @@ func Table9(ctx context.Context, cfg Config) ([]SpeedupRow, error) {
 	seaOpts.Criterion = core.MaxAbsDelta
 	cfg.apply(seaOpts)
 	seaOpts.SkipDominanceCheck = true
-	seaTr := &core.CostTrace{}
-	seaOpts.CostTrace = seaTr
+	seaTr := &parsim.Recorder{}
+	seaOpts.Trace = seaTr
 	if _, err := core.SolveGeneral(ctx, p, seaOpts); err != nil {
 		return rows, fmt.Errorf("table 9 SEA: %w", err)
 	}
-	for _, m := range parsim.Speedups(seaTr, procs) {
+	for _, m := range parsim.Speedups(seaTr.Phases, procs) {
 		rows = append(rows, SpeedupRow{Example: "SEA", N: m.Procs, Speedup: m.Speedup, Efficiency: m.Efficiency})
 	}
 
@@ -125,12 +125,12 @@ func Table9(ctx context.Context, cfg Config) ([]SpeedupRow, error) {
 	rcOpts.Epsilon = cfg.eps(0.001)
 	cfg.apply(rcOpts)
 	rcOpts.SkipDominanceCheck = true
-	rcTr := &core.CostTrace{}
-	rcOpts.CostTrace = rcTr
+	rcTr := &parsim.Recorder{}
+	rcOpts.Trace = rcTr
 	if _, err := baseline.SolveRC(ctx, p, rcOpts); err != nil {
 		return rows, fmt.Errorf("table 9 RC: %w", err)
 	}
-	for _, m := range parsim.Speedups(rcTr, procs) {
+	for _, m := range parsim.Speedups(rcTr.Phases, procs) {
 		rows = append(rows, SpeedupRow{Example: "RC", N: m.Procs, Speedup: m.Speedup, Efficiency: m.Efficiency})
 	}
 	return rows, nil

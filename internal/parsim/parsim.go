@@ -2,7 +2,8 @@
 // phase structure of an equilibration algorithm — the stand-in for the
 // paper's six-CPU IBM 3090-600E (see DESIGN.md, substitution 1).
 //
-// The simulator consumes a core.CostTrace recorded by an instrumented solve:
+// The simulator consumes the per-task costs a Recorder collects from a
+// solve's trace events:
 // for every iteration it knows the operation cost of each independent row
 // and column equilibration task and of the serial convergence-verification
 // phase. Executing the trace on N virtual processors schedules each parallel
@@ -15,10 +16,33 @@ package parsim
 
 import (
 	"container/heap"
+	"slices"
 	"sort"
 
-	"sea/internal/core"
+	"sea/internal/trace"
 )
+
+// Recorder is a trace.Observer that asks solvers for per-task costs and
+// keeps a copy of every phase group they report, in order — the input of
+// Execute, Speedups and SerialFraction. Not safe for concurrent solves.
+type Recorder struct {
+	Phases []trace.PhaseCosts
+}
+
+// ObserveIteration implements trace.Observer.
+func (r *Recorder) ObserveIteration(e trace.Event) {
+	for _, ph := range e.Costs {
+		r.Phases = append(r.Phases, trace.PhaseCosts{
+			Row:    slices.Clone(ph.Row),
+			Col:    slices.Clone(ph.Col),
+			Check:  slices.Clone(ph.Check),
+			Serial: ph.Serial,
+		})
+	}
+}
+
+// WantsCosts implements the trace.WantsCosts opt-in.
+func (r *Recorder) WantsCosts() bool { return true }
 
 // Machine is the simulated multiprocessor configuration.
 type Machine struct {
@@ -100,18 +124,18 @@ func (m Machine) PhaseMakespan(tasks []int64) int64 {
 	return makespan + overhead
 }
 
-// Execute returns the simulated duration of the whole trace: for each
-// recorded iteration, the row phase and the column phase run as separate
+// Execute returns the simulated duration of the recorded phases: for each
+// phase group, the row phase and the column phase run as separate
 // parallel phases (the column equilibrations need the row multipliers, so
 // there is a barrier between them), followed by the serial phase.
-func (m Machine) Execute(tr *core.CostTrace) int64 {
+func (m Machine) Execute(phases []trace.PhaseCosts) int64 {
 	// A parallelized convergence check (ph.Check) piggybacks on the workers
 	// the column phase already dispatched, so it pays no additional
 	// fork/join cost — only its own makespan.
 	check := m
 	check.ForkJoinBase, check.ForkJoinPerProc = 0, 0
 	var total int64
-	for _, ph := range tr.Phases {
+	for _, ph := range phases {
 		total += m.PhaseMakespan(ph.Row)
 		total += m.PhaseMakespan(ph.Col)
 		total += check.PhaseMakespan(ph.Check)
@@ -128,13 +152,13 @@ type Measurement struct {
 	Efficiency float64
 }
 
-// Speedups executes the trace on 1 processor and on each requested N,
+// Speedups executes the phases on 1 processor and on each requested N,
 // returning the paper's S_N = T₁/T_N and E_N = S_N/N.
-func Speedups(tr *core.CostTrace, procs []int) []Measurement {
-	t1 := DefaultMachine(1).Execute(tr)
+func Speedups(phases []trace.PhaseCosts, procs []int) []Measurement {
+	t1 := DefaultMachine(1).Execute(phases)
 	out := make([]Measurement, 0, len(procs))
 	for _, n := range procs {
-		tn := DefaultMachine(n).Execute(tr)
+		tn := DefaultMachine(n).Execute(phases)
 		s := float64(t1) / float64(tn)
 		out = append(out, Measurement{
 			Procs:      n,
@@ -146,11 +170,11 @@ func Speedups(tr *core.CostTrace, procs []int) []Measurement {
 	return out
 }
 
-// SerialFraction returns the share of the trace's total operations spent in
+// SerialFraction returns the share of the phases' total operations spent in
 // serial phases — the Amdahl bound's input: S_∞ ≤ 1/SerialFraction.
-func SerialFraction(tr *core.CostTrace) float64 {
+func SerialFraction(phases []trace.PhaseCosts) float64 {
 	var serial, total int64
-	for _, ph := range tr.Phases {
+	for _, ph := range phases {
 		serial += ph.Serial
 		for _, v := range ph.Row {
 			total += v

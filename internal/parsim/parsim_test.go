@@ -4,7 +4,7 @@ import (
 	"math/rand/v2"
 	"testing"
 
-	"sea/internal/core"
+	"sea/internal/trace"
 )
 
 // plain returns a machine with no overheads, for exact-arithmetic checks.
@@ -79,17 +79,17 @@ func TestMakespanMonotoneInProcs(t *testing.T) {
 	}
 }
 
-func makeTrace(iters, m, n int, taskCost, serial int64) *core.CostTrace {
-	tr := &core.CostTrace{}
+func makeTrace(iters, m, n int, taskCost, serial int64) []trace.PhaseCosts {
+	var tr []trace.PhaseCosts
 	for t := 0; t < iters; t++ {
-		ph := core.PhaseCosts{Row: make([]int64, m), Col: make([]int64, n), Serial: serial}
+		ph := trace.PhaseCosts{Row: make([]int64, m), Col: make([]int64, n), Serial: serial}
 		for i := range ph.Row {
 			ph.Row[i] = taskCost
 		}
 		for j := range ph.Col {
 			ph.Col[j] = taskCost
 		}
-		tr.Phases = append(tr.Phases, ph)
+		tr = append(tr, ph)
 	}
 	return tr
 }
@@ -197,14 +197,14 @@ func TestLPTApproximationBound(t *testing.T) {
 // charged fork/join overhead.
 func TestCheckPhasePiggybacks(t *testing.T) {
 	m := DefaultMachine(4)
-	tr := &core.CostTrace{Phases: []core.PhaseCosts{{
+	tr := []trace.PhaseCosts{{
 		Row:   []int64{100, 100, 100, 100},
 		Check: []int64{10, 10, 10, 10},
-	}}}
+	}}
 	withCheck := m.Execute(tr)
-	trNo := &core.CostTrace{Phases: []core.PhaseCosts{{
+	trNo := []trace.PhaseCosts{{
 		Row: []int64{100, 100, 100, 100},
-	}}}
+	}}
 	without := m.Execute(trNo)
 	// The check should add only its makespan (~10 + task overhead), not a
 	// second fork/join block.
@@ -222,7 +222,7 @@ func TestSerialFraction(t *testing.T) {
 	if got != want {
 		t.Errorf("SerialFraction = %g, want %g", got, want)
 	}
-	if SerialFraction(&core.CostTrace{}) != 0 {
+	if SerialFraction(nil) != 0 {
 		t.Error("empty trace should be 0")
 	}
 }

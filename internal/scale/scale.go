@@ -9,9 +9,9 @@
 //   - the core solver's Options.Precondition stage, which uses ISP (or a
 //     Sinkhorn-derived heuristic) to warm-start the SEA dual before the
 //     expensive equilibration sweeps begin; and
-//   - the "sinkhorn" and "isp" registry solvers in pkg/sea, which run the
-//     procedures to convergence as solvers in their own right, next to the
-//     dense-only "ras" baseline.
+//   - the "sinkhorn" (alias "ras") and "isp" registry solvers in pkg/sea,
+//     which run the procedures to convergence as solvers in their own
+//     right.
 //
 // scale deliberately sits below internal/core in the layering (core imports
 // scale, never the reverse), so everything here speaks plain slices plus an

@@ -134,6 +134,22 @@ func TestSinkhornZeroRowColumn(t *testing.T) {
 	}
 }
 
+// TestSinkhornDivergingFactorsNeverConverge: on a Mohr–Crown–Polenske
+// pattern (row 0 can only fill column 0, whose target is smaller) the
+// factors diverge until they overflow and the residual turns NaN. A NaN
+// residual must keep the run unconverged, not be skipped as no worse than
+// the rest.
+func TestSinkhornDivergingFactorsNeverConverge(t *testing.T) {
+	a := Dense(2, 2, []float64{5, 0, 1, 1})
+	_, _, res, err := Sinkhorn(a, []float64{6, 2}, []float64{3, 5}, nil, nil, SinkhornOptions{Tol: 1e-6, MaxIters: 5000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Converged {
+		t.Fatalf("converged after %d sweeps with residual %v on an unreachable pattern", res.Iterations, res.Residual)
+	}
+}
+
 func TestValidateRejectsNonFinite(t *testing.T) {
 	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
 		a := Dense(2, 2, []float64{1, bad, 2, 3})

@@ -149,7 +149,7 @@ func Sinkhorn(a Matrix, r, c []float64, u, v []float64, opts SinkhornOptions) ([
 			if r[i] > 1 {
 				d /= r[i]
 			}
-			if d > worst {
+			if d > worst || math.IsNaN(d) { // a NaN residual must never pass
 				worst = d
 			}
 		}

@@ -1,8 +1,10 @@
 // Package trace defines the pluggable per-iteration observer every solver
 // in this module reports through: one Event per outer iteration, carrying
 // the iteration index, the convergence measure, wall-clock phase timings,
-// and the instrumentation aggregates (equilibrations, abstract operations)
-// that the experiments' metrics.Counters used to be the only way to obtain.
+// the instrumentation aggregates (equilibrations, abstract operations) and,
+// on request, the per-task operation costs the simulated multiprocessor
+// replays. It is the module's only instrumentation channel: the solver
+// counters (metrics.Counters) and the parsim cost recorder are observers.
 //
 // The hook is deliberately minimal: solvers invoke the observer at most once
 // per outer iteration, from the solve goroutine, after the parallel phases
@@ -25,11 +27,12 @@ type Event struct {
 	Solver string
 	// Iteration is the 1-based outer iteration index (row+column sweeps for
 	// the diagonal SEA, projection steps for the general SEA, outer dual
-	// cycles for RC, sweeps for B-K and RAS, Dykstra cycles).
+	// cycles for RC, sweeps for B-K and the scaling solvers, Dykstra
+	// cycles).
 	Iteration int
 	// Inner is the number of inner iterations this outer step consumed
-	// (RC's projection iterations, the general solver's half-sweeps); zero
-	// for single-level solvers.
+	// (RC's projection iterations, the general solver's half-sweeps,
+	// projected gradient's Dykstra cycles); zero for single-level solvers.
 	Inner int
 	// Checked reports whether a convergence verification ran this
 	// iteration; when false, Residual is NaN.
@@ -45,9 +48,32 @@ type Event struct {
 	// Equilibrations and Ops are this iteration's single-constraint
 	// equilibration count and abstract operation count (the paper's
 	// complexity model), and SerialOps the operations spent in serial
-	// phases — the same quantities metrics.Counters accumulates, reported
-	// as per-iteration deltas so an observer subsumes the counters.
+	// phases. Each solver tallies them for its own solve, so concurrent
+	// solves never see each other's work; metrics.Counters sums them.
 	Equilibrations, Ops, SerialOps int64
+	// Costs holds the per-task operation costs of the phases this event
+	// covers — the iteration's one phase for SEA, every inner phase since
+	// the previous event for RC. Solvers fill it only when the observer
+	// asks (see WantsCosts). The slices are the solver's reusable buffers,
+	// valid only during the ObserveIteration call: an observer that keeps
+	// them must copy.
+	Costs []PhaseCosts
+}
+
+// PhaseCosts is the cost breakdown of one phase group: a row phase, a
+// column phase, and any serial work that follows them.
+type PhaseCosts struct {
+	// Row[i] is the op count of row subproblem i; Col[j] of column
+	// subproblem j. Each entry is one schedulable parallel task.
+	Row []int64
+	Col []int64
+	// Check holds the parallel convergence-verification tasks when the
+	// check runs in parallel (Options.ParallelConvCheck); nil otherwise.
+	Check []int64
+	// Serial is the op count of the serial phase (convergence
+	// verification, or just its reduction when the check is parallel),
+	// zero when no check runs.
+	Serial int64
 }
 
 // Observer receives one Event per outer iteration of a solve. ObserveIteration
@@ -56,6 +82,32 @@ type Event struct {
 // solves must synchronize itself.
 type Observer interface {
 	ObserveIteration(Event)
+}
+
+// WantsCosts reports whether obs asks solvers to fill Event.Costs. An
+// observer opts in by implementing WantsCosts() bool; Multi and
+// Synchronized pass the question on to the observers they wrap. Filling the
+// costs takes one slot per subproblem per phase, so solvers skip it unless
+// asked.
+func WantsCosts(obs Observer) bool {
+	w, ok := obs.(interface{ WantsCosts() bool })
+	return ok && w.WantsCosts()
+}
+
+// Sweep reports one sweep of a serial scaling solver (Sinkhorn, ISP,
+// entropy): every sweep checks convergence, and all of its work is serial.
+// A nil obs is a no-op.
+func Sweep(obs Observer, solver string, iter int, residual float64, ops int64) {
+	if obs == nil {
+		return
+	}
+	obs.ObserveIteration(Event{
+		Solver:    solver,
+		Iteration: iter,
+		Checked:   true,
+		Residual:  residual,
+		SerialOps: ops,
+	})
 }
 
 // Func adapts an ordinary function to the Observer interface.
@@ -136,6 +188,9 @@ func (s *synchronized) ObserveIteration(e Event) {
 	s.mu.Unlock()
 }
 
+// WantsCosts passes the question on to the wrapped observer.
+func (s *synchronized) WantsCosts() bool { return WantsCosts(s.obs) }
+
 // multi fans events out to several observers in order.
 type multi []Observer
 
@@ -162,4 +217,14 @@ func (m multi) ObserveIteration(e Event) {
 	for _, o := range m {
 		o.ObserveIteration(e)
 	}
+}
+
+// WantsCosts reports whether any of the observers wants costs.
+func (m multi) WantsCosts() bool {
+	for _, o := range m {
+		if WantsCosts(o) {
+			return true
+		}
+	}
+	return false
 }

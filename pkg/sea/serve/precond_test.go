@@ -32,7 +32,7 @@ func TestRequestOptionsContract(t *testing.T) {
 	if o.Precondition != sea.PrecondScale {
 		t.Fatalf("Precondition = %v", o.Precondition)
 	}
-	if o.Arena != nil || o.Runner != nil || o.Trace != nil || o.Counters != nil || o.Mu0 != nil {
+	if o.Arena != nil || o.Runner != nil || o.Trace != nil || o.Mu0 != nil {
 		t.Fatalf("override clone carries per-request machinery: %+v", o)
 	}
 

@@ -156,11 +156,9 @@ func NewServer(cfg Config) (*Server, error) {
 	s.base.Procs = cfg.Procs
 	s.base.Arena = nil
 	s.base.Runner = nil
-	s.base.Trace = trace.Synchronized(cfg.Trace)
-	// One shared, concurrency-safe counter set serves every solve: the
-	// per-entry options pre-point at it so the solvers' withDefaults never
-	// allocates a private one on the hot path.
-	s.base.Counters = &s.counters
+	// One shared counter set sums the events of every solve; its atomics
+	// make it safe to attach unsynchronized.
+	s.base.Trace = trace.Multi(&s.counters, trace.Synchronized(cfg.Trace))
 	return s, nil
 }
 
@@ -219,10 +217,9 @@ func WithObjective(obj sea.Objective) Override {
 // the Submit variants: it returns nil when every override matches the
 // server's configured template (the zero-overhead path — the request solves
 // on the prebuilt per-arena options), and otherwise a detached clone of the
-// template with the overridden fields replaced. The clone's Arena, Runner,
-// Trace and Counters are zeroed: submit re-fills all four per request, and
-// handing back the template's already-synchronized Trace would double-wrap
-// it. The returned options are the caller's to further adjust before
+// template with the overridden fields replaced. The clone's Arena, Runner
+// and Trace are zeroed: submit re-fills all three per request, and handing
+// back the template's trace would count every event twice. The returned options are the caller's to further adjust before
 // submitting.
 func (s *Server) RequestOptions(overrides ...Override) *sea.Options {
 	if len(overrides) == 0 {
@@ -240,7 +237,6 @@ func (s *Server) RequestOptions(overrides ...Override) *sea.Options {
 	o.Arena = nil
 	o.Runner = nil
 	o.Trace = nil
-	o.Counters = nil
 	o.Mu0 = nil
 	return &o
 }
@@ -386,9 +382,6 @@ func (s *Server) submit(ctx context.Context, p *sea.Problem, opts *sea.Options, 
 			o.Trace = s.base.Trace
 		} else {
 			o.Trace = sea.MultiTrace(trace.Synchronized(o.Trace), s.base.Trace)
-		}
-		if o.Counters == nil {
-			o.Counters = &s.counters
 		}
 		runOpts = &o
 	}

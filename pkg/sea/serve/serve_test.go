@@ -165,6 +165,59 @@ func TestConcurrentMixedShapes(t *testing.T) {
 	s.Close()
 }
 
+// workSum is a trace observer that sums one request's reported work.
+type workSum struct{ equil, ops int64 }
+
+func (w *workSum) ObserveIteration(e sea.TraceEvent) {
+	w.equil += e.Equilibrations
+	w.ops += e.Ops
+}
+
+// TestSubmitTracedCountsOwnWork: each solve tallies its own work, so a
+// per-request trace reports exactly the work of its request however many
+// other solves run beside it, and the server's counters are the sum over
+// requests.
+func TestSubmitTracedCountsOwnWork(t *testing.T) {
+	s, err := NewServer(Config{MaxInFlight: 4, MaxQueue: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	p := testProblem(t, 80, 60, 1.3, 21)
+	ctx := context.Background()
+	var alone workSum
+	if _, err := s.SubmitTraced(ctx, p, nil, &alone); err != nil {
+		t.Fatal(err)
+	}
+	if alone.equil == 0 || alone.ops == 0 {
+		t.Fatalf("solo trace reported no work: %+v", alone)
+	}
+
+	const requests = 8
+	sums := make([]workSum, requests)
+	var wg sync.WaitGroup
+	for r := range sums {
+		wg.Add(1)
+		go func(w *workSum) {
+			defer wg.Done()
+			if _, err := s.SubmitTraced(ctx, p, nil, w); err != nil {
+				t.Error(err)
+			}
+		}(&sums[r])
+	}
+	wg.Wait()
+	for r, w := range sums {
+		if w != alone {
+			t.Errorf("request %d traced %d equilibrations / %d ops, alone %d / %d", r, w.equil, w.ops, alone.equil, alone.ops)
+		}
+	}
+	st := s.Stats().Solver
+	if st.Equilibrations != (requests+1)*alone.equil || st.Ops != (requests+1)*alone.ops {
+		t.Errorf("server counters %d equilibrations / %d ops, want %d requests × %d / %d",
+			st.Equilibrations, st.Ops, requests+1, alone.equil, alone.ops)
+	}
+}
+
 // TestSaturationRejects: with one in-flight slot and a queue of one, a
 // third concurrent request is rejected immediately with sea.ErrSaturated.
 func TestSaturationRejects(t *testing.T) {

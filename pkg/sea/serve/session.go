@@ -57,15 +57,12 @@ func (s *Server) NewSession(cfg SessionConfig) (*Session, error) {
 	base := s.base
 	if cfg.Options != nil {
 		base = *cfg.Options
-		// Same per-request re-fill as submit: the server's synchronized
-		// trace and shared counters, unless the caller brought their own.
+		// Same per-request re-fill as submit: the server's trace, which
+		// carries its counters, next to the caller's own observer.
 		if base.Trace == nil {
 			base.Trace = s.base.Trace
 		} else {
 			base.Trace = sea.MultiTrace(trace.Synchronized(base.Trace), s.base.Trace)
-		}
-		if base.Counters == nil {
-			base.Counters = &s.counters
 		}
 	}
 	base.Procs = s.cfg.Procs

@@ -4,12 +4,10 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
 
 	"sea/internal/baseline"
 	"sea/internal/core"
 	"sea/internal/entropy"
-	"sea/internal/mat"
 )
 
 // The built-in registry: every algorithm the repository implements, behind
@@ -97,11 +95,11 @@ func init() {
 		"KL/entropy projection onto the totals constraints (generalized iterative scaling)",
 		solveEntropy))
 	MustRegister(NewSolver("ras",
-		"RAS biproportional scaling of Deming and Stephan (1940)",
-		solveRAS))
+		"RAS biproportional scaling of Deming and Stephan (1940); an alias of \"sinkhorn\"",
+		solveSinkhorn("ras")))
 	MustRegister(NewSolver("sinkhorn",
-		"Sinkhorn-Knopp biproportional balancing (CSR-native RAS with exact-termination detection)",
-		solveSinkhorn))
+		"Sinkhorn-Knopp biproportional balancing (RAS; dense or CSR, with exact-termination detection)",
+		solveSinkhorn("sinkhorn")))
 	MustRegister(NewSolver("isp",
 		"iterative scaling procedure: clamped additive Gauss-Seidel on the SEA dual",
 		solveISP))
@@ -147,78 +145,41 @@ func solveEntropy(ctx context.Context, p *Problem, o *Options) (*Solution, error
 	return sol, err
 }
 
-// solveRAS adapts the RAS sweep result to the unified Solution. RAS solves
-// an entropy objective rather than the quadratic one, so Objective reports
-// the problem's quadratic objective evaluated at the RAS point (for
-// comparison against the other solvers) and the dual values are absent.
-func solveRAS(ctx context.Context, p *Problem, o *Options) (*Solution, error) {
-	if err := p.Validate(); err != nil {
-		return nil, err
-	}
-	m, n := p.Size()
-	var x0, s0, d0 []float64
-	var kind Kind
-	if p.Diagonal != nil {
-		if p.Diagonal.Pattern != nil {
-			return nil, fmt.Errorf("%w: solver \"ras\" supports dense storage only; use \"sea\" for CSR problems or call Densify() first", ErrInvalidProblem)
+// solveSinkhorn adapts the Sinkhorn–Knopp balancing baseline, registered
+// as both "sinkhorn" and "ras". It requires fixed totals and a nonnegative
+// prior, runs natively on CSR storage, and streams per-sweep residuals
+// through the trace observer. Balancing solves an entropy objective, so
+// Objective reports the requested family's value at the balanced point (the
+// quadratic one by default, for comparison with the other solvers) and the
+// dual values are absent. A general problem has its dense prior balanced
+// and reports the general quadratic objective.
+func solveSinkhorn(name string) func(context.Context, *Problem, *Options) (*Solution, error) {
+	return func(ctx context.Context, p *Problem, o *Options) (*Solution, error) {
+		if err := p.Validate(); err != nil {
+			return nil, err
 		}
-		x0, s0, d0, kind = p.Diagonal.X0, p.Diagonal.S0, p.Diagonal.D0, p.Diagonal.Kind
-	} else {
-		x0, s0, d0, kind = p.General.X0, p.General.S0, p.General.D0, p.General.Kind
-	}
-	if kind != FixedTotals {
-		return nil, fmt.Errorf("%w: solver \"ras\" supports fixed totals only, got %v", ErrInvalidProblem, kind)
-	}
-	res, rasErr := baseline.RAS(ctx, m, n, x0, s0, d0, o)
-	if res == nil {
-		return nil, rasErr
-	}
-	sol := &Solution{
-		X: res.X, S: mat.Clone(s0), D: mat.Clone(d0),
-		Iterations: res.Iterations,
-		Converged:  res.Converged,
-		Residual:   math.Max(res.MaxRowErr, res.MaxColErr),
-		DualValue:  math.NaN(),
-	}
-	if p.Diagonal != nil {
-		obj := ObjectiveQuadratic
-		if o != nil {
-			obj = o.Objective
+		d, g := p.Diagonal, p.General
+		if g != nil {
+			gamma := make([]float64, len(g.X0))
+			for k := range gamma {
+				gamma[k] = 1
+			}
+			d = &DiagonalProblem{M: g.M, N: g.N, X0: g.X0, Gamma: gamma, S0: g.S0, D0: g.D0, Kind: g.Kind}
 		}
-		sol.Objective = p.Diagonal.ObjectiveFor(obj, sol.X, sol.S, sol.D)
-		sol.ObjectiveKind = obj
-	} else {
-		sol.Objective = p.General.Objective(sol.X, sol.S, sol.D)
+		if d.Kind != FixedTotals {
+			return nil, fmt.Errorf("%w: solver %q supports fixed totals only, got %v", ErrInvalidProblem, name, d.Kind)
+		}
+		sol, err := baseline.SolveSinkhorn(ctx, d, o)
+		switch {
+		case sol == nil:
+		case g != nil:
+			sol.Objective = g.Objective(sol.X, sol.S, sol.D)
+		case o != nil && o.Objective == ObjectiveEntropy:
+			sol.Objective = d.KLObjective(sol.X, sol.S, sol.D)
+			sol.ObjectiveKind = ObjectiveEntropy
+		}
+		return sol, err
 	}
-	if rasErr != nil {
-		return sol, rasErr
-	}
-	if !sol.Converged {
-		return sol, fmt.Errorf("%w: RAS after %d sweeps (residual %g)", ErrNotConverged, sol.Iterations, sol.Residual)
-	}
-	return sol, nil
-}
-
-// solveSinkhorn adapts the Sinkhorn–Knopp balancing baseline. Like "ras" it
-// requires fixed totals and a nonnegative prior, but it runs natively on
-// CSR storage and streams per-sweep residuals through the trace observer.
-func solveSinkhorn(ctx context.Context, p *Problem, o *Options) (*Solution, error) {
-	d, err := p.asDiagonal("sinkhorn")
-	if err != nil {
-		return nil, err
-	}
-	if d.Kind != FixedTotals {
-		return nil, fmt.Errorf("%w: solver \"sinkhorn\" supports fixed totals only, got %v", ErrInvalidProblem, d.Kind)
-	}
-	sol, err := baseline.SolveSinkhorn(ctx, d, o)
-	// Sinkhorn is an entropy solver by construction; when the caller asked
-	// for the entropy family, report the KL objective value instead of the
-	// default cross-family quadratic comparison value.
-	if sol != nil && o != nil && o.Objective == ObjectiveEntropy {
-		sol.Objective = d.KLObjective(sol.X, sol.S, sol.D)
-		sol.ObjectiveKind = ObjectiveEntropy
-	}
-	return sol, err
 }
 
 // solveISP adapts the iterative scaling procedure: the additive analogue of

@@ -132,15 +132,15 @@ func TestNewDiagonalCSRForcesConversion(t *testing.T) {
 }
 
 // TestDenseOnlySolversRejectCSR: the solvers whose algorithms are defined on
-// the full m×n grid (Dykstra's projections, the unsigned variant, RAS, and
-// the general-representation lifts) refuse CSR storage with a typed error
+// the full m×n grid (Dykstra's projections, the unsigned variant, and the
+// general-representation lifts) refuse CSR storage with a typed error
 // instead of misindexing.
 func TestDenseOnlySolversRejectCSR(t *testing.T) {
 	p, err := NewDiagonalCSR(pinnedDense(t, 20, 20, 3))
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, solver := range []string{"dykstra", "unsigned", "ras", "sea-general", "rc", "bk", "projgrad"} {
+	for _, solver := range []string{"dykstra", "unsigned", "sea-general", "rc", "bk", "projgrad"} {
 		if _, err := Solve(context.Background(), solver, p, DefaultOptions()); !errors.Is(err, ErrInvalidProblem) {
 			t.Errorf("solver %q on a CSR problem: error = %v, want ErrInvalidProblem", solver, err)
 		}
