@@ -23,7 +23,7 @@ test:
 # the public facade (whose cancellation suite exercises pool teardown under
 # contention).
 race:
-	$(GO) test -race ./internal/parallel/... ./internal/core/... ./internal/equilibrate/... ./internal/sortx/... ./internal/scale/... ./internal/entropy/... ./internal/baseline/... ./internal/matio/... ./internal/trace/... ./internal/metrics/... ./internal/parsim/... ./pkg/...
+	$(GO) test -race ./internal/parallel/... ./internal/core/... ./internal/equilibrate/... ./internal/sortx/... ./internal/scale/... ./internal/baseline/... ./internal/matio/... ./internal/trace/... ./internal/metrics/... ./internal/parsim/... ./pkg/...
 	$(GO) vet ./...
 
 # Build the commands explicitly (CI smoke for the CLI layer).

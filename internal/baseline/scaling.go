@@ -101,60 +101,109 @@ func SolveSinkhorn(ctx context.Context, p *core.DiagonalProblem, opts *core.Opti
 
 // SolveISP runs the iterative scaling procedure as a registry solver:
 // clamped additive Gauss–Seidel sweeps on the exact KKT system of the
-// diagonal problem (scale.System). Unlike the multiplicative baselines this
-// solves the paper's actual quadratic objective — a fixed point of the
-// sweep satisfies the full KKT system — just by cheaper, linearized sweeps
-// than SEA's exact equilibrations, so it needs more of them on hard
-// instances. Fixed, elastic and balanced totals are supported over both
-// storages; interval totals are not modeled (the caller rejects them).
+// diagonal problem (scale.System under the additive response). Unlike the
+// multiplicative baselines this solves the paper's actual quadratic
+// objective — a fixed point of the sweep satisfies the full KKT system —
+// just by cheaper, linearized sweeps than SEA's exact equilibrations, so it
+// needs more of them on hard instances. Every constraint kind — fixed,
+// elastic, balanced and interval totals — is supported over both storages.
 func SolveISP(ctx context.Context, p *core.DiagonalProblem, opts *core.Options) (*core.Solution, error) {
-	if ctx == nil {
-		ctx = context.Background()
+	sys := dualSystem(p, scale.Additive)
+	if err := sys.Validate(); err != nil {
+		return nil, err
 	}
-	o := fillOpts(opts)
-	sys, err := ispSystem(p)
+	return solveDual(ctx, p, sys, opts)
+}
+
+// ErrDomain is returned when the problem's data lies outside the entropy
+// objective's domain: a negative prior entry, or a positive lower bound over
+// a zero prior cell (the KL term is +∞ there). Callers in pkg/sea wrap it in
+// ErrInvalidProblem.
+var ErrDomain = errors.New("entropy: problem outside the KL domain")
+
+// SolveEntropy solves the KL/entropy objective family as a registry
+// solver: minimize the weighted generalized Kullback–Leibler divergence to
+// the prior,
+//
+//	Σ_ij γ_ij (x_ij·ln(x_ij/x⁰_ij) − x_ij + x⁰_ij)  (+ elastic totals terms)
+//
+// subject to the same fixed, elastic, balanced or interval totals and box
+// bounds as the quadratic family, over dense or CSR storage. This is
+// Oikonomou's "most likely matrix" model; with fixed totals, a positive
+// prior and no binding bounds its solution is the biproportional
+// (RAS/Sinkhorn) limit characterized by Aas.
+//
+// The method is generalized iterative scaling, the multiplicative sibling of
+// SolveISP: stationarity of the Lagrangian in x gives the exponential
+// response x_ij = clamp(x⁰_ij·e^{(λ_i+μ_j)/γ_ij}, l_ij, u_ij), and
+// scale.System ascends the smooth concave dual by exact block-coordinate
+// sweeps. The elastic totals keep their quadratic penalties, so their dual
+// relations s_i = s⁰_i − λ_i/(2α_i) carry over from the quadratic family.
+// The Solution's Objective is the KL value (ObjectiveKind =
+// ObjectiveEntropy) and its DualValue is NaN.
+//
+// Options supply Epsilon (absolute residual tolerance), MaxIterations, Mu0
+// (dual warm start of the column multipliers) and Trace; cancellation is
+// observed between sweeps. Procs is ignored: sweeps are serial and
+// bit-identical at any setting.
+func SolveEntropy(ctx context.Context, p *core.DiagonalProblem, opts *core.Options) (*core.Solution, error) {
+	if err := p.Validate(); err != nil {
+		return nil, err
+	}
+	sys, err := entropySystem(p)
 	if err != nil {
 		return nil, err
 	}
-	obs := o.Trace
-	lambda := make([]float64, p.M)
-	mu := make([]float64, p.N)
-	if o.Mu0 != nil {
-		copy(mu, o.Mu0)
-	}
-	colSum := make([]float64, p.N)
-	colASum := make([]float64, p.N)
-	nnz := int64(sys.A.Nnz())
-	var total scale.Result
-	base := 0
-	observe := func(iter int, residual float64) {
-		trace.Sweep(obs, "isp", base+iter, residual, 2*nnz)
-	}
-	// One Run call per sweep: the duals persist across calls, so this is the
-	// same iteration with a cancellation check between sweeps.
-	for base = 0; base < o.MaxIterations; base++ {
-		res := sys.Run(lambda, mu, 1, o.Epsilon, colSum, colASum, observe)
-		total.Iterations = base + 1
-		total.Residual = res.Residual
-		total.Converged = res.Converged
-		if res.Exact && !total.Exact {
-			total.Exact = true
-			total.ExactIteration = base + 1
+	return solveDual(ctx, p, sys, opts)
+}
+
+// entropySystem builds the exponential system of p after checking the KL
+// domain: the prior must be nonnegative, positive lower bounds need
+// positive prior cells, and a zero-support row or column cannot meet a
+// strictly positive required total (its entries are pinned at zero by the
+// KL term).
+func entropySystem(p *core.DiagonalProblem) (*scale.System, error) {
+	for k, v := range p.X0 {
+		if v < 0 {
+			return nil, fmt.Errorf("%w: X0[%d] = %g < 0 (the KL divergence needs a nonnegative prior)", ErrDomain, k, v)
 		}
-		if res.Converged {
-			break
-		}
-		if err := ctx.Err(); err != nil {
-			sol := ispSolution(p, sys, lambda, mu, total)
-			sol.Status = core.StatusCancelled
-			return sol, err
+		if v == 0 && p.Lower != nil && p.Lower[k] > 0 {
+			return nil, fmt.Errorf("%w: Lower[%d] = %g > 0 over a zero prior cell (KL pins it at 0)", ErrDomain, k, p.Lower[k])
 		}
 	}
-	sol := ispSolution(p, sys, lambda, mu, total)
-	if !total.Converged {
-		return sol, fmt.Errorf("%w: ISP after %d sweeps (residual %g)", core.ErrNotConverged, total.Iterations, total.Residual)
+	sys := dualSystem(p, scale.Exponential)
+	g := &sys.A
+	rowHasMass := make([]bool, p.M)
+	colHasMass := make([]bool, p.N)
+	for i := 0; i < p.M; i++ {
+		lo, hi := g.Row(i)
+		for k := lo; k < hi; k++ {
+			if p.X0[k] > 0 {
+				rowHasMass[i] = true
+				colHasMass[g.Col(i, k)] = true
+			}
+		}
 	}
-	return sol, nil
+	need := func(fixed, interval []float64, i int) float64 {
+		switch p.Kind {
+		case core.FixedTotals:
+			return fixed[i]
+		case core.IntervalTotals:
+			return interval[i]
+		}
+		return 0
+	}
+	for i := 0; i < p.M; i++ {
+		if !rowHasMass[i] && need(p.S0, p.SLo, i) > 0 {
+			return nil, fmt.Errorf("%w: row %d has zero prior support but requires total %g under the entropy objective", core.ErrInfeasible, i, need(p.S0, p.SLo, i))
+		}
+	}
+	for j := 0; j < p.N; j++ {
+		if !colHasMass[j] && need(p.D0, p.DLo, j) > 0 {
+			return nil, fmt.Errorf("%w: column %d has zero prior support but requires total %g under the entropy objective", core.ErrInfeasible, j, need(p.D0, p.DLo, j))
+		}
+	}
+	return sys, nil
 }
 
 // problemMatrix wraps per-cell values in the problem's storage layout.
@@ -165,44 +214,86 @@ func problemMatrix(p *core.DiagonalProblem, val []float64) scale.Matrix {
 	return scale.Dense(p.M, p.N, val)
 }
 
-// ispSystem builds the additive KKT system of a diagonal problem.
-func ispSystem(p *core.DiagonalProblem) (*scale.System, error) {
-	if p.Kind == core.IntervalTotals {
-		return nil, fmt.Errorf("baseline: ISP does not model interval totals")
-	}
-	slopes := make([]float64, len(p.Gamma))
-	for k, g := range p.Gamma {
-		slopes[k] = 0.5 / g
-	}
-	sys := &scale.System{
-		A:         problemMatrix(p, slopes),
-		X0:        p.X0,
-		Lo:        p.Lower,
-		Up:        p.Upper,
-		RowTarget: p.S0,
-	}
-	halfInv := func(w []float64) []float64 {
-		out := make([]float64, len(w))
-		for i, v := range w {
-			out[i] = 0.5 / v
+// dualSystem builds the dual-scaling system of a diagonal problem under the
+// given response: the cell coefficients (the slopes 1/(2γ) for the additive
+// response, the weights γ for the exponential one), the prior and bounds,
+// and each kind's totals with the elastic terms e = 1/(2α), f = 1/(2β).
+func dualSystem(p *core.DiagonalProblem, resp scale.Response) *scale.System {
+	coef := p.Gamma
+	if resp == scale.Additive {
+		coef = make([]float64, len(p.Gamma))
+		for k, g := range p.Gamma {
+			coef[k] = 0.5 / g
 		}
-		return out
 	}
+	sys := &scale.System{Response: resp, A: problemMatrix(p, coef), X0: p.X0, Lo: p.Lower, Up: p.Upper}
 	switch p.Kind {
 	case core.FixedTotals:
-		sys.ColTarget = p.D0
+		sys.RowTarget, sys.ColTarget = p.S0, p.D0
 	case core.ElasticTotals:
-		sys.ColTarget = p.D0
-		sys.RowDiag = halfInv(p.Alpha)
-		sys.ColDiag = halfInv(p.Beta)
+		sys.RowTarget, sys.ColTarget = p.S0, p.D0
+		sys.RowDiag, sys.ColDiag = halfInv(p.Alpha), halfInv(p.Beta)
 	case core.Balanced:
-		sys.Coupled = true
-		sys.RowDiag = halfInv(p.Alpha)
+		sys.RowTarget, sys.RowDiag, sys.Coupled = p.S0, halfInv(p.Alpha), true
+	case core.IntervalTotals:
+		sys.RowLo, sys.RowHi, sys.ColLo, sys.ColHi = p.SLo, p.SHi, p.DLo, p.DHi
 	}
-	if err := sys.Validate(); err != nil {
-		return nil, err
+	return sys
+}
+
+// halfInv returns 0.5/w elementwise (the elastic diagonal terms).
+func halfInv(w []float64) []float64 {
+	out := make([]float64, len(w))
+	for i, v := range w {
+		out[i] = 0.5 / v
 	}
-	return sys, nil
+	return out
+}
+
+// solveDual runs a dual-scaling system as a solver: one sweep per Run call
+// (the duals persist across calls, so this is the same iteration with a
+// cancellation check between sweeps) from zero row duals and the Mu0
+// column warm start, until the staggered residual reaches Epsilon. Every
+// sweep is traced under the response's solver name.
+func solveDual(ctx context.Context, p *core.DiagonalProblem, sys *scale.System, opts *core.Options) (*core.Solution, error) {
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	o := fillOpts(opts)
+	name, label := "isp", "ISP"
+	if sys.Response == scale.Exponential {
+		name, label = "entropy", "entropy"
+	}
+	lambda := make([]float64, p.M)
+	mu := make([]float64, p.N)
+	if o.Mu0 != nil {
+		copy(mu, o.Mu0)
+	}
+	colSum := make([]float64, p.N)
+	colASum := make([]float64, p.N)
+	nnz := int64(sys.A.Nnz())
+	var res scale.Result
+	base := 0
+	observe := func(iter int, residual float64) {
+		trace.Sweep(o.Trace, name, base+iter, residual, 2*nnz)
+	}
+	for base = 0; base < o.MaxIterations; base++ {
+		res = sys.Run(lambda, mu, 1, o.Epsilon, colSum, colASum, observe)
+		res.Iterations = base + 1
+		if res.Converged {
+			break
+		}
+		if err := ctx.Err(); err != nil {
+			sol := dualSolution(p, sys, lambda, mu, res)
+			sol.Status = core.StatusCancelled
+			return sol, err
+		}
+	}
+	sol := dualSolution(p, sys, lambda, mu, res)
+	if !res.Converged {
+		return sol, fmt.Errorf("%w: %s after %d sweeps (residual %g)", core.ErrNotConverged, label, res.Iterations, res.Residual)
+	}
+	return sol, nil
 }
 
 // absorbLimit bounds SolveSinkhorn's factors between absorptions.
@@ -258,15 +349,19 @@ func scalingSolution(p *core.DiagonalProblem, s, d []float64, res scale.Result, 
 	return sol
 }
 
-// ispSolution packages the ISP duals as a full Solution: the primal is
-// x(λ,μ), the totals follow the kind's elastic relations, and because ISP's
-// multipliers live in the same convention as SEA's, the dual value is the
-// true ζ(λ,μ).
-func ispSolution(p *core.DiagonalProblem, sys *scale.System, lambda, mu []float64, res scale.Result) *core.Solution {
+// dualSolution packages a dual-scaling system's duals as a full Solution:
+// the primal is x(λ,μ), the totals follow each kind's dual relations (the
+// elastic ones are shared by both objective families, interval totals are
+// the attained sums), and the objective is the response's family. ISP's
+// multipliers live in SEA's convention, so its dual value is the true
+// ζ(λ,μ); the entropy dual value is not computed.
+func dualSolution(p *core.DiagonalProblem, sys *scale.System, lambda, mu []float64, res scale.Result) *core.Solution {
 	x := make([]float64, len(p.X0))
 	s := make([]float64, p.M)
 	d := make([]float64, p.N)
-	worst := sys.Eval(lambda, mu, x, nil, nil)
+	rowSum := make([]float64, p.M)
+	colSum := make([]float64, p.N)
+	worst := sys.Eval(lambda, mu, x, rowSum, colSum)
 	switch p.Kind {
 	case core.FixedTotals:
 		copy(s, p.S0)
@@ -283,6 +378,9 @@ func ispSolution(p *core.DiagonalProblem, sys *scale.System, lambda, mu []float6
 			s[i] = p.S0[i] - 0.5/p.Alpha[i]*(lambda[i]+mu[i])
 		}
 		copy(d, s)
+	case core.IntervalTotals:
+		copy(s, rowSum)
+		copy(d, colSum)
 	}
 	sol := &core.Solution{
 		X: x, S: s, D: d,
@@ -290,8 +388,14 @@ func ispSolution(p *core.DiagonalProblem, sys *scale.System, lambda, mu []float6
 		Iterations: res.Iterations,
 		Converged:  res.Converged,
 		Residual:   worst,
-		Objective:  p.Objective(x, s, d),
-		DualValue:  core.DualValue(p, lambda, mu),
+	}
+	if sys.Response == scale.Exponential {
+		sol.Objective = p.KLObjective(x, s, d)
+		sol.ObjectiveKind = core.ObjectiveEntropy
+		sol.DualValue = math.NaN()
+	} else {
+		sol.Objective = p.Objective(x, s, d)
+		sol.DualValue = core.DualValue(p, lambda, mu)
 	}
 	if res.Converged {
 		sol.Status = core.StatusConverged

@@ -3,6 +3,7 @@ package baseline
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"math/rand/v2"
 	"testing"
@@ -228,17 +229,78 @@ func TestSinkhornStructuralError(t *testing.T) {
 	}
 }
 
-// TestISPRejectsInterval: the additive system does not model interval
-// totals.
-func TestISPRejectsInterval(t *testing.T) {
-	p := &core.DiagonalProblem{
-		M: 2, N: 2,
-		X0: []float64{1, 1, 1, 1}, Gamma: []float64{1, 1, 1, 1},
-		SLo: []float64{1, 1}, SHi: []float64{3, 3},
-		DLo: []float64{1, 1}, DHi: []float64{3, 3},
-		Kind: core.IntervalTotals,
-	}
-	if _, err := SolveISP(context.Background(), p, optsWith(1e-6, 100)); err == nil {
-		t.Fatal("ISP accepted interval totals")
+// TestISPIntervalMatchesSEA: with interval totals ISP picks each
+// equation's binding side by complementarity, and lands on SEA's solution
+// of the same quadratic program — dense and CSR, with and without bounds —
+// with the interval sign conditions holding.
+func TestISPIntervalMatchesSEA(t *testing.T) {
+	rng := rand.New(rand.NewPCG(61, 3))
+	for _, storage := range []string{"dense", "csr"} {
+		for _, bounded := range []bool{false, true} {
+			p := randInterval(rng, 9, 8)
+			if bounded {
+				p.Lower, p.Upper = make([]float64, len(p.X0)), make([]float64, len(p.X0))
+				for k, v := range p.X0 {
+					p.Lower[k], p.Upper[k] = 0.2*v, 3*v
+				}
+			}
+			if storage == "csr" {
+				if p.Upper == nil {
+					p.Upper = make([]float64, len(p.X0))
+					for k := range p.Upper {
+						p.Upper[k] = math.Inf(1)
+					}
+				}
+				for k := range p.Upper {
+					if k%3 == 1 {
+						p.Upper[k], p.Lower = 0, nil // pinned: dropped from the support
+					}
+				}
+				sp, err := p.Sparsify()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bounded {
+					sp.Upper = nil
+				} else {
+					sp.Lower = make([]float64, len(sp.X0))
+					for k, v := range sp.X0 {
+						sp.Lower[k] = 0.2 * v
+					}
+				}
+				p = sp
+			}
+			name := fmt.Sprintf("%s/bounded=%v", storage, bounded)
+			ref, err := core.SolveDiagonal(context.Background(), p, seaOpts())
+			if err != nil {
+				t.Fatalf("%s: sea: %v", name, err)
+			}
+			got, err := SolveISP(context.Background(), p, optsWith(1e-10, 200000))
+			if err != nil {
+				t.Fatalf("%s: isp: %v", name, err)
+			}
+			for k := range got.X {
+				if math.Abs(got.X[k]-ref.X[k]) > 1e-6*(1+math.Abs(ref.X[k])) {
+					t.Fatalf("%s: X[%d]: isp %g vs sea %g", name, k, got.X[k], ref.X[k])
+				}
+			}
+			if gap := math.Abs(got.Objective - ref.Objective); gap > 1e-6*(1+ref.Objective) {
+				t.Fatalf("%s: objective %g vs %g", name, got.Objective, ref.Objective)
+			}
+			if rep := core.CheckKKT(p, got); !rep.Satisfied(1e-6) {
+				t.Fatalf("%s: isp KKT violated: %+v", name, rep)
+			}
+			var binding, free int
+			for _, v := range append(append([]float64(nil), got.Lambda...), got.Mu...) {
+				if v == 0 {
+					free++
+				} else {
+					binding++
+				}
+			}
+			if binding == 0 || free == 0 {
+				t.Fatalf("%s: %d binding and %d free multipliers; want both sides of complementarity exercised", name, binding, free)
+			}
+		}
 	}
 }

@@ -91,7 +91,8 @@ const (
 	// term is +∞ for any positive value there). This is Oikonomou's
 	// "most likely matrix" model; with fixed totals and a positive prior it
 	// is the biproportional (RAS/Sinkhorn) limit. Solved by the "entropy"
-	// registry solver (internal/entropy).
+	// registry solver (baseline.SolveEntropy: generalized iterative scaling,
+	// internal/scale's exponential response).
 	ObjectiveEntropy
 )
 

@@ -243,9 +243,9 @@ func matrixView(sp *DiagonalProblem, val []float64) scale.Matrix {
 
 // ispWarmStart runs PrecondSweeps clamped ISP sweeps on the scaled
 // problem's exact KKT system and leaves the column-multiplier estimate in
-// ps.mu0. It reports false (leaving Options untouched) for problem kinds
-// the additive system does not model (IntervalTotals) or when the system
-// fails validation; preconditioning then degrades to pure scaling.
+// ps.mu0. It reports false (leaving Options untouched) for IntervalTotals,
+// whose SEA iterates stay those of pure scaling, or when the system fails
+// validation; preconditioning then degrades to pure scaling.
 func (ps *precondState) ispWarmStart(sp *DiagonalProblem, o *Options) bool {
 	if sp.Kind == IntervalTotals {
 		return false

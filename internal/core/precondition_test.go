@@ -171,9 +171,9 @@ func TestPrecondArenaSteadyState(t *testing.T) {
 	}
 }
 
-// TestPrecondIntervalFallsBackToScale: ISP does not model interval totals,
-// so preconditioning degrades to pure scaling — which must remain
-// bit-identical to the unpreconditioned solve.
+// TestPrecondIntervalFallsBackToScale: the ISP warm start stays off for
+// interval totals, so preconditioning degrades to pure scaling — which must
+// remain bit-identical to the unpreconditioned solve.
 func TestPrecondIntervalFallsBackToScale(t *testing.T) {
 	rng := rand.New(rand.NewPCG(23, 1))
 	p := randInterval(rng, 8, 10, 0.5)

@@ -5,26 +5,48 @@ import (
 	"math"
 )
 
-// System is the additive dual-scaling view of a diagonal quadratic
-// constrained matrix problem:
+// Response is a System's cell response: how a cell's value follows the dual
+// sum d = λ_i + μ_j of its row and column multipliers.
+type Response uint8
+
+const (
+	// Additive is the response of the diagonal quadratic problem,
+	// clamp(x⁰ + a·d, l, u), with A holding the slopes a = 1/(2γ). Its
+	// sweeps are the iterative scaling procedure (ISP).
+	Additive Response = iota
+	// Exponential is the response of the entropy (KL) problem,
+	// clamp(x⁰·e^{d/γ}, l, u), with A holding the weights γ. Its sweeps are
+	// generalized iterative scaling.
+	Exponential
+)
+
+// System is the dual-scaling view of a diagonal constrained matrix problem:
 //
-//	x_ij(λ,μ) = clamp(x⁰_ij + a_ij·(λ_i + μ_j), l_ij, u_ij)
+//	x_ij(λ,μ) = response of cell ij at λ_i + μ_j, clamped to [l_ij, u_ij]
 //	row i:    Σ_j x_ij = R_i − e_i·λ_i        (e_i = 0: fixed total)
 //	column j: Σ_i x_ij = C_j − f_j·μ_j        (f_j = 0: fixed total)
 //
-// where a_ij = 1/(2γ_ij) are the dual slopes. This is exactly the KKT
-// system SEA ascends; the iterative scaling procedure (ISP) here is the
-// cheap additive analogue of a SEA iteration — a linearized, clamped
-// Gauss–Seidel sweep over (λ, μ) with no sorting, O(nnz) per sweep. A
-// fixed point of the sweep satisfies the full KKT system (the clamp IS
-// complementary slackness), so ISP doubles as an exact solver for
+// This is exactly the KKT system of the problem's objective (see Response).
+// Both responses are monotone in the dual, so each equation is a monotone
+// one-dimensional root problem, and Run ascends the concave dual by
+// block-coordinate sweeps over (λ, μ), O(nnz) per matrix pass with no
+// sorting. Under the additive response this is the cheap analogue of a SEA
+// iteration; a fixed point of the sweep satisfies the full KKT system (the
+// clamp IS complementary slackness), so it doubles as an exact solver for
 // unbounded problems and as the dual warm start for bounded ones.
 //
 // For Balanced (SAM) problems set Coupled: row i and column i then share
-// the total R_i with the coupling term e_i·(λ_i + μ_i) on both sides.
+// the total R_i with the coupling term e_i·(λ_i + μ_i) on both sides. For
+// interval totals set RowLo/RowHi/ColLo/ColHi instead of the targets: each
+// equation then reads lo ≤ Σ x ≤ hi, with its multiplier zero while the sum
+// lies inside and the binding bound chosen by complementarity.
 type System struct {
-	// A is the slope matrix a_ij = 1/(2γ_ij), strictly positive on the
-	// support; its storage (dense or CSR) fixes the layout of X0/Lo/Up.
+	// Response selects the cell response; the zero value is Additive.
+	Response Response
+	// A holds the cell coefficients — slopes a_ij = 1/(2γ_ij) under the
+	// additive response, weights γ_ij under the exponential one — strictly
+	// positive on the support; its storage (dense or CSR) fixes the layout
+	// of X0/Lo/Up.
 	A Matrix
 	// X0 is the prior, in A's storage order.
 	X0 []float64
@@ -40,10 +62,14 @@ type System struct {
 	// ignored in favour of RowTarget/RowDiag, and the elastic term reads
 	// e_i·(λ_i + μ_i) on both the row and column equations.
 	Coupled bool
+	// RowLo/RowHi and ColLo/ColHi, when set, are interval totals: they
+	// replace the targets and elastic terms.
+	RowLo, RowHi, ColLo, ColHi []float64
 
-	// Per-column Newton brackets, lazily sized scratch for the column
-	// half-sweep (see Run).
-	colLo, colHi []float64
+	// Column half-sweep scratch, lazily sized (see Run): the per-column
+	// Newton brackets, and for interval totals the chosen targets and a
+	// zero μ.
+	colBlo, colBhi, colTgt, zeroMu []float64
 
 	// Relaxed/exact escalation state (see Run). It persists across Run
 	// calls like the duals do, so chunked runs behave exactly like one
@@ -60,9 +86,9 @@ type System struct {
 // escalation state starts fresh, exactly as on a new System, so a
 // long-lived System reruns on new data without reallocating.
 func (s *System) Reuse(next System) {
-	colLo, colHi := s.colLo, s.colHi
+	blo, bhi, tgt, zero := s.colBlo, s.colBhi, s.colTgt, s.zeroMu
 	*s = next
-	s.colLo, s.colHi = colLo, colHi
+	s.colBlo, s.colBhi, s.colTgt, s.zeroMu = blo, bhi, tgt, zero
 }
 
 // Validate checks the system's dimensions and entry ranges.
@@ -81,10 +107,15 @@ func (s *System) Validate() error {
 	}
 	for k, v := range s.A.Val {
 		if !(v > 0) {
-			return fmt.Errorf("scale: slope A[%d] = %g, want positive", k, v)
+			return fmt.Errorf("scale: A[%d] = %g, want positive", k, v)
 		}
 	}
-	if len(s.RowTarget) != s.A.M {
+	if s.RowLo != nil {
+		if len(s.RowLo) != s.A.M || len(s.RowHi) != s.A.M || len(s.ColLo) != s.A.N || len(s.ColHi) != s.A.N {
+			return fmt.Errorf("scale: interval lengths rows %d/%d, columns %d/%d, want %d and %d",
+				len(s.RowLo), len(s.RowHi), len(s.ColLo), len(s.ColHi), s.A.M, s.A.N)
+		}
+	} else if len(s.RowTarget) != s.A.M {
 		return fmt.Errorf("scale: len(RowTarget) = %d, want %d", len(s.RowTarget), s.A.M)
 	}
 	if s.Coupled {
@@ -94,7 +125,7 @@ func (s *System) Validate() error {
 		if s.RowDiag == nil {
 			return fmt.Errorf("scale: coupled system requires RowDiag (the shared elastic term)")
 		}
-	} else if len(s.ColTarget) != s.A.N {
+	} else if s.RowLo == nil && len(s.ColTarget) != s.A.N {
 		return fmt.Errorf("scale: len(ColTarget) = %d, want %d", len(s.ColTarget), s.A.N)
 	}
 	if s.RowDiag != nil && len(s.RowDiag) != s.A.M {
@@ -109,19 +140,21 @@ func (s *System) Validate() error {
 	return nil
 }
 
-// rowCells is one row's stored cells, sliced once per row so the ISP
-// kernels' per-cell loops index plain slices: a, x0 and (when the system has
-// them) lo, up share the row's storage span. cols is nil for dense storage,
-// where cell t sits in column t. Every kernel picks its loop — dense or CSR,
-// classical (lo = up = nil: x ≥ 0 only) or boxed — once per row.
+// rowCells is one row's stored cells, sliced once per row so the kernels'
+// per-cell loops index plain slices: a, x0 and (when the system has them)
+// lo, up share the row's storage span. cols is nil for dense storage, where
+// cell t sits in column t. Every kernel picks its loop — the response,
+// dense or CSR, classical (lo = up = nil: x ≥ 0 only) or boxed — once per
+// row.
 type rowCells struct {
 	a, x0, lo, up []float64
 	cols          []int32
+	exp           bool
 }
 
 func (s *System) row(i int) rowCells {
 	k0, k1 := s.A.Row(i)
-	r := rowCells{a: s.A.Val[k0:k1], x0: s.X0[k0:k1]}
+	r := rowCells{a: s.A.Val[k0:k1], x0: s.X0[k0:k1], exp: s.Response == Exponential}
 	if s.A.ColIdx != nil {
 		r.cols = s.A.ColIdx[k0:k1]
 	}
@@ -132,6 +165,14 @@ func (s *System) row(i int) rowCells {
 		r.up = s.Up[k0:k1]
 	}
 	return r
+}
+
+// col returns the column of the row's cell t.
+func (r *rowCells) col(t int) int {
+	if r.cols == nil {
+		return t
+	}
+	return int(r.cols[t])
 }
 
 // clampBox evaluates x = clamp(x, l_t, u_t) on a boxed row (nil lo: lower
@@ -149,6 +190,27 @@ func clampBox(x float64, lo, up []float64, t int) (float64, bool) {
 		return up[t], false
 	}
 	return x, true
+}
+
+// maxExpArg caps the exponent d/γ of the exponential response so a cell
+// stays finite through Newton's bracketing instead of overflowing to +Inf
+// midway. e^700 ≈ 1.0e304 leaves headroom for sums.
+const maxExpArg = 700
+
+// expAt evaluates the exponential response of the row's cell t,
+// x = clamp(x⁰·e^{d/γ}, l, u), at dual sum d, and its slope dx/dd = x/γ,
+// which is zero when the cell clamps or overflows to +Inf.
+func (r *rowCells) expAt(t int, d float64) (x, slope float64) {
+	g := r.a[t]
+	e := d / g
+	if e > maxExpArg {
+		e = maxExpArg
+	}
+	x, in := clampBox(r.x0[t]*math.Exp(e), r.lo, r.up, t)
+	if !in || math.IsInf(x, 1) {
+		return x, 0
+	}
+	return x, x / g
 }
 
 // interiorSlope returns a when the classical cell value x is interior
@@ -169,6 +231,9 @@ func interiorSlope(x, a float64) float64 {
 // cell adds +0 to each sum, which starts at +0 and only ever gains
 // non-negatives there, so the result is bit-identical to skipping the cell.
 func (r *rowCells) sums(z float64, mu []float64) (sum, asum float64) {
+	if r.exp {
+		return r.expSums(z, mu)
+	}
 	a, x0, cols := r.a, r.x0[:len(r.a)], r.cols
 	switch {
 	case r.lo == nil && r.up == nil && cols == nil:
@@ -211,6 +276,10 @@ func (r *rowCells) sums(z float64, mu []float64) (sum, asum float64) {
 // colSum and their interior slopes into colASum, with the same clamp and
 // the same branch-free classical loops as sums.
 func (r *rowCells) scatter(z float64, mu, colSum, colASum []float64) {
+	if r.exp {
+		r.expScatter(z, mu, colSum, colASum)
+		return
+	}
 	a, x0, cols := r.a, r.x0[:len(r.a)], r.cols
 	switch {
 	case r.lo == nil && r.up == nil && cols == nil:
@@ -254,6 +323,9 @@ func (r *rowCells) scatter(z float64, mu, colSum, colASum []float64) {
 // adds them into colSum and returns their sum. It runs once per solve, so
 // one boxed loop per storage serves classical rows too.
 func (r *rowCells) eval(z float64, mu, x, colSum []float64) (sum float64) {
+	if r.exp {
+		return r.expEval(z, mu, x, colSum)
+	}
 	a, x0, cols := r.a, r.x0[:len(r.a)], r.cols
 	x = x[:len(a)]
 	if cols == nil {
@@ -275,9 +347,42 @@ func (r *rowCells) eval(z float64, mu, x, colSum []float64) (sum float64) {
 	return sum
 }
 
+// expSums, expScatter and expEval are sums, scatter and eval under the
+// exponential response: each visits the row's cells left to right, adding
+// every cell's value and slope — zero for a clamped cell — unconditionally.
+// The exponential dominates a cell visit, so one loop serves both storages
+// and both bound families.
+func (r *rowCells) expSums(z float64, mu []float64) (sum, slope float64) {
+	for t := range r.a {
+		x, sl := r.expAt(t, z+mu[r.col(t)])
+		sum += x
+		slope += sl
+	}
+	return sum, slope
+}
+
+func (r *rowCells) expScatter(z float64, mu, colSum, colSlope []float64) {
+	for t := range r.a {
+		j := r.col(t)
+		x, sl := r.expAt(t, z+mu[j])
+		colSum[j] += x
+		colSlope[j] += sl
+	}
+}
+
+func (r *rowCells) expEval(z float64, mu, x, colSum []float64) (sum float64) {
+	for t := range r.a {
+		j := r.col(t)
+		x[t], _ = r.expAt(t, z+mu[j])
+		sum += x[t]
+		colSum[j] += x[t]
+	}
+	return sum
+}
+
 // rowAbs returns row i's equation in absolute form: with z = λ_i,
 //
-//	Σ_j clamp(x⁰_ij + a_ij(z + μ_j)) + diag·z = target.
+//	Σ_j x_ij(z + μ_j) + diag·z = target.
 func (s *System) rowAbs(i int, mu []float64) (target, diag float64) {
 	target = s.RowTarget[i]
 	if s.RowDiag == nil {
@@ -292,38 +397,76 @@ func (s *System) rowAbs(i int, mu []float64) (target, diag float64) {
 
 // colAbs returns column j's equation in absolute form: with z = μ_j,
 //
-//	Σ_i clamp(x⁰_ij + a_ij(λ_i + z)) + diag·z = target.
+//	Σ_i x_ij(λ_i + z) + diag·z = target.
+//
+// Under interval totals the target is the one solveColumns chose.
 func (s *System) colAbs(j int, lambda []float64) (target, diag float64) {
-	if s.Coupled {
+	switch {
+	case s.ColLo != nil:
+		return s.colTgt[j], 0
+	case s.Coupled:
 		e := s.RowDiag[j]
 		return s.RowTarget[j] - e*lambda[j], e
+	case s.ColDiag == nil:
+		return s.ColTarget[j], 0
 	}
-	target = s.ColTarget[j]
-	if s.ColDiag == nil {
-		return target, 0
-	}
-	return target, s.ColDiag[j]
+	return s.ColTarget[j], s.ColDiag[j]
 }
 
-// ispMaxInner caps the safeguarded-Newton iterations spent on one equation
-// (rows) or one batched column pass per half-sweep. Piecewise-linear
-// monotone equations resolve in a handful of steps; the cap only bounds the
-// flat infeasible tails.
-const ispMaxInner = 32
+// intervalViolation is the dual-gradient violation of an interval equation
+// at multiplier z: for z ≠ 0 the active bound's residual, for z = 0 the
+// distance of the sum from the interval.
+func intervalViolation(sum, lo, hi, z float64) float64 {
+	switch {
+	case z > 0:
+		return math.Abs(sum - lo)
+	case z < 0:
+		return math.Abs(sum - hi)
+	case sum < lo:
+		return lo - sum
+	case sum > hi:
+		return sum - hi
+	default:
+		return 0
+	}
+}
+
+// rowViolation and colViolation return an equation's absolute violation
+// given its sum at the duals (λ, μ).
+func (s *System) rowViolation(i int, sum float64, lambda, mu []float64) float64 {
+	if s.RowLo != nil {
+		return intervalViolation(sum, s.RowLo[i], s.RowHi[i], lambda[i])
+	}
+	target, diag := s.rowAbs(i, mu)
+	return math.Abs(sum + diag*lambda[i] - target)
+}
+
+func (s *System) colViolation(j int, sum float64, lambda, mu []float64) float64 {
+	if s.ColLo != nil {
+		return intervalViolation(sum, s.ColLo[j], s.ColHi[j], mu[j])
+	}
+	target, diag := s.colAbs(j, lambda)
+	return math.Abs(sum + diag*mu[j] - target)
+}
+
+// maxInner caps the safeguarded-Newton iterations spent on one row equation
+// or one batched column pass per half-sweep. Monotone equations resolve in a
+// handful of steps; the cap only bounds the flat infeasible tails.
+const maxInner = 32
 
 // newtonStep advances one safeguarded Newton step on a monotone increasing
-// piecewise-linear equation g(z) = 0 evaluated at z: the bracket tightens on
-// the current sign's side, a Newton candidate outside the open bracket (or
-// with a vanishing slope) falls back to bisection, and a one-sided bracket
-// expands geometrically via step. ok = false means the iteration cannot
-// move any further.
+// equation g(z) = 0 evaluated at z: the bracket tightens on the current
+// sign's side, a Newton candidate outside the open bracket (or with a
+// vanishing slope, or an infinite g) falls back to bisection, and a
+// one-sided bracket expands geometrically via step. ok = false means the
+// iteration cannot move any further.
 func newtonStep(z, g, slope float64, blo, bhi, step *float64) (next float64, ok bool) {
 	if g > 0 {
 		*bhi = z
 	} else {
 		*blo = z
 	}
-	if slope > 0 {
+	if slope > 0 && !math.IsInf(g, 0) {
 		next = z - g/slope
 		if next > *blo && next < *bhi {
 			return next, true
@@ -342,20 +485,40 @@ func newtonStep(z, g, slope float64, blo, bhi, step *float64) (next float64, ok 
 	return next, true
 }
 
-// solveRow solves row i's piecewise-linear equation in λ_i by safeguarded
-// Newton, spending at most inner steps, and returns the equation's absolute
-// violation at the incoming λ_i — this row's contribution to the staggered
-// residual.
+// solveRow solves row i's equation in λ_i by safeguarded Newton, spending at
+// most inner steps, and returns the equation's absolute violation at the
+// incoming λ_i — this row's contribution to the staggered residual. Under
+// interval totals, complementarity picks the equation first: the row sum at
+// λ_i = 0 below the interval binds the lower bound (λ_i > 0), above it the
+// upper bound (λ_i < 0), and inside it λ_i = 0.
 func (s *System) solveRow(i int, lambda, mu []float64, innerTol float64, inner int) (first float64) {
-	target, diag := s.rowAbs(i, mu)
 	r := s.row(i)
 	z := lambda[i]
 	blo, bhi := math.Inf(-1), math.Inf(1)
+	var target, diag float64
+	if s.RowLo != nil {
+		sum, _ := r.sums(z, mu)
+		first = s.rowViolation(i, sum, lambda, mu)
+		if z != 0 {
+			sum, _ = r.sums(0, mu)
+		}
+		switch {
+		case sum < s.RowLo[i]:
+			target, blo = s.RowLo[i], 0
+		case sum > s.RowHi[i]:
+			target, bhi = s.RowHi[i], 0
+		default:
+			lambda[i] = 0
+			return first
+		}
+	} else {
+		target, diag = s.rowAbs(i, mu)
+	}
 	step := 1.0
 	for it := 0; it < inner; it++ {
 		sum, asum := r.sums(z, mu)
 		g := sum + diag*z - target
-		if it == 0 {
+		if it == 0 && s.RowLo == nil {
 			first = math.Abs(g)
 		}
 		if math.Abs(g) <= innerTol {
@@ -376,12 +539,15 @@ func (s *System) solveRow(i int, lambda, mu []float64, innerTol float64, inner i
 // one row-major pass over the matrix (no CSC mirror needed), then advances
 // every unconverged μ_j one safeguarded Newton step; passes repeat until all
 // column equations hold. The return value is the worst absolute violation
-// of the first pass — the columns' contribution to the staggered residual.
+// at the incoming μ — the columns' contribution to the staggered residual.
 func (s *System) solveColumns(lambda, mu, colSum, colASum []float64, innerTol float64, inner int) (first float64) {
 	m, n := s.A.M, s.A.N
 	for j := 0; j < n; j++ {
-		s.colLo[j] = math.Inf(-1)
-		s.colHi[j] = math.Inf(1)
+		s.colBlo[j] = math.Inf(-1)
+		s.colBhi[j] = math.Inf(1)
+	}
+	if s.ColLo != nil {
+		first = s.pickColumnTargets(lambda, mu, colSum, colASum)
 	}
 	step := 1.0
 	for pass := 0; pass < inner; pass++ {
@@ -404,12 +570,12 @@ func (s *System) solveColumns(lambda, mu, colSum, colASum []float64, innerTol fl
 			if math.Abs(g) <= innerTol {
 				continue
 			}
-			if next, ok := newtonStep(mu[j], g, colASum[j]+diag, &s.colLo[j], &s.colHi[j], &step); ok {
+			if next, ok := newtonStep(mu[j], g, colASum[j]+diag, &s.colBlo[j], &s.colBhi[j], &step); ok {
 				mu[j] = next
 				moved = true
 			}
 		}
-		if pass == 0 {
+		if pass == 0 && s.ColLo == nil {
 			first = worst
 		}
 		if worst <= innerTol || !moved {
@@ -419,23 +585,56 @@ func (s *System) solveColumns(lambda, mu, colSum, colASum []float64, innerTol fl
 	return first
 }
 
-// Run performs up to sweeps full row+column ISP sweeps on (lambda, mu),
-// both length M/N and updated in place (zeros are the cold start; warm
-// duals continue from where they are). It stops early when the residual —
-// the largest absolute row/column equation violation at the staggered
-// iterates, the ∞-norm of the dual gradient — reaches tol (tol ≤ 0 never
-// stops early). observe, when non-nil, receives every sweep's index and
-// residual.
+// pickColumnTargets opens an interval column half-sweep. One pass scatters
+// every column's sum at the incoming μ (its violation there is returned as
+// the columns' staggered residual) and at μ_j = 0 into colTgt; each column
+// then takes its target by complementarity, as solveRow does for rows. A
+// column whose sum at μ_j = 0 lies inside its interval gets μ_j = 0 and
+// keeps that sum as its target, so its equation holds exactly from the first
+// Newton pass on and never moves.
+func (s *System) pickColumnTargets(lambda, mu, colSum, colASum []float64) (first float64) {
+	for j := range colSum {
+		colSum[j] = 0
+		s.colTgt[j] = 0
+	}
+	for i := 0; i < s.A.M; i++ {
+		r := s.row(i)
+		r.scatter(lambda[i], mu, colSum, colASum)
+		r.scatter(lambda[i], s.zeroMu, s.colTgt, colASum)
+	}
+	for j, sum0 := range s.colTgt {
+		if v := s.colViolation(j, colSum[j], lambda, mu); v > first {
+			first = v
+		}
+		switch {
+		case sum0 < s.ColLo[j]:
+			s.colTgt[j], s.colBlo[j] = s.ColLo[j], 0
+		case sum0 > s.ColHi[j]:
+			s.colTgt[j], s.colBhi[j] = s.ColHi[j], 0
+		default:
+			mu[j] = 0
+		}
+	}
+	return first
+}
+
+// Run performs up to sweeps full row+column sweeps on (lambda, mu), both
+// length M/N and updated in place (zeros are the cold start; warm duals
+// continue from where they are). It stops early when the residual — the
+// largest absolute row/column equation violation at the staggered iterates,
+// the ∞-norm of the dual gradient — reaches tol (tol ≤ 0 never stops
+// early). observe, when non-nil, receives every sweep's index and residual.
 //
-// Sweeps start in a relaxed mode — one linearized Newton step per equation,
-// two matrix passes per sweep, the cheapest useful unit of dual progress —
-// and escalate to exact half-sweeps (safeguarded Newton per row, batched
-// Newton passes per column, each an exact two-block coordinate-ascent step
-// on the concave dual, globally convergent) as soon as the relaxed residual
-// stalls or the endgame nears. Mostly-interior problems therefore pay the
-// single-step price per sweep, while heavily clamped ones — where single
-// linearized steps can cycle across breakpoints — self-correct within a few
-// sweeps.
+// Exact half-sweeps (safeguarded Newton per row, batched Newton passes per
+// column, each an exact two-block coordinate-ascent step on the concave
+// dual, globally convergent) are what the exponential response always runs.
+// Additive sweeps start in a relaxed mode instead — one linearized Newton
+// step per equation, two matrix passes per sweep, the cheapest useful unit
+// of dual progress — and escalate to exact half-sweeps as soon as the
+// relaxed residual stalls or the endgame nears. Mostly-interior problems
+// therefore pay the single-step price per sweep, while heavily clamped ones
+// — where single linearized steps can cycle across breakpoints —
+// self-correct within a few sweeps.
 //
 // colSum and colASum are caller scratch of length N (nil to allocate): the
 // column half-sweep accumulates per-column sums row-major instead of
@@ -445,14 +644,19 @@ func (s *System) Run(lambda, mu []float64, sweeps int, tol float64, colSum, colA
 	n := s.A.N
 	colSum = resize(colSum, n)
 	colASum = resize(colASum, n)
-	s.colLo = resize(s.colLo, n)
-	s.colHi = resize(s.colHi, n)
+	s.colBlo = resize(s.colBlo, n)
+	s.colBhi = resize(s.colBhi, n)
+	if s.ColLo != nil {
+		s.colTgt = resize(s.colTgt, n)
+		s.zeroMu = resize(s.zeroMu, n) // never written: stays zero
+	}
 	innerTol := 0.0
 	if tol > 0 {
 		innerTol = tol / 4
 	}
 	if !s.runInit {
 		s.runInit = true
+		s.runExact = s.Response == Exponential
 		s.lastRes = math.Inf(1)
 		s.winBest = math.Inf(1)
 		s.prevWin = math.Inf(1)
@@ -462,7 +666,7 @@ func (s *System) Run(lambda, mu []float64, sweeps int, tol float64, colSum, colA
 		res.Iterations = t
 		inner := 1
 		if s.runExact || (tol > 0 && s.lastRes <= 8*tol) {
-			inner = ispMaxInner
+			inner = maxInner
 		}
 		var worst float64
 		// Row half-sweep: every λ_i solve is independent given μ.
@@ -509,9 +713,10 @@ func (s *System) Run(lambda, mu []float64, sweeps int, tol float64, colSum, colA
 }
 
 // Eval writes the primal iterate x(λ,μ) implied by the duals into x
-// (storage order, length Nnz) and returns the largest absolute row/column
-// equation violation at exactly these duals — the measure a solver built on
-// Run reports as its final residual.
+// (storage order, length Nnz) and the row/column sums into rowSum/colSum
+// (nil to allocate), and returns the largest absolute row/column equation
+// violation at exactly these duals — the measure a solver built on Run
+// reports as its final residual.
 func (s *System) Eval(lambda, mu []float64, x, rowSum, colSum []float64) float64 {
 	m, n := s.A.M, s.A.N
 	rowSum = resize(rowSum, m)
@@ -526,14 +731,12 @@ func (s *System) Eval(lambda, mu []float64, x, rowSum, colSum []float64) float64
 	}
 	var worst float64
 	for i := 0; i < m; i++ {
-		target, diag := s.rowAbs(i, mu)
-		if r := math.Abs(rowSum[i] + diag*lambda[i] - target); r > worst {
+		if r := s.rowViolation(i, rowSum[i], lambda, mu); r > worst {
 			worst = r
 		}
 	}
 	for j := 0; j < n; j++ {
-		target, diag := s.colAbs(j, lambda)
-		if r := math.Abs(colSum[j] + diag*mu[j] - target); r > worst {
+		if r := s.colViolation(j, colSum[j], lambda, mu); r > worst {
 			worst = r
 		}
 	}

@@ -7,49 +7,97 @@ import (
 	"testing"
 )
 
-// The reference ISP below is the original per-cell formulation: every cell
-// visit goes through refClampAt and the Matrix accessors. The row/column
-// kernels must reproduce it bit for bit — same clamps, same left-to-right
-// summation — so λ, μ, every Result field and Eval's output agree exactly.
+// The reference below is the per-cell formulation of both responses: every
+// cell visit goes through refCell and the Matrix accessors, and the column
+// pass keeps explicit per-column active flags and target and elastic-term
+// buffers. The row/column kernels must reproduce it bit for bit — same
+// clamps, same left-to-right summation — so λ, μ, every Result field and
+// Eval's output agree exactly.
 
-func refClampAt(s *System, k int, d float64) (x float64, interior bool) {
-	x = s.X0[k] + s.A.Val[k]*d
+// refVisits counts the reference's cell visits (BenchmarkISPRun divides by
+// it).
+var refVisits int
+
+// refCell is the per-cell response at dual sum d and the slope it adds to
+// its row/column derivative (zero when the cell clamps).
+func refCell(s *System, k int, d float64) (x, slope float64) {
+	refVisits++
 	lo := 0.0
 	if s.Lo != nil {
 		lo = s.Lo[k]
 	}
+	if s.Response == Exponential {
+		g := s.A.Val[k]
+		e := d / g
+		if e > maxExpArg {
+			e = maxExpArg
+		}
+		t := s.X0[k] * math.Exp(e)
+		if t <= lo {
+			return lo, 0
+		}
+		if s.Up != nil && t >= s.Up[k] {
+			return s.Up[k], 0
+		}
+		if math.IsInf(t, 1) {
+			return t, 0
+		}
+		return t, t / g
+	}
+	x = s.X0[k] + s.A.Val[k]*d
 	if x <= lo {
-		return lo, false
+		return lo, 0
 	}
 	if s.Up != nil && x >= s.Up[k] {
-		return s.Up[k], false
+		return s.Up[k], 0
 	}
-	return x, true
+	return x, s.A.Val[k]
+}
+
+func refRowSum(s *System, i int, z float64, mu []float64) (sum, slope float64) {
+	lo, hi := s.A.Row(i)
+	for k := lo; k < hi; k++ {
+		x, sl := refCell(s, k, z+mu[s.A.Col(i, k)])
+		sum += x
+		slope += sl
+	}
+	return sum, slope
 }
 
 func refSolveRow(s *System, i int, lambda, mu []float64, innerTol float64, inner int) (first float64) {
-	target, diag := s.rowAbs(i, mu)
-	lo, hi := s.A.Row(i)
 	z := lambda[i]
+	var target, diag float64
 	blo, bhi := math.Inf(-1), math.Inf(1)
+	if s.RowLo != nil {
+		sumIn, _ := refRowSum(s, i, z, mu)
+		first = intervalViolation(sumIn, s.RowLo[i], s.RowHi[i], z)
+		sum0 := sumIn
+		if z != 0 {
+			sum0, _ = refRowSum(s, i, 0, mu)
+		}
+		switch {
+		case sum0 < s.RowLo[i]:
+			target, blo = s.RowLo[i], 0
+		case sum0 > s.RowHi[i]:
+			target, bhi = s.RowHi[i], 0
+		default:
+			lambda[i] = 0
+			return first
+		}
+	} else {
+		target, diag = s.rowAbs(i, mu)
+	}
 	step := 1.0
 	for it := 0; it < inner; it++ {
-		var sum, asum float64
-		for k := lo; k < hi; k++ {
-			x, interior := refClampAt(s, k, z+mu[s.A.Col(i, k)])
-			sum += x
-			if interior {
-				asum += s.A.Val[k]
-			}
-		}
+		sum, slope := refRowSum(s, i, z, mu)
 		g := sum + diag*z - target
-		if it == 0 {
+		if it == 0 && s.RowLo == nil {
 			first = math.Abs(g)
 		}
 		if math.Abs(g) <= innerTol {
 			break
 		}
-		next, ok := newtonStep(z, g, asum+diag, &blo, &bhi, &step)
+		next, ok := newtonStep(z, g, slope+diag, &blo, &bhi, &step)
 		if !ok {
 			break
 		}
@@ -59,46 +107,83 @@ func refSolveRow(s *System, i int, lambda, mu []float64, innerTol float64, inner
 	return first
 }
 
-func refSolveColumns(s *System, lambda, mu, colSum, colASum []float64, innerTol float64, inner int) (first float64) {
+func refSolveColumns(s *System, lambda, mu []float64, innerTol float64, inner int) (first float64) {
 	m, n := s.A.M, s.A.N
+	colSum, colSlope := make([]float64, n), make([]float64, n)
+	blo, bhi := make([]float64, n), make([]float64, n)
+	target, diag := make([]float64, n), make([]float64, n)
+	active := make([]bool, n)
 	for j := 0; j < n; j++ {
-		s.colLo[j] = math.Inf(-1)
-		s.colHi[j] = math.Inf(1)
+		blo[j], bhi[j] = math.Inf(-1), math.Inf(1)
+		active[j] = true
+	}
+	if s.ColLo != nil {
+		sum0 := make([]float64, n)
+		for i := 0; i < m; i++ {
+			lo, hi := s.A.Row(i)
+			for k := lo; k < hi; k++ {
+				j := s.A.Col(i, k)
+				x, _ := refCell(s, k, lambda[i]+mu[j])
+				colSum[j] += x
+				if mu[j] != 0 {
+					x, _ = refCell(s, k, lambda[i])
+				}
+				sum0[j] += x
+			}
+		}
+		for j := 0; j < n; j++ {
+			if v := intervalViolation(colSum[j], s.ColLo[j], s.ColHi[j], mu[j]); v > first {
+				first = v
+			}
+			switch {
+			case sum0[j] < s.ColLo[j]:
+				target[j], blo[j] = s.ColLo[j], 0
+			case sum0[j] > s.ColHi[j]:
+				target[j], bhi[j] = s.ColHi[j], 0
+			default:
+				mu[j] = 0
+				active[j] = false
+			}
+		}
+	} else {
+		for j := 0; j < n; j++ {
+			target[j], diag[j] = s.colAbs(j, lambda)
+		}
 	}
 	step := 1.0
 	for pass := 0; pass < inner; pass++ {
 		for j := 0; j < n; j++ {
 			colSum[j] = 0
-			colASum[j] = 0
+			colSlope[j] = 0
 		}
 		for i := 0; i < m; i++ {
 			lo, hi := s.A.Row(i)
 			for k := lo; k < hi; k++ {
 				j := s.A.Col(i, k)
-				x, interior := refClampAt(s, k, lambda[i]+mu[j])
+				x, sl := refCell(s, k, lambda[i]+mu[j])
 				colSum[j] += x
-				if interior {
-					colASum[j] += s.A.Val[k]
-				}
+				colSlope[j] += sl
 			}
 		}
 		var worst float64
 		moved := false
 		for j := 0; j < n; j++ {
-			target, diag := s.colAbs(j, lambda)
-			g := colSum[j] + diag*mu[j] - target
+			if !active[j] {
+				continue
+			}
+			g := colSum[j] + diag[j]*mu[j] - target[j]
 			if ag := math.Abs(g); ag > worst {
 				worst = ag
 			}
 			if math.Abs(g) <= innerTol {
 				continue
 			}
-			if next, ok := newtonStep(mu[j], g, colASum[j]+diag, &s.colLo[j], &s.colHi[j], &step); ok {
+			if next, ok := newtonStep(mu[j], g, colSlope[j]+diag[j], &blo[j], &bhi[j], &step); ok {
 				mu[j] = next
 				moved = true
 			}
 		}
-		if pass == 0 {
+		if pass == 0 && s.ColLo == nil {
 			first = worst
 		}
 		if worst <= innerTol || !moved {
@@ -109,17 +194,13 @@ func refSolveColumns(s *System, lambda, mu, colSum, colASum []float64, innerTol 
 }
 
 func refRun(s *System, lambda, mu []float64, sweeps int, tol float64) Result {
-	n := s.A.N
-	colSum := make([]float64, n)
-	colASum := make([]float64, n)
-	s.colLo = resize(s.colLo, n)
-	s.colHi = resize(s.colHi, n)
 	innerTol := 0.0
 	if tol > 0 {
 		innerTol = tol / 4
 	}
 	if !s.runInit {
 		s.runInit = true
+		s.runExact = s.Response == Exponential
 		s.lastRes = math.Inf(1)
 		s.winBest = math.Inf(1)
 		s.prevWin = math.Inf(1)
@@ -129,7 +210,7 @@ func refRun(s *System, lambda, mu []float64, sweeps int, tol float64) Result {
 		res.Iterations = t
 		inner := 1
 		if s.runExact || (tol > 0 && s.lastRes <= 8*tol) {
-			inner = ispMaxInner
+			inner = maxInner
 		}
 		var worst float64
 		for i := 0; i < s.A.M; i++ {
@@ -137,7 +218,7 @@ func refRun(s *System, lambda, mu []float64, sweeps int, tol float64) Result {
 				worst = r
 			}
 		}
-		if r := refSolveColumns(s, lambda, mu, colSum, colASum, innerTol, inner); r > worst {
+		if r := refSolveColumns(s, lambda, mu, innerTol, inner); r > worst {
 			worst = r
 		}
 		res.Residual = worst
@@ -176,7 +257,7 @@ func refEval(s *System, lambda, mu []float64, x []float64) (worst float64, rowSu
 		var sum float64
 		for k := lo; k < hi; k++ {
 			j := s.A.Col(i, k)
-			xv, _ := refClampAt(s, k, lambda[i]+mu[j])
+			xv, _ := refCell(s, k, lambda[i]+mu[j])
 			x[k] = xv
 			sum += xv
 			colSum[j] += xv
@@ -184,24 +265,39 @@ func refEval(s *System, lambda, mu []float64, x []float64) (worst float64, rowSu
 		rowSum[i] = sum
 	}
 	for i := 0; i < m; i++ {
-		target, diag := s.rowAbs(i, mu)
-		if r := math.Abs(rowSum[i] + diag*lambda[i] - target); r > worst {
+		var r float64
+		if s.RowLo != nil {
+			r = intervalViolation(rowSum[i], s.RowLo[i], s.RowHi[i], lambda[i])
+		} else {
+			target, diag := s.rowAbs(i, mu)
+			r = math.Abs(rowSum[i] + diag*lambda[i] - target)
+		}
+		if r > worst {
 			worst = r
 		}
 	}
 	for j := 0; j < n; j++ {
-		target, diag := s.colAbs(j, lambda)
-		if r := math.Abs(colSum[j] + diag*mu[j] - target); r > worst {
+		var r float64
+		if s.ColLo != nil {
+			r = intervalViolation(colSum[j], s.ColLo[j], s.ColHi[j], mu[j])
+		} else {
+			target, diag := s.colAbs(j, lambda)
+			r = math.Abs(colSum[j] + diag*mu[j] - target)
+		}
+		if r > worst {
 			worst = r
 		}
 	}
 	return worst, rowSum, colSum
 }
 
-// ispCase builds an ISP system over the named storage, bounds and totals.
-// Priors straddle zero and bounds sit inside the prior range, so every
-// clamp branch engages.
-func ispCase(storage, bounds, totals string, seed int64) *System {
+// ispCase builds a system under the given response over the named storage,
+// bounds and totals. Additive priors straddle zero (exponential ones are
+// their magnitudes, as the KL domain needs) and bounds sit inside the prior
+// range, so every clamp branch engages; interval totals are centred at
+// random multiples of the targets, so some equations bind each bound and
+// some hold with a zero multiplier.
+func ispCase(resp Response, storage, bounds, totals string, seed int64) *System {
 	rng := rand.New(rand.NewSource(seed))
 	m, n := 12, 15
 	if totals == "coupled" {
@@ -229,10 +325,13 @@ func ispCase(storage, bounds, totals string, seed int64) *System {
 	}
 	nv := a.Nnz()
 	a.Val = make([]float64, nv)
-	s := &System{A: a, X0: make([]float64, nv)}
+	s := &System{Response: resp, A: a, X0: make([]float64, nv)}
 	for k := 0; k < nv; k++ {
 		a.Val[k] = 0.3 + rng.Float64()
 		s.X0[k] = -2 + 5*rng.Float64()
+		if resp == Exponential {
+			s.X0[k] = math.Abs(s.X0[k])
+		}
 	}
 	if bounds != "classical" {
 		s.Lo = make([]float64, nv)
@@ -283,6 +382,18 @@ func ispCase(storage, bounds, totals string, seed int64) *System {
 		for i := range s.RowDiag {
 			s.RowDiag[i] = 0.1 + rng.Float64()
 		}
+	case "interval":
+		s.RowLo, s.RowHi = make([]float64, m), make([]float64, m)
+		for i, r := range s.RowTarget {
+			c := r * (0.5 + 2*rng.Float64())
+			s.RowLo[i], s.RowHi[i] = 0.9*c, 1.1*c
+		}
+		s.ColLo, s.ColHi = make([]float64, n), make([]float64, n)
+		for j, c := range s.ColTarget {
+			c *= 0.5 + 2*rng.Float64()
+			s.ColLo[j], s.ColHi[j] = 0.7*c, 1.3*c
+		}
+		s.RowTarget, s.ColTarget = nil, nil
 	}
 	if err := s.Validate(); err != nil {
 		panic(err)
@@ -303,10 +414,10 @@ func bitsEqual(t *testing.T, what string, got, want []float64) {
 }
 
 // TestISPKernelsMatchReference: the per-row kernels reproduce the per-cell
-// reference bit for bit across storages, bound families, total kinds and
-// sweep modes (relaxed only, escalating on its own, and exact from the
-// start), over chunked Run calls so the persistent escalation state is
-// compared too.
+// reference bit for bit across responses, storages, bound families, total
+// kinds and sweep modes (relaxed only, escalating on its own, and exact from
+// the start — the exponential response is exact in all three), over chunked
+// Run calls so the persistent escalation state is compared too.
 func TestISPKernelsMatchReference(t *testing.T) {
 	type mode struct {
 		name   string
@@ -320,49 +431,55 @@ func TestISPKernelsMatchReference(t *testing.T) {
 		{name: "exact", chunks: []int{3, 30}, tol: 1e-12, exact: true},
 	}
 	escalated, seed := 0, int64(0)
-	for _, storage := range []string{"dense", "csr-band", "csr-full"} {
-		for _, bounds := range []string{"classical", "lower", "box"} {
-			for _, totals := range []string{"fixed", "elastic", "coupled"} {
-				for _, md := range modes {
-					seed++
-					t.Run(fmt.Sprintf("%s/%s/%s/%s", storage, bounds, totals, md.name), func(t *testing.T) {
-						sys := ispCase(storage, bounds, totals, seed)
-						ref := ispCase(storage, bounds, totals, seed)
-						if md.exact {
-							sys.runInit, sys.runExact = true, true
-							sys.lastRes, sys.winBest, sys.prevWin = math.Inf(1), math.Inf(1), math.Inf(1)
-							ref.runInit, ref.runExact = true, true
-							ref.lastRes, ref.winBest, ref.prevWin = math.Inf(1), math.Inf(1), math.Inf(1)
+	for _, resp := range []Response{Additive, Exponential} {
+		for _, storage := range []string{"dense", "csr-band", "csr-full"} {
+			for _, bounds := range []string{"classical", "lower", "box"} {
+				for _, totals := range []string{"fixed", "elastic", "coupled", "interval"} {
+					for _, md := range modes {
+						seed++
+						name := fmt.Sprintf("%s/%s/%s/%s", storage, bounds, totals, md.name)
+						if resp == Exponential {
+							name = "exponential/" + name
 						}
-						m, n := sys.A.M, sys.A.N
-						lambda, mu := make([]float64, m), make([]float64, n)
-						rl, rm := make([]float64, m), make([]float64, n)
-						for c, sweeps := range md.chunks {
-							got := sys.Run(lambda, mu, sweeps, md.tol, nil, nil, nil)
-							want := refRun(ref, rl, rm, sweeps, md.tol)
-							if got != want {
-								t.Fatalf("chunk %d: Result %+v, reference %+v", c, got, want)
+						t.Run(name, func(t *testing.T) {
+							sys := ispCase(resp, storage, bounds, totals, seed)
+							ref := ispCase(resp, storage, bounds, totals, seed)
+							if md.exact {
+								sys.runInit, sys.runExact = true, true
+								sys.lastRes, sys.winBest, sys.prevWin = math.Inf(1), math.Inf(1), math.Inf(1)
+								ref.runInit, ref.runExact = true, true
+								ref.lastRes, ref.winBest, ref.prevWin = math.Inf(1), math.Inf(1), math.Inf(1)
 							}
-							bitsEqual(t, "lambda", lambda, rl)
-							bitsEqual(t, "mu", mu, rm)
-							if sys.runExact != ref.runExact || sys.winCount != ref.winCount {
-								t.Fatalf("chunk %d: escalation state diverged", c)
+							m, n := sys.A.M, sys.A.N
+							lambda, mu := make([]float64, m), make([]float64, n)
+							rl, rm := make([]float64, m), make([]float64, n)
+							for c, sweeps := range md.chunks {
+								got := sys.Run(lambda, mu, sweeps, md.tol, nil, nil, nil)
+								want := refRun(ref, rl, rm, sweeps, md.tol)
+								if got != want {
+									t.Fatalf("chunk %d: Result %+v, reference %+v", c, got, want)
+								}
+								bitsEqual(t, "lambda", lambda, rl)
+								bitsEqual(t, "mu", mu, rm)
+								if sys.runExact != ref.runExact || sys.winCount != ref.winCount {
+									t.Fatalf("chunk %d: escalation state diverged", c)
+								}
 							}
-						}
-						if md.name == "escalating" && sys.runExact {
-							escalated++
-						}
-						x, rx := make([]float64, sys.A.Nnz()), make([]float64, sys.A.Nnz())
-						rowSum, colSum := make([]float64, m), make([]float64, n)
-						worst := sys.Eval(lambda, mu, x, rowSum, colSum)
-						rw, rrow, rcol := refEval(ref, rl, rm, rx)
-						if math.Float64bits(worst) != math.Float64bits(rw) {
-							t.Fatalf("Eval worst %v, reference %v", worst, rw)
-						}
-						bitsEqual(t, "x", x, rx)
-						bitsEqual(t, "rowSum", rowSum, rrow)
-						bitsEqual(t, "colSum", colSum, rcol)
-					})
+							if md.name == "escalating" && resp == Additive && sys.runExact {
+								escalated++
+							}
+							x, rx := make([]float64, sys.A.Nnz()), make([]float64, sys.A.Nnz())
+							rowSum, colSum := make([]float64, m), make([]float64, n)
+							worst := sys.Eval(lambda, mu, x, rowSum, colSum)
+							rw, rrow, rcol := refEval(ref, rl, rm, rx)
+							if math.Float64bits(worst) != math.Float64bits(rw) {
+								t.Fatalf("Eval worst %v, reference %v", worst, rw)
+							}
+							bitsEqual(t, "x", x, rx)
+							bitsEqual(t, "rowSum", rowSum, rrow)
+							bitsEqual(t, "colSum", colSum, rcol)
+						})
+					}
 				}
 			}
 		}

@@ -1,17 +1,21 @@
 // Package scale implements diagonal matrix-scaling procedures over dense
-// and CSR storage: Sinkhorn–Knopp biproportional balancing, the additive
-// iterative scaling procedure (ISP) on the dual of the diagonal quadratic
-// constrained matrix problem, and a Ruiz-style max-norm (∞-norm)
-// equilibration with power-of-two factors.
+// and CSR storage: Sinkhorn–Knopp biproportional balancing, a Ruiz-style
+// max-norm (∞-norm) equilibration with power-of-two factors, and System,
+// the one dual-scaling engine of the diagonal constrained matrix problem.
+// System ascends the problem's dual one row or column equation at a time
+// under either of two cell responses: the additive one of the quadratic
+// objective (the iterative scaling procedure, ISP) and the exponential one
+// of the entropy/KL objective (generalized iterative scaling), over fixed,
+// elastic, balanced or interval totals.
 //
 // The package is the computational substrate of two consumers:
 //
 //   - the core solver's Options.Precondition stage, which uses ISP (or a
 //     Sinkhorn-derived heuristic) to warm-start the SEA dual before the
 //     expensive equilibration sweeps begin; and
-//   - the "sinkhorn" (alias "ras") and "isp" registry solvers in pkg/sea,
-//     which run the procedures to convergence as solvers in their own
-//     right.
+//   - the "sinkhorn" (alias "ras"), "isp" and "entropy" registry solvers
+//     in pkg/sea (internal/baseline), which run the procedures to
+//     convergence as solvers in their own right.
 //
 // scale deliberately sits below internal/core in the layering (core imports
 // scale, never the reverse), so everything here speaks plain slices plus an

@@ -7,7 +7,6 @@ import (
 
 	"sea/internal/baseline"
 	"sea/internal/core"
-	"sea/internal/entropy"
 )
 
 // The built-in registry: every algorithm the repository implements, behind
@@ -129,17 +128,18 @@ func requireQuadratic(solver string, o *Options) error {
 }
 
 // solveEntropy adapts the generalized iterative scaling solver for the
-// KL/entropy objective family (internal/entropy): fixed, elastic, balanced
-// and interval totals over dense or CSR storage, with per-sweep residual
-// tracing and Mu0 dual warm starts. Domain errors (negative prior entries,
-// a positive lower bound over a zero prior cell) wrap ErrInvalidProblem.
+// KL/entropy objective family (baseline.SolveEntropy): fixed, elastic,
+// balanced and interval totals over dense or CSR storage, with per-sweep
+// residual tracing and Mu0 dual warm starts. Domain errors (negative prior
+// entries, a positive lower bound over a zero prior cell) wrap
+// ErrInvalidProblem.
 func solveEntropy(ctx context.Context, p *Problem, o *Options) (*Solution, error) {
 	d, err := p.asDiagonal("entropy")
 	if err != nil {
 		return nil, err
 	}
-	sol, err := entropy.Solve(ctx, d, o)
-	if err != nil && errors.Is(err, entropy.ErrDomain) {
+	sol, err := baseline.SolveEntropy(ctx, d, o)
+	if err != nil && errors.Is(err, baseline.ErrDomain) {
 		return sol, fmt.Errorf("%w: %w", ErrInvalidProblem, err)
 	}
 	return sol, err
@@ -184,8 +184,7 @@ func solveSinkhorn(name string) func(context.Context, *Problem, *Options) (*Solu
 
 // solveISP adapts the iterative scaling procedure: the additive analogue of
 // biproportional scaling that solves the paper's actual quadratic program
-// (fixed, elastic or balanced totals; dense or CSR). Interval totals are
-// not modeled by the additive system.
+// (fixed, elastic, balanced or interval totals; dense or CSR).
 func solveISP(ctx context.Context, p *Problem, o *Options) (*Solution, error) {
 	if err := requireQuadratic("isp", o); err != nil {
 		return nil, err
@@ -193,9 +192,6 @@ func solveISP(ctx context.Context, p *Problem, o *Options) (*Solution, error) {
 	d, err := p.asDiagonal("isp")
 	if err != nil {
 		return nil, err
-	}
-	if d.Kind == IntervalTotals {
-		return nil, fmt.Errorf("%w: solver \"isp\" does not support interval totals; use \"sea\"", ErrInvalidProblem)
 	}
 	return baseline.SolveISP(ctx, d, o)
 }
