@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race serve-race serve-http-race bench bench-check bench-multicore bench-sparse bench-precond bench-sequence fuzz fmt results check cmds cancel
+.PHONY: all build vet test race serve-race serve-http-race bench bench-check bench-sparse bench-precond bench-sequence fuzz fmt results check cmds cancel
 
 all: check
 
@@ -76,14 +76,6 @@ bench-sparse: cmds
 	$(GO) run ./cmd/seabench -table none -benchjson .bench_sparse.json -benchfilter sparse/
 	@cat .bench_sparse.json; rm -f .bench_sparse.json
 
-# Multi-core scaling smoke: the perf suite's full procs sweep (1, 2, 4, 8)
-# at reduced scale and a single rep per record, just to prove the sweep and
-# the simulated-record path end to end. The committed BENCH_sea.json is
-# regenerated at full scale instead (see CONTRIBUTING.md).
-bench-multicore: cmds
-	$(GO) run ./cmd/seabench -table none -benchjson .bench_multicore.json -benchprocs 1,2,4,8 -benchreps 1 -scale 0.2
-	@cat .bench_multicore.json; rm -f .bench_multicore.json
-
 # Preconditioning guards: the exactness, KKT, and iteration-cut properties
 # of the warm-start stage, the ISP cell kernels' bit-identity with the
 # per-cell reference and a one-shot smoke of their benchmark, plus a
@@ -114,5 +106,5 @@ fmt:
 results:
 	$(GO) run ./cmd/seabench -table all -scale 1 -bkmax 900 | tee results_full.txt
 
-check: build vet test race serve-race serve-http-race cmds cancel bench-check bench-multicore bench-sparse bench-precond bench-sequence
+check: build vet test race serve-race serve-http-race cmds cancel bench-check bench-sparse bench-precond bench-sequence
 	@test -z "$$(gofmt -l .)" || (echo "gofmt needed:"; gofmt -l .; exit 1)

@@ -345,24 +345,6 @@ func BenchmarkTable1_Diagonal500_ArenaReuse(b *testing.B) {
 	solveDiag(b, p, o)
 }
 
-// The same cold/warm split at the solver level with warm starts disabled:
-// isolates the kernel warm start from the rest of the arena reuse.
-func BenchmarkTable1_Diagonal500_ArenaNoWarm(b *testing.B) {
-	p := problems.Table1(500, 1)
-	pool := parallel.NewPool(1)
-	defer pool.Close()
-	ar := core.NewArena()
-	defer ar.Close()
-	o := fixedOpts(0.01)
-	o.Runner = pool
-	o.Arena = ar
-	o.DisableWarmStart = true
-	if _, err := core.SolveDiagonal(context.Background(), p, o); err != nil {
-		b.Fatal(err)
-	}
-	solveDiag(b, p, o)
-}
-
 // Interval-totals solve (the Harrigan–Buchanan extension) on an I/O-style
 // instance.
 func BenchmarkExtension_IntervalTotals(b *testing.B) {

@@ -17,11 +17,9 @@ import (
 // file prints an explicit "new" line and is benign — coverage grew. A key
 // present only in the old file prints an explicit "missing" line and counts
 // as a failure: a benchmark that silently disappears is how perf gates rot.
-// Simulated records (procs beyond the machine's cores, marked "sim") are
-// judged like any other pair when both sides are simulated; a pair whose
-// simulated flag differs between the files was measured on machines with
-// different core counts, so its delta is informational ("mode") and exempt
-// from the failure count.
+// The one exception is an old record whose procs exceeds the new report's
+// num_cpu: the perf suite times only the worker counts its host has cores
+// for, so that record prints "skip" and is not counted.
 func runCompare(oldPath, newPath string, threshold float64) int {
 	oldRep, err := loadReport(oldPath)
 	if err != nil {
@@ -52,7 +50,7 @@ func runCompare(oldPath, newPath string, threshold float64) int {
 		seen[k] = true
 		or, ok := oldBy[k]
 		if !ok {
-			rows = append(rows, []string{recordLabel(nr), fmtProcs(nr.Procs, nr.Simulated),
+			rows = append(rows, []string{recordLabel(nr), fmt.Sprint(nr.Procs),
 				"-", fmtNs(nr.NsPerOp), "-", fmtIterPair(0, nr.OuterIterations),
 				fmtSpeedup(nr.SpeedupVsSerial), "new"})
 			fmt.Fprintf(os.Stderr, "seabench: new record %s procs=%d shards=%d (absent from %s)\n",
@@ -62,11 +60,6 @@ func runCompare(oldPath, newPath string, threshold float64) int {
 		delta := float64(nr.NsPerOp-or.NsPerOp) / float64(or.NsPerOp)
 		verdict := "ok"
 		switch {
-		case or.Simulated != nr.Simulated:
-			// One side simulated, the other measured: the two numbers come
-			// from machines with different core counts and are not
-			// comparable as a regression signal.
-			verdict = "mode"
 		case delta > threshold:
 			verdict = "REGRESSION"
 			regressions++
@@ -80,7 +73,7 @@ func runCompare(oldPath, newPath string, threshold float64) int {
 		case delta < -threshold:
 			verdict = "faster"
 		}
-		rows = append(rows, []string{recordLabel(nr), fmtProcs(nr.Procs, nr.Simulated),
+		rows = append(rows, []string{recordLabel(nr), fmt.Sprint(nr.Procs),
 			fmtNs(or.NsPerOp), fmtNs(nr.NsPerOp),
 			fmt.Sprintf("%+.1f%%", 100*delta),
 			fmtIterPair(or.OuterIterations, nr.OuterIterations),
@@ -89,14 +82,20 @@ func runCompare(oldPath, newPath string, threshold float64) int {
 	}
 	missing := 0
 	for _, or := range oldRep.Records {
-		if k := (key{or.Name, or.Procs, or.Shards}); !seen[k] {
+		if k := (key{or.Name, or.Procs, or.Shards}); seen[k] {
+			continue
+		}
+		verdict := "missing"
+		if or.Procs > newRep.NumCPU {
+			verdict = fmt.Sprintf("skip (host has %d CPUs)", newRep.NumCPU)
+		} else {
 			missing++
-			rows = append(rows, []string{recordLabel(or), fmtProcs(or.Procs, or.Simulated),
-				fmtNs(or.NsPerOp), "-", "-", fmtIterPair(or.OuterIterations, 0),
-				fmtSpeedup(or.SpeedupVsSerial), "missing"})
 			fmt.Fprintf(os.Stderr, "seabench: missing record %s procs=%d shards=%d (present in %s, absent from %s)\n",
 				or.Name, or.Procs, or.Shards, oldPath, newPath)
 		}
+		rows = append(rows, []string{recordLabel(or), fmt.Sprint(or.Procs),
+			fmtNs(or.NsPerOp), "-", "-", fmtIterPair(or.OuterIterations, 0),
+			fmtSpeedup(or.SpeedupVsSerial), verdict})
 	}
 
 	report.Render(os.Stdout, fmt.Sprintf("Perf comparison: %s -> %s (threshold %.0f%%)",
@@ -138,15 +137,6 @@ func recordLabel(r experiments.PerfRecord) string {
 		return fmt.Sprintf("%s[periods=%d]", r.Name, r.Periods)
 	}
 	return r.Name
-}
-
-// fmtProcs renders a worker count, tagging simulated records (see
-// experiments.PerfRecord.Simulated).
-func fmtProcs(procs int, simulated bool) string {
-	if simulated {
-		return fmt.Sprintf("%d (sim)", procs)
-	}
-	return fmt.Sprint(procs)
 }
 
 // fmtIterPair renders the outer-iteration delta column; zero on either

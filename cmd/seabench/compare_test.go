@@ -11,7 +11,14 @@ import (
 
 func writeReport(t *testing.T, dir, name string, recs []experiments.PerfRecord) string {
 	t.Helper()
-	rep := experiments.PerfReport{GoMaxProcs: 1, NumCPU: 1, Scale: 1, Records: recs}
+	return writeReportCPUs(t, dir, name, 1, recs)
+}
+
+// writeReportCPUs writes a report whose header says it was measured on a
+// host with numCPU CPUs.
+func writeReportCPUs(t *testing.T, dir, name string, numCPU int, recs []experiments.PerfRecord) string {
+	t.Helper()
+	rep := experiments.PerfReport{GoMaxProcs: numCPU, NumCPU: numCPU, Scale: 1, Records: recs}
 	data, err := json.Marshal(rep)
 	if err != nil {
 		t.Fatal(err)
@@ -23,11 +30,8 @@ func writeReport(t *testing.T, dir, name string, recs []experiments.PerfRecord) 
 	return path
 }
 
-func rec(name string, procs int, ns int64, sim bool) experiments.PerfRecord {
-	return experiments.PerfRecord{
-		Name: name, Procs: procs, NsPerOp: ns,
-		SpeedupVsSerial: 1, Simulated: sim,
-	}
+func rec(name string, procs int, ns int64) experiments.PerfRecord {
+	return experiments.PerfRecord{Name: name, Procs: procs, NsPerOp: ns, SpeedupVsSerial: 1}
 }
 
 // TestCompareKeysByNameAndProcs checks that records are matched per
@@ -36,12 +40,12 @@ func rec(name string, procs int, ns int64, sim bool) experiments.PerfRecord {
 func TestCompareKeysByNameAndProcs(t *testing.T) {
 	dir := t.TempDir()
 	oldPath := writeReport(t, dir, "old.json", []experiments.PerfRecord{
-		rec("table1/diagonal500", 1, 1000, false),
-		rec("table1/diagonal500", 4, 400, false),
+		rec("table1/diagonal500", 1, 1000),
+		rec("table1/diagonal500", 4, 400),
 	})
 	newPath := writeReport(t, dir, "new.json", []experiments.PerfRecord{
-		rec("table1/diagonal500", 1, 1010, false), // within threshold
-		rec("table1/diagonal500", 4, 900, false),  // > 10% slower at procs=4
+		rec("table1/diagonal500", 1, 1010), // within threshold
+		rec("table1/diagonal500", 4, 900),  // > 10% slower at procs=4
 	})
 	if got := runCompare(oldPath, newPath, 0.10); got != 1 {
 		t.Fatalf("runCompare = %d regressions, want 1 (the procs=4 record)", got)
@@ -51,31 +55,42 @@ func TestCompareKeysByNameAndProcs(t *testing.T) {
 func TestCompareNoRegressions(t *testing.T) {
 	dir := t.TempDir()
 	oldPath := writeReport(t, dir, "old.json", []experiments.PerfRecord{
-		rec("a", 1, 1000, false),
-		rec("a", 2, 600, true),
+		rec("a", 1, 1000),
+		rec("a", 2, 600),
 	})
 	newPath := writeReport(t, dir, "new.json", []experiments.PerfRecord{
-		rec("a", 1, 950, false),
-		rec("a", 2, 610, true),
+		rec("a", 1, 950),
+		rec("a", 2, 610),
 	})
 	if got := runCompare(oldPath, newPath, 0.10); got != 0 {
 		t.Fatalf("runCompare = %d regressions, want 0", got)
 	}
 }
 
-// TestCompareSimulatedModeMismatch: a pair whose Simulated flag differs was
-// produced on machines with different core counts; the delta is shown but
-// must not count as a regression.
-func TestCompareSimulatedModeMismatch(t *testing.T) {
+// TestCompareSkipsProcsBeyondHost: the perf suite times only the worker
+// counts its host has cores for, so an old record whose procs exceeds the new
+// report's num_cpu is skipped rather than counted as missing — while a
+// vanished record the host could have timed still fails the gate.
+func TestCompareSkipsProcsBeyondHost(t *testing.T) {
 	dir := t.TempDir()
-	oldPath := writeReport(t, dir, "old.json", []experiments.PerfRecord{
-		rec("a", 4, 400, false), // measured on a 4-core box
+	oldPath := writeReportCPUs(t, dir, "old.json", 8, []experiments.PerfRecord{
+		rec("a", 1, 1000),
+		rec("a", 2, 600),
+		rec("a", 4, 400),
+		rec("a", 8, 300),
 	})
-	newPath := writeReport(t, dir, "new.json", []experiments.PerfRecord{
-		rec("a", 4, 900, true), // simulated on a 1-core box
+	newPath := writeReportCPUs(t, dir, "new.json", 4, []experiments.PerfRecord{
+		rec("a", 1, 1000),
+		rec("a", 4, 400),
 	})
-	if got := runCompare(oldPath, newPath, 0.10); got != 0 {
-		t.Fatalf("runCompare = %d regressions, want 0 for a simulated/measured mode mismatch", got)
+	if got := runCompare(oldPath, newPath, 0.10); got != 1 {
+		t.Fatalf("runCompare = %d failures, want 1 (procs=2 missing; procs=8 skipped on a 4-CPU host)", got)
+	}
+	onePath := writeReportCPUs(t, dir, "one.json", 1, []experiments.PerfRecord{
+		rec("a", 1, 1000),
+	})
+	if got := runCompare(oldPath, onePath, 0.10); got != 0 {
+		t.Fatalf("runCompare = %d failures, want 0 (every procs > 1 record skipped on a 1-CPU host)", got)
 	}
 }
 
@@ -85,12 +100,12 @@ func TestCompareSimulatedModeMismatch(t *testing.T) {
 func TestCompareNewAndMissingRecords(t *testing.T) {
 	dir := t.TempDir()
 	oldPath := writeReport(t, dir, "old.json", []experiments.PerfRecord{
-		rec("a", 1, 1000, false),
-		rec("vanished", 1, 500, false),
+		rec("a", 1, 1000),
+		rec("vanished", 1, 500),
 	})
 	newPath := writeReport(t, dir, "new.json", []experiments.PerfRecord{
-		rec("a", 1, 1000, false),
-		rec("brand-new", 8, 125, true),
+		rec("a", 1, 1000),
+		rec("brand-new", 8, 125),
 	})
 	if got := runCompare(oldPath, newPath, 0.10); got != 1 {
 		t.Fatalf("runCompare = %d failures, want 1 (the missing record)", got)
@@ -101,11 +116,11 @@ func TestCompareNewAndMissingRecords(t *testing.T) {
 func TestCompareNewOnlyRecordsPass(t *testing.T) {
 	dir := t.TempDir()
 	oldPath := writeReport(t, dir, "old.json", []experiments.PerfRecord{
-		rec("a", 1, 1000, false),
+		rec("a", 1, 1000),
 	})
 	newPath := writeReport(t, dir, "new.json", []experiments.PerfRecord{
-		rec("a", 1, 1000, false),
-		rec("sparse/diagonal10k", 1, 125, false),
+		rec("a", 1, 1000),
+		rec("sparse/diagonal10k", 1, 125),
 	})
 	if got := runCompare(oldPath, newPath, 0.10); got != 0 {
 		t.Fatalf("runCompare = %d failures, want 0 for new-only records", got)
@@ -113,7 +128,7 @@ func TestCompareNewOnlyRecordsPass(t *testing.T) {
 }
 
 func recIters(name string, ns int64, iters int) experiments.PerfRecord {
-	r := rec(name, 1, ns, false)
+	r := rec(name, 1, ns)
 	r.OuterIterations = iters
 	return r
 }
@@ -140,7 +155,7 @@ func TestCompareIterationRegression(t *testing.T) {
 func TestCompareIterationBackCompat(t *testing.T) {
 	dir := t.TempDir()
 	oldPath := writeReport(t, dir, "old.json", []experiments.PerfRecord{
-		rec("a", 1, 1000, false), // no iteration annotation
+		rec("a", 1, 1000), // no iteration annotation
 		recIters("b", 1000, 50),
 	})
 	newPath := writeReport(t, dir, "new.json", []experiments.PerfRecord{
@@ -153,7 +168,7 @@ func TestCompareIterationBackCompat(t *testing.T) {
 }
 
 func recShards(name string, procs, shards int, ns int64) experiments.PerfRecord {
-	r := rec(name, procs, ns, false)
+	r := rec(name, procs, ns)
 	r.Shards = shards
 	return r
 }
@@ -207,26 +222,5 @@ func TestCompareSequenceRecords(t *testing.T) {
 	})
 	if got := runCompare(oldPath, missingPath, 0.10); got != 1 {
 		t.Fatalf("runCompare = %d failures, want 1 (the vanished chained record)", got)
-	}
-}
-
-func TestParseProcsList(t *testing.T) {
-	got, err := parseProcsList("1, 2,4,8")
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []int{1, 2, 4, 8}
-	if len(got) != len(want) {
-		t.Fatalf("parseProcsList = %v, want %v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("parseProcsList = %v, want %v", got, want)
-		}
-	}
-	for _, bad := range []string{"", "0", "x", "1,-2", ","} {
-		if _, err := parseProcsList(bad); err == nil {
-			t.Fatalf("parseProcsList(%q) succeeded, want error", bad)
-		}
 	}
 }

@@ -9,18 +9,11 @@
 //	seabench -table 6 -csv                  # machine-readable output
 //	seabench -table none -benchjson BENCH_sea.json   # hot-path perf records
 //	seabench -compare BENCH_sea.json new.json        # delta table, exit 1 on regression
-//	seabench -table 1 -nowarm               # ablate the kernel warm start
 //	seabench -table 1 -cpuprofile cpu.out   # profile a hot table
 //	seabench -table all -timeout 2m         # bound the whole run
 //	seabench -solver rc -size 60            # time one registry solver
-//	seabench -serve -scale 0.5              # sustained-throughput serving run
-//	seabench -serve -http -shards 1,2,4     # HTTP front-end load run per shard count
+//	seabench -serve -scale 0.1              # HTTP front-end load run per shard count
 //	seabench -sequence -scale 0.5           # temporal sequences: cold vs chained sessions
-//
-// -serve drives the pkg/sea/serve layer at a sustained concurrent load of
-// mixed problem shapes (Table 1-style instances of order 100, 250, and 500
-// at -scale) and reports throughput, per-request allocations, the
-// shape-pool hit rate, and the per-shape pool statistics.
 //
 // -sequence runs the temporal-sequence suite (internal/problems.Temporal):
 // each drifting monthly series is solved cold (every period from scratch)
@@ -29,14 +22,14 @@
 // and the chained speedup. These are the "sequence/" records of -benchjson
 // output.
 //
-// -serve -http instead stands up the full network stack — a sharded
-// serve.ShardedServer behind the pkg/sea/serve/http transport on a loopback
-// listener — and drives POST /v1/solve with a closed-loop load (fixed client
-// connections, back-to-back requests, exact latency distribution) followed
-// by an open-loop overload probe (arrivals paced at 1.5x the measured
-// capacity) that demonstrates the admission control's load shedding. One
-// measurement per shard count in -shards; -requests and -conns size the
-// closed loop. These are the "serve/http" records of -benchjson output.
+// -serve stands up the full network stack — a sharded serve.ShardedServer
+// behind the pkg/sea/serve/http transport on a loopback listener — and
+// drives POST /v1/solve with a closed-loop load (8 client connections,
+// back-to-back requests, exact latency distribution) followed by an
+// open-loop burst that demonstrates the admission control's load shedding.
+// One measurement per shard count in {1, 2, 4}; the closed loop issues
+// 100000 requests scaled by -scale, at least 2000. These are the
+// "serve/http" records of -benchjson output.
 //
 // -solver benchmarks a single solver from the pkg/sea registry on a
 // generated Table 1-style instance of order -size instead of running the
@@ -46,8 +39,9 @@
 // Results print as fixed-width tables (paper style); the speedup
 // experiments additionally render their figures as ASCII charts.
 // -benchjson runs the hot-path perf suite (ns/op, allocs/op, and
-// speedup-vs-procs per instance) and writes it as JSON, the perf trajectory
-// documented in docs/PERFORMANCE.md.
+// speedup-vs-procs per instance, timed at each worker count in {1, 2, 4, 8}
+// the host has cores for) and writes it as JSON, the perf trajectory
+// documented in docs/PERFORMANCE.md. Every record is a measurement.
 package main
 
 import (
@@ -58,7 +52,6 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
-	"strconv"
 	"strings"
 	"time"
 
@@ -77,22 +70,16 @@ func main() {
 		eps        = flag.Float64("eps", 0, "override the per-table convergence tolerance")
 		bkmax      = flag.Int("bkmax", 900, "largest G order on which to run the B-K baseline (Table 7)")
 		csv        = flag.Bool("csv", false, "emit CSV instead of formatted tables")
-		serveMode  = flag.Bool("serve", false, "run the sustained-throughput serving benchmark (pkg/sea/serve, mixed shapes, concurrent submitters) instead of the tables")
+		serveMode  = flag.Bool("serve", false, "run the HTTP front-end load benchmark (pkg/sea/serve/http on a loopback listener, shards 1, 2, 4) instead of the tables")
 		seqMode    = flag.Bool("sequence", false, "run the temporal-sequence benchmark (cold vs chained sessions over drifting monthly series) instead of the tables")
-		serveHTTP  = flag.Bool("http", false, "with -serve: drive the HTTP front end (pkg/sea/serve/http) on a loopback listener instead of the in-process layer; closed-loop throughput plus an open-loop overload probe per shard count")
-		httpShards = flag.String("shards", "", "with -serve -http: comma-separated shard counts to sweep (default 1,2,4)")
-		httpReqs   = flag.Int("requests", 0, "with -serve -http: closed-loop requests per shard count (0 = 100000 scaled by -scale, floor 2000)")
-		httpConns  = flag.Int("conns", 0, "with -serve -http: concurrent client connections (0 = 8)")
 		solver     = flag.String("solver", "", "time a single pkg/sea registry solver instead of the tables: "+strings.Join(sea.Solvers(), ", "))
 		size       = flag.Int("size", 100, "with -solver: order of the generated Table 1-style instance")
 		timeout    = flag.Duration("timeout", 0, "abort the run after this duration (0 = no limit)")
 		benchjson  = flag.String("benchjson", "", "also run the hot-path perf suite and write its records to this JSON file")
-		benchprocs = flag.String("benchprocs", "", "with -benchjson: comma-separated worker counts to sweep (default 1,2,4,8; counts above NumCPU are simulated)")
 		benchreps  = flag.Int("benchreps", 0, "with -benchjson: timed repetitions per perf record (0 = default)")
 		benchfilt  = flag.String("benchfilter", "", "with -benchjson: only measure records whose name contains this substring (e.g. sparse/); the committed BENCH_sea.json must be regenerated unfiltered because -compare counts missing records as failures")
 		compare    = flag.Bool("compare", false, "compare two -benchjson files (usage: seabench -compare old.json new.json) and exit non-zero on regression")
 		threshold  = flag.Float64("threshold", 0.10, "with -compare: regression threshold as a fraction of old ns/op")
-		nowarm     = flag.Bool("nowarm", false, "disable the equilibration kernel's warm-started sort (ablation)")
 		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
 		memprofile = flag.String("memprofile", "", "write a heap profile, taken at exit, to this file")
 	)
@@ -156,24 +143,8 @@ func main() {
 		defer cancel()
 	}
 
-	cfg := experiments.Config{Scale: *scale, Procs: *procs, Epsilon: *eps, MaxBKDim: *bkmax, NoWarm: *nowarm, PerfReps: *benchreps,
-		BenchFilter: *benchfilt, HTTPRequests: *httpReqs, HTTPConns: *httpConns}
-	if *benchprocs != "" {
-		list, err := parseProcsList(*benchprocs)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "seabench: -benchprocs: %v\n", err)
-			os.Exit(2)
-		}
-		cfg.BenchProcs = list
-	}
-	if *httpShards != "" {
-		list, err := parseProcsList(*httpShards)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "seabench: -shards: %v\n", err)
-			os.Exit(2)
-		}
-		cfg.HTTPShards = list
-	}
+	cfg := experiments.Config{Scale: *scale, Procs: *procs, Epsilon: *eps, MaxBKDim: *bkmax, PerfReps: *benchreps,
+		BenchFilter: *benchfilt}
 	// One persistent pool serves every solve of the run; the perf suite
 	// manages its own pools because it varies the worker count.
 	pool := parallel.NewPool(*procs)
@@ -181,11 +152,7 @@ func main() {
 	cfg.Runner = pool
 
 	if *serveMode {
-		run := runServe
-		if *serveHTTP {
-			run = runServeHTTP
-		}
-		if err := run(ctx, cfg); err != nil {
+		if err := runServe(ctx, cfg); err != nil {
 			cleanup()
 			fmt.Fprintf(os.Stderr, "seabench: -serve: %v\n", err)
 			os.Exit(1)
@@ -209,7 +176,6 @@ func main() {
 		o := sea.DefaultOptions()
 		o.Procs = *procs
 		o.Runner = pool
-		o.DisableWarmStart = *nowarm
 		if *eps > 0 {
 			o.Epsilon = *eps
 		}
@@ -542,25 +508,4 @@ func renderSpeedupFigure(rows []experiments.SpeedupRow, title string) {
 	}
 	report.Chart(os.Stdout, title, "CPUs", "speedup", xs, series)
 	fmt.Println()
-}
-
-// parseProcsList parses the -benchprocs value: comma-separated positive
-// worker counts, e.g. "1,2,4,8".
-func parseProcsList(s string) ([]int, error) {
-	var out []int
-	for _, part := range strings.Split(s, ",") {
-		part = strings.TrimSpace(part)
-		if part == "" {
-			continue
-		}
-		v, err := strconv.Atoi(part)
-		if err != nil || v < 1 {
-			return nil, fmt.Errorf("invalid worker count %q", part)
-		}
-		out = append(out, v)
-	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("no worker counts in %q", s)
-	}
-	return out, nil
 }

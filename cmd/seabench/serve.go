@@ -10,41 +10,10 @@ import (
 	"sea/internal/report"
 )
 
-// runServe executes the sustained-throughput serving benchmark and renders
-// its summary plus the per-shape pool table.
+// runServe executes the HTTP front-end load run (seabench -serve): one
+// closed-loop measurement plus an open-loop overload probe per shard count,
+// rendered as a single table.
 func runServe(ctx context.Context, cfg experiments.Config) error {
-	res, err := experiments.ServeSweep(ctx, cfg)
-	if err != nil {
-		return err
-	}
-
-	fmt.Printf("serve: %d submitters, %d in flight, shapes %v\n",
-		res.Submitters, res.MaxInFlight, res.Sizes)
-	fmt.Printf("serve: %d requests in %s: %.1f req/s, %s/req, %d allocs/req, hit rate %.0f%%\n",
-		res.Requests, res.Wall.Round(time.Millisecond), res.RequestsPerSec,
-		time.Duration(res.NsPerRequest).Round(time.Microsecond),
-		res.AllocsPerRequest, 100*res.HitRate)
-
-	st := res.Stats
-	var rows [][]string
-	for _, sh := range st.Shapes {
-		rows = append(rows, []string{
-			fmt.Sprintf("%dx%d", sh.M, sh.N),
-			report.D(sh.Arenas), report.D(sh.Idle),
-			report.D(int(sh.Hits)), report.D(int(sh.Misses)), report.D(int(sh.Evicted)),
-		})
-	}
-	report.Render(os.Stdout, "Serving layer: per-shape arena pools (cumulative, including warm-up)",
-		[]string{"shape", "arenas", "idle", "hits", "misses", "evicted"}, rows)
-	fmt.Println()
-	fmt.Printf("serve: totals %s\n", st)
-	return nil
-}
-
-// runServeHTTP executes the HTTP front-end load run (seabench -serve -http):
-// one closed-loop measurement plus an open-loop overload probe per shard
-// count, rendered as a single table.
-func runServeHTTP(ctx context.Context, cfg experiments.Config) error {
 	results, err := experiments.HTTPLoadSweep(ctx, cfg)
 	if err != nil {
 		return err

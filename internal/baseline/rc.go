@@ -94,13 +94,11 @@ func SolveRC(ctx context.Context, p *core.GeneralProblem, opts *core.Options) (*
 		st.workspaces[c] = equilibrate.NewWorkspace(maxDim)
 		st.colBufs[c] = make([]float64, 2*m)
 	}
-	if !o.DisableWarmStart {
-		// Per-subproblem warm-start states, indexed by row/column — never by
-		// chunk — so the kernel's bit-exact warm sorts keep RC's results
-		// independent of the worker count.
-		st.rowStates = make([]equilibrate.State, m)
-		st.colStates = make([]equilibrate.State, n)
-	}
+	// Per-subproblem warm-start states, indexed by row/column — never by
+	// chunk — so the kernel's bit-exact warm sorts keep RC's results
+	// independent of the worker count.
+	st.rowStates = make([]equilibrate.State, m)
+	st.colStates = make([]equilibrate.State, n)
 
 	xOuter := make([]float64, mn)
 	totalInner := 0
@@ -173,7 +171,7 @@ type rcState struct {
 	runner     parallel.Runner
 	workspaces []*equilibrate.Workspace
 	colBufs    [][]float64
-	rowStates  []equilibrate.State // warm-start state per row (nil when disabled)
+	rowStates  []equilibrate.State // warm-start state per row
 	colStates  []equilibrate.State // warm-start state per column
 	errs       error
 
@@ -248,11 +246,7 @@ func (st *rcState) stage(rowStage bool, lambda, mu []float64) (int, error) {
 					if p.Upper != nil {
 						prob.U = p.Upper[i*n : (i+1)*n]
 					}
-					var est *equilibrate.State
-					if st.rowStates != nil {
-						est = &st.rowStates[i]
-					}
-					res, err := prob.SolveState(st.x[i*n:(i+1)*n], ws, est)
+					res, err := prob.SolveState(st.x[i*n:(i+1)*n], ws, &st.rowStates[i])
 					if err != nil {
 						if st.errs == nil {
 							st.errs = fmt.Errorf("row %d: %w", i, err)
@@ -284,11 +278,7 @@ func (st *rcState) stage(rowStage bool, lambda, mu []float64) (int, error) {
 						}
 						prob.U = ucol
 					}
-					var est *equilibrate.State
-					if st.colStates != nil {
-						est = &st.colStates[j]
-					}
-					res, err := prob.SolveState(xcol, ws, est)
+					res, err := prob.SolveState(xcol, ws, &st.colStates[j])
 					if err != nil {
 						if st.errs == nil {
 							st.errs = fmt.Errorf("column %d: %w", j, err)

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"math/rand/v2"
 	"testing"
@@ -52,29 +53,50 @@ func sameBits(t *testing.T, name string, got, want []float64) {
 }
 
 // TestWarmStartAblationBitExact: the kernel's warm-started sorts must be a
-// pure performance choice — disabling them (Options.DisableWarmStart)
-// changes nothing in the result, for every worker count.
+// pure performance choice — disabling them (the disableWarmStart test hook)
+// changes nothing in the result, on dense and CSR storage, for every worker
+// count, and on every round of an arena-steady solve, where the warm starts
+// replay the previous solve's permutations from the first iteration on.
 func TestWarmStartAblationBitExact(t *testing.T) {
-	p := determinismProblem(t)
-	opts := func(disable bool) *Options {
+	t.Cleanup(func() { disableWarmStart = false })
+	inputs := map[string]*DiagonalProblem{
+		"dense": determinismProblem(t),
+		"csr":   sparseFamilies(t)["fixed/bounded"],
+	}
+	opts := func(procs int) *Options {
 		o := DefaultOptions()
 		o.Criterion = MaxAbsDelta
 		o.Epsilon = 1e-6
-		o.DisableWarmStart = disable
+		o.Procs = procs
 		return o
 	}
-	ref, err := SolveDiagonal(context.Background(), p, opts(true))
-	if err != nil {
-		t.Fatalf("cold reference: %v", err)
-	}
-	for _, procs := range []int{1, 2, 7, 16} {
-		o := opts(false)
-		o.Procs = procs
-		warm, err := SolveDiagonal(context.Background(), p, o)
+	for name, p := range inputs {
+		disableWarmStart = true
+		ref, err := SolveDiagonal(context.Background(), p, opts(1))
+		disableWarmStart = false
 		if err != nil {
-			t.Fatalf("warm procs=%d: %v", procs, err)
+			t.Fatalf("%s: cold reference: %v", name, err)
 		}
-		sameSolution(t, "warm vs cold", warm, ref)
+		for _, procs := range []int{1, 2, 7, 16} {
+			warm, err := SolveDiagonal(context.Background(), p, opts(procs))
+			if err != nil {
+				t.Fatalf("%s: warm procs=%d: %v", name, procs, err)
+			}
+			sameSolution(t, fmt.Sprintf("%s procs=%d: warm vs cold", name, procs), warm, ref)
+
+			ar := NewArena()
+			for round := 1; round <= 3; round++ {
+				o := opts(procs)
+				o.Arena = ar
+				sol, err := SolveDiagonal(context.Background(), p, o)
+				if err != nil {
+					ar.Close()
+					t.Fatalf("%s: arena procs=%d round %d: %v", name, procs, round, err)
+				}
+				sameSolution(t, fmt.Sprintf("%s procs=%d arena round %d: warm vs cold", name, procs, round), sol, ref)
+			}
+			ar.Close()
+		}
 	}
 }
 

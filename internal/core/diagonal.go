@@ -116,7 +116,7 @@ type diagState struct {
 	// phaseChunk (see side). They are re-bound at the end of every
 	// newDiagState, since an adopted state may carry a different problem.
 	rows, cols side
-	warm       bool // thread the warm-start states (off under Options.DisableWarmStart)
+	warm       bool // thread the warm-start states (off only under the disableWarmStart test hook)
 
 	// denseRowPtr/denseColPtr are the arithmetic offsets k·n / k·m that give
 	// dense storage the same subproblem-span form as CSR's row pointers,
@@ -197,7 +197,7 @@ func newDiagState(ctx context.Context, p *DiagonalProblem, o *Options) *diagStat
 	}
 	st.ctx, st.p, st.o = ctx, p, o
 	st.arena = ar
-	st.warm = !o.DisableWarmStart
+	st.warm = !disableWarmStart
 
 	if o.Mu0 != nil {
 		copy(st.mu, o.Mu0)
@@ -689,6 +689,12 @@ type tally struct{ equil, ops int64 }
 // docs/PERFORMANCE.md. It is a variable only so the batch-boundary tests
 // can move it; solutions do not depend on it.
 var batchEvents = 1 << 12
+
+// disableWarmStart turns off the kernel's warm-started breakpoint sorts,
+// forcing a full cold sort in every subproblem. Warm starts are exact, so
+// results are bit-identical either way; it is a variable only so the
+// warm ≡ cold test and the warm-start ablation benchmark can flip it.
+var disableWarmStart bool
 
 // maxBatchRows caps the subproblems per batch regardless of their size: past
 // this the per-segment metadata the batch streams (problem copies, offsets,

@@ -240,11 +240,6 @@ type Options struct {
 	// The returned Solution then aliases arena-owned memory — valid until
 	// the next solve on the same arena. See Arena.
 	Arena *Arena
-	// DisableWarmStart turns off the equilibration kernel's warm-started
-	// breakpoint sort, forcing a full cold sort in every subproblem. Results
-	// are bit-identical either way (warm starts are exact); this exists as
-	// the ablation switch that makes the warm-start speedup attributable.
-	DisableWarmStart bool
 }
 
 // DefaultOptions returns the options used throughout the paper's

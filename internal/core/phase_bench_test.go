@@ -5,6 +5,8 @@ import (
 	"math/rand/v2"
 	"runtime"
 	"testing"
+
+	"sea/internal/parallel"
 )
 
 // benchDiagProblem builds a dense fixed-totals instance sized for the phase
@@ -82,6 +84,41 @@ func benchPhase(b *testing.B, procs int, phase func(*diagState) error) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if err := phase(st); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkArenaNoWarm is the kernel warm-start ablation: repeated
+// same-shape solves through one arena and a caller-owned pool — the serving
+// path — with the warm-started sorts on ("warm") and off through the
+// disableWarmStart hook ("nowarm"). Arena reuse is common to both, so the
+// gap is the warm start's own contribution.
+func BenchmarkArenaNoWarm(b *testing.B) {
+	p := benchDiagProblem(b, 500, 500)
+	for _, mode := range []string{"warm", "nowarm"} {
+		b.Run(mode, func(b *testing.B) {
+			disableWarmStart = mode == "nowarm"
+			defer func() { disableWarmStart = false }()
+			pool := parallel.NewPool(1)
+			defer pool.Close()
+			ar := NewArena()
+			defer ar.Close()
+			o := DefaultOptions()
+			o.Criterion = MaxAbsDelta
+			o.Epsilon = 0.01
+			o.Runner = pool
+			o.Arena = ar
+			// The first solve fills the arena and the warm-start slots.
+			if _, err := SolveDiagonal(context.Background(), p, o); err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := SolveDiagonal(context.Background(), p, o); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -36,36 +36,16 @@ type Config struct {
 	// (the paper stopped at 900×900 because B-K became prohibitively
 	// expensive). Zero means the paper's cap.
 	MaxBKDim int
-	// NoWarm disables the equilibration kernel's warm-started sort
-	// (Options.DisableWarmStart) in the perf suite's main records — the
-	// ablation switch behind seabench -nowarm. The "/steady" records
-	// always measure both sides regardless.
-	NoWarm bool
-	// BenchProcs is the worker-count sweep for the perf suite's main
-	// records (seabench -benchprocs). Empty means the default {1, 2, 4, 8}.
-	// Counts above runtime.NumCPU produce simulated records (see
-	// PerfRecord.Simulated).
-	BenchProcs []int
 	// PerfReps overrides the perf suite's timed repetitions per record
 	// (seabench -benchreps); 0 means the default.
 	PerfReps int
 	// BenchFilter, when non-empty, restricts the perf suite to records whose
 	// name contains this substring (seabench -benchfilter): instance records
-	// match by instance name, the serving sweeps by "serve/mixed" and
-	// "serve/http". Empty runs the full suite — the committed BENCH_sea.json
-	// must be regenerated unfiltered, because seabench -compare counts
-	// records missing from the new file as failures.
+	// match by instance name, the HTTP serving sweep by "serve/http". Empty
+	// runs the full suite — the committed BENCH_sea.json must be regenerated
+	// unfiltered, because seabench -compare counts records missing from the
+	// new file as failures.
 	BenchFilter string
-	// HTTPRequests overrides the HTTP load generator's closed-loop request
-	// count per shard configuration (seabench -requests); 0 means the
-	// default 100000 scaled by Scale.
-	HTTPRequests int
-	// HTTPConns overrides the load generator's concurrent client
-	// connections (seabench -conns); 0 means the default 8.
-	HTTPConns int
-	// HTTPShards overrides the shard counts swept by the HTTP serving
-	// records (seabench -shards); empty means the default {1, 2, 4}.
-	HTTPShards []int
 }
 
 // apply copies the execution-related Config fields into o.

@@ -2,7 +2,9 @@ package experiments
 
 import (
 	"context"
+	"encoding/json"
 	"math"
+	"runtime"
 	"testing"
 )
 
@@ -346,6 +348,50 @@ func TestRelaxationAblation(t *testing.T) {
 		if rows[i].Inner < rows[i-1].Inner {
 			t.Errorf("rho=%.2f used fewer half-sweeps (%d) than rho=%.2f (%d)",
 				rows[i].Rho, rows[i].Inner, rows[i-1].Rho, rows[i-1].Inner)
+		}
+	}
+}
+
+// TestPerfSuiteMeasuredOnly: the perf suite writes only records it timed —
+// one per worker count in {1, 2, 4, 8} the host has cores for, none beyond —
+// and its JSON carries no modelled or ablation fields.
+func TestPerfSuiteMeasuredOnly(t *testing.T) {
+	rep, err := PerfSuite(context.Background(), Config{Scale: 0.05, BenchFilter: "table1/diagonal500"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.NumCPU != runtime.NumCPU() {
+		t.Errorf("num_cpu = %d, want %d", rep.NumCPU, runtime.NumCPU())
+	}
+	timed := map[int]bool{}
+	for _, r := range rep.Records {
+		if r.Procs > runtime.NumCPU() {
+			t.Errorf("%s procs=%d exceeds the host's %d CPUs", r.Name, r.Procs, runtime.NumCPU())
+		}
+		if r.Name == "table1/diagonal500" {
+			timed[r.Procs] = true
+		}
+	}
+	for _, procs := range perfProcs {
+		if procs <= runtime.NumCPU() && !timed[procs] {
+			t.Errorf("no table1/diagonal500 record at procs=%d", procs)
+		}
+	}
+	data, err := json.Marshal(rep)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var doc struct {
+		Records []map[string]json.RawMessage `json:"records"`
+	}
+	if err := json.Unmarshal(data, &doc); err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range doc.Records {
+		for _, key := range []string{"simulated", "warmstart_ablation"} {
+			if _, ok := r[key]; ok {
+				t.Errorf("record %s carries %q", r["name"], key)
+			}
 		}
 	}
 }

@@ -28,11 +28,17 @@ import (
 // same per-request path at different durations.
 var httpLoadSizes = [...]int{16, 24, 32}
 
+// httpLoadShards is the shard-count sweep, one measurement per count.
+var httpLoadShards = [...]int{1, 2, 4}
+
 const (
-	httpLoadDefaultRequests = 100000
-	httpLoadMinRequests     = 2000
-	httpLoadDefaultConns    = 8
-	httpLoadMaxInFlight     = 2
+	httpLoadRequests    = 100000 // closed-loop requests per shard count at Scale 1
+	httpLoadMinRequests = 2000
+	httpLoadConns       = 8
+	httpLoadMaxInFlight = 2
+	// httpLoadWarmupRounds re-solves every prewarmed arena this many times
+	// so the kernel warm starts settle before the measured phase.
+	httpLoadWarmupRounds = 3
 	// The saturation probe's geometry: a burst of httpOverloadBurst
 	// simultaneous arrivals of one SAM instance of order httpOverloadSize
 	// against a probe server whose admission envelope is deliberately small
@@ -86,54 +92,21 @@ type HTTPLoadResult struct {
 	Stats serve.Stats
 }
 
-// httpLoadShards normalizes the shard-count sweep (default {1, 2, 4}).
-func httpLoadShards(requested []int) []int {
-	if len(requested) == 0 {
-		return []int{1, 2, 4}
-	}
-	seen := map[int]bool{}
-	var out []int
-	for _, s := range requested {
-		if s > 0 && !seen[s] {
-			seen[s] = true
-			out = append(out, s)
-		}
-	}
-	sort.Ints(out)
-	return out
-}
-
-// httpLoadRequests resolves the closed-loop request count: an explicit
-// override wins; otherwise 100k scaled by cfg.Scale, floored at 2000 so even
-// the CI scale produces a stable distribution.
-func httpLoadRequests(cfg Config) int {
-	if cfg.HTTPRequests > 0 {
-		return cfg.HTTPRequests
-	}
+// HTTPLoadSweep measures the HTTP front end (pkg/sea/serve/http over a
+// sharded serve.ShardedServer on a loopback listener) at each shard count in
+// {1, 2, 4}. The closed loop issues 100k requests scaled by cfg.Scale,
+// floored at 2000 so even the CI scale produces a stable distribution. It is
+// the data source for seabench -serve and the "serve/http" BENCH_sea.json
+// records.
+func HTTPLoadSweep(ctx context.Context, cfg Config) ([]HTTPLoadResult, error) {
 	s := cfg.Scale
 	if s <= 0 || s > 1 {
 		s = 1
 	}
-	n := int(httpLoadDefaultRequests * s)
-	if n < httpLoadMinRequests {
-		n = httpLoadMinRequests
-	}
-	return n
-}
-
-// HTTPLoadSweep measures the HTTP front end (pkg/sea/serve/http over a
-// sharded serve.ShardedServer on a loopback listener) across the configured
-// shard counts. It is the data source for seabench -serve -http and the
-// "serve/http" BENCH_sea.json records.
-func HTTPLoadSweep(ctx context.Context, cfg Config) ([]HTTPLoadResult, error) {
-	conns := cfg.HTTPConns
-	if conns <= 0 {
-		conns = httpLoadDefaultConns
-	}
-	requests := httpLoadRequests(cfg)
+	requests := max(int(httpLoadRequests*s), httpLoadMinRequests)
 	var out []HTTPLoadResult
-	for _, shards := range httpLoadShards(cfg.HTTPShards) {
-		r, err := httpLoadOne(ctx, cfg, shards, conns, requests)
+	for _, shards := range httpLoadShards {
+		r, err := httpLoadOne(ctx, cfg, shards, httpLoadConns, requests)
 		if err != nil {
 			return out, fmt.Errorf("http load shards=%d: %w", shards, err)
 		}
@@ -167,7 +140,6 @@ func httpLoadOne(ctx context.Context, cfg Config, shards, conns, requests int) (
 	o.Criterion = sea.MaxAbsDelta
 	o.Epsilon = cfg.eps(0.01)
 	o.MaxIterations = 500000
-	o.DisableWarmStart = cfg.NoWarm
 	srv, err := serve.NewSharded(serve.ShardedConfig{
 		Shards: shards,
 		Server: serve.Config{
@@ -204,7 +176,7 @@ func httpLoadOne(ctx context.Context, cfg Config, shards, conns, requests int) (
 
 	// Warm-up: provision every shape's owning shard to its in-flight bound,
 	// then one HTTP round per shape to settle connections and codec paths.
-	for round := 0; round < serveWarmupRounds; round++ {
+	for round := 0; round < httpLoadWarmupRounds; round++ {
 		for _, p := range probs {
 			if err := srv.Prewarm(ctx, p, httpLoadMaxInFlight); err != nil {
 				return HTTPLoadResult{}, fmt.Errorf("warm-up: %w", err)

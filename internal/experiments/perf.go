@@ -4,13 +4,11 @@ import (
 	"context"
 	"fmt"
 	"runtime"
-	"sort"
 	"strings"
 	"time"
 
 	"sea/internal/core"
 	"sea/internal/parallel"
-	"sea/internal/parsim"
 	"sea/internal/problems"
 	"sea/internal/spe"
 )
@@ -38,18 +36,13 @@ type PerfRecord struct {
 	// serial ns/op divided by the steady-state ns/op — the serving-mode
 	// speedup from arena reuse plus kernel warm starts.
 	SpeedupVsSerial float64 `json:"speedup_vs_serial"`
-	// WarmstartAblation, set only on the "/steady" records, is the same
-	// steady-state measurement re-run with Options.DisableWarmStart divided
-	// by the warm-started ns/op: values above 1 are the kernel warm start's
-	// contribution, isolated from arena reuse.
-	WarmstartAblation float64 `json:"warmstart_ablation,omitempty"`
-	// RequestsPerSec, set only on the "serve/" records, is the serving
-	// layer's sustained request throughput under concurrent mixed-shape
-	// load (see experiments.ServeSweep; for these records Procs is the
-	// server's MaxInFlight and NsPerOp the wall time per request).
+	// RequestsPerSec, set only on the "serve/http" records, is the HTTP
+	// front end's closed-loop request throughput (see
+	// experiments.HTTPLoadSweep; for these records Procs is each solve's
+	// worker count and NsPerOp the wall time per request).
 	RequestsPerSec float64 `json:"requests_per_sec,omitempty"`
-	// ShapeHitRate, set only on the "serve/" records, is the shape-pool hit
-	// fraction of the measured phase; steady state is 1.0.
+	// ShapeHitRate, set only on the "serve/http" records, is the shape-pool
+	// hit fraction of the measured phase; steady state is 1.0.
 	ShapeHitRate float64 `json:"shape_hit_rate,omitempty"`
 	// Shards, set only on the "serve/http" records, is the sharded server's
 	// inner Server count; seabench -compare keys these records by
@@ -92,14 +85,6 @@ type PerfRecord struct {
 	// per-period wall divided by the chained one (see
 	// experiments.SequenceSweep).
 	Periods int `json:"periods,omitempty"`
-	// Simulated marks records whose Procs exceeds the machine's physical
-	// core count: the speedup comes from replaying the solve's recorded
-	// per-task cost trace on parsim's simulated N-processor machine
-	// (DESIGN.md, substitution 1) rather than from wall-clock timing, and
-	// NsPerOp is the measured serial ns/op divided by that simulated
-	// speedup. AllocsPerOp and Iterations are copied from the serial record
-	// (both are Procs-independent by the determinism contract).
-	Simulated bool `json:"simulated,omitempty"`
 }
 
 // PerfReport is the top-level BENCH_sea.json document.
@@ -123,7 +108,7 @@ const steadyReps = 10
 // the serving-mode measurement — and reports mean ns/op and allocs/op.
 // The first solve on the arena is untimed warm-up: it populates the arena
 // and the kernel warm-start states, so the timed reps see the steady state.
-func steadyNs(ctx context.Context, p *core.DiagonalProblem, opts func() *core.Options, nowarm bool) (nsPerOp int64, allocsPerOp uint64, err error) {
+func steadyNs(ctx context.Context, p *core.DiagonalProblem, opts func() *core.Options) (nsPerOp int64, allocsPerOp uint64, err error) {
 	pool := parallel.NewPool(1)
 	defer pool.Close()
 	arena := core.NewArena()
@@ -132,7 +117,6 @@ func steadyNs(ctx context.Context, p *core.DiagonalProblem, opts func() *core.Op
 		o := opts()
 		o.Runner = pool
 		o.Arena = arena
-		o.DisableWarmStart = nowarm
 		return o
 	}
 	if _, err := core.SolveDiagonal(ctx, p, build()); err != nil {
@@ -151,31 +135,16 @@ func steadyNs(ctx context.Context, p *core.DiagonalProblem, opts func() *core.Op
 	return elapsed.Nanoseconds() / steadyReps, (ms1.Mallocs - ms0.Mallocs) / steadyReps, nil
 }
 
-// benchProcs normalizes the perf suite's worker-count sweep: the default
-// {1, 2, 4, 8} when unset, deduplicated, ascending, and always including 1
-// first (every other record's speedup is relative to the Procs = 1 row).
-func benchProcs(requested []int) []int {
-	if len(requested) == 0 {
-		return []int{1, 2, 4, 8}
-	}
-	seen := map[int]bool{1: true}
-	out := []int{1}
-	for _, p := range requested {
-		if p > 1 && !seen[p] {
-			seen[p] = true
-			out = append(out, p)
-		}
-	}
-	sort.Ints(out)
-	return out
-}
+// perfProcs is the worker-count sweep of the instance records. Counts above
+// runtime.NumCPU are skipped: a record the host cannot time is left out,
+// not modelled.
+var perfProcs = [...]int{1, 2, 4, 8}
 
 // PerfSuite measures the SEA hot path on representative diagonal instances
-// across a worker-count sweep (default 1, 2, 4, 8), reusing one persistent
-// pool per worker count across all reps. Worker counts up to runtime.NumCPU
-// are wall-clock measurements; beyond that the record is derived from the
-// solve's cost trace on parsim's simulated machine and marked Simulated. It
-// is the data source for seabench's -benchjson output.
+// at each worker count of perfProcs the host has cores for, reusing one
+// persistent pool per worker count across all reps. Every record is a
+// wall-clock measurement. It is the data source for seabench's -benchjson
+// output.
 func PerfSuite(ctx context.Context, cfg Config) (PerfReport, error) {
 	type instance struct {
 		name  string
@@ -226,7 +195,6 @@ func PerfSuite(ctx context.Context, cfg Config) (PerfReport, error) {
 		return cfg.BenchFilter == "" || strings.Contains(name, cfg.BenchFilter)
 	}
 
-	procsList := benchProcs(cfg.BenchProcs)
 	reps := cfg.PerfReps
 	if reps <= 0 {
 		reps = perfReps
@@ -255,54 +223,28 @@ func PerfSuite(ctx context.Context, cfg Config) (PerfReport, error) {
 			o.Criterion = inst.crit
 			o.Epsilon = cfg.eps(inst.eps)
 			o.MaxIterations = 500000
-			o.DisableWarmStart = cfg.NoWarm
 			return o
 		}
-		// One untimed serial solve records the per-task cost trace that
-		// backs the simulated records for worker counts beyond the
-		// physical cores; it doubles as the page-faulting warm-up.
-		tr := &parsim.Recorder{}
+		// One untimed serial solve faults pages in and measures the bytes a
+		// cold solve allocates.
 		var coldBytes uint64
 		{
-			o := baseOpts()
-			o.Trace = tr
 			var msA, msB runtime.MemStats
 			runtime.ReadMemStats(&msA)
-			if _, err := core.SolveDiagonal(ctx, p, o); err != nil {
-				return report, fmt.Errorf("perf %s trace: %w", inst.name, err)
+			if _, err := core.SolveDiagonal(ctx, p, baseOpts()); err != nil {
+				return report, fmt.Errorf("perf %s warm-up: %w", inst.name, err)
 			}
 			runtime.ReadMemStats(&msB)
 			// TotalAlloc is monotonic, so the delta is everything this cold
 			// solve allocated: solver state, pool, and kernel scratch.
 			coldBytes = msB.TotalAlloc - msA.TotalAlloc
 		}
-		simSerial := parsim.DefaultMachine(1).Execute(tr.Phases)
 
 		var serialNs int64
-		var serialAllocs uint64
 		var steadyIters int
-		for _, procs := range procsList {
+		for _, procs := range perfProcs {
 			if procs > runtime.NumCPU() {
-				// The machine cannot grant this worker count real cores,
-				// so a wall-clock measurement would show scheduling noise,
-				// not scaling. Replay the recorded cost trace on parsim's
-				// simulated machine instead and mark the record.
-				simN := parsim.DefaultMachine(procs).Execute(tr.Phases)
-				speedup := float64(simSerial) / float64(simN)
-				simNs := int64(float64(serialNs) / speedup)
-				report.Records = append(report.Records, PerfRecord{
-					Name:            inst.name,
-					Procs:           procs,
-					NsPerOp:         simNs,
-					AllocsPerOp:     serialAllocs,
-					Iterations:      steadyIters,
-					OuterIterations: steadyIters,
-					SpeedupVsSerial: speedup,
-					Nnz:             nnz,
-					NsPerIter:       perIter(simNs, steadyIters),
-					Simulated:       true,
-				})
-				continue
+				break
 			}
 
 			pool := parallel.NewPool(procs)
@@ -336,7 +278,6 @@ func PerfSuite(ctx context.Context, cfg Config) (PerfReport, error) {
 			allocs := (ms1.Mallocs - ms0.Mallocs) / uint64(reps)
 			if procs == 1 {
 				serialNs = nsPerOp
-				serialAllocs = allocs
 			}
 			steadyIters = sol.Iterations
 			speedup := 1.0
@@ -361,28 +302,21 @@ func PerfSuite(ctx context.Context, cfg Config) (PerfReport, error) {
 		}
 
 		// Steady-state serving record: repeated same-shape solves on one
-		// reusable arena with kernel warm starts, plus the warm-start
-		// ablation (same arena reuse, warm start off) that isolates the
-		// kernel's contribution from the allocation win.
-		warmNs, warmAllocs, err := steadyNs(ctx, p, baseOpts, false)
+		// reusable arena with kernel warm starts.
+		warmNs, warmAllocs, err := steadyNs(ctx, p, baseOpts)
 		if err != nil {
 			return report, fmt.Errorf("perf %s steady: %w", inst.name, err)
 		}
-		nowarmNs, _, err := steadyNs(ctx, p, baseOpts, true)
-		if err != nil {
-			return report, fmt.Errorf("perf %s steady ablation: %w", inst.name, err)
-		}
 		report.Records = append(report.Records, PerfRecord{
-			Name:              inst.name + "/steady",
-			Procs:             1,
-			NsPerOp:           warmNs,
-			AllocsPerOp:       warmAllocs,
-			Iterations:        steadyIters,
-			OuterIterations:   steadyIters,
-			SpeedupVsSerial:   float64(serialNs) / float64(warmNs),
-			WarmstartAblation: float64(nowarmNs) / float64(warmNs),
-			Nnz:               nnz,
-			NsPerIter:         perIter(warmNs, steadyIters),
+			Name:            inst.name + "/steady",
+			Procs:           1,
+			NsPerOp:         warmNs,
+			AllocsPerOp:     warmAllocs,
+			Iterations:      steadyIters,
+			OuterIterations: steadyIters,
+			SpeedupVsSerial: float64(serialNs) / float64(warmNs),
+			Nnz:             nnz,
+			NsPerIter:       perIter(warmNs, steadyIters),
 		})
 
 		// Preconditioned record: the same serial solve behind the ISP
@@ -462,27 +396,6 @@ func PerfSuite(ctx context.Context, cfg Config) (PerfReport, error) {
 		}
 	}
 
-	// Serving-layer record: sustained mixed-shape throughput through
-	// pkg/sea/serve, all shape pools warm. The allocs_per_op of this record
-	// is the serving promise — at most 2 heap allocations per request on
-	// the steady-state hit path.
-	if matches("serve/mixed") {
-		sr, err := ServeSweep(ctx, cfg)
-		if err != nil {
-			return report, fmt.Errorf("perf serve: %w", err)
-		}
-		report.Records = append(report.Records, PerfRecord{
-			Name:            "serve/mixed",
-			Procs:           sr.MaxInFlight,
-			NsPerOp:         sr.NsPerRequest,
-			AllocsPerOp:     sr.AllocsPerRequest,
-			Iterations:      int(sr.MeanIterations),
-			SpeedupVsSerial: 1,
-			RequestsPerSec:  sr.RequestsPerSec,
-			ShapeHitRate:    sr.HitRate,
-		})
-	}
-
 	// HTTP front-end records: the same serving layer behind the network
 	// transport, one record per shard count. NsPerOp here is mean wall per
 	// request end to end (TCP + JSON codec + routing + solve); the latency
@@ -495,7 +408,7 @@ func PerfSuite(ctx context.Context, cfg Config) (PerfReport, error) {
 		for _, r := range hl {
 			report.Records = append(report.Records, PerfRecord{
 				Name:             "serve/http",
-				Procs:            r.Conns,
+				Procs:            1,
 				Shards:           r.Shards,
 				NsPerOp:          r.Wall.Nanoseconds() / int64(r.Requests),
 				SpeedupVsSerial:  1,
