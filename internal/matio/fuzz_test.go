@@ -2,25 +2,23 @@ package matio
 
 import (
 	"bytes"
+	"encoding/json"
+	"errors"
+	"fmt"
+	"io"
 	"math"
 	"testing"
+	"testing/iotest"
 
 	"sea/internal/core"
 	"sea/internal/problems"
 )
 
-// FuzzReadProblem hardens the JSON problem reader — the parser every
-// network-facing surface (the HTTP transport's request path, seasolve's
-// file input) funnels untrusted bytes through. Properties enforced:
-//
-//  1. ReadProblemJSON never panics, whatever the bytes.
-//  2. A problem that reads successfully re-encodes, and the encoding is a
-//     fixed point: read → write → read → write yields identical bytes
-//     (no drift from defaulting, no loss from omitted fields).
-//  3. Re-reading our own encoding never fails: everything WriteProblemJSON
-//     emits is accepted back.
-func FuzzReadProblem(f *testing.F) {
-	// Seed with real encodings from each example family the repo ships,
+// problemSeeds is the shared seed corpus of the problem-reader fuzz targets.
+func problemSeeds(tb testing.TB) [][]byte {
+	tb.Helper()
+	var seeds [][]byte
+	// Real encodings from each example family the repo ships,
 	// covering the default-γ path (Gamma omitted) and the explicit one.
 	for _, p := range []*core.DiagonalProblem{
 		problems.Table1(8, 1),
@@ -33,9 +31,9 @@ func FuzzReadProblem(f *testing.F) {
 	} {
 		var buf bytes.Buffer
 		if err := WriteProblemJSON(&buf, p); err != nil {
-			f.Fatal(err)
+			tb.Fatal(err)
 		}
-		f.Add(buf.Bytes())
+		seeds = append(seeds, buf.Bytes())
 	}
 
 	// Hand-written seeds: the non-fixed kinds, defaulted fields, and the
@@ -93,7 +91,24 @@ func FuzzReadProblem(f *testing.F) {
 		`{"kind":"fixed","m":1,"n":1,"x0":[1],"s0":[1],"d0":[1],"objective":"huber"}`,
 		`{"kind":"fixed","storage":"csr","m":2,"n":2,"rows":[0,1],"cols":[0,1],"x0":[1,2],"s0":[1,2],"d0":[1,2],"objective":"entropy"}`,
 	} {
-		f.Add([]byte(s))
+		seeds = append(seeds, []byte(s))
+	}
+	return seeds
+}
+
+// FuzzReadProblem hardens the JSON problem reader — the parser every
+// network-facing surface (the HTTP transport's request path, seasolve's
+// file input) funnels untrusted bytes through. Properties enforced:
+//
+//  1. ReadProblemJSON never panics, whatever the bytes.
+//  2. A problem that reads successfully re-encodes, and the encoding is a
+//     fixed point: read → write → read → write yields identical bytes
+//     (no drift from defaulting, no loss from omitted fields).
+//  3. Re-reading our own encoding never fails: everything WriteProblemJSON
+//     emits is accepted back.
+func FuzzReadProblem(f *testing.F) {
+	for _, seed := range problemSeeds(f) {
+		f.Add(seed)
 	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -129,4 +144,138 @@ func FuzzReadProblem(f *testing.F) {
 			t.Fatalf("encoding is not a fixed point:\nfirst:\n%s\nsecond:\n%s", w1.Bytes(), w2.Bytes())
 		}
 	})
+}
+
+// FuzzDecodeProblem is the differential check of DecodeProblem's
+// schema-specialised scanner against encoding/json, which defines the
+// format. For every input both must agree on success versus failure and the
+// error text, on nil versus empty for every slice, and on the bits of every
+// float (so -0 and subnormals count). The input is also fed one byte per
+// Read, and cut in half with a read error after the cut, so the replay of a
+// failed read through the fallback is exercised too.
+func FuzzDecodeProblem(f *testing.F) {
+	for _, seed := range problemSeeds(f) {
+		f.Add(seed)
+	}
+	for _, s := range []string{
+		`X0`,
+		`{"m":1,"m":2}`,
+		`{"x0":[1],"x0":[2]}`,
+		`{"kind":"fixed","kind":"elastic"}`,
+		`{"m":1,"n":1,"x0":[1],"extra":{"a":[1,"b",null]}}`,
+		`{"M":1,"N":1,"X0":[1]}`,
+		`{"kin\u0064":"fixed"}`,
+		`{"kind":"fix\u0065d"}`,
+		`{"kind":"fixed\n"}`,
+		`{"kind":"fixé"}`,
+		"{\"kind\":\"\xff\"}",
+		`{"x0":null,"gamma":null,"m":null,"kind":null}`,
+		`{"x0":[null]}`,
+		`{"x0":[1e400]}`,
+		`{"x0":[-1e400]}`,
+		`{"x0":[1e-400,-0,0,-0.0,5e-324,2.2250738585072014e-308]}`,
+		`{"m":-0,"n":0}`,
+		`{"m":1.0}`,
+		`{"m":1e2}`,
+		`{"m":99999999999999999999}`,
+		`{"rows":[0,1.5]}`,
+		`{"x0":[01]}`,
+		`{"x0":[1.]}`,
+		`{"x0":[.5]}`,
+		`{"x0":[+1]}`,
+		`{"x0":[1e]}`,
+		`{"x0":[0x10]}`,
+		`{"x0":[Infinity,NaN]}`,
+		`{"x0":["1"]}`,
+		`{"x0":[1,]}`,
+		`{"x0":[1 2]}`,
+		`{"m":1,}`,
+		`{"m" : 1 , "n":	2 ,"x0" :[ 1 ,2 ] }`,
+		`{"x0":[],"gamma":[],"rows":[]}`,
+		"\xef\xbb\xbf{\"m\":1}",
+		` {"m":1}`,
+		`{"m":1}trailing junk`,
+		`{"m":1} {"m":2}`,
+		`{"m":1`,
+		`{"x0":[1,2`,
+		`{"kind":"fix`,
+		`{`,
+		`null`,
+		`{"m":true}`,
+		`{"objective":"<&>"}`,
+	} {
+		f.Add([]byte(s))
+	}
+
+	errBroken := errors.New("broken pipe")
+	f.Fuzz(func(t *testing.T, data []byte) {
+		diffDecode(t, "whole", data, func() io.Reader { return bytes.NewReader(data) })
+		diffDecode(t, "one byte per read", data, func() io.Reader { return iotest.OneByteReader(bytes.NewReader(data)) })
+		half := data[:len(data)/2]
+		diffDecode(t, "read error after half", half, func() io.Reader {
+			return io.MultiReader(bytes.NewReader(half), iotest.ErrReader(errBroken))
+		})
+	})
+}
+
+// diffDecode decodes the stream open returns with DecodeProblem and with a
+// plain json.Decoder, and fails t on any difference.
+func diffDecode(t *testing.T, name string, data []byte, open func() io.Reader) {
+	t.Helper()
+	var want Problem
+	werr := json.NewDecoder(open()).Decode(&want)
+	got, err := DecodeProblem(open())
+	switch {
+	case werr != nil && err == nil:
+		t.Fatalf("%s: %q: accepted, encoding/json says %v", name, data, werr)
+	case werr == nil && err != nil:
+		t.Fatalf("%s: %q: %v, encoding/json accepts", name, data, err)
+	case werr != nil:
+		if err.Error() != "matio: "+werr.Error() {
+			t.Fatalf("%s: %q: error %q, encoding/json says %q", name, data, err, werr)
+		}
+		if cause := errors.Unwrap(err); fmt.Sprintf("%T", cause) != fmt.Sprintf("%T", werr) {
+			t.Fatalf("%s: %q: wraps a %T, encoding/json returns a %T", name, data, cause, werr)
+		}
+		return
+	}
+	if d := problemDiff(got, &want); d != "" {
+		t.Fatalf("%s: %q: %s", name, data, d)
+	}
+}
+
+// problemDiff describes the first difference between a and b, comparing
+// floats by bits and slices by nil-ness too; "" when they are identical.
+func problemDiff(a, b *Problem) string {
+	if a.Kind != b.Kind || a.Objective != b.Objective || a.Storage != b.Storage || a.M != b.M || a.N != b.N {
+		return fmt.Sprintf("scalars %q/%q/%q/%d/%d, want %q/%q/%q/%d/%d",
+			a.Kind, a.Objective, a.Storage, a.M, a.N, b.Kind, b.Objective, b.Storage, b.M, b.N)
+	}
+	for k, pair := range [][2][]int{{a.Rows, b.Rows}, {a.Cols, b.Cols}} {
+		x, y := pair[0], pair[1]
+		if (x == nil) != (y == nil) || len(x) != len(y) {
+			return fmt.Sprintf("int array %d: %v (nil %t), want %v (nil %t)", k, x, x == nil, y, y == nil)
+		}
+		for i := range x {
+			if x[i] != y[i] {
+				return fmt.Sprintf("int array %d[%d]: %d, want %d", k, i, x[i], y[i])
+			}
+		}
+	}
+	floats := func(p *Problem) [][]float64 {
+		return [][]float64{p.X0, p.Gamma, p.S0, p.D0, p.Alpha, p.Beta, p.Upper, p.Lower, p.SLo, p.SHi, p.DLo, p.DHi}
+	}
+	fb := floats(b)
+	for k, x := range floats(a) {
+		y := fb[k]
+		if (x == nil) != (y == nil) || len(x) != len(y) {
+			return fmt.Sprintf("float array %d: %v (nil %t), want %v (nil %t)", k, x, x == nil, y, y == nil)
+		}
+		for i := range x {
+			if math.Float64bits(x[i]) != math.Float64bits(y[i]) {
+				return fmt.Sprintf("float array %d[%d]: %v, want %v", k, i, x[i], y[i])
+			}
+		}
+	}
+	return ""
 }

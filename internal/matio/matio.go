@@ -228,17 +228,6 @@ func ones(n int) []float64 {
 	return v
 }
 
-// DecodeProblem decodes the raw JSON container without converting it to a
-// core problem, for callers that need request attributes (the objective
-// family) alongside the problem data. Call ToCore to validate.
-func DecodeProblem(r io.Reader) (*Problem, error) {
-	var j Problem
-	if err := json.NewDecoder(r).Decode(&j); err != nil {
-		return nil, fmt.Errorf("matio: %w", err)
-	}
-	return &j, nil
-}
-
 // ReadProblemJSON decodes and validates a problem.
 func ReadProblemJSON(r io.Reader) (*core.DiagonalProblem, error) {
 	j, err := DecodeProblem(r)

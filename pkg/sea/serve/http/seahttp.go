@@ -31,7 +31,6 @@ package seahttp
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
@@ -310,13 +309,7 @@ func (h *Handler) handleSolve(w http.ResponseWriter, r *http.Request) {
 		writeError(w, err)
 		return
 	}
-	w.Header().Set("Content-Type", "application/json")
-	w.Header().Set("X-Sea-Status", sol.Status.String())
-	enc := json.NewEncoder(w)
-	if err := enc.Encode(matio.SolutionFromCore(sol)); err != nil {
-		// Too late for a status rewrite; the client sees the truncation.
-		return
-	}
+	writeSolution(w, sol)
 }
 
 // handleStats renders the backend's merged snapshot, plus the per-shard

@@ -9,7 +9,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"sea/internal/matio"
 	"sea/pkg/sea"
 	"sea/pkg/sea/serve"
 )
@@ -206,9 +205,7 @@ func (h *Handler) handleSequenceSolve(w http.ResponseWriter, r *http.Request) {
 		writeError(w, err)
 		return
 	}
-	w.Header().Set("Content-Type", "application/json")
-	w.Header().Set("X-Sea-Status", sol.Status.String())
-	_ = json.NewEncoder(w).Encode(matio.SolutionFromCore(sol))
+	writeSolution(w, sol)
 }
 
 // handleSequenceStats reports a sequence's parameters and progress.

@@ -4,10 +4,14 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"math"
 	"net/http"
+	"strconv"
+	"sync"
 	"time"
 
+	"sea/internal/matio"
 	"sea/pkg/sea"
 	"sea/pkg/sea/serve"
 )
@@ -74,10 +78,47 @@ func writeError(w http.ResponseWriter, err error) {
 	writeJSON(w, status, errorBody{Code: code, Error: err.Error()})
 }
 
+// writeJSON renders v as the response body with the given status. It
+// encodes before writing anything: a value JSON cannot carry (a NaN or ±Inf
+// in a job's solution) becomes the 500 internal envelope rather than the
+// status with an empty body.
 func writeJSON(w http.ResponseWriter, status int, v any) {
+	b, err := json.Marshal(v)
+	if err != nil {
+		status = http.StatusInternalServerError
+		b, _ = json.Marshal(errorBody{Code: "internal", Error: err.Error()}) // strings always marshal
+	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(v)
+	_, _ = w.Write(append(b, '\n')) // a failed write means the client has gone
+}
+
+// respPool recycles the solve endpoints' response buffers; one above
+// maxPooledResponse is left to the collector rather than pinned.
+var respPool = sync.Pool{New: func() any { return new([]byte) }}
+
+const maxPooledResponse = 4 << 20
+
+// writeSolution renders a solve result, encoding it in full before the
+// headers go out, so that a solution the wire cannot carry (a non-finite
+// value) is answered with the 500 internal envelope, not an empty 200.
+func writeSolution(w http.ResponseWriter, sol *sea.Solution) {
+	bp := respPool.Get().(*[]byte)
+	b, err := matio.AppendSolution((*bp)[:0], matio.SolutionFromCore(sol))
+	defer func() {
+		if cap(b) <= maxPooledResponse {
+			*bp = b
+			respPool.Put(bp)
+		}
+	}()
+	if err != nil {
+		writeError(w, fmt.Errorf("seahttp: encode solution: %w", err))
+		return
+	}
+	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("Content-Length", strconv.Itoa(len(b)))
+	w.Header().Set("X-Sea-Status", sol.Status.String())
+	_, _ = w.Write(b) // a failed write means the client has gone
 }
 
 // latencyJSON is a metrics.LatencySnapshot on the wire, in milliseconds.
