@@ -258,6 +258,25 @@ func BenchmarkAblation_KernelBisection(b *testing.B) { benchKernel(b, true) }
 
 func benchKernel(b *testing.B, bisect bool) {
 	b.Helper()
+	p := kernelProblem()
+	batch := equilibrate.NewBatch(0)
+	x := make([]float64, len(p.C))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		var err error
+		if bisect {
+			_, err = p.SolveBisection(x, 1e-10)
+		} else {
+			err = solveKernel(batch, p, x, nil)
+		}
+		if err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// kernelProblem is the 1000-variable subproblem of the kernel benchmarks.
+func kernelProblem() *equilibrate.Problem {
 	rng := rand.New(rand.NewPCG(99, 100))
 	n := 1000
 	p := &equilibrate.Problem{C: make([]float64, n), A: make([]float64, n)}
@@ -268,20 +287,17 @@ func benchKernel(b *testing.B, bisect bool) {
 		sum += p.C[j]
 	}
 	p.R = sum * 1.5
-	ws := equilibrate.NewWorkspace(n)
-	x := make([]float64, n)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		var err error
-		if bisect {
-			_, err = p.SolveBisection(x, 1e-10)
-		} else {
-			_, err = p.Solve(x, ws)
-		}
-		if err != nil {
-			b.Fatal(err)
-		}
+	return p
+}
+
+// solveKernel solves p alone in batch with warm-start state st.
+func solveKernel(batch *equilibrate.Batch, p *equilibrate.Problem, x []float64, st *equilibrate.State) error {
+	batch.Reset()
+	if err := batch.Add(p, x, st); err != nil {
+		return err
 	}
+	_, err := batch.Solve()
+	return err
 }
 
 // Kernel warm start: re-solving a subproblem whose coefficients drifted
@@ -293,34 +309,23 @@ func BenchmarkKernelWarmResolve(b *testing.B) { benchKernelResolve(b, true) }
 
 func benchKernelResolve(b *testing.B, warm bool) {
 	b.Helper()
-	rng := rand.New(rand.NewPCG(99, 100))
-	n := 1000
-	p := &equilibrate.Problem{C: make([]float64, n), A: make([]float64, n)}
-	var sum float64
-	for j := 0; j < n; j++ {
-		p.C[j] = rng.Float64() * 1000
-		p.A[j] = 0.1 + rng.Float64()
-		sum += p.C[j]
-	}
-	p.R = sum * 1.5
-	ws := equilibrate.NewWorkspace(n)
+	p := kernelProblem()
+	n := len(p.C)
+	batch := equilibrate.NewBatch(0)
 	x := make([]float64, n)
 	st := &equilibrate.State{}
-	if _, err := p.SolveState(x, ws, st); err != nil {
+	if err := solveKernel(batch, p, x, st); err != nil {
 		b.Fatal(err)
+	}
+	if !warm {
+		st = nil
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		// Small deterministic drift, as between dual-ascent iterations.
 		p.C[i%n] += 1e-3
-		var err error
-		if warm {
-			_, err = p.SolveState(x, ws, st)
-		} else {
-			_, err = p.SolveState(x, ws, nil)
-		}
-		if err != nil {
+		if err := solveKernel(batch, p, x, st); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -2,11 +2,14 @@ package baseline
 
 import (
 	"context"
+	"errors"
 	"math"
 	"math/rand/v2"
+	"strings"
 	"testing"
 
 	"sea/internal/core"
+	"sea/internal/equilibrate"
 	"sea/internal/mat"
 	"sea/internal/metrics"
 )
@@ -173,6 +176,70 @@ func TestRCMatchesSEAGeneral(t *testing.T) {
 		}
 		if c.Snapshot().OuterIterations == 0 {
 			t.Error("RC counters not populated")
+		}
+	}
+}
+
+// TestRCDeterministicAcrossProcs: RC's solution, multipliers and iteration
+// counts are bit-identical at every worker count, with and without upper
+// bounds — warm-start states are kept per row and column, never per chunk.
+func TestRCDeterministicAcrossProcs(t *testing.T) {
+	for _, bounded := range []bool{false, true} {
+		rng := rand.New(rand.NewPCG(65, 66))
+		p := randGeneralFixed(rng, 9, 12)
+		if bounded {
+			p.Upper = make([]float64, len(p.X0))
+			for k, v := range p.X0 {
+				p.Upper[k] = 1.5 * v * (1 + rng.Float64())
+				if rng.IntN(4) == 0 {
+					p.Upper[k] = math.Inf(1)
+				}
+			}
+		}
+		var ref *core.Solution
+		for _, procs := range []int{1, 2, 7, 16} {
+			o := generalOpts()
+			o.Procs = procs
+			sol, err := SolveRC(context.Background(), p, o)
+			if err != nil {
+				t.Fatalf("bounded=%v procs=%d: %v", bounded, procs, err)
+			}
+			if ref == nil {
+				ref = sol
+				continue
+			}
+			if sol.Iterations != ref.Iterations || sol.InnerIterations != ref.InnerIterations {
+				t.Fatalf("bounded=%v procs=%d: iterations %d/%d, want %d/%d", bounded, procs,
+					sol.Iterations, sol.InnerIterations, ref.Iterations, ref.InnerIterations)
+			}
+			for name, pair := range map[string][2][]float64{
+				"X": {sol.X, ref.X}, "lambda": {sol.Lambda, ref.Lambda}, "mu": {sol.Mu, ref.Mu},
+			} {
+				for k := range pair[1] {
+					if math.Float64bits(pair[0][k]) != math.Float64bits(pair[1][k]) {
+						t.Fatalf("bounded=%v procs=%d: %s[%d] = %v, want %v (must be bit-identical)",
+							bounded, procs, name, k, pair[0][k], pair[1][k])
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestRCErrorNamesFirstRow: when every row subproblem fails, the reported
+// error names row 0 at every worker count — failing chunks record their
+// errors in their own slots, and the lowest chunk's is taken.
+func TestRCErrorNamesFirstRow(t *testing.T) {
+	rng := rand.New(rand.NewPCG(67, 68))
+	p := randGeneralFixed(rng, 8, 8)
+	p.Upper = make([]float64, 64)
+	mat.Fill(p.Upper, 1e-3)
+	for _, procs := range []int{1, 2, 7} {
+		o := generalOpts()
+		o.Procs = procs
+		_, err := SolveRC(context.Background(), p, o)
+		if !errors.Is(err, equilibrate.ErrInfeasible) || !strings.Contains(err.Error(), "row 0:") {
+			t.Errorf("procs=%d: err = %v, want an infeasible row 0", procs, err)
 		}
 	}
 }

@@ -46,15 +46,15 @@ func SolveDykstra(ctx context.Context, p *core.DiagonalProblem, opts *core.Optio
 	qcorr := make([]float64, mn) // Dykstra correction for the column polytope
 	tmp := make([]float64, mn)
 
-	maxDim := m
-	if n > maxDim {
-		maxDim = n
+	// One batch solves each projection. The column projection solves into
+	// the column-major xT against the column-major upperT.
+	b := equilibrate.NewBatch(0)
+	xT := make([]float64, mn)
+	var upperT []float64
+	if p.Upper != nil {
+		upperT = make([]float64, mn)
+		mat.Transpose(upperT, p.Upper, m, n)
 	}
-	ws := equilibrate.NewWorkspace(maxDim)
-	ccol := make([]float64, m)
-	acol := make([]float64, m)
-	ucol := make([]float64, m)
-	xcol := make([]float64, m)
 
 	obs := o.Trace
 	sol := &core.Solution{}
@@ -74,21 +74,25 @@ func SolveDykstra(ctx context.Context, p *core.DiagonalProblem, opts *core.Optio
 		for k := 0; k < mn; k++ {
 			tmp[k] = x[k] + pcorr[k]
 		}
+		b.Reset()
 		for i := 0; i < m; i++ {
-			c := tmp[i*n : (i+1)*n]
-			_, a := ws.Scratch(n)
+			a := b.Coef(n)
 			for j := 0; j < n; j++ {
 				a[j] = 0.5 / p.Gamma[i*n+j]
 			}
-			prob := equilibrate.Problem{C: c, A: a, R: p.S0[i]}
+			prob := equilibrate.Problem{C: tmp[i*n : (i+1)*n], A: a, R: p.S0[i]}
 			if p.Upper != nil {
 				prob.U = p.Upper[i*n : (i+1)*n]
 			}
-			res, err := prob.Solve(y[i*n:(i+1)*n], ws)
-			if err != nil {
+			if err := b.Add(&prob, y[i*n:(i+1)*n], nil); err != nil {
 				return nil, fmt.Errorf("baseline: Dykstra row %d: %w", i, err)
 			}
-			ops += res.Ops
+		}
+		if i, err := b.Solve(); err != nil {
+			return nil, fmt.Errorf("baseline: Dykstra row %d: %w", i, err)
+		}
+		for i := 0; i < m; i++ {
+			ops += b.Result(i).Ops
 		}
 		for k := 0; k < mn; k++ {
 			pcorr[k] = tmp[k] - y[k]
@@ -102,27 +106,28 @@ func SolveDykstra(ctx context.Context, p *core.DiagonalProblem, opts *core.Optio
 		for k := 0; k < mn; k++ {
 			tmp[k] = y[k] + qcorr[k]
 		}
+		b.Reset()
 		for j := 0; j < n; j++ {
+			c, a := b.Coef(m), b.Coef(m)
 			for i := 0; i < m; i++ {
 				k := i*n + j
-				ccol[i] = tmp[k]
-				acol[i] = 0.5 / p.Gamma[k]
-				if p.Upper != nil {
-					ucol[i] = p.Upper[k]
-				}
+				c[i] = tmp[k]
+				a[i] = 0.5 / p.Gamma[k]
 			}
-			prob := equilibrate.Problem{C: ccol, A: acol, R: p.D0[j]}
-			if p.Upper != nil {
-				prob.U = ucol
+			prob := equilibrate.Problem{C: c, A: a, R: p.D0[j]}
+			if upperT != nil {
+				prob.U = upperT[j*m : (j+1)*m]
 			}
-			res, err := prob.Solve(xcol, ws)
-			if err != nil {
+			if err := b.Add(&prob, xT[j*m:(j+1)*m], nil); err != nil {
 				return nil, fmt.Errorf("baseline: Dykstra column %d: %w", j, err)
 			}
-			for i := 0; i < m; i++ {
-				x[i*n+j] = xcol[i]
-			}
-			ops += res.Ops
+		}
+		if j, err := b.Solve(); err != nil {
+			return nil, fmt.Errorf("baseline: Dykstra column %d: %w", j, err)
+		}
+		mat.Transpose(x, xT, n, m)
+		for j := 0; j < n; j++ {
+			ops += b.Result(j).Ops
 		}
 		for k := 0; k < mn; k++ {
 			qcorr[k] = tmp[k] - x[k]

@@ -84,15 +84,19 @@ func SolveRC(ctx context.Context, p *core.GeneralProblem, opts *core.Options) (*
 	if procs > maxDim {
 		procs = maxDim
 	}
-	st.workspaces = make([]*equilibrate.Workspace, procs)
-	st.colBufs = make([][]float64, procs)
+	st.batches = make([]*equilibrate.Batch, procs)
+	for c := range st.batches {
+		st.batches[c] = equilibrate.NewBatch(0)
+	}
+	st.errs = make([]error, procs)
 	st.tallies = make([]tally, procs)
 	if trace.WantsCosts(o.Trace) {
 		st.matvec = matvecCosts(mn)
 	}
-	for c := range st.workspaces {
-		st.workspaces[c] = equilibrate.NewWorkspace(maxDim)
-		st.colBufs[c] = make([]float64, 2*m)
+	st.xT = make([]float64, mn)
+	if p.Upper != nil {
+		st.upperT = make([]float64, mn)
+		mat.Transpose(st.upperT, p.Upper, m, n)
 	}
 	// Per-subproblem warm-start states, indexed by row/column — never by
 	// chunk — so the kernel's bit-exact warm sorts keep RC's results
@@ -168,12 +172,16 @@ type rcState struct {
 
 	x, z, xdev, gx, xPrev []float64
 
-	runner     parallel.Runner
-	workspaces []*equilibrate.Workspace
-	colBufs    [][]float64
-	rowStates  []equilibrate.State // warm-start state per row
-	colStates  []equilibrate.State // warm-start state per column
-	errs       error
+	runner    parallel.Runner
+	batches   []*equilibrate.Batch // one per worker chunk
+	rowStates []equilibrate.State  // warm-start state per row
+	colStates []equilibrate.State  // warm-start state per column
+	errs      []error              // first kernel error per worker chunk
+
+	// The column stage solves into the column-major xT (n×m) against the
+	// column-major upperT (nil without upper bounds), then scatters each
+	// chunk's columns back into x.
+	xT, upperT []float64
 
 	// Per-solve instrumentation: each worker chunk tallies its
 	// equilibrations in tallies[chunk], folded after every phase into ev,
@@ -233,9 +241,10 @@ func (st *rcState) stage(rowStage bool, lambda, mu []float64) (int, error) {
 
 		if rowStage {
 			st.runner.ForChunks(m, func(chunk, lo, hi int) {
-				ws := st.workspaces[chunk]
+				b := st.batches[chunk]
+				b.Reset()
 				for i := lo; i < hi; i++ {
-					c, a := ws.Scratch(n)
+					c, a := b.Coef(n), b.Coef(n)
 					for j := 0; j < n; j++ {
 						k := i*n + j
 						aj := 0.5 / st.gammaT[k]
@@ -246,25 +255,27 @@ func (st *rcState) stage(rowStage bool, lambda, mu []float64) (int, error) {
 					if p.Upper != nil {
 						prob.U = p.Upper[i*n : (i+1)*n]
 					}
-					res, err := prob.SolveState(st.x[i*n:(i+1)*n], ws, &st.rowStates[i])
-					if err != nil {
-						if st.errs == nil {
-							st.errs = fmt.Errorf("row %d: %w", i, err)
-						}
+					if err := b.Add(&prob, st.x[i*n:(i+1)*n], &st.rowStates[i]); err != nil {
+						st.fail(chunk, "row", i, err)
 						return
 					}
+				}
+				if bad, err := b.Solve(); err != nil {
+					st.fail(chunk, "row", lo+bad, err)
+					return
+				}
+				for i := lo; i < hi; i++ {
+					res := b.Result(i - lo)
 					lambda[i] = res.Lambda
 					st.record(chunk, tasks, i, res.Ops+int64(2*n))
 				}
 			})
 		} else {
 			st.runner.ForChunks(n, func(chunk, lo, hi int) {
-				ws := st.workspaces[chunk]
-				buf := st.colBufs[chunk]
-				c, a := buf[:m], buf[m:2*m]
-				xcol := make([]float64, m)
-				ucol := make([]float64, m)
+				b := st.batches[chunk]
+				b.Reset()
 				for j := lo; j < hi; j++ {
+					c, a := b.Coef(m), b.Coef(m)
 					for i := 0; i < m; i++ {
 						k := i*n + j
 						ai := 0.5 / st.gammaT[k]
@@ -272,22 +283,23 @@ func (st *rcState) stage(rowStage bool, lambda, mu []float64) (int, error) {
 						c[i] = st.z[k] + ai*lambda[i]
 					}
 					prob := equilibrate.Problem{C: c, A: a, R: p.D0[j]}
-					if p.Upper != nil {
-						for i := 0; i < m; i++ {
-							ucol[i] = p.Upper[i*n+j]
-						}
-						prob.U = ucol
+					if st.upperT != nil {
+						prob.U = st.upperT[j*m : (j+1)*m]
 					}
-					res, err := prob.SolveState(xcol, ws, &st.colStates[j])
-					if err != nil {
-						if st.errs == nil {
-							st.errs = fmt.Errorf("column %d: %w", j, err)
-						}
+					if err := b.Add(&prob, st.xT[j*m:(j+1)*m], &st.colStates[j]); err != nil {
+						st.fail(chunk, "column", j, err)
 						return
 					}
-					for i := 0; i < m; i++ {
-						st.x[i*n+j] = xcol[i]
+				}
+				if bad, err := b.Solve(); err != nil {
+					st.fail(chunk, "column", lo+bad, err)
+					return
+				}
+				for j := lo; j < hi; j++ {
+					for i, v := range st.xT[j*m : (j+1)*m] {
+						st.x[i*n+j] = v
 					}
+					res := b.Result(j - lo)
 					mu[j] = res.Lambda
 					st.record(chunk, tasks, j, res.Ops+int64(2*m))
 				}
@@ -298,9 +310,7 @@ func (st *rcState) stage(rowStage bool, lambda, mu []float64) (int, error) {
 			st.ev.Ops += t.ops
 			st.tallies[c] = tally{}
 		}
-		if st.errs != nil {
-			err := st.errs
-			st.errs = nil
+		if err := st.takeErr(); err != nil {
 			return proj, err
 		}
 
@@ -370,6 +380,27 @@ func matvecCosts(mn int) []int64 {
 		costs[k] = int64(mn)
 	}
 	return costs
+}
+
+// fail records a worker chunk's first kernel error, attributed to
+// subproblem k of the named side. Each chunk owns its slot, so failing
+// chunks never race.
+func (st *rcState) fail(chunk int, side string, k int, err error) {
+	if st.errs[chunk] == nil {
+		st.errs[chunk] = fmt.Errorf("%s %d: %w", side, k, err)
+	}
+}
+
+// takeErr returns the error of the lowest failing chunk, so the reported
+// error does not depend on the scheduler, and clears every slot.
+func (st *rcState) takeErr() error {
+	for _, err := range st.errs {
+		if err != nil {
+			clear(st.errs)
+			return err
+		}
+	}
+	return nil
 }
 
 // record tallies one equilibration task of the given worker chunk and, when

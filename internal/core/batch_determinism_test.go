@@ -40,8 +40,8 @@ func tracedSolve(t *testing.T, p *DiagonalProblem, o *Options) (*Solution, metri
 // everything-in-one-batch — the phases produce the same solution, bit for
 // bit, and the same per-task cost trace and kernel counters, as the budget-1
 // reference that batches one subproblem at a time. (The equilibrate package
-// proves a one-subproblem batch bit-identical to the solo kernel, which thus
-// stays the oracle one layer down.) The cost trace is the parsim speedup
+// proves every batch sort route bit-identical to plain insertion, one
+// subproblem at a time, which thus stays the oracle one layer down.) The cost trace is the parsim speedup
 // model's input, so it must not depend on how the work was partitioned
 // either. Covered on the dense bounded problem and on a bounded CSR family.
 func TestBatchedMatchesUnbatchedAcrossProcs(t *testing.T) {

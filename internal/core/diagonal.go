@@ -725,9 +725,9 @@ func batchEnd(lo, hi, perEntry, target int, ptr []int) int {
 // phaseChunk is the phase body for one worker's subproblem range [lo,hi) of
 // either side: it walks the range in event-budget batches, accumulating each
 // subproblem into the worker's Batch and solving the group with the fused
-// sort. The batch kernel is bit-exact with the solo kernel, so per-subproblem
-// outputs, tallies, task costs, and warm-start states do not depend on the
-// batch boundaries. Structural zeros of CSR storage never enter a subproblem, and
+// sort. A subproblem's result does not depend on the batch it sits in, so
+// per-subproblem outputs, tallies, task costs, and warm-start states do not
+// depend on the batch boundaries. Structural zeros of CSR storage never enter a subproblem, and
 // the kernel skips pinned (u = l) cells, so a densified copy of a CSR problem
 // walks a bit-identical event stream.
 func (st *diagState) phaseChunk(sd *side, chunk, lo, hi int) {

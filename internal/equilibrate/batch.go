@@ -15,30 +15,32 @@ import (
 //
 //  1. warm replays: segments whose State carries a valid permutation gather
 //     their keys straight into their slot of the canonical array and repair
-//     drift with the budgeted insertion pass, exactly as the single path;
-//  2. one fused stable LSD radix over the *concatenated* keys of every cold
-//     segment (the per-segment XOR byte masks were folded during Add, so no
-//     extra pre-pass), followed by a single stable counting pass that
-//     distributes keys into their segment slots. Stability is what makes the
-//     segmentation free: after the position-byte passes, ties — including
-//     keys of different segments sharing a position — are in global build
-//     order, so distributing by segment preserves per-segment (position,
-//     build index) order, which IS the canonical order each slot needs. No
-//     per-segment fixup of any kind runs afterwards;
-//  3. a sweep and primal recovery per segment, in add order, over the exact
-//     same sweep code as the single path.
+//     drift with the budgeted insertion pass;
+//  2. cold segments sorted by size: short ones by straight insertion in
+//     their slot, long ones by their own radix, and the rest by one fused
+//     stable LSD radix over their *concatenated* keys (the per-segment XOR
+//     byte masks were folded during Add, so no extra pre-pass), followed by
+//     a single stable counting pass that distributes keys into their
+//     segment slots. Stability is what makes the segmentation free: after
+//     the position-byte passes, ties — including keys of different segments
+//     sharing a position — are in global build order, so distributing by
+//     segment preserves per-segment (position, build index) order, which IS
+//     the canonical order each slot needs. No per-segment fixup of any kind
+//     runs afterwards;
+//  3. a sweep and primal recovery per segment, in add order.
 //
 // Because the canonical sorted key array of each segment is unique (strict
-// total order) and every stage after the sort is shared code on identical
-// float values, batch results are bit-identical to per-subproblem SolveState
-// calls — batching, like warm starting, is purely a performance choice.
+// total order) and every stage after the sort runs the same code on
+// identical float values, a subproblem's result does not depend on the
+// batch it sits in, on the sort route it took, or on its warm start: it is
+// bit-identical to a cold batch holding that subproblem alone and sorted by
+// plain insertion. Batching, like warm starting, is purely a performance
+// choice.
 //
-// The one observable difference is error *attribution* under multiple
-// simultaneous failures: Add surfaces validation and feasibility errors
-// immediately, before earlier segments' sweeps have run, so when subproblem
-// 3 would fail in its sweep and subproblem 5 in its pre-check, the batch
-// reports 5 where a sequential loop reports 3. Some subproblem fails either
-// way, and callers abort the phase on the first error in both designs.
+// Add surfaces validation and feasibility errors immediately, before any
+// sweep has run, so when subproblem 3 would fail in its sweep and
+// subproblem 5 in its pre-check, the batch reports 5. Callers abort the
+// phase on the first error either way.
 //
 // A Batch must not be shared between concurrent solves; allocate one per
 // worker. Buffers grow on demand and are retained across Reset.
@@ -112,10 +114,10 @@ func (b *Batch) Len() int { return len(b.segs) }
 func (b *Batch) Result(i int) Result { return b.segs[i].res }
 
 // Coef returns a fresh n-length coefficient slice from the batch's arena,
-// valid until the next Reset — the batch analogue of Workspace.Scratch, for
-// callers that build each subproblem's linear term in place. Slices returned
-// earlier in the same batch stay valid even when the arena grows: segments
-// hold their own headers into the previous backing array.
+// valid until the next Reset, for callers that build each subproblem's
+// coefficients in place. Slices returned earlier in the same batch stay
+// valid even when the arena grows: segments hold their own headers into the
+// previous backing array.
 func (b *Batch) Coef(n int) []float64 {
 	off := len(b.coef)
 	if cap(b.coef)-off < n {
@@ -131,9 +133,9 @@ func (b *Batch) Coef(n int) []float64 {
 }
 
 // Add appends one subproblem with output block x (length len(p.C)) and
-// optional warm-start State. It mirrors SolveState's validation and
-// feasibility pre-checks, so structural errors surface here rather than at
-// Solve. p's slices and x must stay valid until Solve returns.
+// optional warm-start State. Validation and feasibility pre-checks run
+// here, so structural errors surface at Add rather than at Solve. p's
+// slices and x must stay valid until Solve returns.
 func (b *Batch) Add(p *Problem, x []float64, st *State) error {
 	if err := p.validate(x); err != nil {
 		return err
@@ -141,7 +143,8 @@ func (b *Batch) Add(p *Problem, x []float64, st *State) error {
 	return b.add(p, x, st)
 }
 
-// validate is the shared argument check of SolveState and Batch.Add.
+// validate is the shared argument check of Batch.Add, Batch.AddInterval
+// and SolveBisection.
 func (p *Problem) validate(x []float64) error {
 	n := len(p.C)
 	if len(p.A) != n || (p.U != nil && len(p.U) != n) || (p.L != nil && len(p.L) != n) || len(x) != n {
@@ -207,12 +210,20 @@ func (b *Batch) add(p *Problem, x []float64, st *State) error {
 	return nil
 }
 
-// AddInterval appends one interval-total subproblem lo ≤ Σx ≤ hi — the
-// batched form of SolveIntervalState. The free solution at λ = 0 is computed
-// immediately; only a binding side contributes a segment to the batch.
+// AddInterval appends one interval-total subproblem lo ≤ Σx ≤ hi instead
+// of an equality — the Harrigan–Buchanan (1984) variant for input/output
+// estimation with uncertain margins. The elastic slope must be zero.
+//
+// The multiplier follows the concave dual of the interval constraint: if
+// the unconstrained block total lies inside [lo, hi] the constraint is
+// slack and λ = 0; a total above hi is pulled down to hi (λ < 0); one below
+// lo is pushed up to lo (λ > 0). The free solution at λ = 0 is computed
+// immediately; only a binding side contributes a segment to the batch. The
+// event list does not depend on the target, so a State's cached
+// permutation stays valid as the active side flips between solves.
 func (b *Batch) AddInterval(p *Problem, lo, hi float64, x []float64, st *State) error {
 	if p.E != 0 {
-		return fmt.Errorf("equilibrate: SolveInterval requires E = 0, got %g", p.E)
+		return fmt.Errorf("equilibrate: interval total requires E = 0, got %g", p.E)
 	}
 	if !(lo <= hi) {
 		return fmt.Errorf("equilibrate: empty interval [%g, %g]", lo, hi)
@@ -242,12 +253,12 @@ func (b *Batch) AddInterval(p *Problem, lo, hi float64, x []float64, st *State) 
 }
 
 // The cold-segment routing thresholds (vars only so the route benchmarks
-// can force each path; see BenchmarkBatchRoute and docs/PERFORMANCE.md):
+// and the tests' plain-insertion reference can force each path; see
+// BenchmarkBatchRoute and docs/PERFORMANCE.md):
 //
 //   - batchInsertionMax: at or below this event count a segment sorts by
-//     straight insertion in its slot. Lower than the single path's
-//     sortx.InsertionThreshold because the batch amortizes radix fixed
-//     costs across segments, moving the insertion/radix crossover down.
+//     straight insertion in its slot. The fused radix amortizes its fixed
+//     costs across segments, which keeps this crossover low.
 //   - segRadixMin: from this event count a cold segment runs its own radix
 //     over the shared ping-pong buffers — its per-segment byte mask is
 //     tighter than any union and it skips the distribution pass, which
@@ -263,15 +274,16 @@ var (
 // Solve sorts and sweeps every pending segment. On success it returns
 // (-1, nil) and every Result is readable; on failure it returns the add-order
 // index of the failing subproblem with the error (earlier segments' States
-// may already be refreshed, exactly as a sequential loop would have left
-// them before aborting).
+// may already be refreshed).
 func (b *Batch) Solve() (int, error) {
 	total := len(b.events)
 	b.sorted = growKeys(b.sorted, total)
 	keys := b.keys
 
 	// Stage 1: warm replays into each segment's slot of the canonical
-	// array, with the single path's counter and cooldown bookkeeping.
+	// array, with the states' counter and cooldown bookkeeping. A replay
+	// that outruns the budget discards the gather, sorts cold from the
+	// pristine build order, and backs off before trying again.
 	warm := 0
 	cold := total
 	for i := range b.segs {
@@ -304,7 +316,7 @@ func (b *Batch) Solve() (int, error) {
 
 	// Stage 2: sort the cold segments, each by the cheapest correct route.
 	// Segments at or below the insertion threshold use per-slot straight
-	// insertion (exactly the single path's choice); segments of at least
+	// insertion; segments of at least
 	// segRadixMin events run their own radix over the shared ping-pong
 	// buffers — their per-segment byte masks are tighter than any union and
 	// they skip the distribution pass entirely; the small-but-not-tiny
@@ -377,8 +389,10 @@ func (b *Batch) Solve() (int, error) {
 		}
 	}
 
-	// Stage 3: save states, sweep, and recover each block, in add order —
-	// shared code with the single path from here on.
+	// Stage 3: save states, sweep, and recover each block, in add order.
+	// The charge follows the paper's cost model — linear build, n·log₂n
+	// sort, sweep — whatever the sort actually cost, so reported operation
+	// counts stay comparable.
 	for i := range b.segs {
 		seg := &b.segs[i]
 		if seg.done {

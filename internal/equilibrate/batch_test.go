@@ -6,14 +6,14 @@ import (
 	"testing"
 )
 
-// batchSlot is one subproblem tracked through the batched-vs-single property
-// test: the instance, its interval (when applicable), and one warm-start
+// batchSlot is one subproblem tracked through the batched-vs-reference
+// property test: the instance, its interval (when applicable), and one
 // State plus output block per path.
 type batchSlot struct {
 	c      warmCase
 	p      *Problem
 	lo, hi float64
-	stS    State // single path
+	stS    State // reference path, Reset before every solve
 	stB    State // batched path
 	xS     []float64
 	xB     []float64
@@ -21,8 +21,8 @@ type batchSlot struct {
 }
 
 // batchSlots builds the adversarial mix: empty subproblems, single-
-// breakpoint rows, all-ties keys, sizes on both sides of the insertion/radix
-// threshold, every bound pattern, and interval totals — all in one batch.
+// breakpoint rows, all-ties keys, sizes on every cold sort route, every
+// bound pattern, and interval totals — all in one batch.
 func batchSlots(rng *rand.Rand) []*batchSlot {
 	cases := []struct {
 		c    warmCase
@@ -65,6 +65,14 @@ func batchSlots(rng *rand.Rand) []*batchSlot {
 	return slots
 }
 
+// add is the slot's add step, with output block x and state st.
+func (s *batchSlot) add(x []float64, st *State) func(*Batch) error {
+	if s.c.interval {
+		return interval(s.p, s.lo, s.hi, x, st)
+	}
+	return fixed(s.p, x, st)
+}
+
 // perturb drifts a slot's instance the way SEA's outer iterations do —
 // usually small dual drift, occasionally a violent shake — identically for
 // both solve paths.
@@ -93,38 +101,34 @@ func (s *batchSlot) perturb(rng *rand.Rand) {
 }
 
 // TestBatchBitIdenticalToSingle is the batched kernel's contract: over
-// random sequences of perturbed adversarial subproblems — solved one-by-one
-// through SolveState/SolveIntervalState on one side and through a Batch on
-// the other, with independent warm-start States on each side — every result,
-// primal block, op count, and warm-start counter is bit-identical, for batch
-// group sizes of 1 (degenerate), a few, and all-at-once (> number of
-// subproblems never splits).
+// random sequences of perturbed adversarial subproblems — solved one at a
+// time, cold, by plain insertion on one side, and through a warm-started
+// Batch on the other — every result, primal block, op count, and root
+// segment is bit-identical, for batch group sizes of 1 (degenerate), a few,
+// and all-at-once (> number of subproblems never splits). Every batched
+// solve that sorts counts exactly one fast or full sort.
 func TestBatchBitIdenticalToSingle(t *testing.T) {
 	for _, group := range []int{1, 4, 1 << 20} {
 		t.Run(groupName(group), func(t *testing.T) {
 			rng := rand.New(rand.NewPCG(97, uint64(group)))
 			slots := batchSlots(rng)
-			ws := NewWorkspace(300)
 			b := NewBatch(0)
 			const steps = 30
 			for step := 0; step < steps; step++ {
 				for _, s := range slots {
 					s.perturb(rng)
 				}
-				// Single path.
+				// Reference path.
 				type single struct {
 					res Result
 					err error
 				}
 				want := make([]single, len(slots))
 				for i, s := range slots {
-					if s.c.interval {
-						want[i].res, want[i].err = s.p.SolveIntervalState(s.lo, s.hi, s.xS, ws, &s.stS)
-					} else {
-						want[i].res, want[i].err = s.p.SolveState(s.xS, ws, &s.stS)
-					}
+					s.stS.Reset()
+					want[i].res, want[i].err = solveInsertion(s.add(s.xS, &s.stS))
 					if want[i].err != nil {
-						t.Fatalf("step %d slot %s: single path error %v", step, s.c.name, want[i].err)
+						t.Fatalf("step %d slot %s: reference error %v", step, s.c.name, want[i].err)
 					}
 				}
 				// Batched path, in groups.
@@ -135,13 +139,7 @@ func TestBatchBitIdenticalToSingle(t *testing.T) {
 					}
 					b.Reset()
 					for _, s := range slots[lo:hi] {
-						var err error
-						if s.c.interval {
-							err = b.AddInterval(s.p, s.lo, s.hi, s.xB, &s.stB)
-						} else {
-							err = b.Add(s.p, s.xB, &s.stB)
-						}
-						if err != nil {
+						if err := s.add(s.xB, &s.stB)(b); err != nil {
 							t.Fatalf("step %d slot %s: Add error %v", step, s.c.name, err)
 						}
 					}
@@ -151,7 +149,7 @@ func TestBatchBitIdenticalToSingle(t *testing.T) {
 					for k, s := range slots[lo:hi] {
 						got, w := b.Result(k), want[lo+k]
 						if got.Lambda != w.res.Lambda || got.Total != w.res.Total || got.Ops != w.res.Ops {
-							t.Fatalf("step %d slot %s: batch %+v, single %+v (must be bit-identical)",
+							t.Fatalf("step %d slot %s: batch %+v, reference %+v (must be bit-identical)",
 								step, s.c.name, got, w.res)
 						}
 					}
@@ -159,15 +157,15 @@ func TestBatchBitIdenticalToSingle(t *testing.T) {
 				for _, s := range slots {
 					for j := range s.xS {
 						if s.xS[j] != s.xB[j] {
-							t.Fatalf("step %d slot %s: x[%d] single=%v batch=%v", step, s.c.name, j, s.xS[j], s.xB[j])
+							t.Fatalf("step %d slot %s: x[%d] reference=%v batch=%v", step, s.c.name, j, s.xS[j], s.xB[j])
 						}
 					}
-					if s.stS.FastSorts != s.stB.FastSorts || s.stS.FullSorts != s.stB.FullSorts {
-						t.Fatalf("step %d slot %s: warm counters diverged (single %d/%d, batch %d/%d)",
-							step, s.c.name, s.stS.FastSorts, s.stS.FullSorts, s.stB.FastSorts, s.stB.FullSorts)
+					if s.stS.FullSorts != s.stB.FastSorts+s.stB.FullSorts {
+						t.Fatalf("step %d slot %s: %d sorted solves, but batch counted %d fast + %d full",
+							step, s.c.name, s.stS.FullSorts, s.stB.FastSorts, s.stB.FullSorts)
 					}
 					if s.stS.LastSeg != s.stB.LastSeg {
-						t.Fatalf("step %d slot %s: LastSeg single=%d batch=%d", step, s.c.name, s.stS.LastSeg, s.stB.LastSeg)
+						t.Fatalf("step %d slot %s: LastSeg reference=%d batch=%d", step, s.c.name, s.stS.LastSeg, s.stB.LastSeg)
 					}
 				}
 			}
@@ -194,11 +192,11 @@ func groupName(g int) string {
 }
 
 // TestBatchColdNoStates runs the same comparison with nil States (the cold
-// path core uses before warm onset): all segments cold, pure fused radix.
+// path core uses before warm onset): all segments cold, every sort route in
+// one batch.
 func TestBatchColdNoStates(t *testing.T) {
 	rng := rand.New(rand.NewPCG(11, 3))
 	slots := batchSlots(rng)
-	ws := NewWorkspace(300)
 	b := NewBatch(0)
 	for step := 0; step < 10; step++ {
 		for _, s := range slots {
@@ -206,13 +204,7 @@ func TestBatchColdNoStates(t *testing.T) {
 		}
 		b.Reset()
 		for _, s := range slots {
-			var err error
-			if s.c.interval {
-				err = b.AddInterval(s.p, s.lo, s.hi, s.xB, nil)
-			} else {
-				err = b.Add(s.p, s.xB, nil)
-			}
-			if err != nil {
+			if err := s.add(s.xB, nil)(b); err != nil {
 				t.Fatalf("step %d slot %s: Add error %v", step, s.c.name, err)
 			}
 		}
@@ -220,18 +212,12 @@ func TestBatchColdNoStates(t *testing.T) {
 			t.Fatalf("step %d: Solve failed at %d: %v", step, bad, err)
 		}
 		for i, s := range slots {
-			var want Result
-			var err error
-			if s.c.interval {
-				want, err = s.p.SolveIntervalState(s.lo, s.hi, s.xS, ws, nil)
-			} else {
-				want, err = s.p.SolveState(s.xS, ws, nil)
-			}
+			want, err := solveInsertion(s.add(s.xS, nil))
 			if err != nil {
-				t.Fatalf("step %d slot %s: single path error %v", step, s.c.name, err)
+				t.Fatalf("step %d slot %s: reference error %v", step, s.c.name, err)
 			}
 			if got := b.Result(i); got != want {
-				t.Fatalf("step %d slot %s: batch %+v, single %+v", step, s.c.name, got, want)
+				t.Fatalf("step %d slot %s: batch %+v, reference %+v", step, s.c.name, got, want)
 			}
 			for j := range s.xS {
 				if s.xS[j] != s.xB[j] {
@@ -247,9 +233,8 @@ func TestBatchColdNoStates(t *testing.T) {
 // of each slot comes purely from the stability of the segment-distribution
 // pass over the build order.
 func TestBatchAllTiesAcrossSegments(t *testing.T) {
-	for _, n := range []int{5, 40, 90} { // totals straddle InsertionThreshold
+	for _, n := range []int{5, 40, 90} { // insertion and fused routes
 		b := NewBatch(0)
-		ws := NewWorkspace(n)
 		xB := make([][]float64, 3)
 		for s := 0; s < 3; s++ {
 			p := &Problem{C: make([]float64, n), A: make([]float64, n), R: float64(n)}
@@ -271,13 +256,13 @@ func TestBatchAllTiesAcrossSegments(t *testing.T) {
 			p.A[j] = 1
 		}
 		x := make([]float64, n)
-		want, err := p.Solve(x, ws)
+		want, err := solveInsertion(fixed(p, x, nil))
 		if err != nil {
 			t.Fatal(err)
 		}
 		for s := 0; s < 3; s++ {
 			if got := b.Result(s); got != want {
-				t.Fatalf("n=%d seg %d: batch %+v, single %+v", n, s, got, want)
+				t.Fatalf("n=%d seg %d: batch %+v, reference %+v", n, s, got, want)
 			}
 			for j := range x {
 				if xB[s][j] != x[j] {
@@ -316,7 +301,7 @@ func TestBatchAddErrors(t *testing.T) {
 	if bad, err := b.Solve(); err != nil {
 		t.Fatalf("Solve after Reset failed at %d: %v", bad, err)
 	}
-	want, err := (&Problem{C: []float64{1, 2}, A: []float64{1, 1}, R: 2}).Solve(make([]float64, 2), nil)
+	want, err := solve(&Problem{C: []float64{1, 2}, A: []float64{1, 1}, R: 2}, make([]float64, 2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -375,7 +360,7 @@ func TestPresizeStatesSpans(t *testing.T) {
 	p := buildProblem(rng, warmCase{n: 32})
 	x := make([]float64, 32)
 	slab := sts[0].perm[:1]
-	if _, err := p.SolveState(x, nil, &sts[0]); err != nil {
+	if _, err := solveOne(NewBatch(0), fixed(p, x, &sts[0])); err != nil {
 		t.Fatal(err)
 	}
 	if sts[0].nev != 32 || &sts[0].perm[0] != &slab[0] {
@@ -389,7 +374,7 @@ func TestPresizeStatesSpans(t *testing.T) {
 			t.Fatalf("uniform state %d: perm cap %d, want 16", i, cap(uniform[i].perm))
 		}
 	}
-	if _, err := p.SolveState(x, nil, &uniform[0]); err != nil {
+	if _, err := solveOne(NewBatch(0), fixed(p, x, &uniform[0])); err != nil {
 		t.Fatal(err)
 	}
 	if uniform[0].nev != 32 {

@@ -33,6 +33,10 @@
 // index — is a strict total order, so the sorted key array is unique
 // whichever sort produced it, and warm-started solves are bit-identical to
 // cold ones.
+//
+// Batch is the one entry into the kernel: callers add any number of
+// subproblems and solve them together. SolveBisection and Phi evaluate the
+// same subproblem independently, as references for tests and ablations.
 package equilibrate
 
 import (
@@ -62,28 +66,6 @@ type event struct {
 	pos float64
 	da  float64
 	dc  float64
-}
-
-// canonicalKeys sorts the build-order key list ws.keys[:m] into the
-// canonical (position, build index) order and returns the sorted slice
-// (which may alias ws.keys or ws.keyAlt).
-//
-// Short arrays use straight insertion under the full (Bits, Idx) order —
-// the paper's choice below the threshold, still unbeaten there. Long arrays
-// use a stable LSD radix sort on the position bits: stability makes ties
-// keep build order, which IS index order, so the canonical order falls out
-// with no tie repair — and tie-heavy instances (reciprocal weighting
-// γ ∝ 1/x⁰ puts every first-iteration row breakpoint within a few ulps of
-// −2) are nearly free, because byte positions that are constant across the
-// cluster are skipped entirely. The paper used HEAPSORT here; the operation-
-// count model still charges its n·log₂ n (see Result.Ops).
-func (ws *Workspace) canonicalKeys(m int) []sortx.Key {
-	keys := ws.keys[:m]
-	if m <= sortx.InsertionThreshold {
-		sortx.InsertionKeys(keys)
-		return keys
-	}
-	return sortx.RadixKeys(keys, ws.ensureKeyAlt(m))
 }
 
 // State carries warm-start information for one subproblem slot (one row or
@@ -119,95 +101,6 @@ func (st *State) Reset() { st.nev, st.cool = 0, 0 }
 
 // replayCooldown is how many solves a state sits out after a failed replay.
 const replayCooldown = 3
-
-// Workspace holds reusable scratch buffers so that per-subproblem solves do
-// not allocate. One Workspace must not be shared between concurrent solves;
-// allocate one per worker.
-//
-// The workspace bounds its retained capacity: it tracks the high-water
-// subproblem size over a sliding window of solves and shrinks its buffers
-// when the recent peak is far below the allocated capacity, so a single
-// outsized solve in a mixed-size workload does not pin the largest-ever
-// buffers forever. Callers must therefore re-acquire coefficient buffers via
-// Scratch for every subproblem instead of retaining slices across solves.
-type Workspace struct {
-	events []event
-	keys   []sortx.Key // sort keys parallel to events, in build order
-	keyAlt []sortx.Key // radix ping-pong / warm-start gather target
-	// C and A are scratch coefficient buffers for callers that build the
-	// kernel inputs in place; acquire them with Scratch.
-	C []float64
-	A []float64
-
-	peak   int // largest subproblem seen in the current window
-	solves int // solves since the window opened
-}
-
-// NewWorkspace returns a Workspace pre-sized for subproblems of up to n
-// variables. It grows on demand if larger subproblems appear.
-func NewWorkspace(n int) *Workspace {
-	return &Workspace{
-		events: make([]event, 0, 2*n),
-		keys:   make([]sortx.Key, 0, 2*n),
-		C:      make([]float64, n),
-		A:      make([]float64, n),
-	}
-}
-
-// grow ensures the coefficient buffers can hold n entries.
-func (ws *Workspace) grow(n int) {
-	if cap(ws.C) < n {
-		ws.C = make([]float64, n)
-		ws.A = make([]float64, n)
-	}
-	ws.C = ws.C[:n]
-	ws.A = ws.A[:n]
-}
-
-// Scratch returns the C and A coefficient buffers resized to n, growing them
-// on demand. Acquire fresh slices for every subproblem — the workspace may
-// shrink its buffers between solves, so retained slices can go stale.
-func (ws *Workspace) Scratch(n int) (c, a []float64) {
-	ws.grow(n)
-	return ws.C, ws.A
-}
-
-// ensureKeyAlt returns the secondary key buffer with length m.
-func (ws *Workspace) ensureKeyAlt(m int) []sortx.Key {
-	if cap(ws.keyAlt) < m {
-		ws.keyAlt = make([]sortx.Key, m)
-	}
-	return ws.keyAlt[:m]
-}
-
-// Retained-capacity policy: every shrinkWindow solves, if the window's peak
-// subproblem used at most a quarter of the allocated coefficient capacity
-// (and that capacity is worth reclaiming), the buffers are reallocated to
-// the recent peak.
-const (
-	shrinkWindow = 64
-	shrinkMin    = 256
-)
-
-// note records a completed solve of size n and applies the shrink policy at
-// window boundaries. Reallocation is safe mid-stream because callers hold
-// their own aliases of the old arrays for the duration of one solve only.
-func (ws *Workspace) note(n int) {
-	if n > ws.peak {
-		ws.peak = n
-	}
-	if ws.solves++; ws.solves < shrinkWindow {
-		return
-	}
-	if c := cap(ws.C); c > shrinkMin && ws.peak*4 <= c {
-		ws.C = make([]float64, ws.peak)
-		ws.A = make([]float64, ws.peak)
-		ws.events = make([]event, 0, 2*ws.peak)
-		ws.keys = make([]sortx.Key, 0, 2*ws.peak)
-		ws.keyAlt = nil
-	}
-	ws.peak, ws.solves = 0, 0
-}
 
 // Problem is one exact-equilibration instance in kernel form. See the
 // package comment for the mapping from SEA subproblems.
@@ -259,39 +152,6 @@ type Result struct {
 	Ops int64
 }
 
-// Solve computes the multiplier and writes the optimal block into x, which
-// must have length len(p.C). It returns ErrInfeasible when no feasible point
-// exists. ws may be nil, in which case a temporary workspace is allocated.
-func (p *Problem) Solve(x []float64, ws *Workspace) (Result, error) {
-	return p.SolveState(x, ws, nil)
-}
-
-// SolveState is Solve with an optional warm-start State. A non-nil st caches
-// the sorted breakpoint permutation across calls; re-solves of the same slot
-// with drifted coefficients then repair the order in near-linear time. The
-// result is bit-identical to a cold Solve — the (pos, idx) total order makes
-// the sorted event array unique — so warm starting is purely a performance
-// choice.
-func (p *Problem) SolveState(x []float64, ws *Workspace, st *State) (Result, error) {
-	n := len(p.C)
-	if err := p.validate(x); err != nil {
-		return Result{}, err
-	}
-	if ws == nil {
-		ws = NewWorkspace(n)
-	}
-
-	lambda, ops, err := p.findRoot(ws, st)
-	if err != nil {
-		return Result{}, err
-	}
-
-	total := p.recoverPrimal(x, lambda)
-	ops += int64(2 * n)
-	ws.note(n)
-	return Result{Lambda: lambda, Total: total, Ops: ops}, nil
-}
-
 // recoverPrimal writes the optimal block at lambda into x and returns its
 // total (branch-free clamp in the classical unbounded case).
 func (p *Problem) recoverPrimal(x []float64, lambda float64) float64 {
@@ -315,68 +175,6 @@ func (p *Problem) recoverPrimal(x []float64, lambda float64) float64 {
 		}
 	}
 	return total
-}
-
-// findRoot locates λ with φ(λ) = R by the sorted-breakpoint sweep. It is a
-// composition of the stages shared with the batched kernel (Batch): the
-// feasibility pre-checks, the event build, the canonical sort (warm replay or
-// cold), and the segment sweep — so the two paths stay bit-identical by
-// construction.
-func (p *Problem) findRoot(ws *Workspace, st *State) (lambda float64, ops int64, err error) {
-	n := len(p.C)
-	if n == 0 {
-		return p.emptyRoot()
-	}
-	lb := p.sumLower()
-	if err := p.feasible(lb); err != nil {
-		return 0, int64(n), err
-	}
-
-	ev, keys, err := p.appendEvents(ws.events[:0], ws.keys[:0])
-	if err != nil {
-		return 0, 0, err
-	}
-	ws.events, ws.keys = ev, keys // keep grown capacity
-
-	// Sort the keys under the (position, build index) total order. Cold
-	// path: straight insertion for short arrays, stable radix for long ones
-	// (see canonicalKeys). Warm path: gather the keys in the previous
-	// solve's sorted order and repair the few drifted positions with the
-	// budgeted nearly-sorted pass. Both paths produce the unique sorted key
-	// array, so the sweep below — and hence the root — is bit-identical
-	// either way.
-	m := len(ev)
-	var sk []sortx.Key
-	if st != nil && st.nev == m && st.cool == 0 {
-		sk = ws.ensureKeyAlt(m)
-		if replayKeys(sk, keys, st.perm[:m], 0) {
-			st.FastSorts++
-		} else {
-			// The drift outran the budget: discard the gather, sort from
-			// the pristine build order, and back off before trying again.
-			sk = ws.canonicalKeys(m)
-			st.FullSorts++
-			st.cool = replayCooldown
-		}
-	} else {
-		sk = ws.canonicalKeys(m)
-		if st != nil {
-			st.FullSorts++
-			if st.cool > 0 {
-				st.cool--
-			}
-		}
-	}
-	if st != nil {
-		st.save(sk, 0)
-	}
-	// Charge the paper's cost model: linear build + sort + sweep. The warm
-	// fast path usually does less real work than n·log₂n; the charge keeps
-	// the paper's model so reported operation counts stay comparable.
-	ops = int64(7*m) + int64(float64(m)*math.Log2(float64(m)+1))
-
-	lambda, extra, err := p.sweep(ev, sk, lb, st)
-	return lambda, ops + extra, err
 }
 
 // emptyRoot solves the n = 0 subproblem: only the elastic term remains.
@@ -420,18 +218,17 @@ func (p *Problem) feasible(lb float64) error {
 	return nil
 }
 
-// appendEvents builds p's breakpoint events onto ev, with each sort key's
-// Idx set to its event's index in ev — the local build index for a single
-// solve starting from ev[:0], or the concatenated-array index when ev
-// already carries the events of earlier batch segments. One activation event
-// per term (where it leaves its lower bound), plus one saturation event per
-// finite upper bound. The classical unbounded case (L = U = nil, by far the
-// hottest) gets a branch-free build loop with the bounds checks hoisted. A
-// -0.0 position is normalized to +0.0 so the key order agrees with float
-// comparison (±0 tie under ==, split by their bit patterns). Positions must
-// not be NaN — the canonical comparison is a total order only then — so NaN
-// breakpoints (from NaN coefficients) are rejected here. On error the
-// returned slices may carry partial appends; callers truncate.
+// appendEvents builds p's breakpoint events onto ev, the batch's
+// concatenated event array, with each sort key's Idx set to its event's
+// index in ev. One activation event per term (where it leaves its lower
+// bound), plus one saturation event per finite upper bound. The classical
+// unbounded case (L = U = nil, by far the hottest) gets a branch-free build
+// loop with the bounds checks hoisted. A -0.0 position is normalized to
+// +0.0 so the key order agrees with float comparison (±0 tie under ==, split
+// by their bit patterns). Positions must not be NaN — the canonical
+// comparison is a total order only then — so NaN breakpoints (from NaN
+// coefficients) are rejected here. On error the returned slices may carry
+// partial appends; callers truncate.
 func (p *Problem) appendEvents(ev []event, keys []sortx.Key) ([]event, []sortx.Key, error) {
 	n := len(p.C)
 	cs, as := p.C[:n], p.A[:n]
@@ -501,10 +298,9 @@ func (p *Problem) appendEvents(ev []event, keys []sortx.Key) ([]event, []sortx.K
 }
 
 // replayKeys gathers the build-order keys into dst following perm (segment-
-// local build indices; base is the offset of the segment's first key when
-// keys is a batch's concatenated array, 0 for a single solve) and repairs
-// coefficient drift with the budgeted nearly-sorted insertion pass,
-// reporting whether the budget held.
+// local build indices; base is the offset of the segment's first key in the
+// batch's concatenated array) and repairs coefficient drift with the
+// budgeted nearly-sorted insertion pass, reporting whether the budget held.
 func replayKeys(dst, keys []sortx.Key, perm []int32, base int32) bool {
 	for k, id := range perm {
 		dst[k] = keys[base+id] // keys are in build order: keys[base+id].Idx == base+id
@@ -512,22 +308,16 @@ func replayKeys(dst, keys []sortx.Key, perm []int32, base int32) bool {
 	return sortx.InsertionBudgetKeys(dst)
 }
 
-// save caches sk as the slot's sorted permutation, rebasing concatenated-
-// array indices of a batch (base > 0) back to segment-local build indices.
+// save caches sk as the slot's sorted permutation, rebasing the batch's
+// concatenated-array indices back to segment-local build indices.
 func (st *State) save(sk []sortx.Key, base int32) {
 	m := len(sk)
 	if cap(st.perm) < m {
 		st.perm = make([]int32, m)
 	}
 	st.perm = st.perm[:m]
-	if base == 0 {
-		for k, e := range sk {
-			st.perm[k] = e.Idx
-		}
-	} else {
-		for k, e := range sk {
-			st.perm[k] = e.Idx - base
-		}
+	for k, e := range sk {
+		st.perm[k] = e.Idx - base
 	}
 	st.nev = m
 }
@@ -541,10 +331,9 @@ func (st *State) save(sk []sortx.Key, base int32) {
 // division happens once, at the root segment, clamped into the segment to
 // stay robust to rounding at the boundaries.
 //
-// ev may be a batch's concatenated event array: sk's Idx values index into
-// it directly, so the exact same code serves the single and batched paths.
-// The returned extra op count is the sweep's contribution to the cost model
-// (the segment index where the root landed).
+// ev is the batch's concatenated event array, into which sk's Idx values
+// index directly. The returned extra op count is the sweep's contribution
+// to the cost model (the segment index where the root landed).
 func (p *Problem) sweep(ev []event, sk []sortx.Key, lb float64, st *State) (lambda float64, extra int64, err error) {
 	m := len(sk)
 	slope := p.E
@@ -610,55 +399,6 @@ func (p *Problem) sweep(ev []event, sk []sortx.Key, lb float64, st *State) (lamb
 	return 0, 0, fmt.Errorf("equilibrate: internal error: no root found (R=%g)", p.R)
 }
 
-// SolveInterval solves the subproblem with an interval total
-// lo ≤ Σ_j x_j ≤ hi instead of an equality — the Harrigan–Buchanan (1984)
-// variant for input/output estimation with uncertain margins. The elastic
-// slope must be zero (interval and elastic totals are alternative models of
-// the same uncertainty).
-//
-// The multiplier follows the concave dual of the interval constraint: if
-// the unconstrained block total lies inside [lo, hi] the constraint is
-// slack and λ = 0; a total above hi is pulled down to hi (λ < 0); one below
-// lo is pushed up to lo (λ > 0).
-func (p *Problem) SolveInterval(lo, hi float64, x []float64, ws *Workspace) (Result, error) {
-	return p.SolveIntervalState(lo, hi, x, ws, nil)
-}
-
-// SolveIntervalState is SolveInterval with an optional warm-start State.
-// The event list does not depend on the target, so the cached permutation
-// stays valid even as the active side of the interval flips between solves.
-func (p *Problem) SolveIntervalState(lo, hi float64, x []float64, ws *Workspace, st *State) (Result, error) {
-	if p.E != 0 {
-		return Result{}, fmt.Errorf("equilibrate: SolveInterval requires E = 0, got %g", p.E)
-	}
-	if !(lo <= hi) {
-		return Result{}, fmt.Errorf("equilibrate: empty interval [%g, %g]", lo, hi)
-	}
-	n := len(p.C)
-	if err := p.validate(x); err != nil {
-		return Result{}, err
-	}
-	// Free solution at λ = 0.
-	var total float64
-	for j := 0; j < n; j++ {
-		v := p.clampVal(j, p.C[j])
-		x[j] = v
-		total += v
-	}
-	switch {
-	case total > hi:
-		q := *p
-		q.R = hi
-		return q.SolveState(x, ws, st)
-	case total < lo:
-		q := *p
-		q.R = lo
-		return q.SolveState(x, ws, st)
-	default:
-		return Result{Lambda: 0, Total: total, Ops: int64(2 * n)}, nil
-	}
-}
-
 // SolveBisection solves the same subproblem by bracketing-and-bisection on
 // φ instead of the sort-and-sweep exact equilibration: O(n·log(range/tol))
 // versus O(n·log n), with an answer accurate to tol rather than exact. It
@@ -667,12 +407,8 @@ func (p *Problem) SolveIntervalState(lo, hi float64, x []float64, ws *Workspace,
 // reference.
 func (p *Problem) SolveBisection(x []float64, tol float64) (Result, error) {
 	n := len(p.C)
-	if len(p.A) != n || (p.U != nil && len(p.U) != n) || (p.L != nil && len(p.L) != n) || len(x) != n {
-		return Result{}, fmt.Errorf("equilibrate: inconsistent lengths (c=%d a=%d u=%d l=%d x=%d)",
-			len(p.C), len(p.A), len(p.U), len(p.L), len(x))
-	}
-	if p.E < 0 {
-		return Result{}, fmt.Errorf("equilibrate: negative elastic slope %g", p.E)
+	if err := p.validate(x); err != nil {
+		return Result{}, err
 	}
 	if tol <= 0 {
 		tol = 1e-12

@@ -35,10 +35,53 @@ func bisect(p *Problem) (float64, bool) {
 	return (lo + hi) / 2, true
 }
 
+// solveOne solves the one subproblem that add puts into b, through the
+// kernel's only entry point.
+func solveOne(b *Batch, add func(*Batch) error) (Result, error) {
+	b.Reset()
+	if err := add(b); err != nil {
+		return Result{}, err
+	}
+	if _, err := b.Solve(); err != nil {
+		return Result{}, err
+	}
+	return b.Result(0), nil
+}
+
+// fixed is the add step of p with output block x and warm-start state st.
+func fixed(p *Problem, x []float64, st *State) func(*Batch) error {
+	return func(b *Batch) error { return b.Add(p, x, st) }
+}
+
+// interval is the add step of p with the interval total lo ≤ Σx ≤ hi.
+func interval(p *Problem, lo, hi float64, x []float64, st *State) func(*Batch) error {
+	return func(b *Batch) error { return b.AddInterval(p, lo, hi, x, st) }
+}
+
+// solve solves p alone in a fresh batch.
+func solve(p *Problem, x []float64) (Result, error) {
+	return solveOne(NewBatch(0), fixed(p, x, nil))
+}
+
+// solveInterval solves p alone in a fresh batch with an interval total.
+func solveInterval(p *Problem, lo, hi float64, x []float64) (Result, error) {
+	return solveOne(NewBatch(0), interval(p, lo, hi, x, nil))
+}
+
+// solveInsertion is the reference side of the bit-identity tests: the
+// subproblem alone in a fresh batch, sorted by plain insertion whatever its
+// size — the simplest canonical sort. add should pass a nil or freshly
+// Reset State, so the solve runs cold.
+func solveInsertion(add func(*Batch) error) (Result, error) {
+	defer func(old int) { batchInsertionMax = old }(batchInsertionMax)
+	batchInsertionMax = math.MaxInt
+	return solveOne(NewBatch(0), add)
+}
+
 func solveOK(t *testing.T, p *Problem) ([]float64, Result) {
 	t.Helper()
 	x := make([]float64, len(p.C))
-	res, err := p.Solve(x, nil)
+	res, err := solve(p, x)
 	if err != nil {
 		t.Fatalf("Solve: %v", err)
 	}
@@ -137,11 +180,11 @@ func TestZeroTarget(t *testing.T) {
 func TestInfeasible(t *testing.T) {
 	p := &Problem{C: []float64{1}, A: []float64{1}, R: -1}
 	x := make([]float64, 1)
-	if _, err := p.Solve(x, nil); !errors.Is(err, ErrInfeasible) {
+	if _, err := solve(p, x); !errors.Is(err, ErrInfeasible) {
 		t.Errorf("negative fixed total: err = %v, want ErrInfeasible", err)
 	}
 	p2 := &Problem{C: []float64{0}, A: []float64{1}, U: []float64{1}, R: 2}
-	if _, err := p2.Solve(x, nil); !errors.Is(err, ErrInfeasible) {
+	if _, err := solve(p2, x); !errors.Is(err, ErrInfeasible) {
 		t.Errorf("target above bound sum: err = %v, want ErrInfeasible", err)
 	}
 }
@@ -153,11 +196,11 @@ func TestEmptyProblem(t *testing.T) {
 		t.Errorf("lambda = %g, want 6", res.Lambda)
 	}
 	pFixed := &Problem{R: 0}
-	if _, err := pFixed.Solve(nil, nil); err != nil {
+	if _, err := solve(pFixed, nil); err != nil {
 		t.Errorf("empty fixed zero-target: %v", err)
 	}
 	pBad := &Problem{R: 1}
-	if _, err := pBad.Solve(nil, nil); !errors.Is(err, ErrInfeasible) {
+	if _, err := solve(pBad, nil); !errors.Is(err, ErrInfeasible) {
 		t.Errorf("empty fixed positive target: err = %v", err)
 	}
 }
@@ -165,15 +208,15 @@ func TestEmptyProblem(t *testing.T) {
 func TestValidation(t *testing.T) {
 	x := make([]float64, 2)
 	p := &Problem{C: []float64{1, 1}, A: []float64{1}, R: 1}
-	if _, err := p.Solve(x, nil); err == nil {
+	if _, err := solve(p, x); err == nil {
 		t.Error("length mismatch accepted")
 	}
 	p2 := &Problem{C: []float64{1}, A: []float64{0}, R: 1}
-	if _, err := p2.Solve(x[:1], nil); err == nil {
+	if _, err := solve(p2, x[:1]); err == nil {
 		t.Error("zero slope accepted")
 	}
 	p3 := &Problem{C: []float64{1}, A: []float64{1}, E: -1, R: 1}
-	if _, err := p3.Solve(x[:1], nil); err == nil {
+	if _, err := solve(p3, x[:1]); err == nil {
 		t.Error("negative elastic slope accepted")
 	}
 }
@@ -253,12 +296,12 @@ func checkSolution(t *testing.T, p *Problem, x []float64, res Result) {
 
 func TestRandomAgainstBisection(t *testing.T) {
 	rng := rand.New(rand.NewPCG(11, 12))
-	ws := NewWorkspace(64)
+	b := NewBatch(0)
 	for trial := 0; trial < 500; trial++ {
 		n := 1 + rng.IntN(60)
 		p := randomProblem(rng, n, trial%2 == 0, trial%3 == 0)
 		x := make([]float64, n)
-		res, err := p.Solve(x, ws)
+		res, err := solveOne(b, fixed(p, x, nil))
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
@@ -282,10 +325,10 @@ func TestLambdaMonotoneInTarget(t *testing.T) {
 		p := randomProblem(r, 1+r.IntN(20), false, false)
 		x := make([]float64, len(p.C))
 		p.R = 1 + r.Float64()*100
-		res1, err1 := p.Solve(x, nil)
+		res1, err1 := solve(p, x)
 		p2 := *p
 		p2.R = p.R + 1 + r.Float64()*100
-		res2, err2 := p2.Solve(x, nil)
+		res2, err2 := solve(&p2, x)
 		if err1 != nil || err2 != nil {
 			return false
 		}
@@ -315,10 +358,10 @@ func TestWeightScaleInvariance(t *testing.T) {
 		}
 		x1 := make([]float64, n)
 		x2 := make([]float64, n)
-		if _, err := p.Solve(x1, nil); err != nil {
+		if _, err := solve(p, x1); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := p2.Solve(x2, nil); err != nil {
+		if _, err := solve(p2, x2); err != nil {
 			t.Fatal(err)
 		}
 		for j := range x1 {
@@ -326,42 +369,6 @@ func TestWeightScaleInvariance(t *testing.T) {
 				t.Fatalf("trial %d: scale invariance violated at %d: %g vs %g", trial, j, x1[j], x2[j])
 			}
 		}
-	}
-}
-
-func TestWorkspaceReuse(t *testing.T) {
-	rng := rand.New(rand.NewPCG(17, 18))
-	ws := NewWorkspace(8)
-	var first []float64
-	p := randomProblem(rng, 40, true, true)
-	for i := 0; i < 3; i++ {
-		x := make([]float64, 40)
-		res, err := p.Solve(x, ws)
-		if err != nil {
-			t.Fatal(err)
-		}
-		checkSolution(t, p, x, res)
-		if first == nil {
-			first = x
-		} else {
-			for j := range x {
-				if x[j] != first[j] {
-					t.Fatalf("workspace reuse changed results at %d", j)
-				}
-			}
-		}
-	}
-}
-
-func TestWorkspaceGrow(t *testing.T) {
-	ws := NewWorkspace(2)
-	ws.grow(10)
-	if len(ws.C) != 10 || len(ws.A) != 10 {
-		t.Errorf("grow failed: len C=%d A=%d", len(ws.C), len(ws.A))
-	}
-	ws.grow(5)
-	if len(ws.C) != 5 {
-		t.Errorf("shrink view failed: len C=%d", len(ws.C))
 	}
 }
 
@@ -406,11 +413,12 @@ func TestHugeSpread(t *testing.T) {
 func BenchmarkSolve1000(b *testing.B) {
 	rng := rand.New(rand.NewPCG(21, 22))
 	p := randomProblem(rng, 1000, false, false)
-	ws := NewWorkspace(1000)
+	batch := NewBatch(0)
 	x := make([]float64, 1000)
+	add := fixed(p, x, nil)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := p.Solve(x, ws); err != nil {
+		if _, err := solveOne(batch, add); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -419,11 +427,12 @@ func BenchmarkSolve1000(b *testing.B) {
 func BenchmarkSolveElastic1000(b *testing.B) {
 	rng := rand.New(rand.NewPCG(23, 24))
 	p := randomProblem(rng, 1000, true, false)
-	ws := NewWorkspace(1000)
+	batch := NewBatch(0)
 	x := make([]float64, 1000)
+	add := fixed(p, x, nil)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := p.Solve(x, ws); err != nil {
+		if _, err := solveOne(batch, add); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -433,7 +442,7 @@ func TestSolveIntervalSlack(t *testing.T) {
 	// Free total 3 lies inside [2, 5]: constraint slack, λ = 0.
 	p := &Problem{C: []float64{1, 2}, A: []float64{1, 1}}
 	x := make([]float64, 2)
-	res, err := p.SolveInterval(2, 5, x, nil)
+	res, err := solveInterval(p, 2, 5, x)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -449,7 +458,7 @@ func TestSolveIntervalUpperBinds(t *testing.T) {
 	// Free total 3 exceeds hi = 2: behaves like a fixed total at 2, λ < 0.
 	p := &Problem{C: []float64{1, 2}, A: []float64{1, 1}}
 	x := make([]float64, 2)
-	res, err := p.SolveInterval(0, 2, x, nil)
+	res, err := solveInterval(p, 0, 2, x)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -464,7 +473,7 @@ func TestSolveIntervalUpperBinds(t *testing.T) {
 func TestSolveIntervalLowerBinds(t *testing.T) {
 	p := &Problem{C: []float64{1, 2}, A: []float64{1, 1}}
 	x := make([]float64, 2)
-	res, err := p.SolveInterval(5, 9, x, nil)
+	res, err := solveInterval(p, 5, 9, x)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -480,7 +489,7 @@ func TestSolveIntervalWithUpperBounds(t *testing.T) {
 	// Box bounds clamp the free solution before the interval test.
 	p := &Problem{C: []float64{5, 5}, A: []float64{1, 1}, U: []float64{1, 1}}
 	x := make([]float64, 2)
-	res, err := p.SolveInterval(0, 10, x, nil)
+	res, err := solveInterval(p, 0, 10, x)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -492,14 +501,14 @@ func TestSolveIntervalWithUpperBounds(t *testing.T) {
 func TestSolveIntervalErrors(t *testing.T) {
 	p := &Problem{C: []float64{1}, A: []float64{1}, E: 0.5}
 	x := make([]float64, 1)
-	if _, err := p.SolveInterval(0, 1, x, nil); err == nil {
+	if _, err := solveInterval(p, 0, 1, x); err == nil {
 		t.Error("elastic slope accepted")
 	}
 	p2 := &Problem{C: []float64{1}, A: []float64{1}}
-	if _, err := p2.SolveInterval(3, 2, x, nil); err == nil {
+	if _, err := solveInterval(p2, 3, 2, x); err == nil {
 		t.Error("empty interval accepted")
 	}
-	if _, err := p2.SolveInterval(0, 1, make([]float64, 2), nil); err == nil {
+	if _, err := solveInterval(p2, 0, 1, make([]float64, 2)); err == nil {
 		t.Error("length mismatch accepted")
 	}
 }
@@ -511,7 +520,7 @@ func TestSolveBisectionMatchesExact(t *testing.T) {
 		p := randomProblem(rng, n, trial%2 == 0, trial%3 == 0)
 		xe := make([]float64, n)
 		xb := make([]float64, n)
-		exact, err := p.Solve(xe, nil)
+		exact, err := solve(p, xe)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -555,7 +564,7 @@ func FuzzKernel(f *testing.F) {
 		}
 		p := &Problem{C: []float64{c1, c2}, A: []float64{a1, a2}, E: e, R: r}
 		x := make([]float64, 2)
-		res, err := p.Solve(x, nil)
+		res, err := solve(p, x)
 		if err != nil {
 			return // infeasible inputs are fine
 		}
@@ -595,11 +604,11 @@ func TestLowerBoundsSlack(t *testing.T) {
 	bounded := &Problem{C: []float64{2, 3}, A: []float64{1, 1}, L: []float64{0.5, 0.5}, R: 8}
 	xb := make([]float64, 2)
 	xu := make([]float64, 2)
-	rb, err := bounded.Solve(xb, nil)
+	rb, err := solve(bounded, xb)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ru, err := base.Solve(xu, nil)
+	ru, err := solve(base, xu)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -611,7 +620,7 @@ func TestLowerBoundsSlack(t *testing.T) {
 func TestLowerBoundsInfeasible(t *testing.T) {
 	p := &Problem{C: []float64{0, 0}, A: []float64{1, 1}, L: []float64{3, 3}, R: 5}
 	x := make([]float64, 2)
-	if _, err := p.Solve(x, nil); !errors.Is(err, ErrInfeasible) {
+	if _, err := solve(p, x); !errors.Is(err, ErrInfeasible) {
 		t.Errorf("target below Σl accepted: %v", err)
 	}
 }
@@ -663,7 +672,7 @@ func TestLowerBoundsAgainstBisection(t *testing.T) {
 			}
 		}
 		x := make([]float64, n)
-		res, err := p.Solve(x, nil)
+		res, err := solve(p, x)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}

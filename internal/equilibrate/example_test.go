@@ -6,20 +6,23 @@ import (
 	"sea/internal/equilibrate"
 )
 
-// ExampleProblem_Solve solves one row subproblem in closed form:
+// ExampleBatch solves one row subproblem in closed form:
 // min (x₁−1)² + (x₂−1)² subject to x₁+x₂ = 4, x ≥ 0.
-func ExampleProblem_Solve() {
+func ExampleBatch() {
 	p := &equilibrate.Problem{
 		C: []float64{1, 1},   // stationary values at λ = 0
 		A: []float64{.5, .5}, // a_j = 1/(2γ_j)
 		R: 4,                 // the fixed total
 	}
 	x := make([]float64, 2)
-	res, err := p.Solve(x, nil)
-	if err != nil {
+	b := equilibrate.NewBatch(0)
+	if err := b.Add(p, x, nil); err != nil {
 		panic(err)
 	}
-	fmt.Printf("x = %v, multiplier = %g\n", x, res.Lambda)
+	if _, err := b.Solve(); err != nil {
+		panic(err)
+	}
+	fmt.Printf("x = %v, multiplier = %g\n", x, b.Result(0).Lambda)
 	// Output:
 	// x = [2 2], multiplier = 2
 }

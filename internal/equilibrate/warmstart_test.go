@@ -75,8 +75,8 @@ func feasibleTarget(rng *rand.Rand, p *Problem) float64 {
 // large enough to flip bound activations and reorder breakpoints — a
 // re-solve through a persistent State is bit-identical to a cold solve of
 // the same instance, for every subproblem family (fixed, elastic, bounded,
-// interval totals) and for sizes on both sides of the sort's
-// insertion/pdqsort threshold.
+// interval totals) and for sizes on every route of the batch's cold sort.
+// The cold reference is a fresh batch sorted by plain insertion.
 func TestWarmStartBitIdentical(t *testing.T) {
 	cases := []warmCase{
 		{name: "fixed-classical-small", n: 7},
@@ -95,7 +95,7 @@ func TestWarmStartBitIdentical(t *testing.T) {
 			rng := rand.New(rand.NewPCG(31, uint64(ci)))
 			p := buildProblem(rng, c)
 			st := &State{}
-			wsWarm := NewWorkspace(c.n)
+			bWarm := NewBatch(0)
 			xWarm := make([]float64, c.n)
 			xCold := make([]float64, c.n)
 			var lo, hi float64
@@ -122,11 +122,11 @@ func TestWarmStartBitIdentical(t *testing.T) {
 				var warmRes, coldRes Result
 				var warmErr, coldErr error
 				if c.interval {
-					warmRes, warmErr = p.SolveIntervalState(lo, hi, xWarm, wsWarm, st)
-					coldRes, coldErr = p.SolveInterval(lo, hi, xCold, NewWorkspace(c.n))
+					warmRes, warmErr = solveOne(bWarm, interval(p, lo, hi, xWarm, st))
+					coldRes, coldErr = solveInsertion(interval(p, lo, hi, xCold, nil))
 				} else {
-					warmRes, warmErr = p.SolveState(xWarm, wsWarm, st)
-					coldRes, coldErr = p.Solve(xCold, NewWorkspace(c.n))
+					warmRes, warmErr = solveOne(bWarm, fixed(p, xWarm, st))
+					coldRes, coldErr = solveInsertion(fixed(p, xCold, nil))
 				}
 				if (warmErr == nil) != (coldErr == nil) {
 					t.Fatalf("step %d: warm err %v, cold err %v", step, warmErr, coldErr)
@@ -162,14 +162,14 @@ func TestStateReset(t *testing.T) {
 	rng := rand.New(rand.NewPCG(5, 9))
 	p := buildProblem(rng, warmCase{n: 50})
 	st := &State{}
-	ws := NewWorkspace(50)
+	b := NewBatch(0)
 	x := make([]float64, 50)
-	if _, err := p.SolveState(x, ws, st); err != nil {
+	if _, err := solveOne(b, fixed(p, x, st)); err != nil {
 		t.Fatal(err)
 	}
 	full := st.FullSorts
 	st.Reset()
-	if _, err := p.SolveState(x, ws, st); err != nil {
+	if _, err := solveOne(b, fixed(p, x, st)); err != nil {
 		t.Fatal(err)
 	}
 	if st.FullSorts != full+1 {
@@ -182,16 +182,16 @@ func TestStateReset(t *testing.T) {
 func TestStateShapeChange(t *testing.T) {
 	rng := rand.New(rand.NewPCG(6, 10))
 	st := &State{}
-	ws := NewWorkspace(64)
+	b := NewBatch(0)
 	for _, n := range []int{40, 64, 12, 64} {
 		p := buildProblem(rng, warmCase{n: n})
 		xWarm := make([]float64, n)
 		xCold := make([]float64, n)
-		warmRes, err := p.SolveState(xWarm, ws, st)
+		warmRes, err := solveOne(b, fixed(p, xWarm, st))
 		if err != nil {
 			t.Fatal(err)
 		}
-		coldRes, err := p.Solve(xCold, NewWorkspace(n))
+		coldRes, err := solveInsertion(fixed(p, xCold, nil))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -203,72 +203,5 @@ func TestStateShapeChange(t *testing.T) {
 				t.Fatalf("n=%d: x[%d] differs", n, j)
 			}
 		}
-	}
-}
-
-// TestWorkspaceShrinks: a workspace that once served a huge subproblem must
-// release that capacity after a window of small solves, then grow again on
-// demand — the retained-capacity bound for mixed-size workloads.
-func TestWorkspaceShrinks(t *testing.T) {
-	big, small := 4096, 8
-	ws := NewWorkspace(big)
-	solve := func(n int) {
-		p := &Problem{C: make([]float64, n), A: make([]float64, n)}
-		for j := 0; j < n; j++ {
-			p.C[j] = float64(j%17) - 8
-			p.A[j] = 1
-		}
-		p.R = float64(n)
-		x := make([]float64, n)
-		if _, err := p.Solve(x, ws); err != nil {
-			t.Fatal(err)
-		}
-	}
-	solve(big)
-	if cap(ws.C) < big {
-		t.Fatalf("workspace did not grow to %d", big)
-	}
-	for i := 0; i < 2*shrinkWindow; i++ {
-		solve(small)
-	}
-	if cap(ws.C) >= big {
-		t.Errorf("workspace retained cap %d after %d solves of size %d; want shrink", cap(ws.C), 2*shrinkWindow, small)
-	}
-	if cap(ws.events) >= 2*big {
-		t.Errorf("event buffer retained cap %d; want shrink", cap(ws.events))
-	}
-	// Must grow back transparently: the event buffer through a big solve,
-	// the coefficient buffers through the next Scratch acquisition.
-	solve(big)
-	if cap(ws.events) < 2*small {
-		t.Errorf("event buffer failed to regrow after shrink")
-	}
-	if c, a := ws.Scratch(big); len(c) != big || len(a) != big {
-		t.Errorf("Scratch(%d) after shrink returned len %d/%d", big, len(c), len(a))
-	}
-}
-
-// TestWorkspaceKeepsSteadyCapacity: a steady stream of same-size solves must
-// never shrink (no realloc churn at the steady state).
-func TestWorkspaceKeepsSteadyCapacity(t *testing.T) {
-	n := 512
-	ws := NewWorkspace(n)
-	p := &Problem{C: make([]float64, n), A: make([]float64, n), R: float64(n)}
-	for j := 0; j < n; j++ {
-		p.C[j] = float64(j % 31)
-		p.A[j] = 1
-	}
-	x := make([]float64, n)
-	if _, err := p.Solve(x, ws); err != nil {
-		t.Fatal(err)
-	}
-	c0 := &ws.C[0]
-	for i := 0; i < 3*shrinkWindow; i++ {
-		if _, err := p.Solve(x, ws); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if &ws.C[0] != c0 {
-		t.Error("steady same-size workload reallocated the coefficient buffer")
 	}
 }

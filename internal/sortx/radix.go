@@ -1,3 +1,14 @@
+// Package sortx provides the breakpoint sorts of the exact equilibration
+// kernel (internal/equilibrate).
+//
+// The paper implements exact equilibration with HEAPSORT for the large
+// arrays arising in constrained matrix problems (hundreds to thousands of
+// breakpoints per row/column subproblem) and with STRAIGHT INSERTION SORT
+// for the short arrays (10–120 elements) of its Section 5. The kernel keeps
+// straight insertion for short arrays and replaces heapsort with a stable
+// LSD radix sort over compact keys: stability makes the canonical tie order
+// free, and clustered inputs skip their constant byte planes. A budgeted
+// insertion pass repairs the nearly sorted order a warm start replays.
 package sortx
 
 import "math"
@@ -31,8 +42,8 @@ func KeyLess(a, b Key) bool {
 }
 
 // InsertionKeys sorts keys ascending under (Bits, Idx) by straight insertion
-// sort — the right algorithm below InsertionThreshold, with no comparison-
-// function indirection.
+// sort — the right algorithm for short arrays, with no comparison-function
+// indirection.
 func InsertionKeys(keys []Key) {
 	for i := 1; i < len(keys); i++ {
 		v := keys[i]
@@ -45,11 +56,20 @@ func InsertionKeys(keys []Key) {
 	}
 }
 
-// InsertionBudgetKeys is the budgeted nearly-sorted insertion pass over keys
-// (see InsertionBudgetCmp): it sorts in place under (Bits, Idx) and reports
-// whether the total displacement stayed within nearlySortedBudget·len. On
-// false the slice is left partially ordered but still a permutation of the
-// input, and the caller re-sorts from scratch.
+// nearlySortedBudget bounds the total element displacement
+// InsertionBudgetKeys spends before abandoning the insertion pass: inputs
+// within 4·len total inversion distance of sorted order finish in the
+// linear pass; anything messier is handed back for an O(n log n) sort.
+const nearlySortedBudget = 4
+
+// InsertionBudgetKeys is the budgeted nearly-sorted insertion pass over keys,
+// for the warm-start pattern of the equilibration kernel: a re-solve replays
+// the previous solve's sorted order and only a handful of breakpoints have
+// drifted past a neighbor. It sorts in place under (Bits, Idx) and reports
+// whether the total displacement stayed within nearlySortedBudget·len, so an
+// already-sorted input costs one comparison per element and a k-inversion
+// input O(len + k). On false the slice is left partially ordered but still a
+// permutation of the input, and the caller re-sorts from scratch.
 func InsertionBudgetKeys(keys []Key) bool {
 	budget := nearlySortedBudget * len(keys)
 	for i := 1; i < len(keys); i++ {
@@ -68,7 +88,7 @@ func InsertionBudgetKeys(keys []Key) bool {
 	return true
 }
 
-// RadixKeys sorts keys ascending by Bits with a stable LSD radix sort,
+// RadixKeysMask sorts keys ascending by Bits with a stable LSD radix sort,
 // using scratch (which must be at least as long) as the ping-pong buffer.
 // It returns the sorted slice, which aliases either keys or scratch.
 //
@@ -77,31 +97,15 @@ func InsertionBudgetKeys(keys []Key) bool {
 // tie-heavy inputs (breakpoint clusters) cost nothing extra, where a
 // comparison sort under the full order loses its equal-element collapse.
 //
-// A pre-pass ORs together the XOR of every key with the first one; byte
-// positions absent from that mask are constant across the input and their
-// passes are skipped entirely. Clustered inputs — values differing in a few
-// low mantissa bytes — therefore pay only those few counting passes, and an
-// all-equal input returns immediately.
-func RadixKeys(keys, scratch []Key) []Key {
-	n := len(keys)
-	if n < 2 {
-		return keys
-	}
-	b0 := keys[0].Bits
-	var diff uint64
-	for _, k := range keys {
-		diff |= k.Bits ^ b0
-	}
-	return RadixKeysMask(keys, scratch, diff)
-}
-
-// RadixKeysMask is RadixKeys with the differing-byte mask precomputed by the
-// caller — batch kernels fold the XOR mask while building keys, saving the
-// pre-pass over data that has since left cache. diff must cover the pairwise
-// XORs of the keys' Bits (an OR of each key XOR any one fixed reference does,
-// since k1^k2 = (k1^ref)^(k2^ref)); byte positions absent from it are
-// constant across the input and skipped. A superset mask only costs extra
-// counting passes, never correctness. diff == 0 returns keys unchanged.
+// diff is the differing-byte mask, which the kernel folds while building
+// keys, saving a pre-pass over data that has since left cache. It must
+// cover the pairwise XORs of the keys' Bits (an OR of each key XOR any one
+// fixed reference does, since k1^k2 = (k1^ref)^(k2^ref)); byte positions
+// absent from it are constant across the input and their passes are
+// skipped, so clustered inputs — values differing in a few low mantissa
+// bytes — pay only those few counting passes. A superset mask only costs
+// extra counting passes, never correctness. diff == 0 returns keys
+// unchanged.
 func RadixKeysMask(keys, scratch []Key, diff uint64) []Key {
 	n := len(keys)
 	if n < 2 || diff == 0 {

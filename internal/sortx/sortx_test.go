@@ -7,6 +7,20 @@ import (
 	"testing/quick"
 )
 
+// sorters are the kernel's cold sorts: each must land the unique
+// (Bits, Idx) order.
+var sorters = map[string]func([]Key) []Key{
+	"InsertionKeys": func(keys []Key) []Key { InsertionKeys(keys); return keys },
+	"RadixKeysMask": radixSort,
+}
+
+// canonical returns keys in (Bits, Idx) order by a comparison sort.
+func canonical(keys []Key) []Key {
+	want := slices.Clone(keys)
+	slices.SortFunc(want, keyCmp)
+	return want
+}
+
 func randomSlice(rng *rand.Rand, n int) []float64 {
 	xs := make([]float64, n)
 	for i := range xs {
@@ -15,44 +29,33 @@ func randomSlice(rng *rand.Rand, n int) []float64 {
 	return xs
 }
 
-func testSorter(t *testing.T, name string, sort func([]float64)) {
-	t.Helper()
+func TestInsertion(t *testing.T) {
 	rng := rand.New(rand.NewPCG(1, 2))
-	sizes := []int{0, 1, 2, 3, 7, 10, 100, 127, 128, 129, 500, 4096}
-	for _, n := range sizes {
-		xs := randomSlice(rng, n)
-		want := slices.Clone(xs)
-		slices.Sort(want)
-		sort(xs)
-		if !slices.Equal(xs, want) {
-			t.Errorf("%s: size %d: not sorted correctly", name, n)
+	for _, n := range []int{0, 1, 2, 3, 7, 10, 100, 127, 128, 129, 500, 4096} {
+		keys := keysFrom(randomSlice(rng, n))
+		want := canonical(keys)
+		InsertionKeys(keys)
+		if !slices.Equal(keys, want) {
+			t.Errorf("size %d: not sorted correctly", n)
 		}
 	}
 }
 
-func TestInsertion(t *testing.T) { testSorter(t, "Insertion", Insertion) }
-func TestHeap(t *testing.T)      { testSorter(t, "Heap", Heap) }
-func TestAdaptive(t *testing.T)  { testSorter(t, "Adaptive", Adaptive) }
-
 func TestAlreadySorted(t *testing.T) {
-	xs := []float64{-3, -1, 0, 0, 2, 5, 9}
-	for _, sort := range []func([]float64){Insertion, Heap, Adaptive} {
-		ys := slices.Clone(xs)
-		sort(ys)
-		if !slices.Equal(xs, ys) {
-			t.Errorf("sorted input permuted: %v", ys)
+	keys := keysFrom([]float64{-3, -1, 0, 0, 2, 5, 9})
+	for name, sort := range sorters {
+		if got := sort(slices.Clone(keys)); !slices.Equal(got, keys) {
+			t.Errorf("%s: sorted input permuted: %v", name, got)
 		}
 	}
 }
 
 func TestReverseSorted(t *testing.T) {
-	xs := []float64{9, 5, 2, 0, 0, -1, -3}
-	want := []float64{-3, -1, 0, 0, 2, 5, 9}
-	for _, sort := range []func([]float64){Insertion, Heap, Adaptive} {
-		ys := slices.Clone(xs)
-		sort(ys)
-		if !slices.Equal(want, ys) {
-			t.Errorf("reverse input not sorted: %v", ys)
+	keys := keysFrom([]float64{9, 5, 2, 0, 0, -1, -3})
+	want := canonical(keys)
+	for name, sort := range sorters {
+		if got := sort(slices.Clone(keys)); !slices.Equal(got, want) {
+			t.Errorf("%s: reverse input not sorted: %v", name, got)
 		}
 	}
 }
@@ -63,189 +66,41 @@ func TestDuplicates(t *testing.T) {
 	for i := range xs {
 		xs[i] = float64(rng.IntN(5))
 	}
-	want := slices.Clone(xs)
-	slices.Sort(want)
-	Heap(xs)
-	if !slices.Equal(xs, want) {
-		t.Errorf("duplicates mishandled")
+	keys := keysFrom(xs)
+	want := canonical(keys)
+	for name, sort := range sorters {
+		if got := sort(slices.Clone(keys)); !slices.Equal(got, want) {
+			t.Errorf("%s: duplicates mishandled", name)
+		}
 	}
 }
 
-// TestHeapSortsProperty is a property-based test: Heap always produces an
-// ascending permutation of its input.
-func TestHeapSortsProperty(t *testing.T) {
-	f := func(xs []float64) bool {
-		orig := slices.Clone(xs)
-		Heap(xs)
-		if !IsSorted(xs) {
-			return false
-		}
-		slices.Sort(orig)
-		// NaNs compare unequal to themselves; skip inputs containing them
-		// since the kernel never produces NaN breakpoints.
-		for _, v := range orig {
+// sortsProperty reports whether sort lands the canonical order on keys built
+// from xs. NaN is excluded by contract: the kernel rejects NaN breakpoints.
+func sortsProperty(sort func([]Key) []Key) func([]float64) bool {
+	return func(xs []float64) bool {
+		for _, v := range xs {
 			if v != v {
 				return true
 			}
 		}
-		return slices.Equal(xs, orig)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
+		keys := keysFrom(xs)
+		return slices.Equal(sort(slices.Clone(keys)), canonical(keys))
 	}
 }
 
-// TestInsertionSortsProperty mirrors TestHeapSortsProperty for insertion sort.
+// TestInsertionSortsProperty is a property-based test: InsertionKeys always
+// produces the canonical permutation of its input.
 func TestInsertionSortsProperty(t *testing.T) {
-	f := func(xs []float64) bool {
-		for _, v := range xs {
-			if v != v {
-				return true
-			}
-		}
-		orig := slices.Clone(xs)
-		Insertion(xs)
-		slices.Sort(orig)
-		return slices.Equal(xs, orig)
-	}
-	if err := quick.Check(f, nil); err != nil {
+	if err := quick.Check(sortsProperty(sorters["InsertionKeys"]), nil); err != nil {
 		t.Error(err)
 	}
 }
 
-func TestIsSorted(t *testing.T) {
-	cases := []struct {
-		xs   []float64
-		want bool
-	}{
-		{nil, true},
-		{[]float64{1}, true},
-		{[]float64{1, 1}, true},
-		{[]float64{1, 2, 3}, true},
-		{[]float64{3, 2}, false},
-		{[]float64{1, 2, 1}, false},
-	}
-	for _, c := range cases {
-		if got := IsSorted(c.xs); got != c.want {
-			t.Errorf("IsSorted(%v) = %v, want %v", c.xs, got, c.want)
-		}
-	}
-}
-
-func cmpFloat(a, b float64) int {
-	switch {
-	case a < b:
-		return -1
-	case a > b:
-		return 1
-	default:
-		return 0
-	}
-}
-
-// TestNearlySortedCmp checks the budgeted insertion path sorts correctly on
-// random, sorted, and adversarial inputs, and that the reported fast/fallback
-// verdict matches the input's disorder.
-func TestNearlySortedCmp(t *testing.T) {
-	rng := rand.New(rand.NewPCG(7, 8))
-	for _, n := range []int{0, 1, 2, 3, 10, 100, 500, 4096} {
-		xs := randomSlice(rng, n)
-		want := slices.Clone(xs)
-		slices.Sort(want)
-		NearlySortedCmp(xs, cmpFloat)
-		if !slices.Equal(xs, want) {
-			t.Errorf("size %d: random input not sorted", n)
-		}
-	}
-
-	sorted := make([]float64, 1000)
-	for i := range sorted {
-		sorted[i] = float64(i)
-	}
-	if !NearlySortedCmp(slices.Clone(sorted), cmpFloat) {
-		t.Error("sorted input should stay on the fast path")
-	}
-
-	// A few local swaps: well within the displacement budget.
-	nearly := slices.Clone(sorted)
-	for i := 0; i+1 < len(nearly); i += 97 {
-		nearly[i], nearly[i+1] = nearly[i+1], nearly[i]
-	}
-	want := slices.Clone(nearly)
-	slices.Sort(want)
-	if !NearlySortedCmp(nearly, cmpFloat) {
-		t.Error("nearly sorted input should stay on the fast path")
-	}
-	if !slices.Equal(nearly, want) {
-		t.Error("nearly sorted input not sorted")
-	}
-
-	// Reverse order: quadratic for insertion, must fall back — and still
-	// produce the sorted result.
-	rev := make([]float64, 1000)
-	for i := range rev {
-		rev[i] = float64(len(rev) - i)
-	}
-	want = slices.Clone(rev)
-	slices.Sort(want)
-	if NearlySortedCmp(rev, cmpFloat) {
-		t.Error("reverse input should exhaust the budget and fall back")
-	}
-	if !slices.Equal(rev, want) {
-		t.Error("fallback path not sorted")
-	}
-}
-
-// TestNearlySortedCmpProperty: for any input, NearlySortedCmp produces the
-// ascending permutation — whichever path ran.
-func TestNearlySortedCmpProperty(t *testing.T) {
-	f := func(xs []float64) bool {
-		for _, v := range xs {
-			if v != v {
-				return true
-			}
-		}
-		orig := slices.Clone(xs)
-		NearlySortedCmp(xs, cmpFloat)
-		slices.Sort(orig)
-		return slices.Equal(xs, orig)
-	}
-	if err := quick.Check(f, nil); err != nil {
+// TestRadixSortsProperty mirrors TestInsertionSortsProperty for the radix
+// sort.
+func TestRadixSortsProperty(t *testing.T) {
+	if err := quick.Check(sortsProperty(radixSort), nil); err != nil {
 		t.Error(err)
 	}
 }
-
-func benchSorter(b *testing.B, n int, sort func([]float64)) {
-	rng := rand.New(rand.NewPCG(5, 6))
-	src := randomSlice(rng, n)
-	buf := make([]float64, n)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		copy(buf, src)
-		sort(buf)
-	}
-}
-
-// BenchmarkNearlySorted1000 measures the warm-start case: a sorted array
-// with a handful of adjacent swaps, repaired by the budgeted insertion pass.
-func BenchmarkNearlySorted1000(b *testing.B) {
-	src := make([]float64, 1000)
-	for i := range src {
-		src[i] = float64(i)
-	}
-	for i := 0; i+1 < len(src); i += 101 {
-		src[i], src[i+1] = src[i+1], src[i]
-	}
-	buf := make([]float64, len(src))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		copy(buf, src)
-		NearlySortedCmp(buf, cmpFloat)
-	}
-}
-
-func BenchmarkHeap1000(b *testing.B)     { benchSorter(b, 1000, Heap) }
-func BenchmarkInsertion100(b *testing.B) { benchSorter(b, 100, Insertion) }
-func BenchmarkAdaptive100(b *testing.B)  { benchSorter(b, 100, Adaptive) }
-func BenchmarkAdaptive1000(b *testing.B) { benchSorter(b, 1000, Adaptive) }
-func BenchmarkStdSort1000(b *testing.B)  { benchSorter(b, 1000, slices.Sort[[]float64]) }

@@ -20,10 +20,6 @@ type ShardedConfig struct {
 	// problem shape with consistent hashing, so every shape lands on one
 	// shard and that shard's arena pools stay hot for it.
 	Shards int
-	// VirtualNodes is the number of ring points per shard (default 128).
-	// More points smooth the shape-space split across shards; the routing
-	// stays deterministic for any value.
-	VirtualNodes int
 	// TenantMaxInFlight, when positive, caps how many requests a single
 	// tenant (see WithTenant) may have admitted at once across all shards.
 	// Tenants at their cap wait in a per-tenant FIFO bounded by
@@ -61,12 +57,9 @@ func NewSharded(cfg ShardedConfig) (*ShardedServer, error) {
 	if cfg.Shards <= 0 {
 		cfg.Shards = 1
 	}
-	if cfg.VirtualNodes <= 0 {
-		cfg.VirtualNodes = 128
-	}
 	s := &ShardedServer{
 		cfg:  cfg,
-		ring: newHashRing(cfg.Shards, cfg.VirtualNodes),
+		ring: newHashRing(cfg.Shards),
 		gate: newTenantGate(cfg.TenantMaxInFlight, cfg.TenantMaxQueue),
 	}
 	for i := 0; i < cfg.Shards; i++ {
@@ -86,8 +79,8 @@ func NewSharded(cfg ShardedConfig) (*ShardedServer, error) {
 func (s *ShardedServer) NumShards() int { return len(s.shards) }
 
 // ShardFor returns the shard index serving problems of the given shape.
-// The mapping is a pure function of the configuration (Shards and
-// VirtualNodes), so routing is reproducible across servers and restarts.
+// The mapping is a pure function of Shards, so routing is reproducible
+// across servers and restarts.
 func (s *ShardedServer) ShardFor(m, n int, general bool) int {
 	return s.ring.route(shapeHash(shapeKey{m: m, n: n, general: general}))
 }
@@ -290,7 +283,12 @@ func mix64(x uint64) uint64 {
 	return x ^ (x >> 31)
 }
 
-// hashRing is a fixed consistent-hash ring: VirtualNodes points per shard,
+// ringVirtualNodes is the number of ring points per shard: enough to smooth
+// the shape-space split across shards (the property suite pins a ≤2×
+// balance envelope).
+const ringVirtualNodes = 128
+
+// hashRing is a fixed consistent-hash ring: ringVirtualNodes points per shard,
 // sorted by point hash; a key routes to the first point clockwise from its
 // hash. With a fixed shard count the ring is equivalent to any other
 // deterministic balanced map, but it keeps the shape→shard assignment
@@ -305,11 +303,11 @@ type ringPoint struct {
 	shard int
 }
 
-func newHashRing(shards, virtual int) hashRing {
-	r := hashRing{points: make([]ringPoint, 0, shards*virtual)}
+func newHashRing(shards int) hashRing {
+	r := hashRing{points: make([]ringPoint, 0, shards*ringVirtualNodes)}
 	var buf [16]byte
 	for s := 0; s < shards; s++ {
-		for v := 0; v < virtual; v++ {
+		for v := 0; v < ringVirtualNodes; v++ {
 			binary.LittleEndian.PutUint64(buf[0:], uint64(s))
 			binary.LittleEndian.PutUint64(buf[8:], uint64(v))
 			h := fnv.New64a()
