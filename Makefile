@@ -96,13 +96,16 @@ bench-sequence: cmds
 	$(GO) test -count=1 -run 'TestSession|TestServerSession|TestSequence' ./pkg/sea/ ./pkg/sea/serve/ ./pkg/sea/serve/http/
 	$(GO) run ./cmd/seabench -sequence -scale 0.5
 
-# The equilibration kernel, then the problem reader: its round-trip
+# The equilibration kernel, the breakpoint sorts (span radix and
+# top-bits radix with its repair, against a stable comparison sort), then
+# the problem reader: its round-trip
 # fixed point and the scanner-versus-encoding/json differential. The
 # reader's seeds are multi-KB problem encodings and the fuzzer's input
 # minimizer is quadratic in input length, so at its default 60 s per new
 # input a 30 s run would spend itself minimizing one; 2 s keeps it fuzzing.
 fuzz:
 	$(GO) test -fuzz=FuzzKernel -fuzztime=30s ./internal/equilibrate/
+	$(GO) test -run '^$$' -fuzz='^FuzzSortKeys$$' -fuzztime=30s -fuzzminimizetime=2s ./internal/sortx/
 	$(GO) test -run '^$$' -fuzz='^FuzzReadProblem$$' -fuzztime=30s -fuzzminimizetime=2s ./internal/matio/
 	$(GO) test -run '^$$' -fuzz='^FuzzDecodeProblem$$' -fuzztime=30s -fuzzminimizetime=2s ./internal/matio/
 

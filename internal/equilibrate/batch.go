@@ -18,15 +18,20 @@ import (
 //     drift with the budgeted insertion pass;
 //  2. cold segments sorted by size: short ones by straight insertion in
 //     their slot, long ones by their own radix, and the rest by one fused
-//     stable LSD radix over their *concatenated* keys (the per-segment XOR
-//     byte masks were folded during Add, so no extra pre-pass), followed by
-//     a single stable counting pass that distributes keys into their
-//     segment slots. Stability is what makes the segmentation free: after
-//     the position-byte passes, ties — including keys of different segments
-//     sharing a position — are in global build order, so distributing by
-//     segment preserves per-segment (position, build index) order, which IS
-//     the canonical order each slot needs. No per-segment fixup of any kind
-//     runs afterwards;
+//     stable LSD radix over their *concatenated* keys, followed by a single
+//     stable counting pass that distributes keys into their segment slots.
+//     The radix keys on the span of the keys (each segment's minimum and
+//     maximum were kept during Add, so no extra pre-pass; the fused sort
+//     takes their union): a span of at most sortx.TopBits bits sorts
+//     exactly, in one pass per byte it covers, and a wider one by its top
+//     sortx.TopBits bits, after which the budgeted insertion pass finishes
+//     each slot — or, when that repair runs over budget, the exact span
+//     radix re-sorts the segment from its build-order keys. Stability is
+//     what makes the segmentation free: after the position-byte passes,
+//     ties — including keys of different segments sharing a position — are
+//     in global build order, so distributing by segment preserves
+//     per-segment (position, build index) order, which IS the canonical
+//     order each slot needs;
 //  3. a sweep and primal recovery per segment, in add order.
 //
 // Because the canonical sorted key array of each segment is unique (strict
@@ -54,8 +59,6 @@ type Batch struct {
 	segOf  []int32     // global event index -> segment index
 	next   []int32     // per-segment write cursors of the distribution pass
 	coef   []float64   // Coef arena
-	b0     uint64      // XOR reference for the per-segment byte masks
-	b0set  bool
 }
 
 // batchSeg is one accumulated subproblem: a value copy of its Problem (the
@@ -67,14 +70,25 @@ type batchSeg struct {
 	st    *State
 	off   int32
 	nev   int32
-	diff  uint64 // OR of (key bits ^ first) over the segment's keys
-	first uint64 // Bits of the segment's first key (the diff reference)
+	lo    uint64 // minimum key Bits of the segment
+	hi    uint64 // maximum key Bits of the segment
 	lb    float64
-	warm  bool // this solve replayed its cached permutation
-	done  bool // solved at Add time (empty or slack-interval subproblem)
-	done2 bool // cold-sorted individually by Solve (insertion or own radix)
+	done  bool      // solved at Add time (empty or slack-interval subproblem)
+	route sortRoute // how Solve sorted the segment
 	res   Result
 }
+
+// sortRoute records which route of Batch.Solve sorted a segment.
+type sortRoute uint8
+
+const (
+	routeNone      sortRoute = iota // not sorted yet
+	routeWarm                       // replayed its State's permutation
+	routeInsertion                  // straight insertion in its slot
+	routeSpan                       // exact span radix, its own or fused
+	routeTop                        // top-bits radix, finished by the insertion repair
+	routeFallback                   // top-bits repair over budget, re-sorted by the exact span radix
+)
 
 // NewBatch returns an empty batch pre-sized for about hint concatenated
 // events per Solve (the caller's event budget plus one subproblem of
@@ -103,7 +117,6 @@ func (b *Batch) Reset() {
 	b.keys = b.keys[:0]
 	b.segOf = b.segOf[:0]
 	b.coef = b.coef[:0]
-	b.b0set = false
 }
 
 // Len returns the number of subproblems added since the last Reset.
@@ -158,7 +171,7 @@ func (p *Problem) validate(x []float64) error {
 }
 
 // add is the shared tail of Add and AddInterval: fast paths, feasibility
-// pre-checks, the event build, and the byte-mask fold.
+// pre-checks, the event build, and the key span.
 func (b *Batch) add(p *Problem, x []float64, st *State) error {
 	n := len(p.C)
 	if n == 0 {
@@ -190,23 +203,19 @@ func (b *Batch) add(p *Problem, x []float64, st *State) error {
 	b.events, b.keys = ev, keys
 	seg.off = int32(off)
 	seg.nev = int32(len(ev) - off)
-	if !b.b0set {
-		b.b0 = keys[off].Bits
-		b.b0set = true
-	}
-	// Fold the differing-byte mask over the fresh keys (still in cache) so
-	// neither sort mode needs a pre-pass. The reference is the segment's own
-	// first key, keeping the mask tight for the per-segment radix; the fused
-	// pass bridges to the batch-global reference b0 with one extra term per
-	// segment (k^b0 = (k^first)^(first^b0)). The event→segment map the fused
+	// Take the key span over the fresh keys (still in cache) so no sort
+	// route needs a pre-pass; a segment whose variables are all pinned has
+	// no keys and keeps the empty span. The event→segment map the fused
 	// distribution pass needs is NOT built here: most batches never take
 	// that route, so Solve fills it lazily for just the fused segments.
-	seg.first = keys[off].Bits
-	var diff uint64
-	for _, k := range keys[off:] {
-		diff |= k.Bits ^ seg.first
+	if seg.nev > 0 {
+		lo, hi := keys[off].Bits, keys[off].Bits
+		for _, k := range keys[off+1:] {
+			lo = min(lo, k.Bits)
+			hi = max(hi, k.Bits)
+		}
+		seg.lo, seg.hi = lo, hi
 	}
-	seg.diff = diff
 	return nil
 }
 
@@ -260,15 +269,14 @@ func (b *Batch) AddInterval(p *Problem, lo, hi float64, x []float64, st *State) 
 //     straight insertion in its slot. The fused radix amortizes its fixed
 //     costs across segments, which keeps this crossover low.
 //   - segRadixMin: from this event count a cold segment runs its own radix
-//     over the shared ping-pong buffers — its per-segment byte mask is
-//     tighter than any union and it skips the distribution pass, which
-//     beats the fused pass once the per-sort fixed costs amortize within
-//     the segment itself.
+//     over the shared ping-pong buffers — its own span is no wider than any
+//     union and it skips the distribution pass, which beats the fused pass
+//     once the per-sort fixed costs amortize within the segment itself.
 //
 // Segments between the two join the fused radix + stable distribution pass.
 var (
-	batchInsertionMax = 48
-	segRadixMin       = 257
+	batchInsertionMax = 24
+	segRadixMin       = 128
 )
 
 // Solve sorts and sweeps every pending segment. On success it returns
@@ -284,7 +292,6 @@ func (b *Batch) Solve() (int, error) {
 	// array, with the states' counter and cooldown bookkeeping. A replay
 	// that outruns the budget discards the gather, sorts cold from the
 	// pristine build order, and backs off before trying again.
-	warm := 0
 	cold := total
 	for i := range b.segs {
 		seg := &b.segs[i]
@@ -297,8 +304,7 @@ func (b *Batch) Solve() (int, error) {
 			slot := b.sorted[seg.off : int(seg.off)+m]
 			if replayKeys(slot, keys, st.perm[:m], seg.off) {
 				st.FastSorts++
-				seg.warm = true
-				warm++
+				seg.route = routeWarm
 				cold -= m
 				continue
 			}
@@ -316,66 +322,75 @@ func (b *Batch) Solve() (int, error) {
 
 	// Stage 2: sort the cold segments, each by the cheapest correct route.
 	// Segments at or below the insertion threshold use per-slot straight
-	// insertion; segments of at least
-	// segRadixMin events run their own radix over the shared ping-pong
-	// buffers — their per-segment byte masks are tighter than any union and
-	// they skip the distribution pass entirely; the small-but-not-tiny
-	// remainder, where per-sort fixed costs would dominate, is gathered into
-	// ONE fused radix over its concatenated keys followed by a single stable
-	// segment-distribution pass. Every route lands the same canonical
-	// per-slot order, so the choice is invisible in the results.
+	// insertion; segments of at least segRadixMin events run their own
+	// radix over the shared ping-pong buffers — their own spans are no wider
+	// than any union and they skip the distribution pass entirely; the
+	// small-but-not-tiny remainder, where per-sort fixed costs would
+	// dominate, is gathered into ONE fused radix over its concatenated keys
+	// followed by a single stable segment-distribution pass. Every route
+	// lands the same canonical per-slot order, so the choice is invisible in
+	// the results.
 	if cold > 0 {
 		fused := 0
+		lo, hi := uint64(math.MaxUint64), uint64(0)
 		for i := range b.segs {
 			seg := &b.segs[i]
-			if seg.done || seg.warm {
+			if seg.done || seg.route == routeWarm {
 				continue
 			}
 			m := int(seg.nev)
-			slot := b.sorted[seg.off : int(seg.off)+m]
 			switch {
 			case m <= batchInsertionMax:
+				slot := b.sorted[seg.off : int(seg.off)+m]
 				copy(slot, keys[seg.off:int(seg.off)+m])
 				sortx.InsertionKeys(slot)
-				seg.done2 = true
+				seg.route = routeInsertion
 			case m >= segRadixMin:
-				// Radix in place over the build-order keys (clobbered by
-				// contract), ping-ponging against the canonical slot: an odd
-				// pass count ends in the slot for free, an even one copies.
-				res := sortx.RadixKeysMask(keys[seg.off:int(seg.off)+m], slot, seg.diff)
-				if &res[0] != &slot[0] {
-					copy(slot, res)
+				if sortx.SpanBits(seg.lo, seg.hi) <= sortx.TopBits {
+					b.sortSpan(seg)
+					break
 				}
-				seg.done2 = true
+				// The top-bits passes read the build-order keys without
+				// clobbering them, so the fallback can still sort them.
+				b.alt = growKeys(b.alt, m)
+				slot := b.sorted[seg.off : int(seg.off)+m]
+				sortx.RadixKeysTop(slot, keys[seg.off:int(seg.off)+m], b.alt, seg.lo, seg.hi)
+				b.repair(seg)
 			default:
 				fused += m
+				lo, hi = min(lo, seg.lo), max(hi, seg.hi)
 			}
 		}
 		if fused > 0 {
-			// Gather the remaining cold keys contiguously and bridge each
-			// segment's mask to the batch-global reference b0. The
-			// event→segment map is filled here, for just these segments —
-			// batches that never reach this route never pay for it.
+			// Gather the remaining cold keys contiguously. The event→segment
+			// map is filled here, for just these segments — batches that
+			// never reach this route never pay for it.
 			b.alt = growKeys(b.alt, fused)
 			b.segOf = growInt32(b.segOf, total)
-			var diff uint64
 			g := b.alt[:0]
 			for i := range b.segs {
 				seg := &b.segs[i]
-				if seg.done || seg.warm || seg.done2 {
+				if seg.done || seg.route != routeNone {
 					continue
 				}
 				g = append(g, keys[seg.off:seg.off+seg.nev]...)
 				for j := seg.off; j < seg.off+seg.nev; j++ {
 					b.segOf[j] = int32(i)
 				}
-				diff |= seg.diff | (seg.first ^ b.b0)
 			}
 			b.alt2 = growKeys(b.alt2, fused)
-			src := sortx.RadixKeysMask(g, b.alt2[:fused], diff)
+			exact := sortx.SpanBits(lo, hi) <= sortx.TopBits
+			src := g
+			if exact {
+				src = sortx.RadixKeysRange(g, b.alt2[:fused], lo, hi)
+			} else {
+				sortx.RadixKeysTop(g, g, b.alt2[:fused], lo, hi)
+			}
 			// Final stable pass: distribute by segment into each slot. With
 			// ties already in global build order after the position-byte
-			// passes, stability makes every slot canonical by construction.
+			// passes, stability makes every slot canonical by construction
+			// after an exact sort, and leaves the top-bits order for the
+			// repair otherwise.
 			b.next = growInt32(b.next, len(b.segs))
 			next, segOf, sorted := b.next, b.segOf, b.sorted
 			for i := range b.segs {
@@ -385,6 +400,16 @@ func (b *Batch) Solve() (int, error) {
 				s := segOf[k.Idx]
 				sorted[next[s]] = k
 				next[s]++
+			}
+			for i := range b.segs {
+				seg := &b.segs[i]
+				switch {
+				case seg.done || seg.route != routeNone:
+				case exact:
+					seg.route = routeSpan
+				default:
+					b.repair(seg)
+				}
 			}
 		}
 	}
@@ -404,7 +429,7 @@ func (b *Batch) Solve() (int, error) {
 			st.save(sk, seg.off)
 		}
 		p := &seg.p
-		ops := int64(7*m) + int64(float64(m)*math.Log2(float64(m)+1))
+		ops := int64(7*m) + sortCharge(m)
 		lambda, extra, err := p.sweep(b.events, sk, seg.lb, seg.st)
 		if err != nil {
 			return i, err
@@ -413,6 +438,49 @@ func (b *Batch) Solve() (int, error) {
 		seg.res = Result{Lambda: lambda, Total: tot, Ops: ops + extra + int64(2*len(p.C))}
 	}
 	return -1, nil
+}
+
+// sortSpan sorts a cold segment into its slot by the exact span radix, in
+// place over its build-order keys (clobbered by contract), ping-ponging
+// against the slot: an odd pass count ends in the slot for free, an even
+// one copies.
+func (b *Batch) sortSpan(seg *batchSeg) {
+	slot := b.sorted[seg.off : seg.off+seg.nev]
+	res := sortx.RadixKeysRange(b.keys[seg.off:seg.off+seg.nev], slot, seg.lo, seg.hi)
+	if &res[0] != &slot[0] {
+		copy(slot, res)
+	}
+	seg.route = routeSpan
+}
+
+// repair finishes a slot left in top-bits order with the budgeted insertion
+// pass, and re-sorts the segment by the exact span radix when the pass runs
+// over budget (many keys sharing a top bucket).
+func (b *Batch) repair(seg *batchSeg) {
+	if sortx.InsertionBudgetKeys(b.sorted[seg.off : seg.off+seg.nev]) {
+		seg.route = routeTop
+		return
+	}
+	b.sortSpan(seg)
+	seg.route = routeFallback
+}
+
+// sortCharges tables the cost model's sort charge m·log₂(m+1) for the
+// segment sizes a solve meets most, so stage 3 of Solve skips a logarithm
+// per subproblem; sortCharge computes the same expression beyond it.
+var sortCharges = func() (t [1024]int64) {
+	for m := range t {
+		t[m] = int64(float64(m) * math.Log2(float64(m)+1))
+	}
+	return t
+}()
+
+// sortCharge is the paper's n·log₂n sort charge for an m-event subproblem.
+func sortCharge(m int) int64 {
+	if m < len(sortCharges) {
+		return sortCharges[m]
+	}
+	return int64(float64(m) * math.Log2(float64(m)+1))
 }
 
 // growKeys returns buf resized to n, reallocating only when capacity is

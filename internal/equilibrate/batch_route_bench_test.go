@@ -3,11 +3,16 @@ package equilibrate
 import (
 	"math/rand/v2"
 	"testing"
+
+	"sea/internal/sortx"
 )
 
-// benchBatch builds a cold batch of segs elastic subproblems of n breakpoints
-// each and solves it, with the route thresholds forced by the caller.
-func benchBatchRoutes(b *testing.B, n, segs, insMax, radixMin int) {
+// benchBatchRoutes builds a cold batch of segs fixed-total subproblems of n
+// breakpoints each in the key shape sh — shapeRandom spreads them, shapeCluster
+// puts them at the Table-1 first-iteration ties −2 ± 1 ulp — and solves it,
+// with the route thresholds forced by the caller. It reports the radix byte
+// passes per key that the segments' spans call for.
+func benchBatchRoutes(b *testing.B, n, segs int, sh keyShape, insMax, radixMin int) {
 	oldIns, oldMin := batchInsertionMax, segRadixMin
 	batchInsertionMax, segRadixMin = insMax, radixMin
 	defer func() { batchInsertionMax, segRadixMin = oldIns, oldMin }()
@@ -23,11 +28,11 @@ func benchBatchRoutes(b *testing.B, n, segs, insMax, radixMin int) {
 			a[j] = 0.5 + rng.Float64()
 		}
 		ps[s] = Problem{C: c, A: a, R: float64(n) * 0.3, E: 0}
+		sh.shape(rng, &ps[s])
 		xs[s] = make([]float64, n)
 	}
 	batch := NewBatch(n*segs + n)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	run := func() {
 		batch.Reset()
 		for s := range ps {
 			if err := batch.Add(&ps[s], xs[s], nil); err != nil {
@@ -38,14 +43,58 @@ func benchBatchRoutes(b *testing.B, n, segs, insMax, radixMin int) {
 			b.Fatalf("seg %d: %v", idx, err)
 		}
 	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		run()
+	}
+	b.ReportMetric(spanPasses(batch), "passes/key")
+}
+
+// spanPasses is the mean radix byte passes per key of a solved cold batch,
+// from the spans alone: (SpanBits+7)/8 for an exact span radix, TopBits/8
+// for the top-bits radix (an over-budget repair's exact re-sort not
+// counted), 0 for insertion. Fused segments take the union span.
+func spanPasses(b *Batch) float64 {
+	passes := func(lo, hi uint64) int {
+		if bits := sortx.SpanBits(lo, hi); bits <= sortx.TopBits {
+			return (bits + 7) / 8
+		}
+		return sortx.TopBits / 8
+	}
+	var lo, hi uint64 = 1<<64 - 1, 0
+	fused, total, sum := 0, 0, 0
+	for i := range b.segs {
+		seg := &b.segs[i]
+		m := int(seg.nev)
+		total += m
+		switch {
+		case seg.done || m <= batchInsertionMax:
+		case m >= segRadixMin:
+			sum += m * passes(seg.lo, seg.hi)
+		default:
+			fused += m
+			lo, hi = min(lo, seg.lo), max(hi, seg.hi)
+		}
+	}
+	if fused > 0 {
+		sum += fused * passes(lo, hi)
+	}
+	return float64(sum) / float64(max(total, 1))
 }
 
 func BenchmarkBatchRoute(b *testing.B) {
-	for _, n := range []int{32, 64, 96, 128, 192, 256} {
-		segs := 4096 / n
-		b.Run("n="+itoa(n)+"/insertion", func(b *testing.B) { benchBatchRoutes(b, n, segs, 1<<30, 1<<30) })
-		b.Run("n="+itoa(n)+"/fused", func(b *testing.B) { benchBatchRoutes(b, n, segs, 0, 1<<30) })
-		b.Run("n="+itoa(n)+"/perseg", func(b *testing.B) { benchBatchRoutes(b, n, segs, 0, 0) })
+	families := []struct {
+		name  string
+		shape keyShape
+	}{{"spread", shapeRandom}, {"clustered", shapeCluster}}
+	for _, f := range families {
+		for _, n := range []int{16, 24, 32, 40, 48, 64, 96, 128, 160, 192, 256, 384} {
+			segs := 4096 / n
+			pre := f.name + "/n=" + itoa(n)
+			b.Run(pre+"/insertion", func(b *testing.B) { benchBatchRoutes(b, n, segs, f.shape, 1<<30, 1<<30) })
+			b.Run(pre+"/fused", func(b *testing.B) { benchBatchRoutes(b, n, segs, f.shape, 0, 1<<30) })
+			b.Run(pre+"/perseg", func(b *testing.B) { benchBatchRoutes(b, n, segs, f.shape, 0, 0) })
+		}
 	}
 }
 

@@ -1,9 +1,13 @@
 package equilibrate
 
 import (
+	"cmp"
 	"math"
 	"math/rand/v2"
+	"slices"
 	"testing"
+
+	"sea/internal/sortx"
 )
 
 // batchSlot is one subproblem tracked through the batched-vs-reference
@@ -17,7 +21,44 @@ type batchSlot struct {
 	stB    State // batched path
 	xS     []float64
 	xB     []float64
-	ties   bool
+	shape  keyShape
+}
+
+// keyShape is a breakpoint pattern a slot keeps through some of its
+// perturbations, aimed at one behaviour of the span radix.
+type keyShape uint8
+
+const (
+	shapeRandom  keyShape = iota
+	shapeTies             // every breakpoint at one position: span 0
+	shapeCluster          // −2 ± 1 ulp, straddling a binade: span 2, one pass
+	shapeOutlier          // a −2 ± 1 ulp cluster and one far breakpoint: the top-bits repair runs over budget
+	shapeWide             // spread over many binades, with ±0 and denormals: the top-bits repair holds
+)
+
+// shape rewrites p's coefficients into the breakpoint pattern sh (with
+// a_j = 1 the breakpoint is exactly −c_j); shapeRandom leaves p alone.
+func (sh keyShape) shape(rng *rand.Rand, p *Problem) {
+	minus2 := []float64{2, math.Nextafter(2, 3), math.Nextafter(2, 0)}
+	tiny := []float64{0, math.Copysign(0, -1), math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64, 3e-320, -2.5e-310}
+	for j := range p.C {
+		switch sh {
+		case shapeRandom:
+			return
+		case shapeTies:
+			p.A[j], p.C[j] = 1, 2.5
+		case shapeCluster, shapeOutlier:
+			p.A[j], p.C[j] = 1, minus2[rng.IntN(len(minus2))]
+		case shapeWide:
+			p.A[j], p.C[j] = 1, rng.NormFloat64()*math.Pow(10, float64(rng.IntN(9)-4))
+			if j%20 == 0 {
+				p.C[j] = tiny[(j/20)%len(tiny)]
+			}
+		}
+	}
+	if sh == shapeOutlier {
+		p.C[len(p.C)/2] = -1e6
+	}
 }
 
 // batchSlots builds the adversarial mix: empty subproblems, single-
@@ -25,13 +66,16 @@ type batchSlot struct {
 // bound pattern, and interval totals — all in one batch.
 func batchSlots(rng *rand.Rand) []*batchSlot {
 	cases := []struct {
-		c    warmCase
-		ties bool
+		c     warmCase
+		shape keyShape
 	}{
 		{c: warmCase{name: "empty", n: 0, elastic: true}},
 		{c: warmCase{name: "single", n: 1}},
-		{c: warmCase{name: "ties-small", n: 12}, ties: true},
-		{c: warmCase{name: "ties-large", n: 200}, ties: true},
+		{c: warmCase{name: "ties-small", n: 12}, shape: shapeTies},
+		{c: warmCase{name: "ties-large", n: 200}, shape: shapeTies},
+		{c: warmCase{name: "cluster-mid", n: 100}, shape: shapeCluster},
+		{c: warmCase{name: "cluster-outlier", n: 300}, shape: shapeOutlier},
+		{c: warmCase{name: "wide-zeros-denormals", n: 400}, shape: shapeWide},
 		{c: warmCase{name: "fixed-small", n: 7}},
 		{c: warmCase{name: "fixed-large", n: 300}},
 		{c: warmCase{name: "elastic", n: 120, elastic: true}},
@@ -43,16 +87,12 @@ func batchSlots(rng *rand.Rand) []*batchSlot {
 	}
 	slots := make([]*batchSlot, len(cases))
 	for i, tc := range cases {
-		s := &batchSlot{c: tc.c, ties: tc.ties, p: buildProblem(rng, tc.c)}
-		if tc.ties {
-			// Every breakpoint at the same position: all sort keys are
-			// equal, within the segment and across tied segments, so the
-			// fused radix's byte mask is empty and only stability separates
-			// build orders.
-			for j := 0; j < tc.c.n; j++ {
-				s.p.A[j] = 1
-				s.p.C[j] = 2.5
-			}
+		s := &batchSlot{c: tc.c, shape: tc.shape, p: buildProblem(rng, tc.c)}
+		if tc.shape != shapeRandom {
+			// For ties all sort keys are equal, within the segment and
+			// across tied segments, so the span is 0 and only stability
+			// separates build orders.
+			tc.shape.shape(rng, s.p)
 			s.p.R = feasibleTarget(rng, s.p)
 		}
 		if tc.c.n == 0 && !tc.c.elastic {
@@ -84,11 +124,9 @@ func (s *batchSlot) perturb(rng *rand.Rand) {
 	for j := 0; j < s.c.n; j++ {
 		s.p.C[j] += rng.NormFloat64() * scale
 	}
-	if s.ties && rng.Float64() < 0.5 {
-		// Keep the all-ties structure through some perturbations.
-		for j := 0; j < s.c.n; j++ {
-			s.p.C[j] = s.p.C[0]
-		}
+	if s.shape != shapeRandom && rng.Float64() < 0.5 {
+		// Keep the slot's key shape through some perturbations.
+		s.shape.shape(rng, s.p)
 	}
 	if s.c.n > 0 && rng.Float64() < 0.3 {
 		s.p.R = feasibleTarget(rng, s.p)
@@ -170,9 +208,9 @@ func TestBatchBitIdenticalToSingle(t *testing.T) {
 				}
 			}
 			for _, s := range slots {
-				// The ties slots flip between two unrelated orderings by
+				// The shaped slots flip between unrelated orderings by
 				// design, so their replays legitimately keep failing.
-				if s.c.n > 1 && !s.ties && s.stB.FastSorts == 0 {
+				if s.c.n > 1 && s.shape == shapeRandom && s.stB.FastSorts == 0 {
 					t.Errorf("slot %s: batched warm path never replayed (%d full sorts)", s.c.name, s.stB.FullSorts)
 				}
 			}
@@ -229,7 +267,7 @@ func TestBatchColdNoStates(t *testing.T) {
 }
 
 // TestBatchAllTiesAcrossSegments puts every key of every segment at the same
-// position: the radix byte mask is identically zero, so the canonical order
+// position: the radix key span is zero, so the canonical order
 // of each slot comes purely from the stability of the segment-distribution
 // pass over the build order.
 func TestBatchAllTiesAcrossSegments(t *testing.T) {
@@ -269,6 +307,122 @@ func TestBatchAllTiesAcrossSegments(t *testing.T) {
 					t.Fatalf("n=%d seg %d: x[%d] differs", n, s, j)
 				}
 			}
+		}
+	}
+}
+
+// TestBatchSortRoutes pins each radix route of a cold batch to the key
+// shape it exists for — a segment sorted by its own radix (m ≥ segRadixMin)
+// or several fused (batchInsertionMax < m < segRadixMin) — and checks every
+// segment against plain insertion, one subproblem at a time: a −2 ± 1 ulp
+// cluster sorts exactly in one pass, a wide spread by its top bits plus the
+// insertion repair, and a cluster with one far outlier overruns the repair
+// and falls back to the exact span radix.
+func TestBatchSortRoutes(t *testing.T) {
+	cases := []struct {
+		name      string
+		n, copies int
+		shape     keyShape
+		want      sortRoute
+	}{
+		{"cluster-own", 300, 1, shapeCluster, routeSpan},
+		{"cluster-fused", 100, 3, shapeCluster, routeSpan},
+		{"wide-own", 400, 1, shapeWide, routeTop},
+		{"wide-fused", 100, 3, shapeWide, routeTop},
+		{"outlier-own", 300, 1, shapeOutlier, routeFallback},
+		{"outlier-fused", 100, 2, shapeOutlier, routeFallback},
+	}
+	rng := rand.New(rand.NewPCG(31, 37))
+	for _, tc := range cases {
+		b := NewBatch(0)
+		ps := make([]*Problem, tc.copies)
+		xs := make([][]float64, tc.copies)
+		for i := range ps {
+			ps[i] = buildProblem(rng, warmCase{n: tc.n})
+			tc.shape.shape(rng, ps[i])
+			ps[i].R = feasibleTarget(rng, ps[i])
+			xs[i] = make([]float64, tc.n)
+			if err := b.Add(ps[i], xs[i], nil); err != nil {
+				t.Fatalf("%s: Add: %v", tc.name, err)
+			}
+		}
+		if bad, err := b.Solve(); err != nil {
+			t.Fatalf("%s: Solve failed at %d: %v", tc.name, bad, err)
+		}
+		for i, p := range ps {
+			seg := &b.segs[i]
+			if seg.route != tc.want {
+				t.Errorf("%s seg %d: sorted by route %d, want %d", tc.name, i, seg.route, tc.want)
+			}
+			// Ties inside a ulp cluster rarely change the sweep's bits, so
+			// check the slot's key order itself.
+			_, keys, err := p.appendEvents(nil, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			slices.SortStableFunc(keys, func(a, b sortx.Key) int { return cmp.Compare(a.Bits, b.Bits) })
+			for k, key := range b.sorted[seg.off : seg.off+seg.nev] {
+				if key.Idx-seg.off != keys[k].Idx {
+					t.Fatalf("%s seg %d: sorted key %d has build index %d, want %d", tc.name, i, k, key.Idx-seg.off, keys[k].Idx)
+				}
+			}
+			x := make([]float64, tc.n)
+			want, err := solveInsertion(fixed(p, x, nil))
+			if err != nil {
+				t.Fatalf("%s: reference: %v", tc.name, err)
+			}
+			if got := b.Result(i); got != want {
+				t.Fatalf("%s seg %d: batch %+v, reference %+v", tc.name, i, got, want)
+			}
+			for j := range x {
+				if xs[i][j] != x[j] {
+					t.Fatalf("%s seg %d: x[%d] differs", tc.name, i, j)
+				}
+			}
+		}
+	}
+}
+
+// TestBatchAllPinned: a subproblem whose variables are all pinned (u = l)
+// has no breakpoints. It solves at its lower bounds, alone and beside
+// segments on every cold sort route, and a total it cannot reach is
+// infeasible.
+func TestBatchAllPinned(t *testing.T) {
+	pinned := &Problem{C: []float64{1, 2, 3}, A: []float64{1, 1, 1}, U: []float64{0, 0.5, 0}, L: []float64{0, 0.5, 0}, R: 0.5}
+	rng := rand.New(rand.NewPCG(41, 43))
+	for _, n := range []int{0, 20, 100, 300} {
+		b := NewBatch(0)
+		x := []float64{9, 9, 9}
+		if err := b.Add(pinned, x, nil); err != nil {
+			t.Fatal(err)
+		}
+		if n > 0 {
+			p := buildProblem(rng, warmCase{n: n})
+			p.R = feasibleTarget(rng, p)
+			if err := b.Add(p, make([]float64, n), nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if bad, err := b.Solve(); err != nil {
+			t.Fatalf("n=%d: Solve failed at %d: %v", n, bad, err)
+		}
+		if x[0] != 0 || x[1] != 0.5 || x[2] != 0 || b.Result(0).Total != 0.5 {
+			t.Fatalf("n=%d: pinned x = %v, result %+v", n, x, b.Result(0))
+		}
+	}
+	bad := *pinned
+	bad.R = 1
+	if _, err := solve(&bad, make([]float64, 3)); err != ErrInfeasible {
+		t.Fatalf("unreachable total: err = %v, want ErrInfeasible", err)
+	}
+}
+
+// TestSortChargeTable: the tabled sort charge is the cost model's
+// expression, so operation counts do not depend on the table.
+func TestSortChargeTable(t *testing.T) {
+	for m := 0; m <= len(sortCharges); m++ {
+		if got, want := sortCharge(m), int64(float64(m)*math.Log2(float64(m)+1)); got != want {
+			t.Fatalf("sortCharge(%d) = %d, want %d", m, got, want)
 		}
 	}
 }

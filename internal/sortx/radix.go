@@ -7,11 +7,17 @@
 // for the short arrays (10–120 elements) of its Section 5. The kernel keeps
 // straight insertion for short arrays and replaces heapsort with a stable
 // LSD radix sort over compact keys: stability makes the canonical tie order
-// free, and clustered inputs skip their constant byte planes. A budgeted
-// insertion pass repairs the nearly sorted order a warm start replays.
+// free, and the sort passes only over the bytes that the keys' span
+// (maximum − minimum) covers, so a tight cluster sorts in one pass. Keys
+// spread wider than TopBits bits are ordered by their top TopBits bits, and
+// the budgeted insertion pass — the same one that repairs the nearly sorted
+// order a warm start replays — finishes the exact order.
 package sortx
 
-import "math"
+import (
+	"math"
+	"math/bits"
+)
 
 // Key is a 16-byte sort element: a uint64 whose unsigned order is the sort
 // order, plus the index of the payload it stands for. Sorting keys instead
@@ -88,7 +94,18 @@ func InsertionBudgetKeys(keys []Key) bool {
 	return true
 }
 
-// RadixKeysMask sorts keys ascending by Bits with a stable LSD radix sort,
+// TopBits is the width of the top-of-span radix: RadixKeysTop orders keys
+// by the TopBits most significant bits of their span in TopBits/8 byte
+// passes. Callers sort spans of at most TopBits bits exactly with
+// RadixKeysRange and wider ones with RadixKeysTop plus an insertion repair.
+const TopBits = 16
+
+// SpanBits returns the number of significant bits of hi − lo, the span of
+// keys whose Bits lie in [lo, hi]. RadixKeysRange makes (SpanBits+7)/8 byte
+// passes over such keys.
+func SpanBits(lo, hi uint64) int { return bits.Len64(hi - lo) }
+
+// RadixKeysRange sorts keys ascending by Bits with a stable LSD radix sort,
 // using scratch (which must be at least as long) as the ping-pong buffer.
 // It returns the sorted slice, which aliases either keys or scratch.
 //
@@ -97,58 +114,90 @@ func InsertionBudgetKeys(keys []Key) bool {
 // tie-heavy inputs (breakpoint clusters) cost nothing extra, where a
 // comparison sort under the full order loses its equal-element collapse.
 //
-// diff is the differing-byte mask, which the kernel folds while building
-// keys, saving a pre-pass over data that has since left cache. It must
-// cover the pairwise XORs of the keys' Bits (an OR of each key XOR any one
-// fixed reference does, since k1^k2 = (k1^ref)^(k2^ref)); byte positions
-// absent from it are constant across the input and their passes are
-// skipped, so clustered inputs — values differing in a few low mantissa
-// bytes — pay only those few counting passes. A superset mask only costs
-// extra counting passes, never correctness. diff == 0 returns keys
-// unchanged.
-func RadixKeysMask(keys, scratch []Key, diff uint64) []Key {
+// lo and hi must bound every key's Bits; the kernel keeps them while
+// building keys, saving a pre-pass over data that has since left cache.
+// The sort keys on Bits − lo and makes one pass per byte that the span
+// hi − lo covers, so a cluster of consecutive keys costs one pass however
+// many high bits its members differ in (−2 ± 1 ulp straddles an exponent
+// boundary: its keys differ in 63 bits but span 2). Looser bounds only cost
+// extra passes, never correctness. A span of 0 returns keys unchanged.
+func RadixKeysRange(keys, scratch []Key, lo, hi uint64) []Key {
 	n := len(keys)
-	if n < 2 || diff == 0 {
+	np := (SpanBits(lo, hi) + 7) / 8
+	if n < 2 || np == 0 {
 		return keys
 	}
-	// Collect the active byte planes, then fill every plane's histogram in
-	// a single read pass: a byte histogram is permutation-invariant, so the
-	// counts taken on the input array are valid for every later pass even
-	// though the keys have moved between the buffers by then. Each radix
-	// pass is thereby scatter-only — one stream over the keys instead of
-	// the count+scatter two — which matters once the key array outgrows L1
-	// (fused multi-subproblem batches; see internal/equilibrate.Batch).
-	var shifts [8]uint
-	np := 0
-	for shift := uint(0); shift < 64; shift += 8 {
-		if (diff>>shift)&0xff != 0 {
-			shifts[np] = shift
-			np++
+	// Only the active planes' histograms are cleared: a one-pass sort of a
+	// 150-key segment would otherwise zero 8 KB of counts to move 2.4 KB of
+	// keys.
+	switch np {
+	case 1:
+		var counts [1][256]int32
+		return radix(keys, scratch[:n], keys, counts[:], lo, 0)
+	case 2:
+		var counts [2][256]int32
+		return radix(keys, scratch[:n], keys, counts[:], lo, 0)
+	default:
+		var counts [8][256]int32
+		return radix(keys, scratch[:n], keys, counts[:np], lo, 0)
+	}
+}
+
+// RadixKeysTop writes src into dst ordered by the top TopBits bits of
+// Bits − lo within the span hi − lo, stable in src order, in TopBits/8 byte
+// passes through scratch. src is left untouched (dst may alias it), so a
+// caller whose repair of the remaining disorder fails can still sort src
+// exactly. Keys sharing a top bucket keep src order, which after a stable
+// build is Idx order: InsertionBudgetKeys finishes the (Bits, Idx) order in
+// about one comparison per key when the keys spread across buckets, and
+// gives up when many share one. Spans of at most TopBits bits are sorted
+// exactly.
+func RadixKeysTop(dst, src, scratch []Key, lo, hi uint64) {
+	n := len(src)
+	shift := max(SpanBits(lo, hi)-TopBits, 0)
+	var counts [TopBits / 8][256]int32
+	radix(src, scratch[:n], dst[:n], counts[:], lo, uint(shift))
+}
+
+// radix is the shared LSD core: one byte pass per histogram in counts, over
+// (Bits − lo) >> shift, reading src, writing the first pass to a and then
+// alternating b, a, ... It returns the last slice written (src when counts
+// is empty). a must not alias src or b; b may alias src.
+//
+// Every plane's histogram is filled in a single read pass: a byte histogram
+// is permutation-invariant, so the counts taken on src are valid for every
+// later pass even though the keys have moved between the buffers by then.
+// Each radix pass is thereby scatter-only — one stream over the keys
+// instead of the count+scatter two — which matters once the key array
+// outgrows L1 (fused multi-subproblem batches; see
+// internal/equilibrate.Batch).
+func radix(src, a, b []Key, counts [][256]int32, lo uint64, shift uint) []Key {
+	for _, k := range src {
+		d := (k.Bits - lo) >> shift
+		for p := range counts {
+			counts[p][byte(d>>(8*p))]++
 		}
 	}
-	var counts [8][256]int32
-	for i := range keys {
-		b := keys[i].Bits
-		for p := 0; p < np; p++ {
-			counts[p][(b>>shifts[p])&0xff]++
-		}
+	in, out, next := src, a, b
+	for p := range counts {
+		scatter(out, in, &counts[p], lo, shift+uint(8*p))
+		in, out, next = out, next, out
 	}
-	src, dst := keys[:n], scratch[:n]
-	for p := 0; p < np; p++ {
-		count := &counts[p]
-		var sum int32
-		for i := range count {
-			c := count[i]
-			count[i] = sum
-			sum += c
-		}
-		shift := shifts[p]
-		for _, k := range src {
-			b := (k.Bits >> shift) & 0xff
-			dst[count[b]] = k
-			count[b]++
-		}
-		src, dst = dst, src
+	return in
+}
+
+// scatter is one stable counting pass: it writes src into dst ordered by
+// byte (Bits − lo) >> s, turning count, the byte's histogram, into bucket
+// cursors first.
+func scatter(dst, src []Key, count *[256]int32, lo uint64, s uint) {
+	var sum int32
+	for i, c := range count {
+		count[i] = sum
+		sum += c
 	}
-	return src
+	for _, k := range src {
+		d := byte((k.Bits - lo) >> (s & 63))
+		dst[count[d]] = k
+		count[d]++
+	}
 }

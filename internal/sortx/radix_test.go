@@ -1,6 +1,8 @@
 package sortx
 
 import (
+	"bytes"
+	"encoding/binary"
 	"math"
 	"math/rand/v2"
 	"slices"
@@ -49,14 +51,36 @@ func keysFrom(pos []float64) []Key {
 	return keys
 }
 
-// radixSort runs RadixKeysMask with the differing-byte mask folded here, as
-// the kernel folds it while building keys.
-func radixSort(keys []Key) []Key {
-	var diff uint64
-	for _, k := range keys {
-		diff |= k.Bits ^ keys[0].Bits
+// span returns the minimum and maximum Bits of keys, as the kernel keeps
+// them while building keys.
+func span(keys []Key) (lo, hi uint64) {
+	if len(keys) == 0 {
+		return 0, 0
 	}
-	return RadixKeysMask(keys, make([]Key, len(keys)), diff)
+	lo, hi = keys[0].Bits, keys[0].Bits
+	for _, k := range keys {
+		lo, hi = min(lo, k.Bits), max(hi, k.Bits)
+	}
+	return lo, hi
+}
+
+// radixSort runs RadixKeysRange over the keys' own span.
+func radixSort(keys []Key) []Key {
+	lo, hi := span(keys)
+	return RadixKeysRange(keys, make([]Key, len(keys)), lo, hi)
+}
+
+// topRepairSort is the kernel's wide-span route: RadixKeysTop, then the
+// budgeted insertion repair, then the exact sort from the untouched input
+// when the repair runs over budget.
+func topRepairSort(keys []Key) []Key {
+	lo, hi := span(keys)
+	dst := make([]Key, len(keys))
+	RadixKeysTop(dst, keys, make([]Key, len(keys)), lo, hi)
+	if InsertionBudgetKeys(dst) {
+		return dst
+	}
+	return RadixKeysRange(keys, dst, lo, hi)
 }
 
 func TestRadixKeysMatchesComparisonSort(t *testing.T) {
@@ -108,7 +132,7 @@ func TestRadixKeysMatchesComparisonSort(t *testing.T) {
 			slices.SortFunc(want, keyCmp)
 			got := radixSort(slices.Clone(keys))
 			if !slices.Equal(got, want) {
-				t.Errorf("%s n=%d: RadixKeysMask diverges from comparison sort", name, n)
+				t.Errorf("%s n=%d: RadixKeysRange diverges from comparison sort", name, n)
 			}
 		}
 	}
@@ -177,4 +201,125 @@ func TestInsertionBudgetKeys(t *testing.T) {
 		}
 		seen[k.Idx] = true
 	}
+}
+
+// bitsKeys builds keys from raw Bits in input order.
+func bitsKeys(bs ...uint64) []Key {
+	keys := make([]Key, len(bs))
+	for i, b := range bs {
+		keys[i] = Key{Bits: b, Idx: int32(i)}
+	}
+	return keys
+}
+
+// TestRadixKeysRangeEdges checks the span radix against a stable comparison
+// sort at the edges of its span arithmetic: no span, one key, the full
+// uint64 range (eight passes), infinities, and clusters straddling a binade
+// boundary, whose keys differ in most bits but span a few.
+func TestRadixKeysRangeEdges(t *testing.T) {
+	lowest := math.Nextafter(-2, math.Inf(-1))
+	cases := []struct {
+		name   string
+		keys   []Key
+		passes int
+	}{
+		{"span0", keysFrom([]float64{7, 7, 7, 7}), 0},
+		{"n1", keysFrom([]float64{-3}), 0},
+		{"full-range", bitsKeys(math.MaxUint64, 5, 0, 1<<63, 0, math.MaxUint64, 1<<56), 8},
+		{"inf", keysFrom([]float64{math.Inf(1), 0, math.Inf(-1), -1, math.Inf(1), 1, math.Inf(-1)}), 8},
+		{"straddle-minus2", keysFrom([]float64{-2, math.Nextafter(-2, 0), lowest, -2, lowest, math.Nextafter(-2, 0)}), 1},
+		{"straddle-1", keysFrom([]float64{1, math.Nextafter(1, 0), math.Nextafter(1, 2), 1, math.Nextafter(1, 0)}), 1},
+		{"straddle-zero", keysFrom([]float64{0, math.SmallestNonzeroFloat64, math.Copysign(0, -1), -math.SmallestNonzeroFloat64, 0}), 1},
+	}
+	for _, tc := range cases {
+		lo, hi := span(tc.keys)
+		if tc.name == "full-range" {
+			lo, hi = 0, math.MaxUint64
+		}
+		if got := (SpanBits(lo, hi) + 7) / 8; got != tc.passes && len(tc.keys) > 1 {
+			t.Errorf("%s: span %d..%d takes %d passes, want %d", tc.name, lo, hi, got, tc.passes)
+		}
+		want := canonical(tc.keys)
+		got := RadixKeysRange(slices.Clone(tc.keys), make([]Key, len(tc.keys)), lo, hi)
+		if !slices.Equal(got, want) {
+			t.Errorf("%s: RadixKeysRange = %v, want %v", tc.name, got, want)
+		}
+		if got := topRepairSort(slices.Clone(tc.keys)); !slices.Equal(got, want) {
+			t.Errorf("%s: top-bits radix + repair = %v, want %v", tc.name, got, want)
+		}
+	}
+}
+
+// TestRadixKeysTopLeavesSource checks the top-bits radix's contract: src is
+// untouched, dst holds src ordered by the top TopBits bits of the span,
+// stable within a bucket, and spans of at most TopBits bits come out exact.
+func TestRadixKeysTopLeavesSource(t *testing.T) {
+	rng := rand.New(rand.NewPCG(21, 23))
+	for _, spread := range []float64{1e-12, 1, 1e6} {
+		xs := make([]float64, 700)
+		for i := range xs {
+			xs[i] = 3 + rng.NormFloat64()*spread
+		}
+		src := keysFrom(xs)
+		orig := slices.Clone(src)
+		lo, hi := span(src)
+		dst := make([]Key, len(src))
+		RadixKeysTop(dst, src, make([]Key, len(src)), lo, hi)
+		if !slices.Equal(src, orig) {
+			t.Fatalf("spread %g: RadixKeysTop modified src", spread)
+		}
+		shift := max(SpanBits(lo, hi)-TopBits, 0)
+		bucket := func(k Key) uint64 { return (k.Bits - lo) >> shift }
+		for i := 1; i < len(dst); i++ {
+			a, b := dst[i-1], dst[i]
+			if bucket(a) > bucket(b) || (bucket(a) == bucket(b) && a.Idx > b.Idx) {
+				t.Fatalf("spread %g: dst[%d..%d] out of (bucket, Idx) order", spread, i-1, i)
+			}
+		}
+		if SpanBits(lo, hi) <= TopBits && !slices.Equal(dst, canonical(src)) {
+			t.Fatalf("spread %g: %d-bit span not sorted exactly", spread, SpanBits(lo, hi))
+		}
+		// dst may alias src.
+		RadixKeysTop(src, src, make([]Key, len(src)), lo, hi)
+		if !slices.Equal(src, dst) {
+			t.Fatalf("spread %g: aliased RadixKeysTop differs", spread)
+		}
+	}
+}
+
+// FuzzSortKeys is differential: the span radix, and the top-bits radix with
+// its repair, must land the order of slices.SortStableFunc over (Bits, Idx)
+// for any keys, including NaN bit patterns and bounds looser than the keys.
+// Each 8-byte chunk of the input is one key's Bits; slack widens the bounds.
+func FuzzSortKeys(f *testing.F) {
+	f.Add([]byte{}, uint64(0))
+	f.Add([]byte("\x00\x00\x00\x00\x00\x00\x00\x40\xff\xff\xff\xff\xff\xff\xff\x3f\xfe\xff\xff\xff\xff\xff\xff\x3f"), uint64(0))
+	f.Add([]byte("\xff\xff\xff\xff\xff\xff\xff\xff\x00\x00\x00\x00\x00\x00\x00\x00\x01\x00\x00\x00\x00\x00\x00\x80"), uint64(3))
+	f.Add(bytes.Repeat([]byte("\x01\x02\x03\x04\x05\x06\x07\x08"), 300), uint64(1<<40))
+	f.Fuzz(func(t *testing.T, data []byte, slack uint64) {
+		keys := make([]Key, len(data)/8)
+		for i := range keys {
+			keys[i] = Key{Bits: binary.LittleEndian.Uint64(data[8*i:]), Idx: int32(i)}
+		}
+		want := canonical(keys)
+		lo, hi := span(keys)
+		lo -= min(lo, slack)
+		hi += min(math.MaxUint64-hi, slack)
+		got := RadixKeysRange(slices.Clone(keys), make([]Key, len(keys)), lo, hi)
+		if !slices.Equal(got, want) {
+			t.Fatalf("RadixKeysRange over [%#x, %#x] = %v, want %v", lo, hi, got, want)
+		}
+		src := slices.Clone(keys)
+		dst := make([]Key, len(keys))
+		RadixKeysTop(dst, src, make([]Key, len(keys)), lo, hi)
+		if !slices.Equal(src, keys) {
+			t.Fatal("RadixKeysTop modified src")
+		}
+		if !InsertionBudgetKeys(dst) {
+			dst = RadixKeysRange(src, dst, lo, hi)
+		}
+		if !slices.Equal(dst, want) {
+			t.Fatalf("top-bits radix + repair over [%#x, %#x] = %v, want %v", lo, hi, dst, want)
+		}
+	})
 }

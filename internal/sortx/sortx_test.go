@@ -10,14 +10,15 @@ import (
 // sorters are the kernel's cold sorts: each must land the unique
 // (Bits, Idx) order.
 var sorters = map[string]func([]Key) []Key{
-	"InsertionKeys": func(keys []Key) []Key { InsertionKeys(keys); return keys },
-	"RadixKeysMask": radixSort,
+	"InsertionKeys":  func(keys []Key) []Key { InsertionKeys(keys); return keys },
+	"RadixKeysRange": radixSort,
+	"RadixKeysTop":   topRepairSort,
 }
 
-// canonical returns keys in (Bits, Idx) order by a comparison sort.
+// canonical returns keys in (Bits, Idx) order by a stable comparison sort.
 func canonical(keys []Key) []Key {
 	want := slices.Clone(keys)
-	slices.SortFunc(want, keyCmp)
+	slices.SortStableFunc(want, keyCmp)
 	return want
 }
 
@@ -98,9 +99,11 @@ func TestInsertionSortsProperty(t *testing.T) {
 }
 
 // TestRadixSortsProperty mirrors TestInsertionSortsProperty for the radix
-// sort.
+// sorts: the exact span radix, and the top-bits radix with its repair.
 func TestRadixSortsProperty(t *testing.T) {
-	if err := quick.Check(sortsProperty(radixSort), nil); err != nil {
-		t.Error(err)
+	for _, sort := range []func([]Key) []Key{radixSort, topRepairSort} {
+		if err := quick.Check(sortsProperty(sort), nil); err != nil {
+			t.Error(err)
+		}
 	}
 }
