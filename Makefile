@@ -66,13 +66,16 @@ bench-check: cmds
 # Sparse-tier perf snapshot: the CSR storage guards (bit-exact equivalence
 # with the densified form, steady-state allocation flatness, batch-budget and
 # procs independence of the one phase body on dense and CSR input), a
-# one-shot smoke of the row/column phase benchmarks on both storages, plus a
+# one-shot smoke of the row/column phase benchmarks on both storages and of
+# the kernel's short-segment benchmark (ns per equilibration, cold and warm,
+# the layer behind equilibrate.ns_per_equil), plus a
 # filtered perf-suite run regenerating just the sparse/ records. The
 # committed BENCH_sea.json is regenerated unfiltered by bench-check; this
 # target is the quick iteration loop for sparse hot-path work.
 bench-sparse: cmds
 	$(GO) test -count=1 -run 'TestCSRMatchesDensifiedAcrossProcs|TestCSRSteadyStateAllocs|TestBatched' ./internal/core/
 	$(GO) test -run xxx -bench 'RowPhase|ColumnPhase' -benchtime 1x ./internal/core/
+	$(GO) test -run xxx -bench BatchShortSegments -benchtime 1x ./internal/equilibrate/
 	$(GO) run ./cmd/seabench -table none -benchjson .bench_sparse.json -benchfilter sparse/
 	@cat .bench_sparse.json; rm -f .bench_sparse.json
 
@@ -96,15 +99,17 @@ bench-sequence: cmds
 	$(GO) test -count=1 -run 'TestSession|TestServerSession|TestSequence' ./pkg/sea/ ./pkg/sea/serve/ ./pkg/sea/serve/http/
 	$(GO) run ./cmd/seabench -sequence -scale 0.5
 
-# The equilibration kernel, the breakpoint sorts (span radix and
-# top-bits radix with its repair, against a stable comparison sort), then
-# the problem reader: its round-trip
+# The equilibration kernel, its gather-fused warm build (two solves through
+# one batch of States against cold plain-insertion references), the
+# breakpoint sorts (span radix and top-bits radix with its repair, against a
+# stable comparison sort), then the problem reader: its round-trip
 # fixed point and the scanner-versus-encoding/json differential. The
 # reader's seeds are multi-KB problem encodings and the fuzzer's input
 # minimizer is quadratic in input length, so at its default 60 s per new
 # input a 30 s run would spend itself minimizing one; 2 s keeps it fuzzing.
 fuzz:
 	$(GO) test -fuzz=FuzzKernel -fuzztime=30s ./internal/equilibrate/
+	$(GO) test -run '^$$' -fuzz='^FuzzBatchWarm$$' -fuzztime=30s -fuzzminimizetime=2s ./internal/equilibrate/
 	$(GO) test -run '^$$' -fuzz='^FuzzSortKeys$$' -fuzztime=30s -fuzzminimizetime=2s ./internal/sortx/
 	$(GO) test -run '^$$' -fuzz='^FuzzReadProblem$$' -fuzztime=30s -fuzzminimizetime=2s ./internal/matio/
 	$(GO) test -run '^$$' -fuzz='^FuzzDecodeProblem$$' -fuzztime=30s -fuzzminimizetime=2s ./internal/matio/

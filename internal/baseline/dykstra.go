@@ -47,9 +47,16 @@ func SolveDykstra(ctx context.Context, p *core.DiagonalProblem, opts *core.Optio
 	tmp := make([]float64, mn)
 
 	// One batch solves each projection. The column projection solves into
-	// the column-major xT against the column-major upperT.
+	// the column-major xT against the column-major tmpT, aT and upperT.
 	b := equilibrate.NewBatch(0)
 	xT := make([]float64, mn)
+	tmpT := make([]float64, mn)
+	a := make([]float64, mn) // the kernel slopes 1/(2γ), row-major
+	for k := range a {
+		a[k] = 0.5 / p.Gamma[k]
+	}
+	aT := make([]float64, mn) // and column-major
+	mat.Transpose(aT, a, m, n)
 	var upperT []float64
 	if p.Upper != nil {
 		upperT = make([]float64, mn)
@@ -76,11 +83,7 @@ func SolveDykstra(ctx context.Context, p *core.DiagonalProblem, opts *core.Optio
 		}
 		b.Reset()
 		for i := 0; i < m; i++ {
-			a := b.Coef(n)
-			for j := 0; j < n; j++ {
-				a[j] = 0.5 / p.Gamma[i*n+j]
-			}
-			prob := equilibrate.Problem{C: tmp[i*n : (i+1)*n], A: a, R: p.S0[i]}
+			prob := equilibrate.Problem{C: tmp[i*n : (i+1)*n], A: a[i*n : (i+1)*n], R: p.S0[i]}
 			if p.Upper != nil {
 				prob.U = p.Upper[i*n : (i+1)*n]
 			}
@@ -107,14 +110,9 @@ func SolveDykstra(ctx context.Context, p *core.DiagonalProblem, opts *core.Optio
 			tmp[k] = y[k] + qcorr[k]
 		}
 		b.Reset()
+		mat.Transpose(tmpT, tmp, m, n)
 		for j := 0; j < n; j++ {
-			c, a := b.Coef(m), b.Coef(m)
-			for i := 0; i < m; i++ {
-				k := i*n + j
-				c[i] = tmp[k]
-				a[i] = 0.5 / p.Gamma[k]
-			}
-			prob := equilibrate.Problem{C: c, A: a, R: p.D0[j]}
+			prob := equilibrate.Problem{C: tmpT[j*m : (j+1)*m], A: aT[j*m : (j+1)*m], R: p.D0[j]}
 			if upperT != nil {
 				prob.U = upperT[j*m : (j+1)*m]
 			}

@@ -56,14 +56,18 @@ func SolveRC(ctx context.Context, p *core.GeneralProblem, opts *core.Options) (*
 	mu := make([]float64, n)
 
 	gammaT := make([]float64, mn) // γ̃ = diag(G)/ρ
+	a := make([]float64, mn)      // the kernel slopes 1/(2γ̃), row-major
 	rho := o.Relaxation
 	for k := 0; k < mn; k++ {
 		gammaT[k] = p.G.Diag(k) / rho
+		a[k] = 0.5 / gammaT[k]
 	}
+	aT := make([]float64, mn) // and column-major
+	mat.Transpose(aT, a, m, n)
 
 	st := &rcState{
 		ctx: ctx,
-		p:   p, o: o, gammaT: gammaT,
+		p:   p, o: o, gammaT: gammaT, a: a, aT: aT,
 		x:     x,
 		z:     make([]float64, mn),
 		xdev:  make([]float64, mn),
@@ -169,6 +173,10 @@ type rcState struct {
 	p      *core.GeneralProblem
 	o      *core.Options
 	gammaT []float64
+	// a and aT are the kernel slopes 1/(2γ̃), row- and column-major; the
+	// kernel gathers each stage's coefficients z + a·(other multipliers)
+	// from them and from z, which each stage lays out like its subproblems.
+	a, aT []float64
 
 	x, z, xdev, gx, xPrev []float64
 
@@ -222,8 +230,19 @@ func (st *rcState) stage(rowStage bool, lambda, mu []float64) (int, error) {
 			p.G.MulVecRange(st.gx, st.xdev, lo, hi)
 		})
 		st.ev.Ops += int64(mn) * int64(mn)
-		for k := 0; k < mn; k++ {
-			st.z[k] = st.x[k] - st.gx[k]/st.gammaT[k]
+		// z is laid out like the stage's subproblems: row-major for the
+		// rows, column-major for the columns.
+		if rowStage {
+			for k := 0; k < mn; k++ {
+				st.z[k] = st.x[k] - st.gx[k]/st.gammaT[k]
+			}
+		} else {
+			for j := 0; j < n; j++ {
+				for i := 0; i < m; i++ {
+					k := i*n + j
+					st.z[j*m+i] = st.x[k] - st.gx[k]/st.gammaT[k]
+				}
+			}
 		}
 
 		var tasks []int64 // this phase's per-task costs, when wanted
@@ -244,14 +263,7 @@ func (st *rcState) stage(rowStage bool, lambda, mu []float64) (int, error) {
 				b := st.batches[chunk]
 				b.Reset()
 				for i := lo; i < hi; i++ {
-					c, a := b.Coef(n), b.Coef(n)
-					for j := 0; j < n; j++ {
-						k := i*n + j
-						aj := 0.5 / st.gammaT[k]
-						a[j] = aj
-						c[j] = st.z[k] + aj*mu[j]
-					}
-					prob := equilibrate.Problem{C: c, A: a, R: p.S0[i]}
+					prob := equilibrate.Problem{C: st.z[i*n : (i+1)*n], A: st.a[i*n : (i+1)*n], Other: mu, R: p.S0[i]}
 					if p.Upper != nil {
 						prob.U = p.Upper[i*n : (i+1)*n]
 					}
@@ -275,14 +287,7 @@ func (st *rcState) stage(rowStage bool, lambda, mu []float64) (int, error) {
 				b := st.batches[chunk]
 				b.Reset()
 				for j := lo; j < hi; j++ {
-					c, a := b.Coef(m), b.Coef(m)
-					for i := 0; i < m; i++ {
-						k := i*n + j
-						ai := 0.5 / st.gammaT[k]
-						a[i] = ai
-						c[i] = st.z[k] + ai*lambda[i]
-					}
-					prob := equilibrate.Problem{C: c, A: a, R: p.D0[j]}
+					prob := equilibrate.Problem{C: st.z[j*m : (j+1)*m], A: st.aT[j*m : (j+1)*m], Other: lambda, R: p.D0[j]}
 					if st.upperT != nil {
 						prob.U = st.upperT[j*m : (j+1)*m]
 					}

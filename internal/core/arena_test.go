@@ -5,9 +5,13 @@ import (
 	"fmt"
 	"math"
 	"math/rand/v2"
+	"reflect"
+	"slices"
 	"testing"
 
+	"sea/internal/equilibrate"
 	"sea/internal/parallel"
+	"sea/internal/trace"
 )
 
 // sameSolution asserts bit-exact equality of two solutions.
@@ -96,6 +100,91 @@ func TestWarmStartAblationBitExact(t *testing.T) {
 				sameSolution(t, fmt.Sprintf("%s procs=%d arena round %d: warm vs cold", name, procs, round), sol, ref)
 			}
 			ar.Close()
+		}
+	}
+}
+
+// TestWarmSaveSkipKeepsPerm: after a warm repair that moved no key, the
+// kernel skips rewriting the State's permutation. States refreshed that way
+// must hold exactly what an unconditional save leaves. The reference run
+// records every State after each iteration and then resets it, so each
+// phase sorts cold and saves. Three arena rounds of the same problem make
+// the skip common: a round replays the matching iteration of the previous
+// one on identical breakpoints.
+func TestWarmSaveSkipKeepsPerm(t *testing.T) {
+	inputs := map[string]*DiagonalProblem{
+		"dense": determinismProblem(t),
+		"csr":   sparseFamilies(t)["fixed/bounded"],
+	}
+	// perm reads a State's cached permutation, perm[:nev].
+	perm := func(s *equilibrate.State) []int64 {
+		v := reflect.ValueOf(s).Elem()
+		p, nev := v.FieldByName("perm"), int(v.FieldByName("nev").Int())
+		out := make([]int64, nev)
+		for k := range out {
+			out[k] = p.Index(k).Int()
+		}
+		return out
+	}
+	type slot struct{ side, k, i int }
+	for name, p := range inputs {
+		// run solves p three times through one arena and returns the last
+		// permutation each State held, and the warm repairs that ran.
+		run := func(reset bool) (map[slot][]int64, int64) {
+			ar := NewArena()
+			defer ar.Close()
+			last := map[slot][]int64{}
+			var fast int64
+			each := func(f func(slot, *equilibrate.State)) {
+				for si, sd := range []*side{&ar.st.rows, &ar.st.cols} {
+					for k, sts := range sd.slots {
+						for i := range sts {
+							f(slot{si, k, i}, &sts[i])
+						}
+					}
+				}
+			}
+			record := func(at slot, s *equilibrate.State) {
+				// A reset State holds no permutation until its slot's
+				// next phase saves one.
+				_, seen := last[at]
+				if p := perm(s); len(p) > 0 || !seen {
+					last[at] = p
+				}
+				if reset {
+					s.Reset()
+				}
+			}
+			for round := 1; round <= 3; round++ {
+				o := DefaultOptions()
+				o.Criterion = MaxAbsDelta
+				o.Epsilon = 1e-6
+				o.Arena = ar
+				if reset {
+					o.Trace = trace.Func(func(trace.Event) { each(record) })
+				}
+				if _, err := SolveDiagonal(context.Background(), p, o); err != nil {
+					t.Fatalf("%s reset=%v round %d: %v", name, reset, round, err)
+				}
+			}
+			if !reset {
+				each(record)
+			}
+			each(func(_ slot, s *equilibrate.State) { fast += s.FastSorts })
+			return last, fast
+		}
+		got, fast := run(false)
+		want, _ := run(true)
+		if fast == 0 {
+			t.Fatalf("%s: no warm repair ran", name)
+		}
+		if len(got) != len(want) {
+			t.Fatalf("%s: %d states, reference %d", name, len(got), len(want))
+		}
+		for at, w := range want {
+			if g := got[at]; !slices.Equal(g, w) {
+				t.Fatalf("%s: state %+v holds perm %v, unconditional save %v", name, at, g, w)
+			}
 		}
 	}
 }

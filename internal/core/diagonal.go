@@ -697,7 +697,7 @@ var batchEvents = 1 << 12
 var disableWarmStart bool
 
 // maxBatchRows caps the subproblems per batch regardless of their size: past
-// this the per-segment metadata the batch streams (problem copies, offsets,
+// this the per-segment metadata the batch streams (segment descriptors, offsets,
 // results) outgrows the event data itself — the regime of very small
 // subproblems, where huge batches stop paying (measured on the sparse
 // table5/spe250 instances).
@@ -731,9 +731,6 @@ func batchEnd(lo, hi, perEntry, target int, ptr []int) int {
 // the kernel skips pinned (u = l) cells, so a densified copy of a CSR problem
 // walks a bit-identical event stream.
 func (st *diagState) phaseChunk(sd *side, chunk, lo, hi int) {
-	// Everything the loops read is hoisted into locals: the stores into the
-	// batch's coefficient arena would otherwise force a reload through sd
-	// on every cell.
 	b := st.batches[chunk]
 	ptr, idx, other := sd.ptr, sd.idx, sd.other
 	x0, a, x, lower, upper := sd.x0, sd.a, sd.x, sd.lo, sd.up
@@ -744,25 +741,19 @@ func (st *diagState) phaseChunk(sd *side, chunk, lo, hi int) {
 		perEntry = 2
 	}
 	tl := &st.tallies[chunk]
+	// One Problem serves every subproblem: Add copies what it keeps, and
+	// the kernel gathers each coefficient x⁰ + a·other[idx] itself while it
+	// builds the breakpoints.
+	prob := equilibrate.Problem{Other: other}
 	for lo < hi {
 		end := batchEnd(lo, hi, perEntry, batchEvents, ptr)
 		b.Reset()
 		for k := lo; k < end; k++ {
 			s, e := ptr[k], ptr[k+1]
-			x0k, ak := x0[s:e], a[s:e]
-			c := b.Coef(e - s)
-			if idx == nil {
-				ok := other[:len(c)]
-				for t := range c {
-					c[t] = x0k[t] + ak[t]*ok[t]
-				}
-			} else {
-				ik := idx[s:e]
-				for t := range c {
-					c[t] = x0k[t] + ak[t]*other[ik[t]]
-				}
+			prob.C, prob.A = x0[s:e], a[s:e]
+			if idx != nil {
+				prob.Idx = idx[s:e]
 			}
-			prob := equilibrate.Problem{C: c, A: ak}
 			if upper != nil {
 				prob.U = upper[s:e]
 			}

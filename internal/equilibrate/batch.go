@@ -3,6 +3,7 @@ package equilibrate
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"sea/internal/sortx"
 )
@@ -10,18 +11,25 @@ import (
 // Batch solves many exact-equilibration subproblems as one fused unit
 // instead of m independent sort-and-sweeps. Subproblems are accumulated with
 // Add/AddInterval — each contributes a contiguous segment of the shared
-// event array, with sort keys indexed into that concatenated array — and
-// Solve then runs:
+// event array, with sort keys indexed into that concatenated array. Add
+// builds each breakpoint straight from the subproblem's coefficient gather
+// (Problem.Other), so no coefficient array is materialized, and a warm
+// segment — one whose State carries a valid permutation — builds its
+// unbounded terms in the previous solve's sorted order, writing every key
+// into its slot of the canonical array as well as into the build-order
+// array. Solve then runs:
 //
-//  1. warm replays: segments whose State carries a valid permutation gather
-//     their keys straight into their slot of the canonical array and repair
-//     drift with the budgeted insertion pass;
+//  1. warm repairs: the budgeted insertion pass over each warm slot, which
+//     Add already filled in the previous order. A repair that outruns the
+//     budget abandons the slot, and the segment sorts cold from its
+//     untouched build-order keys;
 //  2. cold segments sorted by size: short ones by straight insertion in
 //     their slot, long ones by their own radix, and the rest by one fused
 //     stable LSD radix over their *concatenated* keys, followed by a single
 //     stable counting pass that distributes keys into their segment slots.
-//     The radix keys on the span of the keys (each segment's minimum and
-//     maximum were kept during Add, so no extra pre-pass; the fused sort
+//     The radix keys on the span of the keys (the minimum and maximum of
+//     each segment longer than batchInsertionMax, kept during Add or on a
+//     failed warm repair, so no sort route needs a pre-pass; the fused sort
 //     takes their union): a span of at most sortx.TopBits bits sorts
 //     exactly, in one pass per byte it covers, and a wider one by its top
 //     sortx.TopBits bits, after which the budgeted insertion pass finishes
@@ -32,7 +40,9 @@ import (
 //     in global build order, so distributing by segment preserves
 //     per-segment (position, build index) order, which IS the canonical
 //     order each slot needs;
-//  3. a sweep and primal recovery per segment, in add order.
+//  3. per segment, in add order: the State's permutation refreshed (skipped
+//     after a warm repair that moved no key, since the slot already is that
+//     permutation), then the sweep and primal recovery.
 //
 // Because the canonical sorted key array of each segment is unique (strict
 // total order) and every stage after the sort runs the same code on
@@ -53,27 +63,35 @@ type Batch struct {
 	segs   []batchSeg
 	events []event     // concatenated, in add order
 	keys   []sortx.Key // build order, Idx global into events; clobbered by Solve
-	sorted []sortx.Key // canonical order, per-segment slots
+	sorted []sortx.Key // canonical order, per-segment slots; warm slots filled by Add
 	alt    []sortx.Key // radix ping-pong / cold-key gather
 	alt2   []sortx.Key // second ping-pong buffer when warm slots force a gather
 	segOf  []int32     // global event index -> segment index
 	next   []int32     // per-segment write cursors of the distribution pass
-	coef   []float64   // Coef arena
+	// bounded holds the bounded subproblems' copies. Segments point into
+	// it, and those pointers stay valid when it grows: the old backing
+	// array keeps the copies made before.
+	bounded []Problem
 }
 
-// batchSeg is one accumulated subproblem: a value copy of its Problem (the
-// referenced slices must stay valid until Solve), its output block, optional
-// warm-start State, and its [off, off+nev) window of the shared event array.
+// batchSeg is one accumulated subproblem: what Solve needs of its Problem,
+// its output block, optional warm-start State, and its [off, off+nev)
+// window of the shared event array.
 type batchSeg struct {
-	p     Problem
+	// bnd is a bounded subproblem's copy in the batch's arena — its primal
+	// recovery recomputes c_j from A, L, U and the gather — and nil for an
+	// unbounded one, which reads c_j and a_j back from its events.
+	bnd   *Problem
+	e, r  float64 // the elastic slope and target
 	x     []float64
 	st    *State
 	off   int32
 	nev   int32
-	lo    uint64 // minimum key Bits of the segment
+	lo    uint64 // minimum key Bits of the segment (taken when nev > batchInsertionMax)
 	hi    uint64 // maximum key Bits of the segment
 	lb    float64
 	done  bool      // solved at Add time (empty or slack-interval subproblem)
+	kept  bool      // warm repair moved no key: the State already holds the slot's order
 	route sortRoute // how Solve sorted the segment
 	res   Result
 }
@@ -83,7 +101,7 @@ type sortRoute uint8
 
 const (
 	routeNone      sortRoute = iota // not sorted yet
-	routeWarm                       // replayed its State's permutation
+	routeWarm                       // built in its State's permutation, repaired by the budgeted pass
 	routeInsertion                  // straight insertion in its slot
 	routeSpan                       // exact span radix, its own or fused
 	routeTop                        // top-bits radix, finished by the insertion repair
@@ -106,7 +124,6 @@ func NewBatch(hint int) *Batch {
 		sorted: make([]sortx.Key, hint),
 		alt:    make([]sortx.Key, hint),
 		alt2:   make([]sortx.Key, hint),
-		coef:   make([]float64, 0, hint),
 	}
 }
 
@@ -116,7 +133,7 @@ func (b *Batch) Reset() {
 	b.events = b.events[:0]
 	b.keys = b.keys[:0]
 	b.segOf = b.segOf[:0]
-	b.coef = b.coef[:0]
+	b.bounded = b.bounded[:0]
 }
 
 // Len returns the number of subproblems added since the last Reset.
@@ -126,29 +143,11 @@ func (b *Batch) Len() int { return len(b.segs) }
 // after a successful Solve and until the next Reset.
 func (b *Batch) Result(i int) Result { return b.segs[i].res }
 
-// Coef returns a fresh n-length coefficient slice from the batch's arena,
-// valid until the next Reset, for callers that build each subproblem's
-// coefficients in place. Slices returned earlier in the same batch stay
-// valid even when the arena grows: segments hold their own headers into the
-// previous backing array.
-func (b *Batch) Coef(n int) []float64 {
-	off := len(b.coef)
-	if cap(b.coef)-off < n {
-		c := 2 * cap(b.coef)
-		if c < off+n {
-			c = off + n
-		}
-		b.coef = make([]float64, 0, c)
-		off = 0
-	}
-	b.coef = b.coef[:off+n]
-	return b.coef[off : off+n : off+n]
-}
-
 // Add appends one subproblem with output block x (length len(p.C)) and
 // optional warm-start State. Validation and feasibility pre-checks run
-// here, so structural errors surface at Add rather than at Solve. p's
-// slices and x must stay valid until Solve returns.
+// here, so structural errors surface at Add rather than at Solve. The
+// slices p references (its gather included) and x must stay valid until
+// Solve returns; p itself need not.
 func (b *Batch) Add(p *Problem, x []float64, st *State) error {
 	if err := p.validate(x); err != nil {
 		return err
@@ -164,6 +163,10 @@ func (p *Problem) validate(x []float64) error {
 		return fmt.Errorf("equilibrate: inconsistent lengths (c=%d a=%d u=%d l=%d x=%d)",
 			len(p.C), len(p.A), len(p.U), len(p.L), len(x))
 	}
+	if p.Other != nil && (p.Idx == nil && len(p.Other) < n || p.Idx != nil && len(p.Idx) != n) {
+		return fmt.Errorf("equilibrate: inconsistent gather (c=%d other=%d idx=%d)",
+			n, len(p.Other), len(p.Idx))
+	}
 	if p.E < 0 {
 		return fmt.Errorf("equilibrate: negative elastic slope %g", p.E)
 	}
@@ -171,7 +174,8 @@ func (p *Problem) validate(x []float64) error {
 }
 
 // add is the shared tail of Add and AddInterval: fast paths, feasibility
-// pre-checks, the event build, and the key span.
+// pre-checks, the event build (straight into the warm slot when the State
+// allows) and, for a cold segment on a radix route, the key span.
 func (b *Batch) add(p *Problem, x []float64, st *State) error {
 	n := len(p.C)
 	if n == 0 {
@@ -179,44 +183,100 @@ func (b *Batch) add(p *Problem, x []float64, st *State) error {
 		if err != nil {
 			return err
 		}
-		b.segs = append(b.segs, batchSeg{p: *p, x: x, st: st, done: true,
+		b.segs = append(b.segs, batchSeg{x: x, st: st, done: true,
 			res: Result{Lambda: lambda, Ops: ops}})
 		return nil
 	}
-	// Append the segment first and fill it through the pointer: batchSeg is
-	// large (it embeds a Problem copy), and building it on the stack first
-	// would copy it twice per subproblem.
-	b.segs = append(b.segs, batchSeg{p: *p, x: x, st: st})
-	seg := &b.segs[len(b.segs)-1]
-	seg.lb = p.sumLower()
-	if err := p.feasible(seg.lb); err != nil {
-		b.segs = b.segs[:len(b.segs)-1]
+	lb := p.sumLower()
+	if err := p.feasible(lb); err != nil {
 		return err
 	}
 	off := len(b.events)
-	ev, keys, err := seg.p.appendEvents(b.events, b.keys)
+	// Fill the segment field by field in place: a composite literal would be
+	// zeroed on the stack and then copied. res is written by Solve.
+	b.segs = slices.Grow(b.segs, 1)[:len(b.segs)+1]
+	seg := &b.segs[len(b.segs)-1]
+	seg.bnd, seg.e, seg.r, seg.lb = nil, p.E, p.R, lb
+	seg.x, seg.st, seg.off = x, st, int32(off)
+	seg.lo, seg.hi, seg.done, seg.kept, seg.route = 0, 0, false, false, routeNone
+	warm := st != nil && st.cool == 0
+	var err error
+	if p.L == nil && p.U == nil {
+		seg.nev = int32(n)
+		b.events = slices.Grow(b.events, n)[:off+n]
+		b.keys = slices.Grow(b.keys, n)[:off+n]
+		ev, keys := b.events[off:], b.keys[off:]
+		if warm && st.nev == n {
+			slot := b.slots(off + n)[off:]
+			if p.buildUnboundedPerm(ev, keys, slot, st.perm, int32(off)) {
+				seg.route = routeWarm
+			} else {
+				// Rebuild in build order to name the first bad term.
+				err = p.buildUnbounded(ev, keys, int32(off))
+			}
+		} else {
+			err = p.buildUnbounded(ev, keys, int32(off))
+		}
+	} else {
+		b.bounded = append(b.bounded, *p)
+		seg.bnd = &b.bounded[len(b.bounded)-1]
+		b.events, b.keys, err = p.appendBounded(b.events, b.keys)
+		m := len(b.events) - off
+		seg.nev = int32(m)
+		if err == nil && warm && st.nev == m {
+			// Pinned cells and finite upper bounds decouple build indices
+			// from terms, so a bounded segment builds in build order and
+			// then gathers its keys into the previous order.
+			slot, keys := b.slots(off + m)[off:off+m], b.keys[off:off+m]
+			for k, id := range st.perm[:m] {
+				slot[k] = keys[id] // keys are in build order: keys[id].Idx == off+id
+			}
+			seg.route = routeWarm
+		}
+	}
 	if err != nil {
-		b.events, b.keys = ev[:off], keys[:off]
+		b.events, b.keys = b.events[:off], b.keys[:off]
 		b.segs = b.segs[:len(b.segs)-1]
+		if seg.bnd != nil {
+			b.bounded = b.bounded[:len(b.bounded)-1]
+		}
 		return err
 	}
-	b.events, b.keys = ev, keys
-	seg.off = int32(off)
-	seg.nev = int32(len(ev) - off)
-	// Take the key span over the fresh keys (still in cache) so no sort
-	// route needs a pre-pass; a segment whose variables are all pinned has
-	// no keys and keeps the empty span. The event→segment map the fused
-	// distribution pass needs is NOT built here: most batches never take
-	// that route, so Solve fills it lazily for just the fused segments.
-	if seg.nev > 0 {
-		lo, hi := keys[off].Bits, keys[off].Bits
-		for _, k := range keys[off+1:] {
-			lo = min(lo, k.Bits)
-			hi = max(hi, k.Bits)
-		}
-		seg.lo, seg.hi = lo, hi
+	b.slots(off + int(seg.nev))
+	if seg.route != routeWarm {
+		b.span(seg)
 	}
 	return nil
+}
+
+// slots returns the canonical key array with room for end keys, growing it
+// without losing the warm slots Add has already filled.
+func (b *Batch) slots(end int) []sortx.Key {
+	if len(b.sorted) < end {
+		s := make([]sortx.Key, max(end, 2*len(b.sorted)))
+		copy(s, b.sorted)
+		b.sorted = s
+	}
+	return b.sorted
+}
+
+// span takes the key span of a segment bound for the cold sort from its
+// build-order keys, when the segment is long enough for a radix route to
+// need it; a segment whose variables are all pinned has no keys and keeps
+// the empty span. The event→segment map the fused distribution pass needs
+// is NOT built here: most batches never take that route, so Solve fills it
+// lazily for just the fused segments.
+func (b *Batch) span(seg *batchSeg) {
+	if int(seg.nev) <= batchInsertionMax {
+		return
+	}
+	keys := b.keys[seg.off : seg.off+seg.nev]
+	lo, hi := keys[0].Bits, keys[0].Bits
+	for _, k := range keys[1:] {
+		lo = min(lo, k.Bits)
+		hi = max(hi, k.Bits)
+	}
+	seg.lo, seg.hi = lo, hi
 }
 
 // AddInterval appends one interval-total subproblem lo ≤ Σx ≤ hi instead
@@ -243,7 +303,7 @@ func (b *Batch) AddInterval(p *Problem, lo, hi float64, x []float64, st *State) 
 	n := len(p.C)
 	var total float64
 	for j := 0; j < n; j++ {
-		v := p.clampVal(j, p.C[j])
+		v := p.clampVal(j, p.coef(j))
 		x[j] = v
 		total += v
 	}
@@ -254,7 +314,7 @@ func (b *Batch) AddInterval(p *Problem, lo, hi float64, x []float64, st *State) 
 	case total < lo:
 		q.R = lo
 	default:
-		b.segs = append(b.segs, batchSeg{p: q, x: x, st: st, done: true,
+		b.segs = append(b.segs, batchSeg{x: x, st: st, done: true,
 			res: Result{Lambda: 0, Total: total, Ops: int64(2 * n)}})
 		return nil
 	}
@@ -285,12 +345,11 @@ var (
 // may already be refreshed).
 func (b *Batch) Solve() (int, error) {
 	total := len(b.events)
-	b.sorted = growKeys(b.sorted, total)
 	keys := b.keys
 
-	// Stage 1: warm replays into each segment's slot of the canonical
-	// array, with the states' counter and cooldown bookkeeping. A replay
-	// that outruns the budget discards the gather, sorts cold from the
+	// Stage 1: repair the warm slots Add filled in each State's previous
+	// order, with the states' counter and cooldown bookkeeping. A repair
+	// that outruns the budget abandons the slot, sorts cold from the
 	// pristine build order, and backs off before trying again.
 	cold := total
 	for i := range b.segs {
@@ -299,17 +358,18 @@ func (b *Batch) Solve() (int, error) {
 			continue
 		}
 		st := seg.st
-		m := int(seg.nev)
-		if st != nil && st.nev == m && st.cool == 0 {
-			slot := b.sorted[seg.off : int(seg.off)+m]
-			if replayKeys(slot, keys, st.perm[:m], seg.off) {
+		if seg.route == routeWarm {
+			ok, moved := sortx.InsertionBudgetKeys(b.sorted[seg.off : seg.off+seg.nev])
+			if ok {
 				st.FastSorts++
-				seg.route = routeWarm
-				cold -= m
+				seg.kept = !moved
+				cold -= int(seg.nev)
 				continue
 			}
 			st.FullSorts++
 			st.cool = replayCooldown
+			seg.route = routeNone
+			b.span(seg)
 			continue
 		}
 		if st != nil {
@@ -425,17 +485,21 @@ func (b *Batch) Solve() (int, error) {
 		}
 		m := int(seg.nev)
 		sk := b.sorted[int(seg.off) : int(seg.off)+m]
-		if st := seg.st; st != nil {
+		if st := seg.st; st != nil && !seg.kept {
 			st.save(sk, seg.off)
 		}
-		p := &seg.p
 		ops := int64(7*m) + sortCharge(m)
-		lambda, extra, err := p.sweep(b.events, sk, seg.lb, seg.st)
+		lambda, extra, err := sweep(b.events, sk, seg.e, seg.r, seg.lb, seg.st)
 		if err != nil {
 			return i, err
 		}
-		tot := p.recoverPrimal(seg.x, lambda)
-		seg.res = Result{Lambda: lambda, Total: tot, Ops: ops + extra + int64(2*len(p.C))}
+		var tot float64
+		if seg.bnd == nil {
+			tot = recoverUnbounded(seg.x, b.events[seg.off:int(seg.off)+m], lambda)
+		} else {
+			tot = seg.bnd.recoverPrimal(seg.x, lambda)
+		}
+		seg.res = Result{Lambda: lambda, Total: tot, Ops: ops + extra + int64(2*len(seg.x))}
 	}
 	return -1, nil
 }
@@ -457,7 +521,7 @@ func (b *Batch) sortSpan(seg *batchSeg) {
 // pass, and re-sorts the segment by the exact span radix when the pass runs
 // over budget (many keys sharing a top bucket).
 func (b *Batch) repair(seg *batchSeg) {
-	if sortx.InsertionBudgetKeys(b.sorted[seg.off : seg.off+seg.nev]) {
+	if ok, _ := sortx.InsertionBudgetKeys(b.sorted[seg.off : seg.off+seg.nev]); ok {
 		seg.route = routeTop
 		return
 	}

@@ -356,8 +356,8 @@ func TestBatchSortRoutes(t *testing.T) {
 			}
 			// Ties inside a ulp cluster rarely change the sweep's bits, so
 			// check the slot's key order itself.
-			_, keys, err := p.appendEvents(nil, nil)
-			if err != nil {
+			keys := make([]sortx.Key, tc.n)
+			if err := p.buildUnbounded(make([]event, tc.n), keys, 0); err != nil {
 				t.Fatal(err)
 			}
 			slices.SortStableFunc(keys, func(a, b sortx.Key) int { return cmp.Compare(a.Bits, b.Bits) })

@@ -25,10 +25,10 @@
 //
 // Across SEA's outer iterations the duals settle, so consecutive solves of
 // the same subproblem slot see nearly identical breakpoint orders. A
-// persistent State caches the previous solve's sorted permutation; replaying
-// it and repairing the handful of drifted positions with a budgeted
-// insertion pass makes steady-state re-solves amortized O(n) instead of
-// O(n log n). The sort operates on compact (position-bits, build-index) keys
+// persistent State caches the previous solve's sorted permutation; building
+// the next solve's keys in that order and repairing the handful of drifted
+// positions with a budgeted insertion pass makes steady-state re-solves
+// amortized O(n) instead of O(n log n). The sort operates on compact (position-bits, build-index) keys
 // rather than the event payloads; the canonical order — position, then build
 // index — is a strict total order, so the sorted key array is unique
 // whichever sort produced it, and warm-started solves are bit-identical to
@@ -76,7 +76,7 @@ type event struct {
 // change is detected and falls back to a cold sort.
 type State struct {
 	// perm[k] is the build index of the k-th event in the previous solve's
-	// sorted order. Replaying it pre-orders the next solve's events.
+	// sorted order. Batch.Add builds the next solve's keys in this order.
 	perm []int32
 	nev  int
 
@@ -109,6 +109,13 @@ type Problem struct {
 	// each variable. A must be strictly positive (it is 1/(2γ_j)).
 	C []float64
 	A []float64
+	// Other, when non-nil, makes C the base of a gather: the coefficient is
+	// c_j = C_j + A_j·Other[Idx_j] (Other[j] when Idx is nil) — SEA's
+	// x⁰_j + a_j·μ_j, with the opposite side's multipliers in Other. The
+	// kernel evaluates it while building each breakpoint, so a caller never
+	// materializes c. With Other nil, C holds c itself and Idx is ignored.
+	Other []float64
+	Idx   []int32
 	// U holds optional upper bounds u_j > 0; nil means all +Inf (the
 	// classical problem). Entries may be math.Inf(1).
 	U []float64
@@ -120,6 +127,22 @@ type Problem struct {
 	E float64
 	// R is the target: the fixed total, or s⁰ for an elastic total.
 	R float64
+}
+
+// coef returns the j-th coefficient c_j, gathered when Other is set. Every
+// reader of c evaluates this expression — the bounded build and primal
+// recovery, φ, and the unbounded build loops, which inline it — so they all
+// see the same bits.
+func (p *Problem) coef(j int) float64 {
+	c := p.C[j]
+	if p.Other != nil {
+		if p.Idx != nil {
+			c += p.A[j] * p.Other[p.Idx[j]]
+		} else {
+			c += p.A[j] * p.Other[j]
+		}
+	}
+	return c
 }
 
 // lower returns the j-th lower bound.
@@ -152,27 +175,34 @@ type Result struct {
 	Ops int64
 }
 
-// recoverPrimal writes the optimal block at lambda into x and returns its
-// total (branch-free clamp in the classical unbounded case).
+// recoverPrimal writes the optimal block of a bounded subproblem at lambda
+// into x and returns its total. It recomputes each c_j with coef, the
+// expression the event build used; an unbounded block reads c_j and a_j
+// back from its events instead (recoverUnbounded).
 func (p *Problem) recoverPrimal(x []float64, lambda float64) float64 {
-	n := len(p.C)
 	var total float64
-	if p.L == nil && p.U == nil {
-		cs, as, xs := p.C[:n], p.A[:n], x[:n]
-		for j := 0; j < n; j++ {
-			v := cs[j] + as[j]*lambda
-			if v < 0 {
-				v = 0
-			}
-			xs[j] = v
-			total += v
+	for j := range x {
+		v := p.clampVal(j, p.coef(j)+p.A[j]*lambda)
+		x[j] = v
+		total += v
+	}
+	return total
+}
+
+// recoverUnbounded writes the optimal block of an unbounded subproblem at
+// lambda into x and returns its total, branch-free. ev holds the block's
+// activation events in build order, one per variable, whose dc and da are
+// exactly c_j and a_j.
+func recoverUnbounded(x []float64, ev []event, lambda float64) float64 {
+	var total float64
+	ev = ev[:len(x)]
+	for j, e := range ev {
+		v := e.dc + e.da*lambda
+		if v < 0 {
+			v = 0
 		}
-	} else {
-		for j := 0; j < n; j++ {
-			v := p.clampVal(j, p.C[j]+p.A[j]*lambda)
-			x[j] = v
-			total += v
-		}
+		x[j] = v
+		total += v
 	}
 	return total
 }
@@ -218,94 +248,171 @@ func (p *Problem) feasible(lb float64) error {
 	return nil
 }
 
-// appendEvents builds p's breakpoint events onto ev, the batch's
-// concatenated event array, with each sort key's Idx set to its event's
-// index in ev. One activation event per term (where it leaves its lower
-// bound), plus one saturation event per finite upper bound. The classical
-// unbounded case (L = U = nil, by far the hottest) gets a branch-free build
-// loop with the bounds checks hoisted. A -0.0 position is normalized to
-// +0.0 so the key order agrees with float comparison (±0 tie under ==, split
-// by their bit patterns). Positions must not be NaN — the canonical
-// comparison is a total order only then — so NaN breakpoints (from NaN
-// coefficients) are rejected here. On error the returned slices may carry
-// partial appends; callers truncate.
-func (p *Problem) appendEvents(ev []event, keys []sortx.Key) ([]event, []sortx.Key, error) {
-	n := len(p.C)
-	cs, as := p.C[:n], p.A[:n]
-	if p.L == nil && p.U == nil {
-		base := int32(len(ev))
-		for j := 0; j < n; j++ {
-			a, c := as[j], cs[j]
-			if !(a > 0) {
-				return ev, keys, fmt.Errorf("equilibrate: a[%d] = %g, want > 0", j, a)
+// The event build. One activation event per term (where it leaves its
+// lower bound), plus one saturation event per finite upper bound; each sort
+// key's Idx is its event's index in the batch's concatenated event array. A
+// -0.0 position is normalized to +0.0 so the key order agrees with float
+// comparison (±0 tie under ==, split by their bit patterns). Positions must
+// not be NaN — the canonical comparison is a total order only then — so NaN
+// breakpoints (from NaN coefficients) are rejected, as is a ≤ 0, naming the
+// first bad term in build order.
+
+// activation returns the activation event of an unbounded term with
+// coefficient c and slope a, and its key bits. ok is false when a ≤ 0 or
+// the breakpoint is NaN; the caller reports the term with termError.
+func activation(c, a float64) (e event, bits uint64, ok bool) {
+	pos := -c / a
+	if pos == 0 {
+		pos = 0
+	}
+	return event{pos: pos, da: a, dc: c}, sortx.FloatBits(pos), a > 0 && pos == pos
+}
+
+// termError is the error of an unbounded term j that activation rejected.
+func termError(j int, c, a float64) error {
+	if !(a > 0) {
+		return fmt.Errorf("equilibrate: a[%d] = %g, want > 0", j, a)
+	}
+	return fmt.Errorf("equilibrate: NaN breakpoint at %d (c=%g, a=%g)", j, c, a)
+}
+
+// buildUnbounded writes the events and keys of an unbounded p (L = U = nil,
+// the hottest case) into ev and keys, one per term in build order, with key
+// Idx base+j. The coefficient gather is fused into the loop — one loop per
+// gather form, chosen once per subproblem — so c never touches memory.
+func (p *Problem) buildUnbounded(ev []event, keys []sortx.Key, base int32) error {
+	n := len(ev)
+	cs, as, keys := p.C[:n], p.A[:n], keys[:n]
+	switch o := p.Other; {
+	case o == nil:
+		for j := range ev {
+			c, a := cs[j], as[j]
+			e, bits, ok := activation(c, a)
+			if !ok {
+				return termError(j, c, a)
 			}
-			pos := -c / a
-			if pos != pos {
-				return ev, keys, fmt.Errorf("equilibrate: NaN breakpoint at %d (c=%g, a=%g)", j, c, a)
-			}
-			if pos == 0 {
-				pos = 0
-			}
-			ev = append(ev, event{pos: pos, da: a, dc: c})
-			keys = append(keys, sortx.Key{Bits: sortx.FloatBits(pos), Idx: base + int32(j)})
+			ev[j], keys[j] = e, sortx.Key{Bits: bits, Idx: base + int32(j)}
 		}
-	} else {
-		for j := 0; j < n; j++ {
-			a, c := as[j], cs[j]
-			if !(a > 0) {
-				return ev, keys, fmt.Errorf("equilibrate: a[%d] = %g, want > 0", j, a)
+	case p.Idx == nil:
+		o = o[:n]
+		for j := range ev {
+			a := as[j]
+			c := cs[j] + a*o[j]
+			e, bits, ok := activation(c, a)
+			if !ok {
+				return termError(j, c, a)
 			}
-			l := p.lower(j)
-			if p.U != nil && p.U[j] == l && !math.IsInf(l, 0) {
-				// Pinned variable (u = l): x_j ≡ l for every λ, already
-				// counted in Σl by sumLower, so it contributes no events.
-				// Skipping it — rather than emitting a coincident
-				// activation/saturation pair whose dc contributions cancel
-				// only in exact arithmetic — keeps the event stream (and
-				// hence the sweep's floating-point trajectory) identical to
-				// a problem that omits the variable entirely. That identity
-				// is what makes a densified CSR problem solve bit-identically
-				// to its sparse form.
-				continue
+			ev[j], keys[j] = e, sortx.Key{Bits: bits, Idx: base + int32(j)}
+		}
+	default:
+		ix := p.Idx[:n]
+		for j := range ev {
+			a := as[j]
+			c := cs[j] + a*o[ix[j]]
+			e, bits, ok := activation(c, a)
+			if !ok {
+				return termError(j, c, a)
 			}
-			pos := (l - c) / a
+			ev[j], keys[j] = e, sortx.Key{Bits: bits, Idx: base + int32(j)}
+		}
+	}
+	return nil
+}
+
+// buildUnboundedPerm is buildUnbounded for a warm start: it walks the terms
+// in perm order (the previous solve's sorted build indices) and writes each
+// key both into keys at its build index and into slot at its position in
+// perm, so the slot starts in the previous order with no separate gather
+// pass. Events and keys end up exactly as buildUnbounded writes them. It
+// returns false on a rejected term — possibly not the first in build
+// order, so the caller rebuilds with buildUnbounded to report it.
+func (p *Problem) buildUnboundedPerm(ev []event, keys, slot []sortx.Key, perm []int32, base int32) bool {
+	n := len(ev)
+	cs, as, keys, slot, perm := p.C[:n], p.A[:n], keys[:n], slot[:n], perm[:n]
+	switch o := p.Other; {
+	case o == nil:
+		for k, j := range perm {
+			e, bits, ok := activation(cs[j], as[j])
+			if !ok {
+				return false
+			}
+			key := sortx.Key{Bits: bits, Idx: base + j}
+			ev[j], keys[j], slot[k] = e, key, key
+		}
+	case p.Idx == nil:
+		o = o[:n]
+		for k, j := range perm {
+			a := as[j]
+			e, bits, ok := activation(cs[j]+a*o[j], a)
+			if !ok {
+				return false
+			}
+			key := sortx.Key{Bits: bits, Idx: base + j}
+			ev[j], keys[j], slot[k] = e, key, key
+		}
+	default:
+		ix := p.Idx[:n]
+		for k, j := range perm {
+			a := as[j]
+			e, bits, ok := activation(cs[j]+a*o[ix[j]], a)
+			if !ok {
+				return false
+			}
+			key := sortx.Key{Bits: bits, Idx: base + j}
+			ev[j], keys[j], slot[k] = e, key, key
+		}
+	}
+	return true
+}
+
+// appendBounded appends the events and keys of a bounded p onto ev and
+// keys, in build order. On error the returned slices may carry partial
+// appends; callers truncate.
+func (p *Problem) appendBounded(ev []event, keys []sortx.Key) ([]event, []sortx.Key, error) {
+	for j := range p.C {
+		a, c := p.A[j], p.coef(j)
+		if !(a > 0) {
+			return ev, keys, fmt.Errorf("equilibrate: a[%d] = %g, want > 0", j, a)
+		}
+		l := p.lower(j)
+		if p.U != nil && p.U[j] == l && !math.IsInf(l, 0) {
+			// Pinned variable (u = l): x_j ≡ l for every λ, already
+			// counted in Σl by sumLower, so it contributes no events.
+			// Skipping it — rather than emitting a coincident
+			// activation/saturation pair whose dc contributions cancel
+			// only in exact arithmetic — keeps the event stream (and
+			// hence the sweep's floating-point trajectory) identical to
+			// a problem that omits the variable entirely. That identity
+			// is what makes a densified CSR problem solve bit-identically
+			// to its sparse form.
+			continue
+		}
+		pos := (l - c) / a
+		if pos != pos {
+			return ev, keys, fmt.Errorf("equilibrate: NaN breakpoint at %d (c=%g, a=%g, l=%g)", j, c, a, l)
+		}
+		if pos == 0 {
+			pos = 0
+		}
+		keys = append(keys, sortx.Key{Bits: sortx.FloatBits(pos), Idx: int32(len(ev))})
+		ev = append(ev, event{pos: pos, da: a, dc: c - l})
+		if p.U != nil && !math.IsInf(p.U[j], 1) {
+			u := p.U[j]
+			if u < l {
+				return ev, keys, fmt.Errorf("equilibrate: bounds [%g, %g] empty at %d", l, u, j)
+			}
+			pos = (u - c) / a
 			if pos != pos {
-				return ev, keys, fmt.Errorf("equilibrate: NaN breakpoint at %d (c=%g, a=%g, l=%g)", j, c, a, l)
+				return ev, keys, fmt.Errorf("equilibrate: NaN breakpoint at %d (c=%g, a=%g, u=%g)", j, c, a, u)
 			}
 			if pos == 0 {
 				pos = 0
 			}
 			keys = append(keys, sortx.Key{Bits: sortx.FloatBits(pos), Idx: int32(len(ev))})
-			ev = append(ev, event{pos: pos, da: a, dc: c - l})
-			if p.U != nil && !math.IsInf(p.U[j], 1) {
-				u := p.U[j]
-				if u < l {
-					return ev, keys, fmt.Errorf("equilibrate: bounds [%g, %g] empty at %d", l, u, j)
-				}
-				pos = (u - c) / a
-				if pos != pos {
-					return ev, keys, fmt.Errorf("equilibrate: NaN breakpoint at %d (c=%g, a=%g, u=%g)", j, c, a, u)
-				}
-				if pos == 0 {
-					pos = 0
-				}
-				keys = append(keys, sortx.Key{Bits: sortx.FloatBits(pos), Idx: int32(len(ev))})
-				ev = append(ev, event{pos: pos, da: -a, dc: u - c})
-			}
+			ev = append(ev, event{pos: pos, da: -a, dc: u - c})
 		}
 	}
 	return ev, keys, nil
-}
-
-// replayKeys gathers the build-order keys into dst following perm (segment-
-// local build indices; base is the offset of the segment's first key in the
-// batch's concatenated array) and repairs coefficient drift with the
-// budgeted nearly-sorted insertion pass, reporting whether the budget held.
-func replayKeys(dst, keys []sortx.Key, perm []int32, base int32) bool {
-	for k, id := range perm {
-		dst[k] = keys[base+id] // keys are in build order: keys[base+id].Idx == base+id
-	}
-	return sortx.InsertionBudgetKeys(dst)
 }
 
 // save caches sk as the slot's sorted permutation, rebasing the batch's
@@ -332,23 +439,24 @@ func (st *State) save(sk []sortx.Key, base int32) {
 // stay robust to rounding at the boundaries.
 //
 // ev is the batch's concatenated event array, into which sk's Idx values
-// index directly. The returned extra op count is the sweep's contribution
+// index directly; e and r are the subproblem's elastic slope and target,
+// and lb = Σl. The returned extra op count is the sweep's contribution
 // to the cost model (the segment index where the root landed).
-func (p *Problem) sweep(ev []event, sk []sortx.Key, lb float64, st *State) (lambda float64, extra int64, err error) {
+func sweep(ev []event, sk []sortx.Key, e, r, lb float64, st *State) (lambda float64, extra int64, err error) {
 	m := len(sk)
-	slope := p.E
+	slope := e
 	inter := lb // φ(λ) = inter + slope·λ on the current segment
 	prev := math.Inf(-1)
 	for k := 0; k <= m; k++ {
-		var e event
+		var cur event
 		right := math.Inf(1)
 		if k < m {
-			e = ev[sk[k].Idx]
-			right = e.pos
+			cur = ev[sk[k].Idx]
+			right = cur.pos
 		}
 		if slope > 0 {
-			if v := slope*right + inter; v >= p.R {
-				cand := (p.R - inter) / slope
+			if v := slope*right + inter; v >= r {
+				cand := (r - inter) / slope
 				if cand < prev {
 					cand = prev // rounding pushed the root left of the segment
 				}
@@ -360,7 +468,7 @@ func (p *Problem) sweep(ev []event, sk []sortx.Key, lb float64, st *State) (lamb
 				}
 				return cand, int64(k), nil
 			}
-		} else if inter == p.R {
+		} else if inter == r {
 			// Flat segment exactly at the target (e.g. fixed total 0 with
 			// no terms active yet, or all terms saturated at Σu = R): the
 			// multiplier is any point of the segment; take a finite,
@@ -377,8 +485,8 @@ func (p *Problem) sweep(ev []event, sk []sortx.Key, lb float64, st *State) (lamb
 			return 0, int64(k), nil
 		}
 		if k < m {
-			slope += e.da
-			inter += e.dc
+			slope += cur.da
+			inter += cur.dc
 			prev = right
 		}
 	}
@@ -387,8 +495,8 @@ func (p *Problem) sweep(ev []event, sk []sortx.Key, lb float64, st *State) (lamb
 	// happen; with E == 0 and finite bounds the target may sit just beyond
 	// the reachable range by rounding — accept it at the last breakpoint if
 	// it is within tolerance, otherwise the subproblem is infeasible.
-	if p.E == 0 {
-		if math.Abs(inter-p.R) <= 1e-9*(1+math.Abs(p.R)) {
+	if e == 0 {
+		if math.Abs(inter-r) <= 1e-9*(1+math.Abs(r)) {
 			if st != nil {
 				st.LastSeg = m
 			}
@@ -396,7 +504,7 @@ func (p *Problem) sweep(ev []event, sk []sortx.Key, lb float64, st *State) (lamb
 		}
 		return 0, 0, ErrInfeasible
 	}
-	return 0, 0, fmt.Errorf("equilibrate: internal error: no root found (R=%g)", p.R)
+	return 0, 0, fmt.Errorf("equilibrate: internal error: no root found (R=%g)", r)
 }
 
 // SolveBisection solves the same subproblem by bracketing-and-bisection on
@@ -441,7 +549,7 @@ func (p *Problem) SolveBisection(x []float64, tol float64) (Result, error) {
 	lambda := (lo + hi) / 2
 	var total float64
 	for j := 0; j < n; j++ {
-		v := p.clampVal(j, p.C[j]+p.A[j]*lambda)
+		v := p.clampVal(j, p.coef(j)+p.A[j]*lambda)
 		x[j] = v
 		total += v
 	}
@@ -453,7 +561,7 @@ func (p *Problem) SolveBisection(x []float64, tol float64) (Result, error) {
 func (p *Problem) Phi(lambda float64) float64 {
 	s := p.E * lambda
 	for j := range p.C {
-		s += p.clampVal(j, p.C[j]+p.A[j]*lambda)
+		s += p.clampVal(j, p.coef(j)+p.A[j]*lambda)
 	}
 	return s
 }

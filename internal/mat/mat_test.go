@@ -22,9 +22,6 @@ func TestVecHelpers(t *testing.T) {
 	if got := MaxAbsDiff(xs, ys); got != 9 {
 		t.Errorf("MaxAbsDiff = %g, want 9", got)
 	}
-	if got := Norm2([]float64{3, 4}); got != 5 {
-		t.Errorf("Norm2 = %g, want 5", got)
-	}
 	zs := Clone(xs)
 	AXPY(2, ys, zs)
 	want := []float64{9, 8, -9}
@@ -43,12 +40,15 @@ func TestVecHelpers(t *testing.T) {
 			t.Errorf("Fill failed: %v", zs)
 		}
 	}
-	if !AllPositive([]float64{1, 2}) || AllPositive([]float64{1, 0}) {
-		t.Error("AllPositive wrong")
-	}
 	if !AllNonNegative([]float64{0, 2}) || AllNonNegative([]float64{-1}) {
 		t.Error("AllNonNegative wrong")
 	}
+}
+
+// IsStrictlyDiagonallyDominant reports whether every row of w has
+// diag > Σ_{j≠i}|off|.
+func IsStrictlyDiagonallyDominant(w Weight) bool {
+	return DominanceMargin(w) > 0
 }
 
 func TestVecPanics(t *testing.T) {

@@ -67,15 +67,6 @@ func MaxAbsDiff(xs, ys []float64) float64 {
 	return m
 }
 
-// Norm2 returns the Euclidean norm of xs.
-func Norm2(xs []float64) float64 {
-	var s float64
-	for _, v := range xs {
-		s += v * v
-	}
-	return math.Sqrt(s)
-}
-
 // Fill sets every element of xs to v.
 func Fill(xs []float64, v float64) {
 	for i := range xs {
@@ -95,16 +86,6 @@ func Clone(xs []float64) []float64 {
 	ys := make([]float64, len(xs))
 	copy(ys, xs)
 	return ys
-}
-
-// AllPositive reports whether every element of xs is strictly positive.
-func AllPositive(xs []float64) bool {
-	for _, v := range xs {
-		if !(v > 0) {
-			return false
-		}
-	}
-	return true
 }
 
 // AllNonNegative reports whether every element of xs is >= 0.

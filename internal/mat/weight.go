@@ -278,9 +278,3 @@ func DominanceMargin(w Weight) float64 {
 	}
 	return margin
 }
-
-// IsStrictlyDiagonallyDominant reports whether every row of w has
-// diag > Σ_{j≠i}|off|.
-func IsStrictlyDiagonallyDominant(w Weight) bool {
-	return DominanceMargin(w) > 0
-}

@@ -1,7 +1,7 @@
 // Package scale implements diagonal matrix-scaling procedures over dense
-// and CSR storage: Sinkhorn–Knopp biproportional balancing, a Ruiz-style
-// max-norm (∞-norm) equilibration with power-of-two factors, and System,
-// the one dual-scaling engine of the diagonal constrained matrix problem.
+// and CSR storage: Sinkhorn–Knopp biproportional balancing, the
+// power-of-two rounding Pow2Near behind the preconditioning stage's exact
+// rescaling, and System, the one dual-scaling engine of the diagonal constrained matrix problem.
 // System ascends the problem's dual one row or column equation at a time
 // under either of two cell responses: the additive one of the quadratic
 // objective (the iterative scaling procedure, ISP) and the exponential one

@@ -74,9 +74,12 @@ const nearlySortedBudget = 4
 // drifted past a neighbor. It sorts in place under (Bits, Idx) and reports
 // whether the total displacement stayed within nearlySortedBudget·len, so an
 // already-sorted input costs one comparison per element and a k-inversion
-// input O(len + k). On false the slice is left partially ordered but still a
-// permutation of the input, and the caller re-sorts from scratch.
-func InsertionBudgetKeys(keys []Key) bool {
+// input O(len + k). On !ok the slice is left partially ordered but still a
+// permutation of the input, and the caller re-sorts from scratch. moved
+// reports whether any key changed position: it is false exactly when the
+// input was already sorted and the slice is untouched, so a caller that
+// caches the order can skip rewriting it.
+func InsertionBudgetKeys(keys []Key) (ok, moved bool) {
 	budget := nearlySortedBudget * len(keys)
 	for i := 1; i < len(keys); i++ {
 		v := keys[i]
@@ -86,12 +89,15 @@ func InsertionBudgetKeys(keys []Key) bool {
 			j--
 			if budget--; budget < 0 {
 				keys[j+1] = v // reinsert: the slice must stay a permutation
-				return false
+				return false, true
 			}
 		}
-		keys[j+1] = v
+		if j != i-1 {
+			keys[j+1] = v
+			moved = true
+		}
 	}
-	return true
+	return true, moved
 }
 
 // TopBits is the width of the top-of-span radix: RadixKeysTop orders keys

@@ -77,7 +77,7 @@ func topRepairSort(keys []Key) []Key {
 	lo, hi := span(keys)
 	dst := make([]Key, len(keys))
 	RadixKeysTop(dst, keys, make([]Key, len(keys)), lo, hi)
-	if InsertionBudgetKeys(dst) {
+	if ok, _ := InsertionBudgetKeys(dst); ok {
 		return dst
 	}
 	return RadixKeysRange(keys, dst, lo, hi)
@@ -176,7 +176,7 @@ func TestInsertionKeys(t *testing.T) {
 func TestInsertionBudgetKeys(t *testing.T) {
 	// Nearly sorted input: must succeed and fully sort.
 	keys := keysFrom([]float64{1, 2, 3, 5, 4, 6, 7, 9, 8, 10})
-	if !InsertionBudgetKeys(keys) {
+	if ok, _ := InsertionBudgetKeys(keys); !ok {
 		t.Fatal("nearly-sorted input should fit the budget")
 	}
 	for i := 1; i < len(keys); i++ {
@@ -191,7 +191,7 @@ func TestInsertionBudgetKeys(t *testing.T) {
 		rev[i] = float64(len(rev) - i)
 	}
 	keys = keysFrom(rev)
-	if InsertionBudgetKeys(keys) {
+	if ok, _ := InsertionBudgetKeys(keys); ok {
 		t.Fatal("reversed input should exhaust the budget")
 	}
 	seen := make([]bool, len(keys))
@@ -201,6 +201,51 @@ func TestInsertionBudgetKeys(t *testing.T) {
 		}
 		seen[k.Idx] = true
 	}
+}
+
+// TestInsertionBudgetKeysMoved: the moved flag is false exactly when the
+// input was already in (Bits, Idx) order, which is when the pass leaves the
+// slice untouched — sorted inputs of every length, with ties broken by Idx,
+// against random shuffles that may or may not happen to come out sorted,
+// single adjacent swaps and tie pairs out of Idx order.
+func TestInsertionBudgetKeysMoved(t *testing.T) {
+	rng := rand.New(rand.NewPCG(13, 17))
+	check := func(name string, keys []Key) {
+		t.Helper()
+		in := slices.Clone(keys)
+		ok, moved := InsertionBudgetKeys(keys)
+		sorted := slices.IsSortedFunc(in, keyCmp)
+		if moved == sorted {
+			t.Fatalf("%s: moved = %v on input sorted = %v (%v)", name, moved, sorted, in)
+		}
+		if !moved && !slices.Equal(keys, in) {
+			t.Fatalf("%s: moved = false but the slice changed", name)
+		}
+		if ok && !slices.IsSortedFunc(keys, keyCmp) {
+			t.Fatalf("%s: ok but unsorted", name)
+		}
+	}
+	for n := 0; n <= 40; n++ {
+		pos := make([]float64, n)
+		for i := range pos {
+			pos[i] = float64(rng.IntN(6)) // many ties
+		}
+		keys := keysFrom(pos)
+		slices.SortFunc(keys, keyCmp)
+		check("sorted", slices.Clone(keys))
+		if n >= 2 {
+			i := rng.IntN(n - 1)
+			swapped := slices.Clone(keys)
+			swapped[i], swapped[i+1] = swapped[i+1], swapped[i]
+			check("adjacent swap", swapped)
+		}
+		for trial := 0; trial < 5; trial++ {
+			shuffled := slices.Clone(keys)
+			rng.Shuffle(n, func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
+			check("shuffled", shuffled)
+		}
+	}
+	check("tie out of Idx order", []Key{{Bits: 5, Idx: 1}, {Bits: 5, Idx: 0}})
 }
 
 // bitsKeys builds keys from raw Bits in input order.
@@ -315,7 +360,7 @@ func FuzzSortKeys(f *testing.F) {
 		if !slices.Equal(src, keys) {
 			t.Fatal("RadixKeysTop modified src")
 		}
-		if !InsertionBudgetKeys(dst) {
+		if ok, _ := InsertionBudgetKeys(dst); !ok {
 			dst = RadixKeysRange(src, dst, lo, hi)
 		}
 		if !slices.Equal(dst, want) {
