@@ -92,11 +92,14 @@ bench-precond: cmds
 	@cat .bench_precond.json; rm -f .bench_precond.json
 
 # Temporal-sequence guard: the session-layer property tests (bit-identity
-# without warm duals, iteration savings with them) plus the cold-vs-chained
-# sweep at reduced scale. The committed BENCH_sea.json carries the full-scale
-# sequence/ records; -compare gates any chained-iteration growth.
+# without warm duals, iteration savings with them), a one-shot smoke of the
+# per-period benchmark (a warm 200×150 session's ns/period and allocs), plus
+# the cold-vs-chained sweep at reduced scale. The committed BENCH_sea.json
+# carries the full-scale sequence/ records; -compare gates any
+# chained-iteration growth.
 bench-sequence: cmds
 	$(GO) test -count=1 -run 'TestSession|TestServerSession|TestSequence' ./pkg/sea/ ./pkg/sea/serve/ ./pkg/sea/serve/http/
+	$(GO) test -run xxx -bench SessionPeriod -benchtime 1x ./pkg/sea/
 	$(GO) run ./cmd/seabench -sequence -scale 0.5
 
 # The equilibration kernel, its gather-fused warm build (two solves through

@@ -28,12 +28,12 @@ import (
 // backing arrays) come from the arena and are reused across same-shape
 // solves; see Arena for the aliasing and concurrency contract.
 func SolveDiagonal(ctx context.Context, p *DiagonalProblem, opts *Options) (*Solution, error) {
+	if err := p.Validate(); err != nil {
+		return nil, err
+	}
 	o := opts.withDefaults()
 	if o.Objective != ObjectiveQuadratic {
 		return nil, fmt.Errorf("core: SolveDiagonal minimizes the quadratic objective only; route Objective=%v through the facade's \"entropy\" solver", o.Objective)
-	}
-	if err := p.Validate(); err != nil {
-		return nil, err
 	}
 	if err := o.Arena.acquire(); err != nil {
 		return nil, err
@@ -998,7 +998,8 @@ func (st *diagState) solution() *Solution {
 	sol.Iterations = st.iterations
 	sol.Converged = st.converged
 	sol.Residual = st.residual
-	sol.Objective = p.Objective(st.x, s, d)
-	sol.DualValue = DualValue(p, st.lambda, st.mu)
+	obj, z := p.cellSums(st.x, st.lambda, st.mu)
+	sol.Objective = p.addTotalsPenalty(obj, s, d)
+	sol.DualValue = p.addTotalsDual(z, st.lambda, st.mu)
 	return sol
 }

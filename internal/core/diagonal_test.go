@@ -471,6 +471,35 @@ func TestValidationErrors(t *testing.T) {
 	}
 }
 
+// TestNilProblem: a nil problem is an error from validation and from both
+// solvers, never a nil dereference.
+func TestNilProblem(t *testing.T) {
+	const want = "core: nil problem"
+	var d *DiagonalProblem
+	var g *GeneralProblem
+	checks := map[string]func() error{
+		"DiagonalProblem.Validate": d.Validate,
+		"GeneralProblem.Validate":  func() error { return g.Validate(true) },
+		"SolveDiagonal": func() error {
+			_, err := SolveDiagonal(context.Background(), nil, nil)
+			return err
+		},
+		"SolveGeneral": func() error {
+			_, err := SolveGeneral(context.Background(), nil, nil)
+			return err
+		},
+	}
+	for name, check := range checks {
+		if err := check(); err == nil || err.Error() != want {
+			t.Errorf("%s(nil) = %v, want %q", name, err, want)
+		}
+	}
+	var ve *ValidationError
+	if err := d.Validate(); !errors.As(err, &ve) {
+		t.Errorf("DiagonalProblem.Validate(nil) = %T, want *ValidationError", err)
+	}
+}
+
 func TestCountersAndTrace(t *testing.T) {
 	rng := rand.New(rand.NewPCG(12, 12))
 	p := randFixed(rng, 5, 4, 100, 2)

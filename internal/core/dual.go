@@ -11,8 +11,16 @@ import "math"
 // also covers the upper-bounded (Ohuchi–Kaji) extension the algebraic
 // formulas (24), (41), (51) do not.
 func DualValue(p *DiagonalProblem, lambda, mu []float64) float64 {
+	_, z := p.cellSums(nil, lambda, mu)
+	return p.addTotalsDual(z, lambda, mu)
+}
+
+// cellSums returns the cell parts of Objective at x and of DualValue at
+// (λ, μ) from one sweep over the stored cells; a nil x skips the objective.
+// Each sum keeps its own accumulator and adds the cells in storage order, as
+// the standalone evaluations do, so both are bit-identical to them.
+func (p *DiagonalProblem) cellSums(x, lambda, mu []float64) (obj, z float64) {
 	m, n := p.M, p.N
-	var z float64
 	if pt := p.Pattern; pt != nil {
 		// Structural zeros are pinned in [0,0]: their minimizer is 0, their
 		// deviation 0, so they contribute exactly nothing — skipping them is
@@ -21,25 +29,43 @@ func DualValue(p *DiagonalProblem, lambda, mu []float64) float64 {
 			li := lambda[i]
 			for k := pt.RowPtr[i]; k < pt.RowPtr[i+1]; k++ {
 				t := li + mu[pt.ColIdx[k]]
-				g := p.Gamma[k]
-				xh := p.clampEntry(k, p.X0[k]+t/(2*g))
-				dev := xh - p.X0[k]
-				z += g*dev*dev - t*xh
+				g, x0 := p.Gamma[k], p.X0[k]
+				z += dualCell(g, x0, p.clampEntry(k, x0+t/(2*g)), t)
+				if x != nil {
+					obj += p.objectiveCell(k, x[k])
+				}
 			}
 		}
-	} else {
-		for i := 0; i < m; i++ {
-			li := lambda[i]
-			for j := 0; j < n; j++ {
-				k := i*n + j
-				t := li + mu[j]
-				g := p.Gamma[k]
-				xh := p.clampEntry(k, p.X0[k]+t/(2*g))
-				dev := xh - p.X0[k]
-				z += g*dev*dev - t*xh
+		return obj, z
+	}
+	for i := 0; i < m; i++ {
+		li := lambda[i]
+		for j := 0; j < n; j++ {
+			k := i*n + j
+			t := li + mu[j]
+			g, x0 := p.Gamma[k], p.X0[k]
+			z += dualCell(g, x0, p.clampEntry(k, x0+t/(2*g)), t)
+			if x != nil {
+				obj += p.objectiveCell(k, x[k])
 			}
 		}
 	}
+	return obj, z
+}
+
+// dualCell is a cell's Lagrangian term γ(x̂−x⁰)² − t·x̂ at t = λ_i + μ_j,
+// given its minimizer x̂ = clamp(x⁰ + t/(2γ)). It takes the cell's values
+// rather than its index so that it, and the clamp beside it, inline into
+// the sweep.
+func dualCell(g, x0, xh, t float64) float64 {
+	dev := xh - x0
+	return g*dev*dev - t*xh
+}
+
+// addTotalsDual adds the totals' part of ζ — each constraint's minimum over
+// its total — to z, term by term in row-then-column order.
+func (p *DiagonalProblem) addTotalsDual(z float64, lambda, mu []float64) float64 {
+	m, n := p.M, p.N
 	switch p.Kind {
 	case FixedTotals:
 		for i := 0; i < m; i++ {

@@ -51,6 +51,9 @@ type GeneralProblem struct {
 // dominance of the weight matrices (the projection method's contraction
 // condition).
 func (p *GeneralProblem) Validate(skipDominance bool) error {
+	if p == nil {
+		return errNilProblem
+	}
 	if p.M <= 0 || p.N <= 0 {
 		return fmt.Errorf("core: invalid dimensions %d×%d", p.M, p.N)
 	}

@@ -179,12 +179,35 @@ func NewInterval(m, n int, x0, gamma, slo, shi, dlo, dhi []float64) (*DiagonalPr
 // fixed-totals problems.
 const totalsImbalanceTol = 1e-8
 
+// ValidationError is the error DiagonalProblem.Validate returns. Its text is
+// the failed check's own and it unwraps to that check's error, so
+// errors.Is(err, ErrInfeasible) still holds for an empty constraint set. A
+// caller that leaves validation to SolveDiagonal uses errors.As to tell a
+// rejected problem from a failed solve.
+type ValidationError struct{ err error }
+
+func (e *ValidationError) Error() string { return e.err.Error() }
+func (e *ValidationError) Unwrap() error { return e.err }
+
+// errNilProblem is what both problems' Validate report for a nil receiver.
+var errNilProblem = errors.New("core: nil problem")
+
 // Validate checks dimensions, weight positivity and, for fixed totals,
 // feasibility of the transportation polytope. For CSR problems the pattern's
 // structural invariants (row-pointer monotonicity, ordered and deduplicated
 // column indices) are checked first and every per-cell array must have
-// length nnz.
+// length nnz. A failure is a *ValidationError.
 func (p *DiagonalProblem) Validate() error {
+	if err := p.validate(); err != nil {
+		return &ValidationError{err}
+	}
+	return nil
+}
+
+func (p *DiagonalProblem) validate() error {
+	if p == nil {
+		return errNilProblem
+	}
 	if p.M <= 0 || p.N <= 0 {
 		return fmt.Errorf("core: invalid dimensions %d×%d", p.M, p.N)
 	}
@@ -356,9 +379,21 @@ func positiveWeights(name string, w []float64, n int) error {
 func (p *DiagonalProblem) Objective(x, s, d []float64) float64 {
 	var obj float64
 	for k, v := range x {
-		dev := v - p.X0[k]
-		obj += p.Gamma[k] * dev * dev
+		obj += p.objectiveCell(k, v)
 	}
+	return p.addTotalsPenalty(obj, s, d)
+}
+
+// objectiveCell is cell k's term γ_k(x_k−x⁰_k)² of the quadratic objective.
+func (p *DiagonalProblem) objectiveCell(k int, v float64) float64 {
+	dev := v - p.X0[k]
+	return p.Gamma[k] * dev * dev
+}
+
+// addTotalsPenalty adds the quadratic penalties on estimated totals to obj,
+// term by term in row-then-column order. Fixed and interval totals carry
+// none; for Balanced, s holds the shared totals and d is ignored.
+func (p *DiagonalProblem) addTotalsPenalty(obj float64, s, d []float64) float64 {
 	switch p.Kind {
 	case ElasticTotals:
 		for i, v := range s {
@@ -402,23 +437,7 @@ func (p *DiagonalProblem) KLObjective(x, s, d []float64) float64 {
 			obj += p.Gamma[k] * (v*math.Log(v/x0) - v + x0)
 		}
 	}
-	switch p.Kind {
-	case ElasticTotals:
-		for i, v := range s {
-			dev := v - p.S0[i]
-			obj += p.Alpha[i] * dev * dev
-		}
-		for j, v := range d {
-			dev := v - p.D0[j]
-			obj += p.Beta[j] * dev * dev
-		}
-	case Balanced:
-		for i, v := range s {
-			dev := v - p.S0[i]
-			obj += p.Alpha[i] * dev * dev
-		}
-	}
-	return obj
+	return p.addTotalsPenalty(obj, s, d)
 }
 
 // ObjectiveFor evaluates the objective of the given family at (x, s, d).

@@ -33,6 +33,7 @@
 package sea
 
 import (
+	"errors"
 	"fmt"
 	"io"
 
@@ -249,6 +250,24 @@ func NewGeneral(g *GeneralProblem) (*Problem, error) {
 // Every failure wraps ErrInvalidProblem (infeasibilities additionally wrap
 // ErrInfeasible through the representation's own validation).
 func (p *Problem) Validate() error {
+	if err := p.checkStructure(); err != nil {
+		return err
+	}
+	var err error
+	if p.Diagonal != nil {
+		err = p.Diagonal.Validate()
+	} else {
+		err = p.General.Validate(true)
+	}
+	if err != nil {
+		return fmt.Errorf("%w: %w", ErrInvalidProblem, err)
+	}
+	return nil
+}
+
+// checkStructure runs Validate's structural checks alone: a non-nil problem
+// carrying exactly one representation.
+func (p *Problem) checkStructure() error {
 	switch {
 	case p == nil:
 		return fmt.Errorf("%w: nil problem", ErrInvalidProblem)
@@ -256,17 +275,24 @@ func (p *Problem) Validate() error {
 		return fmt.Errorf("%w: neither a diagonal nor a general representation is set", ErrInvalidProblem)
 	case p.Diagonal != nil && p.General != nil:
 		return fmt.Errorf("%w: both a diagonal and a general representation are set; set exactly one", ErrInvalidProblem)
-	case p.Diagonal != nil:
-		if err := p.Diagonal.Validate(); err != nil {
-			return fmt.Errorf("%w: %w", ErrInvalidProblem, err)
-		}
-		return nil
-	default:
-		if err := p.General.Validate(true); err != nil {
-			return fmt.Errorf("%w: %w", ErrInvalidProblem, err)
-		}
-		return nil
 	}
+	return nil
+}
+
+// wrapValidation wraps a diagonal problem's validation error (a
+// *core.ValidationError anywhere in err's chain) in ErrInvalidProblem, as
+// Validate does, and passes any other error through unchanged. errors.As runs only on a failure: its target escapes to the
+// heap, and a successful solve must not allocate for it.
+func wrapValidation(err error) error {
+	if err == nil || !isValidation(err) {
+		return err
+	}
+	return fmt.Errorf("%w: %w", ErrInvalidProblem, err)
+}
+
+func isValidation(err error) bool {
+	var ve *core.ValidationError
+	return errors.As(err, &ve)
 }
 
 // Size returns the problem's matrix dimensions.
@@ -288,6 +314,20 @@ func (p *Problem) asDiagonal(solver string) (*DiagonalProblem, error) {
 	}
 	if p.Diagonal == nil {
 		return nil, fmt.Errorf("%w: solver %q requires a diagonal problem; general problems carry dense weights it cannot use (try \"sea-general\" or \"rc\")", ErrInvalidProblem, solver)
+	}
+	return p.Diagonal, nil
+}
+
+// structuralDiagonal is asDiagonal for a solve that validates the diagonal
+// problem's values itself (core.SolveDiagonal): only the structure is
+// checked here. A general problem still gets asDiagonal's full check, so its
+// error is the same as before.
+func (p *Problem) structuralDiagonal(solver string) (*DiagonalProblem, error) {
+	if err := p.checkStructure(); err != nil {
+		return nil, err
+	}
+	if p.Diagonal == nil {
+		return p.asDiagonal(solver)
 	}
 	return p.Diagonal, nil
 }

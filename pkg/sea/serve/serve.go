@@ -457,8 +457,9 @@ func (s *Server) Prewarm(ctx context.Context, p *sea.Problem, n int) error {
 }
 
 // requestKey derives the shape-pool key, rejecting structurally unusable
-// problems before they occupy a queue slot. Full numerical validation is
-// the solver's job (one pass per request, as for direct sea.Solve calls).
+// problems before they occupy a queue slot. The values are left to the
+// solver: with "sea", core.SolveDiagonal validates them in one pass, as it
+// does for a direct sea.Solve call.
 func requestKey(p *sea.Problem) (shapeKey, error) {
 	if p == nil || (p.Diagonal == nil && p.General == nil) {
 		return shapeKey{}, fmt.Errorf("%w: request carries no problem representation", sea.ErrInvalidProblem)

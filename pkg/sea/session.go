@@ -68,13 +68,28 @@ func (s *Session) Solve(ctx context.Context, p *Problem) (*Solution, error) {
 	if s.closed {
 		return nil, ErrSessionClosed
 	}
-	if err := p.Validate(); err != nil {
+	// The "sea" solver validates a diagonal problem's values itself, once,
+	// in core.SolveDiagonal; every other problem and solver is validated
+	// here.
+	solverValidates := s.cfg.solver == "sea" && p != nil && p.Diagonal != nil
+	var err error
+	if solverValidates {
+		err = p.checkStructure()
+	} else {
+		err = p.Validate()
+	}
+	if err != nil {
 		return nil, err
 	}
 	m, n := p.Size()
 	if s.stats.Periods == 0 {
 		s.m, s.n = m, n
 	} else if m != s.m || n != s.n {
+		// An invalid period says why it is invalid before it says it is
+		// the wrong shape.
+		if err := p.Validate(); err != nil {
+			return nil, err
+		}
 		return nil, fmt.Errorf("%w: session is pinned to %d×%d problems, got %d×%d (sequences chain shape-specific state; start a new session)",
 			ErrInvalidProblem, s.m, s.n, m, n)
 	}
@@ -87,6 +102,11 @@ func (s *Session) Solve(ctx context.Context, p *Problem) (*Solution, error) {
 	ctx, cancel := s.cfg.context(ctx)
 	defer cancel()
 	sol, err := Solve(ctx, s.cfg.solver, p, &o)
+	if err != nil && solverValidates && isValidation(err) {
+		// A period that fails validation neither pins the shape nor
+		// counts.
+		return nil, err
+	}
 
 	s.stats.Periods++
 	s.stats.M, s.stats.N = s.m, s.n

@@ -271,3 +271,28 @@ func TestSolveWithFunctionalOptions(t *testing.T) {
 		t.Fatalf("WithDeadline: err = %v, want context.DeadlineExceeded", err)
 	}
 }
+
+// BenchmarkSessionPeriod times one period of a warm session: a 200×150
+// Session with dual warm starts cycling through 24 drifting periods, the
+// shape of the sequence-warm workload. Periods converge in about one
+// iteration, so the per-period fixed cost — validation, the column mirrors,
+// packaging the solution — is a large share of ns/period.
+func BenchmarkSessionPeriod(b *testing.B) {
+	periods := driftingPeriods(b, 200, 150, 24)
+	s := NewSession(WithDualWarmStart(true))
+	defer s.Close()
+	ctx := context.Background()
+	for _, p := range periods { // fill the arena and the warm duals
+		if _, err := s.Solve(ctx, p); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := s.Solve(ctx, periods[i%len(periods)]); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/period")
+}

@@ -24,11 +24,14 @@ func init() {
 			if o != nil && o.Objective == ObjectiveEntropy {
 				return solveEntropy(ctx, p, o)
 			}
-			d, err := p.asDiagonal("sea")
+			// Core validates the values, once; its error gets the
+			// ErrInvalidProblem wrapping Problem.Validate would give it.
+			d, err := p.structuralDiagonal("sea")
 			if err != nil {
 				return nil, err
 			}
-			return core.SolveDiagonal(ctx, d, o)
+			sol, err := core.SolveDiagonal(ctx, d, o)
+			return sol, wrapValidation(err)
 		}))
 	MustRegister(NewSolver("sea-general",
 		"SEA inside the Dafermos projection method (dense weight matrices)",
