@@ -86,7 +86,7 @@ bench-sparse: cmds
 # the spe250/precond row is where the outer-iteration win is gated (seabench
 # -compare flags any growth).
 bench-precond: cmds
-	$(GO) test -count=1 -run 'TestPrecond|TestScalingSolversTracePerSweep|TestCSRMatchesDenseBitwise|TestISPKernelsMatchReference' ./internal/core/ ./internal/baseline/ ./internal/scale/
+	$(GO) test -count=1 -run 'TestPrecond|TestScalingSolversTracePerSweep|TestCSRMatchesDenseBitwise|TestISPKernelsMatchReference|TestInteriorMask|TestISPNaNTargetNeverConverges|TestISPRejectsNonFinite' ./internal/core/ ./internal/baseline/ ./internal/scale/
 	$(GO) test -run xxx -bench BenchmarkISPRun -benchtime 1x ./internal/scale/
 	$(GO) run ./cmd/seabench -table none -benchjson .bench_precond.json -benchfilter table5/spe250
 	@cat .bench_precond.json; rm -f .bench_precond.json

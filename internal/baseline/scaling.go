@@ -50,7 +50,7 @@ func SolveSinkhorn(ctx context.Context, p *core.DiagonalProblem, opts *core.Opti
 	if p.Kind != core.FixedTotals {
 		return nil, fmt.Errorf("baseline: Sinkhorn requires fixed totals, got %v", p.Kind)
 	}
-	a := problemMatrix(p, p.X0)
+	a := core.ScaleMatrix(p, p.X0)
 	if !mat.AllNonNegative(p.X0) {
 		return nil, fmt.Errorf("baseline: Sinkhorn requires a nonnegative prior")
 	}
@@ -86,7 +86,7 @@ func SolveSinkhorn(ctx context.Context, p *core.DiagonalProblem, opts *core.Opti
 			break
 		}
 		val = sinkhornX(p, val, u, v)
-		a = problemMatrix(p, val)
+		a = core.ScaleMatrix(p, val)
 	}
 	sol := scalingSolution(p, nil, nil, res, sinkhornX(p, val, u, v))
 	if cerr := ctx.Err(); cerr != nil && !res.Converged {
@@ -108,11 +108,10 @@ func SolveSinkhorn(ctx context.Context, p *core.DiagonalProblem, opts *core.Opti
 // needs more of them on hard instances. Every constraint kind — fixed,
 // elastic, balanced and interval totals — is supported over both storages.
 func SolveISP(ctx context.Context, p *core.DiagonalProblem, opts *core.Options) (*core.Solution, error) {
-	sys := dualSystem(p, scale.Additive)
-	if err := sys.Validate(); err != nil {
-		return nil, err
+	if err := p.Validate(); err != nil {
+		return nil, fmt.Errorf("baseline: ISP: %w", err)
 	}
-	return solveDual(ctx, p, sys, opts)
+	return solveDual(ctx, p, new(core.DualSystem).Build(p, scale.Additive), opts)
 }
 
 // ErrDomain is returned when the problem's data lies outside the entropy
@@ -171,7 +170,7 @@ func entropySystem(p *core.DiagonalProblem) (*scale.System, error) {
 			return nil, fmt.Errorf("%w: Lower[%d] = %g > 0 over a zero prior cell (KL pins it at 0)", ErrDomain, k, p.Lower[k])
 		}
 	}
-	sys := dualSystem(p, scale.Exponential)
+	sys := new(core.DualSystem).Build(p, scale.Exponential)
 	g := &sys.A
 	rowHasMass := make([]bool, p.M)
 	colHasMass := make([]bool, p.N)
@@ -204,50 +203,6 @@ func entropySystem(p *core.DiagonalProblem) (*scale.System, error) {
 		}
 	}
 	return sys, nil
-}
-
-// problemMatrix wraps per-cell values in the problem's storage layout.
-func problemMatrix(p *core.DiagonalProblem, val []float64) scale.Matrix {
-	if p.Pattern != nil {
-		return scale.CSR(p.M, p.N, val, p.Pattern.RowPtr, p.Pattern.ColIdx)
-	}
-	return scale.Dense(p.M, p.N, val)
-}
-
-// dualSystem builds the dual-scaling system of a diagonal problem under the
-// given response: the cell coefficients (the slopes 1/(2γ) for the additive
-// response, the weights γ for the exponential one), the prior and bounds,
-// and each kind's totals with the elastic terms e = 1/(2α), f = 1/(2β).
-func dualSystem(p *core.DiagonalProblem, resp scale.Response) *scale.System {
-	coef := p.Gamma
-	if resp == scale.Additive {
-		coef = make([]float64, len(p.Gamma))
-		for k, g := range p.Gamma {
-			coef[k] = 0.5 / g
-		}
-	}
-	sys := &scale.System{Response: resp, A: problemMatrix(p, coef), X0: p.X0, Lo: p.Lower, Up: p.Upper}
-	switch p.Kind {
-	case core.FixedTotals:
-		sys.RowTarget, sys.ColTarget = p.S0, p.D0
-	case core.ElasticTotals:
-		sys.RowTarget, sys.ColTarget = p.S0, p.D0
-		sys.RowDiag, sys.ColDiag = halfInv(p.Alpha), halfInv(p.Beta)
-	case core.Balanced:
-		sys.RowTarget, sys.RowDiag, sys.Coupled = p.S0, halfInv(p.Alpha), true
-	case core.IntervalTotals:
-		sys.RowLo, sys.RowHi, sys.ColLo, sys.ColHi = p.SLo, p.SHi, p.DLo, p.DHi
-	}
-	return sys
-}
-
-// halfInv returns 0.5/w elementwise (the elastic diagonal terms).
-func halfInv(w []float64) []float64 {
-	out := make([]float64, len(w))
-	for i, v := range w {
-		out[i] = 0.5 / v
-	}
-	return out
 }
 
 // solveDual runs a dual-scaling system as a solver: one sweep per Run call
@@ -312,7 +267,7 @@ func outside(f []float64, limit float64) bool {
 
 // sinkhornX materializes the balanced matrix u_i·val_ij·v_j in storage order.
 func sinkhornX(p *core.DiagonalProblem, val, u, v []float64) []float64 {
-	a := problemMatrix(p, val)
+	a := core.ScaleMatrix(p, val)
 	x := make([]float64, len(val))
 	for i := 0; i < a.M; i++ {
 		lo, hi := a.Row(i)

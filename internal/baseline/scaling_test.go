@@ -304,3 +304,30 @@ func TestISPIntervalMatchesSEA(t *testing.T) {
 		}
 	}
 }
+
+// TestISPRejectsNonFinite: SolveISP validates the problem first, so a NaN
+// or infinite total in S0 or D0, on fixed and elastic totals alike, is a
+// *core.ValidationError instead of a "converged" solution over NaN cells.
+func TestISPRejectsNonFinite(t *testing.T) {
+	rng := rand.New(rand.NewPCG(83, 2))
+	for _, kind := range []string{"fixed", "elastic"} {
+		for _, side := range []string{"S0", "D0"} {
+			for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+				p := randFixedDiag(rng, 5, 6, 1.3)
+				if kind == "elastic" {
+					p = randElastic(rng, 5, 6)
+				}
+				totals := p.S0
+				if side == "D0" {
+					totals = p.D0
+				}
+				totals[2] = bad
+				sol, err := SolveISP(context.Background(), p, optsWith(1e-8, 1000))
+				var ve *core.ValidationError
+				if !errors.As(err, &ve) || sol != nil {
+					t.Errorf("%s/%s = %v: solution %v, error %v; want a *core.ValidationError", kind, side, bad, sol != nil, err)
+				}
+			}
+		}
+	}
+}

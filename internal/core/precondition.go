@@ -55,15 +55,16 @@ type precondState struct {
 	dlo   []float64
 	dhi   []float64
 
-	// Warm-start scratch. sys keeps the ISP stage's column brackets across
-	// solves (Reuse resets its escalation state, so every solve runs the
-	// cold trajectory); colSum/colASum are its column-pass accumulators.
+	// Warm-start scratch. dual keeps the ISP stage's system and its column
+	// brackets across solves (Build resets its escalation state, so every
+	// solve runs the cold trajectory); colSum/colASum are its column-pass
+	// accumulators. slopes, colA and colB are the Sinkhorn stage's.
 	slopes  []float64
 	mu0     []float64
 	lambda0 []float64
 	colA    []float64
 	colB    []float64
-	sys     scale.System
+	dual    DualSystem
 	colSum  []float64
 	colASum []float64
 
@@ -232,13 +233,48 @@ func (ps *precondState) scaleProblem(p *DiagonalProblem) *DiagonalProblem {
 	return &ps.prob
 }
 
-// matrixView wraps the scaled problem's cell layout as a scale.Matrix over
-// the given per-cell values.
-func matrixView(sp *DiagonalProblem, val []float64) scale.Matrix {
-	if sp.Pattern != nil {
-		return scale.CSR(sp.M, sp.N, val, sp.Pattern.RowPtr, sp.Pattern.ColIdx)
+// ScaleMatrix wraps per-cell values in p's storage layout (dense, or CSR
+// over p.Pattern) as a scale.Matrix.
+func ScaleMatrix(p *DiagonalProblem, val []float64) scale.Matrix {
+	if p.Pattern != nil {
+		return scale.CSR(p.M, p.N, val, p.Pattern.RowPtr, p.Pattern.ColIdx)
 	}
-	return scale.Dense(sp.M, sp.N, val)
+	return scale.Dense(p.M, p.N, val)
+}
+
+// DualSystem is a diagonal problem's dual-scaling system (see scale.System)
+// together with the derived arrays it points into: the additive response's
+// slopes 1/(2γ) and the elastic terms e = 1/(2α), f = 1/(2β). A long-lived
+// DualSystem rebuilds over its own buffers and its System's scratch.
+type DualSystem struct {
+	System                 scale.System
+	coef, rowDiag, colDiag []float64
+}
+
+// Build makes d the dual system of p under resp and returns it: the cell
+// coefficients (the slopes 1/(2γ) for the additive response, the weights γ
+// for the exponential one), the prior and bounds, and each kind's totals.
+// The System starts with fresh escalation state (see scale.System.Reuse).
+// p is taken as valid.
+func (d *DualSystem) Build(p *DiagonalProblem, resp scale.Response) *scale.System {
+	coef := p.Gamma
+	if resp == scale.Additive {
+		coef = halfInv(&d.coef, p.Gamma)
+	}
+	sys := &d.System
+	sys.Reuse(scale.System{Response: resp, A: ScaleMatrix(p, coef), X0: p.X0, Lo: p.Lower, Up: p.Upper})
+	switch p.Kind {
+	case FixedTotals:
+		sys.RowTarget, sys.ColTarget = p.S0, p.D0
+	case ElasticTotals:
+		sys.RowTarget, sys.ColTarget = p.S0, p.D0
+		sys.RowDiag, sys.ColDiag = halfInv(&d.rowDiag, p.Alpha), halfInv(&d.colDiag, p.Beta)
+	case Balanced:
+		sys.RowTarget, sys.RowDiag, sys.Coupled = p.S0, halfInv(&d.rowDiag, p.Alpha), true
+	case IntervalTotals:
+		sys.RowLo, sys.RowHi, sys.ColLo, sys.ColHi = p.SLo, p.SHi, p.DLo, p.DHi
+	}
+	return sys
 }
 
 // ispWarmStart runs PrecondSweeps clamped ISP sweeps on the scaled
@@ -250,30 +286,7 @@ func (ps *precondState) ispWarmStart(sp *DiagonalProblem, o *Options) bool {
 	if sp.Kind == IntervalTotals {
 		return false
 	}
-	nv := len(sp.Gamma)
-	ps.slopes = resizeF(ps.slopes, nv)
-	for k, g := range sp.Gamma {
-		ps.slopes[k] = 0.5 / g
-	}
-	sys := &ps.sys
-	sys.Reuse(scale.System{
-		A:         matrixView(sp, ps.slopes),
-		X0:        sp.X0,
-		Lo:        sp.Lower,
-		Up:        sp.Upper,
-		RowTarget: sp.S0,
-	})
-	switch sp.Kind {
-	case FixedTotals:
-		sys.ColTarget = sp.D0
-	case ElasticTotals:
-		sys.ColTarget = sp.D0
-		sys.RowDiag = halfInv(&ps.colA, sp.Alpha)
-		sys.ColDiag = halfInv(&ps.colB, sp.Beta)
-	case Balanced:
-		sys.Coupled = true
-		sys.RowDiag = halfInv(&ps.colA, sp.Alpha)
-	}
+	sys := ps.dual.Build(sp, scale.Additive)
 	if sys.Validate() != nil {
 		return false
 	}
@@ -311,7 +324,7 @@ func (ps *precondState) sinkhornWarmStart(sp *DiagonalProblem, o *Options) bool 
 			ps.slopes[k] = floor
 		}
 	}
-	a := matrixView(sp, ps.slopes)
+	a := ScaleMatrix(sp, ps.slopes)
 	r := zeroed(ps.lambda0, sp.M)
 	for i, v := range sp.S0 {
 		if v > 0 {
@@ -330,18 +343,17 @@ func (ps *precondState) sinkhornWarmStart(sp *DiagonalProblem, o *Options) bool 
 		}
 	}
 	ps.colA = c
-	u, v, _, err := scale.Sinkhorn(a, r, c, nil, nil, scale.SinkhornOptions{MaxIters: o.PrecondSweeps})
+	_, v, _, err := scale.Sinkhorn(a, r, c, nil, nil, scale.SinkhornOptions{MaxIters: o.PrecondSweeps})
 	if err != nil {
 		return false
 	}
-	_ = u
 	// Column sums of the floored prior and of the dual slopes.
 	colSum0 := zeroed(ps.colB, sp.N)
 	a.ColSums(colSum0)
 	ps.colB = colSum0
 	mu := zeroed(ps.mu0, sp.N)
 	ps.mu0 = mu
-	ga := matrixView(sp, sp.Gamma)
+	ga := ScaleMatrix(sp, sp.Gamma)
 	for i := 0; i < ga.M; i++ {
 		lo, hi := ga.Row(i)
 		for k := lo; k < hi; k++ {
@@ -356,7 +368,8 @@ func (ps *precondState) sinkhornWarmStart(sp *DiagonalProblem, o *Options) bool 
 	return true
 }
 
-// halfInv fills dst with 0.5/src (the elastic diagonal terms e = 1/(2α)).
+// halfInv fills dst with 0.5/src (the slopes 1/(2γ), the elastic terms
+// e = 1/(2α), f = 1/(2β)).
 func halfInv(dst *[]float64, src []float64) []float64 {
 	if src == nil {
 		return nil

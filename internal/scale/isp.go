@@ -213,21 +213,29 @@ func (r *rowCells) expAt(t int, d float64) (x, slope float64) {
 	return x, x / g
 }
 
-// interiorSlope returns a when the classical cell value x is interior
-// (x > 0, or NaN as in clampBox) and +0 when it clamps at 0, by masking a's
-// bits instead of branching: which cells clamp shifts with every dual step,
-// so a branch there mispredicts often.
-func interiorSlope(x, a float64) float64 {
+// interiorMask returns all ones when the classical cell value x is interior
+// (x > 0, or NaN as in clampBox) and zero when it clamps at 0. One mask per
+// cell serves both of its sums, without a branch: which cells clamp shifts
+// with every dual step, so a branch there mispredicts often.
+func interiorMask(x float64) uint64 {
 	var mask uint64
 	if !(x <= 0) {
 		mask = ^uint64(0)
 	}
-	return math.Float64frombits(math.Float64bits(a) & mask)
+	return mask
+}
+
+// masked keeps v where mask is set and gives +0 elsewhere. masked(x,
+// interiorMask(x)) is max(x, 0) bit for bit, ±0 included, except that a NaN
+// keeps its own bits as in clampBox (Go's max clears a NaN's sign bit), and
+// masked(a, interiorMask(x)) is the cell's interior slope.
+func masked(v float64, mask uint64) float64 {
+	return math.Float64frombits(math.Float64bits(v) & mask)
 }
 
 // sums is the row kernel: the row's Σ_t x_t and interior slope Σ a_t at row
 // dual z, with x_t = clamp(x⁰_t + a_t·(z + μ_j)) summed left to right. The
-// classical loops add max(x, 0) and interiorSlope unconditionally: a clamped
+// classical loops add each masked cell and slope unconditionally: a clamped
 // cell adds +0 to each sum, which starts at +0 and only ever gains
 // non-negatives there, so the result is bit-identical to skipping the cell.
 func (r *rowCells) sums(z float64, mu []float64) (sum, asum float64) {
@@ -240,15 +248,17 @@ func (r *rowCells) sums(z float64, mu []float64) (sum, asum float64) {
 		mu = mu[:len(a)]
 		for t, at := range a {
 			x := x0[t] + at*(z+mu[t])
-			sum += max(x, 0)
-			asum += interiorSlope(x, at)
+			in := interiorMask(x)
+			sum += masked(x, in)
+			asum += masked(at, in)
 		}
 	case r.lo == nil && r.up == nil:
 		cols = cols[:len(a)]
 		for t, at := range a {
 			x := x0[t] + at*(z+mu[cols[t]])
-			sum += max(x, 0)
-			asum += interiorSlope(x, at)
+			in := interiorMask(x)
+			sum += masked(x, in)
+			asum += masked(at, in)
 		}
 	case cols == nil:
 		mu = mu[:len(a)]
@@ -272,6 +282,59 @@ func (r *rowCells) sums(z float64, mu []float64) (sum, asum float64) {
 	return sum, asum
 }
 
+// pairedRows reports whether the sweeps take the rows two at a time: the
+// dense classical additive loop, where rows i and i+1 are adjacent spans of
+// storage whose cells t both sit in column t. pairSums and pairScatter serve
+// such a pair — a, x0 the upper row's cells, b, y0 the lower's — in one pass
+// that loads μ_t once; each row keeps its own sums, still added left to
+// right, so a pair is bit-identical to its two rows one after the other.
+func (s *System) pairedRows() bool {
+	return s.Response == Additive && s.Lo == nil && s.Up == nil && s.A.ColIdx == nil
+}
+
+// rowPair returns the cells of the paired rows i and i+1.
+func (s *System) rowPair(i int) (a, x0, b, y0 []float64) {
+	n := s.A.N
+	k := i * n
+	return s.A.Val[k : k+n], s.X0[k : k+n], s.A.Val[k+n : k+2*n], s.X0[k+n : k+2*n]
+}
+
+// pairSums is sums for a pair of rows at row duals z and w. The two rows'
+// sums are independent add chains, so each hides the other's latency.
+func pairSums(a, x0, b, y0 []float64, z, w float64, mu []float64) (zsum, zasum, wsum, wasum float64) {
+	x0, b, y0, mu = x0[:len(a)], b[:len(a)], y0[:len(a)], mu[:len(a)]
+	for t, at := range a {
+		m, bt := mu[t], b[t]
+		x := x0[t] + at*(z+m)
+		y := y0[t] + bt*(w+m)
+		xin, yin := interiorMask(x), interiorMask(y)
+		zsum += masked(x, xin)
+		zasum += masked(at, xin)
+		wsum += masked(y, yin)
+		wasum += masked(bt, yin)
+	}
+	return zsum, zasum, wsum, wasum
+}
+
+// pairScatter is scatter for a pair of rows at row duals z (the upper row)
+// and w: each column accumulator is loaded and stored once per pair and
+// gains the upper row's cell, then the lower's, the order the rows would add
+// them in one at a time. CSR rows stay unpaired: two rows' cells interleaved
+// by position can reach one column out of row order, which changes its
+// sum's bits.
+func pairScatter(a, x0, b, y0 []float64, z, w float64, mu, colSum, colASum []float64) {
+	x0, b, y0, mu = x0[:len(a)], b[:len(a)], y0[:len(a)], mu[:len(a)]
+	colSum, colASum = colSum[:len(a)], colASum[:len(a)]
+	for t, at := range a {
+		m, bt := mu[t], b[t]
+		x := x0[t] + at*(z+m)
+		y := y0[t] + bt*(w+m)
+		xin, yin := interiorMask(x), interiorMask(y)
+		colSum[t] = (colSum[t] + masked(x, xin)) + masked(y, yin)
+		colASum[t] = (colASum[t] + masked(at, xin)) + masked(bt, yin)
+	}
+}
+
 // scatter is the column kernel: it adds the row's cells at row dual z into
 // colSum and their interior slopes into colASum, with the same clamp and
 // the same branch-free classical loops as sums.
@@ -286,16 +349,18 @@ func (r *rowCells) scatter(z float64, mu, colSum, colASum []float64) {
 		mu, colSum, colASum = mu[:len(a)], colSum[:len(a)], colASum[:len(a)]
 		for t, at := range a {
 			x := x0[t] + at*(z+mu[t])
-			colSum[t] += max(x, 0)
-			colASum[t] += interiorSlope(x, at)
+			in := interiorMask(x)
+			colSum[t] += masked(x, in)
+			colASum[t] += masked(at, in)
 		}
 	case r.lo == nil && r.up == nil:
 		cols = cols[:len(a)]
 		for t, at := range a {
 			j := cols[t]
 			x := x0[t] + at*(z+mu[j])
-			colSum[j] += max(x, 0)
-			colASum[j] += interiorSlope(x, at)
+			in := interiorMask(x)
+			colSum[j] += masked(x, in)
+			colASum[j] += masked(at, in)
 		}
 	case cols == nil:
 		mu, colSum, colASum = mu[:len(a)], colSum[:len(a)], colASum[:len(a)]
@@ -485,53 +550,114 @@ func newtonStep(z, g, slope float64, blo, bhi, step *float64) (next float64, ok 
 	return next, true
 }
 
+// rowEq is one row equation's safeguarded-Newton state within a row
+// half-sweep: the iterate z = λ_i, its bracket and expansion step, the
+// equation in absolute form, and first, the violation at the incoming λ_i.
+// open is false once the iteration stops.
+type rowEq struct {
+	z, blo, bhi, step float64
+	target, diag      float64
+	first             float64
+	interval, open    bool
+}
+
+// openRow starts row i's equation at the incoming λ_i. Under interval
+// totals, complementarity picks the equation first: the row sum at λ_i = 0
+// below the interval binds the lower bound (λ_i > 0), above it the upper
+// bound (λ_i < 0), and inside it λ_i = 0 with no iteration.
+func (s *System) openRow(i int, lambda, mu []float64) rowEq {
+	e := rowEq{z: lambda[i], blo: math.Inf(-1), bhi: math.Inf(1), step: 1, open: true}
+	if s.RowLo == nil {
+		e.target, e.diag = s.rowAbs(i, mu)
+		return e
+	}
+	e.interval = true
+	r := s.row(i)
+	sum, _ := r.sums(e.z, mu)
+	e.first = s.rowViolation(i, sum, lambda, mu)
+	if e.z != 0 {
+		sum, _ = r.sums(0, mu)
+	}
+	switch {
+	case sum < s.RowLo[i]:
+		e.target, e.blo = s.RowLo[i], 0
+	case sum > s.RowHi[i]:
+		e.target, e.bhi = s.RowHi[i], 0
+	default:
+		e.z, e.open = 0, false
+	}
+	return e
+}
+
+// advance takes Newton iteration it from the row's sums at z and reports
+// whether the iteration goes on.
+func (e *rowEq) advance(it int, sum, asum, innerTol float64) bool {
+	g := sum + e.diag*e.z - e.target
+	if it == 0 && !e.interval {
+		e.first = math.Abs(g)
+	}
+	if math.Abs(g) <= innerTol {
+		return false
+	}
+	next, ok := newtonStep(e.z, g, asum+e.diag, &e.blo, &e.bhi, &e.step)
+	if ok {
+		e.z = next
+	}
+	return ok
+}
+
+// run takes the row's Newton iterations it, …, inner−1 alone, while the
+// equation stays open.
+func (e *rowEq) run(r *rowCells, it, inner int, mu []float64, innerTol float64) {
+	for ; it < inner && e.open; it++ {
+		sum, asum := r.sums(e.z, mu)
+		e.open = e.advance(it, sum, asum, innerTol)
+	}
+}
+
 // solveRow solves row i's equation in λ_i by safeguarded Newton, spending at
 // most inner steps, and returns the equation's absolute violation at the
-// incoming λ_i — this row's contribution to the staggered residual. Under
-// interval totals, complementarity picks the equation first: the row sum at
-// λ_i = 0 below the interval binds the lower bound (λ_i > 0), above it the
-// upper bound (λ_i < 0), and inside it λ_i = 0.
+// incoming λ_i — this row's contribution to the staggered residual.
 func (s *System) solveRow(i int, lambda, mu []float64, innerTol float64, inner int) (first float64) {
+	e := s.openRow(i, lambda, mu)
 	r := s.row(i)
-	z := lambda[i]
-	blo, bhi := math.Inf(-1), math.Inf(1)
-	var target, diag float64
-	if s.RowLo != nil {
-		sum, _ := r.sums(z, mu)
-		first = s.rowViolation(i, sum, lambda, mu)
-		if z != 0 {
-			sum, _ = r.sums(0, mu)
-		}
-		switch {
-		case sum < s.RowLo[i]:
-			target, blo = s.RowLo[i], 0
-		case sum > s.RowHi[i]:
-			target, bhi = s.RowHi[i], 0
-		default:
-			lambda[i] = 0
-			return first
-		}
-	} else {
-		target, diag = s.rowAbs(i, mu)
+	e.run(&r, 0, inner, mu, innerTol)
+	lambda[i] = e.z
+	return e.first
+}
+
+// solveRowPair is solveRow for the paired rows i and i+1 (see pairedRows):
+// their Newton iterations run in lockstep over pairSums while both are
+// open, and the one left open finishes alone. Each row takes exactly the
+// steps solveRow would take it through.
+func (s *System) solveRowPair(i int, lambda, mu []float64, innerTol float64, inner int) (first, second float64) {
+	e, f := s.openRow(i, lambda, mu), s.openRow(i+1, lambda, mu)
+	a, x0, b, y0 := s.rowPair(i)
+	it := 0
+	for ; it < inner && e.open && f.open; it++ {
+		zsum, zasum, wsum, wasum := pairSums(a, x0, b, y0, e.z, f.z, mu)
+		e.open = e.advance(it, zsum, zasum, innerTol)
+		f.open = f.advance(it, wsum, wasum, innerTol)
 	}
-	step := 1.0
-	for it := 0; it < inner; it++ {
-		sum, asum := r.sums(z, mu)
-		g := sum + diag*z - target
-		if it == 0 && s.RowLo == nil {
-			first = math.Abs(g)
-		}
-		if math.Abs(g) <= innerTol {
-			break
-		}
-		next, ok := newtonStep(z, g, asum+diag, &blo, &bhi, &step)
-		if !ok {
-			break
-		}
-		z = next
+	if e.open {
+		r := s.row(i)
+		e.run(&r, it, inner, mu, innerTol)
 	}
-	lambda[i] = z
-	return first
+	if f.open {
+		q := s.row(i + 1)
+		f.run(&q, it, inner, mu, innerTol)
+	}
+	lambda[i], lambda[i+1] = e.z, f.z
+	return e.first, f.first
+}
+
+// maxViolation folds v into the running worst violation. A NaN violation
+// sticks, so a residual over a NaN equation is NaN and passes no tolerance.
+func maxViolation(worst, v float64) float64 {
+	if v > worst || v != v {
+		return v
+	}
+	return worst
 }
 
 // solveColumns runs the column half-sweep. Columns are independent given λ,
@@ -550,12 +676,20 @@ func (s *System) solveColumns(lambda, mu, colSum, colASum []float64, innerTol fl
 		first = s.pickColumnTargets(lambda, mu, colSum, colASum)
 	}
 	step := 1.0
+	pair := s.pairedRows()
 	for pass := 0; pass < inner; pass++ {
 		for j := 0; j < n; j++ {
 			colSum[j] = 0
 			colASum[j] = 0
 		}
-		for i := 0; i < m; i++ {
+		i := 0
+		if pair {
+			for ; i+1 < m; i += 2 {
+				a, x0, b, y0 := s.rowPair(i)
+				pairScatter(a, x0, b, y0, lambda[i], lambda[i+1], mu, colSum, colASum)
+			}
+		}
+		for ; i < m; i++ {
 			r := s.row(i)
 			r.scatter(lambda[i], mu, colSum, colASum)
 		}
@@ -564,9 +698,7 @@ func (s *System) solveColumns(lambda, mu, colSum, colASum []float64, innerTol fl
 		for j := 0; j < n; j++ {
 			target, diag := s.colAbs(j, lambda)
 			g := colSum[j] + diag*mu[j] - target
-			if ag := math.Abs(g); ag > worst {
-				worst = ag
-			}
+			worst = maxViolation(worst, math.Abs(g))
 			if math.Abs(g) <= innerTol {
 				continue
 			}
@@ -603,9 +735,7 @@ func (s *System) pickColumnTargets(lambda, mu, colSum, colASum []float64) (first
 		r.scatter(lambda[i], s.zeroMu, s.colTgt, colASum)
 	}
 	for j, sum0 := range s.colTgt {
-		if v := s.colViolation(j, colSum[j], lambda, mu); v > first {
-			first = v
-		}
+		first = maxViolation(first, s.colViolation(j, colSum[j], lambda, mu))
 		switch {
 		case sum0 < s.ColLo[j]:
 			s.colTgt[j], s.colBlo[j] = s.ColLo[j], 0
@@ -661,6 +791,7 @@ func (s *System) Run(lambda, mu []float64, sweeps int, tol float64, colSum, colA
 		s.winBest = math.Inf(1)
 		s.prevWin = math.Inf(1)
 	}
+	m, pair := s.A.M, s.pairedRows()
 	var res Result
 	for t := 1; t <= sweeps; t++ {
 		res.Iterations = t
@@ -670,14 +801,17 @@ func (s *System) Run(lambda, mu []float64, sweeps int, tol float64, colSum, colA
 		}
 		var worst float64
 		// Row half-sweep: every λ_i solve is independent given μ.
-		for i := 0; i < s.A.M; i++ {
-			if r := s.solveRow(i, lambda, mu, innerTol, inner); r > worst {
-				worst = r
+		i := 0
+		if pair {
+			for ; i+1 < m; i += 2 {
+				first, second := s.solveRowPair(i, lambda, mu, innerTol, inner)
+				worst = maxViolation(maxViolation(worst, first), second)
 			}
 		}
-		if r := s.solveColumns(lambda, mu, colSum, colASum, innerTol, inner); r > worst {
-			worst = r
+		for ; i < m; i++ {
+			worst = maxViolation(worst, s.solveRow(i, lambda, mu, innerTol, inner))
 		}
+		worst = maxViolation(worst, s.solveColumns(lambda, mu, colSum, colASum, innerTol, inner))
 		res.Residual = worst
 		s.lastRes = worst
 		if observe != nil {
@@ -731,14 +865,10 @@ func (s *System) Eval(lambda, mu []float64, x, rowSum, colSum []float64) float64
 	}
 	var worst float64
 	for i := 0; i < m; i++ {
-		if r := s.rowViolation(i, rowSum[i], lambda, mu); r > worst {
-			worst = r
-		}
+		worst = maxViolation(worst, s.rowViolation(i, rowSum[i], lambda, mu))
 	}
 	for j := 0; j < n; j++ {
-		if r := s.colViolation(j, colSum[j], lambda, mu); r > worst {
-			worst = r
-		}
+		worst = maxViolation(worst, s.colViolation(j, colSum[j], lambda, mu))
 	}
 	return worst
 }

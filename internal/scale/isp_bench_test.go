@@ -94,6 +94,7 @@ func BenchmarkISPRun(b *testing.B) {
 		sys  *System
 	}{
 		{"dense-150x150-elastic", speSystem(150, 150, 150, 1)},
+		{"dense-151x150-elastic", speSystem(151, 150, 150, 1)}, // odd: one unpaired row
 		{"csr-600x600-band20-elastic", speSystem(600, 600, 20, 2)},
 		{"dense-150x150-fixed-exponential", klSystem(150, 150, 150, 3)},
 		{"csr-600x600-band20-fixed-exponential", klSystem(600, 600, 20, 4)},

@@ -12,7 +12,9 @@ import (
 // pass keeps explicit per-column active flags and target and elastic-term
 // buffers. The row/column kernels must reproduce it bit for bit — same
 // clamps, same left-to-right summation — so λ, μ, every Result field and
-// Eval's output agree exactly.
+// Eval's output agree exactly. Its residual folds keep a NaN violation (a
+// fixed-total equation whose dual diverged to ±Inf reads 0·Inf = NaN), so a
+// residual over such an equation is NaN.
 
 // refVisits counts the reference's cell visits (BenchmarkISPRun divides by
 // it).
@@ -132,7 +134,7 @@ func refSolveColumns(s *System, lambda, mu []float64, innerTol float64, inner in
 			}
 		}
 		for j := 0; j < n; j++ {
-			if v := intervalViolation(colSum[j], s.ColLo[j], s.ColHi[j], mu[j]); v > first {
+			if v := intervalViolation(colSum[j], s.ColLo[j], s.ColHi[j], mu[j]); v > first || v != v {
 				first = v
 			}
 			switch {
@@ -172,7 +174,7 @@ func refSolveColumns(s *System, lambda, mu []float64, innerTol float64, inner in
 				continue
 			}
 			g := colSum[j] + diag[j]*mu[j] - target[j]
-			if ag := math.Abs(g); ag > worst {
+			if ag := math.Abs(g); ag > worst || ag != ag {
 				worst = ag
 			}
 			if math.Abs(g) <= innerTol {
@@ -214,11 +216,11 @@ func refRun(s *System, lambda, mu []float64, sweeps int, tol float64) Result {
 		}
 		var worst float64
 		for i := 0; i < s.A.M; i++ {
-			if r := refSolveRow(s, i, lambda, mu, innerTol, inner); r > worst {
+			if r := refSolveRow(s, i, lambda, mu, innerTol, inner); r > worst || r != r {
 				worst = r
 			}
 		}
-		if r := refSolveColumns(s, lambda, mu, innerTol, inner); r > worst {
+		if r := refSolveColumns(s, lambda, mu, innerTol, inner); r > worst || r != r {
 			worst = r
 		}
 		res.Residual = worst
@@ -272,7 +274,7 @@ func refEval(s *System, lambda, mu []float64, x []float64) (worst float64, rowSu
 			target, diag := s.rowAbs(i, mu)
 			r = math.Abs(rowSum[i] + diag*lambda[i] - target)
 		}
-		if r > worst {
+		if r > worst || r != r {
 			worst = r
 		}
 	}
@@ -284,22 +286,22 @@ func refEval(s *System, lambda, mu []float64, x []float64) (worst float64, rowSu
 			target, diag := s.colAbs(j, lambda)
 			r = math.Abs(colSum[j] + diag*mu[j] - target)
 		}
-		if r > worst {
+		if r > worst || r != r {
 			worst = r
 		}
 	}
 	return worst, rowSum, colSum
 }
 
-// ispCase builds a system under the given response over the named storage,
-// bounds and totals. Additive priors straddle zero (exponential ones are
+// ispCase builds a system of m rows under the given response over the named
+// storage, bounds and totals: m×15, or m×m for coupled totals. Additive priors straddle zero (exponential ones are
 // their magnitudes, as the KL domain needs) and bounds sit inside the prior
 // range, so every clamp branch engages; interval totals are centred at
 // random multiples of the targets, so some equations bind each bound and
 // some hold with a zero multiplier.
-func ispCase(resp Response, storage, bounds, totals string, seed int64) *System {
+func ispCase(resp Response, m int, storage, bounds, totals string, seed int64) *System {
 	rng := rand.New(rand.NewSource(seed))
-	m, n := 12, 15
+	n := 15
 	if totals == "coupled" {
 		n = m
 	}
@@ -413,11 +415,21 @@ func bitsEqual(t *testing.T, what string, got, want []float64) {
 	}
 }
 
+// sameResult compares two Results field by field, the residual by its bits,
+// so two NaN residuals match.
+func sameResult(a, b Result) bool {
+	ra, rb := math.Float64bits(a.Residual), math.Float64bits(b.Residual)
+	a.Residual, b.Residual = 0, 0
+	return a == b && ra == rb
+}
+
 // TestISPKernelsMatchReference: the per-row kernels reproduce the per-cell
 // reference bit for bit across responses, storages, bound families, total
 // kinds and sweep modes (relaxed only, escalating on its own, and exact from
 // the start — the exponential response is exact in all three), over chunked
-// Run calls so the persistent escalation state is compared too.
+// Run calls so the persistent escalation state is compared too. The m13
+// cases have an odd row count, so the paired dense kernels leave their
+// last row to the single-row ones.
 func TestISPKernelsMatchReference(t *testing.T) {
 	type mode struct {
 		name   string
@@ -431,54 +443,59 @@ func TestISPKernelsMatchReference(t *testing.T) {
 		{name: "exact", chunks: []int{3, 30}, tol: 1e-12, exact: true},
 	}
 	escalated, seed := 0, int64(0)
-	for _, resp := range []Response{Additive, Exponential} {
-		for _, storage := range []string{"dense", "csr-band", "csr-full"} {
-			for _, bounds := range []string{"classical", "lower", "box"} {
-				for _, totals := range []string{"fixed", "elastic", "coupled", "interval"} {
-					for _, md := range modes {
-						seed++
-						name := fmt.Sprintf("%s/%s/%s/%s", storage, bounds, totals, md.name)
-						if resp == Exponential {
-							name = "exponential/" + name
+	for _, m := range []int{12, 13} {
+		for _, resp := range []Response{Additive, Exponential} {
+			for _, storage := range []string{"dense", "csr-band", "csr-full"} {
+				for _, bounds := range []string{"classical", "lower", "box"} {
+					for _, totals := range []string{"fixed", "elastic", "coupled", "interval"} {
+						for _, md := range modes {
+							seed++
+							name := fmt.Sprintf("%s/%s/%s/%s", storage, bounds, totals, md.name)
+							if resp == Exponential {
+								name = "exponential/" + name
+							}
+							if m != 12 {
+								name = fmt.Sprintf("m%d/%s", m, name)
+							}
+							t.Run(name, func(t *testing.T) {
+								sys := ispCase(resp, m, storage, bounds, totals, seed)
+								ref := ispCase(resp, m, storage, bounds, totals, seed)
+								if md.exact {
+									sys.runInit, sys.runExact = true, true
+									sys.lastRes, sys.winBest, sys.prevWin = math.Inf(1), math.Inf(1), math.Inf(1)
+									ref.runInit, ref.runExact = true, true
+									ref.lastRes, ref.winBest, ref.prevWin = math.Inf(1), math.Inf(1), math.Inf(1)
+								}
+								n := sys.A.N
+								lambda, mu := make([]float64, m), make([]float64, n)
+								rl, rm := make([]float64, m), make([]float64, n)
+								for c, sweeps := range md.chunks {
+									got := sys.Run(lambda, mu, sweeps, md.tol, nil, nil, nil)
+									want := refRun(ref, rl, rm, sweeps, md.tol)
+									if !sameResult(got, want) {
+										t.Fatalf("chunk %d: Result %+v, reference %+v", c, got, want)
+									}
+									bitsEqual(t, "lambda", lambda, rl)
+									bitsEqual(t, "mu", mu, rm)
+									if sys.runExact != ref.runExact || sys.winCount != ref.winCount {
+										t.Fatalf("chunk %d: escalation state diverged", c)
+									}
+								}
+								if md.name == "escalating" && resp == Additive && sys.runExact {
+									escalated++
+								}
+								x, rx := make([]float64, sys.A.Nnz()), make([]float64, sys.A.Nnz())
+								rowSum, colSum := make([]float64, m), make([]float64, n)
+								worst := sys.Eval(lambda, mu, x, rowSum, colSum)
+								rw, rrow, rcol := refEval(ref, rl, rm, rx)
+								if math.Float64bits(worst) != math.Float64bits(rw) {
+									t.Fatalf("Eval worst %v, reference %v", worst, rw)
+								}
+								bitsEqual(t, "x", x, rx)
+								bitsEqual(t, "rowSum", rowSum, rrow)
+								bitsEqual(t, "colSum", colSum, rcol)
+							})
 						}
-						t.Run(name, func(t *testing.T) {
-							sys := ispCase(resp, storage, bounds, totals, seed)
-							ref := ispCase(resp, storage, bounds, totals, seed)
-							if md.exact {
-								sys.runInit, sys.runExact = true, true
-								sys.lastRes, sys.winBest, sys.prevWin = math.Inf(1), math.Inf(1), math.Inf(1)
-								ref.runInit, ref.runExact = true, true
-								ref.lastRes, ref.winBest, ref.prevWin = math.Inf(1), math.Inf(1), math.Inf(1)
-							}
-							m, n := sys.A.M, sys.A.N
-							lambda, mu := make([]float64, m), make([]float64, n)
-							rl, rm := make([]float64, m), make([]float64, n)
-							for c, sweeps := range md.chunks {
-								got := sys.Run(lambda, mu, sweeps, md.tol, nil, nil, nil)
-								want := refRun(ref, rl, rm, sweeps, md.tol)
-								if got != want {
-									t.Fatalf("chunk %d: Result %+v, reference %+v", c, got, want)
-								}
-								bitsEqual(t, "lambda", lambda, rl)
-								bitsEqual(t, "mu", mu, rm)
-								if sys.runExact != ref.runExact || sys.winCount != ref.winCount {
-									t.Fatalf("chunk %d: escalation state diverged", c)
-								}
-							}
-							if md.name == "escalating" && resp == Additive && sys.runExact {
-								escalated++
-							}
-							x, rx := make([]float64, sys.A.Nnz()), make([]float64, sys.A.Nnz())
-							rowSum, colSum := make([]float64, m), make([]float64, n)
-							worst := sys.Eval(lambda, mu, x, rowSum, colSum)
-							rw, rrow, rcol := refEval(ref, rl, rm, rx)
-							if math.Float64bits(worst) != math.Float64bits(rw) {
-								t.Fatalf("Eval worst %v, reference %v", worst, rw)
-							}
-							bitsEqual(t, "x", x, rx)
-							bitsEqual(t, "rowSum", rowSum, rrow)
-							bitsEqual(t, "colSum", colSum, rcol)
-						})
 					}
 				}
 			}
@@ -486,5 +503,47 @@ func TestISPKernelsMatchReference(t *testing.T) {
 	}
 	if escalated == 0 {
 		t.Fatal("no escalating case left relaxed mode; the exact sweeps went untested there")
+	}
+}
+
+// interiorSlopeRef is the classical loops' slope mask before interiorMask:
+// a when x is interior (x > 0, or NaN), +0 when it clamps.
+func interiorSlopeRef(x, a float64) float64 {
+	var mask uint64
+	if !(x <= 0) {
+		mask = ^uint64(0)
+	}
+	return math.Float64frombits(math.Float64bits(a) & mask)
+}
+
+// TestInteriorMask: one mask per cell gives max(x, 0) and the interior
+// slope bit for bit on the values where a clamp can go wrong — both zeros,
+// both signs of denormals and infinities — and keeps a NaN cell's own bits,
+// as clampBox and refCell do. Go's max clears a NaN's sign bit, and the
+// hardware's default NaN (from Inf − Inf or 0·Inf) has it set, so there the
+// mask follows the reference instead; a sum it reaches is NaN either way,
+// and every violation passes through math.Abs.
+func TestInteriorMask(t *testing.T) {
+	maxDenormal := math.Float64frombits(1<<52 - 1)
+	inf := math.Inf(1)
+	xs := []float64{
+		0, math.Copysign(0, -1),
+		math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64, maxDenormal, -maxDenormal,
+		1, -1, inf, -inf, math.NaN(), inf - inf,
+	}
+	for _, x := range xs {
+		in := interiorMask(x)
+		want := max(x, 0)
+		if math.IsNaN(x) {
+			want = x
+		}
+		if got := masked(x, in); math.Float64bits(got) != math.Float64bits(want) {
+			t.Errorf("masked(%v) = %#x, want %#x", x, math.Float64bits(got), math.Float64bits(want))
+		}
+		for _, a := range []float64{0.75, math.SmallestNonzeroFloat64, math.MaxFloat64} {
+			if got, want := masked(a, in), interiorSlopeRef(x, a); math.Float64bits(got) != math.Float64bits(want) {
+				t.Errorf("slope at x = %v, a = %v: %v, reference %v", x, a, got, want)
+			}
+		}
 	}
 }

@@ -323,3 +323,30 @@ func TestPow2Near(t *testing.T) {
 		}
 	}
 }
+
+// TestISPNaNTargetNeverConverges: a NaN target makes its equation's
+// violation NaN, and the residual folds keep it, so Run never reports
+// convergence and Eval's residual is NaN — under dense paired rows, an odd
+// tail row and CSR rows alike.
+func TestISPNaNTargetNeverConverges(t *testing.T) {
+	for _, storage := range []string{"dense", "csr-full"} {
+		for _, side := range []string{"row", "column"} {
+			s := ispCase(Additive, 13, storage, "classical", "elastic", 5)
+			if side == "row" {
+				s.RowTarget[12] = math.NaN()
+			} else {
+				s.ColTarget[3] = math.NaN()
+			}
+			m, n := s.A.M, s.A.N
+			lambda, mu := make([]float64, m), make([]float64, n)
+			res := s.Run(lambda, mu, 200, 1e-6, nil, nil, nil)
+			if res.Converged || !math.IsNaN(res.Residual) {
+				t.Errorf("%s/%s: Run = %+v, want a NaN residual and no convergence", storage, side, res)
+			}
+			x := make([]float64, s.A.Nnz())
+			if worst := s.Eval(lambda, mu, x, nil, nil); !math.IsNaN(worst) {
+				t.Errorf("%s/%s: Eval residual %v, want NaN", storage, side, worst)
+			}
+		}
+	}
+}
