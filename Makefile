@@ -9,11 +9,15 @@ all: check
 build:
 	$(GO) build ./...
 
+# The benchmark harness is a module of its own (bench/go.mod), which
+# ./... does not reach; vet and test it explicitly.
 vet:
 	$(GO) vet ./...
+	cd bench && $(GO) vet ./...
 
 test:
 	$(GO) test ./...
+	cd bench && $(GO) test ./...
 
 # Race-check the scheduling substrate and everything built on it: the core
 # solvers (including the batched equilibration kernel, its radix sorts, and

@@ -14,7 +14,6 @@ import (
 	"sea/internal/core"
 	"sea/internal/equilibrate"
 	"sea/internal/experiments"
-	"sea/internal/mat"
 	"sea/internal/parallel"
 	"sea/internal/parsim"
 	"sea/internal/problems"
@@ -394,37 +393,6 @@ func BenchmarkBaseline_Unsigned(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := baseline.SolveUnsigned(context.Background(), p); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// Sparse (banded) versus dense G on the same general problem: the per-
-// iteration dense product drops from O((mn)²) to O(mn·bandwidth).
-func BenchmarkExtension_SparseBandedG(b *testing.B) {
-	m, n := 40, 40
-	mn := m * n
-	g := mat.BandedDominant(mn, 6, 17, 500, 800)
-	x0 := make([]float64, mn)
-	for k := range x0 {
-		x0[k] = float64(k%9) + 1
-	}
-	s0 := make([]float64, m)
-	d0 := make([]float64, n)
-	for i := 0; i < m; i++ {
-		for j := 0; j < n; j++ {
-			s0[i] += 1.3 * x0[i*n+j]
-			d0[j] += 1.3 * x0[i*n+j]
-		}
-	}
-	p := &core.GeneralProblem{M: m, N: n, X0: x0, G: g, S0: s0, D0: d0, Kind: core.FixedTotals}
-	o := core.DefaultOptions()
-	o.Epsilon = 0.001
-	o.Criterion = core.MaxAbsDelta
-	o.SkipDominanceCheck = true
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := core.SolveGeneral(context.Background(), p, o); err != nil {
 			b.Fatal(err)
 		}
 	}

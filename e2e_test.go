@@ -425,6 +425,10 @@ func TestE2EHTTPErrorMapping(t *testing.T) {
 	s0 := append([]float64(nil), infeasible.S0...)
 	s0[0] += 100 // Σs⁰ ≠ Σd⁰: the transportation polytope is empty
 	infeasible.S0 = s0
+	// A box that cannot reach the row totals passes validation; the kernel
+	// finds the empty row subproblem mid-solve.
+	box := *problems.Table1(6, 9)
+	box.Upper = append([]float64(nil), box.X0...)
 
 	type errResp struct {
 		Code  string `json:"code"`
@@ -442,6 +446,7 @@ func TestE2EHTTPErrorMapping(t *testing.T) {
 		{"dimension overflow", "POST", "/v1/solve", []byte(`{"m":4611686018427387904,"n":4611686018427387904,"x0":[]}`), http.StatusBadRequest, "invalid-problem"},
 		{"wrong x0 length", "POST", "/v1/solve", []byte(`{"m":3,"n":3,"x0":[1,2]}`), http.StatusBadRequest, "invalid-problem"},
 		{"infeasible totals", "POST", "/v1/solve", encodeProblem(t, &infeasible), http.StatusUnprocessableEntity, "infeasible"},
+		{"infeasible box", "POST", "/v1/solve", encodeProblem(t, &box), http.StatusUnprocessableEntity, "infeasible"},
 		{"oversized body", "POST", "/v1/solve", encodeProblem(t, problems.Table1(64, 1)), http.StatusRequestEntityTooLarge, "body-too-large"},
 		{"bad timeout", "POST", "/v1/solve?timeout=never", encodeProblem(t, problems.Table1(6, 9)), http.StatusBadRequest, "bad-request"},
 		{"unknown job", "GET", "/v1/jobs/j999999", nil, http.StatusNotFound, "unknown-job"},

@@ -41,7 +41,7 @@ func SolveBK(ctx context.Context, p *core.GeneralProblem, opts *core.Options) (*
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	o := fillOpts(opts)
+	o := opts.WithDefaults()
 	if p.Kind != core.FixedTotals {
 		return nil, fmt.Errorf("baseline: B-K supports fixed totals only, got %v", p.Kind)
 	}

@@ -30,7 +30,7 @@ func SolveDykstra(ctx context.Context, p *core.DiagonalProblem, opts *core.Optio
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	o := fillOpts(opts)
+	o := opts.WithDefaults()
 	if p.Kind != core.FixedTotals {
 		return nil, fmt.Errorf("baseline: Dykstra supports fixed totals only, got %v", p.Kind)
 	}

@@ -27,7 +27,7 @@ func SolveProjGrad(ctx context.Context, p *core.GeneralProblem, opts *core.Optio
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	o := fillOpts(opts)
+	o := opts.WithDefaults()
 	if p.Kind != core.FixedTotals {
 		return nil, fmt.Errorf("baseline: projected gradient supports fixed totals only, got %v", p.Kind)
 	}

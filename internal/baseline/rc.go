@@ -41,7 +41,7 @@ func SolveRC(ctx context.Context, p *core.GeneralProblem, opts *core.Options) (*
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	o := fillOpts(opts)
+	o := opts.WithDefaults()
 	if p.Kind != core.FixedTotals {
 		return nil, fmt.Errorf("baseline: RC supports fixed totals only, got %v", p.Kind)
 	}
@@ -180,7 +180,7 @@ type rcState struct {
 
 	x, z, xdev, gx, xPrev []float64
 
-	runner    parallel.Runner
+	runner    *parallel.Pool
 	batches   []*equilibrate.Batch // one per worker chunk
 	rowStates []equilibrate.State  // warm-start state per row
 	colStates []equilibrate.State  // warm-start state per column
@@ -346,36 +346,6 @@ func (st *rcState) finish(lambda, mu []float64, outer, inner int, residual float
 	sol.Objective = p.Objective(sol.X, sol.S, sol.D)
 	sol.DualValue = math.NaN()
 	return sol
-}
-
-// fillOpts applies defaults for baseline solvers sharing core.Options.
-func fillOpts(o *core.Options) *core.Options {
-	if o == nil {
-		return core.DefaultOptions()
-	}
-	out := *o
-	if out.Epsilon <= 0 {
-		out.Epsilon = 1e-3
-	}
-	if out.MaxIterations <= 0 {
-		out.MaxIterations = 100000
-	}
-	if out.Procs <= 0 {
-		out.Procs = 1
-	}
-	if out.Relaxation <= 0 || out.Relaxation > 1 {
-		out.Relaxation = 1
-	}
-	if out.InnerEpsilon <= 0 {
-		out.InnerEpsilon = out.Epsilon / 10
-	}
-	if out.InnerMaxIterations <= 0 {
-		out.InnerMaxIterations = out.MaxIterations
-	}
-	if out.CheckEvery <= 0 {
-		out.CheckEvery = 1
-	}
-	return &out
 }
 
 // matvecCosts returns the per-row task costs of a dense mn×mn product.

@@ -46,7 +46,7 @@ func SolveSinkhorn(ctx context.Context, p *core.DiagonalProblem, opts *core.Opti
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	o := fillOpts(opts)
+	o := opts.WithDefaults()
 	if p.Kind != core.FixedTotals {
 		return nil, fmt.Errorf("baseline: Sinkhorn requires fixed totals, got %v", p.Kind)
 	}
@@ -214,7 +214,7 @@ func solveDual(ctx context.Context, p *core.DiagonalProblem, sys *scale.System, 
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	o := fillOpts(opts)
+	o := opts.WithDefaults()
 	name, label := "isp", "ISP"
 	if sys.Response == scale.Exponential {
 		name, label = "entropy", "entropy"
@@ -235,7 +235,7 @@ func solveDual(ctx context.Context, p *core.DiagonalProblem, sys *scale.System, 
 	for base = 0; base < o.MaxIterations; base++ {
 		res = sys.Run(lambda, mu, 1, o.Epsilon, colSum, colASum, observe)
 		res.Iterations = base + 1
-		if res.Converged {
+		if res.Converged || math.IsNaN(res.Residual) {
 			break
 		}
 		if err := ctx.Err(); err != nil {
@@ -245,10 +245,13 @@ func solveDual(ctx context.Context, p *core.DiagonalProblem, sys *scale.System, 
 		}
 	}
 	sol := dualSolution(p, sys, lambda, mu, res)
-	if !res.Converged {
-		return sol, fmt.Errorf("%w: %s after %d sweeps (residual %g)", core.ErrNotConverged, label, res.Iterations, res.Residual)
+	switch {
+	case res.Converged:
+		return sol, nil
+	case math.IsNaN(res.Residual):
+		return sol, fmt.Errorf("%w: %s diverged after %d sweeps", core.ErrNotConverged, label, res.Iterations)
 	}
-	return sol, nil
+	return sol, fmt.Errorf("%w: %s after %d sweeps (residual %g)", core.ErrNotConverged, label, res.Iterations, res.Residual)
 }
 
 // absorbLimit bounds SolveSinkhorn's factors between absorptions.

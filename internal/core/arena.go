@@ -67,21 +67,11 @@ func (a *Arena) acquire() error {
 	return nil
 }
 
-// InUse reports whether the arena currently backs a running solve. It is a
-// point-in-time observation — by the time the caller acts the state may have
-// changed — so it is for diagnostics and double-checkout assertions, not for
-// synchronization.
-func (a *Arena) InUse() bool { return a != nil && a.inUse.Load() }
-
 func (a *Arena) release() {
 	if a != nil {
 		a.inUse.Store(false)
 	}
 }
-
-// Reset drops the cached solver state (buffers and kernel warm-start
-// permutations) while keeping the worker pool. The next solve runs cold.
-func (a *Arena) Reset() { a.st = nil; a.pre = nil }
 
 // Close releases the arena's persistent worker pool, if it created one. The
 // cached buffers need no teardown beyond garbage collection.

@@ -43,9 +43,9 @@ func determinismProblem(t *testing.T) *DiagonalProblem {
 
 // TestSolveDeterministicAcrossProcs asserts the full solution — X down to
 // the last bit, plus both multiplier vectors — is identical for every worker
-// count, on both scheduling substrates: the persistent pool (the default)
-// and the goroutine-per-phase Spawner (the pre-pool path). This is the
-// paper's determinism property: workers own disjoint subproblem ranges, so
+// count, whether the solver owns its worker pool (the default) or the
+// caller shares one through Options.Runner. This is the paper's determinism
+// property: workers own disjoint subproblem ranges, so
 // parallelism changes timing and nothing else.
 func TestSolveDeterministicAcrossProcs(t *testing.T) {
 	p := determinismProblem(t)
@@ -107,15 +107,6 @@ func TestSolveDeterministicAcrossProcs(t *testing.T) {
 			t.Fatalf("shared pool procs=%d: %v", procs, err)
 		}
 		check("shared pool", sol)
-
-		// The pre-pool goroutine-per-phase path.
-		o = opts()
-		o.Runner = parallel.Spawner{P: procs}
-		sol, err = SolveDiagonal(context.Background(), p, o)
-		if err != nil {
-			t.Fatalf("spawner procs=%d: %v", procs, err)
-		}
-		check("spawner", sol)
 	}
 }
 

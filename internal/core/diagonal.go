@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
 	"time"
@@ -31,7 +32,7 @@ func SolveDiagonal(ctx context.Context, p *DiagonalProblem, opts *Options) (*Sol
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	o := opts.withDefaults()
+	o := opts.WithDefaults()
 	if o.Objective != ObjectiveQuadratic {
 		return nil, fmt.Errorf("core: SolveDiagonal minimizes the quadratic objective only; route Objective=%v through the facade's \"entropy\" solver", o.Objective)
 	}
@@ -54,6 +55,9 @@ func SolveDiagonal(ctx context.Context, p *DiagonalProblem, opts *Options) (*Sol
 	st := newDiagState(ctx, p, o)
 	defer st.close()
 	err := st.run()
+	if errors.Is(err, ErrInfeasible) {
+		return nil, err
+	}
 	sol := st.solution()
 	if ps != nil {
 		ps.unscale(sol)
@@ -123,7 +127,7 @@ type diagState struct {
 	// built once per state (dense shapes never change under adoption).
 	denseRowPtr, denseColPtr []int
 
-	runner  parallel.Runner
+	runner  *parallel.Pool
 	ownPool *parallel.Pool // set when the state created (and must close) its runner
 
 	batches []*equilibrate.Batch // per-worker batched-kernel buffers
@@ -232,9 +236,6 @@ func newDiagState(ctx context.Context, p *DiagonalProblem, o *Options) *diagStat
 	procs := st.runner.Workers()
 	if procs > maxDim {
 		procs = maxDim
-	}
-	if procs < 1 {
-		procs = 1
 	}
 	// Budget plus one subproblem of overshoot (bounded rows build up to
 	// 2·maxDim events), so a batch never regrows mid-phase.

@@ -252,7 +252,7 @@ func quadForm(w mat.Weight, v, v0 []float64) float64 {
 // deadline passes, the solve returns within one outer iteration with
 // ctx.Err(). A nil ctx means context.Background.
 func SolveGeneral(ctx context.Context, p *GeneralProblem, opts *Options) (*Solution, error) {
-	o := opts.withDefaults()
+	o := opts.WithDefaults()
 	if o.Objective != ObjectiveQuadratic {
 		return nil, fmt.Errorf("core: SolveGeneral minimizes the quadratic objective only; route Objective=%v through the facade's \"entropy\" solver", o.Objective)
 	}

@@ -401,43 +401,3 @@ func TestGeneralAsymmetricGAsVI(t *testing.T) {
 		t.Log("note: symmetrized and asymmetric solutions coincide on this instance")
 	}
 }
-
-// TestGeneralSparseGMatchesDense: a banded sparse G must produce the same
-// solution as its materialized dense form.
-func TestGeneralSparseGMatchesDense(t *testing.T) {
-	rng := rand.New(rand.NewPCG(47, 48))
-	m, n := 5, 6
-	mn := m * n
-	sg := mat.BandedDominant(mn, 4, 99, 500, 800)
-	x0 := make([]float64, mn)
-	for k := range x0 {
-		x0[k] = rng.Float64() * 80
-	}
-	s0 := make([]float64, m)
-	d0 := make([]float64, n)
-	for i := 0; i < m; i++ {
-		for j := 0; j < n; j++ {
-			s0[i] += 1.3 * x0[i*n+j]
-			d0[j] += 1.3 * x0[i*n+j]
-		}
-	}
-	ps := &GeneralProblem{M: m, N: n, X0: x0, G: sg, S0: s0, D0: d0, Kind: FixedTotals}
-	pd := &GeneralProblem{M: m, N: n, X0: x0, G: sg.Materialize(), S0: s0, D0: d0, Kind: FixedTotals}
-	o := generalOpts()
-	ss, err := SolveGeneral(context.Background(), ps, o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sd, err := SolveGeneral(context.Background(), pd, o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for k := range ss.X {
-		if math.Abs(ss.X[k]-sd.X[k]) > 1e-9*(1+math.Abs(sd.X[k])) {
-			t.Fatalf("sparse vs dense differ at %d: %g vs %g", k, ss.X[k], sd.X[k])
-		}
-	}
-	if rep := CheckKKTGeneral(ps, ss); !rep.Satisfied(1e-2) {
-		t.Errorf("sparse-G KKT: %+v", rep)
-	}
-}

@@ -177,14 +177,13 @@ type Options struct {
 	// Procs is the number of workers for the parallel row and column
 	// phases (the paper's N CPUs). 1 means serial.
 	Procs int
-	// Runner, if non-nil, supplies the scheduling substrate for the
-	// parallel phases — typically a shared *parallel.Pool reused across
-	// many solves, whose lifecycle the caller owns. When nil the solver
-	// creates a persistent pool of Procs workers for the duration of the
-	// solve and tears it down on return. Every Runner honors the same
-	// disjoint-partition contract, so results never depend on this choice
-	// (see docs/PERFORMANCE.md).
-	Runner parallel.Runner
+	// Runner, if non-nil, is a persistent worker pool shared across many
+	// solves, whose lifecycle the caller owns; its Workers() replaces Procs.
+	// When nil the solver creates a pool of Procs workers for the duration
+	// of the solve (or keeps one in the Arena) and tears it down on return.
+	// The pool's partition is disjoint and fixed by the worker count, so
+	// results never depend on this choice (see docs/PERFORMANCE.md).
+	Runner *parallel.Pool
 	// Mu0, if non-nil, warm-starts the column multipliers (length N).
 	// Otherwise μ¹ = 0 per the paper's initialization step.
 	Mu0 []float64
@@ -256,10 +255,12 @@ func DefaultOptions() *Options {
 	}
 }
 
-// withDefaults fills unset fields of o (nil o gets DefaultOptions).
-func (o *Options) withDefaults() *Options {
+// WithDefaults returns a copy of o with every unset field filled. A nil o
+// means DefaultOptions, filled the same way. Every solver sharing Options —
+// the SEA solvers and the baselines — resolves its options here.
+func (o *Options) WithDefaults() *Options {
 	if o == nil {
-		return DefaultOptions()
+		o = DefaultOptions()
 	}
 	out := *o
 	if out.Epsilon <= 0 {

@@ -52,7 +52,7 @@ func benchPhaseState(b *testing.B, procs int, csr bool) *diagState {
 	}
 	o := DefaultOptions()
 	o.Procs = procs
-	st := newDiagState(context.Background(), p, o.withDefaults())
+	st := newDiagState(context.Background(), p, o.WithDefaults())
 	b.Cleanup(st.close)
 	if err := st.rowPhase(); err != nil {
 		b.Fatal(err)

@@ -77,7 +77,7 @@ type precondState struct {
 
 // apply builds the scaled problem and (for the warm-starting modes) the μ⁰
 // estimate, mutating o in place — o is already the solver's private
-// withDefaults copy. It returns the problem the solve should run on.
+// WithDefaults copy. It returns the problem the solve should run on.
 func (ps *precondState) apply(p *DiagonalProblem, o *Options) *DiagonalProblem {
 	start := time.Now()
 	ps.sigma = massScale(p)
@@ -298,7 +298,11 @@ func (ps *precondState) ispWarmStart(sp *DiagonalProblem, o *Options) bool {
 	ps.mu0 = mu
 	ps.colSum = resizeF(ps.colSum, sp.N)
 	ps.colASum = resizeF(ps.colASum, sp.N)
-	sys.Run(ps.lambda0, mu, o.PrecondSweeps, o.Epsilon, ps.colSum, ps.colASum, nil)
+	if res := sys.Run(ps.lambda0, mu, o.PrecondSweeps, o.Epsilon, ps.colSum, ps.colASum, nil); math.IsNaN(res.Residual) {
+		// The duals diverged (an infeasible box): start SEA cold, and let
+		// its kernel name the infeasible subproblem.
+		clear(mu)
+	}
 	return true
 }
 

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"math"
 	"math/rand/v2"
 	"testing"
@@ -195,6 +196,30 @@ func TestPrecondIntervalFallsBackToScale(t *testing.T) {
 	}
 	bitEqual(t, "X", pre.X, base.X)
 	bitEqual(t, "Lambda", pre.Lambda, base.Lambda)
+}
+
+// TestPrecondISPDivergenceFallsBackCold: on a box that cannot carry the
+// row totals the ISP warm start's duals diverge (a NaN residual); the warm
+// start then leaves the cold μ = 0 instead of non-finite multipliers, and
+// the solve fails with the kernel's ErrInfeasible and no solution.
+func TestPrecondISPDivergenceFallsBackCold(t *testing.T) {
+	rng := rand.New(rand.NewPCG(29, 3))
+	p := randFixed(rng, 12, 9, 100, 1.3)
+	p.Upper = append([]float64(nil), p.X0...)
+	o := DefaultOptions()
+	o.Precondition = PrecondISP
+	o = o.WithDefaults()
+	var ps precondState
+	ps.apply(p, o)
+	for j, v := range o.Mu0 {
+		if v != 0 {
+			t.Fatalf("warm start μ0[%d] = %v after divergence, want the cold 0", j, v)
+		}
+	}
+	sol, err := SolveDiagonal(context.Background(), p, &Options{Precondition: PrecondISP})
+	if !errors.Is(err, ErrInfeasible) || sol != nil {
+		t.Fatalf("SolveDiagonal = (%v, %v), want (nil, ErrInfeasible)", sol, err)
+	}
 }
 
 func TestParsePrecond(t *testing.T) {

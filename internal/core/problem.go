@@ -21,6 +21,7 @@ import (
 	"fmt"
 	"math"
 
+	"sea/internal/equilibrate"
 	"sea/internal/mat"
 )
 
@@ -119,8 +120,10 @@ var (
 	// still the best iterate found.
 	ErrNotConverged = errors.New("core: not converged within iteration limit")
 	// ErrInfeasible is returned when the constraint set is empty, e.g.
-	// fixed totals with Σs⁰ ≠ Σd⁰.
-	ErrInfeasible = errors.New("core: infeasible problem")
+	// fixed totals with Σs⁰ ≠ Σd⁰ or a row whose upper bounds sum below
+	// its total. It is the equilibration kernel's own sentinel, so an
+	// infeasible subproblem found mid-solve matches it too.
+	ErrInfeasible = equilibrate.ErrInfeasible
 )
 
 // NewFixed constructs a fixed-totals diagonal problem (objective (13)).
@@ -438,14 +441,6 @@ func (p *DiagonalProblem) KLObjective(x, s, d []float64) float64 {
 		}
 	}
 	return p.addTotalsPenalty(obj, s, d)
-}
-
-// ObjectiveFor evaluates the objective of the given family at (x, s, d).
-func (p *DiagonalProblem) ObjectiveFor(obj Objective, x, s, d []float64) float64 {
-	if obj == ObjectiveEntropy {
-		return p.KLObjective(x, s, d)
-	}
-	return p.Objective(x, s, d)
 }
 
 // clampEntry applies entry k's box constraints to a stationary value.

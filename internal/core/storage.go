@@ -49,9 +49,6 @@ type Pattern struct {
 // Nnz returns the number of stored cells.
 func (pt *Pattern) Nnz() int { return len(pt.ColIdx) }
 
-// RowNnz returns the number of stored cells in row i.
-func (pt *Pattern) RowNnz(i int) int { return pt.RowPtr[i+1] - pt.RowPtr[i] }
-
 // Validate checks the pattern's structural invariants against an m×n shape:
 // row-pointer length and monotonicity, column indices in range and strictly
 // increasing within each row (which also rejects duplicate entries).
@@ -153,14 +150,6 @@ func NewPatternFromTriplets(m, n int, rows, cols []int) (*Pattern, error) {
 	return pt, nil
 }
 
-// Storage returns the problem's storage layout.
-func (p *DiagonalProblem) Storage() Storage {
-	if p.Pattern != nil {
-		return CSR
-	}
-	return Dense
-}
-
 // Nnz returns the number of stored cells: the pattern's nnz for CSR
 // problems, m·n for dense ones.
 func (p *DiagonalProblem) Nnz() int {
@@ -168,30 +157,6 @@ func (p *DiagonalProblem) Nnz() int {
 		return p.Pattern.Nnz()
 	}
 	return p.M * p.N
-}
-
-// Clone returns a deep copy of the problem: every slice is copied, and a CSR
-// problem's pattern is copied too (patterns are immutable, but a clone must
-// not be invalidated by the original's owner mutating arrays in place).
-func (p *DiagonalProblem) Clone() *DiagonalProblem {
-	q := *p
-	q.X0 = cloneF(p.X0)
-	q.Gamma = cloneF(p.Gamma)
-	q.S0 = cloneF(p.S0)
-	q.D0 = cloneF(p.D0)
-	q.Alpha = cloneF(p.Alpha)
-	q.Beta = cloneF(p.Beta)
-	q.SLo, q.SHi = cloneF(p.SLo), cloneF(p.SHi)
-	q.DLo, q.DHi = cloneF(p.DLo), cloneF(p.DHi)
-	q.Upper = cloneF(p.Upper)
-	q.Lower = cloneF(p.Lower)
-	if p.Pattern != nil {
-		q.Pattern = &Pattern{
-			RowPtr: append([]int(nil), p.Pattern.RowPtr...),
-			ColIdx: append([]int32(nil), p.Pattern.ColIdx...),
-		}
-	}
-	return &q
 }
 
 func cloneF(s []float64) []float64 {

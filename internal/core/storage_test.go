@@ -352,8 +352,8 @@ func TestNewPatternFromTripletsRejects(t *testing.T) {
 			t.Fatalf("triplet %d = (%d,%d), want (%d,%d)", k, rows[k], cols[k], w[0], w[1])
 		}
 	}
-	if pt.RowNnz(1) != 0 {
-		t.Fatalf("RowNnz(1) = %d, want 0 (empty row)", pt.RowNnz(1))
+	if n := pt.RowPtr[2] - pt.RowPtr[1]; n != 0 {
+		t.Fatalf("row 1 holds %d cells, want 0 (empty row)", n)
 	}
 	if i, j := pt.Cell(2); i != 2 || j != 0 {
 		t.Fatalf("Cell(2) = (%d,%d), want (2,0)", i, j)

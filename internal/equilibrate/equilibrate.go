@@ -49,8 +49,10 @@ import (
 
 // ErrInfeasible is returned when the subproblem has no feasible point:
 // a fixed total that is negative, or that exceeds the sum of the upper
-// bounds.
-var ErrInfeasible = errors.New("equilibrate: infeasible subproblem")
+// bounds. It is also core.ErrInfeasible, so a solve that fails in the kernel
+// matches the same sentinel as one whose validation finds an empty
+// constraint set.
+var ErrInfeasible = errors.New("infeasible")
 
 // event is a slope change of φ: at position pos, the total slope changes by
 // da and the total intercept by dc. A term j activating at its lower

@@ -24,12 +24,11 @@ type Config struct {
 	// themselves (results are identical for any value; only wall time
 	// changes).
 	Procs int
-	// Runner, if non-nil, is a shared scheduling substrate (typically one
-	// persistent parallel.Pool) reused across every solve of the run, so
-	// repeated experiments pay no per-solve worker startup. The caller owns
-	// its lifecycle. When nil each solve manages its own pool of Procs
-	// workers.
-	Runner parallel.Runner
+	// Runner, if non-nil, is one persistent worker pool reused across every
+	// solve of the run, so repeated experiments pay no per-solve worker
+	// startup. The caller owns its lifecycle. When nil each solve manages
+	// its own pool of Procs workers.
+	Runner *parallel.Pool
 	// Epsilon overrides the paper's per-table tolerance when positive.
 	Epsilon float64
 	// MaxBKDim caps the G order on which the Bachem–Korte baseline runs
@@ -52,11 +51,6 @@ type Config struct {
 func (c Config) apply(o *core.Options) {
 	o.Procs = c.Procs
 	o.Runner = c.Runner
-}
-
-// DefaultConfig returns the paper-scale configuration.
-func DefaultConfig() Config {
-	return Config{Scale: 1, Procs: 1}
 }
 
 // dim scales a paper dimension, keeping at least a workable minimum.

@@ -58,14 +58,3 @@ func (uf *UnionFind) Connected(x, y int) bool { return uf.Find(x) == uf.Find(y) 
 
 // Count returns the number of disjoint sets.
 func (uf *UnionFind) Count() int { return uf.count }
-
-// Components returns a map from representative to the members of its set,
-// in index order.
-func (uf *UnionFind) Components() map[int][]int {
-	out := make(map[int][]int)
-	for i := range uf.parent {
-		r := uf.Find(i)
-		out[r] = append(out[r], i)
-	}
-	return out
-}

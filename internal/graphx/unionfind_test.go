@@ -32,21 +32,21 @@ func TestBasics(t *testing.T) {
 	}
 }
 
+// TestComponents: unions 0–2–4 and 1–5 leave three components, {0,2,4},
+// {1,5} and {3}.
 func TestComponents(t *testing.T) {
 	uf := NewUnionFind(6)
 	uf.Union(0, 2)
 	uf.Union(2, 4)
 	uf.Union(1, 5)
-	comps := uf.Components()
-	if len(comps) != 3 {
-		t.Fatalf("got %d components, want 3", len(comps))
+	if uf.Count() != 3 {
+		t.Fatalf("Count = %d, want 3", uf.Count())
 	}
-	sizes := map[int]int{}
-	for _, members := range comps {
-		sizes[len(members)]++
+	if !uf.Connected(0, 4) || !uf.Connected(1, 5) {
+		t.Error("members of one component are not connected")
 	}
-	if sizes[3] != 1 || sizes[2] != 1 || sizes[1] != 1 {
-		t.Errorf("component sizes wrong: %v", comps)
+	if uf.Connected(0, 1) || uf.Connected(3, 0) || uf.Connected(3, 5) {
+		t.Error("distinct components are connected")
 	}
 }
 

@@ -67,16 +67,6 @@ func (c *Counters) Snapshot() Snapshot {
 	}
 }
 
-// Reset zeroes all counters.
-func (c *Counters) Reset() {
-	c.OuterIterations.Store(0)
-	c.Iterations.Store(0)
-	c.Equilibrations.Store(0)
-	c.Ops.Store(0)
-	c.SerialOps.Store(0)
-	c.ConvChecks.Store(0)
-}
-
 // Add returns the field-wise sum of two snapshots (shard-merged stats).
 func (s Snapshot) Add(o Snapshot) Snapshot {
 	return Snapshot{

@@ -31,19 +31,6 @@ func TestCountersConcurrent(t *testing.T) {
 	}
 }
 
-func TestReset(t *testing.T) {
-	var c Counters
-	c.Iterations.Add(5)
-	c.OuterIterations.Add(2)
-	c.SerialOps.Add(9)
-	c.ConvChecks.Add(1)
-	c.Reset()
-	s := c.Snapshot()
-	if s != (Snapshot{}) {
-		t.Errorf("Reset left %+v", s)
-	}
-}
-
 func TestSnapshotString(t *testing.T) {
 	var c Counters
 	c.Iterations.Add(3)

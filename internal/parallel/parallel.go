@@ -1,67 +1,9 @@
 // Package parallel provides the shared-memory task-allocation substrate for
-// the row and column equilibration phases: a chunked parallel-for over
-// independent subproblems, the Go analogue of the paper's Parallel FORTRAN
-// task constructs on the IBM 3090-600E.
+// the row and column equilibration phases: a persistent worker pool running
+// a chunked parallel-for over independent subproblems, the Go analogue of the
+// paper's Parallel FORTRAN task constructs on the IBM 3090-600E.
 //
 // All scheduling here is deterministic in its *results*: workers write only
 // to disjoint index ranges, so the output is bit-identical for any worker
 // count. Only timing varies with P.
 package parallel
-
-import "sync"
-
-// ForChunks partitions [0,n) into p contiguous chunks of near-equal size and
-// runs fn(chunk, lo, hi) for each, concurrently when p > 1. chunk identifies
-// the worker (0..p-1), useful for per-worker scratch space. It blocks until
-// all chunks complete. p < 1 is treated as 1; p > n is clamped to n.
-func ForChunks(p, n int, fn func(chunk, lo, hi int)) {
-	if n <= 0 {
-		return
-	}
-	if p < 1 {
-		p = 1
-	}
-	if p > n {
-		p = n
-	}
-	if p == 1 {
-		fn(0, 0, n)
-		return
-	}
-	var wg sync.WaitGroup
-	wg.Add(p)
-	for c := 0; c < p; c++ {
-		lo := c * n / p
-		hi := (c + 1) * n / p
-		go func(c, lo, hi int) {
-			defer wg.Done()
-			fn(c, lo, hi)
-		}(c, lo, hi)
-	}
-	wg.Wait()
-}
-
-// For runs fn(i) for every i in [0,n) using p workers with contiguous
-// chunking. fn must be safe to call concurrently for distinct i.
-func For(p, n int, fn func(i int)) {
-	ForChunks(p, n, func(_, lo, hi int) {
-		for i := lo; i < hi; i++ {
-			fn(i)
-		}
-	})
-}
-
-// ChunkBounds returns the [lo,hi) range worker c of p handles over [0,n),
-// matching the partition used by ForChunks.
-func ChunkBounds(c, p, n int) (lo, hi int) {
-	if p < 1 {
-		p = 1
-	}
-	if p > n {
-		p = n
-	}
-	if c >= p {
-		return n, n
-	}
-	return c * n / p, (c + 1) * n / p
-}

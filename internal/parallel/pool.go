@@ -5,57 +5,6 @@ import (
 	"sync"
 )
 
-// Runner abstracts the scheduling substrate behind a parallel phase. Both
-// implementations honor the same contract as the package-level ForChunks:
-// [0,n) is partitioned into min(Workers(), n) contiguous chunks via
-// ChunkBounds and fn runs exactly once per chunk, so results are
-// bit-identical for every Runner — only timing differs.
-type Runner interface {
-	// Workers returns the maximum parallelism, the p of ForChunks.
-	Workers() int
-	// ForChunks runs fn(chunk, lo, hi) over the partition of [0,n) and
-	// blocks until every chunk completes.
-	ForChunks(n int, fn func(chunk, lo, hi int))
-	// ForChunksCtx is ForChunks with a cancellation gate: when ctx is
-	// already done it dispatches nothing and returns ctx.Err(); otherwise
-	// it runs the phase to completion and returns nil. Cancellation is
-	// observed *between* phases, never inside one — a dispatched phase
-	// always finishes, so the disjoint-partition determinism contract is
-	// unaffected and no worker is ever abandoned mid-chunk.
-	ForChunksCtx(ctx context.Context, n int, fn func(chunk, lo, hi int)) error
-}
-
-// forChunksCtx implements the shared ForChunksCtx contract on top of any
-// Runner's ForChunks.
-func forChunksCtx(ctx context.Context, r Runner, n int, fn func(chunk, lo, hi int)) error {
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	r.ForChunks(n, fn)
-	return nil
-}
-
-// Spawner is the Runner that launches fresh goroutines on every call — the
-// original scheduling path, kept as the comparison baseline for the pool's
-// dispatch-overhead benchmarks and the cross-path determinism tests.
-type Spawner struct{ P int }
-
-func (s Spawner) Workers() int {
-	if s.P < 1 {
-		return 1
-	}
-	return s.P
-}
-
-func (s Spawner) ForChunks(n int, fn func(chunk, lo, hi int)) {
-	ForChunks(s.P, n, fn)
-}
-
-// ForChunksCtx implements the Runner cancellation gate for the Spawner.
-func (s Spawner) ForChunksCtx(ctx context.Context, n int, fn func(chunk, lo, hi int)) error {
-	return forChunksCtx(ctx, s, n, fn)
-}
-
 // Pool is a persistent worker pool: p−1 long-lived background workers plus
 // the calling goroutine, so a phase dispatch costs p−1 channel sends instead
 // of p goroutine creations. The equilibration phases of one solve run
@@ -106,10 +55,11 @@ func NewPool(p int) *Pool {
 // Workers returns the pool's parallelism.
 func (pool *Pool) Workers() int { return pool.procs }
 
-// ForChunks partitions [0,n) exactly as the package-level ForChunks does for
-// p = Workers() and runs fn on every chunk, blocking until all complete.
-// Worker c always executes chunk c, so per-chunk scratch space (workspaces
-// indexed by chunk) is never shared between OS threads within a dispatch.
+// ForChunks partitions [0,n) into p = min(Workers(), n) contiguous chunks,
+// chunk c covering [c·n/p, (c+1)·n/p), runs fn(chunk, lo, hi) on every
+// chunk, and blocks until all complete. Worker c always executes chunk c, so
+// per-chunk scratch space (workspaces indexed by chunk) is never shared
+// between OS threads within a dispatch.
 func (pool *Pool) ForChunks(n int, fn func(chunk, lo, hi int)) {
 	if n <= 0 {
 		return
@@ -130,21 +80,18 @@ func (pool *Pool) ForChunks(n int, fn func(chunk, lo, hi int)) {
 	pool.wg.Wait()
 }
 
-// ForChunksCtx implements the Runner cancellation gate for the Pool: a done
-// context skips the dispatch entirely (no channel sends, no goroutine
-// handoff) and surfaces ctx.Err(); the workers stay parked on their channels
-// for the next phase or for Close.
+// ForChunksCtx is ForChunks with a cancellation gate: a done context skips
+// the dispatch entirely (no channel sends, no goroutine handoff) and returns
+// ctx.Err(); otherwise the phase runs to completion and ForChunksCtx returns
+// nil. Cancellation is observed *between* phases, never inside one — a
+// dispatched phase always finishes, so the disjoint-partition determinism
+// contract is unaffected and no worker is ever abandoned mid-chunk.
 func (pool *Pool) ForChunksCtx(ctx context.Context, n int, fn func(chunk, lo, hi int)) error {
-	return forChunksCtx(ctx, pool, n, fn)
-}
-
-// For runs fn(i) for every i in [0,n) over the pool's partition.
-func (pool *Pool) For(n int, fn func(i int)) {
-	pool.ForChunks(n, func(_, lo, hi int) {
-		for i := lo; i < hi; i++ {
-			fn(i)
-		}
-	})
+	if err := ctx.Err(); err != nil {
+		return err
+	}
+	pool.ForChunks(n, fn)
+	return nil
 }
 
 // Close shuts the background workers down. It must not race with an active

@@ -10,7 +10,11 @@ func TestPoolCoversAllIndices(t *testing.T) {
 		pool := NewPool(p)
 		for _, n := range []int{0, 1, 2, 5, 100} {
 			seen := make([]atomic.Int32, n)
-			pool.For(n, func(i int) { seen[i].Add(1) })
+			pool.ForChunks(n, func(_, lo, hi int) {
+				for i := lo; i < hi; i++ {
+					seen[i].Add(1)
+				}
+			})
 			for i := range seen {
 				if got := seen[i].Load(); got != 1 {
 					t.Errorf("p=%d n=%d: index %d visited %d times", p, n, i, got)
@@ -28,7 +32,8 @@ func TestPoolMatchesChunkBounds(t *testing.T) {
 		var calls atomic.Int32
 		pool.ForChunks(n, func(c, lo, hi int) {
 			calls.Add(1)
-			wantLo, wantHi := ChunkBounds(c, 4, n)
+			p := min(4, n)
+			wantLo, wantHi := c*n/p, (c+1)*n/p
 			if lo != wantLo || hi != wantHi {
 				t.Errorf("n=%d chunk %d: got [%d,%d), want [%d,%d)", n, c, lo, hi, wantLo, wantHi)
 			}
@@ -51,42 +56,15 @@ func TestPoolReuse(t *testing.T) {
 	n := 50
 	acc := make([]int, n)
 	for round := 0; round < 200; round++ {
-		pool.For(n, func(i int) { acc[i]++ })
+		pool.ForChunks(n, func(_, lo, hi int) {
+			for i := lo; i < hi; i++ {
+				acc[i]++
+			}
+		})
 	}
 	for i, v := range acc {
 		if v != 200 {
 			t.Fatalf("index %d accumulated %d, want 200", i, v)
-		}
-	}
-}
-
-// TestPoolMatchesSpawner asserts the pool and the goroutine-per-call path
-// produce bit-identical outputs for every worker count — the scheduling-
-// substrate half of the determinism contract (the solver-level half lives in
-// internal/core).
-func TestPoolMatchesSpawner(t *testing.T) {
-	n := 512
-	ref := make([]float64, n)
-	Spawner{P: 1}.ForChunks(n, fill(ref))
-	for _, p := range []int{1, 2, 7, 16} {
-		spawned := make([]float64, n)
-		Spawner{P: p}.ForChunks(n, fill(spawned))
-		pooled := make([]float64, n)
-		pool := NewPool(p)
-		pool.ForChunks(n, fill(pooled))
-		pool.Close()
-		for i := range ref {
-			if spawned[i] != ref[i] || pooled[i] != ref[i] {
-				t.Fatalf("p=%d: results differ at %d", p, i)
-			}
-		}
-	}
-}
-
-func fill(dst []float64) func(chunk, lo, hi int) {
-	return func(_, lo, hi int) {
-		for i := lo; i < hi; i++ {
-			dst[i] = float64(i)*1.5 + 1
 		}
 	}
 }
@@ -106,25 +84,16 @@ func TestPoolCloseDegradesToSerial(t *testing.T) {
 	}
 }
 
-// The dispatch-overhead pair: a tiny body makes scheduling cost dominate, so
-// the gap between these two is the per-phase goroutine-creation tax the pool
-// removes.
-func BenchmarkDispatchSpawn(b *testing.B) {
-	benchDispatch(b, Spawner{P: 8})
-}
-
+// BenchmarkDispatchPool times one dispatch of a tiny body over eight
+// workers, so scheduling cost dominates.
 func BenchmarkDispatchPool(b *testing.B) {
 	pool := NewPool(8)
 	defer pool.Close()
-	benchDispatch(b, pool)
-}
-
-func benchDispatch(b *testing.B, r Runner) {
 	var sink atomic.Int64
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		r.ForChunks(64, func(_, lo, hi int) {
+		pool.ForChunks(64, func(_, lo, hi int) {
 			sink.Add(int64(hi - lo))
 		})
 	}

@@ -37,22 +37,8 @@ func NewPoolSet(count, procs int) *PoolSet {
 // Get checks a pool out, blocking until one is free.
 func (s *PoolSet) Get() *Pool { return <-s.free }
 
-// TryGet checks a pool out without blocking; ok is false when all pools are
-// borrowed.
-func (s *PoolSet) TryGet() (p *Pool, ok bool) {
-	select {
-	case p = <-s.free:
-		return p, true
-	default:
-		return nil, false
-	}
-}
-
 // Put returns a borrowed pool to the set.
 func (s *PoolSet) Put(p *Pool) { s.free <- p }
-
-// Size returns the number of pools in the set.
-func (s *PoolSet) Size() int { return len(s.pools) }
 
 // Close shuts every pool down. All borrowed pools must have been returned.
 func (s *PoolSet) Close() {

@@ -51,29 +51,11 @@ func TestPoolSetCheckoutBounds(t *testing.T) {
 	}
 }
 
-// TestPoolSetTryGet: TryGet fails fast when the set is exhausted and
-// succeeds after a Put.
-func TestPoolSetTryGet(t *testing.T) {
-	s := NewPoolSet(1, 1)
-	defer s.Close()
-	p, ok := s.TryGet()
-	if !ok {
-		t.Fatal("TryGet failed on a full set")
-	}
-	if _, ok := s.TryGet(); ok {
-		t.Fatal("TryGet succeeded on an exhausted set")
-	}
-	s.Put(p)
-	if _, ok := s.TryGet(); !ok {
-		t.Fatal("TryGet failed after Put")
-	}
-}
-
 // TestPoolSetSizeClamp: degenerate sizes are clamped to one pool.
 func TestPoolSetSizeClamp(t *testing.T) {
 	s := NewPoolSet(0, 0)
-	if s.Size() != 1 {
-		t.Fatalf("Size() = %d, want 1", s.Size())
+	if len(s.pools) != 1 {
+		t.Fatalf("%d pools, want 1", len(s.pools))
 	}
 	p := s.Get()
 	ran := false

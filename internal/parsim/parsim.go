@@ -24,7 +24,7 @@ import (
 
 // Recorder is a trace.Observer that asks solvers for per-task costs and
 // keeps a copy of every phase group they report, in order — the input of
-// Execute, Speedups and SerialFraction. Not safe for concurrent solves.
+// Execute and Speedups. Not safe for concurrent solves.
 type Recorder struct {
 	Phases []trace.PhaseCosts
 }
@@ -168,27 +168,4 @@ func Speedups(phases []trace.PhaseCosts, procs []int) []Measurement {
 		})
 	}
 	return out
-}
-
-// SerialFraction returns the share of the phases' total operations spent in
-// serial phases — the Amdahl bound's input: S_∞ ≤ 1/SerialFraction.
-func SerialFraction(phases []trace.PhaseCosts) float64 {
-	var serial, total int64
-	for _, ph := range phases {
-		serial += ph.Serial
-		for _, v := range ph.Row {
-			total += v
-		}
-		for _, v := range ph.Col {
-			total += v
-		}
-		for _, v := range ph.Check {
-			total += v
-		}
-	}
-	total += serial
-	if total == 0 {
-		return 0
-	}
-	return float64(serial) / float64(total)
 }

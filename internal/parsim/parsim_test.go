@@ -213,16 +213,3 @@ func TestCheckPhasePiggybacks(t *testing.T) {
 		t.Errorf("check phase delta = %d, want small (no fork/join)", delta)
 	}
 }
-
-func TestSerialFraction(t *testing.T) {
-	tr := makeTrace(2, 2, 2, 10, 20)
-	// Per iteration: 40 parallel + 20 serial → serial share = 40/120.
-	got := SerialFraction(tr)
-	want := 40.0 / 120.0
-	if got != want {
-		t.Errorf("SerialFraction = %g, want %g", got, want)
-	}
-	if SerialFraction(nil) != 0 {
-		t.Error("empty trace should be 0")
-	}
-}

@@ -194,8 +194,8 @@ func SAMFromDataset(s *datasets.SAM) *core.DiagonalProblem {
 }
 
 // RandomSAM builds a dense n-account SAM estimation problem, the
-// construction behind USDA82E (n = 133, perturbed to full density) and the
-// large-scale S500, S750, S1000 examples of Table 3.
+// construction behind Table 3's USDA82E instance (n = 133, perturbed to full
+// density) and its large-scale S500, S750, S1000 examples.
 func RandomSAM(n int, seed uint64) *core.DiagonalProblem {
 	rng := rand.New(rand.NewPCG(seed, 3))
 	x0 := make([]float64, n*n)
@@ -223,9 +223,6 @@ func RandomSAM(n int, seed uint64) *core.DiagonalProblem {
 	}
 	return p
 }
-
-// USDA82E builds the 133-account fully dense SAM instance of Table 3.
-func USDA82E() *core.DiagonalProblem { return RandomSAM(133, 1982) }
 
 // bandPattern builds the wrap-around banded support the sparse generators
 // use: row i stores the band columns {i, i+1, …, i+band−1} mod n, sorted
@@ -336,36 +333,4 @@ func SparseSAM(n, band int, seed uint64) *core.DiagonalProblem {
 		panic(fmt.Sprintf("problems: SparseSAM(%d,%d): %v", n, band, err))
 	}
 	return p
-}
-
-// WeightScheme selects one of the weighting conventions the paper's
-// Section 2 discusses for the diagonal objective (5)/(13).
-type WeightScheme int
-
-const (
-	// WeightChiSquare: γ = 1/x⁰ — the Deming–Stephan chi-square, the
-	// paper's default throughout Section 4.
-	WeightChiSquare WeightScheme = iota
-	// WeightUnit: γ = 1 — Friedlander's constrained least squares.
-	WeightUnit
-	// WeightInverseSqrt: γ = 1/√x⁰ — the intermediate scheme the paper
-	// mentions alongside mixed weightings.
-	WeightInverseSqrt
-)
-
-// Weights materializes a weighting scheme for a prior matrix, flooring the
-// reciprocal schemes on structural zeros as reciprocalWeights does.
-func Weights(scheme WeightScheme, x0 []float64) []float64 {
-	g := make([]float64, len(x0))
-	for k, v := range x0 {
-		switch scheme {
-		case WeightUnit:
-			g[k] = 1
-		case WeightInverseSqrt:
-			g[k] = 1 / math.Sqrt(math.Max(v, gammaFloor))
-		default:
-			g[k] = 1 / math.Max(v, gammaFloor)
-		}
-	}
-	return g
 }

@@ -164,22 +164,6 @@ func TestRandomSAM(t *testing.T) {
 	}
 }
 
-func TestUSDA82EShape(t *testing.T) {
-	p := USDA82E()
-	if p.M != 133 || p.N != 133 {
-		t.Fatalf("USDA82E is %d×%d, want 133×133", p.M, p.N)
-	}
-	nz := 0
-	for _, v := range p.X0 {
-		if v != 0 {
-			nz++
-		}
-	}
-	if nz != 133*133 {
-		t.Errorf("USDA82E should be fully dense (Table 3: 17689 transactions), got %d", nz)
-	}
-}
-
 func TestMigrationTable(t *testing.T) {
 	x := MigrationTable("6570", 11)
 	if len(x) != 48*48 {
@@ -396,24 +380,33 @@ func TestGeneralMigration(t *testing.T) {
 	}
 }
 
+// TestUSDA82EShape: Table 3's USDA82E instance, RandomSAM(133, 1982), is the
+// 133-account fully dense SAM.
+func TestUSDA82EShape(t *testing.T) {
+	p := RandomSAM(133, 1982)
+	if p.M != 133 || p.N != 133 {
+		t.Fatalf("USDA82E is %d×%d, want 133×133", p.M, p.N)
+	}
+	nz := 0
+	for _, v := range p.X0 {
+		if v != 0 {
+			nz++
+		}
+	}
+	if nz != 133*133 {
+		t.Errorf("USDA82E should be fully dense (Table 3: 17689 transactions), got %d", nz)
+	}
+}
+
+// TestWeightSchemes: the weighting conventions of the paper's Section 2 —
+// the chi-square γ = 1/x⁰ the generators use (reciprocalWeights, floored on
+// structural zeros), Friedlander's unit γ = 1, and γ = 1/√x⁰ — all give
+// solvable problems, and the weights move the optimum.
 func TestWeightSchemes(t *testing.T) {
-	x0 := []float64{4, 0, 100}
-	chi := Weights(WeightChiSquare, x0)
-	if chi[0] != 0.25 || chi[2] != 0.01 {
-		t.Errorf("chi-square wrong: %v", chi)
+	chi := reciprocalWeights([]float64{4, 0, 100})
+	if chi[0] != 0.25 || chi[1] != 1/gammaFloor || chi[2] != 0.01 {
+		t.Errorf("chi-square weights %v, want [0.25 %g 0.01]", chi, 1/gammaFloor)
 	}
-	if chi[1] != 10 { // floored at 0.1
-		t.Errorf("floor wrong: %v", chi[1])
-	}
-	unit := Weights(WeightUnit, x0)
-	if unit[0] != 1 || unit[1] != 1 || unit[2] != 1 {
-		t.Errorf("unit wrong: %v", unit)
-	}
-	isq := Weights(WeightInverseSqrt, x0)
-	if math.Abs(isq[0]-0.5) > 1e-12 || math.Abs(isq[2]-0.1) > 1e-12 {
-		t.Errorf("inverse-sqrt wrong: %v", isq)
-	}
-	// All schemes give solvable problems with distinct optima.
 	base := baseIOTable(20, 0.6, 31)
 	s0 := make([]float64, 20)
 	d0 := make([]float64, 20)
@@ -423,9 +416,15 @@ func TestWeightSchemes(t *testing.T) {
 			d0[j] += 1.2 * base[i*20+j]
 		}
 	}
+	unit := make([]float64, len(base))
+	isq := make([]float64, len(base))
+	for k, v := range base {
+		unit[k] = 1
+		isq[k] = 1 / math.Sqrt(math.Max(v, gammaFloor))
+	}
 	var objs []float64
-	for _, scheme := range []WeightScheme{WeightChiSquare, WeightUnit, WeightInverseSqrt} {
-		p, err := core.NewFixed(20, 20, base, Weights(scheme, base), s0, d0)
+	for s, gamma := range [][]float64{reciprocalWeights(base), unit, isq} {
+		p, err := core.NewFixed(20, 20, base, gamma, s0, d0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -437,7 +436,7 @@ func TestWeightSchemes(t *testing.T) {
 			t.Fatal(err)
 		}
 		if rep := core.CheckKKT(p, sol); !rep.Satisfied(1e-5) {
-			t.Errorf("scheme %d: KKT %+v", scheme, rep)
+			t.Errorf("scheme %d: KKT %+v", s, rep)
 		}
 		objs = append(objs, sol.Objective)
 	}

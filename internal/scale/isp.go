@@ -753,7 +753,9 @@ func (s *System) pickColumnTargets(lambda, mu, colSum, colASum []float64) (first
 // continue from where they are). It stops early when the residual — the
 // largest absolute row/column equation violation at the staggered iterates,
 // the ∞-norm of the dual gradient — reaches tol (tol ≤ 0 never stops
-// early). observe, when non-nil, receives every sweep's index and residual.
+// early), or after the first sweep whose residual is NaN (the duals
+// diverged). observe, when non-nil, receives every sweep's index and
+// residual.
 //
 // Exact half-sweeps (safeguarded Newton per row, batched Newton passes per
 // column, each an exact two-block coordinate-ascent step on the concave
@@ -823,6 +825,11 @@ func (s *System) Run(lambda, mu []float64, sweeps int, tol float64, colSum, colA
 		}
 		if tol > 0 && worst <= tol {
 			res.Converged = true
+			return res
+		}
+		if worst != worst {
+			// Diverged: a dual reached ±Inf (an infeasible box), and a
+			// NaN violation sticks, so no later sweep can converge.
 			return res
 		}
 		// Escalate once a 6-sweep window's best residual stops improving on

@@ -233,6 +233,9 @@ func refRun(s *System, lambda, mu []float64, sweeps int, tol float64) Result {
 			res.Converged = true
 			return res
 		}
+		if worst != worst {
+			return res
+		}
 		if !s.runExact {
 			if worst < s.winBest {
 				s.winBest = worst

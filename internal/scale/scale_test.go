@@ -324,6 +324,26 @@ func TestPow2Near(t *testing.T) {
 	}
 }
 
+// TestISPStopsOnDivergence: on an infeasible box system (ispCase seed 63:
+// the band's upper bounds cannot carry a row total) a row dual runs to
+// +Inf and the residual turns NaN; Run returns after that sweep instead of
+// spinning to its cap, and the NaN sweep is the last one observed.
+func TestISPStopsOnDivergence(t *testing.T) {
+	for _, resp := range []Response{Additive, Exponential} {
+		s := ispCase(resp, 12, "csr-band", "box", "fixed", 63)
+		lambda, mu := make([]float64, s.A.M), make([]float64, s.A.N)
+		var last int
+		var lastRes float64
+		res := s.Run(lambda, mu, 1000, 1e-12, nil, nil, func(it int, r float64) { last, lastRes = it, r })
+		if res.Converged || !math.IsNaN(res.Residual) || res.Iterations >= 1000 {
+			t.Fatalf("response %d: Run = %+v, want a NaN residual well before the cap", resp, res)
+		}
+		if last != res.Iterations || !math.IsNaN(lastRes) {
+			t.Errorf("response %d: last observed sweep %d (residual %v), Run stopped at %d", resp, last, lastRes, res.Iterations)
+		}
+	}
+}
+
 // TestISPNaNTargetNeverConverges: a NaN target makes its equation's
 // violation NaN, and the residual folds keep it, so Run never reports
 // convergence and Eval's residual is NaN — under dense paired rows, an odd

@@ -17,10 +17,6 @@ type SinkhornOptions struct {
 	// the hook the registry solver uses to forward per-sweep progress to
 	// the trace.Observer machinery.
 	Observe func(iter int, residual float64)
-	// Warm keeps the incoming u and v as the starting factors instead of
-	// resetting them to 1, so a caller can run the iteration in chunks
-	// without losing progress.
-	Warm bool
 	// Stop, when non-nil, is polled after every sweep; returning true
 	// aborts the iteration with the current factors and a non-converged
 	// Result (how the registry solver threads context cancellation into
@@ -79,16 +75,13 @@ func Sinkhorn(a Matrix, r, c []float64, u, v []float64, opts SinkhornOptions) ([
 			return u, v, res, fmt.Errorf("scale: negative entry Val[%d] = %g (Sinkhorn needs a nonnegative matrix)", k, x)
 		}
 	}
-	warm := o.Warm && len(u) == a.M && len(v) == a.N
 	u = resize(u, a.M)
 	v = resize(v, a.N)
-	if !warm {
-		for i := range u {
-			u[i] = 1
-		}
-		for j := range v {
-			v[j] = 1
-		}
+	for i := range u {
+		u[i] = 1
+	}
+	for j := range v {
+		v[j] = 1
 	}
 
 	// Structural feasibility: a zero row/column of the support cannot meet a

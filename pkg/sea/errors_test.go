@@ -4,8 +4,11 @@ import (
 	"context"
 	"errors"
 	"math"
+	"slices"
 	"strings"
 	"testing"
+
+	"sea/internal/problems"
 )
 
 // TestUnknownSolverSentinel: lookup failures are matchable with errors.Is
@@ -265,6 +268,58 @@ func TestSolversDeterministic(t *testing.T) {
 	for i := range first {
 		if first[i] != third[i] {
 			t.Fatalf("Solvers() unstable at %d: %q vs %q", i, first[i], third[i])
+		}
+	}
+}
+
+// infeasibleBox is problems.Table1(8, 1) with every cell capped at its
+// prior: each row total is twice its prior sum, so no row can reach it.
+func infeasibleBox() *DiagonalProblem {
+	p := problems.Table1(8, 1)
+	p.Upper = slices.Clone(p.X0)
+	return p
+}
+
+// TestInfeasibleBoxSentinel: a problem that passes validation but whose box
+// cannot reach its totals fails with ErrInfeasible and no solution on every
+// solver that equilibrates it, and the error names the row or column.
+func TestInfeasibleBoxSentinel(t *testing.T) {
+	p := mustDiagonal(t, infeasibleBox())
+	for _, name := range []string{"sea", "sea-general", "rc", "dykstra", "projgrad"} {
+		sol, err := Solve(context.Background(), name, p, DefaultOptions())
+		if !errors.Is(err, ErrInfeasible) {
+			t.Errorf("%s: err = %v, want ErrInfeasible", name, err)
+			continue
+		}
+		if sol != nil {
+			t.Errorf("%s: returned a solution (status %v) with %v", name, sol.Status, err)
+		}
+		if !strings.Contains(err.Error(), "row ") && !strings.Contains(err.Error(), "column ") {
+			t.Errorf("%s: error %q names no row or column", name, err)
+		}
+	}
+}
+
+// TestScalingStopsOnInfeasibleBox: the dual-scaling solvers cannot name an
+// infeasible subproblem, but their duals diverge on one; they stop at the
+// first NaN residual with ErrNotConverged ("diverged") instead of running
+// to the sweep cap.
+func TestScalingStopsOnInfeasibleBox(t *testing.T) {
+	p := mustDiagonal(t, infeasibleBox())
+	for _, name := range []string{"isp", "entropy"} {
+		o := DefaultOptions()
+		if name == "entropy" {
+			o.Objective = ObjectiveEntropy
+		}
+		sol, err := Solve(context.Background(), name, p, o)
+		if !errors.Is(err, ErrNotConverged) || !strings.Contains(err.Error(), "diverged") {
+			t.Errorf("%s: err = %v, want ErrNotConverged (diverged)", name, err)
+			continue
+		}
+		if sol == nil {
+			t.Errorf("%s: no solution alongside ErrNotConverged", name)
+		} else if sol.Iterations >= 100 {
+			t.Errorf("%s: stopped after %d sweeps, want a few", name, sol.Iterations)
 		}
 	}
 }

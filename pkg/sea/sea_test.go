@@ -6,6 +6,8 @@ import (
 	"math/rand/v2"
 	"strings"
 	"testing"
+
+	"sea/internal/problems"
 )
 
 // testFixed builds a small feasible fixed-totals diagonal problem with
@@ -223,5 +225,45 @@ func TestTraceObserverReceivesEvents(t *testing.T) {
 	}
 	if !strings.Contains(sb.String(), "sea: iter=1") {
 		t.Errorf("trace writer produced no progress lines: %q", sb.String())
+	}
+}
+
+// TestNilOptionsMatchDefaults: every registry solver reads nil options as
+// DefaultOptions, bit for bit — including the fields only the resolver
+// fills, such as the inner iteration cap of rc's projection stages.
+func TestNilOptionsMatchDefaults(t *testing.T) {
+	p := mustDiagonal(t, problems.Table1(8, 1))
+	for _, name := range Solvers() {
+		want, werr := Solve(context.Background(), name, p, DefaultOptions())
+		got, gerr := Solve(context.Background(), name, p, nil)
+		if (werr == nil) != (gerr == nil) || werr != nil && werr.Error() != gerr.Error() {
+			t.Errorf("%s: nil options err = %v, DefaultOptions err = %v", name, gerr, werr)
+			continue
+		}
+		if want == nil || got == nil {
+			if want != got {
+				t.Errorf("%s: nil options solution %v, DefaultOptions solution %v", name, got, want)
+			}
+			continue
+		}
+		if got.Iterations != want.Iterations || got.Status != want.Status {
+			t.Errorf("%s: nil options ran %d iterations (%v), DefaultOptions %d (%v)",
+				name, got.Iterations, got.Status, want.Iterations, want.Status)
+		}
+		for _, v := range []struct {
+			what      string
+			got, want []float64
+		}{{"X", got.X, want.X}, {"Lambda", got.Lambda, want.Lambda}, {"Mu", got.Mu, want.Mu}} {
+			if len(v.got) != len(v.want) {
+				t.Errorf("%s: len(%s) = %d, want %d", name, v.what, len(v.got), len(v.want))
+				continue
+			}
+			for k := range v.want {
+				if math.Float64bits(v.got[k]) != math.Float64bits(v.want[k]) {
+					t.Errorf("%s: %s[%d] = %v with nil options, %v with DefaultOptions", name, v.what, k, v.got[k], v.want[k])
+					break
+				}
+			}
+		}
 	}
 }
