@@ -40,9 +40,10 @@ cancel:
 	$(GO) test -race -count=1 -run 'TestCancel|TestDeadline' ./pkg/sea/
 
 # The concurrent serving layer under the race detector, uncached: shape-pool
-# checkout/checkin, admission control, eviction, and Close draining.
+# checkout/checkin, admission control, eviction, and Close draining. The
+# HTTP transport below it runs in serve-http-race.
 serve-race:
-	$(GO) test -race -count=1 ./pkg/sea/serve/...
+	$(GO) test -race -count=1 ./pkg/sea/serve/
 
 # The network front end under the race detector, uncached: the HTTP
 # transport's handler/job-store/shutdown suites (with the shared goroutine

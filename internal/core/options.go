@@ -185,7 +185,9 @@ type Options struct {
 	// results never depend on this choice (see docs/PERFORMANCE.md).
 	Runner *parallel.Pool
 	// Mu0, if non-nil, warm-starts the column multipliers (length N).
-	// Otherwise μ¹ = 0 per the paper's initialization step.
+	// Otherwise μ¹ = 0 per the paper's initialization step. A caller's Mu0
+	// wins over the PrecondSinkhorn/PrecondISP warm-start estimates: those
+	// stages then only rescale the problem and Mu0 with it.
 	Mu0 []float64
 	// Precondition selects a preconditioning stage run before the SEA
 	// sweeps: the solver rescales the problem data by exact power-of-two

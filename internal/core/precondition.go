@@ -38,7 +38,8 @@ import (
 //     prior and converts the multiplicative column factors to additive
 //     multipliers. Warm starts change the trajectory (that is the point)
 //     but not the fixed points: the preconditioned solution satisfies the
-//     original KKT system to the solver's tolerance.
+//     original KKT system to the solver's tolerance. A caller's own Mu0
+//     replaces the estimate: the stage only rescales it.
 type precondState struct {
 	// Scaled problem storage (prob's slices point into these).
 	prob  DiagonalProblem
@@ -95,23 +96,21 @@ func (ps *precondState) apply(p *DiagonalProblem, o *Options) *DiagonalProblem {
 	if o.BoundMultipliers {
 		o.MultiplierBound *= ps.tau / ps.sigma
 	}
-	if o.Mu0 != nil {
-		// A caller-supplied warm start is in original units; rescale it
-		// (and let ISP refine it below).
+	switch {
+	case o.Mu0 != nil:
+		// The caller's warm start wins over the stage's estimates. It is in
+		// original units; rescale it.
 		ps.mu0 = resizeF(ps.mu0, len(o.Mu0))
 		f := ps.tau / ps.sigma
 		for j, v := range o.Mu0 {
 			ps.mu0[j] = v * f
 		}
 		o.Mu0 = ps.mu0
-	}
-
-	switch o.Precondition {
-	case PrecondISP:
+	case o.Precondition == PrecondISP:
 		if ps.ispWarmStart(sp, o) {
 			o.Mu0 = ps.mu0
 		}
-	case PrecondSinkhorn:
+	case o.Precondition == PrecondSinkhorn:
 		if ps.sinkhornWarmStart(sp, o) {
 			o.Mu0 = ps.mu0
 		}
@@ -292,9 +291,6 @@ func (ps *precondState) ispWarmStart(sp *DiagonalProblem, o *Options) bool {
 	}
 	ps.lambda0 = zeroed(ps.lambda0, sp.M)
 	mu := zeroed(ps.mu0, sp.N)
-	if o.Mu0 != nil {
-		copy(mu, o.Mu0) // refine the caller's (already rescaled) estimate
-	}
 	ps.mu0 = mu
 	ps.colSum = resizeF(ps.colSum, sp.N)
 	ps.colASum = resizeF(ps.colASum, sp.N)

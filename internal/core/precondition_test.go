@@ -172,6 +172,45 @@ func TestPrecondArenaSteadyState(t *testing.T) {
 	}
 }
 
+// TestPrecondCallerMu0Wins: a caller's Mu0 replaces the Sinkhorn and ISP
+// warm-start estimates, so with Mu0 set every preconditioning mode is the
+// exact rescaling of the unpreconditioned warm solve — bit-identical to it,
+// and restarted from the converged μ it needs next to no iterations.
+func TestPrecondCallerMu0Wins(t *testing.T) {
+	rng := rand.New(rand.NewPCG(9, 3))
+	p := randElastic(rng, 30, 25)
+	opts := DefaultOptions()
+	opts.Epsilon = 1e-8
+	opts.Criterion = DualGradient
+	opts.PrecondSweeps = 3
+	cold, err := SolveDiagonal(context.Background(), p, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	warm := *opts
+	warm.Mu0 = cold.Mu
+	base, err := SolveDiagonal(context.Background(), p, &warm)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if base.Iterations*10 > cold.Iterations {
+		t.Fatalf("warm solve from the converged μ took %d iterations, cold %d", base.Iterations, cold.Iterations)
+	}
+	for _, pc := range []Precond{PrecondScale, PrecondSinkhorn, PrecondISP} {
+		o := warm
+		o.Precondition = pc
+		pre, err := SolveDiagonal(context.Background(), p, &o)
+		if err != nil {
+			t.Fatalf("%v: %v", pc, err)
+		}
+		if pre.Iterations != base.Iterations {
+			t.Errorf("%v with Mu0: %d iterations, unpreconditioned %d (cold %d)", pc, pre.Iterations, base.Iterations, cold.Iterations)
+		}
+		bitEqual(t, pc.String()+"/X", pre.X, base.X)
+		bitEqual(t, pc.String()+"/Mu", pre.Mu, base.Mu)
+	}
+}
+
 // TestPrecondIntervalFallsBackToScale: the ISP warm start stays off for
 // interval totals, so preconditioning degrades to pure scaling — which must
 // remain bit-identical to the unpreconditioned solve.

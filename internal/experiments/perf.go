@@ -44,8 +44,8 @@ type PerfRecord struct {
 	// ShapeHitRate, set only on the "serve/http" records, is the shape-pool
 	// hit fraction of the measured phase; steady state is 1.0.
 	ShapeHitRate float64 `json:"shape_hit_rate,omitempty"`
-	// Shards, set only on the "serve/http" records, is the sharded server's
-	// inner Server count; seabench -compare keys these records by
+	// Shards, set only on the "serve/http" records, is the server's shard
+	// count; seabench -compare keys these records by
 	// (name, procs, shards).
 	Shards int `json:"shards,omitempty"`
 	// P50Ms and P99Ms, set only on the "serve/http" records, are the

@@ -9,9 +9,9 @@ import (
 	"sea/pkg/sea/serve"
 )
 
-// ExampleServer stands up a small solve service, submits a fixed-totals
+// ExampleShardedServer stands up a small solve service, submits a fixed-totals
 // problem, and reads back the typed status plus the pool statistics.
-func ExampleServer() {
+func ExampleShardedServer() {
 	// A 2×2 matrix scaled to new row totals {6, 14} and column totals
 	// {9, 11} from the prior [[1 2] [3 4]].
 	x0 := []float64{1, 2, 3, 4}
@@ -25,7 +25,7 @@ func ExampleServer() {
 		log.Fatal(err)
 	}
 
-	srv, err := serve.NewServer(serve.Config{Solver: "sea", MaxInFlight: 2})
+	srv, err := serve.NewSharded(serve.ShardedConfig{Server: serve.Config{Solver: "sea", MaxInFlight: 2}})
 	if err != nil {
 		log.Fatal(err)
 	}

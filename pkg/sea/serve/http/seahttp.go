@@ -1,8 +1,8 @@
 // Package seahttp is the HTTP/JSON transport over the serving layer: a
-// net/http Handler exposing a serve.Server or serve.ShardedServer as a
-// network service. The wire formats are internal/matio's problem and
-// solution containers — the same JSON cmd/seasolve reads and writes — so a
-// problem file solves identically from the CLI and over the network.
+// net/http Handler exposing a serve.ShardedServer as a network service. The
+// wire formats are internal/matio's problem and solution containers — the
+// same JSON cmd/seasolve reads and writes — so a problem file solves
+// identically from the CLI and over the network.
 //
 // Endpoints (all under /v1):
 //
@@ -13,8 +13,8 @@
 //	GET  /v1/jobs/{id}/trace  stream the job's per-iteration trace events
 //	                          as chunked NDJSON while it solves
 //	DELETE /v1/jobs/{id}      cancel a running job
-//	GET  /v1/stats            the backend's Stats snapshot (per shard too,
-//	                          for sharded backends)
+//	GET  /v1/stats            the backend's Stats snapshot, merged and
+//	                          per shard
 //	GET  /v1/healthz          liveness probe
 //
 // Failures map to typed statuses (see docs/API.md): invalid problems are
@@ -42,10 +42,9 @@ import (
 	"sea/pkg/sea/serve"
 )
 
-// Backend is the serving surface the transport fronts. Both *serve.Server
-// and *serve.ShardedServer implement it. The Handler does not own the
-// backend: Close the Handler first (drains jobs and streams), then the
-// backend.
+// Backend is the serving surface the transport fronts; *serve.ShardedServer
+// implements it. The Handler does not own the backend: Close the Handler
+// first (drains jobs and streams), then the backend.
 type Backend interface {
 	Submit(ctx context.Context, p *sea.Problem, opts *sea.Options) (*sea.Solution, error)
 	// SubmitTraced solves with per-request options (nil = the backend's
@@ -61,15 +60,10 @@ type Backend interface {
 	// same-shape problems chaining warm state period to period. The /v1
 	// sequences endpoints ride this.
 	NewSession(cfg serve.SessionConfig) (*serve.Session, error)
+	// Stats is the shard-merged snapshot and ShardStats each shard's own;
+	// /v1/stats reports both.
 	Stats() serve.Stats
-}
-
-// ShardedBackend is the optional per-shard view; *serve.ShardedServer
-// implements it, and /v1/stats includes the per-shard breakdown when the
-// backend does.
-type ShardedBackend interface {
 	ShardStats() []serve.Stats
-	NumShards() int
 }
 
 // Config parameterizes a Handler. The zero value is a working default.
@@ -312,15 +306,12 @@ func (h *Handler) handleSolve(w http.ResponseWriter, r *http.Request) {
 	writeSolution(w, sol)
 }
 
-// handleStats renders the backend's merged snapshot, plus the per-shard
-// breakdown for sharded backends.
+// handleStats renders the backend's merged snapshot and the per-shard
+// breakdown.
 func (h *Handler) handleStats(w http.ResponseWriter, r *http.Request) {
 	resp := statsResponse{Stats: wireStats(h.backend.Stats())}
-	if sb, ok := h.backend.(ShardedBackend); ok {
-		resp.Shards = make([]statsJSON, 0, sb.NumShards())
-		for _, st := range sb.ShardStats() {
-			resp.Shards = append(resp.Shards, wireStats(st))
-		}
+	for _, st := range h.backend.ShardStats() {
+		resp.Shards = append(resp.Shards, wireStats(st))
 	}
 	resp.Jobs = h.jobs.counts()
 	resp.Sequences = h.seqs.count()

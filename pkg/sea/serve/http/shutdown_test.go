@@ -18,12 +18,12 @@ import (
 	"sea/pkg/sea/serve"
 )
 
-// newStack starts a real Server behind a Handler on a loopback listener.
+// newStack starts a real one-shard server behind a Handler on a loopback listener.
 // The caller shuts the pieces down itself when the test exercises shutdown
 // ordering; the registered cleanups are idempotent backstops.
-func newStack(t *testing.T, cfg serve.Config, hcfg Config) (base string, srv *serve.Server, h *Handler, httpSrv *http.Server) {
+func newStack(t *testing.T, cfg serve.Config, hcfg Config) (base string, srv *serve.ShardedServer, h *Handler, httpSrv *http.Server) {
 	t.Helper()
-	srv, err := serve.NewServer(cfg)
+	srv, err := serve.NewSharded(serve.ShardedConfig{Server: cfg})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -161,7 +161,7 @@ type statsJSON struct {
 // statsResponse is the GET /v1/stats document.
 type statsResponse struct {
 	Stats     statsJSON   `json:"stats"`
-	Shards    []statsJSON `json:"shards,omitempty"`
+	Shards    []statsJSON `json:"shards"`
 	Jobs      jobCounts   `json:"jobs"`
 	Sequences int         `json:"sequences"`
 }

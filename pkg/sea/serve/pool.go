@@ -29,7 +29,7 @@ type entry struct {
 }
 
 // shapePool is the per-shape free-list. All fields are guarded by the
-// server's mu.
+// shard's mu.
 type shapePool struct {
 	key     shapeKey
 	free    []*entry // LIFO: the most recently warmed entry is reused first
@@ -44,7 +44,7 @@ type shapePool struct {
 // and/or a fresh entry on demand and bumping the LRU clock. It never blocks:
 // the number of checked-out entries is bounded by the admission control's
 // in-flight limit, not by the pool.
-func (s *Server) checkout(key shapeKey) *entry {
+func (s *shard) checkout(key shapeKey) *entry {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	sp := s.shapes[key]
@@ -76,11 +76,11 @@ func (s *Server) checkout(key shapeKey) *entry {
 // it when the shape was evicted meanwhile or the free-list is at capacity.
 // The entry's solution memory (arena-owned) must already have been copied
 // out: after checkin the next request may overwrite it.
-func (s *Server) checkin(e *entry) {
+func (s *shard) checkin(e *entry) {
 	e.opts.Runner = nil
 	s.mu.Lock()
 	sp := s.shapes[e.key]
-	keep := sp != nil && !s.closed && len(sp.free) < s.cfg.ArenasPerShape
+	keep := sp != nil && len(sp.free) < s.cfg.ArenasPerShape
 	if keep {
 		sp.free = append(sp.free, e)
 	} else if sp != nil {
@@ -98,7 +98,7 @@ func (s *Server) checkin(e *entry) {
 // least-recently-used other shape pool is dropped and its idle arenas
 // closed. Checked-out entries of an evicted shape are closed lazily at
 // checkin (their pool is gone from the map by then). Caller holds mu.
-func (s *Server) evictLocked(keep *shapePool) {
+func (s *shard) evictLocked(keep *shapePool) {
 	for len(s.shapes) > s.cfg.MaxShapes {
 		var victim *shapePool
 		for _, sp := range s.shapes {

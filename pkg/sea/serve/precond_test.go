@@ -13,7 +13,7 @@ import (
 // submit path), any other mode returns a detached clone with the per-request
 // machinery zeroed so submit can re-fill it.
 func TestRequestOptionsContract(t *testing.T) {
-	s, err := NewServer(Config{MaxInFlight: 1})
+	s, err := newServer(Config{MaxInFlight: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,7 +39,7 @@ func TestRequestOptionsContract(t *testing.T) {
 	// With a preconditioned template the polarity flips.
 	base := sea.DefaultOptions()
 	base.Precondition = sea.PrecondScale
-	ps, err := NewServer(Config{MaxInFlight: 1, Options: base})
+	ps, err := newServer(Config{MaxInFlight: 1, Options: base})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,12 +62,12 @@ func TestRequestOptionsContract(t *testing.T) {
 
 // TestPrecondRequestSolves: a per-request preconditioned submit must solve
 // the same problem as the plain path (same objective to rounding) and
-// report the stage's wall time, over both the plain and sharded servers.
+// report the stage's wall time, over one shard and over two.
 func TestPrecondRequestSolves(t *testing.T) {
 	p := testProblem(t, 24, 18, 1.3, 91)
 	ctx := context.Background()
 
-	s, err := NewServer(Config{MaxInFlight: 2})
+	s, err := newServer(Config{MaxInFlight: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,10 +85,7 @@ func TestPrecondRequestSolves(t *testing.T) {
 	if plain.PrecondNs != 0 {
 		t.Fatalf("plain solve reports PrecondNs = %d", plain.PrecondNs)
 	}
-	for name, backend := range map[string]interface {
-		Submit(context.Context, *sea.Problem, *sea.Options) (*sea.Solution, error)
-		RequestOptions(...Override) *sea.Options
-	}{"server": s, "sharded": sh} {
+	for name, backend := range map[string]*ShardedServer{"shards=1": s, "shards=2": sh} {
 		pre, err := backend.Submit(ctx, p, backend.RequestOptions(WithPrecond(sea.PrecondISP)))
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
@@ -108,7 +105,7 @@ func TestPrecondRequestSolves(t *testing.T) {
 func TestPrecondWarmAllocations(t *testing.T) {
 	base := sea.DefaultOptions()
 	base.Precondition = sea.PrecondScale
-	s, err := NewServer(Config{MaxInFlight: 1, Options: base})
+	s, err := newServer(Config{MaxInFlight: 1, Options: base})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,8 @@
 // Package serve multiplexes concurrent solve requests over pools of
 // reusable solver state — the serving layer the facade's arenas were built
-// for. One Server owns:
+// for. A ShardedServer routes each request by problem shape, with
+// consistent hashing, to one of its shards, so every shape lands on one
+// shard. Each shard owns:
 //
 //   - a registry solver (any name from pkg/sea — "sea" by default);
 //   - shape-keyed pools of arenas: requests for the same problem shape
@@ -8,9 +10,11 @@
 //     request on a pool hit), pools are created on demand, bounded per
 //     shape, and the least-recently-used shape is evicted when the shape
 //     count exceeds its cap;
-//   - a fleet of persistent worker pools (internal/parallel.PoolSet), one
-//     borrowed per in-flight solve, so parallel phases never pay goroutine
-//     spawning and never share a (single-dispatcher) pool across solves;
+//   - MaxInFlight persistent worker pools (internal/parallel.Pool), which
+//     are also its in-flight tokens: admission hands a request one pool and
+//     the request hands it back when its solve ends, so parallel phases
+//     never pay goroutine spawning and never share a (single-dispatcher)
+//     pool across solves;
 //   - admission control: at most MaxInFlight solves run at once, at most
 //     MaxQueue requests wait, and further requests are rejected immediately
 //     with an error wrapping sea.ErrSaturated;
@@ -19,6 +23,9 @@
 //     latency aggregates, and the solvers' own iteration counters, all
 //     exposed as a Stats snapshot. A sea.Trace observer attached to the
 //     Config is synchronized and receives every in-flight solve's events.
+//
+// Above the shards sits an optional per-tenant fair admission gate (see
+// ShardedConfig.TenantMaxInFlight).
 //
 // The request API is Submit (one problem, detached result), SubmitInto
 // (caller-owned result memory — the steady-state path for hot serving
@@ -43,8 +50,9 @@ import (
 // ErrClosed is returned by Submit variants after Close.
 var ErrClosed = errors.New("serve: server closed")
 
-// Config parameterizes a Server. The zero value of every field selects a
-// sensible default, so Config{} is a working single-solver configuration.
+// Config parameterizes each shard of a ShardedServer. The zero value of
+// every field selects a sensible default, so Config{} is a working
+// single-solver configuration.
 type Config struct {
 	// Solver is the registry name every request is routed to ("sea" when
 	// empty). Arena reuse accelerates the core solvers ("sea",
@@ -62,7 +70,7 @@ type Config struct {
 	// ArenasPerShape caps each shape's idle free-list (default MaxInFlight,
 	// the most a single shape can have checked out at once).
 	ArenasPerShape int
-	// Procs is the worker count of each borrowed scheduling pool — the
+	// Procs is the worker count of each in-flight slot's worker pool — the
 	// parallelism of one solve's row/column phases (default 1).
 	Procs int
 	// RequestTimeout, when positive, bounds each request's solve with a
@@ -99,22 +107,24 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Server is a concurrent solve service. All methods are safe for concurrent
-// use. See the package documentation for the architecture.
-type Server struct {
+// shard is one independent slice of a ShardedServer: its own arena pools,
+// worker pools, admission control and instrumentation. All methods are safe
+// for concurrent use.
+type shard struct {
 	cfg    Config
 	solver sea.Solver
 	base   sea.Options // resolved template each entry's options copy
 
-	slots chan struct{} // in-flight tokens (send = acquire)
-	done  chan struct{} // closed by Close; unblocks queued waiters
-	pools *parallel.PoolSet
+	// pools holds the idle worker pools. A pool is the in-flight token:
+	// admit takes one and release returns it, so at most MaxInFlight solves
+	// run at once and no two of them drive the same pool.
+	pools chan *parallel.Pool
+	done  <-chan struct{} // the server's; closed by Close
 
 	mu       sync.Mutex
 	shapes   map[shapeKey]*shapePool
-	sessions map[*Session]struct{} // live sequence sessions, for Close
+	sessions map[*Session]struct{} // live sequence sessions, for close
 	tick     uint64
-	closed   bool
 
 	submitted atomic.Uint64
 	completed atomic.Uint64 // finished with err == nil
@@ -131,23 +141,20 @@ type Server struct {
 	counters metrics.Counters // aggregated solver instrumentation
 }
 
-// NewServer validates cfg, resolves the solver name, and starts the worker
-// pools. The returned server must be Closed to release them.
-func NewServer(cfg Config) (*Server, error) {
-	cfg = cfg.withDefaults()
-	solver, err := sea.Get(cfg.Solver)
-	if err != nil {
-		return nil, err
+// newShard starts a shard's MaxInFlight worker pools. cfg has its defaults
+// resolved and solver is the registry's answer for cfg.Solver.
+func newShard(cfg Config, solver sea.Solver, done <-chan struct{}) *shard {
+	s := &shard{
+		cfg:      cfg,
+		solver:   solver,
+		pools:    make(chan *parallel.Pool, cfg.MaxInFlight),
+		done:     done,
+		shapes:   make(map[shapeKey]*shapePool),
+		sessions: make(map[*Session]struct{}),
 	}
-	s := &Server{
-		cfg:    cfg,
-		solver: solver,
-		slots:  make(chan struct{}, cfg.MaxInFlight),
-		done:   make(chan struct{}),
-		pools:  parallel.NewPoolSet(cfg.MaxInFlight, cfg.Procs),
-		shapes: make(map[shapeKey]*shapePool),
+	for range cfg.MaxInFlight {
+		s.pools <- parallel.NewPool(cfg.Procs)
 	}
-	s.sessions = make(map[*Session]struct{})
 	if cfg.Options != nil {
 		s.base = *cfg.Options
 	} else {
@@ -159,41 +166,7 @@ func NewServer(cfg Config) (*Server, error) {
 	// One shared counter set sums the events of every solve; its atomics
 	// make it safe to attach unsynchronized.
 	s.base.Trace = trace.Multi(&s.counters, trace.Synchronized(cfg.Trace))
-	return s, nil
-}
-
-// Submit solves one problem, returning a detached Solution (no aliasing of
-// pooled memory). opts may be nil, meaning the server's configured options —
-// the recommended, allocation-free-admission path; a non-nil opts is cloned
-// for the request and its Arena/Runner fields are overridden by the server.
-//
-// Submit blocks while the request is queued (bounded by MaxQueue) and while
-// it solves; it returns early with sea.ErrSaturated when the queue is full,
-// ErrClosed after Close, or ctx.Err() when the caller's context ends first.
-// On iteration-limit exhaustion the error wraps sea.ErrNotConverged and the
-// returned Solution is the best iterate, per the facade's contract.
-func (s *Server) Submit(ctx context.Context, p *sea.Problem, opts *sea.Options) (*sea.Solution, error) {
-	var out sea.Solution
-	filled, err := s.submit(ctx, p, opts, &out, nil)
-	if !filled {
-		return nil, err
-	}
-	return &out, err
-}
-
-// SubmitTraced is Submit with a per-request trace observer layered onto the
-// request's options: the request solves exactly as a plain Submit with the
-// same opts (nil = the server's template, arena, runner), and obs
-// additionally receives its iteration events. The transport's streamed-trace
-// jobs ride this path. obs is synchronized by the server; a nil obs degrades
-// to Submit.
-func (s *Server) SubmitTraced(ctx context.Context, p *sea.Problem, opts *sea.Options, obs sea.Trace) (*sea.Solution, error) {
-	var out sea.Solution
-	filled, err := s.submit(ctx, p, opts, &out, obs)
-	if !filled {
-		return nil, err
-	}
-	return &out, err
+	return s
 }
 
 // An Override replaces one field of the server's option template for a
@@ -213,15 +186,11 @@ func WithObjective(obj sea.Objective) Override {
 	return func(o *sea.Options) { o.Objective = obj }
 }
 
-// RequestOptions resolves per-request overrides into the opts argument of
-// the Submit variants: it returns nil when every override matches the
-// server's configured template (the zero-overhead path — the request solves
-// on the prebuilt per-arena options), and otherwise a detached clone of the
-// template with the overridden fields replaced. The clone's Arena, Runner
-// and Trace are zeroed: submit re-fills all three per request, and handing
-// back the template's trace would count every event twice. The returned options are the caller's to further adjust before
-// submitting.
-func (s *Server) RequestOptions(overrides ...Override) *sea.Options {
+// requestOptions is ShardedServer.RequestOptions for one shard's template.
+// The clone's Arena, Runner and Trace are zeroed: submit re-fills all three
+// per request, and handing back the template's trace would count every
+// event twice.
+func (s *shard) requestOptions(overrides []Override) *sea.Options {
 	if len(overrides) == 0 {
 		return nil
 	}
@@ -241,19 +210,6 @@ func (s *Server) RequestOptions(overrides ...Override) *sea.Options {
 	return &o
 }
 
-// SubmitInto is Submit draining the result into caller-owned memory: into's
-// slice capacity is reused when it suffices, so a serving loop that reuses
-// one Solution per worker reaches steady-state hit-path allocations of
-// ~1 alloc per request (the solver's internal options clone). It reports
-// whether into was filled — true whenever a solve produced an iterate, even
-// alongside a non-nil error (non-convergence, cancellation mid-solve).
-func (s *Server) SubmitInto(ctx context.Context, p *sea.Problem, opts *sea.Options, into *sea.Solution) (bool, error) {
-	if into == nil {
-		return false, fmt.Errorf("serve: SubmitInto requires a non-nil destination")
-	}
-	return s.submit(ctx, p, opts, into, nil)
-}
-
 // Result is one problem's outcome in a SubmitAll batch.
 type Result struct {
 	// Solution is the detached solve result; nil when the request was
@@ -265,27 +221,6 @@ type Result struct {
 	Status sea.Status
 	// Err is the request's error, if any (wraps the sea sentinel errors).
 	Err error
-}
-
-// SubmitAll solves a batch, fanning the problems out over the server's
-// admission gates with at most MaxInFlight submitting goroutines, and
-// returns one Result per problem, index-aligned. Individual problems can
-// fail or be rejected independently; the batch itself never fails.
-func (s *Server) SubmitAll(ctx context.Context, problems []*sea.Problem, opts *sea.Options) []Result {
-	results := make([]Result, len(problems))
-	gate := make(chan struct{}, s.cfg.MaxInFlight)
-	var wg sync.WaitGroup
-	for i, p := range problems {
-		gate <- struct{}{}
-		wg.Add(1)
-		go func(i int, p *sea.Problem) {
-			defer func() { <-gate; wg.Done() }()
-			sol, err := s.Submit(ctx, p, opts)
-			results[i] = Result{Solution: sol, Status: resultStatus(sol, err), Err: err}
-		}(i, p)
-	}
-	wg.Wait()
-	return results
 }
 
 // resultStatus classifies a (solution, error) pair for a batch Result.
@@ -303,15 +238,26 @@ func resultStatus(sol *sea.Solution, err error) sea.Status {
 	}
 }
 
-// admit passes the server's admission control: an in-flight slot
-// immediately, or a bounded wait in the queue. The queue bound is enforced
-// optimistically (increment, test, undo), so a burst at the boundary is
-// rejected conservatively. On success the caller holds an in-flight slot
-// and must call release exactly once; on failure the rejection is already
-// counted.
-func (s *Server) admit(ctx context.Context) (release func(), err error) {
+// isClosed reports whether done has been closed.
+func isClosed(done <-chan struct{}) bool {
 	select {
-	case s.slots <- struct{}{}:
+	case <-done:
+		return true
+	default:
+		return false
+	}
+}
+
+// admit passes the shard's admission control and hands out a worker pool:
+// an idle one immediately, or one after a bounded wait in the queue. The
+// queue bound is enforced optimistically (increment, test, undo), so a
+// burst at the boundary is rejected conservatively. On success the caller
+// runs its solve on the pool and must hand it back with release exactly
+// once; on failure the rejection is already counted.
+func (s *shard) admit(ctx context.Context) (*parallel.Pool, error) {
+	var pool *parallel.Pool
+	select {
+	case pool = <-s.pools:
 	default:
 		if q := s.queued.Inc(); q > int64(s.cfg.MaxQueue) {
 			s.queued.Dec()
@@ -321,7 +267,7 @@ func (s *Server) admit(ctx context.Context) (release func(), err error) {
 		}
 		waitStart := time.Now()
 		select {
-		case s.slots <- struct{}{}:
+		case pool = <-s.pools:
 			s.queued.Dec()
 			s.waitLat.Observe(time.Since(waitStart))
 		case <-ctx.Done():
@@ -334,45 +280,48 @@ func (s *Server) admit(ctx context.Context) (release func(), err error) {
 			return nil, ErrClosed
 		}
 	}
-	if s.isClosed() {
-		<-s.slots
+	// Close takes every pool back to wait out the running solves; a pool
+	// received after it began must go straight back to it.
+	if isClosed(s.done) {
+		s.pools <- pool
 		s.rejected.Add(1)
 		return nil, ErrClosed
 	}
 	s.inFlight.Inc()
-	return func() {
-		s.inFlight.Dec()
-		<-s.slots
-	}, nil
+	return pool, nil
 }
 
-// submit is the request path: admission, checkout, solve, copy-out,
-// checkin. obs, when non-nil, is an extra per-request trace observer
-// layered onto whichever options the request resolves to.
-func (s *Server) submit(ctx context.Context, p *sea.Problem, opts *sea.Options, into *sea.Solution, obs sea.Trace) (filled bool, err error) {
-	key, err := requestKey(p)
-	if err != nil {
-		return false, err
-	}
-	if s.isClosed() {
-		return false, ErrClosed
-	}
-	s.submitted.Add(1)
+// release hands an admitted request's worker pool back.
+func (s *shard) release(pool *parallel.Pool) {
+	s.inFlight.Dec()
+	s.pools <- pool
+}
 
-	release, err := s.admit(ctx)
-	if err != nil {
-		return false, err
-	}
-	defer release()
-
+// requestContext applies the configured per-request deadline to ctx.
+func (s *shard) requestContext(ctx context.Context) (context.Context, context.CancelFunc) {
 	if s.cfg.RequestTimeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, s.cfg.RequestTimeout)
-		defer cancel()
+		return context.WithTimeout(ctx, s.cfg.RequestTimeout)
 	}
+	return ctx, func() {}
+}
+
+// submit is the request path once the server has keyed and routed p:
+// admission, checkout, solve, copy-out, checkin. obs, when non-nil, is an
+// extra per-request trace observer layered onto whichever options the
+// request resolves to.
+func (s *shard) submit(ctx context.Context, key shapeKey, p *sea.Problem, opts *sea.Options, into *sea.Solution, obs sea.Trace) (filled bool, err error) {
+	s.submitted.Add(1)
+	pool, err := s.admit(ctx)
+	if err != nil {
+		return false, err
+	}
+	// The entry is checked in before this deferred release hands the pool
+	// back, so once close holds every pool each arena is idle.
+	defer s.release(pool)
+	ctx, cancel := s.requestContext(ctx)
+	defer cancel()
 
 	e := s.checkout(key)
-	pool := s.pools.Get()
 	runOpts := &e.opts
 	if opts != nil {
 		o := *opts
@@ -403,7 +352,6 @@ func (s *Server) submit(ctx context.Context, p *sea.Problem, opts *sea.Options, 
 		sol.CopyInto(into)
 		filled = true
 	}
-	s.pools.Put(pool)
 	s.checkin(e)
 
 	if err != nil {
@@ -414,26 +362,17 @@ func (s *Server) submit(ctx context.Context, p *sea.Problem, opts *sea.Options, 
 	return filled, err
 }
 
-// Prewarm provisions the shape pool for p with up to n warmed arenas (n <= 0
-// or n > ArenasPerShape means ArenasPerShape), running one solve per arena so
-// the kernel warm-start state is populated before live traffic arrives. It is
-// the deterministic way to reach the all-hits steady state: concurrent
-// warm-up traffic only grows a pool as far as the scheduler actually
-// overlaps requests. Prewarm solves bypass admission control and are not
-// counted as submissions (the pool's miss counters do record the cold
-// builds). It returns the first solve error, keeping any arenas already
-// warmed.
-func (s *Server) Prewarm(ctx context.Context, p *sea.Problem, n int) error {
-	key, err := requestKey(p)
-	if err != nil {
-		return err
-	}
-	if s.isClosed() {
-		return ErrClosed
-	}
+// prewarm is ShardedServer.Prewarm on the shard that owns key. It holds one
+// worker pool for all n solves.
+func (s *shard) prewarm(ctx context.Context, key shapeKey, p *sea.Problem, n int) error {
 	if n <= 0 || n > s.cfg.ArenasPerShape {
 		n = s.cfg.ArenasPerShape
 	}
+	pool, err := s.admit(ctx)
+	if err != nil {
+		return err
+	}
+	defer s.release(pool)
 	// Hold all n entries before returning any: checkout pops the free-list,
 	// so releasing early would re-warm the same arena n times.
 	entries := make([]*entry, 0, n)
@@ -442,14 +381,11 @@ func (s *Server) Prewarm(ctx context.Context, p *sea.Problem, n int) error {
 			s.checkin(e)
 		}
 	}()
-	for i := 0; i < n; i++ {
+	for range n {
 		e := s.checkout(key)
 		entries = append(entries, e)
-		pool := s.pools.Get()
 		e.opts.Runner = pool
-		_, err := s.solver.Solve(ctx, p, &e.opts)
-		s.pools.Put(pool)
-		if err != nil {
+		if _, err := s.solver.Solve(ctx, p, &e.opts); err != nil {
 			return err
 		}
 	}
@@ -476,38 +412,20 @@ func requestKey(p *sea.Problem) (shapeKey, error) {
 	return key, nil
 }
 
-func (s *Server) isClosed() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.closed
-}
-
-// Close rejects further submissions, waits for in-flight solves to drain,
-// and releases every pooled arena and worker pool. It is idempotent.
-func (s *Server) Close() {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return
+// close drains the shard once the server's done channel is closed: it takes
+// back every worker pool, which waits out the running solves (each checks
+// its arena in before it hands its pool back) and leaves none able to
+// start, then closes the idle arenas, the open sessions and the pools.
+func (s *shard) close() {
+	pools := make([]*parallel.Pool, s.cfg.MaxInFlight)
+	for i := range pools {
+		pools[i] = <-s.pools
 	}
-	s.closed = true
-	s.mu.Unlock()
-	close(s.done) // queued waiters leave without consuming a slot token
-
-	// Hold every in-flight slot: when all MaxInFlight tokens are ours, no
-	// solve is running and none can start (submit re-checks closed after
-	// acquiring). Queued waiters may interleave; they observe closed and
-	// release their token, which we then re-acquire.
-	for i := 0; i < s.cfg.MaxInFlight; i++ {
-		s.slots <- struct{}{}
-	}
-
 	s.mu.Lock()
 	for key, sp := range s.shapes {
 		for _, e := range sp.free {
 			e.arena.Close()
 		}
-		sp.free = nil
 		delete(s.shapes, key)
 	}
 	sessions := make([]*Session, 0, len(s.sessions))
@@ -515,10 +433,12 @@ func (s *Server) Close() {
 		sessions = append(sessions, ses)
 	}
 	s.mu.Unlock()
-	// With every slot held no session solve is in flight, so closing their
+	// With every pool held no session solve is in flight, so closing their
 	// chained arenas here cannot race a solve.
 	for _, ses := range sessions {
 		ses.Close()
 	}
-	s.pools.Close()
+	for _, pool := range pools {
+		pool.Close()
+	}
 }

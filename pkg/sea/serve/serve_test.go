@@ -13,6 +13,12 @@ import (
 	"sea/pkg/sea"
 )
 
+// newServer starts a one-shard server over cfg: with one shard every
+// request meets the same admission control, pools and counters.
+func newServer(cfg Config) (*ShardedServer, error) {
+	return NewSharded(ShardedConfig{Server: cfg})
+}
+
 // testProblem builds a feasible fixed-totals diagonal problem of order m×n
 // wrapped for the facade.
 func testProblem(t testing.TB, m, n int, growth float64, seed uint64) *sea.Problem {
@@ -62,7 +68,7 @@ func checkRowTotals(t *testing.T, p *sea.Problem, sol *sea.Solution) {
 // explicit status, and does not alias pooled arena memory (a second solve
 // on the same shape must not corrupt the first result).
 func TestSubmitSolvesAndDetaches(t *testing.T) {
-	s, err := NewServer(Config{MaxInFlight: 2})
+	s, err := newServer(Config{MaxInFlight: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +112,7 @@ func TestSubmitSolvesAndDetaches(t *testing.T) {
 // `make serve-race`.
 func TestConcurrentMixedShapes(t *testing.T) {
 	testutil.CheckGoroutines(t)
-	s, err := NewServer(Config{MaxInFlight: 4, MaxQueue: 64, Procs: 2})
+	s, err := newServer(Config{MaxInFlight: 4, MaxQueue: 64, Procs: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,7 +184,7 @@ func (w *workSum) ObserveIteration(e sea.TraceEvent) {
 // other solves run beside it, and the server's counters are the sum over
 // requests.
 func TestSubmitTracedCountsOwnWork(t *testing.T) {
-	s, err := NewServer(Config{MaxInFlight: 4, MaxQueue: 64})
+	s, err := newServer(Config{MaxInFlight: 4, MaxQueue: 64})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,7 +238,7 @@ func TestSaturationRejects(t *testing.T) {
 			<-block
 		}),
 	}
-	s, err := NewServer(cfg)
+	s, err := newServer(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -285,7 +291,7 @@ func TestQueuedRequestHonorsContext(t *testing.T) {
 	block := make(chan struct{})
 	var startOnce sync.Once
 	started := make(chan struct{})
-	s, err := NewServer(Config{
+	s, err := newServer(Config{
 		MaxInFlight: 1,
 		MaxQueue:    4,
 		Trace: sea.TraceFunc(func(sea.TraceEvent) {
@@ -330,7 +336,7 @@ func TestRequestTimeoutCancelsSolve(t *testing.T) {
 	o.Epsilon = 1e-300 // unreachable: only the deadline can end the solve
 	o.Criterion = sea.DualGradient
 	o.MaxIterations = 1 << 30
-	s, err := NewServer(Config{MaxInFlight: 1, RequestTimeout: 20 * time.Millisecond, Options: o})
+	s, err := newServer(Config{MaxInFlight: 1, RequestTimeout: 20 * time.Millisecond, Options: o})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -352,7 +358,7 @@ func TestRequestTimeoutCancelsSolve(t *testing.T) {
 // TestSubmitAllMixedOutcomes: a batch mixes valid problems and a structurally
 // invalid one; results are index-aligned with per-item statuses and errors.
 func TestSubmitAllMixedOutcomes(t *testing.T) {
-	s, err := NewServer(Config{MaxInFlight: 2})
+	s, err := newServer(Config{MaxInFlight: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -384,7 +390,7 @@ func TestSubmitAllMixedOutcomes(t *testing.T) {
 // TestShapeEviction: with MaxShapes = 1, a second shape evicts the first
 // pool and its idle arenas; the server keeps serving both shapes correctly.
 func TestShapeEviction(t *testing.T) {
-	s, err := NewServer(Config{MaxInFlight: 1, MaxShapes: 1})
+	s, err := newServer(Config{MaxInFlight: 1, MaxShapes: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -413,7 +419,7 @@ func TestShapeEviction(t *testing.T) {
 // and later submissions fail with ErrClosed.
 func TestCloseRejectsAndDrains(t *testing.T) {
 	testutil.CheckGoroutines(t)
-	s, err := NewServer(Config{MaxInFlight: 2, Procs: 2})
+	s, err := newServer(Config{MaxInFlight: 2, Procs: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -431,7 +437,7 @@ func TestCloseRejectsAndDrains(t *testing.T) {
 // TestPrewarmFillsPool: Prewarm provisions the full per-shape free-list
 // deterministically, so the first real request is already a hit.
 func TestPrewarmFillsPool(t *testing.T) {
-	s, err := NewServer(Config{MaxInFlight: 1, ArenasPerShape: 3})
+	s, err := newServer(Config{MaxInFlight: 1, ArenasPerShape: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -460,9 +466,9 @@ func TestPrewarmFillsPool(t *testing.T) {
 	}
 }
 
-// TestUnknownSolverConfig: NewServer surfaces the facade's typed error.
+// TestUnknownSolverConfig: NewSharded surfaces the facade's typed error.
 func TestUnknownSolverConfig(t *testing.T) {
-	if _, err := NewServer(Config{Solver: "nope"}); !errors.Is(err, sea.ErrUnknownSolver) {
+	if _, err := newServer(Config{Solver: "nope"}); !errors.Is(err, sea.ErrUnknownSolver) {
 		t.Fatalf("err = %v, want sea.ErrUnknownSolver", err)
 	}
 }
@@ -470,7 +476,7 @@ func TestUnknownSolverConfig(t *testing.T) {
 // TestSteadyStateHitAllocations pins the serving promise: once a shape's
 // pool is warm, a SubmitInto request costs at most 2 heap allocations.
 func TestSteadyStateHitAllocations(t *testing.T) {
-	s, err := NewServer(Config{MaxInFlight: 1})
+	s, err := newServer(Config{MaxInFlight: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"time"
 
@@ -23,18 +24,18 @@ type SessionConfig struct {
 }
 
 // Session is a server-hosted temporal sequence: an ordered stream of
-// same-shape problems solved through the server's admission control, chaining
+// same-shape problems solved through one shard's admission control, chaining
 // a dedicated arena (and optionally the previous period's duals) from each
 // period into the next. It is the serving-layer face of sea.Session — same
-// contract, but every Solve competes for the server's in-flight slots and is
-// counted in its Stats.
+// contract, but every Solve competes for the shard's in-flight slots and is
+// counted in the server's Stats.
 //
 // A Session serializes its own solves; concurrent callers queue on the
 // session, not in the server's admission queue. Solutions are detached
 // copies, safe to retain. Close releases the chained state; the owning
 // server's Close also closes any sessions still open.
 type Session struct {
-	srv       *Server
+	srv       *shard
 	warmDuals bool
 
 	mu     chan struct{} // session-serialization token (channel, so Close can't deadlock)
@@ -46,14 +47,11 @@ type Session struct {
 	closed bool
 }
 
-// NewSession opens a sequence session on the server. The session owns a
+// newSession opens a sequence session on the shard. The session owns a
 // dedicated arena outside the shape pools — chained state must survive
 // between periods, which pooled arenas (reused by unrelated requests) cannot
 // guarantee.
-func (s *Server) NewSession(cfg SessionConfig) (*Session, error) {
-	if s.isClosed() {
-		return nil, ErrClosed
-	}
+func (s *shard) newSession(cfg SessionConfig) (*Session, error) {
 	base := s.base
 	if cfg.Options != nil {
 		base = *cfg.Options
@@ -75,7 +73,7 @@ func (s *Server) NewSession(cfg SessionConfig) (*Session, error) {
 	}
 	ses.stats.WarmDuals = cfg.WarmDuals
 	s.mu.Lock()
-	if s.closed {
+	if isClosed(s.done) {
 		s.mu.Unlock()
 		ses.arena.Close()
 		return nil, ErrClosed
@@ -85,9 +83,12 @@ func (s *Server) NewSession(cfg SessionConfig) (*Session, error) {
 	return ses, nil
 }
 
-// Solve runs the next period through the server's admission control. The
-// first period pins the session's shape; mismatched periods are rejected
-// with sea.ErrInvalidProblem. The returned Solution is detached.
+// Solve runs the next period through the shard's admission control. The
+// first valid period pins the session's shape; mismatched periods are
+// rejected with sea.ErrInvalidProblem. A period that fails validation
+// neither pins the shape nor counts as a period, and it reports its own
+// error before a shape mismatch, as sea.Session does. The returned Solution
+// is detached.
 func (ses *Session) Solve(ctx context.Context, p *sea.Problem) (*sea.Solution, error) {
 	if _, err := requestKey(p); err != nil {
 		return nil, err
@@ -103,43 +104,48 @@ func (ses *Session) Solve(ctx context.Context, p *sea.Problem) (*sea.Solution, e
 	}
 	s := ses.srv
 	m, n := p.Size()
-	if ses.stats.Periods == 0 {
-		ses.m, ses.n = m, n
-	} else if m != ses.m || n != ses.n {
+	if ses.stats.Periods > 0 && (m != ses.m || n != ses.n) {
+		if err := p.Validate(); err != nil {
+			return nil, err
+		}
 		return nil, fmt.Errorf("%w: session is pinned to %d×%d problems, got %d×%d (sequences chain shape-specific state; open a new session)",
 			sea.ErrInvalidProblem, ses.m, ses.n, m, n)
 	}
 
-	if s.isClosed() {
+	if isClosed(s.done) {
 		return nil, ErrClosed
 	}
 	s.submitted.Add(1)
-	release, err := s.admit(ctx)
+	pool, err := s.admit(ctx)
 	if err != nil {
 		return nil, err
 	}
-	defer release()
-	if s.cfg.RequestTimeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, s.cfg.RequestTimeout)
-		defer cancel()
-	}
+	defer s.release(pool)
+	ctx, cancel := s.requestContext(ctx)
+	defer cancel()
 
 	o := ses.opts
 	o.Arena = ses.arena
 	if ses.warmDuals && ses.prevMu != nil {
 		o.Mu0 = ses.prevMu
 	}
-	pool := s.pools.Get()
 	o.Runner = pool
 
 	start := time.Now()
 	sol, err := s.solver.Solve(ctx, p, &o)
 	s.solveLat.Observe(time.Since(start))
-	s.pools.Put(pool)
+	if err != nil {
+		s.failed.Add(1)
+	} else {
+		s.completed.Add(1)
+	}
+	if sol == nil && errors.Is(err, sea.ErrInvalidProblem) {
+		return nil, err
+	}
 
+	ses.m, ses.n = m, n
 	ses.stats.Periods++
-	ses.stats.M, ses.stats.N = ses.m, ses.n
+	ses.stats.M, ses.stats.N = m, n
 	if sol != nil {
 		ses.stats.TotalIterations += sol.Iterations
 		if ses.warmDuals && len(sol.Mu) == n {
@@ -147,11 +153,6 @@ func (ses *Session) Solve(ctx context.Context, p *sea.Problem) (*sea.Solution, e
 		}
 		// Detach before the next period reuses the arena's backing arrays.
 		sol = sol.Clone()
-	}
-	if err != nil {
-		s.failed.Add(1)
-	} else {
-		s.completed.Add(1)
 	}
 	return sol, err
 }

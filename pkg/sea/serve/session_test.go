@@ -3,6 +3,7 @@ package serve
 import (
 	"context"
 	"errors"
+	"math"
 	"testing"
 
 	"sea/internal/problems"
@@ -34,7 +35,7 @@ func TestServerSessionWarmDuals(t *testing.T) {
 	base.Epsilon = 1e-9
 	base.MaxIterations = 500000
 
-	s, err := NewServer(Config{MaxInFlight: 2, Options: base})
+	s, err := newServer(Config{MaxInFlight: 2, Options: base})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +86,7 @@ func TestServerSessionDefaultMatchesSubmit(t *testing.T) {
 	base := sea.DefaultOptions()
 	base.Epsilon = 1e-9
 	base.MaxIterations = 500000
-	s, err := NewServer(Config{MaxInFlight: 1, Options: base})
+	s, err := newServer(Config{MaxInFlight: 1, Options: base})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +126,7 @@ func TestServerSessionObjectiveOverride(t *testing.T) {
 	base := sea.DefaultOptions()
 	base.Epsilon = 1e-9
 	base.MaxIterations = 200000
-	s, err := NewServer(Config{MaxInFlight: 1, Options: base})
+	s, err := newServer(Config{MaxInFlight: 1, Options: base})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,7 +157,7 @@ func TestServerSessionObjectiveOverride(t *testing.T) {
 // TestServerSessionLifecycle: shape pinning, ErrSessionClosed after Close,
 // and server Close closing open sessions.
 func TestServerSessionLifecycle(t *testing.T) {
-	s, err := NewServer(Config{MaxInFlight: 1})
+	s, err := newServer(Config{MaxInFlight: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,6 +194,48 @@ func TestServerSessionLifecycle(t *testing.T) {
 	}
 	if _, err := s.NewSession(SessionConfig{}); !errors.Is(err, ErrClosed) {
 		t.Fatalf("NewSession on closed server: err = %v, want ErrClosed", err)
+	}
+}
+
+// TestServerSessionInvalidPeriodNotCounted: as with sea.Session, a period
+// that fails validation neither counts nor pins the session's shape, and an
+// invalid period of the wrong shape reports its own error, not the mismatch.
+func TestServerSessionInvalidPeriodNotCounted(t *testing.T) {
+	s, err := newServer(Config{MaxInFlight: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	ctx := context.Background()
+	ses, err := s.NewSession(SessionConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ses.Close()
+
+	bad := testProblem(t, 6, 5, 1.2, 1)
+	bad.Diagonal.Gamma[5] = math.NaN()
+	want := bad.Validate()
+	if want == nil {
+		t.Fatal("NaN period is valid")
+	}
+	if _, err := ses.Solve(ctx, bad); err == nil || err.Error() != want.Error() {
+		t.Fatalf("invalid period: err = %v, want %v", err, want)
+	}
+	if st := ses.Stats(); st.Periods != 0 {
+		t.Fatalf("invalid period counted: %+v", st)
+	}
+	if _, err := ses.Solve(ctx, testProblem(t, 8, 7, 1.2, 2)); err != nil {
+		t.Fatalf("valid 8×7 period after an invalid 6×5 one: %v", err)
+	}
+	if st := ses.Stats(); st.Periods != 1 || st.M != 8 || st.N != 7 {
+		t.Fatalf("after one valid 8×7 period: %+v", st)
+	}
+	if _, err := ses.Solve(ctx, bad); err == nil || err.Error() != want.Error() {
+		t.Fatalf("invalid period of another shape: err = %v, want %v", err, want)
+	}
+	if st := ses.Stats(); st.Periods != 1 {
+		t.Fatalf("invalid period counted: %+v", st)
 	}
 }
 

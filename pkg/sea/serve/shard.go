@@ -12,11 +12,10 @@ import (
 	"sea/pkg/sea"
 )
 
-// ShardedConfig parameterizes a ShardedServer: N independent inner Servers
-// plus the routing ring and the per-tenant admission gate layered above
-// them.
+// ShardedConfig parameterizes a ShardedServer: N independent shards plus
+// the routing ring and the per-tenant admission gate layered above them.
 type ShardedConfig struct {
-	// Shards is the inner Server count (default 1). Requests are routed by
+	// Shards is the shard count (default 1). Requests are routed by
 	// problem shape with consistent hashing, so every shape lands on one
 	// shard and that shard's arena pools stay hot for it.
 	Shards int
@@ -30,52 +29,53 @@ type ShardedConfig struct {
 	// TenantMaxQueue bounds each tenant's waiting queue (default
 	// TenantMaxInFlight when the gate is enabled).
 	TenantMaxQueue int
-	// Server configures every inner shard (see Config). Each shard gets its
-	// own arena pools, worker pools, and admission control with these
-	// limits, so the process-wide in-flight bound is Shards×MaxInFlight.
+	// Server configures every shard (see Config). Each shard gets its own
+	// arena pools, worker pools, and admission control with these limits,
+	// so the process-wide in-flight bound is Shards×MaxInFlight.
 	Server Config
 }
 
-// ShardedServer consistent-hash routes solve requests by problem shape
-// across N inner Servers. Same-shape requests always land on the same
-// shard, so each shard's LRU arena pools stay warm for its share of the
-// shape space and the shards never contend on one lock or queue. All
-// methods are safe for concurrent use.
+// ShardedServer is the concurrent solve service: it consistent-hash routes
+// solve requests by problem shape across N shards. Same-shape requests
+// always land on the same shard, so each shard's LRU arena pools stay warm
+// for its share of the shape space and the shards never contend on one
+// lock or queue. All methods are safe for concurrent use. See the package
+// documentation for the architecture.
 type ShardedServer struct {
-	cfg    ShardedConfig
-	shards []*Server
+	cfg    ShardedConfig // Server carries its resolved defaults
+	shards []*shard
 	ring   hashRing
 	gate   *tenantGate // nil when tenant quotas are disabled
 	sesSeq atomic.Uint64
 
-	mu     sync.Mutex
-	closed bool
+	done      chan struct{} // closed by Close; unblocks every waiter
+	closeOnce sync.Once
 }
 
-// NewSharded validates cfg and starts its Shards inner Servers.
+// NewSharded validates cfg, resolves the solver name, and starts every
+// shard's worker pools. The returned server must be Closed to release them.
 func NewSharded(cfg ShardedConfig) (*ShardedServer, error) {
 	if cfg.Shards <= 0 {
 		cfg.Shards = 1
+	}
+	cfg.Server = cfg.Server.withDefaults()
+	solver, err := sea.Get(cfg.Server.Solver)
+	if err != nil {
+		return nil, err
 	}
 	s := &ShardedServer{
 		cfg:  cfg,
 		ring: newHashRing(cfg.Shards),
 		gate: newTenantGate(cfg.TenantMaxInFlight, cfg.TenantMaxQueue),
+		done: make(chan struct{}),
 	}
-	for i := 0; i < cfg.Shards; i++ {
-		inner, err := NewServer(cfg.Server)
-		if err != nil {
-			for _, sh := range s.shards {
-				sh.Close()
-			}
-			return nil, fmt.Errorf("serve: shard %d: %w", i, err)
-		}
-		s.shards = append(s.shards, inner)
+	for range cfg.Shards {
+		s.shards = append(s.shards, newShard(cfg.Server, solver, s.done))
 	}
 	return s, nil
 }
 
-// NumShards returns the inner Server count.
+// NumShards returns the shard count.
 func (s *ShardedServer) NumShards() int { return len(s.shards) }
 
 // ShardFor returns the shard index serving problems of the given shape.
@@ -85,85 +85,106 @@ func (s *ShardedServer) ShardFor(m, n int, general bool) int {
 	return s.ring.route(shapeHash(shapeKey{m: m, n: n, general: general}))
 }
 
-// Submit routes the problem to its shape's shard; semantics are those of
-// Server.Submit, behind the per-tenant gate when one is configured.
+// route returns the shard that owns key.
+func (s *ShardedServer) route(key shapeKey) *shard {
+	return s.shards[s.ring.route(shapeHash(key))]
+}
+
+// Submit solves one problem on its shape's shard, returning a detached
+// Solution (no aliasing of pooled memory). opts may be nil, meaning the
+// server's configured options — the recommended, allocation-free-admission
+// path; a non-nil opts is cloned for the request and its Arena/Runner
+// fields are overridden by the server.
+//
+// Submit blocks at the tenant gate, when one is configured, while the
+// request is queued (bounded by MaxQueue) and while it solves; it returns
+// early with sea.ErrSaturated when a queue is full, ErrClosed after Close,
+// or ctx.Err() when the caller's context ends first. On iteration-limit
+// exhaustion the error wraps sea.ErrNotConverged and the returned Solution
+// is the best iterate, per the facade's contract.
 func (s *ShardedServer) Submit(ctx context.Context, p *sea.Problem, opts *sea.Options) (*sea.Solution, error) {
-	var out sea.Solution
-	filled, err := s.submitInto(ctx, p, opts, &out)
-	if !filled {
-		return nil, err
-	}
-	return &out, err
+	return s.SubmitTraced(ctx, p, opts, nil)
 }
 
 // SubmitTraced is Submit with a per-request trace observer layered onto the
-// request's options (see Server.SubmitTraced).
+// request's options: the request solves exactly as a plain Submit with the
+// same opts (nil = the server's template, arena, runner), and obs
+// additionally receives its iteration events. The transport's streamed-trace
+// jobs ride this path. obs is synchronized by the server; a nil obs degrades
+// to Submit.
 func (s *ShardedServer) SubmitTraced(ctx context.Context, p *sea.Problem, opts *sea.Options, obs sea.Trace) (*sea.Solution, error) {
 	var out sea.Solution
-	filled, err := s.submitIntoObserved(ctx, p, opts, &out, obs)
+	filled, err := s.submit(ctx, p, opts, &out, obs)
 	if !filled {
 		return nil, err
 	}
 	return &out, err
 }
 
-// RequestOptions resolves per-request overrides against the shards' shared
-// template (see Server.RequestOptions). Every shard is built from the same
-// Config, so the first shard's template answers for all.
-func (s *ShardedServer) RequestOptions(overrides ...Override) *sea.Options {
-	return s.shards[0].RequestOptions(overrides...)
-}
-
-// NewSession opens a sequence session (see Server.NewSession) on one of the
-// shards, assigned round-robin. A session owns a dedicated arena rather than
-// a pooled one, so shape-affinity routing buys it nothing; round-robin
-// spreads the sessions' admission load evenly instead.
-func (s *ShardedServer) NewSession(cfg SessionConfig) (*Session, error) {
-	if s.isClosed() {
-		return nil, ErrClosed
-	}
-	shard := int(s.sesSeq.Add(1)-1) % len(s.shards)
-	return s.shards[shard].NewSession(cfg)
-}
-
-// SubmitInto routes the problem to its shape's shard; semantics are those
-// of Server.SubmitInto, behind the per-tenant gate when one is configured.
+// SubmitInto is Submit draining the result into caller-owned memory: into's
+// slice capacity is reused when it suffices, so a serving loop that reuses
+// one Solution per worker reaches steady-state hit-path allocations of
+// ~1 alloc per request (the solver's internal options clone). It reports
+// whether into was filled — true whenever a solve produced an iterate, even
+// alongside a non-nil error (non-convergence, cancellation mid-solve).
 func (s *ShardedServer) SubmitInto(ctx context.Context, p *sea.Problem, opts *sea.Options, into *sea.Solution) (bool, error) {
 	if into == nil {
 		return false, fmt.Errorf("serve: SubmitInto requires a non-nil destination")
 	}
-	return s.submitInto(ctx, p, opts, into)
+	return s.submit(ctx, p, opts, into, nil)
 }
 
-func (s *ShardedServer) submitInto(ctx context.Context, p *sea.Problem, opts *sea.Options, into *sea.Solution) (bool, error) {
-	return s.submitIntoObserved(ctx, p, opts, into, nil)
-}
-
-func (s *ShardedServer) submitIntoObserved(ctx context.Context, p *sea.Problem, opts *sea.Options, into *sea.Solution, obs sea.Trace) (bool, error) {
+// submit keys the request, checks the closed flag, passes the tenant gate
+// and hands the request to its shard.
+func (s *ShardedServer) submit(ctx context.Context, p *sea.Problem, opts *sea.Options, into *sea.Solution, obs sea.Trace) (bool, error) {
 	key, err := requestKey(p)
 	if err != nil {
 		return false, err
 	}
-	if s.isClosed() {
+	if isClosed(s.done) {
 		return false, ErrClosed
 	}
 	if s.gate != nil {
 		tenant := TenantFromContext(ctx)
-		if err := s.gate.acquire(ctx, tenant, s.shards[0].done); err != nil {
+		if err := s.gate.acquire(ctx, tenant, s.done); err != nil {
 			return false, err
 		}
 		defer s.gate.release(tenant)
 	}
-	shard := s.shards[s.ring.route(shapeHash(key))]
-	return shard.submit(ctx, p, opts, into, obs)
+	return s.route(key).submit(ctx, key, p, opts, into, obs)
 }
 
-// SubmitAll fans a batch out across the shards with at most
-// Shards×MaxInFlight submitting goroutines; results are index-aligned and
-// individually routed, admitted, and failed, exactly as Server.SubmitAll.
+// RequestOptions resolves per-request overrides into the opts argument of
+// the Submit variants: it returns nil when every override matches the
+// server's configured template (the zero-overhead path — the request solves
+// on the prebuilt per-arena options), and otherwise a detached clone of the
+// template with the overridden fields replaced. The returned options are
+// the caller's to further adjust before submitting.
+func (s *ShardedServer) RequestOptions(overrides ...Override) *sea.Options {
+	// Every shard is built from the same Config, so the first shard's
+	// template answers for all.
+	return s.shards[0].requestOptions(overrides)
+}
+
+// NewSession opens a sequence session (see Session) on one of the shards,
+// assigned round-robin. A session owns a dedicated arena rather than a
+// pooled one, so shape-affinity routing buys it nothing; round-robin
+// spreads the sessions' admission load evenly instead.
+func (s *ShardedServer) NewSession(cfg SessionConfig) (*Session, error) {
+	if isClosed(s.done) {
+		return nil, ErrClosed
+	}
+	shard := int(s.sesSeq.Add(1)-1) % len(s.shards)
+	return s.shards[shard].newSession(cfg)
+}
+
+// SubmitAll solves a batch, fanning the problems out across the shards with
+// at most Shards×MaxInFlight submitting goroutines, and returns one Result
+// per problem, index-aligned. Individual problems are routed, admitted, and
+// failed independently; the batch itself never fails.
 func (s *ShardedServer) SubmitAll(ctx context.Context, problems []*sea.Problem, opts *sea.Options) []Result {
 	results := make([]Result, len(problems))
-	gate := make(chan struct{}, len(s.shards)*s.shards[0].cfg.MaxInFlight)
+	gate := make(chan struct{}, len(s.shards)*s.cfg.Server.MaxInFlight)
 	var wg sync.WaitGroup
 	for i, p := range problems {
 		gate <- struct{}{}
@@ -178,16 +199,26 @@ func (s *ShardedServer) SubmitAll(ctx context.Context, problems []*sea.Problem, 
 	return results
 }
 
-// Prewarm provisions the owning shard's pool for p (see Server.Prewarm).
+// Prewarm provisions the shape pool for p, on its shard, with up to n
+// warmed arenas (n <= 0 or n > ArenasPerShape means ArenasPerShape),
+// running one solve per arena so the kernel warm-start state is populated
+// before live traffic arrives. It is the deterministic way to reach the
+// all-hits steady state: concurrent warm-up traffic only grows a pool as
+// far as the scheduler actually overlaps requests. Prewarm takes an
+// in-flight slot through the shard's admission control, like a request,
+// and holds it for all n solves; it is not counted as a submission (the
+// pool's miss counters do record the cold builds) and bypasses the tenant
+// gate. It returns the first solve error, keeping any arenas already
+// warmed.
 func (s *ShardedServer) Prewarm(ctx context.Context, p *sea.Problem, n int) error {
 	key, err := requestKey(p)
 	if err != nil {
 		return err
 	}
-	if s.isClosed() {
+	if isClosed(s.done) {
 		return ErrClosed
 	}
-	return s.shards[s.ring.route(shapeHash(key))].Prewarm(ctx, p, n)
+	return s.route(key).prewarm(ctx, key, p, n)
 }
 
 // Stats returns the shard-merged snapshot: counters and latency aggregates
@@ -196,7 +227,7 @@ func (s *ShardedServer) Prewarm(ctx context.Context, p *sea.Problem, n int) erro
 func (s *ShardedServer) Stats() Stats {
 	var merged Stats
 	for i, sh := range s.shards {
-		st := sh.Stats()
+		st := sh.stats()
 		if i == 0 {
 			merged = st
 			continue
@@ -225,31 +256,22 @@ func (s *ShardedServer) Stats() Stats {
 func (s *ShardedServer) ShardStats() []Stats {
 	out := make([]Stats, len(s.shards))
 	for i, sh := range s.shards {
-		out[i] = sh.Stats()
+		out[i] = sh.stats()
 	}
 	return out
 }
 
-func (s *ShardedServer) isClosed() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.closed
-}
-
-// Close closes every shard (draining their in-flight solves) and is
-// idempotent. Requests waiting at the tenant gate leave with ErrClosed once
-// the first shard's done channel closes.
+// Close rejects further submissions, waits for every shard's in-flight
+// solves to drain, and releases every pooled arena, open session and
+// worker pool. Requests waiting in a queue or at the tenant gate leave with
+// ErrClosed. It is idempotent.
 func (s *ShardedServer) Close() {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return
-	}
-	s.closed = true
-	s.mu.Unlock()
-	for _, sh := range s.shards {
-		sh.Close()
-	}
+	s.closeOnce.Do(func() {
+		close(s.done)
+		for _, sh := range s.shards {
+			sh.close()
+		}
+	})
 }
 
 // shapeHash hashes a shape-pool key onto the ring's key space: 64-bit

@@ -72,9 +72,9 @@ func (s Stats) String() string {
 	return b.String()
 }
 
-// Stats returns a consistent snapshot of the server's counters, gauges,
+// stats returns a consistent snapshot of the shard's counters, gauges,
 // latency aggregates, and per-shape pool state.
-func (s *Server) Stats() Stats {
+func (s *shard) stats() Stats {
 	st := Stats{
 		Submitted:    s.submitted.Load(),
 		Completed:    s.completed.Load(),

@@ -43,7 +43,7 @@ func testCSRProblem(t testing.TB, m, n, band int) *sea.Problem {
 // (m·n vs nnz), so sharing a pool would hand a CSR solve a dense-sized arena
 // and vice versa. Two CSR problems with different nnz must split too.
 func TestShapePoolsKeyOnStorage(t *testing.T) {
-	s, err := NewServer(Config{MaxInFlight: 2})
+	s, err := newServer(Config{MaxInFlight: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

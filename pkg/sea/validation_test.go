@@ -78,7 +78,7 @@ func invalidCases() map[string]*sea.DiagonalProblem {
 // or leaves the values to the solver.
 func TestValidationParityAcrossEntries(t *testing.T) {
 	ctx := context.Background()
-	srv, err := serve.NewServer(serve.Config{})
+	srv, err := serve.NewSharded(serve.ShardedConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
