@@ -275,6 +275,8 @@ func benchKernel(b *testing.B, bisect bool) {
 }
 
 // kernelProblem is the 1000-variable subproblem of the kernel benchmarks.
+// Its coefficients are all positive and its target above their sum, so no
+// cell clamps at 0.
 func kernelProblem() *equilibrate.Problem {
 	rng := rand.New(rand.NewPCG(99, 100))
 	n := 1000
@@ -286,6 +288,19 @@ func kernelProblem() *equilibrate.Problem {
 		sum += p.C[j]
 	}
 	p.R = sum * 1.5
+	return p
+}
+
+// kernelProblemClamped is kernelProblem with coefficients centred on 0 and
+// the target their positive part's sum, so the root sits near 0 and about
+// half the cells clamp there: the primal recovery's masked loop.
+func kernelProblemClamped() *equilibrate.Problem {
+	p := kernelProblem()
+	p.R = 0
+	for j := range p.C {
+		p.C[j] -= 500
+		p.R += max(p.C[j], 0)
+	}
 	return p
 }
 
@@ -303,12 +318,16 @@ func solveKernel(batch *equilibrate.Batch, p *equilibrate.Problem, x []float64, 
 // slightly (the steady state of the dual ascent) with and without a
 // persistent State. Both variants pay the same perturbation cost, so the
 // delta is the sort-and-sweep saving alone.
-func BenchmarkKernelColdResolve(b *testing.B) { benchKernelResolve(b, false) }
-func BenchmarkKernelWarmResolve(b *testing.B) { benchKernelResolve(b, true) }
+// The Clamped variant leaves about half the cells at 0, so the pair times
+// both primal recovery loops.
+func BenchmarkKernelColdResolve(b *testing.B) { benchKernelResolve(b, kernelProblem(), false) }
+func BenchmarkKernelWarmResolve(b *testing.B) { benchKernelResolve(b, kernelProblem(), true) }
+func BenchmarkKernelWarmResolveClamped(b *testing.B) {
+	benchKernelResolve(b, kernelProblemClamped(), true)
+}
 
-func benchKernelResolve(b *testing.B, warm bool) {
+func benchKernelResolve(b *testing.B, p *equilibrate.Problem, warm bool) {
 	b.Helper()
-	p := kernelProblem()
 	n := len(p.C)
 	batch := equilibrate.NewBatch(0)
 	x := make([]float64, n)

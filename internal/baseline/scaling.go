@@ -249,7 +249,8 @@ func solveDual(ctx context.Context, p *core.DiagonalProblem, sys *scale.System, 
 	case res.Converged:
 		return sol, nil
 	case math.IsNaN(res.Residual):
-		return sol, fmt.Errorf("%w: %s diverged after %d sweeps", core.ErrNotConverged, label, res.Iterations)
+		sol.Status = core.StatusDiverged
+		return sol, fmt.Errorf("%w: %s %w after %d sweeps", core.ErrNotConverged, label, core.ErrDiverged, res.Iterations)
 	}
 	return sol, fmt.Errorf("%w: %s after %d sweeps (residual %g)", core.ErrNotConverged, label, res.Iterations, res.Residual)
 }

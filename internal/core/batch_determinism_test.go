@@ -158,6 +158,102 @@ func TestBatchedLongSolveWarmOnset(t *testing.T) {
 	sameSolution(t, "batched-onset", sol, ref)
 }
 
+// TestWarmOnsetReplaysFromIteration4: without an arena, a cold solve fills
+// its warm-start slot at iteration warmOnset+1 = 3 and replays it from
+// iteration 4 — no State takes a fast sort before then, and some do in
+// iteration 4.
+func TestWarmOnsetReplaysFromIteration4(t *testing.T) {
+	if warmOnset+2 != 4 {
+		t.Fatalf("warmOnset = %d: warm replays begin at iteration %d, want 4", warmOnset, warmOnset+2)
+	}
+	o := DefaultOptions()
+	o.Criterion = MaxAbsDelta
+	o.Epsilon = 1e-11
+	o.MaxIterations = 5000
+	o = o.WithDefaults()
+	var st *diagState
+	fast := func() (n int64) {
+		for _, sd := range []*side{&st.rows, &st.cols} {
+			for _, sts := range sd.slots {
+				for i := range sts {
+					n += sts[i].FastSorts
+				}
+			}
+		}
+		return n
+	}
+	perIter := map[int]int64{}
+	var seen int64
+	o.Trace = trace.Func(func(ev trace.Event) {
+		n := fast()
+		perIter[ev.Iteration] = n - seen
+		seen = n
+	})
+	st = newDiagState(context.Background(), onsetProblem(t), o)
+	defer st.close()
+	if err := st.run(); err != nil {
+		t.Fatal(err)
+	}
+	if st.iterations < 4 {
+		t.Fatalf("converged in %d iterations; the test needs at least 4", st.iterations)
+	}
+	for it := 1; it <= 3; it++ {
+		if perIter[it] != 0 {
+			t.Errorf("iteration %d: %d warm replays before the onset", it, perIter[it])
+		}
+	}
+	if perIter[4] == 0 {
+		t.Errorf("iteration 4 took no warm replay")
+	}
+}
+
+// TestTwoIterationColdSolveAllocatesNoStates: a cold dense solve that
+// converges in 2 iterations — within warmOnset — never engages the kernel
+// warm-start States, so it allocates exactly what a solve with warm starts
+// turned off allocates.
+func TestTwoIterationColdSolveAllocatesNoStates(t *testing.T) {
+	t.Cleanup(func() { disableWarmStart = false })
+	// Table 1's doubling instance: totals twice the prior's, γ = 1/x⁰.
+	const n = 60
+	rng := rand.New(rand.NewPCG(5, 1))
+	x0, gamma := make([]float64, n*n), make([]float64, n*n)
+	s0, d0 := make([]float64, n), make([]float64, n)
+	for k := range x0 {
+		x0[k] = 0.1 + rng.Float64()*9999.9
+		gamma[k] = 1 / x0[k]
+		s0[k/n] += 2 * x0[k]
+		d0[k%n] += 2 * x0[k]
+	}
+	p, err := NewFixed(n, n, x0, gamma, s0, d0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	o := DefaultOptions()
+	o.Criterion = MaxAbsDelta
+	o.Epsilon = 0.01
+	sol, err := SolveDiagonal(context.Background(), p, o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sol.Iterations != 2 {
+		t.Fatalf("converged in %d iterations, want 2", sol.Iterations)
+	}
+	allocs := func() float64 {
+		return testing.AllocsPerRun(5, func() {
+			if _, err := SolveDiagonal(context.Background(), p, o); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	allocs() // the first runs still fill lazily built buffers
+	warm := allocs()
+	disableWarmStart = true
+	off := allocs()
+	if warm != off {
+		t.Fatalf("2-iteration cold solve allocates %.0f/op, %.0f/op with warm starts off: it must not engage the warm-start States", warm, off)
+	}
+}
+
 // TestBatchedArenaWarmBitExact runs back-to-back arena solves — the second
 // replays per-iteration warm slots through the batch — against budget-1
 // arena solves of the same sequence.

@@ -596,17 +596,17 @@ func (st *diagState) beginIteration(solver string) {
 // iterations early in a solve reorder wildly. Iterations past the cap share
 // the last slot (consecutive-iteration mode), which works near convergence
 // where the duals drift slowly. Without an arena nothing survives the
-// solve, so a single consecutive-iteration slot engages only once the solve
-// is old enough (past warmOnset) for the duals to have settled; short
-// solves skip the machinery — and its allocations — entirely. The onset is
-// deliberately high: a solve converging in a handful of iterations would
-// pay the per-subproblem State allocations and mostly-failing replays for
-// at most one or two iterations of benefit, while long dual-descent runs
-// (hundreds of iterations, e.g. the SPE instances) amortize them many
-// times over.
+// solve, so a single consecutive-iteration slot engages once the solve is
+// past warmOnset iterations: it fills at iteration warmOnset+1 and replays
+// from warmOnset+2. Solves that converge within warmOnset iterations (the
+// two-iteration fixed-totals solves) skip the machinery — and its
+// allocations — entirely. A lower onset costs more than it saves: at onset
+// 1 a two-iteration solve allocates the States for one replay it never
+// runs, and at onset 0 the second iteration replays the first, whose order
+// the duals have not settled into yet.
 const (
 	maxWarmSlots = 4
-	warmOnset    = 8
+	warmOnset    = 2
 )
 
 // statesFor returns the warm-start state array of sd for the current

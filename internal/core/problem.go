@@ -119,6 +119,10 @@ var (
 	// before the convergence criterion is met. The accompanying Solution is
 	// still the best iterate found.
 	ErrNotConverged = errors.New("core: not converged within iteration limit")
+	// ErrDiverged is returned (wrapped, together with ErrNotConverged) when
+	// a solve stops because its iterates diverged — the residual became
+	// NaN — rather than because it hit the iteration limit.
+	ErrDiverged = errors.New("diverged")
 	// ErrInfeasible is returned when the constraint set is empty, e.g.
 	// fixed totals with Σs⁰ ≠ Σd⁰ or a row whose upper bounds sum below
 	// its total. It is the equilibration kernel's own sentinel, so an

@@ -21,6 +21,11 @@ const (
 	// solve ran (admission control; the error wraps the facade's
 	// ErrSaturated). No solver sets this — only pkg/sea/serve.
 	StatusSaturated
+	// StatusDiverged: the iterates left the finite range before the
+	// criterion was met (a dual-scaling solve on an infeasible box), so the
+	// solve stopped early; the Solution is the last iterate (the error
+	// wraps ErrDiverged and ErrNotConverged).
+	StatusDiverged
 )
 
 func (s Status) String() string {
@@ -33,6 +38,8 @@ func (s Status) String() string {
 		return "cancelled"
 	case StatusSaturated:
 		return "saturated"
+	case StatusDiverged:
+		return "diverged"
 	default:
 		return "unknown"
 	}

@@ -385,7 +385,8 @@ func TestCSRSteadyStateAllocs(t *testing.T) {
 }
 
 // TestCSRColdWarmOnsetAllocsFlat: a cold, arena-less CSR solve that runs past
-// warmOnset engages the kernel warm-start states mid-solve; their
+// warmOnset engages the kernel warm-start states mid-solve — it fills them
+// at iteration warmOnset+1 = 3 and replays them from iteration 4; their
 // permutation buffers come from one slab per phase, split at the RowPtr/CSC
 // offsets, so the solve's allocation count must not grow with the number of
 // rows and columns.
@@ -414,7 +415,7 @@ func TestCSRColdWarmOnsetAllocsFlat(t *testing.T) {
 			t.Fatal(err)
 		}
 		if sol.Iterations <= warmOnset+1 {
-			t.Fatalf("m=%d converged in %d iterations; the test needs > %d to engage warm starts", m, sol.Iterations, warmOnset+1)
+			t.Fatalf("m=%d converged in %d iterations; the test needs > %d (warmOnset+1, the iteration that fills the warm states) to replay them", m, sol.Iterations, warmOnset+1)
 		}
 		return testing.AllocsPerRun(3, func() {
 			if _, err := SolveDiagonal(context.Background(), p, o); err != nil {

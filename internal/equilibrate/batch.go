@@ -16,13 +16,14 @@ import (
 // (Problem.Other), so no coefficient array is materialized, and a warm
 // segment — one whose State carries a valid permutation — builds its
 // unbounded terms in the previous solve's sorted order, writing every key
-// into its slot of the canonical array as well as into the build-order
-// array. Solve then runs:
+// into its slot of the canonical array only, and checks as it goes whether
+// the slot came out in order. Solve then runs:
 //
 //  1. warm repairs: the budgeted insertion pass over each warm slot, which
-//     Add already filled in the previous order. A repair that outruns the
-//     budget abandons the slot, and the segment sorts cold from its
-//     untouched build-order keys;
+//     Add already filled in the previous order, skipped for a slot Add
+//     found in order. A repair that outruns the budget abandons the slot,
+//     and the segment sorts cold from its build-order keys — untouched for
+//     a bounded segment, rebuilt from its events for an unbounded one;
 //  2. cold segments sorted by size: short ones by straight insertion in
 //     their slot, long ones by their own radix, and the rest by one fused
 //     stable LSD radix over their *concatenated* keys, followed by a single
@@ -41,8 +42,8 @@ import (
 //     per-segment (position, build index) order, which IS the canonical
 //     order each slot needs;
 //  3. per segment, in add order: the State's permutation refreshed (skipped
-//     after a warm repair that moved no key, since the slot already is that
-//     permutation), then the sweep and primal recovery.
+//     for a warm slot that was already in order, since the slot already is
+//     that permutation), then the sweep and primal recovery.
 //
 // Because the canonical sorted key array of each segment is unique (strict
 // total order) and every stage after the sort runs the same code on
@@ -62,7 +63,7 @@ import (
 type Batch struct {
 	segs   []batchSeg
 	events []event     // concatenated, in add order
-	keys   []sortx.Key // build order, Idx global into events; clobbered by Solve
+	keys   []sortx.Key // build order, Idx global into events (not written for warm unbounded segments); clobbered by Solve
 	sorted []sortx.Key // canonical order, per-segment slots; warm slots filled by Add
 	alt    []sortx.Key // radix ping-pong / cold-key gather
 	alt2   []sortx.Key // second ping-pong buffer when warm slots force a gather
@@ -91,7 +92,7 @@ type batchSeg struct {
 	hi    uint64 // maximum key Bits of the segment
 	lb    float64
 	done  bool      // solved at Add time (empty or slack-interval subproblem)
-	kept  bool      // warm repair moved no key: the State already holds the slot's order
+	kept  bool      // warm slot already in order (checked by the unbounded build, or the repair moved no key): the State holds it
 	route sortRoute // how Solve sorted the segment
 	res   Result
 }
@@ -208,8 +209,8 @@ func (b *Batch) add(p *Problem, x []float64, st *State) error {
 		ev, keys := b.events[off:], b.keys[off:]
 		if warm && st.nev == n {
 			slot := b.slots(off + n)[off:]
-			if p.buildUnboundedPerm(ev, keys, slot, st.perm, int32(off)) {
-				seg.route = routeWarm
+			if ok, sorted := p.buildUnboundedPerm(ev, slot, st.perm, int32(off)); ok {
+				seg.route, seg.kept = routeWarm, sorted
 			} else {
 				// Rebuild in build order to name the first bad term.
 				err = p.buildUnbounded(ev, keys, int32(off))
@@ -348,9 +349,10 @@ func (b *Batch) Solve() (int, error) {
 	keys := b.keys
 
 	// Stage 1: repair the warm slots Add filled in each State's previous
-	// order, with the states' counter and cooldown bookkeeping. A repair
-	// that outruns the budget abandons the slot, sorts cold from the
-	// pristine build order, and backs off before trying again.
+	// order — all but those Add found in order — with the states' counter
+	// and cooldown bookkeeping. A repair that outruns the budget abandons
+	// the slot, sorts cold from the build order, and backs off before
+	// trying again.
 	cold := total
 	for i := range b.segs {
 		seg := &b.segs[i]
@@ -359,16 +361,24 @@ func (b *Batch) Solve() (int, error) {
 		}
 		st := seg.st
 		if seg.route == routeWarm {
-			ok, moved := sortx.InsertionBudgetKeys(b.sorted[seg.off : seg.off+seg.nev])
+			ok := seg.kept
+			if !ok {
+				var moved bool
+				ok, moved = sortx.InsertionBudgetKeys(b.sorted[seg.off : seg.off+seg.nev])
+				seg.kept = !moved
+			}
 			if ok {
 				st.FastSorts++
-				seg.kept = !moved
 				cold -= int(seg.nev)
 				continue
 			}
 			st.FullSorts++
 			st.cool = replayCooldown
 			seg.route = routeNone
+			if seg.bnd == nil {
+				// The warm unbounded build wrote no build-order keys.
+				buildKeys(keys[seg.off:seg.off+seg.nev], b.events[seg.off:seg.off+seg.nev], seg.off)
+			}
 			b.span(seg)
 			continue
 		}
@@ -495,7 +505,7 @@ func (b *Batch) Solve() (int, error) {
 		}
 		var tot float64
 		if seg.bnd == nil {
-			tot = recoverUnbounded(seg.x, b.events[seg.off:int(seg.off)+m], lambda)
+			tot = recoverUnbounded(seg.x, b.events[seg.off:int(seg.off)+m], lambda, extra < int64(m))
 		} else {
 			tot = seg.bnd.recoverPrimal(seg.x, lambda)
 		}

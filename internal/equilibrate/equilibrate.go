@@ -192,12 +192,25 @@ func (p *Problem) recoverPrimal(x []float64, lambda float64) float64 {
 }
 
 // recoverUnbounded writes the optimal block of an unbounded subproblem at
-// lambda into x and returns its total, branch-free. ev holds the block's
-// activation events in build order, one per variable, whose dc and da are
-// exactly c_j and a_j.
-func recoverUnbounded(x []float64, ev []event, lambda float64) float64 {
+// lambda into x and returns its total. ev holds the block's activation
+// events in build order, one per variable, whose dc and da are exactly c_j
+// and a_j. clamps reports whether the root lies left of some breakpoint, so
+// that some cells clamp at 0. Which ones follows no pattern a branch
+// predictor learns, so then the loop selects each value through a mask.
+// With no cell clamping, the plain loop's branch is never taken and that
+// loop is the faster one (6% of sparse-iter's p50; docs/PERFORMANCE.md).
+// Both loops give the same bits, −0 and NaN included.
+func recoverUnbounded(x []float64, ev []event, lambda float64, clamps bool) float64 {
 	var total float64
 	ev = ev[:len(x)]
+	if clamps {
+		for j, e := range ev {
+			v := clampZero(e.dc + e.da*lambda)
+			x[j] = v
+			total += v
+		}
+		return total
+	}
 	for j, e := range ev {
 		v := e.dc + e.da*lambda
 		if v < 0 {
@@ -207,6 +220,16 @@ func recoverUnbounded(x []float64, ev []event, lambda float64) float64 {
 		total += v
 	}
 	return total
+}
+
+// clampZero returns v, or +0 where v < 0 — the plain loop's clamp bit for
+// bit, −0 and NaN kept — selecting through a mask instead of a branch.
+func clampZero(v float64) float64 {
+	var keep uint64
+	if !(v < 0) {
+		keep = ^uint64(0)
+	}
+	return math.Float64frombits(math.Float64bits(v) & keep)
 }
 
 // emptyRoot solves the n = 0 subproblem: only the elastic term remains.
@@ -323,23 +346,31 @@ func (p *Problem) buildUnbounded(ev []event, keys []sortx.Key, base int32) error
 
 // buildUnboundedPerm is buildUnbounded for a warm start: it walks the terms
 // in perm order (the previous solve's sorted build indices) and writes each
-// key both into keys at its build index and into slot at its position in
-// perm, so the slot starts in the previous order with no separate gather
-// pass. Events and keys end up exactly as buildUnbounded writes them. It
-// returns false on a rejected term — possibly not the first in build
-// order, so the caller rebuilds with buildUnbounded to report it.
-func (p *Problem) buildUnboundedPerm(ev []event, keys, slot []sortx.Key, perm []int32, base int32) bool {
+// key into slot at its position in perm, so the slot starts in the previous
+// order with no separate gather pass. Events end up exactly as
+// buildUnbounded writes them; the build-order keys are not written (a
+// replay that needs them rebuilds them from the events, buildKeys). ok is
+// false on a rejected term — possibly not the first in build order, so the
+// caller rebuilds with buildUnbounded to report it. sorted reports whether
+// the slot came out in strictly increasing key order, that is, already
+// canonical: the replay then needs no repair pass.
+func (p *Problem) buildUnboundedPerm(ev []event, slot []sortx.Key, perm []int32, base int32) (ok, sorted bool) {
 	n := len(ev)
-	cs, as, keys, slot, perm := p.C[:n], p.A[:n], keys[:n], slot[:n], perm[:n]
+	cs, as, slot, perm := p.C[:n], p.A[:n], slot[:n], perm[:n]
+	// Build indices are non-negative, so this key precedes every real one.
+	prev := sortx.Key{Idx: -1}
+	sorted = true
 	switch o := p.Other; {
 	case o == nil:
 		for k, j := range perm {
 			e, bits, ok := activation(cs[j], as[j])
 			if !ok {
-				return false
+				return false, false
 			}
 			key := sortx.Key{Bits: bits, Idx: base + j}
-			ev[j], keys[j], slot[k] = e, key, key
+			ev[j], slot[k] = e, key
+			sorted = sorted && sortx.KeyLess(prev, key)
+			prev = key
 		}
 	case p.Idx == nil:
 		o = o[:n]
@@ -347,10 +378,12 @@ func (p *Problem) buildUnboundedPerm(ev []event, keys, slot []sortx.Key, perm []
 			a := as[j]
 			e, bits, ok := activation(cs[j]+a*o[j], a)
 			if !ok {
-				return false
+				return false, false
 			}
 			key := sortx.Key{Bits: bits, Idx: base + j}
-			ev[j], keys[j], slot[k] = e, key, key
+			ev[j], slot[k] = e, key
+			sorted = sorted && sortx.KeyLess(prev, key)
+			prev = key
 		}
 	default:
 		ix := p.Idx[:n]
@@ -358,13 +391,25 @@ func (p *Problem) buildUnboundedPerm(ev []event, keys, slot []sortx.Key, perm []
 			a := as[j]
 			e, bits, ok := activation(cs[j]+a*o[ix[j]], a)
 			if !ok {
-				return false
+				return false, false
 			}
 			key := sortx.Key{Bits: bits, Idx: base + j}
-			ev[j], keys[j], slot[k] = e, key, key
+			ev[j], slot[k] = e, key
+			sorted = sorted && sortx.KeyLess(prev, key)
+			prev = key
 		}
 	}
-	return true
+	return true, sorted
+}
+
+// buildKeys writes the build-order keys of an unbounded segment's events,
+// with key Idx base+j: the keys buildUnbounded writes, since each event's
+// pos is its breakpoint with −0 already normalized.
+func buildKeys(keys []sortx.Key, ev []event, base int32) {
+	keys = keys[:len(ev)]
+	for j, e := range ev {
+		keys[j] = sortx.Key{Bits: sortx.FloatBits(e.pos), Idx: base + int32(j)}
+	}
 }
 
 // appendBounded appends the events and keys of a bounded p onto ev and

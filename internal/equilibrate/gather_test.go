@@ -133,7 +133,9 @@ func sameResult(t *testing.T, what string, got, want Result, xGot, xWant []float
 // routes, and the top-bits repair's fallback on the outlier shape), bounded
 // and unbounded, with no, dense and indexed gathers, and a drift of the
 // shared multipliers between the solves that ranges from none to large
-// enough to bust the warm repair's budget. Every result — λ, x, Total and
+// enough to bust the warm repair's budget — after which an unbounded
+// segment, whose warm build wrote no build-order keys, sorts from keys
+// rebuilt from its events. Every result — λ, x, Total and
 // Ops — must be bit-identical to a fresh cold batch that holds the
 // subproblem alone, with its coefficients materialized, sorted by plain
 // insertion.
@@ -143,6 +145,10 @@ func FuzzBatchWarm(f *testing.F) {
 	f.Add(uint64(3), []byte{90, 90, 90, 250}, 50.0)
 	f.Add(uint64(4), []byte{199, 40}, 1e-3)
 	f.Add(uint64(5), []byte{10, 20, 70, 180}, 100.0)
+	// Drifts that bust the replay budget of unbounded segments on the
+	// insertion route (n = 21) and on the own and fused top-bits routes.
+	f.Add(uint64(7), []byte{20, 22, 23, 140, 60}, 1e4)
+	f.Add(uint64(8), []byte{21, 23, 199, 150, 100}, 1e3)
 	f.Fuzz(func(t *testing.T, seed uint64, sizes []byte, drift float64) {
 		if len(sizes) == 0 || len(sizes) > 8 || math.IsNaN(drift) || math.Abs(drift) > 1e6 {
 			return

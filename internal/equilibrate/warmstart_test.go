@@ -1,9 +1,13 @@
 package equilibrate
 
 import (
+	"fmt"
 	"math"
 	"math/rand/v2"
+	"slices"
 	"testing"
+
+	"sea/internal/sortx"
 )
 
 // warmCase is one randomized subproblem family for the warm-start property
@@ -201,6 +205,130 @@ func TestStateShapeChange(t *testing.T) {
 		for j := range xWarm {
 			if xWarm[j] != xCold[j] {
 				t.Fatalf("n=%d: x[%d] differs", n, j)
+			}
+		}
+	}
+}
+
+// TestWarmInOrderReplaySkipsRepair: an unbounded replay whose keys come out
+// of the build already in order is settled at Add — it skips the repair
+// pass, counts as a fast sort, and leaves State.perm as it was — and still
+// matches plain insertion bit for bit.
+func TestWarmInOrderReplaySkipsRepair(t *testing.T) {
+	for _, n := range []int{12, 60, 300} { // sizes of the insertion, fused and own-radix routes
+		rng := rand.New(rand.NewPCG(13, uint64(n)))
+		p := buildProblem(rng, warmCase{n: n})
+		st := &State{}
+		b := NewBatch(0)
+		x := make([]float64, n)
+		if _, err := solveOne(b, fixed(p, x, st)); err != nil {
+			t.Fatal(err)
+		}
+		perm := slices.Clone(st.perm)
+		base := &st.perm[0]
+		fast, full := st.FastSorts, st.FullSorts
+		// The same breakpoints with a new target replay in order.
+		p.R = feasibleTarget(rng, p)
+		b.Reset()
+		if err := b.Add(p, x, st); err != nil {
+			t.Fatal(err)
+		}
+		if seg := &b.segs[0]; seg.route != routeWarm || !seg.kept {
+			t.Fatalf("n=%d: route %d kept %v after Add, want a warm slot found in order", n, seg.route, seg.kept)
+		}
+		if _, err := b.Solve(); err != nil {
+			t.Fatal(err)
+		}
+		if st.FastSorts != fast+1 || st.FullSorts != full {
+			t.Errorf("n=%d: FastSorts %d→%d FullSorts %d→%d, want one fast sort", n, fast, st.FastSorts, full, st.FullSorts)
+		}
+		if &st.perm[0] != base || !slices.Equal(st.perm, perm) {
+			t.Errorf("n=%d: an in-order replay rewrote State.perm", n)
+		}
+		xRef := make([]float64, n)
+		want, err := solveInsertion(fixed(p, xRef, nil))
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameResult(t, fmt.Sprintf("n=%d", n), b.Result(0), want, x, xRef)
+	}
+}
+
+// TestWarmReplayOverBudgetRebuildsKeys: the warm unbounded build writes no
+// build-order keys, so a replay that runs over the repair budget sorts
+// cold from keys rebuilt from its events. The stale keys are poisoned
+// before Solve; the result must still match plain insertion bit for bit,
+// on every cold route.
+func TestWarmReplayOverBudgetRebuildsKeys(t *testing.T) {
+	for _, n := range []int{12, 60, 300} { // insertion, fused and own-radix routes
+		rng := rand.New(rand.NewPCG(17, uint64(n)))
+		p := buildProblem(rng, warmCase{n: n})
+		st := &State{}
+		b := NewBatch(0)
+		x := make([]float64, n)
+		if _, err := solveOne(b, fixed(p, x, st)); err != nil {
+			t.Fatal(err)
+		}
+		// Reverse the cached order: n(n−1)/2 inversions against the 4n
+		// budget. Term perm[k] gets breakpoint −k.
+		for k, j := range st.perm {
+			p.C[j] = float64(k) * p.A[j]
+		}
+		p.R = feasibleTarget(rng, p)
+		full := st.FullSorts
+		b.Reset()
+		if err := b.Add(p, x, st); err != nil {
+			t.Fatal(err)
+		}
+		if seg := &b.segs[0]; seg.route != routeWarm || seg.kept {
+			t.Fatalf("n=%d: route %d kept %v after Add, want a warm slot out of order", n, seg.route, seg.kept)
+		}
+		for k := range b.keys {
+			b.keys[k] = sortx.Key{Bits: uint64(k) * 7919, Idx: int32(k % 3)}
+		}
+		if _, err := b.Solve(); err != nil {
+			t.Fatal(err)
+		}
+		if st.FullSorts != full+1 || st.cool != replayCooldown {
+			t.Errorf("n=%d: FullSorts %d→%d cool %d, want a failed replay", n, full, st.FullSorts, st.cool)
+		}
+		if r := b.segs[0].route; r == routeWarm || r == routeNone {
+			t.Errorf("n=%d: route %d, want a cold sort route", n, r)
+		}
+		xRef := make([]float64, n)
+		want, err := solveInsertion(fixed(p, xRef, nil))
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameResult(t, fmt.Sprintf("n=%d", n), b.Result(0), want, x, xRef)
+	}
+}
+
+// TestRecoverUnboundedLoopsAgree: the masked and the plain primal recovery
+// loops write the same bits and total on blocks with −0, ±Inf, NaN and
+// subnormal coefficients, at roots on either side of zero.
+func TestRecoverUnboundedLoopsAgree(t *testing.T) {
+	negZero := math.Copysign(0, -1)
+	inf := math.Inf(1)
+	cs := []float64{negZero, 0, 1, -1, inf, -inf, math.NaN(), 5e-324, -5e-324, 3, -2.5}
+	as := []float64{1, 0.5, inf, 5e-324}
+	ev := make([]event, 0, len(cs)*len(as))
+	for _, c := range cs {
+		for _, a := range as {
+			ev = append(ev, event{da: a, dc: c})
+		}
+	}
+	for _, lambda := range []float64{negZero, 0, 1, -1, 2.5, -2.5, 1e-300, inf, -inf} {
+		xMask, xPlain := make([]float64, len(ev)), make([]float64, len(ev))
+		tMask := recoverUnbounded(xMask, ev, lambda, true)
+		tPlain := recoverUnbounded(xPlain, ev, lambda, false)
+		if math.Float64bits(tMask) != math.Float64bits(tPlain) {
+			t.Errorf("λ=%g: total %v (masked) vs %v (plain)", lambda, tMask, tPlain)
+		}
+		for j := range ev {
+			if math.Float64bits(xMask[j]) != math.Float64bits(xPlain[j]) {
+				t.Errorf("λ=%g c=%g a=%g: x = %v (%#x, masked) vs %v (%#x, plain)", lambda, ev[j].dc, ev[j].da,
+					xMask[j], math.Float64bits(xMask[j]), xPlain[j], math.Float64bits(xPlain[j]))
 			}
 		}
 	}

@@ -254,7 +254,7 @@ type Solution struct {
 	Iterations int       `json:"iterations"`
 	Converged  bool      `json:"converged"`
 	// Status is the solve's explicit outcome ("converged",
-	// "max-iterations", "cancelled", "saturated", or "unknown").
+	// "max-iterations", "diverged", "cancelled", "saturated", or "unknown").
 	Status    string  `json:"status"`
 	Residual  float64 `json:"residual"`
 	Objective float64 `json:"objective"`

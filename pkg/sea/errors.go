@@ -7,20 +7,22 @@ import (
 )
 
 // The facade's error surface. Every failure path of the public API wraps
-// exactly one of these sentinels, so callers branch with errors.Is instead
-// of matching message strings:
+// one of these sentinels — a divergence wraps ErrDiverged and
+// ErrNotConverged both — so callers branch with errors.Is instead of
+// matching message strings:
 //
 //	sol, err := sea.Solve(ctx, name, p, opts)
 //	switch {
 //	case errors.Is(err, sea.ErrUnknownSolver):  // bad registry name
 //	case errors.Is(err, sea.ErrInvalidProblem): // p failed validation
+//	case errors.Is(err, sea.ErrDiverged):       // sol is the last iterate; test before ErrNotConverged
 //	case errors.Is(err, sea.ErrNotConverged):   // sol is the best iterate
 //	case errors.Is(err, sea.ErrInfeasible):     // empty constraint set
 //	case errors.Is(err, sea.ErrSaturated):      // serving layer rejected it
 //	}
 //
-// ErrNotConverged and ErrInfeasible originate in the solvers (internal/core)
-// and are re-exported; the rest are the facade's own.
+// ErrNotConverged, ErrDiverged and ErrInfeasible originate in the solvers
+// (internal/core) and are re-exported; the rest are the facade's own.
 var (
 	// ErrUnknownSolver is wrapped by Get/Solve/NewReusableSolver when the
 	// requested name is not in the registry. The full error lists the
@@ -43,6 +45,9 @@ var (
 	// ErrNotConverged is returned (wrapped, alongside the best iterate) when
 	// the iteration limit is exhausted before the criterion is met.
 	ErrNotConverged = core.ErrNotConverged
+	// ErrDiverged is returned (wrapped, alongside ErrNotConverged and the
+	// last iterate) when a solve stops because its iterates diverged.
+	ErrDiverged = core.ErrDiverged
 	// ErrInfeasible is returned when the constraint set is empty.
 	ErrInfeasible = core.ErrInfeasible
 	// ErrArenaBusy is returned when a single-flight Arena is handed to two

@@ -3,6 +3,7 @@ package sea
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"slices"
 	"strings"
@@ -297,6 +298,37 @@ func TestInfeasibleBoxSentinel(t *testing.T) {
 		if !strings.Contains(err.Error(), "row ") && !strings.Contains(err.Error(), "column ") {
 			t.Errorf("%s: error %q names no row or column", name, err)
 		}
+	}
+}
+
+// TestDivergedStatus: a dual-scaling solve that stops because its duals
+// diverged is typed as such — ErrDiverged alongside ErrNotConverged, and
+// StatusDiverged ("diverged") rather than StatusMaxIterations, since the
+// sweep cap was never reached.
+func TestDivergedStatus(t *testing.T) {
+	p := mustDiagonal(t, infeasibleBox())
+	for _, name := range []string{"isp", "entropy"} {
+		o := DefaultOptions()
+		if name == "entropy" {
+			o.Objective = ObjectiveEntropy
+		}
+		sol, err := Solve(context.Background(), name, p, o)
+		if !errors.Is(err, ErrDiverged) || !errors.Is(err, ErrNotConverged) {
+			t.Errorf("%s: err = %v, want ErrDiverged and ErrNotConverged", name, err)
+			continue
+		}
+		if sol == nil {
+			t.Fatalf("%s: no solution alongside %v", name, err)
+		}
+		if sol.Status != StatusDiverged || sol.Status.String() != "diverged" {
+			t.Errorf("%s: status %v, want diverged", name, sol.Status)
+		}
+	}
+	// A solver that leaves the status to the registry gets it from the error.
+	sol := &Solution{}
+	finalizeStatus(sol, fmt.Errorf("%w: custom %w after 3 sweeps", ErrNotConverged, ErrDiverged))
+	if sol.Status != StatusDiverged {
+		t.Errorf("finalizeStatus: status %v, want diverged", sol.Status)
 	}
 }
 

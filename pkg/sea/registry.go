@@ -47,6 +47,8 @@ func finalizeStatus(sol *Solution, err error) {
 	switch {
 	case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
 		sol.Status = StatusCancelled
+	case errors.Is(err, ErrDiverged):
+		sol.Status = StatusDiverged
 	case errors.Is(err, ErrNotConverged):
 		sol.Status = StatusMaxIterations
 	case err == nil && sol.Converged:

@@ -138,6 +138,7 @@ const (
 	StatusMaxIterations = core.StatusMaxIterations
 	StatusCancelled     = core.StatusCancelled
 	StatusSaturated     = core.StatusSaturated
+	StatusDiverged      = core.StatusDiverged
 )
 
 // Problem constructors, re-exported from the core.

@@ -3,7 +3,6 @@ package seahttp
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"net/http"
 	"sync"
@@ -70,7 +69,7 @@ func (j *job) finish(sol *sea.Solution, err error) {
 	j.mu.Lock()
 	j.sol = sol
 	j.err = err
-	if err != nil && !(errors.Is(err, sea.ErrNotConverged) && sol != nil) {
+	if !isResult(sol, err) {
 		j.state = jobFailed
 	} else {
 		j.state = jobDone

@@ -22,7 +22,8 @@
 // Retry-After), a closed server 503, and a request deadline 504. A solve
 // that exhausts its iteration limit is not a transport failure: it returns
 // 200 with the best iterate and "status": "max-iterations", mirroring the
-// facade's ErrNotConverged contract.
+// facade's ErrNotConverged contract. A solve whose iterates diverged has no
+// such iterate to return and fails with 422, code "diverged".
 //
 // The requesting tenant is taken from the X-Sea-Tenant header and threaded
 // to the backend's per-tenant quotas (serve.WithTenant); a per-request
@@ -297,9 +298,7 @@ func (h *Handler) handleSolve(w http.ResponseWriter, r *http.Request) {
 	}
 	defer cancel()
 	sol, err := h.backend.Submit(ctx, p, opts)
-	// Iteration-limit exhaustion still carries the best iterate: per the
-	// facade contract that is a result, not a transport failure.
-	if err != nil && !(errors.Is(err, sea.ErrNotConverged) && sol != nil) {
+	if !isResult(sol, err) {
 		writeError(w, err)
 		return
 	}

@@ -201,7 +201,7 @@ func (h *Handler) handleSequenceSolve(w http.ResponseWriter, r *http.Request) {
 	}
 	defer cancel()
 	sol, err := seq.session.Solve(ctx, p)
-	if err != nil && !(errors.Is(err, sea.ErrNotConverged) && sol != nil) {
+	if !isResult(sol, err) {
 		writeError(w, err)
 		return
 	}

@@ -35,6 +35,14 @@ type errorBody struct {
 	Error string `json:"error"`
 }
 
+// isResult reports whether a solve's outcome is rendered as a solution: it
+// succeeded, or it exhausted its iteration limit with the best iterate in
+// hand — per the facade contract a result, not a transport failure. A
+// diverged solve's last iterate carries infinite duals, so it is a failure.
+func isResult(sol *sea.Solution, err error) bool {
+	return err == nil || sol != nil && errors.Is(err, sea.ErrNotConverged) && !errors.Is(err, sea.ErrDiverged)
+}
+
 // errorStatus maps a failure to its HTTP status and wire code. Order
 // matters where sentinels wrap each other: infeasibility wraps
 // ErrInvalidProblem, and tenant-quota rejections wrap sea.ErrSaturated.
@@ -50,6 +58,8 @@ func errorStatus(err error) (int, string) {
 		return http.StatusConflict, "sequence-closed"
 	case errors.Is(err, sea.ErrInfeasible):
 		return http.StatusUnprocessableEntity, "infeasible"
+	case errors.Is(err, sea.ErrDiverged):
+		return http.StatusUnprocessableEntity, "diverged"
 	case errors.Is(err, sea.ErrInvalidProblem):
 		return http.StatusBadRequest, "invalid-problem"
 	case errors.Is(err, sea.ErrUnknownSolver):

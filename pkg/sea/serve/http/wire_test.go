@@ -8,10 +8,12 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"testing"
 
 	"sea/internal/problems"
 	"sea/pkg/sea"
+	"sea/pkg/sea/serve"
 )
 
 // nanBackend answers every solve with a best iterate that JSON cannot
@@ -54,5 +56,31 @@ func checkInternalError(t *testing.T, rec *httptest.ResponseRecorder) {
 	}
 	if got := rec.Header().Get("Content-Type"); got != "application/json" {
 		t.Fatalf("Content-Type %q", got)
+	}
+}
+
+// TestSolveDiverged: a solve whose duals diverge has no finite iterate to
+// return, so it is answered with the typed 422 envelope, code "diverged",
+// rather than as an exhausted iteration budget or an encoding failure.
+func TestSolveDiverged(t *testing.T) {
+	srv, err := serve.NewSharded(serve.ShardedConfig{Server: serve.Config{Solver: "isp"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	h := New(srv, Config{})
+	defer h.Close()
+	// Every cell capped at its prior, while each row total is twice the
+	// row's prior sum: the ISP duals run off to infinity.
+	p := problems.Table1(8, 1)
+	p.Upper = slices.Clone(p.X0)
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/solve", bytes.NewReader(problemBody(t, p))))
+	var body errorBody
+	if err := json.Unmarshal(rec.Body.Bytes(), &body); err != nil {
+		t.Fatalf("status %d, body %q: %v", rec.Code, rec.Body.Bytes(), err)
+	}
+	if rec.Code != http.StatusUnprocessableEntity || body.Code != "diverged" {
+		t.Fatalf("got %d %+v, want 422 with code diverged", rec.Code, body)
 	}
 }

@@ -136,19 +136,22 @@ type shard struct {
 
 	inFlight metrics.Gauge
 	queued   metrics.Gauge
+	server   *levels // the server's levels, moved with the two above
 	waitLat  metrics.Latency
 	solveLat metrics.Latency
 	counters metrics.Counters // aggregated solver instrumentation
 }
 
 // newShard starts a shard's MaxInFlight worker pools. cfg has its defaults
-// resolved and solver is the registry's answer for cfg.Solver.
-func newShard(cfg Config, solver sea.Solver, done <-chan struct{}) *shard {
+// resolved, solver is the registry's answer for cfg.Solver, and server is
+// the server's admission levels.
+func newShard(cfg Config, solver sea.Solver, done <-chan struct{}, server *levels) *shard {
 	s := &shard{
 		cfg:      cfg,
 		solver:   solver,
 		pools:    make(chan *parallel.Pool, cfg.MaxInFlight),
 		done:     done,
+		server:   server,
 		shapes:   make(map[shapeKey]*shapePool),
 		sessions: make(map[*Session]struct{}),
 	}
@@ -259,8 +262,8 @@ func (s *shard) admit(ctx context.Context) (*parallel.Pool, error) {
 	select {
 	case pool = <-s.pools:
 	default:
-		if q := s.queued.Inc(); q > int64(s.cfg.MaxQueue) {
-			s.queued.Dec()
+		if q := s.enqueue(); q > int64(s.cfg.MaxQueue) {
+			s.dequeue()
 			s.rejected.Add(1)
 			return nil, fmt.Errorf("%w: %d solves in flight, %d queued (limits %d/%d)",
 				sea.ErrSaturated, s.inFlight.Level(), q-1, s.cfg.MaxInFlight, s.cfg.MaxQueue)
@@ -268,14 +271,14 @@ func (s *shard) admit(ctx context.Context) (*parallel.Pool, error) {
 		waitStart := time.Now()
 		select {
 		case pool = <-s.pools:
-			s.queued.Dec()
+			s.dequeue()
 			s.waitLat.Observe(time.Since(waitStart))
 		case <-ctx.Done():
-			s.queued.Dec()
+			s.dequeue()
 			s.rejected.Add(1)
 			return nil, ctx.Err()
 		case <-s.done:
-			s.queued.Dec()
+			s.dequeue()
 			s.rejected.Add(1)
 			return nil, ErrClosed
 		}
@@ -288,13 +291,32 @@ func (s *shard) admit(ctx context.Context) (*parallel.Pool, error) {
 		return nil, ErrClosed
 	}
 	s.inFlight.Inc()
+	s.server.inFlight.Inc()
 	return pool, nil
 }
 
 // release hands an admitted request's worker pool back.
 func (s *shard) release(pool *parallel.Pool) {
 	s.inFlight.Dec()
+	s.server.inFlight.Dec()
 	s.pools <- pool
+}
+
+// levels are a server's admission gauges: solves in flight and requests
+// queued for a worker pool.
+type levels struct{ inFlight, queued metrics.Gauge }
+
+// enqueue raises the shard's queued level and the server's, and returns
+// the shard's.
+func (s *shard) enqueue() int64 {
+	s.server.queued.Inc()
+	return s.queued.Inc()
+}
+
+// dequeue lowers the shard's queued level and the server's.
+func (s *shard) dequeue() {
+	s.queued.Dec()
+	s.server.queued.Dec()
 }
 
 // requestContext applies the configured per-request deadline to ctx.

@@ -47,6 +47,9 @@ type ShardedServer struct {
 	ring   hashRing
 	gate   *tenantGate // nil when tenant quotas are disabled
 	sesSeq atomic.Uint64
+	// levels are the server-wide admission levels, which every shard moves
+	// along with its own.
+	levels levels
 
 	done      chan struct{} // closed by Close; unblocks every waiter
 	closeOnce sync.Once
@@ -70,7 +73,7 @@ func NewSharded(cfg ShardedConfig) (*ShardedServer, error) {
 		done: make(chan struct{}),
 	}
 	for range cfg.Shards {
-		s.shards = append(s.shards, newShard(cfg.Server, solver, s.done))
+		s.shards = append(s.shards, newShard(cfg.Server, solver, s.done, &s.levels))
 	}
 	return s, nil
 }
@@ -223,7 +226,9 @@ func (s *ShardedServer) Prewarm(ctx context.Context, p *sea.Problem, n int) erro
 
 // Stats returns the shard-merged snapshot: counters and latency aggregates
 // summed across shards, shape pools concatenated (each shape lives on
-// exactly one shard, so no two shards report the same pool).
+// exactly one shard, so no two shards report the same pool). The in-flight
+// and queued levels and their peaks are the server's own: the sum of the
+// shards' peaks, reached at different times, overstates the server's.
 func (s *ShardedServer) Stats() Stats {
 	var merged Stats
 	for i, sh := range s.shards {
@@ -236,10 +241,6 @@ func (s *ShardedServer) Stats() Stats {
 		merged.Completed += st.Completed
 		merged.Failed += st.Failed
 		merged.Rejected += st.Rejected
-		merged.InFlight += st.InFlight
-		merged.PeakInFlight += st.PeakInFlight
-		merged.Queued += st.Queued
-		merged.PeakQueued += st.PeakQueued
 		merged.ShapeHits += st.ShapeHits
 		merged.ShapeMisses += st.ShapeMisses
 		merged.ArenasEvicted += st.ArenasEvicted
@@ -248,6 +249,8 @@ func (s *ShardedServer) Stats() Stats {
 		merged.Solve = merged.Solve.Merge(st.Solve)
 		merged.Solver = merged.Solver.Add(st.Solver)
 	}
+	merged.InFlight, merged.PeakInFlight = s.levels.inFlight.Level(), s.levels.inFlight.High()
+	merged.Queued, merged.PeakQueued = s.levels.queued.Level(), s.levels.queued.High()
 	return merged
 }
 

@@ -326,3 +326,36 @@ func TestShardedSubmitHonorsTenantQuota(t *testing.T) {
 	}
 	s.gate.release("acme")
 }
+
+// TestShardedStatsServerWidePeaks: the merged peaks are the server's own
+// high-water marks, not the sum of the shards'. Two sequential solves on
+// different shards each raise their shard's PeakInFlight to 1, while the
+// server never ran more than one solve at a time.
+func TestShardedStatsServerWidePeaks(t *testing.T) {
+	s, err := NewSharded(ShardedConfig{Shards: 2, Server: Config{MaxInFlight: 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	var shapes [][2]int
+	seen := map[int]bool{}
+	for m := 4; len(shapes) < 2; m++ {
+		if k := s.ShardFor(m, m, false); !seen[k] {
+			seen[k] = true
+			shapes = append(shapes, [2]int{m, m})
+		}
+	}
+	for i, sh := range shapes {
+		if _, err := s.Submit(context.Background(), testProblem(t, sh[0], sh[1], 1.2, uint64(i)), nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for k, st := range s.ShardStats() {
+		if st.PeakInFlight != 1 {
+			t.Fatalf("shard %d: PeakInFlight %d, want 1", k, st.PeakInFlight)
+		}
+	}
+	if st := s.Stats(); st.PeakInFlight != 1 || st.InFlight != 0 || st.PeakQueued != 0 {
+		t.Fatalf("merged stats: in flight %d (peak %d), peak queued %d; want 0 (1), 0", st.InFlight, st.PeakInFlight, st.PeakQueued)
+	}
+}
