@@ -19,7 +19,10 @@ import (
 // as a failure: a benchmark that silently disappears is how perf gates rot.
 // The one exception is an old record whose procs exceeds the new report's
 // num_cpu: the perf suite times only the worker counts its host has cores
-// for, so that record prints "skip" and is not counted.
+// for, so that record prints "skip" and is not counted. The "/precond"
+// records' warm-start sweeps print beside the outer iterations, ungated: the
+// stage runs until it converges or stalls, so its sweeps may grow whenever
+// the outer iterations fall.
 func runCompare(oldPath, newPath string, threshold float64) int {
 	oldRep, err := loadReport(oldPath)
 	if err != nil {
@@ -52,7 +55,7 @@ func runCompare(oldPath, newPath string, threshold float64) int {
 		if !ok {
 			rows = append(rows, []string{recordLabel(nr), fmt.Sprint(nr.Procs),
 				"-", fmtNs(nr.NsPerOp), "-", fmtIterPair(0, nr.OuterIterations),
-				fmtSpeedup(nr.SpeedupVsSerial), "new"})
+				fmtIterPair(0, nr.PrecondSweeps), fmtSpeedup(nr.SpeedupVsSerial), "new"})
 			fmt.Fprintf(os.Stderr, "seabench: new record %s procs=%d shards=%d (absent from %s)\n",
 				nr.Name, nr.Procs, nr.Shards, oldPath)
 			continue
@@ -77,6 +80,7 @@ func runCompare(oldPath, newPath string, threshold float64) int {
 			fmtNs(or.NsPerOp), fmtNs(nr.NsPerOp),
 			fmt.Sprintf("%+.1f%%", 100*delta),
 			fmtIterPair(or.OuterIterations, nr.OuterIterations),
+			fmtIterPair(or.PrecondSweeps, nr.PrecondSweeps),
 			fmtSpeedup(or.SpeedupVsSerial) + " -> " + fmtSpeedup(nr.SpeedupVsSerial),
 			verdict})
 	}
@@ -95,12 +99,12 @@ func runCompare(oldPath, newPath string, threshold float64) int {
 		}
 		rows = append(rows, []string{recordLabel(or), fmt.Sprint(or.Procs),
 			fmtNs(or.NsPerOp), "-", "-", fmtIterPair(or.OuterIterations, 0),
-			fmtSpeedup(or.SpeedupVsSerial), verdict})
+			fmtIterPair(or.PrecondSweeps, 0), fmtSpeedup(or.SpeedupVsSerial), verdict})
 	}
 
 	report.Render(os.Stdout, fmt.Sprintf("Perf comparison: %s -> %s (threshold %.0f%%)",
 		oldPath, newPath, 100*threshold),
-		[]string{"record", "procs", "old ns/op", "new ns/op", "delta", "iters", "speedup", "verdict"}, rows)
+		[]string{"record", "procs", "old ns/op", "new ns/op", "delta", "iters", "sweeps", "speedup", "verdict"}, rows)
 	if regressions > 0 {
 		fmt.Fprintf(os.Stderr, "seabench: %d record(s) regressed beyond %.0f%%\n",
 			regressions, 100*threshold)
@@ -139,9 +143,9 @@ func recordLabel(r experiments.PerfRecord) string {
 	return r.Name
 }
 
-// fmtIterPair renders the outer-iteration delta column; zero on either
-// side (old baselines predating the field, or a new/missing record)
-// renders as "-".
+// fmtIterPair renders an outer-iteration or sweep delta column; zero on
+// either side (old baselines predating the field, a record without the
+// count, or a new/missing record) renders as "-".
 func fmtIterPair(old, new int) string {
 	lhs, rhs := "-", "-"
 	if old > 0 {

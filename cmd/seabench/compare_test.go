@@ -167,6 +167,23 @@ func TestCompareIterationBackCompat(t *testing.T) {
 	}
 }
 
+// TestComparePrecondSweepsUngated: the "/precond" records' warm-start sweeps
+// print beside the outer iterations but gate nothing — a stage that runs to
+// convergence trades outer iterations for sweeps.
+func TestComparePrecondSweepsUngated(t *testing.T) {
+	dir := t.TempDir()
+	withSweeps := func(iters, sweeps int) experiments.PerfRecord {
+		r := recIters("table5/spe250/precond", 1000, iters)
+		r.PrecondSweeps = sweeps
+		return r
+	}
+	oldPath := writeReport(t, dir, "old.json", []experiments.PerfRecord{withSweeps(66, 150)})
+	newPath := writeReport(t, dir, "new.json", []experiments.PerfRecord{withSweeps(1, 219)})
+	if got := runCompare(oldPath, newPath, 0.10); got != 0 {
+		t.Fatalf("runCompare = %d failures, want 0 (sweeps are not gated)", got)
+	}
+}
+
 func recShards(name string, procs, shards int, ns int64) experiments.PerfRecord {
 	r := rec(name, procs, ns)
 	r.Shards = shards

@@ -48,7 +48,7 @@ func main() {
 		timeout    = flag.Duration("timeout", 0, "abort the solve after this duration (0 = no limit)")
 		traceEvery = flag.Int("trace", 0, "print per-iteration progress every N observed iterations (0 = off)")
 		precond    = flag.String("precondition", "none", "preconditioning stage: none, scale, sinkhorn, or isp")
-		sweeps     = flag.Int("precond-sweeps", 0, "warm-start sweeps for -precondition sinkhorn/isp (0 = default)")
+		sweeps     = flag.Int("precond-sweeps", 0, "cap on the warm-start sweeps for -precondition sinkhorn/isp (0 = 150 for sinkhorn; isp runs to convergence or a stall, within -maxiter)")
 		objective  = flag.String("objective", "", "objective family: quadratic or entropy (default: the problem file's objective field, else quadratic)")
 	)
 	flag.Parse()
@@ -157,7 +157,7 @@ func main() {
 	fmt.Fprintf(os.Stderr, "seasolve: %s status=%s converged=%v iterations=%d residual=%g objective=%g wall=%s",
 		name, sol.Status, sol.Converged, sol.Iterations, sol.Residual, sol.Objective, time.Since(start).Round(time.Millisecond))
 	if sol.PrecondNs > 0 {
-		fmt.Fprintf(os.Stderr, " precond=%s", time.Duration(sol.PrecondNs).Round(time.Microsecond))
+		fmt.Fprintf(os.Stderr, " precond=%s sweeps=%d", time.Duration(sol.PrecondNs).Round(time.Microsecond), sol.PrecondSweeps)
 	}
 	fmt.Fprintln(os.Stderr)
 }

@@ -20,7 +20,9 @@ import (
 //
 // Cancellation is observed between phases: when ctx is cancelled or its
 // deadline passes, the solve returns within one outer iteration with the
-// last consistent iterate and ctx.Err(). A nil ctx means context.Background.
+// last consistent iterate and ctx.Err(). The ISP preconditioning stage
+// checks ctx every few sweeps; a cancel there returns ctx.Err() and no
+// solution, without starting SEA. A nil ctx means context.Background.
 //
 // On iteration-limit exhaustion it returns the last iterate together with an
 // error wrapping ErrNotConverged.
@@ -31,6 +33,9 @@ import (
 func SolveDiagonal(ctx context.Context, p *DiagonalProblem, opts *Options) (*Solution, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
+	}
+	if ctx == nil {
+		ctx = context.Background()
 	}
 	o := opts.WithDefaults()
 	if o.Objective != ObjectiveQuadratic {
@@ -50,7 +55,10 @@ func SolveDiagonal(ctx context.Context, p *DiagonalProblem, opts *Options) (*Sol
 		} else {
 			ps = &precondState{}
 		}
-		p = ps.apply(p, o)
+		var err error
+		if p, err = ps.apply(ctx, p, o); err != nil {
+			return nil, err
+		}
 	}
 	st := newDiagState(ctx, p, o)
 	defer st.close()

@@ -30,17 +30,17 @@ const (
 	PrecondSinkhorn
 	// PrecondISP warm-starts the dual with the iterative scaling procedure:
 	// clamped additive Gauss–Seidel sweeps on the exact KKT system
-	// (internal/scale.System), the cheap O(nnz)-per-sweep analogue of a SEA
-	// iteration. This is the recommended mode for the elastic tiers, where
-	// it cuts outer iterations severalfold (see docs/PERFORMANCE.md).
+	// (internal/scale.System), the same dual block-coordinate ascent as a
+	// SEA iteration at a fraction of its cost. The stage runs until it
+	// reaches ε, until its exact sweeps stall, or for MaxIterations sweeps
+	// (PrecondSweeps, when set, caps it), so on the elastic tiers it often
+	// leaves SEA a single outer iteration (see docs/PERFORMANCE.md).
 	PrecondISP
 )
 
-// DefaultPrecondSweeps is the warm-start sweep budget used when
-// Options.PrecondSweeps is zero. The value is tuned on the paper tiers:
-// past ~this many ISP sweeps the dual estimate's marginal iteration
-// savings no longer repay the O(nnz) sweep cost — on the elastic spe250
-// tier the wall-clock minimum sits near 150 sweeps (see EXPERIMENTS.md).
+// DefaultPrecondSweeps is the PrecondSinkhorn warm start's sweep budget when
+// Options.PrecondSweeps is zero. PrecondISP has no such default: its stage
+// runs to convergence or a stall, bounded by MaxIterations.
 const DefaultPrecondSweeps = 150
 
 func (p Precond) String() string {
@@ -198,8 +198,9 @@ type Options struct {
 	// the general solver's inner diagonal solves never precondition.
 	Precondition Precond
 	// PrecondSweeps caps the warm-start procedure's sweeps for
-	// PrecondSinkhorn/PrecondISP. 0 selects the tuned default
-	// (DefaultPrecondSweeps).
+	// PrecondSinkhorn/PrecondISP. 0 selects DefaultPrecondSweeps for
+	// PrecondSinkhorn and MaxIterations for PrecondISP, whose stage stops
+	// earlier on convergence or a stall.
 	PrecondSweeps int
 	// Trace, if non-nil, receives one trace.Event per outer iteration:
 	// iteration index, convergence residual, wall-clock phase timings, and
@@ -288,9 +289,6 @@ func (o *Options) WithDefaults() *Options {
 	}
 	if out.BoundMultipliers && out.MultiplierBound <= 0 {
 		out.MultiplierBound = 1e12
-	}
-	if out.PrecondSweeps <= 0 {
-		out.PrecondSweeps = DefaultPrecondSweeps
 	}
 	return &out
 }

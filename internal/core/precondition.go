@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"time"
 
@@ -69,18 +70,22 @@ type precondState struct {
 	colSum  []float64
 	colASum []float64
 
-	// Unscaling factors and bookkeeping for the current solve.
+	// Unscaling factors and bookkeeping for the current solve: sweeps is
+	// the warm start's sweep count.
 	sigma     float64
 	tau       float64
 	criterion Criterion
 	ns        int64
+	sweeps    int
 }
 
 // apply builds the scaled problem and (for the warm-starting modes) the μ⁰
 // estimate, mutating o in place — o is already the solver's private
-// WithDefaults copy. It returns the problem the solve should run on.
-func (ps *precondState) apply(p *DiagonalProblem, o *Options) *DiagonalProblem {
+// WithDefaults copy. It returns the problem the solve should run on, or
+// ctx's error when ctx ends during the ISP stage.
+func (ps *precondState) apply(ctx context.Context, p *DiagonalProblem, o *Options) (*DiagonalProblem, error) {
 	start := time.Now()
+	ps.sweeps = 0
 	ps.sigma = massScale(p)
 	ps.tau = weightScale(p)
 	ps.criterion = o.Criterion
@@ -107,7 +112,11 @@ func (ps *precondState) apply(p *DiagonalProblem, o *Options) *DiagonalProblem {
 		}
 		o.Mu0 = ps.mu0
 	case o.Precondition == PrecondISP:
-		if ps.ispWarmStart(sp, o) {
+		ok, err := ps.ispWarmStart(ctx, sp, o)
+		if err != nil {
+			return nil, err
+		}
+		if ok {
 			o.Mu0 = ps.mu0
 		}
 	case o.Precondition == PrecondSinkhorn:
@@ -116,7 +125,7 @@ func (ps *precondState) apply(p *DiagonalProblem, o *Options) *DiagonalProblem {
 		}
 	}
 	ps.ns = time.Since(start).Nanoseconds()
-	return sp
+	return sp, nil
 }
 
 // unscale converts the scaled solve's Solution back to original units in
@@ -142,6 +151,7 @@ func (ps *precondState) unscale(sol *Solution) {
 		sol.DualValue *= f
 	}
 	sol.PrecondNs = ps.ns
+	sol.PrecondSweeps = ps.sweeps
 }
 
 func scaleBy(xs []float64, f float64) {
@@ -276,30 +286,54 @@ func (d *DualSystem) Build(p *DiagonalProblem, resp scale.Response) *scale.Syste
 	return sys
 }
 
-// ispWarmStart runs PrecondSweeps clamped ISP sweeps on the scaled
-// problem's exact KKT system and leaves the column-multiplier estimate in
-// ps.mu0. It reports false (leaving Options untouched) for IntervalTotals,
-// whose SEA iterates stay those of pure scaling, or when the system fails
-// validation; preconditioning then degrades to pure scaling.
-func (ps *precondState) ispWarmStart(sp *DiagonalProblem, o *Options) bool {
+// ispChunk is the number of ISP sweeps between the warm start's checks of
+// ctx: one stall window of scale.System.Run.
+const ispChunk = 6
+
+// ispWarmStart runs clamped ISP sweeps on the scaled problem's exact KKT
+// system and leaves the column-multiplier estimate in ps.mu0. The sweeps go
+// on until the residual reaches ε, the exact sweeps stall
+// (scale.System.StopOnStall), or the budget runs out: PrecondSweeps when
+// set, else MaxIterations. They run in chunks of ispChunk, with ctx checked
+// between chunks; chunked runs are bit-identical to one long run. It
+// reports false (leaving Options untouched) for IntervalTotals, whose SEA
+// iterates stay those of pure scaling, or when the system fails validation;
+// preconditioning then degrades to pure scaling.
+func (ps *precondState) ispWarmStart(ctx context.Context, sp *DiagonalProblem, o *Options) (bool, error) {
 	if sp.Kind == IntervalTotals {
-		return false
+		return false, nil
 	}
 	sys := ps.dual.Build(sp, scale.Additive)
 	if sys.Validate() != nil {
-		return false
+		return false, nil
 	}
+	sys.StopOnStall = true
 	ps.lambda0 = zeroed(ps.lambda0, sp.M)
 	mu := zeroed(ps.mu0, sp.N)
 	ps.mu0 = mu
 	ps.colSum = resizeF(ps.colSum, sp.N)
 	ps.colASum = resizeF(ps.colASum, sp.N)
-	if res := sys.Run(ps.lambda0, mu, o.PrecondSweeps, o.Epsilon, ps.colSum, ps.colASum, nil); math.IsNaN(res.Residual) {
-		// The duals diverged (an infeasible box): start SEA cold, and let
-		// its kernel name the infeasible subproblem.
-		clear(mu)
+	budget := o.PrecondSweeps
+	if budget <= 0 {
+		budget = o.MaxIterations
 	}
-	return true
+	for ps.sweeps < budget {
+		if err := ctx.Err(); err != nil {
+			return false, err
+		}
+		res := sys.Run(ps.lambda0, mu, min(ispChunk, budget-ps.sweeps), o.Epsilon, ps.colSum, ps.colASum, nil)
+		ps.sweeps += res.Iterations
+		if math.IsNaN(res.Residual) {
+			// The duals diverged (an infeasible box): start SEA cold, and
+			// let its kernel name the infeasible subproblem.
+			clear(mu)
+			break
+		}
+		if res.Converged || res.Stalled {
+			break
+		}
+	}
+	return true, nil
 }
 
 // sinkhornWarmStart balances the positive-floored scaled prior to the
@@ -343,10 +377,15 @@ func (ps *precondState) sinkhornWarmStart(sp *DiagonalProblem, o *Options) bool 
 		}
 	}
 	ps.colA = c
-	_, v, _, err := scale.Sinkhorn(a, r, c, nil, nil, scale.SinkhornOptions{MaxIters: o.PrecondSweeps})
+	sweeps := o.PrecondSweeps
+	if sweeps <= 0 {
+		sweeps = DefaultPrecondSweeps
+	}
+	_, v, res, err := scale.Sinkhorn(a, r, c, nil, nil, scale.SinkhornOptions{MaxIters: sweeps})
 	if err != nil {
 		return false
 	}
+	ps.sweeps = res.Iterations
 	// Column sums of the floored prior and of the dual slopes.
 	colSum0 := zeroed(ps.colB, sp.N)
 	a.ColSums(colSum0)

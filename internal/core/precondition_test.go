@@ -249,7 +249,9 @@ func TestPrecondISPDivergenceFallsBackCold(t *testing.T) {
 	o.Precondition = PrecondISP
 	o = o.WithDefaults()
 	var ps precondState
-	ps.apply(p, o)
+	if _, err := ps.apply(context.Background(), p, o); err != nil {
+		t.Fatal(err)
+	}
 	for j, v := range o.Mu0 {
 		if v != 0 {
 			t.Fatalf("warm start μ0[%d] = %v after divergence, want the cold 0", j, v)

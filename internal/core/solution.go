@@ -81,6 +81,9 @@ type Solution struct {
 	// stage (scaling plus dual warm start); zero when Options.Precondition
 	// is PrecondNone.
 	PrecondNs int64
+	// PrecondSweeps is the number of sweeps the preconditioning stage's
+	// warm start ran (ISP or Sinkhorn); zero without a warm start.
+	PrecondSweeps int
 }
 
 // Gap returns the duality gap Objective − DualValue (nonnegative up to
@@ -130,4 +133,5 @@ func (s *Solution) CopyInto(dst *Solution) {
 	dst.ObjectiveKind = s.ObjectiveKind
 	dst.DualValue = s.DualValue
 	dst.PrecondNs = s.PrecondNs
+	dst.PrecondSweeps = s.PrecondSweeps
 }

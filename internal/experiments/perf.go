@@ -79,6 +79,9 @@ type PerfRecord struct {
 	// stage's wall time in nanoseconds — the upfront cost the cut in
 	// outer iterations has to repay for a net wall-clock win.
 	PrecondNs int64 `json:"precond_ns,omitempty"`
+	// PrecondSweeps, set on the "/precond" records, is the number of sweeps
+	// the warm start ran before SEA's first outer iteration.
+	PrecondSweeps int `json:"precond_sweeps,omitempty"`
 	// Periods, set on the "sequence/" records, is the temporal sequence's
 	// length: NsPerOp is mean wall per period, Iterations the total over the
 	// sequence, and the "/chained" record's SpeedupVsSerial is the cold
@@ -355,6 +358,7 @@ func PerfSuite(ctx context.Context, cfg Config) (PerfReport, error) {
 				Iterations:      sol.Iterations,
 				OuterIterations: sol.Iterations,
 				PrecondNs:       sol.PrecondNs,
+				PrecondSweeps:   sol.PrecondSweeps,
 				SpeedupVsSerial: float64(serialNs) / float64(nsPerOp),
 				Nnz:             nnz,
 				NsPerIter:       perIter(nsPerOp, sol.Iterations),

@@ -325,7 +325,8 @@ func skipDigits(b []byte, p int) int {
 
 // AppendSolution appends the JSON encoding of s to b, byte-identical to
 // json.NewEncoder(w).Encode(s): the same float formatting, HTML-escaped
-// strings, omitted empty lambda, mu and precond_ns, and the trailing
+// strings, omitted empty lambda, mu, precond_ns and precond_sweeps, and the
+// trailing
 // newline. JSON cannot carry NaN or ±Inf; a non-finite value fails the
 // whole encoding, with b returned unextended.
 func AppendSolution(b []byte, s *Solution) ([]byte, error) {
@@ -371,6 +372,10 @@ func AppendSolution(b []byte, s *Solution) ([]byte, error) {
 	if s.PrecondNs != 0 {
 		b = append(b, `,"precond_ns":`...)
 		b = strconv.AppendInt(b, s.PrecondNs, 10)
+	}
+	if s.PrecondSweeps != 0 {
+		b = append(b, `,"precond_sweeps":`...)
+		b = strconv.AppendInt(b, int64(s.PrecondSweeps), 10)
 	}
 	return append(b, "}\n"...), nil
 }

@@ -99,9 +99,10 @@ func TestAppendSolutionMatchesEncodingJSON(t *testing.T) {
 
 	cases := []Solution{
 		{X: random, S: edges, D: []float64{}, Lambda: edges, Mu: random[:3], Iterations: 17, Converged: true,
-			Status: "converged", Residual: 1e-9, Objective: -0.5, ObjectiveKind: "quadratic", PrecondNs: 12345},
+			Status: "converged", Residual: 1e-9, Objective: -0.5, ObjectiveKind: "quadratic", PrecondNs: 12345, PrecondSweeps: 219},
 		{Status: "max-iterations", ObjectiveKind: "entropy", Residual: math.Copysign(0, -1)},
 		{X: []float64{}, S: nil, D: []float64{1e21}, Lambda: []float64{}, Mu: nil, PrecondNs: -1},
+		{Status: "converged", PrecondSweeps: 1},
 		{Status: "a<b>&c\"\\ é\u2028\x01\n", ObjectiveKind: "\xff"},
 	}
 	for i := range cases {

@@ -264,6 +264,9 @@ type Solution struct {
 	// PrecondNs is the preconditioning stage's wall time in nanoseconds;
 	// zero (and omitted) when the solve did not precondition.
 	PrecondNs int64 `json:"precond_ns,omitempty"`
+	// PrecondSweeps is the number of sweeps the preconditioning stage's
+	// warm start ran; zero (and omitted) without a warm start.
+	PrecondSweeps int `json:"precond_sweeps,omitempty"`
 }
 
 // SolutionFromCore converts a solve result to its JSON container — the
@@ -279,6 +282,7 @@ func SolutionFromCore(sol *core.Solution) *Solution {
 		Objective:     sol.Objective,
 		ObjectiveKind: sol.ObjectiveKind.String(),
 		PrecondNs:     sol.PrecondNs,
+		PrecondSweeps: sol.PrecondSweeps,
 	}
 }
 

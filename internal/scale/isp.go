@@ -71,20 +71,25 @@ type System struct {
 	// zero μ.
 	colBlo, colBhi, colTgt, zeroMu []float64
 
+	// StopOnStall makes Run return once the exact sweeps stall (see Run):
+	// the warm-start use, where the estimate only has to be as good as the
+	// sweeps can make it, not reach the tolerance.
+	StopOnStall bool
+
 	// Relaxed/exact escalation state (see Run). It persists across Run
 	// calls like the duals do, so chunked runs behave exactly like one
 	// long run.
 	runInit  bool
 	runExact bool
-	lastRes  float64
 	winBest  float64
 	prevWin  float64
 	winCount int
 }
 
 // Reuse makes s the system next while keeping s's scratch buffers: the
-// escalation state starts fresh, exactly as on a new System, so a
-// long-lived System reruns on new data without reallocating.
+// escalation state starts fresh and StopOnStall takes next's value, exactly
+// as on a new System, so a long-lived System reruns on new data without
+// reallocating.
 func (s *System) Reuse(next System) {
 	blo, bhi, tgt, zero := s.colBlo, s.colBhi, s.colTgt, s.zeroMu
 	*s = next
@@ -753,9 +758,9 @@ func (s *System) pickColumnTargets(lambda, mu, colSum, colASum []float64) (first
 // continue from where they are). It stops early when the residual — the
 // largest absolute row/column equation violation at the staggered iterates,
 // the ∞-norm of the dual gradient — reaches tol (tol ≤ 0 never stops
-// early), or after the first sweep whose residual is NaN (the duals
-// diverged). observe, when non-nil, receives every sweep's index and
-// residual.
+// early), after the first sweep whose residual is NaN (the duals diverged),
+// or, with StopOnStall, when the exact sweeps stall (Result.Stalled).
+// observe, when non-nil, receives every sweep's index and residual.
 //
 // Exact half-sweeps (safeguarded Newton per row, batched Newton passes per
 // column, each an exact two-block coordinate-ascent step on the concave
@@ -763,10 +768,13 @@ func (s *System) pickColumnTargets(lambda, mu, colSum, colASum []float64) (first
 // Additive sweeps start in a relaxed mode instead — one linearized Newton
 // step per equation, two matrix passes per sweep, the cheapest useful unit
 // of dual progress — and escalate to exact half-sweeps as soon as the
-// relaxed residual stalls or the endgame nears. Mostly-interior problems
-// therefore pay the single-step price per sweep, while heavily clamped ones
-// — where single linearized steps can cycle across breakpoints —
-// self-correct within a few sweeps.
+// relaxed residual stalls. Mostly-interior problems therefore pay the
+// single-step price per sweep, while heavily clamped ones — where single
+// linearized steps can cycle across breakpoints — self-correct within a few
+// sweeps. A stall is a 6-sweep window whose best residual improves on the
+// previous window's by less than 2%; with StopOnStall the windows go on
+// after the escalation, and the first exact window that stalls ends the
+// run.
 //
 // colSum and colASum are caller scratch of length N (nil to allocate): the
 // column half-sweep accumulates per-column sums row-major instead of
@@ -789,7 +797,6 @@ func (s *System) Run(lambda, mu []float64, sweeps int, tol float64, colSum, colA
 	if !s.runInit {
 		s.runInit = true
 		s.runExact = s.Response == Exponential
-		s.lastRes = math.Inf(1)
 		s.winBest = math.Inf(1)
 		s.prevWin = math.Inf(1)
 	}
@@ -798,7 +805,7 @@ func (s *System) Run(lambda, mu []float64, sweeps int, tol float64, colSum, colA
 	for t := 1; t <= sweeps; t++ {
 		res.Iterations = t
 		inner := 1
-		if s.runExact || (tol > 0 && s.lastRes <= 8*tol) {
+		if s.runExact {
 			inner = maxInner
 		}
 		var worst float64
@@ -815,7 +822,6 @@ func (s *System) Run(lambda, mu []float64, sweeps int, tol float64, colSum, colA
 		}
 		worst = maxViolation(worst, s.solveColumns(lambda, mu, colSum, colASum, innerTol, inner))
 		res.Residual = worst
-		s.lastRes = worst
 		if observe != nil {
 			observe(t, worst)
 		}
@@ -836,21 +842,32 @@ func (s *System) Run(lambda, mu []float64, sweeps int, tol float64, colSum, colA
 		// the previous window's — relaxed sweeps oscillate with period 2 at
 		// the staggered iterates, so consecutive-sweep comparisons would
 		// misread a healthy downward trend as a stall.
-		if !s.runExact {
-			if worst < s.winBest {
-				s.winBest = worst
+		if (!s.runExact || s.StopOnStall) && s.windowStalled(worst) {
+			if s.runExact {
+				res.Stalled = true
+				return res
 			}
-			if s.winCount++; s.winCount >= 6 {
-				if s.winBest >= 0.98*s.prevWin {
-					s.runExact = true
-				}
-				s.prevWin = s.winBest
-				s.winBest = math.Inf(1)
-				s.winCount = 0
-			}
+			s.runExact = true
 		}
 	}
 	return res
+}
+
+// windowStalled folds a sweep's residual into the current 6-sweep window
+// and reports, on the window's last sweep, whether its best residual failed
+// to improve on the previous window's by 2%.
+func (s *System) windowStalled(worst float64) bool {
+	if worst < s.winBest {
+		s.winBest = worst
+	}
+	if s.winCount++; s.winCount < 6 {
+		return false
+	}
+	stalled := s.winBest >= 0.98*s.prevWin
+	s.prevWin = s.winBest
+	s.winBest = math.Inf(1)
+	s.winCount = 0
+	return stalled
 }
 
 // Eval writes the primal iterate x(λ,μ) implied by the duals into x

@@ -203,7 +203,6 @@ func refRun(s *System, lambda, mu []float64, sweeps int, tol float64) Result {
 	if !s.runInit {
 		s.runInit = true
 		s.runExact = s.Response == Exponential
-		s.lastRes = math.Inf(1)
 		s.winBest = math.Inf(1)
 		s.prevWin = math.Inf(1)
 	}
@@ -211,7 +210,7 @@ func refRun(s *System, lambda, mu []float64, sweeps int, tol float64) Result {
 	for t := 1; t <= sweeps; t++ {
 		res.Iterations = t
 		inner := 1
-		if s.runExact || (tol > 0 && s.lastRes <= 8*tol) {
+		if s.runExact {
 			inner = maxInner
 		}
 		var worst float64
@@ -224,7 +223,6 @@ func refRun(s *System, lambda, mu []float64, sweeps int, tol float64) Result {
 			worst = r
 		}
 		res.Residual = worst
-		s.lastRes = worst
 		if worst == 0 && !res.Exact {
 			res.Exact = true
 			res.ExactIteration = t
@@ -236,17 +234,24 @@ func refRun(s *System, lambda, mu []float64, sweeps int, tol float64) Result {
 		if worst != worst {
 			return res
 		}
-		if !s.runExact {
+		// The stall windows run while the sweeps are relaxed, and under
+		// StopOnStall on through the exact sweeps, where a stall ends the run.
+		if !s.runExact || s.StopOnStall {
 			if worst < s.winBest {
 				s.winBest = worst
 			}
 			if s.winCount++; s.winCount >= 6 {
-				if s.winBest >= 0.98*s.prevWin {
-					s.runExact = true
-				}
+				stalled := s.winBest >= 0.98*s.prevWin
 				s.prevWin = s.winBest
 				s.winBest = math.Inf(1)
 				s.winCount = 0
+				if stalled && s.runExact {
+					res.Stalled = true
+					return res
+				}
+				if stalled {
+					s.runExact = true
+				}
 			}
 		}
 	}
@@ -428,24 +433,29 @@ func sameResult(a, b Result) bool {
 
 // TestISPKernelsMatchReference: the per-row kernels reproduce the per-cell
 // reference bit for bit across responses, storages, bound families, total
-// kinds and sweep modes (relaxed only, escalating on its own, and exact from
-// the start — the exponential response is exact in all three), over chunked
-// Run calls so the persistent escalation state is compared too. The m13
-// cases have an odd row count, so the paired dense kernels leave their
-// last row to the single-row ones.
+// kinds and sweep modes (relaxed only, relaxed down to a loose tolerance,
+// escalating on its own, exact from the start — the exponential response is
+// exact in all of them — and stopping on a stall at a tolerance out of
+// reach), over chunked Run calls so the
+// persistent escalation state is compared too. The m13 cases have an odd
+// row count, so the paired dense kernels leave their last row to the
+// single-row ones.
 func TestISPKernelsMatchReference(t *testing.T) {
 	type mode struct {
 		name   string
 		chunks []int
 		tol    float64
 		exact  bool
+		stall  bool
 	}
 	modes := []mode{
 		{name: "relaxed", chunks: []int{4}},
 		{name: "escalating", chunks: []int{5, 1, 200}, tol: 1e-10},
+		{name: "loose", chunks: []int{7, 200}, tol: 1e-2},
 		{name: "exact", chunks: []int{3, 30}, tol: 1e-12, exact: true},
+		{name: "stall", chunks: []int{6, 5, 400}, tol: 1e-300, stall: true},
 	}
-	escalated, seed := 0, int64(0)
+	escalated, stalled, seed := 0, 0, int64(0)
 	for _, m := range []int{12, 13} {
 		for _, resp := range []Response{Additive, Exponential} {
 			for _, storage := range []string{"dense", "csr-band", "csr-full"} {
@@ -465,10 +475,11 @@ func TestISPKernelsMatchReference(t *testing.T) {
 								ref := ispCase(resp, m, storage, bounds, totals, seed)
 								if md.exact {
 									sys.runInit, sys.runExact = true, true
-									sys.lastRes, sys.winBest, sys.prevWin = math.Inf(1), math.Inf(1), math.Inf(1)
+									sys.winBest, sys.prevWin = math.Inf(1), math.Inf(1)
 									ref.runInit, ref.runExact = true, true
-									ref.lastRes, ref.winBest, ref.prevWin = math.Inf(1), math.Inf(1), math.Inf(1)
+									ref.winBest, ref.prevWin = math.Inf(1), math.Inf(1)
 								}
+								sys.StopOnStall, ref.StopOnStall = md.stall, md.stall
 								n := sys.A.N
 								lambda, mu := make([]float64, m), make([]float64, n)
 								rl, rm := make([]float64, m), make([]float64, n)
@@ -482,6 +493,12 @@ func TestISPKernelsMatchReference(t *testing.T) {
 									bitsEqual(t, "mu", mu, rm)
 									if sys.runExact != ref.runExact || sys.winCount != ref.winCount {
 										t.Fatalf("chunk %d: escalation state diverged", c)
+									}
+									if got.Stalled {
+										if resp == Additive {
+											stalled++
+										}
+										break
 									}
 								}
 								if md.name == "escalating" && resp == Additive && sys.runExact {
@@ -506,6 +523,9 @@ func TestISPKernelsMatchReference(t *testing.T) {
 	}
 	if escalated == 0 {
 		t.Fatal("no escalating case left relaxed mode; the exact sweeps went untested there")
+	}
+	if stalled == 0 {
+		t.Fatal("no additive case stopped on an exact-mode stall; that stop went untested")
 	}
 }
 

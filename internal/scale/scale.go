@@ -149,6 +149,9 @@ type Result struct {
 	Exact bool
 	// ExactIteration is the sweep on which Exact was detected (0 if not).
 	ExactIteration int
+	// Stalled reports that System.Run stopped because its exact sweeps
+	// stopped improving the residual (System.StopOnStall).
+	Stalled bool
 }
 
 // Pow2Near returns the power of two nearest to x in log scale (the exact

@@ -6,6 +6,8 @@ import (
 	"runtime"
 	"testing"
 	"time"
+
+	"sea/internal/spe"
 )
 
 // waitGoroutines waits for the live goroutine count to settle back to the
@@ -151,4 +153,38 @@ func TestCancelWithSharedPool(t *testing.T) {
 	if !sol.Converged {
 		t.Fatal("solve after cancellation did not converge")
 	}
+}
+
+// TestCancelDuringPrecondition: the ISP warm start checks ctx between chunks
+// of sweeps, so a deadline that passes inside the stage ends the solve there
+// — with the context's error, no solution and no worker goroutine left
+// behind — in well under the stage's uncancelled time, instead of after it.
+func TestCancelDuringPrecondition(t *testing.T) {
+	d, err := spe.Generate(200, 200, 1).ToConstrainedMatrix()
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := mustDiagonal(t, d)
+	o := DefaultOptions()
+	o.Criterion, o.Epsilon, o.Precondition = DualGradient, 0.01, PrecondISP
+	o.Procs = 4
+	full, err := Solve(context.Background(), "sea", p, o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stage := time.Duration(full.PrecondNs)
+	baseline := runtime.NumGoroutine()
+
+	ctx, cancel := context.WithTimeout(context.Background(), stage/8)
+	defer cancel()
+	start := time.Now()
+	sol, err := Solve(ctx, "sea", p, o)
+	took := time.Since(start)
+	if !errors.Is(err, context.DeadlineExceeded) || sol != nil {
+		t.Fatalf("Solve returned a solution: %t, error %v; want none and context.DeadlineExceeded", sol != nil, err)
+	}
+	if took >= stage/2 {
+		t.Fatalf("cancelled solve returned after %v; the uncancelled stage takes %v", took, stage)
+	}
+	waitGoroutines(t, baseline)
 }
