@@ -286,18 +286,15 @@ func (d *DualSystem) Build(p *DiagonalProblem, resp scale.Response) *scale.Syste
 	return sys
 }
 
-// ispChunk is the number of ISP sweeps between the warm start's checks of
-// ctx: one stall window of scale.System.Run.
-const ispChunk = 6
-
 // ispWarmStart runs clamped ISP sweeps on the scaled problem's exact KKT
 // system and leaves the column-multiplier estimate in ps.mu0. The sweeps go
-// on until the residual reaches ε, the exact sweeps stall
-// (scale.System.StopOnStall), or the budget runs out: PrecondSweeps when
-// set, else MaxIterations. They run in chunks of ispChunk, with ctx checked
-// between chunks; chunked runs are bit-identical to one long run. It
-// reports false (leaving Options untouched) for IntervalTotals, whose SEA
-// iterates stay those of pure scaling, or when the system fails validation;
+// on until the residual reaches ε, a window of exact sweeps stalls against
+// the one before it (scale.Result.Stalled), or the budget runs out:
+// PrecondSweeps when set, else MaxIterations. They run one stall window
+// (scale.StallWindow sweeps) per call, with ctx checked between calls;
+// chunked runs are bit-identical to one long run. It reports false
+// (leaving Options untouched) for IntervalTotals, whose SEA iterates stay
+// those of pure scaling, or when the system fails validation;
 // preconditioning then degrades to pure scaling.
 func (ps *precondState) ispWarmStart(ctx context.Context, sp *DiagonalProblem, o *Options) (bool, error) {
 	if sp.Kind == IntervalTotals {
@@ -307,7 +304,6 @@ func (ps *precondState) ispWarmStart(ctx context.Context, sp *DiagonalProblem, o
 	if sys.Validate() != nil {
 		return false, nil
 	}
-	sys.StopOnStall = true
 	ps.lambda0 = zeroed(ps.lambda0, sp.M)
 	mu := zeroed(ps.mu0, sp.N)
 	ps.mu0 = mu
@@ -321,7 +317,7 @@ func (ps *precondState) ispWarmStart(ctx context.Context, sp *DiagonalProblem, o
 		if err := ctx.Err(); err != nil {
 			return false, err
 		}
-		res := sys.Run(ps.lambda0, mu, min(ispChunk, budget-ps.sweeps), o.Epsilon, ps.colSum, ps.colASum, nil)
+		res := sys.Run(ps.lambda0, mu, min(scale.StallWindow, budget-ps.sweeps), o.Epsilon, ps.colSum, ps.colASum, nil)
 		ps.sweeps += res.Iterations
 		if math.IsNaN(res.Residual) {
 			// The duals diverged (an infeasible box): start SEA cold, and

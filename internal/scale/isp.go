@@ -71,11 +71,6 @@ type System struct {
 	// zero μ.
 	colBlo, colBhi, colTgt, zeroMu []float64
 
-	// StopOnStall makes Run return once the exact sweeps stall (see Run):
-	// the warm-start use, where the estimate only has to be as good as the
-	// sweeps can make it, not reach the tolerance.
-	StopOnStall bool
-
 	// Relaxed/exact escalation state (see Run). It persists across Run
 	// calls like the duals do, so chunked runs behave exactly like one
 	// long run.
@@ -87,9 +82,8 @@ type System struct {
 }
 
 // Reuse makes s the system next while keeping s's scratch buffers: the
-// escalation state starts fresh and StopOnStall takes next's value, exactly
-// as on a new System, so a long-lived System reruns on new data without
-// reallocating.
+// escalation state starts fresh, exactly as on a new System, so a
+// long-lived System reruns on new data without reallocating.
 func (s *System) Reuse(next System) {
 	blo, bhi, tgt, zero := s.colBlo, s.colBhi, s.colTgt, s.zeroMu
 	*s = next
@@ -758,9 +752,9 @@ func (s *System) pickColumnTargets(lambda, mu, colSum, colASum []float64) (first
 // continue from where they are). It stops early when the residual — the
 // largest absolute row/column equation violation at the staggered iterates,
 // the ∞-norm of the dual gradient — reaches tol (tol ≤ 0 never stops
-// early), after the first sweep whose residual is NaN (the duals diverged),
-// or, with StopOnStall, when the exact sweeps stall (Result.Stalled).
-// observe, when non-nil, receives every sweep's index and residual.
+// early), or after the first sweep whose residual is NaN (the duals
+// diverged). observe, when non-nil, receives every sweep's index and
+// residual.
 //
 // Exact half-sweeps (safeguarded Newton per row, batched Newton passes per
 // column, each an exact two-block coordinate-ascent step on the concave
@@ -771,10 +765,12 @@ func (s *System) pickColumnTargets(lambda, mu, colSum, colASum []float64) (first
 // relaxed residual stalls. Mostly-interior problems therefore pay the
 // single-step price per sweep, while heavily clamped ones — where single
 // linearized steps can cycle across breakpoints — self-correct within a few
-// sweeps. A stall is a 6-sweep window whose best residual improves on the
-// previous window's by less than 2%; with StopOnStall the windows go on
-// after the escalation, and the first exact window that stalls ends the
-// run.
+// sweeps. A stall is a StallWindow-sweep window whose best residual
+// improves on the previous window's by less than 2%. The windows go on
+// after the escalation, judging the exact sweeps against each other only,
+// and Result.Stalled reports an exact window that stalled: the windows
+// start at sweep 1 of a fresh System, so a caller that runs StallWindow
+// sweeps per call sees each window end with its call and can stop there.
 //
 // colSum and colASum are caller scratch of length N (nil to allocate): the
 // column half-sweep accumulates per-column sums row-major instead of
@@ -838,29 +834,35 @@ func (s *System) Run(lambda, mu []float64, sweeps int, tol float64, colSum, colA
 			// NaN violation sticks, so no later sweep can converge.
 			return res
 		}
-		// Escalate once a 6-sweep window's best residual stops improving on
-		// the previous window's — relaxed sweeps oscillate with period 2 at
+		// Escalate once a window's best residual stops improving on the
+		// previous window's — relaxed sweeps oscillate with period 2 at
 		// the staggered iterates, so consecutive-sweep comparisons would
-		// misread a healthy downward trend as a stall.
-		if (!s.runExact || s.StopOnStall) && s.windowStalled(worst) {
+		// misread a healthy downward trend as a stall. The first exact
+		// window is judged against nothing, so an exact stall always
+		// follows a run of exact sweeps.
+		if s.windowStalled(worst) {
 			if s.runExact {
 				res.Stalled = true
-				return res
+			} else {
+				s.runExact = true
+				s.prevWin = math.Inf(1)
 			}
-			s.runExact = true
 		}
 	}
 	return res
 }
 
-// windowStalled folds a sweep's residual into the current 6-sweep window
-// and reports, on the window's last sweep, whether its best residual failed
-// to improve on the previous window's by 2%.
+// StallWindow is the length, in sweeps, of Run's stall windows.
+const StallWindow = 6
+
+// windowStalled folds a sweep's residual into the current stall window and
+// reports, on the window's last sweep, whether its best residual failed to
+// improve on the previous window's by 2%.
 func (s *System) windowStalled(worst float64) bool {
 	if worst < s.winBest {
 		s.winBest = worst
 	}
-	if s.winCount++; s.winCount < 6 {
+	if s.winCount++; s.winCount < StallWindow {
 		return false
 	}
 	stalled := s.winBest >= 0.98*s.prevWin

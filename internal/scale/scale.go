@@ -149,8 +149,8 @@ type Result struct {
 	Exact bool
 	// ExactIteration is the sweep on which Exact was detected (0 if not).
 	ExactIteration int
-	// Stalled reports that System.Run stopped because its exact sweeps
-	// stopped improving the residual (System.StopOnStall).
+	// Stalled reports that one of System.Run's exact stall windows ended
+	// in this call without improving the residual (see System.Run).
 	Stalled bool
 }
 

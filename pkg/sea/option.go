@@ -82,7 +82,9 @@ func WithTrace(tr Trace) Option {
 
 // WithDeadline bounds the solve's wall time: SolveWith derives a
 // context.WithDeadline child for the call, so the solver returns its last
-// consistent iterate with context.DeadlineExceeded once t passes.
+// consistent iterate with context.DeadlineExceeded once t passes. A
+// deadline that passes inside the PrecondISP warm start returns
+// context.DeadlineExceeded and no solution, since SEA has no iterate yet.
 func WithDeadline(t time.Time) Option {
 	return func(c *solveConfig) {
 		c.hasDeadline = true

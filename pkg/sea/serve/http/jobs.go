@@ -262,7 +262,8 @@ func (h *Handler) handlePollJob(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleCancelJob cancels a running job's context; the job transitions via
-// the solve's own cancellation path (last iterate, StatusCancelled).
+// the solve's own cancellation path: the last iterate with StatusCancelled,
+// or no solution when the cancel lands in a PrecondISP warm start.
 func (h *Handler) handleCancelJob(w http.ResponseWriter, r *http.Request) {
 	j := h.jobs.get(r.PathValue("id"))
 	if j == nil {
