@@ -50,7 +50,7 @@ func main() {
 		maxBody        = flag.Int64("max-body", 0, "request-body byte cap (0 = 32 MiB)")
 		maxJobs        = flag.Int("max-jobs", 0, "tracked asynchronous-job cap (0 = 1024)")
 		eps            = flag.Float64("eps", 0, "convergence tolerance override (0 = solver default)")
-		precond        = flag.String("precondition", "none", "default preconditioning stage: none, scale, sinkhorn, or isp (requests override with ?precondition=)")
+		precond        = flag.String("precondition", "none", "default preconditioning stage: none, scale, or isp (requests override with ?precondition=)")
 		drain          = flag.Duration("drain", 30*time.Second, "graceful-shutdown budget")
 	)
 	flag.Parse()

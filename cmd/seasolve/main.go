@@ -47,8 +47,7 @@ func main() {
 		maxIter    = flag.Int("maxiter", 200000, "iteration limit")
 		timeout    = flag.Duration("timeout", 0, "abort the solve after this duration (0 = no limit)")
 		traceEvery = flag.Int("trace", 0, "print per-iteration progress every N observed iterations (0 = off)")
-		precond    = flag.String("precondition", "none", "preconditioning stage: none, scale, sinkhorn, or isp")
-		sweeps     = flag.Int("precond-sweeps", 0, "cap on the warm-start sweeps for -precondition sinkhorn/isp (0 = 150 for sinkhorn; isp runs to convergence or a stall, within -maxiter)")
+		precond    = flag.String("precondition", "none", "preconditioning stage: none, scale, or isp (isp's warm-start sweeps stop on the solve's criterion or a stall, within -maxiter)")
 		objective  = flag.String("objective", "", "objective family: quadratic or entropy (default: the problem file's objective field, else quadratic)")
 	)
 	flag.Parse()
@@ -97,7 +96,6 @@ func main() {
 	} else {
 		o.Precondition = pc
 	}
-	o.PrecondSweeps = *sweeps
 	if *traceEvery > 0 {
 		o.Trace = sea.NewTraceWriter(os.Stderr, *traceEvery)
 	}

@@ -22,26 +22,15 @@ const (
 	// unpreconditioned one — this mode exists to tame overflow/underflow
 	// on badly ranged data, not to cut iterations.
 	PrecondScale
-	// PrecondSinkhorn additionally warm-starts the dual from a
-	// Sinkhorn–Knopp balancing of the (positive-floored) prior: the
-	// multiplicative factors are converted to additive column multipliers
-	// μ⁰. Falls back to PrecondScale when the prior's structure rules
-	// balancing out (zero rows/columns with positive targets).
-	PrecondSinkhorn
-	// PrecondISP warm-starts the dual with the iterative scaling procedure:
-	// clamped additive Gauss–Seidel sweeps on the exact KKT system
-	// (internal/scale.System), the same dual block-coordinate ascent as a
-	// SEA iteration at a fraction of its cost. The stage runs until it
-	// reaches ε, until its exact sweeps stall, or for MaxIterations sweeps
-	// (PrecondSweeps, when set, caps it), so on the elastic tiers it often
-	// leaves SEA a single outer iteration (see docs/PERFORMANCE.md).
+	// PrecondISP additionally warm-starts the dual with the iterative
+	// scaling procedure: clamped additive Gauss–Seidel sweeps on the exact
+	// KKT system (internal/scale.System), the same dual block-coordinate
+	// ascent as a SEA iteration at a fraction of its cost. The stage runs
+	// for at most MaxIterations sweeps, until its exact sweeps stall or its
+	// residual meets the solve's own criterion, so it often leaves SEA a
+	// single outer iteration (see docs/PERFORMANCE.md).
 	PrecondISP
 )
-
-// DefaultPrecondSweeps is the PrecondSinkhorn warm start's sweep budget when
-// Options.PrecondSweeps is zero. PrecondISP has no such default: its stage
-// runs to convergence or a stall, bounded by MaxIterations.
-const DefaultPrecondSweeps = 150
 
 func (p Precond) String() string {
 	switch p {
@@ -49,8 +38,6 @@ func (p Precond) String() string {
 		return "none"
 	case PrecondScale:
 		return "scale"
-	case PrecondSinkhorn:
-		return "sinkhorn"
 	case PrecondISP:
 		return "isp"
 	default:
@@ -65,12 +52,10 @@ func ParsePrecond(s string) (Precond, error) {
 		return PrecondNone, nil
 	case "scale":
 		return PrecondScale, nil
-	case "sinkhorn":
-		return PrecondSinkhorn, nil
 	case "isp":
 		return PrecondISP, nil
 	default:
-		return PrecondNone, fmt.Errorf("unknown precondition %q (want none, scale, sinkhorn or isp)", s)
+		return PrecondNone, fmt.Errorf("unknown precondition %q (want none, scale or isp)", s)
 	}
 }
 
@@ -126,10 +111,10 @@ const (
 	// MaxAbsDelta terminates when |x^t_ij − x^{t−1}_ij| ≤ ε for all i,j —
 	// the test of the paper's Section 3.1.1 (Step 3).
 	MaxAbsDelta Criterion = iota
-	// RelBalance terminates when |Σ_j x_ij − s_i| / max(|s_i|, 1) ≤ ε for
-	// all rows — the test of Section 3.1.2 (Step 3). Column constraints
-	// hold exactly after each column equilibration, so only row residuals
-	// are checked.
+	// RelBalance terminates when |Σ_j x_ij − s_i| / |s_i| ≤ ε for all
+	// rows — the test of Section 3.1.2 (Step 3); a row with |s_i| ≤ 1e-12
+	// is tested on its absolute residual. Column constraints hold exactly
+	// after each column equilibration, so only row residuals are checked.
 	RelBalance
 	// DualGradient terminates when ‖∇ζ‖∞ ≤ ε, i.e. the absolute constraint
 	// residuals are at most ε — the theoretical criterion (27)/(43)/(52).
@@ -186,22 +171,17 @@ type Options struct {
 	Runner *parallel.Pool
 	// Mu0, if non-nil, warm-starts the column multipliers (length N).
 	// Otherwise μ¹ = 0 per the paper's initialization step. A caller's Mu0
-	// wins over the PrecondSinkhorn/PrecondISP warm-start estimates: those
-	// stages then only rescale the problem and Mu0 with it.
+	// wins over the PrecondISP warm-start estimate: the stage then only
+	// rescales the problem and Mu0 with it.
 	Mu0 []float64
 	// Precondition selects a preconditioning stage run before the SEA
 	// sweeps: the solver rescales the problem data by exact power-of-two
-	// factors (and, for PrecondSinkhorn/PrecondISP, computes a dual warm
-	// start on the scaled data), solves, and unscales the solution so that
-	// it satisfies the ORIGINAL problem's KKT system. Time spent here is
+	// factors (and, for PrecondISP, computes a dual warm start on the
+	// scaled data), solves, and unscales the solution so that it
+	// satisfies the ORIGINAL problem's KKT system. Time spent here is
 	// reported in Solution.PrecondNs. Applies to the diagonal solver only;
 	// the general solver's inner diagonal solves never precondition.
 	Precondition Precond
-	// PrecondSweeps caps the warm-start procedure's sweeps for
-	// PrecondSinkhorn/PrecondISP. 0 selects DefaultPrecondSweeps for
-	// PrecondSinkhorn and MaxIterations for PrecondISP, whose stage stops
-	// earlier on convergence or a stall.
-	PrecondSweeps int
 	// Trace, if non-nil, receives one trace.Event per outer iteration:
 	// iteration index, convergence residual, wall-clock phase timings, and
 	// the iteration's own equilibration and operation counts. It is the

@@ -29,18 +29,16 @@ import (
 //     of its tiny-denominator guard |s̃| > 1e-12 testing the scaled supply
 //     — the one documented tolerance wart).
 //
-//  2. Dual warm start (PrecondSinkhorn, PrecondISP). Scaling alone cannot
-//     cut iteration counts — dual block-coordinate ascent is invariant
-//     under it — so the iteration win comes from estimating the column
-//     multipliers μ⁰ on the scaled data and handing them to the solver
-//     via Mu0. SEA's first row phase then derives the matching λ exactly.
-//     ISP runs clamped additive Gauss–Seidel sweeps on the true KKT
-//     system (see scale.System); Sinkhorn balances the positive-floored
-//     prior and converts the multiplicative column factors to additive
-//     multipliers. Warm starts change the trajectory (that is the point)
-//     but not the fixed points: the preconditioned solution satisfies the
-//     original KKT system to the solver's tolerance. A caller's own Mu0
-//     replaces the estimate: the stage only rescales it.
+//  2. Dual warm start (PrecondISP). Scaling alone cannot cut iteration
+//     counts — dual block-coordinate ascent is invariant under it — so the
+//     iteration win comes from estimating the column multipliers μ⁰ on the
+//     scaled data and handing them to the solver via Mu0. SEA's first row
+//     phase then derives the matching λ exactly. ISP runs clamped additive
+//     Gauss–Seidel sweeps on the true KKT system (see scale.System). The
+//     warm start changes the trajectory (that is the point) but not the
+//     fixed points: the preconditioned solution satisfies the original KKT
+//     system to the solver's tolerance. A caller's own Mu0 replaces the
+//     estimate: the stage only rescales it.
 type precondState struct {
 	// Scaled problem storage (prob's slices point into these).
 	prob  DiagonalProblem
@@ -60,12 +58,9 @@ type precondState struct {
 	// Warm-start scratch. dual keeps the ISP stage's system and its column
 	// brackets across solves (Build resets its escalation state, so every
 	// solve runs the cold trajectory); colSum/colASum are its column-pass
-	// accumulators. slopes, colA and colB are the Sinkhorn stage's.
-	slopes  []float64
+	// accumulators.
 	mu0     []float64
 	lambda0 []float64
-	colA    []float64
-	colB    []float64
 	dual    DualSystem
 	colSum  []float64
 	colASum []float64
@@ -94,9 +89,15 @@ func (ps *precondState) apply(ctx context.Context, p *DiagonalProblem, o *Option
 	// Tolerances move with the data, by exact power-of-two factors. ε is in
 	// mass units for MaxAbsDelta (|Δx|) and DualGradient (constraint
 	// residual); RelBalance is unitless. The multiplier bound is in
-	// multiplier units (·τ/σ).
+	// multiplier units (·τ/σ). The ISP stage stops on its absolute residual;
+	// under RelBalance its tolerance is ε times the smallest row total, so
+	// the estimate it hands SEA already passes the relative test.
 	if o.Criterion != RelBalance {
 		o.Epsilon /= ps.sigma
+	}
+	ispTol := o.Epsilon
+	if o.Criterion == RelBalance {
+		ispTol = relBalanceTol(sp.S0, o.Epsilon)
 	}
 	if o.BoundMultipliers {
 		o.MultiplierBound *= ps.tau / ps.sigma
@@ -112,15 +113,11 @@ func (ps *precondState) apply(ctx context.Context, p *DiagonalProblem, o *Option
 		}
 		o.Mu0 = ps.mu0
 	case o.Precondition == PrecondISP:
-		ok, err := ps.ispWarmStart(ctx, sp, o)
+		ok, err := ps.ispWarmStart(ctx, sp, ispTol, o.MaxIterations)
 		if err != nil {
 			return nil, err
 		}
 		if ok {
-			o.Mu0 = ps.mu0
-		}
-	case o.Precondition == PrecondSinkhorn:
-		if ps.sinkhornWarmStart(sp, o) {
 			o.Mu0 = ps.mu0
 		}
 	}
@@ -288,15 +285,14 @@ func (d *DualSystem) Build(p *DiagonalProblem, resp scale.Response) *scale.Syste
 
 // ispWarmStart runs clamped ISP sweeps on the scaled problem's exact KKT
 // system and leaves the column-multiplier estimate in ps.mu0. The sweeps go
-// on until the residual reaches ε, a window of exact sweeps stalls against
-// the one before it (scale.Result.Stalled), or the budget runs out:
-// PrecondSweeps when set, else MaxIterations. They run one stall window
-// (scale.StallWindow sweeps) per call, with ctx checked between calls;
-// chunked runs are bit-identical to one long run. It reports false
-// (leaving Options untouched) for IntervalTotals, whose SEA iterates stay
-// those of pure scaling, or when the system fails validation;
-// preconditioning then degrades to pure scaling.
-func (ps *precondState) ispWarmStart(ctx context.Context, sp *DiagonalProblem, o *Options) (bool, error) {
+// on until the residual reaches tol, a window of exact sweeps stalls
+// against the one before it (scale.Result.Stalled), or budget sweeps have
+// run. They run one stall window (scale.StallWindow sweeps) per call, with
+// ctx checked between calls; chunked runs are bit-identical to one long
+// run. It reports false for IntervalTotals, whose SEA iterates stay those
+// of pure scaling, or when the system fails validation; preconditioning
+// then degrades to pure scaling.
+func (ps *precondState) ispWarmStart(ctx context.Context, sp *DiagonalProblem, tol float64, budget int) (bool, error) {
 	if sp.Kind == IntervalTotals {
 		return false, nil
 	}
@@ -309,15 +305,11 @@ func (ps *precondState) ispWarmStart(ctx context.Context, sp *DiagonalProblem, o
 	ps.mu0 = mu
 	ps.colSum = resizeF(ps.colSum, sp.N)
 	ps.colASum = resizeF(ps.colASum, sp.N)
-	budget := o.PrecondSweeps
-	if budget <= 0 {
-		budget = o.MaxIterations
-	}
 	for ps.sweeps < budget {
 		if err := ctx.Err(); err != nil {
 			return false, err
 		}
-		res := sys.Run(ps.lambda0, mu, min(scale.StallWindow, budget-ps.sweeps), o.Epsilon, ps.colSum, ps.colASum, nil)
+		res := sys.Run(ps.lambda0, mu, min(scale.StallWindow, budget-ps.sweeps), tol, ps.colSum, ps.colASum, nil)
 		ps.sweeps += res.Iterations
 		if math.IsNaN(res.Residual) {
 			// The duals diverged (an infeasible box): start SEA cold, and
@@ -332,75 +324,21 @@ func (ps *precondState) ispWarmStart(ctx context.Context, sp *DiagonalProblem, o
 	return true, nil
 }
 
-// sinkhornWarmStart balances the positive-floored scaled prior to the
-// scaled totals and converts the multiplicative column factors v_j into
-// additive multiplier estimates μ⁰_j ≈ (v_j−1)·colsum⁰_j / Σ_i a_ij: the
-// additive column adjustment that moves the same mass the balancing
-// factors would. Reports false on structural failure (zero rows/columns
-// with positive targets) or kinds without per-side targets.
-func (ps *precondState) sinkhornWarmStart(sp *DiagonalProblem, o *Options) bool {
-	if sp.Kind == IntervalTotals {
-		return false
-	}
-	nv := len(sp.X0)
-	ps.slopes = resizeF(ps.slopes, nv)
-	// The balancing matrix is the prior floored to a small positive value
-	// (scaled data is O(1), so the floor is absolute).
-	const floor = 1e-8
-	for k, v := range sp.X0 {
-		if v > floor {
-			ps.slopes[k] = v
-		} else {
-			ps.slopes[k] = floor
+// relBalanceTol is the ISP stage's absolute tolerance under RelBalance:
+// ε·min|s⁰_i| over the rows whose total passes the check's guard
+// |s_i| > 1e-12 (diagState.checkConvergence), or ε when none does. The
+// check divides by the current totals, which elastic kinds move from s⁰.
+func relBalanceTol(s0 []float64, eps float64) float64 {
+	smin := math.Inf(1)
+	for _, v := range s0 {
+		if a := math.Abs(v); a > 1e-12 && a < smin {
+			smin = a
 		}
 	}
-	a := ScaleMatrix(sp, ps.slopes)
-	r := zeroed(ps.lambda0, sp.M)
-	for i, v := range sp.S0 {
-		if v > 0 {
-			r[i] = v
-		}
+	if math.IsInf(smin, 1) {
+		return eps
 	}
-	ps.lambda0 = r
-	cSrc := sp.D0
-	if sp.Kind == Balanced {
-		cSrc = sp.S0
-	}
-	c := zeroed(ps.colA, sp.N)
-	for j, v := range cSrc {
-		if v > 0 {
-			c[j] = v
-		}
-	}
-	ps.colA = c
-	sweeps := o.PrecondSweeps
-	if sweeps <= 0 {
-		sweeps = DefaultPrecondSweeps
-	}
-	_, v, res, err := scale.Sinkhorn(a, r, c, nil, nil, scale.SinkhornOptions{MaxIters: sweeps})
-	if err != nil {
-		return false
-	}
-	ps.sweeps = res.Iterations
-	// Column sums of the floored prior and of the dual slopes.
-	colSum0 := zeroed(ps.colB, sp.N)
-	a.ColSums(colSum0)
-	ps.colB = colSum0
-	mu := zeroed(ps.mu0, sp.N)
-	ps.mu0 = mu
-	ga := ScaleMatrix(sp, sp.Gamma)
-	for i := 0; i < ga.M; i++ {
-		lo, hi := ga.Row(i)
-		for k := lo; k < hi; k++ {
-			mu[ga.Col(i, k)] += 0.5 / ga.Val[k]
-		}
-	}
-	for j := 0; j < sp.N; j++ {
-		if mu[j] > 0 {
-			mu[j] = (v[j] - 1) * colSum0[j] / mu[j]
-		}
-	}
-	return true
+	return eps * smin
 }
 
 // halfInv fills dst with 0.5/src (the slopes 1/(2γ), the elastic terms

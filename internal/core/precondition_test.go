@@ -85,34 +85,47 @@ func bitEqual(t *testing.T, what string, got, want []float64) {
 	}
 }
 
-// TestPrecondWarmStartsSatisfyOriginalKKT: the warm-started modes change the
-// solve trajectory, so their solutions are compared against the ORIGINAL
+// TestPrecondWarmStartsSatisfyOriginalKKT: the ISP warm start changes the
+// solve trajectory, so its solutions are compared against the ORIGINAL
 // problem's KKT system, not against the baseline iterate: after unscaling,
 // the solution must satisfy feasibility and stationarity to the solver's
-// tolerance.
+// tolerance, under the absolute and the relative criterion alike.
 func TestPrecondWarmStartsSatisfyOriginalKKT(t *testing.T) {
 	for name, p := range precondFamilies(t) {
-		for _, mode := range []Precond{PrecondSinkhorn, PrecondISP} {
+		for _, crit := range []Criterion{DualGradient, RelBalance} {
 			opts := DefaultOptions()
 			opts.Epsilon = 1e-8
-			opts.Criterion = DualGradient
-			opts.Precondition = mode
+			opts.Criterion = crit
+			opts.Precondition = PrecondISP
 			sol, err := SolveDiagonal(context.Background(), p, opts)
 			if err != nil {
-				t.Fatalf("%s %v: %v", name, mode, err)
+				t.Fatalf("%s %v: %v", name, crit, err)
 			}
 			if !sol.Converged {
-				t.Fatalf("%s %v: not converged", name, mode)
+				t.Fatalf("%s %v: not converged", name, crit)
 			}
 			rep := CheckKKT(p, sol)
-			// The dual-gradient tolerance bounds the constraint residuals;
-			// stationarity of the interior cells is exact by construction, so
-			// the headroom factor covers accumulated rounding only.
-			if m := rep.Max(); !(m <= 1e-6) {
-				t.Fatalf("%s %v: KKT violation %g (report %+v)", name, mode, m, rep)
+			// The criterion bounds the row residuals (relative to the
+			// largest total under RelBalance); stationarity of the interior
+			// cells is exact by construction, so the headroom factor covers
+			// accumulated rounding only.
+			tol := 1e-6
+			if crit == RelBalance {
+				tol *= max(1, maxAbs(sol.S))
+			}
+			if m := rep.Max(); !(m <= tol) {
+				t.Fatalf("%s %v: KKT violation %g > %g (report %+v)", name, crit, m, tol, rep)
 			}
 		}
 	}
+}
+
+func maxAbs(xs []float64) float64 {
+	var m float64
+	for _, v := range xs {
+		m = max(m, math.Abs(v))
+	}
+	return m
 }
 
 // TestPrecondISPCutsIterations asserts the warm start actually pays on an
@@ -172,8 +185,8 @@ func TestPrecondArenaSteadyState(t *testing.T) {
 	}
 }
 
-// TestPrecondCallerMu0Wins: a caller's Mu0 replaces the Sinkhorn and ISP
-// warm-start estimates, so with Mu0 set every preconditioning mode is the
+// TestPrecondCallerMu0Wins: a caller's Mu0 replaces the ISP warm-start
+// estimate, so with Mu0 set every preconditioning mode is the
 // exact rescaling of the unpreconditioned warm solve — bit-identical to it,
 // and restarted from the converged μ it needs next to no iterations.
 func TestPrecondCallerMu0Wins(t *testing.T) {
@@ -182,7 +195,6 @@ func TestPrecondCallerMu0Wins(t *testing.T) {
 	opts := DefaultOptions()
 	opts.Epsilon = 1e-8
 	opts.Criterion = DualGradient
-	opts.PrecondSweeps = 3
 	cold, err := SolveDiagonal(context.Background(), p, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -196,7 +208,7 @@ func TestPrecondCallerMu0Wins(t *testing.T) {
 	if base.Iterations*10 > cold.Iterations {
 		t.Fatalf("warm solve from the converged μ took %d iterations, cold %d", base.Iterations, cold.Iterations)
 	}
-	for _, pc := range []Precond{PrecondScale, PrecondSinkhorn, PrecondISP} {
+	for _, pc := range []Precond{PrecondScale, PrecondISP} {
 		o := warm
 		o.Precondition = pc
 		pre, err := SolveDiagonal(context.Background(), p, &o)
@@ -265,16 +277,17 @@ func TestPrecondISPDivergenceFallsBackCold(t *testing.T) {
 
 func TestParsePrecond(t *testing.T) {
 	for s, want := range map[string]Precond{
-		"": PrecondNone, "none": PrecondNone, "scale": PrecondScale,
-		"sinkhorn": PrecondSinkhorn, "isp": PrecondISP,
+		"": PrecondNone, "none": PrecondNone, "scale": PrecondScale, "isp": PrecondISP,
 	} {
 		got, err := ParsePrecond(s)
 		if err != nil || got != want {
 			t.Fatalf("ParsePrecond(%q) = %v, %v", s, got, err)
 		}
 	}
-	if _, err := ParsePrecond("bogus"); err == nil {
-		t.Fatal("ParsePrecond accepted bogus")
+	for _, bad := range []string{"bogus", "sinkhorn"} {
+		if _, err := ParsePrecond(bad); err == nil {
+			t.Fatalf("ParsePrecond accepted %q", bad)
+		}
 	}
 	if PrecondISP.String() != "isp" || PrecondNone.String() != "none" {
 		t.Fatal("Precond.String mismatch")

@@ -82,7 +82,7 @@ type Solution struct {
 	// is PrecondNone.
 	PrecondNs int64
 	// PrecondSweeps is the number of sweeps the preconditioning stage's
-	// warm start ran (ISP or Sinkhorn); zero without a warm start.
+	// ISP warm start ran; zero without a warm start.
 	PrecondSweeps int
 }
 

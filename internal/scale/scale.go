@@ -10,9 +10,9 @@
 //
 // The package is the computational substrate of two consumers:
 //
-//   - the core solver's Options.Precondition stage, which uses ISP (or a
-//     Sinkhorn-derived heuristic) to warm-start the SEA dual before the
-//     expensive equilibration sweeps begin; and
+//   - the core solver's Options.Precondition stage, which uses ISP to
+//     warm-start the SEA dual before the expensive equilibration sweeps
+//     begin; and
 //   - the "sinkhorn" (alias "ras"), "isp" and "entropy" registry solvers
 //     in pkg/sea (internal/baseline), which run the procedures to
 //     convergence as solvers in their own right.

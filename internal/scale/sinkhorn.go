@@ -39,7 +39,7 @@ func (o SinkhornOptions) withDefaults() SinkhornOptions {
 // Sinkhorn–Knopp / biproportional balancing iteration, over dense or CSR
 // storage. A must be elementwise nonnegative and the targets nonnegative
 // with Σr = Σc for exact convergence (the iteration still runs and reports
-// its residual otherwise, as in regularized-Sinkhorn preconditioning use).
+// its residual otherwise).
 //
 // u and v supply the factor storage (reused across calls for pooling);
 // either may be nil to allocate. Rows and columns with an all-zero support

@@ -46,7 +46,7 @@ func TestFacadePreconditionOption(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, pc := range []Precond{PrecondScale, PrecondSinkhorn, PrecondISP} {
+	for _, pc := range []Precond{PrecondScale, PrecondISP} {
 		sol, err := Solve(context.Background(), "sea", p, opts(pc))
 		if err != nil {
 			t.Fatalf("%v: %v", pc, err)

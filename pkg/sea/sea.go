@@ -96,14 +96,13 @@ const (
 
 // Preconditioning modes (Options.Precondition); see core.Precond.
 const (
-	PrecondNone     = core.PrecondNone
-	PrecondScale    = core.PrecondScale
-	PrecondSinkhorn = core.PrecondSinkhorn
-	PrecondISP      = core.PrecondISP
+	PrecondNone  = core.PrecondNone
+	PrecondScale = core.PrecondScale
+	PrecondISP   = core.PrecondISP
 )
 
-// ParsePrecond maps the flag/query spellings ("none", "scale", "sinkhorn",
-// "isp") to a Precond value.
+// ParsePrecond maps the flag/query spellings ("none", "scale", "isp") to a
+// Precond value.
 var ParsePrecond = core.ParsePrecond
 
 // Objective families (Options.Objective); see core.Objective. The facade

@@ -14,7 +14,8 @@ import (
 
 // TestSolvePrecondQueryParam: ?precondition= on the synchronous path must
 // run the preconditioning stage (visible as precond_ns on the wire), and an
-// unknown value must fail with 400 before any solve.
+// unknown value (including the retired "sinkhorn") must fail with 400 before
+// any solve.
 func TestSolvePrecondQueryParam(t *testing.T) {
 	base, _, _, _ := newStack(t, serve.Config{MaxInFlight: 2}, Config{})
 	body := problemBody(t, problems.RandomSAM(24, 5))
@@ -38,13 +39,15 @@ func TestSolvePrecondQueryParam(t *testing.T) {
 		t.Fatalf("precond_ns = %d, want > 0", sol.PrecondNs)
 	}
 
-	bad, err := http.Post(base+"/v1/solve?precondition=bogus", "application/json", bytes.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	bad.Body.Close()
-	if bad.StatusCode != http.StatusBadRequest {
-		t.Fatalf("unknown precondition: status %d, want 400", bad.StatusCode)
+	for _, v := range []string{"bogus", "sinkhorn"} {
+		bad, err := http.Post(base+"/v1/solve?precondition="+v, "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		bad.Body.Close()
+		if bad.StatusCode != http.StatusBadRequest {
+			t.Fatalf("precondition=%s: status %d, want 400", v, bad.StatusCode)
+		}
 	}
 }
 

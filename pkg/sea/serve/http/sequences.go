@@ -90,7 +90,7 @@ type sequenceRequest struct {
 	// "entropy"/"kl"; default the backend's template).
 	Objective string `json:"objective,omitempty"`
 	// Precondition selects the preconditioning stage ("none", "scale",
-	// "sinkhorn"/"isp"; default the backend's template).
+	// "isp"; default the backend's template).
 	Precondition string `json:"precondition,omitempty"`
 	// WarmDuals chains each period's converged duals into the next solve.
 	// Off by default: the default sequence is bit-identical to solving every
