@@ -86,13 +86,15 @@ bench-sparse: cmds
 
 # Preconditioning guards: the exactness, KKT, and iteration-cut properties
 # of the warm-start stage, the ISP cell kernels' bit-identity with the
-# per-cell reference and a one-shot smoke of their benchmark, plus a
+# per-cell reference, one-shot smokes of their benchmark and of the stage's
+# (ns/op and sweeps/op on spe150 and the elastic 150×150), plus a
 # filtered perf-suite run regenerating just the hard elastic tier's records —
 # the spe250/precond row is where the outer-iteration win is gated (seabench
 # -compare flags any growth).
 bench-precond: cmds
-	$(GO) test -count=1 -run 'TestPrecond|TestScalingSolversTracePerSweep|TestCSRMatchesDenseBitwise|TestISPKernelsMatchReference|TestInteriorMask|TestISPNaNTargetNeverConverges|TestISPRejectsNonFinite' ./internal/core/ ./internal/baseline/ ./internal/scale/
+	$(GO) test -count=1 -run 'TestPrecond|TestScalingSolversTracePerSweep|TestCSRMatchesDenseBitwise|TestISPKernelsMatchReference|TestISPOverRelax|TestInteriorMask|TestISPNaNTargetNeverConverges|TestISPRejectsNonFinite' ./internal/core/ ./internal/baseline/ ./internal/scale/
 	$(GO) test -run xxx -bench BenchmarkISPRun -benchtime 1x ./internal/scale/
+	$(GO) test -run xxx -bench BenchmarkISPStage -benchtime 1x ./internal/core/
 	$(GO) run ./cmd/seabench -table none -benchjson .bench_precond.json -benchfilter table5/spe250
 	@cat .bench_precond.json; rm -f .bench_precond.json
 

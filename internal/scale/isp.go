@@ -66,28 +66,38 @@ type System struct {
 	// replace the targets and elastic terms.
 	RowLo, RowHi, ColLo, ColHi []float64
 
-	// Column half-sweep scratch, lazily sized (see Run): the per-column
-	// Newton brackets, and for interval totals the chosen targets and a
+	// Run's scratch, lazily sized: one slab carved into the per-column
+	// Newton brackets colBlo/colBhi and the over-relaxation checkpoint
+	// (see Run), and for interval totals the chosen column targets and a
 	// zero μ.
-	colBlo, colBhi, colTgt, zeroMu []float64
+	slab, colBlo, colBhi, colTgt, zeroMu []float64
 
-	// Relaxed/exact escalation state (see Run). It persists across Run
-	// calls like the duals do, so chunked runs behave exactly like one
-	// long run.
+	// Relaxed/exact escalation and over-relaxation state (see Run). It
+	// persists across Run calls like the duals do, so chunked runs behave
+	// exactly like one long run.
 	runInit  bool
 	runExact bool
-	winBest  float64
-	prevWin  float64
-	winCount int
+	// rollbacks counts the over-relaxed windows rolled back, and nRatios
+	// (at most 3) the window-to-window ratios of plain relaxed sweeps
+	// recorded since the last rollback, of which ratios holds the last
+	// two, oldest first.
+	rollbacks, nRatios uint8
+	winBest            float64
+	prevWin            float64
+	winCount           int
+	// omega is the relaxed sweeps' over-relaxation factor ω, and ckBest the
+	// best residual of the window that ended at the checkpoint.
+	omega, ckBest float64
+	ratios        [2]float64
 }
 
 // Reuse makes s the system next while keeping s's scratch buffers: the
 // escalation state starts fresh, exactly as on a new System, so a
 // long-lived System reruns on new data without reallocating.
 func (s *System) Reuse(next System) {
-	blo, bhi, tgt, zero := s.colBlo, s.colBhi, s.colTgt, s.zeroMu
+	slab, tgt, zero := s.slab, s.colTgt, s.zeroMu
 	*s = next
-	s.colBlo, s.colBhi, s.colTgt, s.zeroMu = blo, bhi, tgt, zero
+	s.slab, s.colTgt, s.zeroMu = slab, tgt, zero
 }
 
 // Validate checks the system's dimensions and entry ranges.
@@ -549,14 +559,25 @@ func newtonStep(z, g, slope float64, blo, bhi, step *float64) (next float64, ok 
 	return next, true
 }
 
+// relax over-relaxes a Newton step from z to next by the factor ω. At ω = 1
+// it returns next itself: z + 1·(next − z) can differ from next in the last
+// bit.
+func relax(z, next, omega float64) float64 {
+	if omega == 1 {
+		return next
+	}
+	return z + omega*(next-z)
+}
+
 // rowEq is one row equation's safeguarded-Newton state within a row
 // half-sweep: the iterate z = λ_i, its bracket and expansion step, the
-// equation in absolute form, and first, the violation at the incoming λ_i.
-// open is false once the iteration stops.
+// equation in absolute form, first, the violation at the incoming λ_i, and
+// the over-relaxation factor of its steps. open is false once the
+// iteration stops.
 type rowEq struct {
 	z, blo, bhi, step float64
 	target, diag      float64
-	first             float64
+	first, omega      float64
 	interval, open    bool
 }
 
@@ -565,7 +586,7 @@ type rowEq struct {
 // below the interval binds the lower bound (λ_i > 0), above it the upper
 // bound (λ_i < 0), and inside it λ_i = 0 with no iteration.
 func (s *System) openRow(i int, lambda, mu []float64) rowEq {
-	e := rowEq{z: lambda[i], blo: math.Inf(-1), bhi: math.Inf(1), step: 1, open: true}
+	e := rowEq{z: lambda[i], blo: math.Inf(-1), bhi: math.Inf(1), step: 1, omega: s.omega, open: true}
 	if s.RowLo == nil {
 		e.target, e.diag = s.rowAbs(i, mu)
 		return e
@@ -600,7 +621,7 @@ func (e *rowEq) advance(it int, sum, asum, innerTol float64) bool {
 	}
 	next, ok := newtonStep(e.z, g, asum+e.diag, &e.blo, &e.bhi, &e.step)
 	if ok {
-		e.z = next
+		e.z = relax(e.z, next, e.omega)
 	}
 	return ok
 }
@@ -665,11 +686,19 @@ func maxViolation(worst, v float64) float64 {
 // every unconverged μ_j one safeguarded Newton step; passes repeat until all
 // column equations hold. The return value is the worst absolute violation
 // at the incoming μ — the columns' contribution to the staggered residual.
+//
+// A single pass (inner = 1, the relaxed sweeps) without interval totals
+// keeps each column's bracket in locals: it takes one step from the
+// unbounded bracket, and colBlo/colBhi, which it leaves alone, hold Run's
+// checkpoint then.
 func (s *System) solveColumns(lambda, mu, colSum, colASum []float64, innerTol float64, inner int) (first float64) {
 	m, n := s.A.M, s.A.N
-	for j := 0; j < n; j++ {
-		s.colBlo[j] = math.Inf(-1)
-		s.colBhi[j] = math.Inf(1)
+	local := inner == 1 && s.ColLo == nil
+	if !local {
+		for j := 0; j < n; j++ {
+			s.colBlo[j] = math.Inf(-1)
+			s.colBhi[j] = math.Inf(1)
+		}
 	}
 	if s.ColLo != nil {
 		first = s.pickColumnTargets(lambda, mu, colSum, colASum)
@@ -701,8 +730,16 @@ func (s *System) solveColumns(lambda, mu, colSum, colASum []float64, innerTol fl
 			if math.Abs(g) <= innerTol {
 				continue
 			}
-			if next, ok := newtonStep(mu[j], g, colASum[j]+diag, &s.colBlo[j], &s.colBhi[j], &step); ok {
-				mu[j] = next
+			blo, bhi := math.Inf(-1), math.Inf(1)
+			if !local {
+				blo, bhi = s.colBlo[j], s.colBhi[j]
+			}
+			next, ok := newtonStep(mu[j], g, colASum[j]+diag, &blo, &bhi, &step)
+			if !local {
+				s.colBlo[j], s.colBhi[j] = blo, bhi
+			}
+			if ok {
+				mu[j] = relax(mu[j], next, s.omega)
 				moved = true
 			}
 		}
@@ -772,16 +809,45 @@ func (s *System) pickColumnTargets(lambda, mu, colSum, colASum []float64) (first
 // start at sweep 1 of a fresh System, so a caller that runs StallWindow
 // sweeps per call sees each window end with its call and can stop there.
 //
+// The relaxed sweeps over-relax once their rate settles: each row and
+// column step becomes z + ω·(z_newton − z). Rows given μ and columns given
+// λ are independent, so near the solution, where the clamps stop changing,
+// a relaxed sweep is Gauss–Seidel on a 2-cyclic, consistently ordered
+// system, and Young's SOR theory gives the best factor from the
+// Gauss–Seidel rate ρ alone: ω = 2/(1+√(1−ρ)). Run reads ρ from its own
+// windows: once three consecutive plain windows' ratios q of best residuals
+// agree within 0.02, it takes ρ = q^(1/StallWindow) and sets ω = 1 +
+// d·(min(1.9, 2/(1+√(1−ρ))) − 1), with the damping d = 2^−k after k
+// rollbacks. (A ratio of 0.98 or more is a stall, so every ratio it sees is
+// below that.) While ω > 1, each window end checkpoints (λ, μ); a window
+// that stalls, or a sweep whose residual is NaN, rolls back: it restores the
+// checkpoint and sets ω = 1, and the rate is measured afresh. After
+// maxRollbacks rollbacks ω stays 1. A sweep that rolls back a NaN reports a
+// residual of +Inf: the restored duals' residual is unknown until the next
+// sweep. While ω is 1 the sweeps are bit-identical to plain Gauss–Seidel,
+// so a system on which the rule never engages runs exactly as it did
+// without it.
+//
 // colSum and colASum are caller scratch of length N (nil to allocate): the
 // column half-sweep accumulates per-column sums row-major instead of
 // requiring a CSC mirror, so a pass reads the matrix once and allocates
 // nothing.
 func (s *System) Run(lambda, mu []float64, sweeps int, tol float64, colSum, colASum []float64, observe func(int, float64)) Result {
-	n := s.A.N
+	m, n := s.A.M, s.A.N
 	colSum = resize(colSum, n)
 	colASum = resize(colASum, n)
-	s.colBlo = resize(s.colBlo, n)
-	s.colBhi = resize(s.colBhi, n)
+	// The checkpoint is live only through relaxed sweeps, whose one column
+	// pass keeps its brackets in locals (see solveColumns), so it shares
+	// the slab with the exact passes' brackets: a square system needs no
+	// more scratch than the brackets alone. Interval totals' relaxed pass
+	// reads the brackets pickColumnTargets sets, so there the two lie side
+	// by side.
+	size := max(2*n, m+n)
+	if s.ColLo != nil {
+		size = 2*n + m + n
+	}
+	s.slab = resize(s.slab, size)
+	s.colBlo, s.colBhi = s.slab[size-2*n:size-n], s.slab[size-n:]
 	if s.ColLo != nil {
 		s.colTgt = resize(s.colTgt, n)
 		s.zeroMu = resize(s.zeroMu, n) // never written: stays zero
@@ -791,12 +857,9 @@ func (s *System) Run(lambda, mu []float64, sweeps int, tol float64, colSum, colA
 		innerTol = tol / 4
 	}
 	if !s.runInit {
-		s.runInit = true
-		s.runExact = s.Response == Exponential
-		s.winBest = math.Inf(1)
-		s.prevWin = math.Inf(1)
+		s.start()
 	}
-	m, pair := s.A.M, s.pairedRows()
+	pair := s.pairedRows()
 	var res Result
 	for t := 1; t <= sweeps; t++ {
 		res.Iterations = t
@@ -817,6 +880,10 @@ func (s *System) Run(lambda, mu []float64, sweeps int, tol float64, colSum, colA
 			worst = maxViolation(worst, s.solveRow(i, lambda, mu, innerTol, inner))
 		}
 		worst = maxViolation(worst, s.solveColumns(lambda, mu, colSum, colASum, innerTol, inner))
+		if worst != worst && s.omega > 1 {
+			s.rollback(lambda, mu)
+			worst = math.Inf(1)
+		}
 		res.Residual = worst
 		if observe != nil {
 			observe(t, worst)
@@ -839,14 +906,24 @@ func (s *System) Run(lambda, mu []float64, sweeps int, tol float64, colSum, colA
 		// the staggered iterates, so consecutive-sweep comparisons would
 		// misread a healthy downward trend as a stall. The first exact
 		// window is judged against nothing, so an exact stall always
-		// follows a run of exact sweeps.
-		if s.windowStalled(worst) {
-			if s.runExact {
-				res.Stalled = true
-			} else {
-				s.runExact = true
-				s.prevWin = math.Inf(1)
-			}
+		// follows a run of exact sweeps. An over-relaxed window that
+		// stalls rolls back instead, so only plain relaxed sweeps
+		// escalate.
+		best, prev, end := s.closeWindow(worst)
+		if !end {
+			continue
+		}
+		stalled := best >= 0.98*prev
+		switch {
+		case stalled && s.omega > 1:
+			s.rollback(lambda, mu)
+		case stalled && s.runExact:
+			res.Stalled = true
+		case stalled:
+			s.runExact = true
+			s.prevWin = math.Inf(1)
+		case !s.runExact:
+			s.overRelax(best, prev, lambda, mu)
 		}
 	}
 	return res
@@ -855,21 +932,82 @@ func (s *System) Run(lambda, mu []float64, sweeps int, tol float64, colSum, colA
 // StallWindow is the length, in sweeps, of Run's stall windows.
 const StallWindow = 6
 
-// windowStalled folds a sweep's residual into the current stall window and
-// reports, on the window's last sweep, whether its best residual failed to
-// improve on the previous window's by 2%.
-func (s *System) windowStalled(worst float64) bool {
+// maxRollbacks is how many over-relaxed windows Run rolls back before it
+// keeps ω = 1 for good.
+const maxRollbacks = 3
+
+// start sets a fresh System's escalation and over-relaxation state.
+func (s *System) start() {
+	s.runInit = true
+	s.runExact = s.Response == Exponential
+	s.winBest = math.Inf(1)
+	s.prevWin = math.Inf(1)
+	s.omega = 1
+}
+
+// closeWindow folds a sweep's residual into the current stall window and,
+// on the window's last sweep, reports end with the window's best residual
+// and the previous window's, which the next window is then judged against.
+func (s *System) closeWindow(worst float64) (best, prev float64, end bool) {
 	if worst < s.winBest {
 		s.winBest = worst
 	}
 	if s.winCount++; s.winCount < StallWindow {
-		return false
+		return 0, 0, false
 	}
-	stalled := s.winBest >= 0.98*s.prevWin
-	s.prevWin = s.winBest
+	best, prev = s.winBest, s.prevWin
+	s.prevWin = best
 	s.winBest = math.Inf(1)
 	s.winCount = 0
-	return stalled
+	return best, prev, true
+}
+
+// overRelax runs at the end of a relaxed window that did not stall, whose
+// best residual is best against the previous window's prev. At ω = 1 it
+// records the ratio best/prev and sets ω once three consecutive ratios agree
+// (see Run); while ω > 1 it checkpoints the duals.
+func (s *System) overRelax(best, prev float64, lambda, mu []float64) {
+	if s.omega == 1 {
+		if s.rollbacks >= maxRollbacks || math.IsInf(prev, 1) {
+			return
+		}
+		q := best / prev
+		r0, r1 := s.ratios[0], s.ratios[1]
+		s.ratios = [2]float64{r1, q}
+		if s.nRatios < 3 {
+			s.nRatios++
+		}
+		if s.nRatios < 3 || max(r0, r1, q)-min(r0, r1, q) > 0.02 {
+			return
+		}
+		rho := math.Pow(q, 1.0/StallWindow)
+		damp := math.Ldexp(1, -int(s.rollbacks))
+		s.omega = 1 + damp*(min(1.9, 2/(1+math.Sqrt(1-rho)))-1)
+	}
+	if s.omega > 1 {
+		ckLambda, ckMu := s.checkpoint()
+		copy(ckLambda, lambda)
+		copy(ckMu, mu)
+		s.ckBest = best
+	}
+}
+
+// rollback restores the duals checkpointed by overRelax, returns to plain
+// relaxed sweeps, and restarts the windows against the checkpoint's.
+func (s *System) rollback(lambda, mu []float64) {
+	ckLambda, ckMu := s.checkpoint()
+	copy(lambda, ckLambda)
+	copy(mu, ckMu)
+	s.omega = 1
+	s.rollbacks++
+	s.nRatios = 0
+	s.winBest, s.winCount, s.prevWin = math.Inf(1), 0, s.ckBest
+}
+
+// checkpoint returns the slab's over-relaxation checkpoint of (λ, μ).
+func (s *System) checkpoint() (lambda, mu []float64) {
+	m, n := s.A.M, s.A.N
+	return s.slab[:m], s.slab[m : m+n]
 }
 
 // Eval writes the primal iterate x(λ,μ) implied by the duals into x

@@ -103,6 +103,9 @@ func refSolveRow(s *System, i int, lambda, mu []float64, innerTol float64, inner
 		if !ok {
 			break
 		}
+		if s.omega != 1 {
+			next = z + s.omega*(next-z)
+		}
 		z = next
 	}
 	lambda[i] = z
@@ -181,6 +184,9 @@ func refSolveColumns(s *System, lambda, mu []float64, innerTol float64, inner in
 				continue
 			}
 			if next, ok := newtonStep(mu[j], g, colSlope[j]+diag[j], &blo[j], &bhi[j], &step); ok {
+				if s.omega != 1 {
+					next = mu[j] + s.omega*(next-mu[j])
+				}
 				mu[j] = next
 				moved = true
 			}
@@ -195,6 +201,14 @@ func refSolveColumns(s *System, lambda, mu []float64, innerTol float64, inner in
 	return first
 }
 
+// refCheckpoint is refRun's over-relaxation state outside System: the
+// checkpointed duals and every plain window ratio since the last rollback.
+type refCheckpoint struct {
+	lambda, mu, ratios []float64
+}
+
+var refCheckpoints = map[*System]*refCheckpoint{}
+
 func refRun(s *System, lambda, mu []float64, sweeps int, tol float64) Result {
 	innerTol := 0.0
 	if tol > 0 {
@@ -205,6 +219,26 @@ func refRun(s *System, lambda, mu []float64, sweeps int, tol float64) Result {
 		s.runExact = s.Response == Exponential
 		s.winBest = math.Inf(1)
 		s.prevWin = math.Inf(1)
+		s.omega = 1
+	}
+	// The checkpoint lives in the reference's own buffers, the System's
+	// slab in Run.
+	ck := refCheckpoints[s]
+	if ck == nil {
+		ck = new(refCheckpoint)
+		refCheckpoints[s] = ck
+	}
+	// rollback restores the checkpoint, drops ω to 1 and restarts the
+	// windows against the checkpoint's best.
+	rollback := func() {
+		copy(lambda, ck.lambda)
+		copy(mu, ck.mu)
+		s.omega = 1
+		s.rollbacks++
+		s.winBest = math.Inf(1)
+		s.winCount = 0
+		s.prevWin = s.ckBest
+		ck.ratios = ck.ratios[:0]
 	}
 	var res Result
 	for t := 1; t <= sweeps; t++ {
@@ -222,6 +256,10 @@ func refRun(s *System, lambda, mu []float64, sweeps int, tol float64) Result {
 		if r := refSolveColumns(s, lambda, mu, innerTol, inner); r > worst || r != r {
 			worst = r
 		}
+		if worst != worst && s.omega > 1 {
+			rollback()
+			worst = math.Inf(1)
+		}
 		res.Residual = worst
 		if worst == 0 && !res.Exact {
 			res.Exact = true
@@ -235,21 +273,54 @@ func refRun(s *System, lambda, mu []float64, sweeps int, tol float64) Result {
 			return res
 		}
 		// The stall windows run in every mode: a relaxed stall escalates
-		// and restarts the comparison, an exact one is reported.
+		// and restarts the comparison, an exact one is reported, and an
+		// over-relaxed one rolls back.
 		if worst < s.winBest {
 			s.winBest = worst
 		}
-		if s.winCount++; s.winCount >= StallWindow {
-			stalled := s.winBest >= 0.98*s.prevWin
-			s.prevWin = s.winBest
-			s.winBest = math.Inf(1)
-			s.winCount = 0
-			if stalled && s.runExact {
+		if s.winCount++; s.winCount < StallWindow {
+			continue
+		}
+		best, prev := s.winBest, s.prevWin
+		s.prevWin = best
+		s.winBest = math.Inf(1)
+		s.winCount = 0
+		stalled := best >= 0.98*prev
+		if stalled {
+			if s.omega > 1 {
+				rollback()
+			} else if s.runExact {
 				res.Stalled = true
-			} else if stalled {
+			} else {
 				s.runExact = true
 				s.prevWin = math.Inf(1)
 			}
+			continue
+		}
+		if s.runExact {
+			continue
+		}
+		if s.omega == 1 && s.rollbacks < 3 && !math.IsInf(prev, 1) {
+			q := best / prev
+			ck.ratios = append(ck.ratios, q)
+			if k := len(ck.ratios); k >= 3 {
+				r := ck.ratios[k-3:]
+				lo := math.Min(math.Min(r[0], r[1]), r[2])
+				hi := math.Max(math.Max(r[0], r[1]), r[2])
+				if hi-lo <= 0.02 && q < 0.98 {
+					damp := 1.0
+					for k := 0; k < int(s.rollbacks); k++ {
+						damp /= 2
+					}
+					rho := math.Pow(q, 1.0/StallWindow)
+					s.omega = 1 + damp*(math.Min(1.9, 2/(1+math.Sqrt(1-rho)))-1)
+				}
+			}
+		}
+		if s.omega > 1 {
+			ck.lambda = append(ck.lambda[:0], lambda...)
+			ck.mu = append(ck.mu[:0], mu...)
+			s.ckBest = best
 		}
 	}
 	return res
@@ -451,7 +522,7 @@ func TestISPKernelsMatchReference(t *testing.T) {
 		{name: "exact", chunks: []int{3, 30}, tol: 1e-12, exact: true},
 		{name: "stall", chunks: []int{6, 5, 400}, tol: 1e-300},
 	}
-	escalated, stalled, seed := 0, 0, int64(0)
+	escalated, stalled, engaged, rolledBack, seed := 0, 0, 0, 0, int64(0)
 	for _, m := range []int{12, 13} {
 		for _, resp := range []Response{Additive, Exponential} {
 			for _, storage := range []string{"dense", "csr-band", "csr-full"} {
@@ -470,10 +541,9 @@ func TestISPKernelsMatchReference(t *testing.T) {
 								sys := ispCase(resp, m, storage, bounds, totals, seed)
 								ref := ispCase(resp, m, storage, bounds, totals, seed)
 								if md.exact {
-									sys.runInit, sys.runExact = true, true
-									sys.winBest, sys.prevWin = math.Inf(1), math.Inf(1)
-									ref.runInit, ref.runExact = true, true
-									ref.winBest, ref.prevWin = math.Inf(1), math.Inf(1)
+									sys.start()
+									ref.start()
+									sys.runExact, ref.runExact = true, true
 								}
 								n := sys.A.N
 								lambda, mu := make([]float64, m), make([]float64, n)
@@ -487,8 +557,16 @@ func TestISPKernelsMatchReference(t *testing.T) {
 									bitsEqual(t, "lambda", lambda, rl)
 									bitsEqual(t, "mu", mu, rm)
 									if sys.runExact != ref.runExact || sys.winCount != ref.winCount ||
-										math.Float64bits(sys.prevWin) != math.Float64bits(ref.prevWin) {
+										math.Float64bits(sys.prevWin) != math.Float64bits(ref.prevWin) ||
+										math.Float64bits(sys.omega) != math.Float64bits(ref.omega) ||
+										sys.rollbacks != ref.rollbacks {
 										t.Fatalf("chunk %d: escalation state diverged", c)
+									}
+									if sys.omega > 1 || sys.rollbacks > 0 {
+										engaged++
+									}
+									if sys.rollbacks > 0 {
+										rolledBack++
 									}
 									if got.Stalled && resp == Additive {
 										stalled++
@@ -519,6 +597,89 @@ func TestISPKernelsMatchReference(t *testing.T) {
 	}
 	if stalled == 0 {
 		t.Fatal("no additive case reported an exact-mode stall; that report went untested")
+	}
+	if engaged == 0 || rolledBack == 0 {
+		t.Fatalf("over-relaxation engaged in %d cases and rolled back in %d; want both", engaged, rolledBack)
+	}
+}
+
+// TestISPOverRelaxationPaths follows the over-relaxation rule down each of
+// its paths against the reference, over chunked Run calls of one stall
+// window each: it engages and converges in under half the plain sweeps; it
+// rolls back, retries with half the damping and rolls back again; it never
+// engages, and then every iterate is plain Gauss–Seidel's bit for bit (the
+// reference with its rollbacks spent, which keeps ω = 1).
+func TestISPOverRelaxationPaths(t *testing.T) {
+	for _, c := range []struct {
+		name                    string
+		m                       int
+		storage, bounds, totals string
+		seed                    int64
+	}{
+		{"engages", 12, "dense", "classical", "elastic", 1},
+		{"retries", 30, "csr-band", "box", "coupled", 3},
+		{"never", 12, "csr-band", "box", "elastic", 13},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			sys := ispCase(Additive, c.m, c.storage, c.bounds, c.totals, c.seed)
+			ref := ispCase(Additive, c.m, c.storage, c.bounds, c.totals, c.seed)
+			plain := ispCase(Additive, c.m, c.storage, c.bounds, c.totals, c.seed)
+			plain.start()
+			plain.rollbacks = maxRollbacks
+			m, n := sys.A.M, sys.A.N
+			lambda, mu := make([]float64, m), make([]float64, n)
+			rl, rm := make([]float64, m), make([]float64, n)
+			pl, pm := make([]float64, m), make([]float64, n)
+			sweeps, plainSweeps, engaged, retried := 0, 0, false, false
+			var res, pres Result
+			for chunk := 0; chunk < 200 && !(res.Converged && pres.Converged); chunk++ {
+				if !res.Converged {
+					res = sys.Run(lambda, mu, StallWindow, 1e-10, nil, nil, nil)
+					want := refRun(ref, rl, rm, StallWindow, 1e-10)
+					if !sameResult(res, want) {
+						t.Fatalf("chunk %d: Result %+v, reference %+v", chunk, res, want)
+					}
+					bitsEqual(t, "lambda", lambda, rl)
+					bitsEqual(t, "mu", mu, rm)
+					if math.Float64bits(sys.omega) != math.Float64bits(ref.omega) || sys.rollbacks != ref.rollbacks {
+						t.Fatalf("chunk %d: ω %v after %d rollbacks, reference %v after %d", chunk, sys.omega, sys.rollbacks, ref.omega, ref.rollbacks)
+					}
+					sweeps += res.Iterations
+					engaged = engaged || sys.omega > 1
+					retried = retried || (sys.omega > 1 && sys.rollbacks > 0)
+				}
+				if !pres.Converged {
+					pres = refRun(plain, pl, pm, StallWindow, 1e-10)
+					plainSweeps += pres.Iterations
+				}
+			}
+			if !res.Converged || !pres.Converged {
+				t.Fatalf("converged %v after %d sweeps, plain %v after %d", res.Converged, sweeps, pres.Converged, plainSweeps)
+			}
+			t.Logf("%d sweeps (ω %.3f, %d rollbacks), plain Gauss–Seidel %d", sweeps, sys.omega, sys.rollbacks, plainSweeps)
+			switch c.name {
+			case "engages":
+				if sys.rollbacks != 0 || 2*sweeps >= plainSweeps {
+					t.Errorf("%d sweeps after %d rollbacks, want under half of plain's %d and none", sweeps, sys.rollbacks, plainSweeps)
+				}
+			case "retries":
+				if !retried || sys.rollbacks < 2 || sweeps >= plainSweeps {
+					t.Errorf("re-engaged %v after %d rollbacks in %d sweeps, want ≥ 2 rollbacks and fewer than plain's %d", retried, sys.rollbacks, sweeps, plainSweeps)
+				}
+			case "never":
+				if engaged {
+					t.Fatal("ω left 1")
+				}
+				if sweeps != plainSweeps {
+					t.Fatalf("%d sweeps, plain Gauss–Seidel %d", sweeps, plainSweeps)
+				}
+				bitsEqual(t, "lambda against plain Gauss–Seidel", lambda, pl)
+				bitsEqual(t, "mu against plain Gauss–Seidel", mu, pm)
+			}
+			if c.name != "never" && !engaged {
+				t.Fatal("ω never left 1")
+			}
+		})
 	}
 }
 
@@ -560,6 +721,43 @@ func TestInteriorMask(t *testing.T) {
 			if got, want := masked(a, in), interiorSlopeRef(x, a); math.Float64bits(got) != math.Float64bits(want) {
 				t.Errorf("slope at x = %v, a = %v: %v, reference %v", x, a, got, want)
 			}
+		}
+	}
+}
+
+// TestISPOverRelaxedNaNRollsBack: a feasible system never reports
+// divergence because of an over-relaxed sweep. Once ω has engaged, it is
+// forced to +Inf, so the next sweep's duals overflow and its residual is
+// NaN; that sweep restores the checkpoint and reports +Inf rather than NaN,
+// and the plain sweeps that follow converge, exactly as the reference does
+// from the same state.
+func TestISPOverRelaxedNaNRollsBack(t *testing.T) {
+	sys := ispCase(Additive, 12, "dense", "classical", "elastic", 1)
+	ref := ispCase(Additive, 12, "dense", "classical", "elastic", 1)
+	m, n := sys.A.M, sys.A.N
+	lambda, mu := make([]float64, m), make([]float64, n)
+	rl, rm := make([]float64, m), make([]float64, n)
+	for sys.omega <= 1 {
+		if res := sys.Run(lambda, mu, StallWindow, 1e-10, nil, nil, nil); res.Converged || res.Stalled {
+			t.Fatalf("Run = %+v before ω engaged", res)
+		}
+		refRun(ref, rl, rm, StallWindow, 1e-10)
+	}
+	sys.omega, ref.omega = math.Inf(1), math.Inf(1)
+	var residuals []float64
+	res := sys.Run(lambda, mu, 500, 1e-10, nil, nil, func(_ int, r float64) { residuals = append(residuals, r) })
+	want := refRun(ref, rl, rm, 500, 1e-10)
+	if !sameResult(res, want) {
+		t.Fatalf("Result %+v, reference %+v", res, want)
+	}
+	bitsEqual(t, "lambda", lambda, rl)
+	bitsEqual(t, "mu", mu, rm)
+	if !res.Converged || sys.rollbacks != 1 || !math.IsInf(residuals[0], 1) {
+		t.Fatalf("Run = %+v after %d rollbacks, first residual %v; want convergence after one rollback that read +Inf", res, sys.rollbacks, residuals[0])
+	}
+	for k, r := range residuals {
+		if math.IsNaN(r) {
+			t.Fatalf("sweep %d reported a NaN residual", k+1)
 		}
 	}
 }
