@@ -70,17 +70,22 @@ bench-check: cmds
 
 # Sparse-tier perf snapshot: the CSR storage guards (bit-exact equivalence
 # with the densified form, steady-state allocation flatness, batch-budget and
-# procs independence of the one phase body on dense and CSR input), a
-# one-shot smoke of the row/column phase benchmarks on both storages and of
-# the kernel's short-segment benchmark (ns per equilibration, cold and warm,
-# the layer behind equilibrate.ns_per_equil), plus a
+# procs independence of the one phase body on dense and CSR input), the
+# kernel's interior-root tests (λ and x against φ and bisection, the same
+# bits on every route, State and batch position), a one-shot smoke of the
+# row/column phase benchmarks on both storages, of the kernel's
+# short-segment benchmark (ns per equilibration, cold and warm, on the
+# interior and the clamped shape: the layer behind
+# equilibrate.ns_per_equil) and of the interior kernel re-solve, plus a
 # filtered perf-suite run regenerating just the sparse/ records. The
 # committed BENCH_sea.json is regenerated unfiltered by bench-check; this
 # target is the quick iteration loop for sparse hot-path work.
 bench-sparse: cmds
 	$(GO) test -count=1 -run 'TestCSRMatchesDensifiedAcrossProcs|TestCSRSteadyStateAllocs|TestBatched' ./internal/core/
 	$(GO) test -run xxx -bench 'RowPhase|ColumnPhase' -benchtime 1x ./internal/core/
+	$(GO) test -count=1 -run 'TestInteriorRoot' ./internal/equilibrate/
 	$(GO) test -run xxx -bench BatchShortSegments -benchtime 1x ./internal/equilibrate/
+	$(GO) test -run xxx -bench 'KernelInteriorResolve' -benchtime 1x .
 	$(GO) run ./cmd/seabench -table none -benchjson .bench_sparse.json -benchfilter sparse/
 	@cat .bench_sparse.json; rm -f .bench_sparse.json
 

@@ -251,13 +251,15 @@ func BenchmarkExperiments_Table3Pipeline(b *testing.B) {
 
 // Kernel ablation: the paper's sort-and-sweep exact equilibration versus a
 // bisection root-finder on the same subproblem (exactness and O(n log n)
-// versus tolerance-bounded O(n log(range/tol))).
+// versus tolerance-bounded O(n log(range/tol))). The subproblem clamps a few
+// cells, so the exact kernel sorts and sweeps rather than solving at the
+// interior root.
 func BenchmarkAblation_KernelExact(b *testing.B)     { benchKernel(b, false) }
 func BenchmarkAblation_KernelBisection(b *testing.B) { benchKernel(b, true) }
 
 func benchKernel(b *testing.B, bisect bool) {
 	b.Helper()
-	p := kernelProblem()
+	p := kernelProblemFewClamps()
 	batch := equilibrate.NewBatch(0)
 	x := make([]float64, len(p.C))
 	b.ResetTimer()
@@ -276,7 +278,7 @@ func benchKernel(b *testing.B, bisect bool) {
 
 // kernelProblem is the 1000-variable subproblem of the kernel benchmarks.
 // Its coefficients are all positive and its target above their sum, so no
-// cell clamps at 0.
+// cell clamps at 0: the kernel solves it at its interior root, with no sort.
 func kernelProblem() *equilibrate.Problem {
 	rng := rand.New(rand.NewPCG(99, 100))
 	n := 1000
@@ -288,6 +290,19 @@ func kernelProblem() *equilibrate.Problem {
 		sum += p.C[j]
 	}
 	p.R = sum * 1.5
+	return p
+}
+
+// kernelProblemFewClamps is kernelProblem with every 100th coefficient at
+// −2000, so those ten cells' breakpoints (≥ 1818) lie right of the root
+// (≈ 430) and they clamp at 0: the interior attempt gives up at its first
+// cell, and the kernel sorts and sweeps a block otherwise like
+// kernelProblem's, over a like span of breakpoints.
+func kernelProblemFewClamps() *equilibrate.Problem {
+	p := kernelProblem()
+	for j := 0; j < len(p.C); j += 100 {
+		p.C[j] = -2000
+	}
 	return p
 }
 
@@ -317,14 +332,16 @@ func solveKernel(batch *equilibrate.Batch, p *equilibrate.Problem, x []float64, 
 // Kernel warm start: re-solving a subproblem whose coefficients drifted
 // slightly (the steady state of the dual ascent) with and without a
 // persistent State. Both variants pay the same perturbation cost, so the
-// delta is the sort-and-sweep saving alone.
-// The Clamped variant leaves about half the cells at 0, so the pair times
-// both primal recovery loops.
-func BenchmarkKernelColdResolve(b *testing.B) { benchKernelResolve(b, kernelProblem(), false) }
-func BenchmarkKernelWarmResolve(b *testing.B) { benchKernelResolve(b, kernelProblem(), true) }
+// delta is the sort-and-sweep saving alone. The pair's subproblem clamps a
+// few cells, so both sort and sweep. The Clamped variant leaves about half
+// the cells at 0. The Interior variant clamps none: it is solved at its
+// interior root, with no sort, and its State goes unused.
+func BenchmarkKernelColdResolve(b *testing.B) { benchKernelResolve(b, kernelProblemFewClamps(), false) }
+func BenchmarkKernelWarmResolve(b *testing.B) { benchKernelResolve(b, kernelProblemFewClamps(), true) }
 func BenchmarkKernelWarmResolveClamped(b *testing.B) {
 	benchKernelResolve(b, kernelProblemClamped(), true)
 }
+func BenchmarkKernelInteriorResolve(b *testing.B) { benchKernelResolve(b, kernelProblem(), true) }
 
 func benchKernelResolve(b *testing.B, p *equilibrate.Problem, warm bool) {
 	b.Helper()

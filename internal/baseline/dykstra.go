@@ -72,7 +72,7 @@ func SolveDykstra(ctx context.Context, p *core.DiagonalProblem, opts *core.Optio
 		sol.Iterations = t
 		var ev trace.Event
 		var mark time.Time
-		var ops int64
+		var ops, interior int64
 		if obs != nil {
 			ev = trace.Event{Solver: "dykstra", Iteration: t, Checked: true}
 			mark = time.Now()
@@ -96,6 +96,9 @@ func SolveDykstra(ctx context.Context, p *core.DiagonalProblem, opts *core.Optio
 		}
 		for i := 0; i < m; i++ {
 			ops += b.Result(i).Ops
+			if b.Interior(i) {
+				interior++
+			}
 		}
 		for k := 0; k < mn; k++ {
 			pcorr[k] = tmp[k] - y[k]
@@ -126,6 +129,9 @@ func SolveDykstra(ctx context.Context, p *core.DiagonalProblem, opts *core.Optio
 		mat.Transpose(x, xT, n, m)
 		for j := 0; j < n; j++ {
 			ops += b.Result(j).Ops
+			if b.Interior(j) {
+				interior++
+			}
 		}
 		for k := 0; k < mn; k++ {
 			qcorr[k] = tmp[k] - x[k]
@@ -148,6 +154,7 @@ func SolveDykstra(ctx context.Context, p *core.DiagonalProblem, opts *core.Optio
 			ev.CheckPhase = time.Since(mark)
 			ev.Residual = worst
 			ev.Equilibrations = int64(m + n)
+			ev.Interior = interior
 			ev.Ops = ops
 			ev.SerialOps = int64(mn)
 			obs.ObserveIteration(ev)

@@ -202,9 +202,10 @@ type rcState struct {
 	costs   []trace.PhaseCosts
 }
 
-// tally is one worker chunk's equilibration count and operation total in
-// the phase being dispatched.
-type tally struct{ equil, ops int64 }
+// tally is one worker chunk's equilibration count, how many of them were
+// solved at their interior root, and its operation total in the phase being
+// dispatched.
+type tally struct{ equil, interior, ops int64 }
 
 // stage runs one dual stage (rows if rowStage, else columns): the projection
 // method on the general objective subject to only that side's constraints,
@@ -279,7 +280,7 @@ func (st *rcState) stage(rowStage bool, lambda, mu []float64) (int, error) {
 				for i := lo; i < hi; i++ {
 					res := b.Result(i - lo)
 					lambda[i] = res.Lambda
-					st.record(chunk, tasks, i, res.Ops+int64(2*n))
+					st.record(chunk, tasks, i, res.Ops+int64(2*n), b.Interior(i-lo))
 				}
 			})
 		} else {
@@ -306,12 +307,13 @@ func (st *rcState) stage(rowStage bool, lambda, mu []float64) (int, error) {
 					}
 					res := b.Result(j - lo)
 					mu[j] = res.Lambda
-					st.record(chunk, tasks, j, res.Ops+int64(2*m))
+					st.record(chunk, tasks, j, res.Ops+int64(2*m), b.Interior(j-lo))
 				}
 			})
 		}
 		for c, t := range st.tallies {
 			st.ev.Equilibrations += t.equil
+			st.ev.Interior += t.interior
 			st.ev.Ops += t.ops
 			st.tallies[c] = tally{}
 		}
@@ -378,10 +380,14 @@ func (st *rcState) takeErr() error {
 	return nil
 }
 
-// record tallies one equilibration task of the given worker chunk and, when
-// costs are wanted, stores its cost as task idx.
-func (st *rcState) record(chunk int, tasks []int64, idx int, cost int64) {
+// record tallies one equilibration task of the given worker chunk, solved
+// at its interior root or not, and, when costs are wanted, stores its cost
+// as task idx.
+func (st *rcState) record(chunk int, tasks []int64, idx int, cost int64, interior bool) {
 	st.tallies[chunk].equil++
+	if interior {
+		st.tallies[chunk].interior++
+	}
 	st.tallies[chunk].ops += cost
 	if tasks != nil {
 		tasks[idx] = cost

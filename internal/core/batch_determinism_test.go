@@ -43,7 +43,10 @@ func tracedSolve(t *testing.T, p *DiagonalProblem, o *Options) (*Solution, metri
 // proves every batch sort route bit-identical to plain insertion, one
 // subproblem at a time, which thus stays the oracle one layer down.) The cost trace is the parsim speedup
 // model's input, so it must not depend on how the work was partitioned
-// either. Covered on the dense bounded problem and on a bounded CSR family.
+// either, and nor may the count of subproblems solved at their interior
+// root. Covered on the dense bounded problem, most of whose subproblems are
+// interior while the rows and columns of its capped cells sort, and on a
+// bounded CSR family.
 func TestBatchedMatchesUnbatchedAcrossProcs(t *testing.T) {
 	def := restoreBatchEvents(t)
 	problems := map[string]*DiagonalProblem{
@@ -63,15 +66,18 @@ func TestBatchedMatchesUnbatchedAcrossProcs(t *testing.T) {
 		if !ref.Converged {
 			t.Fatalf("%s: budget-1 reference did not converge", name)
 		}
+		if in, eq := refC.Interior, refC.Equilibrations; name == "dense" && (in == 0 || in == eq) {
+			t.Fatalf("%s: %d of %d subproblems solved at their interior root, want some", name, in, eq)
+		}
 		for _, procs := range []int{1, 2, 7, 16} {
 			for _, events := range []int{1, 997, def, 1 << 20} {
 				batchEvents = events
 				tag := fmt.Sprintf("%s/procs=%d/events=%d", name, procs, events)
 				sol, c, ct := tracedSolve(t, p, opts(procs))
 				sameSolution(t, tag, sol, ref)
-				if c.Equilibrations != refC.Equilibrations || c.Ops != refC.Ops {
-					t.Fatalf("%s: counters equil=%d ops=%d, want %d/%d",
-						tag, c.Equilibrations, c.Ops, refC.Equilibrations, refC.Ops)
+				if c.Equilibrations != refC.Equilibrations || c.Interior != refC.Interior || c.Ops != refC.Ops {
+					t.Fatalf("%s: counters equil=%d interior=%d ops=%d, want %d/%d/%d",
+						tag, c.Equilibrations, c.Interior, c.Ops, refC.Equilibrations, refC.Interior, refC.Ops)
 				}
 				sameCostTrace(t, tag, ct, refCT)
 			}

@@ -11,7 +11,11 @@ import (
 
 // determinismProblem builds a fixed-seed 100×150 bounded fixed-totals
 // instance that exercises both phases, the box bounds, and the transposed-
-// constant column path.
+// constant column path. Every total grows 1.2× inside generous boxes, so
+// most rows and columns are solved at their interior root; the first ten
+// diagonal cells are capped at their priors, so their rows and columns
+// saturate there and take the kernel's sort and sweep, warm starts
+// included.
 func determinismProblem(t *testing.T) *DiagonalProblem {
 	t.Helper()
 	m, n := 100, 150
@@ -36,6 +40,9 @@ func determinismProblem(t *testing.T) *DiagonalProblem {
 	p, err := NewFixed(m, n, x0, gamma, s0, d0)
 	if err != nil {
 		t.Fatal(err)
+	}
+	for i := 0; i < 10; i++ {
+		upper[i*n+i] = x0[i*n+i]
 	}
 	p.Upper = upper
 	return p

@@ -678,6 +678,7 @@ func (st *diagState) phase(sd *side, body func(chunk, lo, hi int)) error {
 	err := st.runner.ForChunksCtx(st.ctx, len(sd.ptr)-1, body)
 	for c, t := range st.tallies {
 		st.ev.Equilibrations += t.equil
+		st.ev.Interior += t.interior
 		st.ev.Ops += t.ops
 		st.tallies[c] = tally{}
 	}
@@ -687,9 +688,10 @@ func (st *diagState) phase(sd *side, body func(chunk, lo, hi int)) error {
 	return st.takeErr()
 }
 
-// tally is one worker chunk's equilibration count and operation total in
-// the phase being dispatched.
-type tally struct{ equil, ops int64 }
+// tally is one worker chunk's equilibration count, how many of them were
+// solved at their interior root, and its operation total in the phase being
+// dispatched.
+type tally struct{ equil, interior, ops int64 }
 
 // batchEvents is the batched kernel's per-chunk event budget: enough
 // concatenated breakpoint events (16 bytes of key each) that the fused radix
@@ -796,8 +798,11 @@ func (st *diagState) phaseChunk(sd *side, chunk, lo, hi int) {
 			st.fail(chunk, sd, lo+bad, err)
 			return
 		}
-		var costSum int64
+		var costSum, interior int64
 		for k := lo; k < end; k++ {
+			if b.Interior(k - lo) {
+				interior++
+			}
 			res := b.Result(k - lo)
 			mult[k] = res.Lambda
 			total[k] = res.Total
@@ -808,6 +813,7 @@ func (st *diagState) phaseChunk(sd *side, chunk, lo, hi int) {
 			}
 		}
 		tl.equil += int64(end - lo)
+		tl.interior += interior
 		tl.ops += costSum
 		lo = end
 	}

@@ -113,10 +113,15 @@ func sparseFamily(t *testing.T, kind Kind, bounded bool, seed uint64) *DiagonalP
 		p.Lower = make([]float64, nnz)
 		for k := range p.Upper {
 			// Generous boxes keep the instance feasible; every fourth cell is
-			// unbounded above to exercise the +Inf path.
+			// unbounded above to exercise the +Inf path, and every eleventh is
+			// capped at its prior, so the subproblems holding one saturate
+			// there and take the kernel's sort rather than its interior root.
 			p.Upper[k] = 3*x0[k] + 5
 			if k%4 == 0 {
 				p.Upper[k] = math.Inf(1)
+			}
+			if k%11 == 5 {
+				p.Upper[k] = x0[k]
 			}
 			p.Lower[k] = 0.01 * x0[k]
 		}

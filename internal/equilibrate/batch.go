@@ -10,10 +10,17 @@ import (
 
 // Batch solves many exact-equilibration subproblems as one fused unit
 // instead of m independent sort-and-sweeps. Subproblems are accumulated with
-// Add/AddInterval — each contributes a contiguous segment of the shared
-// event array, with sort keys indexed into that concatenated array. Add
-// builds each breakpoint straight from the subproblem's coefficient gather
-// (Problem.Other), so no coefficient array is materialized, and a warm
+// Add/AddInterval. Add first tries each subproblem's all-interior root (see
+// the package comment): it gathers the coefficients c_j — into the output
+// block, unless C already holds them — sums the interior line in four fixed
+// lanes, and writes x_j = c_j + a_j·λ° until a cell leaves its box. A
+// subproblem whose every cell stays inside is finished there, for any
+// binding side of an interval too: it builds no event and no key, is never
+// sorted, and leaves its State untouched (Interior reports it). Any other
+// contributes a contiguous segment of the shared event array, with sort
+// keys indexed into that concatenated array. An unbounded segment builds
+// its breakpoints from the coefficients the interior attempt gathered, so
+// none is gathered twice, and a warm
 // segment — one whose State carries a valid permutation — builds its
 // unbounded terms in the previous solve's sorted order, writing every key
 // into its slot of the canonical array only, and checks as it goes whether
@@ -45,13 +52,13 @@ import (
 //     for a warm slot that was already in order, since the slot already is
 //     that permutation), then the sweep and primal recovery.
 //
-// Because the canonical sorted key array of each segment is unique (strict
-// total order) and every stage after the sort runs the same code on
-// identical float values, a subproblem's result does not depend on the
-// batch it sits in, on the sort route it took, or on its warm start: it is
-// bit-identical to a cold batch holding that subproblem alone and sorted by
-// plain insertion. Batching, like warm starting, is purely a performance
-// choice.
+// Because the interior decision reads nothing but the subproblem, the
+// canonical sorted key array of each segment is unique (strict total order)
+// and every stage after the sort runs the same code on identical float
+// values, a subproblem's result does not depend on the batch it sits in, on
+// the sort route it took, or on its warm start: it is bit-identical to a
+// cold batch holding that subproblem alone and sorted by plain insertion.
+// Batching, like warm starting, is purely a performance choice.
 //
 // Add surfaces validation and feasibility errors immediately, before any
 // sweep has run, so when subproblem 3 would fail in its sweep and
@@ -107,6 +114,7 @@ const (
 	routeSpan                       // exact span radix, its own or fused
 	routeTop                        // top-bits radix, finished by the insertion repair
 	routeFallback                   // top-bits repair over budget, re-sorted by the exact span radix
+	routeInterior                   // solved at Add by its all-interior root: no sort
 )
 
 // NewBatch returns an empty batch pre-sized for about hint concatenated
@@ -144,11 +152,18 @@ func (b *Batch) Len() int { return len(b.segs) }
 // after a successful Solve and until the next Reset.
 func (b *Batch) Result(i int) Result { return b.segs[i].res }
 
+// Interior reports whether the i-th (in add order) subproblem was solved at
+// its all-interior root, with no sort. Valid from its Add until the next
+// Reset.
+func (b *Batch) Interior(i int) bool { return b.segs[i].route == routeInterior }
+
 // Add appends one subproblem with output block x (length len(p.C)) and
 // optional warm-start State. Validation and feasibility pre-checks run
-// here, so structural errors surface at Add rather than at Solve. The
-// slices p references (its gather included) and x must stay valid until
-// Solve returns; p itself need not.
+// here, so structural errors surface at Add rather than at Solve, and so
+// does the interior root: a subproblem solved there has its block written
+// when Add returns. The slices p references (its gather included) and x
+// must stay valid until Solve returns, and x must not overlap them; p
+// itself need not.
 func (b *Batch) Add(p *Problem, x []float64, st *State) error {
 	if err := p.validate(x); err != nil {
 		return err
@@ -175,8 +190,9 @@ func (p *Problem) validate(x []float64) error {
 }
 
 // add is the shared tail of Add and AddInterval: fast paths, feasibility
-// pre-checks, the event build (straight into the warm slot when the State
-// allows) and, for a cold segment on a radix route, the key span.
+// pre-checks, the interior root, the event build (straight into the warm
+// slot when the State allows) and, for a cold segment on a radix route, the
+// key span.
 func (b *Batch) add(p *Problem, x []float64, st *State) error {
 	n := len(p.C)
 	if n == 0 {
@@ -191,6 +207,14 @@ func (b *Batch) add(p *Problem, x []float64, st *State) error {
 	lb := p.sumLower()
 	if err := p.feasible(lb); err != nil {
 		return err
+	}
+	c, lambda, total, k, m, ok := p.interiorRoot(x, lb)
+	if ok {
+		// Charged as a sort and a sweep to root segment k would be.
+		ops := int64(7*m) + sortCharge(m) + int64(k) + int64(2*n)
+		b.segs = append(b.segs, batchSeg{x: x, st: st, done: true, route: routeInterior,
+			res: Result{Lambda: lambda, Total: total, Ops: ops}})
+		return nil
 	}
 	off := len(b.events)
 	// Fill the segment field by field in place: a composite literal would be
@@ -209,14 +233,14 @@ func (b *Batch) add(p *Problem, x []float64, st *State) error {
 		ev, keys := b.events[off:], b.keys[off:]
 		if warm && st.nev == n {
 			slot := b.slots(off + n)[off:]
-			if ok, sorted := p.buildUnboundedPerm(ev, slot, st.perm, int32(off)); ok {
+			if ok, sorted := buildUnboundedPerm(ev, slot, c, p.A, st.perm, int32(off)); ok {
 				seg.route, seg.kept = routeWarm, sorted
 			} else {
 				// Rebuild in build order to name the first bad term.
-				err = p.buildUnbounded(ev, keys, int32(off))
+				err = buildUnbounded(ev, keys, c, p.A, int32(off))
 			}
 		} else {
-			err = p.buildUnbounded(ev, keys, int32(off))
+			err = buildUnbounded(ev, keys, c, p.A, int32(off))
 		}
 	} else {
 		b.bounded = append(b.bounded, *p)
@@ -505,7 +529,7 @@ func (b *Batch) Solve() (int, error) {
 		}
 		var tot float64
 		if seg.bnd == nil {
-			tot = recoverUnbounded(seg.x, b.events[seg.off:int(seg.off)+m], lambda, extra < int64(m))
+			tot = recoverUnbounded(seg.x, b.events[seg.off:int(seg.off)+m], lambda)
 		} else {
 			tot = seg.bnd.recoverPrimal(seg.x, lambda)
 		}

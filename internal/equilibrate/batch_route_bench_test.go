@@ -7,11 +7,15 @@ import (
 	"sea/internal/sortx"
 )
 
-// benchBatchRoutes builds a cold batch of segs fixed-total subproblems of n
-// breakpoints each in the key shape sh — shapeRandom spreads them, shapeCluster
-// puts them at the Table-1 first-iteration ties −2 ± 1 ulp — and solves it,
-// with the route thresholds forced by the caller. It reports the radix byte
-// passes per key that the segments' spans call for.
+// benchBatchRoutes builds a cold batch of segs subproblems of n breakpoints
+// each in the key shape sh — shapeRandom spreads them, shapeCluster puts
+// them at the Table-1 first-iteration ties −2 ± 1 ulp — and solves it, with
+// the route thresholds forced by the caller. It times the sort and sweep:
+// a spread segment's fixed total clamps some cells, and a cluster, whose
+// fixed-total root would be interior, takes an elastic target left of every
+// breakpoint (clampAll); a segment solved at its interior root fails the
+// benchmark. It reports the radix byte passes per key that the segments'
+// spans call for.
 func benchBatchRoutes(b *testing.B, n, segs int, sh keyShape, insMax, radixMin int) {
 	oldIns, oldMin := batchInsertionMax, segRadixMin
 	batchInsertionMax, segRadixMin = insMax, radixMin
@@ -29,6 +33,9 @@ func benchBatchRoutes(b *testing.B, n, segs int, sh keyShape, insMax, radixMin i
 		}
 		ps[s] = Problem{C: c, A: a, R: float64(n) * 0.3, E: 0}
 		sh.shape(rng, &ps[s])
+		if sh == shapeCluster {
+			clampAll(&ps[s])
+		}
 		xs[s] = make([]float64, n)
 	}
 	batch := NewBatch(n*segs + n)
@@ -41,6 +48,11 @@ func benchBatchRoutes(b *testing.B, n, segs int, sh keyShape, insMax, radixMin i
 		}
 		if idx, err := batch.Solve(); err != nil {
 			b.Fatalf("seg %d: %v", idx, err)
+		}
+		for s := range ps {
+			if batch.Interior(s) {
+				b.Fatalf("seg %d: solved at its interior root, not sorted", s)
+			}
 		}
 	}
 	b.ResetTimer()

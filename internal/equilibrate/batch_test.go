@@ -317,7 +317,9 @@ func TestBatchAllTiesAcrossSegments(t *testing.T) {
 // segment against plain insertion, one subproblem at a time: a −2 ± 1 ulp
 // cluster sorts exactly in one pass, a wide spread by its top bits plus the
 // insertion repair, and a cluster with one far outlier overruns the repair
-// and falls back to the exact span radix.
+// and falls back to the exact span radix. A cluster's fixed-total root lies
+// past all its breakpoints, so those segments take an elastic target whose
+// root lies left of every breakpoint (clampAll): every segment sorts.
 func TestBatchSortRoutes(t *testing.T) {
 	cases := []struct {
 		name      string
@@ -341,6 +343,9 @@ func TestBatchSortRoutes(t *testing.T) {
 			ps[i] = buildProblem(rng, warmCase{n: tc.n})
 			tc.shape.shape(rng, ps[i])
 			ps[i].R = feasibleTarget(rng, ps[i])
+			if tc.shape == shapeCluster {
+				clampAll(ps[i])
+			}
 			xs[i] = make([]float64, tc.n)
 			if err := b.Add(ps[i], xs[i], nil); err != nil {
 				t.Fatalf("%s: Add: %v", tc.name, err)
@@ -357,7 +362,7 @@ func TestBatchSortRoutes(t *testing.T) {
 			// Ties inside a ulp cluster rarely change the sweep's bits, so
 			// check the slot's key order itself.
 			keys := make([]sortx.Key, tc.n)
-			if err := p.buildUnbounded(make([]event, tc.n), keys, 0); err != nil {
+			if err := buildUnbounded(make([]event, tc.n), keys, p.C, p.A, 0); err != nil {
 				t.Fatal(err)
 			}
 			slices.SortStableFunc(keys, func(a, b sortx.Key) int { return cmp.Compare(a.Bits, b.Bits) })
@@ -381,6 +386,16 @@ func TestBatchSortRoutes(t *testing.T) {
 			}
 		}
 	}
+}
+
+// clampAll makes p elastic (e = 1) with its root one unit left of its
+// leftmost breakpoint, where every term sits at 0: no term is interior.
+func clampAll(p *Problem) {
+	left := math.Inf(1)
+	for j := range p.C {
+		left = min(left, -p.C[j]/p.A[j])
+	}
+	p.E, p.R = 1, left-1
 }
 
 // TestBatchAllPinned: a subproblem whose variables are all pinned (u = l)

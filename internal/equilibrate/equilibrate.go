@@ -23,6 +23,17 @@
 // clamps and sweeping the segments once: O(n log n) total, dominated by the
 // sort — the paper's "7n + n ln n + 2n operations".
 //
+// When no term clamps at the root, φ is linear there — past every
+// activation breakpoint and short of every saturation one — and the root is
+// one division away, so the sort buys nothing. Every subproblem therefore
+// first takes the root λ° of that all-interior line, summed in a fixed
+// order of its own terms, and keeps it when every x_j = c_j + a_j·λ° lies
+// in its box: two linear passes, no breakpoint, no sort. That decision and
+// λ° depend on the subproblem's data alone, so they cannot make a result
+// depend on a warm start, a batch or a sort route. The other subproblems
+// sort and sweep. Its operation count is what the sort and sweep would
+// charge, so counts do not depend on the path either.
+//
 // Across SEA's outer iterations the duals settle, so consecutive solves of
 // the same subproblem slot see nearly identical breakpoint orders. A
 // persistent State caches the previous solve's sorted permutation; building
@@ -133,8 +144,8 @@ type Problem struct {
 
 // coef returns the j-th coefficient c_j, gathered when Other is set. Every
 // reader of c evaluates this expression — the bounded build and primal
-// recovery, φ, and the unbounded build loops, which inline it — so they all
-// see the same bits.
+// recovery, φ, and interiorRoot's gather, which feeds the unbounded build —
+// so they all see the same bits.
 func (p *Problem) coef(j int) float64 {
 	c := p.C[j]
 	if p.Other != nil {
@@ -194,42 +205,240 @@ func (p *Problem) recoverPrimal(x []float64, lambda float64) float64 {
 // recoverUnbounded writes the optimal block of an unbounded subproblem at
 // lambda into x and returns its total. ev holds the block's activation
 // events in build order, one per variable, whose dc and da are exactly c_j
-// and a_j. clamps reports whether the root lies left of some breakpoint, so
-// that some cells clamp at 0. Which ones follows no pattern a branch
-// predictor learns, so then the loop selects each value through a mask.
-// With no cell clamping, the plain loop's branch is never taken and that
-// loop is the faster one (6% of sparse-iter's p50; docs/PERFORMANCE.md).
-// Both loops give the same bits, −0 and NaN included.
-func recoverUnbounded(x []float64, ev []event, lambda float64, clamps bool) float64 {
+// and a_j. A block that reaches it was not solved at its interior root, so
+// some cells clamp at 0; which ones follows no pattern a branch predictor
+// learns, so the loop selects each value through a mask.
+func recoverUnbounded(x []float64, ev []event, lambda float64) float64 {
 	var total float64
-	ev = ev[:len(x)]
-	if clamps {
-		for j, e := range ev {
-			v := clampZero(e.dc + e.da*lambda)
-			x[j] = v
-			total += v
-		}
-		return total
-	}
-	for j, e := range ev {
-		v := e.dc + e.da*lambda
-		if v < 0 {
-			v = 0
-		}
+	for j, e := range ev[:len(x)] {
+		v := clampZero(e.dc + e.da*lambda)
 		x[j] = v
 		total += v
 	}
 	return total
 }
 
-// clampZero returns v, or +0 where v < 0 — the plain loop's clamp bit for
-// bit, −0 and NaN kept — selecting through a mask instead of a branch.
+// clampZero returns v, or +0 where v < 0 — a branch's clamp bit for bit,
+// −0 and NaN kept — selecting through a mask instead of a branch.
 func clampZero(v float64) float64 {
 	var keep uint64
 	if !(v < 0) {
 		keep = ^uint64(0)
 	}
 	return math.Float64frombits(math.Float64bits(v) & keep)
+}
+
+// interiorRoot tries the all-interior root of p: the root of the line
+// lb + Σ(c_j − l_j) + (e + Σa_j)·λ that φ follows wherever no non-pinned
+// term clamps. Both sums run in four lanes by a term's index among the
+// non-pinned terms, combined as (s₀+s₁)+(s₂+s₃) — an order fixed by the
+// data's shape alone, never by a State, a sort route or a batch. It then
+// writes x_j = c_j + a_j·λ° term by term and gives up at the first term
+// outside its box; a term it cannot vouch for (a_j ≤ 0, a NaN or infinite
+// sum, a non-positive slope, a non-finite total) also gives up, leaving
+// the sort-and-sweep to solve or reject the subproblem. On success x and
+// total are bit for bit what the primal recovery writes at λ°, m is the
+// subproblem's event count, and k the sweep's root segment: the number of
+// activation breakpoints left of λ°, that is, of terms above their lower
+// bound. x must not overlap p's slices.
+//
+// For an unbounded p it also returns c, the coefficients c_j: p.C itself
+// without a gather, else x, into which it gathers them. Having given up, it
+// leaves them there for the event build to read (buildUnbounded).
+func (p *Problem) interiorRoot(x []float64, lb float64) (c []float64, lambda, total float64, k, m int, ok bool) {
+	if p.L == nil && p.U == nil {
+		var sc, sa float64
+		if p.Other == nil {
+			c = p.C[:len(x)]
+			sc, sa = laneSums(c, p.A)
+		} else {
+			c = x
+			sc, sa = p.gatherSums(x)
+		}
+		if lambda, ok = lineRoot(lb+sc, p.E+sa, p.R); !ok {
+			return c, 0, 0, 0, 0, false
+		}
+		as, x := p.A[:len(c)], x[:len(c)]
+		for j, cj := range c {
+			a := as[j]
+			v := cj + a*lambda
+			if !(v >= 0 && a > 0) {
+				p.regather(x, j)
+				return c, 0, 0, 0, 0, false
+			}
+			if v > 0 {
+				k++
+			}
+			x[j] = v
+			total += v
+		}
+		if total-total != 0 {
+			p.regather(x, len(x))
+			return c, 0, 0, 0, 0, false
+		}
+		return c, lambda, total, k, len(x), true
+	}
+	var sc, sa [4]float64
+	var f int // free (non-pinned) terms so far: the lane index
+	for j := range x {
+		a := p.A[j]
+		if !(a > 0) {
+			return nil, 0, 0, 0, 0, false
+		}
+		l := p.lower(j)
+		if p.pinned(j, l) {
+			continue
+		}
+		c := p.coef(j)
+		x[j] = c
+		sc[f&3] += c - l
+		sa[f&3] += a
+		f++
+		m++
+		if p.U != nil && !math.IsInf(p.U[j], 1) {
+			m++
+		}
+	}
+	lambda, ok = lineRoot(lb+((sc[0]+sc[1])+(sc[2]+sc[3])), p.E+((sa[0]+sa[1])+(sa[2]+sa[3])), p.R)
+	if !ok {
+		return nil, 0, 0, 0, 0, false
+	}
+	for j := range x {
+		l := p.lower(j)
+		if p.pinned(j, l) {
+			// What the primal recovery writes for a pinned term.
+			v := p.clampVal(j, p.coef(j)+p.A[j]*lambda)
+			x[j] = v
+			total += v
+			continue
+		}
+		v := x[j] + p.A[j]*lambda
+		if !(v >= l) || p.U != nil && !(v <= p.U[j]) {
+			return nil, 0, 0, 0, 0, false
+		}
+		if v > l {
+			k++
+		}
+		x[j] = v
+		total += v
+	}
+	if total-total != 0 {
+		return nil, 0, 0, 0, 0, false
+	}
+	return nil, lambda, total, k, m, true
+}
+
+// regather gives the first j cells of x, which interiorRoot overwrote, back
+// their coefficients c_j when x holds the gathered ones.
+func (p *Problem) regather(x []float64, j int) {
+	if p.Other != nil {
+		for i := range x[:j] {
+			x[i] = p.coef(i)
+		}
+	}
+}
+
+// pinned reports whether term j, with lower bound l, is pinned (u = l,
+// finite): x_j ≡ l for every λ, so it adds no event and no slope.
+func (p *Problem) pinned(j int, l float64) bool {
+	return p.U != nil && p.U[j] == l && !math.IsInf(l, 0)
+}
+
+// gatherSums gathers the coefficients c_j of a p with a gather into x, by
+// the expression coef uses, and returns laneSums(x, p.A) from the same
+// pass.
+func (p *Problem) gatherSums(x []float64) (sc, sa float64) {
+	var c0, c1, c2, c3, a0, a1, a2, a3 float64
+	n := len(x)
+	cs, as, o := p.C[:n], p.A[:n], p.Other
+	j := 0
+	if p.Idx == nil {
+		o = o[:n]
+		for ; j < n-3; j += 4 {
+			xw, cw, aw, ow := x[j:j+4:j+4], cs[j:j+4:j+4], as[j:j+4:j+4], o[j:j+4:j+4]
+			v := cw[0] + aw[0]*ow[0]
+			xw[0], c0, a0 = v, c0+v, a0+aw[0]
+			v = cw[1] + aw[1]*ow[1]
+			xw[1], c1, a1 = v, c1+v, a1+aw[1]
+			v = cw[2] + aw[2]*ow[2]
+			xw[2], c2, a2 = v, c2+v, a2+aw[2]
+			v = cw[3] + aw[3]*ow[3]
+			xw[3], c3, a3 = v, c3+v, a3+aw[3]
+		}
+	} else {
+		ix := p.Idx[:n]
+		for ; j < n-3; j += 4 {
+			xw, cw, aw, iw := x[j:j+4:j+4], cs[j:j+4:j+4], as[j:j+4:j+4], ix[j:j+4:j+4]
+			v := cw[0] + aw[0]*o[iw[0]]
+			xw[0], c0, a0 = v, c0+v, a0+aw[0]
+			v = cw[1] + aw[1]*o[iw[1]]
+			xw[1], c1, a1 = v, c1+v, a1+aw[1]
+			v = cw[2] + aw[2]*o[iw[2]]
+			xw[2], c2, a2 = v, c2+v, a2+aw[2]
+			v = cw[3] + aw[3]*o[iw[3]]
+			xw[3], c3, a3 = v, c3+v, a3+aw[3]
+		}
+	}
+	// The last n mod 4 terms fall in lanes 0, 1 and 2.
+	for k := range x[j:] {
+		v := p.coef(j + k)
+		x[j+k] = v
+		switch k {
+		case 0:
+			c0, a0 = c0+v, a0+as[j]
+		case 1:
+			c1, a1 = c1+v, a1+as[j+1]
+		default:
+			c2, a2 = c2+v, a2+as[j+2]
+		}
+	}
+	return (c0 + c1) + (c2 + c3), (a0 + a1) + (a2 + a3)
+}
+
+// laneSums returns Σc_j and Σa_j in interiorRoot's four lanes: term j goes
+// to lane j mod 4, and the lanes combine as (s₀+s₁)+(s₂+s₃). One add chain
+// is latency-bound; eight keep the adders busy.
+func laneSums(c, a []float64) (sc, sa float64) {
+	var c0, c1, c2, c3, a0, a1, a2, a3 float64
+	a = a[:len(c)]
+	j := 0
+	for ; j < len(c)-3; j += 4 {
+		w := c[j : j+4 : j+4]
+		c0 += w[0]
+		c1 += w[1]
+		c2 += w[2]
+		c3 += w[3]
+		w = a[j : j+4 : j+4]
+		a0 += w[0]
+		a1 += w[1]
+		a2 += w[2]
+		a3 += w[3]
+	}
+	// The last len(c) mod 4 terms fall in lanes 0, 1 and 2.
+	for k, x := range c[j:] {
+		switch k {
+		case 0:
+			c0 += x
+			a0 += a[j]
+		case 1:
+			c1 += x
+			a1 += a[j+1]
+		default:
+			c2 += x
+			a2 += a[j+2]
+		}
+	}
+	return (c0 + c1) + (c2 + c3), (a0 + a1) + (a2 + a3)
+}
+
+// lineRoot returns the root of inter + slope·λ = r, when the slope is
+// positive and the root finite.
+func lineRoot(inter, slope, r float64) (float64, bool) {
+	if !(slope > 0) {
+		return 0, false
+	}
+	lambda := (r - inter) / slope
+	return lambda, lambda-lambda == 0
 }
 
 // emptyRoot solves the n = 0 subproblem: only the elastic term remains.
@@ -301,45 +510,19 @@ func termError(j int, c, a float64) error {
 	return fmt.Errorf("equilibrate: NaN breakpoint at %d (c=%g, a=%g)", j, c, a)
 }
 
-// buildUnbounded writes the events and keys of an unbounded p (L = U = nil,
-// the hottest case) into ev and keys, one per term in build order, with key
-// Idx base+j. The coefficient gather is fused into the loop — one loop per
-// gather form, chosen once per subproblem — so c never touches memory.
-func (p *Problem) buildUnbounded(ev []event, keys []sortx.Key, base int32) error {
+// buildUnbounded writes the events and keys of an unbounded subproblem
+// with coefficients c and slopes a (L = U = nil, the hottest case) into ev
+// and keys, one per term in build order, with key Idx base+j. c is the
+// output block, into which interiorRoot gathered the coefficients.
+func buildUnbounded(ev []event, keys []sortx.Key, c, a []float64, base int32) error {
 	n := len(ev)
-	cs, as, keys := p.C[:n], p.A[:n], keys[:n]
-	switch o := p.Other; {
-	case o == nil:
-		for j := range ev {
-			c, a := cs[j], as[j]
-			e, bits, ok := activation(c, a)
-			if !ok {
-				return termError(j, c, a)
-			}
-			ev[j], keys[j] = e, sortx.Key{Bits: bits, Idx: base + int32(j)}
+	c, a, keys = c[:n], a[:n], keys[:n]
+	for j, cj := range c {
+		e, bits, ok := activation(cj, a[j])
+		if !ok {
+			return termError(j, cj, a[j])
 		}
-	case p.Idx == nil:
-		o = o[:n]
-		for j := range ev {
-			a := as[j]
-			c := cs[j] + a*o[j]
-			e, bits, ok := activation(c, a)
-			if !ok {
-				return termError(j, c, a)
-			}
-			ev[j], keys[j] = e, sortx.Key{Bits: bits, Idx: base + int32(j)}
-		}
-	default:
-		ix := p.Idx[:n]
-		for j := range ev {
-			a := as[j]
-			c := cs[j] + a*o[ix[j]]
-			e, bits, ok := activation(c, a)
-			if !ok {
-				return termError(j, c, a)
-			}
-			ev[j], keys[j] = e, sortx.Key{Bits: bits, Idx: base + int32(j)}
-		}
+		ev[j], keys[j] = e, sortx.Key{Bits: bits, Idx: base + int32(j)}
 	}
 	return nil
 }
@@ -354,50 +537,21 @@ func (p *Problem) buildUnbounded(ev []event, keys []sortx.Key, base int32) error
 // caller rebuilds with buildUnbounded to report it. sorted reports whether
 // the slot came out in strictly increasing key order, that is, already
 // canonical: the replay then needs no repair pass.
-func (p *Problem) buildUnboundedPerm(ev []event, slot []sortx.Key, perm []int32, base int32) (ok, sorted bool) {
+func buildUnboundedPerm(ev []event, slot []sortx.Key, c, a []float64, perm []int32, base int32) (ok, sorted bool) {
 	n := len(ev)
-	cs, as, slot, perm := p.C[:n], p.A[:n], slot[:n], perm[:n]
+	c, a, slot, perm = c[:n], a[:n], slot[:n], perm[:n]
 	// Build indices are non-negative, so this key precedes every real one.
 	prev := sortx.Key{Idx: -1}
 	sorted = true
-	switch o := p.Other; {
-	case o == nil:
-		for k, j := range perm {
-			e, bits, ok := activation(cs[j], as[j])
-			if !ok {
-				return false, false
-			}
-			key := sortx.Key{Bits: bits, Idx: base + j}
-			ev[j], slot[k] = e, key
-			sorted = sorted && sortx.KeyLess(prev, key)
-			prev = key
+	for k, j := range perm {
+		e, bits, ok := activation(c[j], a[j])
+		if !ok {
+			return false, false
 		}
-	case p.Idx == nil:
-		o = o[:n]
-		for k, j := range perm {
-			a := as[j]
-			e, bits, ok := activation(cs[j]+a*o[j], a)
-			if !ok {
-				return false, false
-			}
-			key := sortx.Key{Bits: bits, Idx: base + j}
-			ev[j], slot[k] = e, key
-			sorted = sorted && sortx.KeyLess(prev, key)
-			prev = key
-		}
-	default:
-		ix := p.Idx[:n]
-		for k, j := range perm {
-			a := as[j]
-			e, bits, ok := activation(cs[j]+a*o[ix[j]], a)
-			if !ok {
-				return false, false
-			}
-			key := sortx.Key{Bits: bits, Idx: base + j}
-			ev[j], slot[k] = e, key
-			sorted = sorted && sortx.KeyLess(prev, key)
-			prev = key
-		}
+		key := sortx.Key{Bits: bits, Idx: base + j}
+		ev[j], slot[k] = e, key
+		sorted = sorted && sortx.KeyLess(prev, key)
+		prev = key
 	}
 	return true, sorted
 }
@@ -422,7 +576,7 @@ func (p *Problem) appendBounded(ev []event, keys []sortx.Key) ([]event, []sortx.
 			return ev, keys, fmt.Errorf("equilibrate: a[%d] = %g, want > 0", j, a)
 		}
 		l := p.lower(j)
-		if p.U != nil && p.U[j] == l && !math.IsInf(l, 0) {
+		if p.pinned(j, l) {
 			// Pinned variable (u = l): x_j ≡ l for every λ, already
 			// counted in Σl by sumLower, so it contributes no events.
 			// Skipping it — rather than emitting a coincident

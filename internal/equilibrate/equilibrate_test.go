@@ -73,9 +73,18 @@ func solveInterval(p *Problem, lo, hi float64, x []float64) (Result, error) {
 // size — the simplest canonical sort. add should pass a nil or freshly
 // Reset State, so the solve runs cold.
 func solveInsertion(add func(*Batch) error) (Result, error) {
+	res, _, err := solveInsertionInterior(add)
+	return res, err
+}
+
+// solveInsertionInterior is solveInsertion that also reports whether the
+// subproblem was solved at its interior root.
+func solveInsertionInterior(add func(*Batch) error) (Result, bool, error) {
 	defer func(old int) { batchInsertionMax = old }(batchInsertionMax)
 	batchInsertionMax = math.MaxInt
-	return solveOne(NewBatch(0), add)
+	b := NewBatch(0)
+	res, err := solveOne(b, add)
+	return res, err == nil && b.Interior(0), err
 }
 
 func solveOK(t *testing.T, p *Problem) ([]float64, Result) {
@@ -410,6 +419,9 @@ func TestHugeSpread(t *testing.T) {
 	}
 }
 
+// BenchmarkSolve1000 and BenchmarkSolveElastic1000 time one cold
+// 1000-term subproblem, fixed and elastic, whose root clamps some cells:
+// the interior attempt, then the sort and sweep.
 func BenchmarkSolve1000(b *testing.B) {
 	rng := rand.New(rand.NewPCG(21, 22))
 	p := randomProblem(rng, 1000, false, false)
@@ -553,6 +565,14 @@ func FuzzKernel(f *testing.F) {
 	f.Add(1.0, 0.5, 2.0, 0.25, 3.0, 0.0)
 	f.Add(-2.0, 1.0, 5.0, 2.0, 0.0, 0.5)
 	f.Add(0.0, 0.1, 0.0, 0.1, 1.0, 0.0)
+	// Breakpoints −1 and 1 with the root on the last one (φ(1) = 2), one ulp
+	// of target either side of it, and with an elastic term.
+	f.Add(1.0, 1.0, -1.0, 1.0, 2.0, 0.0)
+	f.Add(1.0, 1.0, -1.0, 1.0, math.Nextafter(2, 3), 0.0)
+	f.Add(1.0, 1.0, -1.0, 1.0, math.Nextafter(2, 1), 0.0)
+	f.Add(1.0, 1.0, -1.0, 1.0, 2.5, 0.25)
+	// ±0 coefficients with the root at 0.
+	f.Add(math.Copysign(0, -1), 1.0, 0.0, 2.0, 0.0, 0.0)
 	f.Fuzz(func(t *testing.T, c1, a1, c2, a2, r, e float64) {
 		for _, v := range []float64{c1, a1, c2, a2, r, e} {
 			if math.IsNaN(v) || math.IsInf(v, 0) || math.Abs(v) > 1e12 {

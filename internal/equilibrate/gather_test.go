@@ -103,6 +103,35 @@ func (s *gatherSeg) retarget(rng *rand.Rand) {
 	s.p.R = feasibleTarget(rng, s.p)
 }
 
+// toBoundary moves the segment's target onto the boundary of its interior
+// root: its rightmost activation breakpoint (where φ leaves its last kink
+// before the saturations), or one ulp of target either side of it, by the
+// draw. An interval segment takes the target as both ends, so its binding
+// side meets the boundary too.
+func (s *gatherSeg) toBoundary(rng *rand.Rand) {
+	q := materialize(s.p)
+	last := math.Inf(-1)
+	for j := range q.C {
+		if l := q.lower(j); !q.pinned(j, l) {
+			last = max(last, (l-q.C[j])/q.A[j])
+		}
+	}
+	if math.IsInf(last, -1) {
+		return // every cell pinned: no breakpoint
+	}
+	r := q.Phi(last)
+	switch rng.IntN(3) {
+	case 1:
+		r = math.Nextafter(r, math.Inf(1))
+	case 2:
+		r = math.Nextafter(r, math.Inf(-1))
+	}
+	s.p.R = r
+	if s.interval {
+		s.lo, s.hi = r, r
+	}
+}
+
 // add is the segment's add step over the gathered problem p, with output
 // block x and state st.
 func (s *gatherSeg) add(p *Problem, x []float64, st *State) func(*Batch) error {
@@ -135,9 +164,11 @@ func sameResult(t *testing.T, what string, got, want Result, xGot, xWant []float
 // shared multipliers between the solves that ranges from none to large
 // enough to bust the warm repair's budget — after which an unbounded
 // segment, whose warm build wrote no build-order keys, sorts from keys
-// rebuilt from its events. Every result — λ, x, Total and
-// Ops — must be bit-identical to a fresh cold batch that holds the
-// subproblem alone, with its coefficients materialized, sorted by plain
+// rebuilt from its events. A negative drift (its magnitude is the drift)
+// also moves every target onto the boundary of its interior root, before
+// each solve (toBoundary). Every result — λ, x, Total and Ops — and every
+// interior verdict must be bit-identical to a fresh cold batch that holds
+// the subproblem alone, with its coefficients materialized, sorted by plain
 // insertion.
 func FuzzBatchWarm(f *testing.F) {
 	f.Add(uint64(1), []byte{19, 60, 150, 0}, 0.0)
@@ -149,10 +180,17 @@ func FuzzBatchWarm(f *testing.F) {
 	// insertion route (n = 21) and on the own and fused top-bits routes.
 	f.Add(uint64(7), []byte{20, 22, 23, 140, 60}, 1e4)
 	f.Add(uint64(8), []byte{21, 23, 199, 150, 100}, 1e3)
+	// Targets on the boundary of the interior root, one ulp either side of
+	// it, on short and long segments, with and without drift.
+	f.Add(uint64(9), []byte{0, 1, 2, 6, 19}, -0.0)
+	f.Add(uint64(10), []byte{3, 30, 90, 150}, -1e-6)
+	f.Add(uint64(11), []byte{1, 2, 3, 4, 5, 6, 7, 8}, -1.0)
 	f.Fuzz(func(t *testing.T, seed uint64, sizes []byte, drift float64) {
 		if len(sizes) == 0 || len(sizes) > 8 || math.IsNaN(drift) || math.Abs(drift) > 1e6 {
 			return
 		}
+		boundary := math.Signbit(drift)
+		drift = math.Abs(drift)
 		rng := rand.New(rand.NewPCG(seed, uint64(len(sizes))))
 		other := make([]float64, 256)
 		for i := range other {
@@ -179,6 +217,11 @@ func FuzzBatchWarm(f *testing.F) {
 					}
 				}
 			}
+			if boundary {
+				for _, s := range segs {
+					s.toBoundary(rng)
+				}
+			}
 			b.Reset()
 			if seed&1 == 1 {
 				// A fresh batch grows its canonical array while Add fills
@@ -195,11 +238,15 @@ func FuzzBatchWarm(f *testing.F) {
 			}
 			for i, s := range segs {
 				x := make([]float64, len(s.x))
-				want, err := solveInsertion(s.add(materialize(s.p), x, nil))
+				want, interior, err := solveInsertionInterior(s.add(materialize(s.p), x, nil))
 				if err != nil {
 					t.Fatalf("solve %d seg %d: reference: %v", solve, i, err)
 				}
-				sameResult(t, fmt.Sprintf("solve %d seg %d (n=%d)", solve, i, len(s.x)), b.Result(i), want, s.x, x)
+				what := fmt.Sprintf("solve %d seg %d (n=%d)", solve, i, len(s.x))
+				sameResult(t, what, b.Result(i), want, s.x, x)
+				if b.Interior(i) != interior {
+					t.Fatalf("%s: interior %v, reference %v", what, b.Interior(i), interior)
+				}
 			}
 		}
 	})
@@ -230,6 +277,7 @@ func TestBatchErrorAttribution(t *testing.T) {
 					}
 					s.p.U[3] = 1e9
 				}
+				withClamp(s.p) // every good solve sorts and engages its State
 				s.retarget(rng)
 				return s
 			}
@@ -311,8 +359,28 @@ func TestBatchErrorAttribution(t *testing.T) {
 // through a CSR-style index, in batches of 128 subproblems (the core's
 // per-batch cap), cold (no States) and warm (one State per subproblem, the
 // multipliers drifting slightly between rounds so the repair has a few
-// keys to move). It reports ns per exact equilibration.
+// keys to move). It reports ns per exact equilibration. Two shapes:
+//
+//   - interior: the sparse-iter shape, where a = x⁰/2, |μ| ≤ 1 and the
+//     targets keep the row sums, so every root lies past every breakpoint
+//     and each subproblem is solved at its interior root, without a sort:
+//     this times the interior path, and cold and warm run the same code;
+//   - clamped: a constant a = 250 and targets at half the row sums, so
+//     nearly every subproblem clamps some cells at 0 and sorts and sweeps:
+//     this times the miss path, that is, the interior attempt that gives
+//     up, then the event build, the sort (cold) or replay (warm), and the
+//     sweep.
+//
+// It also reports the share of subproblems solved at their interior root.
 func BenchmarkBatchShortSegments(b *testing.B) {
+	for _, shape := range []string{"interior", "clamped"} {
+		for _, mode := range []string{"cold", "warm"} {
+			b.Run(shape+"/"+mode, func(b *testing.B) { benchShortSegments(b, shape == "clamped", mode == "warm") })
+		}
+	}
+}
+
+func benchShortSegments(b *testing.B, clamped, warm bool) {
 	const rows, width, perBatch = 1200, 20, 128
 	rng := rand.New(rand.NewPCG(3, 5))
 	x0 := make([]float64, rows*width)
@@ -323,53 +391,61 @@ func BenchmarkBatchShortSegments(b *testing.B) {
 	for k := range x0 {
 		x0[k] = 0.1 + rng.Float64()*1000
 		a[k] = x0[k] / 2
+		if clamped {
+			a[k] = 250
+		}
 		idx[k] = int32((k/width + k%width) % rows)
 	}
 	for i := range other {
-		other[i] = rng.NormFloat64()
+		other[i] = 2*rng.Float64() - 1
 	}
 	targets := make([]float64, rows)
 	for i := range targets {
 		for _, v := range x0[i*width : (i+1)*width] {
 			targets[i] += v
 		}
+		if clamped {
+			targets[i] /= 2
+		}
 	}
-	for _, mode := range []string{"cold", "warm"} {
-		b.Run(mode, func(b *testing.B) {
-			var states []State
-			if mode == "warm" {
-				states = make([]State, rows)
-			}
-			batch := NewBatch(perBatch * width)
-			p := Problem{Other: other}
-			round := func(drift float64) {
-				for i := range other {
-					other[i] += drift * float64(i%7-3)
-				}
-				for lo := 0; lo < rows; lo += perBatch {
-					batch.Reset()
-					for i := lo; i < min(lo+perBatch, rows); i++ {
-						s, e := i*width, (i+1)*width
-						p.C, p.A, p.Idx, p.R, p.E = x0[s:e], a[s:e], idx[s:e], targets[i], 1e-3
-						var st *State
-						if states != nil {
-							st = &states[i]
-						}
-						if err := batch.Add(&p, x[s:e], st); err != nil {
-							b.Fatal(err)
-						}
-					}
-					if bad, err := batch.Solve(); err != nil {
-						b.Fatalf("subproblem %d: %v", lo+bad, err)
-					}
-				}
-			}
-			round(0) // engage the warm States
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				round(1e-7 * float64(1-2*(i&1)))
-			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*rows), "ns/equil")
-		})
+	var states []State
+	if warm {
+		states = make([]State, rows)
 	}
+	batch := NewBatch(perBatch * width)
+	p := Problem{Other: other}
+	var interior int
+	round := func(drift float64) {
+		for i := range other {
+			other[i] += drift * float64(i%7-3)
+		}
+		for lo := 0; lo < rows; lo += perBatch {
+			batch.Reset()
+			for i := lo; i < min(lo+perBatch, rows); i++ {
+				s, e := i*width, (i+1)*width
+				p.C, p.A, p.Idx, p.R, p.E = x0[s:e], a[s:e], idx[s:e], targets[i], 1e-3
+				var st *State
+				if states != nil {
+					st = &states[i]
+				}
+				if err := batch.Add(&p, x[s:e], st); err != nil {
+					b.Fatal(err)
+				}
+				if batch.Interior(i - lo) {
+					interior++
+				}
+			}
+			if bad, err := batch.Solve(); err != nil {
+				b.Fatalf("subproblem %d: %v", lo+bad, err)
+			}
+		}
+	}
+	round(0) // engage the warm States
+	b.ResetTimer()
+	interior = 0
+	for i := 0; i < b.N; i++ {
+		round(1e-7 * float64(1-2*(i&1)))
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*rows), "ns/equil")
+	b.ReportMetric(float64(interior)/float64(b.N*rows), "interior/equil")
 }

@@ -57,6 +57,15 @@ func buildProblem(rng *rand.Rand, c warmCase) *Problem {
 	return p
 }
 
+// withClamp moves term 0's breakpoint to 10¹²/a₀ or beyond, far right of
+// any root the targets of feasibleTarget reach (n ≥ 3, upper bounds below
+// 10⁹), so term 0 clamps at its lower bound and no solve of p ends at its
+// all-interior root: every solve sorts.
+func withClamp(p *Problem) *Problem {
+	p.C[0] = -1e12
+	return p
+}
+
 // feasibleTarget picks a target inside the reachable range of Σx.
 func feasibleTarget(rng *rand.Rand, p *Problem) float64 {
 	if p.E > 0 {
@@ -213,11 +222,11 @@ func TestStateShapeChange(t *testing.T) {
 // TestWarmInOrderReplaySkipsRepair: an unbounded replay whose keys come out
 // of the build already in order is settled at Add — it skips the repair
 // pass, counts as a fast sort, and leaves State.perm as it was — and still
-// matches plain insertion bit for bit.
+// matches plain insertion bit for bit. Term 0 clamps, so both solves sort.
 func TestWarmInOrderReplaySkipsRepair(t *testing.T) {
 	for _, n := range []int{12, 60, 300} { // sizes of the insertion, fused and own-radix routes
 		rng := rand.New(rand.NewPCG(13, uint64(n)))
-		p := buildProblem(rng, warmCase{n: n})
+		p := withClamp(buildProblem(rng, warmCase{n: n}))
 		st := &State{}
 		b := NewBatch(0)
 		x := make([]float64, n)
@@ -258,11 +267,11 @@ func TestWarmInOrderReplaySkipsRepair(t *testing.T) {
 // build-order keys, so a replay that runs over the repair budget sorts
 // cold from keys rebuilt from its events. The stale keys are poisoned
 // before Solve; the result must still match plain insertion bit for bit,
-// on every cold route.
+// on every cold route. Both solves' roots clamp some terms, so both sort.
 func TestWarmReplayOverBudgetRebuildsKeys(t *testing.T) {
 	for _, n := range []int{12, 60, 300} { // insertion, fused and own-radix routes
 		rng := rand.New(rand.NewPCG(17, uint64(n)))
-		p := buildProblem(rng, warmCase{n: n})
+		p := withClamp(buildProblem(rng, warmCase{n: n}))
 		st := &State{}
 		b := NewBatch(0)
 		x := make([]float64, n)
@@ -270,11 +279,12 @@ func TestWarmReplayOverBudgetRebuildsKeys(t *testing.T) {
 			t.Fatal(err)
 		}
 		// Reverse the cached order: n(n−1)/2 inversions against the 4n
-		// budget. Term perm[k] gets breakpoint −k.
+		// budget. Term perm[k] gets breakpoint −k, and the target puts the
+		// root at −n/2, where the terms past it clamp.
 		for k, j := range st.perm {
 			p.C[j] = float64(k) * p.A[j]
 		}
-		p.R = feasibleTarget(rng, p)
+		p.R = p.Phi(-float64(n) / 2)
 		full := st.FullSorts
 		b.Reset()
 		if err := b.Add(p, x, st); err != nil {
@@ -304,9 +314,10 @@ func TestWarmReplayOverBudgetRebuildsKeys(t *testing.T) {
 	}
 }
 
-// TestRecoverUnboundedLoopsAgree: the masked and the plain primal recovery
-// loops write the same bits and total on blocks with −0, ±Inf, NaN and
-// subnormal coefficients, at roots on either side of zero.
+// TestRecoverUnboundedLoopsAgree: the masked primal recovery loop writes the
+// bits and total of a plain loop that clamps with a branch, on blocks with
+// −0, ±Inf, NaN and subnormal coefficients, at roots on either side of
+// zero.
 func TestRecoverUnboundedLoopsAgree(t *testing.T) {
 	negZero := math.Copysign(0, -1)
 	inf := math.Inf(1)
@@ -320,8 +331,16 @@ func TestRecoverUnboundedLoopsAgree(t *testing.T) {
 	}
 	for _, lambda := range []float64{negZero, 0, 1, -1, 2.5, -2.5, 1e-300, inf, -inf} {
 		xMask, xPlain := make([]float64, len(ev)), make([]float64, len(ev))
-		tMask := recoverUnbounded(xMask, ev, lambda, true)
-		tPlain := recoverUnbounded(xPlain, ev, lambda, false)
+		tMask := recoverUnbounded(xMask, ev, lambda)
+		var tPlain float64
+		for j, e := range ev {
+			v := e.dc + e.da*lambda
+			if v < 0 {
+				v = 0
+			}
+			xPlain[j] = v
+			tPlain += v
+		}
 		if math.Float64bits(tMask) != math.Float64bits(tPlain) {
 			t.Errorf("λ=%g: total %v (masked) vs %v (plain)", lambda, tMask, tPlain)
 		}

@@ -20,6 +20,7 @@ type Counters struct {
 	OuterIterations atomic.Int64 // outer steps of two-level solvers
 	Iterations      atomic.Int64 // single-level iterations plus inner iterations
 	Equilibrations  atomic.Int64 // single row/column exact equilibrations performed
+	Interior        atomic.Int64 // of which solved at the all-interior root, with no sort
 	Ops             atomic.Int64 // abstract operations, per the paper's model
 	SerialOps       atomic.Int64 // operations in serial phases (convergence checks)
 	ConvChecks      atomic.Int64 // convergence verifications performed
@@ -41,6 +42,7 @@ func (c *Counters) ObserveIteration(e trace.Event) {
 		c.ConvChecks.Add(1)
 	}
 	c.Equilibrations.Add(e.Equilibrations)
+	c.Interior.Add(e.Interior)
 	c.Ops.Add(e.Ops)
 	c.SerialOps.Add(e.SerialOps)
 }
@@ -50,6 +52,7 @@ type Snapshot struct {
 	OuterIterations int64
 	Iterations      int64
 	Equilibrations  int64
+	Interior        int64
 	Ops             int64
 	SerialOps       int64
 	ConvChecks      int64
@@ -61,6 +64,7 @@ func (c *Counters) Snapshot() Snapshot {
 		OuterIterations: c.OuterIterations.Load(),
 		Iterations:      c.Iterations.Load(),
 		Equilibrations:  c.Equilibrations.Load(),
+		Interior:        c.Interior.Load(),
 		Ops:             c.Ops.Load(),
 		SerialOps:       c.SerialOps.Load(),
 		ConvChecks:      c.ConvChecks.Load(),
@@ -73,6 +77,7 @@ func (s Snapshot) Add(o Snapshot) Snapshot {
 		OuterIterations: s.OuterIterations + o.OuterIterations,
 		Iterations:      s.Iterations + o.Iterations,
 		Equilibrations:  s.Equilibrations + o.Equilibrations,
+		Interior:        s.Interior + o.Interior,
 		Ops:             s.Ops + o.Ops,
 		SerialOps:       s.SerialOps + o.SerialOps,
 		ConvChecks:      s.ConvChecks + o.ConvChecks,
@@ -80,6 +85,6 @@ func (s Snapshot) Add(o Snapshot) Snapshot {
 }
 
 func (s Snapshot) String() string {
-	return fmt.Sprintf("outer=%d iter=%d equil=%d ops=%d serialOps=%d checks=%d",
-		s.OuterIterations, s.Iterations, s.Equilibrations, s.Ops, s.SerialOps, s.ConvChecks)
+	return fmt.Sprintf("outer=%d iter=%d equil=%d interior=%d ops=%d serialOps=%d checks=%d",
+		s.OuterIterations, s.Iterations, s.Equilibrations, s.Interior, s.Ops, s.SerialOps, s.ConvChecks)
 }

@@ -50,17 +50,17 @@ func TestCountersObserveEventShapes(t *testing.T) {
 		want   Snapshot
 	}{
 		{"sea", []trace.Event{
-			{Solver: "sea", Iteration: 1, Equilibrations: 5, Ops: 100},
-			{Solver: "sea", Iteration: 2, Checked: true, Equilibrations: 5, Ops: 90, SerialOps: 20},
-		}, Snapshot{Iterations: 2, Equilibrations: 10, Ops: 190, SerialOps: 20, ConvChecks: 1}},
+			{Solver: "sea", Iteration: 1, Equilibrations: 5, Interior: 5, Ops: 100},
+			{Solver: "sea", Iteration: 2, Checked: true, Equilibrations: 5, Interior: 2, Ops: 90, SerialOps: 20},
+		}, Snapshot{Iterations: 2, Equilibrations: 10, Interior: 7, Ops: 190, SerialOps: 20, ConvChecks: 1}},
 		{"sea-general", []trace.Event{
 			{Solver: "sea-general", Iteration: 1, Inner: 2, Checked: true, Equilibrations: 7, Ops: 500, SerialOps: 12},
 			{Solver: "sea-general", Iteration: 2, Inner: 2, Equilibrations: 7, Ops: 480},
 		}, Snapshot{OuterIterations: 2, Iterations: 4, Equilibrations: 14, Ops: 980, SerialOps: 12, ConvChecks: 1}},
 		{"rc", []trace.Event{
-			{Solver: "rc", Iteration: 1, Inner: 5, Checked: true, Equilibrations: 35, Ops: 900, SerialOps: 72},
-			{Solver: "rc", Iteration: 2, Inner: 2, Checked: true, Equilibrations: 14, Ops: 300, SerialOps: 36},
-		}, Snapshot{OuterIterations: 2, Iterations: 7, Equilibrations: 49, Ops: 1200, SerialOps: 108, ConvChecks: 2}},
+			{Solver: "rc", Iteration: 1, Inner: 5, Checked: true, Equilibrations: 35, Interior: 30, Ops: 900, SerialOps: 72},
+			{Solver: "rc", Iteration: 2, Inner: 2, Checked: true, Equilibrations: 14, Interior: 14, Ops: 300, SerialOps: 36},
+		}, Snapshot{OuterIterations: 2, Iterations: 7, Equilibrations: 49, Interior: 44, Ops: 1200, SerialOps: 108, ConvChecks: 2}},
 		{"scaling sweeps", sweeps(3, 40), Snapshot{Iterations: 3, SerialOps: 3 * 40, ConvChecks: 3}},
 	} {
 		var c Counters

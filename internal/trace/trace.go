@@ -51,6 +51,10 @@ type Event struct {
 	// phases. Each solver tallies them for its own solve, so concurrent
 	// solves never see each other's work; metrics.Counters sums them.
 	Equilibrations, Ops, SerialOps int64
+	// Interior is how many of this iteration's Equilibrations the kernel
+	// solved at their all-interior root, with no breakpoint sort (see
+	// equilibrate.Batch).
+	Interior int64
 	// Costs holds the per-task operation costs of the phases this event
 	// covers — the iteration's one phase for SEA, every inner phase since
 	// the previous event for RC. Solvers fill it only when the observer
@@ -159,8 +163,8 @@ func (t *writer) ObserveIteration(e Event) {
 	if e.Checked && !math.IsNaN(e.Residual) {
 		res = fmt.Sprintf("%.6g", e.Residual)
 	}
-	fmt.Fprintf(t.w, "%s: iter=%d residual=%s row=%s col=%s check=%s equil=%d ops=%d\n",
-		e.Solver, e.Iteration, res, e.RowPhase, e.ColPhase, e.CheckPhase, e.Equilibrations, e.Ops)
+	fmt.Fprintf(t.w, "%s: iter=%d residual=%s row=%s col=%s check=%s equil=%d interior=%d ops=%d\n",
+		e.Solver, e.Iteration, res, e.RowPhase, e.ColPhase, e.CheckPhase, e.Equilibrations, e.Interior, e.Ops)
 }
 
 // synchronized serializes ObserveIteration calls with a mutex.

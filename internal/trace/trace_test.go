@@ -60,15 +60,15 @@ func TestNewWriterHonoursEvery(t *testing.T) {
 	var buf bytes.Buffer
 	w := NewWriter(&buf, 3)
 	for i := 1; i <= 10; i++ {
-		w.ObserveIteration(Event{Solver: "sea", Iteration: i, Checked: i%2 == 0, Residual: 0.5, Equilibrations: 4, Ops: 9})
+		w.ObserveIteration(Event{Solver: "sea", Iteration: i, Checked: i%2 == 0, Residual: 0.5, Equilibrations: 4, Interior: 3, Ops: 9})
 	}
 	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
 	if len(lines) != 3 {
 		t.Fatalf("every=3 over 10 iterations wrote %d lines, want 3:\n%s", len(lines), buf.String())
 	}
 	for k, want := range []string{"iter=3 residual=-", "iter=6 residual=0.5", "iter=9 residual=-"} {
-		if !strings.HasPrefix(lines[k], "sea: "+want) || !strings.HasSuffix(lines[k], "equil=4 ops=9") {
-			t.Errorf("line %d = %q, want %q ... equil=4 ops=9", k, lines[k], want)
+		if !strings.HasPrefix(lines[k], "sea: "+want) || !strings.HasSuffix(lines[k], "equil=4 interior=3 ops=9") {
+			t.Errorf("line %d = %q, want %q ... equil=4 interior=3 ops=9", k, lines[k], want)
 		}
 	}
 

@@ -215,6 +215,7 @@ type traceEventJSON struct {
 	ColNs     int64   `json:"col_ns"`
 	CheckNs   int64   `json:"check_ns,omitempty"`
 	Equil     int64   `json:"equilibrations"`
+	Interior  int64   `json:"interior"`
 	Ops       int64   `json:"ops"`
 }
 
@@ -227,6 +228,7 @@ func wireTraceEvent(e sea.TraceEvent) traceEventJSON {
 		ColNs:     int64(e.ColPhase),
 		CheckNs:   int64(e.CheckPhase),
 		Equil:     e.Equilibrations,
+		Interior:  e.Interior,
 		Ops:       e.Ops,
 	}
 	// JSON has no encoding for non-finite numbers and encoding/json fails

@@ -84,3 +84,25 @@ func TestSolveDiverged(t *testing.T) {
 		t.Fatalf("got %d %+v, want 422 with code diverged", rec.Code, body)
 	}
 }
+
+// TestWireTraceEventCarriesInterior: a trace stream event carries the
+// iteration's count of subproblems solved at their interior root beside its
+// equilibration count, zero included.
+func TestWireTraceEventCarriesInterior(t *testing.T) {
+	for _, e := range []sea.TraceEvent{
+		{Iteration: 3, Equilibrations: 40, Interior: 37, Ops: 900},
+		{Iteration: 4, Equilibrations: 40, Ops: 900},
+	} {
+		b, err := json.Marshal(wireTraceEvent(e))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got map[string]any
+		if err := json.Unmarshal(b, &got); err != nil {
+			t.Fatal(err)
+		}
+		if got["equilibrations"] != float64(e.Equilibrations) || got["interior"] != float64(e.Interior) {
+			t.Errorf("event %+v encodes as %s", e, b)
+		}
+	}
+}
