@@ -10,13 +10,16 @@ import (
 	"sea/internal/equilibrate"
 	"sea/internal/mat"
 	"sea/internal/parallel"
+	"sea/internal/scale"
 	"sea/internal/trace"
 )
 
 // SolveDiagonal runs the splitting equilibration algorithm on a diagonal
 // constrained matrix problem (paper Section 3.1): alternating parallel row
 // and column exact-equilibration phases — dual block-coordinate ascent on
-// ζ_l(λ,μ) — until the convergence criterion is met.
+// ζ_l(λ,μ) — until the convergence criterion is met. Once the checked
+// residuals fall at a steady rate, the phases over-relax by Young's factor
+// (see diagState.run); PinOmega keeps the paper's plain iteration.
 //
 // Cancellation is observed between phases: when ctx is cancelled or its
 // deadline passes, the solve returns within one outer iteration with the
@@ -105,7 +108,6 @@ type diagState struct {
 	cscPtr []int
 	cscRow []int32
 	cscPos []int32
-	cscTmp []int // per-column cursor scratch for buildCSC
 
 	x        []float64 // current matrix iterate in storage order (row-major / CSR)
 	xT       []float64 // column-major mirror: dense n×m, or CSC order for CSR
@@ -129,11 +131,6 @@ type diagState struct {
 	// newDiagState, since an adopted state may carry a different problem.
 	rows, cols side
 	warm       bool // thread the warm-start states (off only under the disableWarmStart test hook)
-
-	// denseRowPtr/denseColPtr are the arithmetic offsets k·n / k·m that give
-	// dense storage the same subproblem-span form as CSR's row pointers,
-	// built once per state (dense shapes never change under adoption).
-	denseRowPtr, denseColPtr []int
 
 	runner  *parallel.Pool
 	ownPool *parallel.Pool // set when the state created (and must close) its runner
@@ -159,6 +156,15 @@ type diagState struct {
 	reconcileBody func(chunk, lo, hi int)
 	deltaBody     func(chunk, lo, hi int)
 	sumBody       func(chunk, lo, hi int)
+
+	// Over-relaxation (see run): sor reads Young's ω off the checked
+	// residuals, and omega is the factor the phases apply (1: plain SEA).
+	// relaxSlab holds the relaxed μ̃ the row phase reads once the rule has
+	// engaged, then its rollback checkpoint, n each; it is empty until ω
+	// first engages in a solve, and its backing array stays with the state.
+	sor       scale.SOR
+	omega     float64
+	relaxSlab []float64
 
 	iterations int
 	converged  bool
@@ -199,8 +205,11 @@ func newDiagState(ctx context.Context, p *DiagonalProblem, o *Options) *diagStat
 			supplyBuf: make([]float64, m),
 		}
 		if p.Pattern == nil {
-			st.denseRowPtr = spanOffsets(m, n)
-			st.denseColPtr = spanOffsets(n, m)
+			// The arithmetic offsets k·n / k·m give dense storage the same
+			// subproblem-span form as CSR's row pointers; bindSides keeps
+			// them (dense shapes never change under adoption).
+			st.rows.ptr = spanOffsets(m, n)
+			st.cols.ptr = spanOffsets(n, m)
 		}
 		st.bindBodies()
 		if ar != nil {
@@ -304,8 +313,6 @@ func newDiagState(ctx context.Context, p *DiagonalProblem, o *Options) *diagStat
 // which are in storage order for the row side and column-mirror order for
 // the column side, so one body serves both phases and both storages.
 type side struct {
-	name string // "row" or "column", for error messages
-
 	// ptr holds the subproblem spans (CSR RowPtr / CSC cscPtr, or the dense
 	// arithmetic offsets). idx is the opposite-dimension index of each cell
 	// (ColIdx / cscRow), nil for dense storage, where cell t of every
@@ -347,14 +354,14 @@ type side struct {
 func (st *diagState) bindSides() {
 	p := st.p
 	rows := side{
-		name: "row", ptr: st.denseRowPtr,
-		x0: p.X0, a: st.aRow, lo: p.Lower, up: p.Upper, x: st.x,
+		ptr: st.rows.ptr,
+		x0:  p.X0, a: st.aRow, lo: p.Lower, up: p.Upper, x: st.x,
 		other: st.mu, mult: st.lambda, total: st.rowSum,
 		slots: st.rows.slots,
 	}
 	cols := side{
-		name: "column", ptr: st.denseColPtr,
-		x0: st.x0T, a: st.aT, lo: st.lowerT, up: st.upperT, x: st.xT,
+		ptr: st.cols.ptr,
+		x0:  st.x0T, a: st.aT, lo: st.lowerT, up: st.upperT, x: st.xT,
 		other: st.lambda, mult: st.mu, total: st.colSum,
 		slots: st.cols.slots,
 	}
@@ -379,6 +386,7 @@ func (st *diagState) bindSides() {
 		cols.ilo, cols.ihi = p.DLo, p.DHi
 	}
 	st.rows, st.cols = rows, cols
+	st.omega, st.relaxSlab = 1, st.relaxSlab[:0]
 }
 
 // spanOffsets returns the dense subproblem spans k·w for k = 0..count.
@@ -404,29 +412,34 @@ func (st *diagState) mirror(dst, src []float64) {
 // column occupancy, a prefix sum places the column starts, and a row-major
 // sweep fills cscRow/cscPos — which therefore list each column's entries in
 // ascending row order, exactly the order the dense column phase reads them.
+// The sweep uses cscPtr[j+1] as column j's cursor, which leaves it at
+// column j's end, its final value.
 func (st *diagState) buildCSC() {
 	pt := st.pat
 	m, n, nnz := st.m, st.n, pt.Nnz()
 	st.cscPtr = resizeI(st.cscPtr, n+1)
-	st.cscTmp = resizeI(st.cscTmp, n)
 	st.cscRow = resizeI32(st.cscRow, nnz)
 	st.cscPos = resizeI32(st.cscPos, nnz)
-	clear(st.cscTmp)
+	ptr := st.cscPtr
+	clear(ptr)
 	for _, j := range pt.ColIdx {
-		st.cscTmp[j]++
+		ptr[j+1]++
 	}
-	st.cscPtr[0] = 0
-	for j := 0; j < n; j++ {
-		st.cscPtr[j+1] = st.cscPtr[j] + st.cscTmp[j]
-		st.cscTmp[j] = st.cscPtr[j]
+	// After this shift and prefix sum, ptr[j+1] is column j's start.
+	for j := n; j > 0; j-- {
+		ptr[j] = ptr[j-1]
+	}
+	ptr[0] = 0
+	for j := 1; j <= n; j++ {
+		ptr[j] += ptr[j-1]
 	}
 	for i := 0; i < m; i++ {
 		for k := pt.RowPtr[i]; k < pt.RowPtr[i+1]; k++ {
 			j := pt.ColIdx[k]
-			q := st.cscTmp[j]
+			q := ptr[j+1]
 			st.cscRow[q] = int32(i)
 			st.cscPos[q] = int32(k)
-			st.cscTmp[j] = q + 1
+			ptr[j+1] = q + 1
 		}
 	}
 }
@@ -535,9 +548,22 @@ func (st *diagState) refreshX0T() {
 
 // run executes the alternating phases until convergence, cancellation, or
 // the iteration limit.
+//
+// SEA is two-block Gauss–Seidel on the dual (λ, μ), and run over-relaxes
+// it once its rate settles, by Young's rule read off the checked residuals
+// (scale.SOR): each row phase moves λ to λ + ω(λ̂ − λ), and each column
+// phase moves a relaxed copy μ̃ to μ̃ + ω(μ̂ − μ̃), which the row phase then
+// reads in place of μ. The column phase reads the relaxed λ and writes its
+// own μ̂ into μ, so the reported (x, λ, μ) is always the last column phase's
+// exact output and the check measures its true row residual. A rollback
+// restores μ̃, the row phase's one input, from the checkpoint. Solves whose
+// rule never engages, those pinned by PinOmega, and those that bound their
+// multipliers (whose shift would have to move μ̃ too) run plain SEA.
 func (st *diagState) run() error {
 	o := st.o
 	obs := o.Trace
+	relax := !o.pinOmega && !o.BoundMultipliers
+	st.sor.Start(o.CheckEvery)
 	for t := 1; t <= o.MaxIterations; t++ {
 		if err := st.ctx.Err(); err != nil {
 			return err
@@ -582,9 +608,42 @@ func (st *diagState) run() error {
 			st.converged = true
 			return nil
 		}
+		if checked && relax {
+			st.adaptOmega()
+		}
 	}
 	return fmt.Errorf("%w after %d iterations (criterion %v, residual %g, ε %g)",
 		ErrNotConverged, o.MaxIterations, o.Criterion, st.residual, o.Epsilon)
+}
+
+// adaptOmega feeds the checked residual to the ω rule and carries out its
+// verdict on μ̃: a checkpoint saves it, a rollback restores it. A NaN
+// residual while ω > 1 rolls back too.
+func (st *diagState) adaptOmega() {
+	res := st.residual
+	n := st.n
+	if res != res && st.sor.Omega() > 1 {
+		st.sor.Rollback()
+		copy(st.relaxSlab[:n], st.relaxSlab[n:])
+		res = math.Inf(1)
+	}
+	switch st.sor.Observe(res, true) {
+	case scale.WindowCheckpoint:
+		if len(st.relaxSlab) == 0 {
+			// Engage: μ̃ starts at μ, which it equals while ω is 1, and
+			// the row phase reads it from now on.
+			st.relaxSlab = resizeF(st.relaxSlab, 2*n)
+			copy(st.relaxSlab, st.mu)
+			st.rows.other = st.relaxSlab[:n]
+		}
+		copy(st.relaxSlab[n:], st.relaxSlab[:n])
+	case scale.WindowRollback:
+		copy(st.relaxSlab[:n], st.relaxSlab[n:])
+	}
+	st.omega = st.sor.Omega()
+	if omegaHook != nil {
+		st.omega = omegaHook(st.iterations, st.omega)
+	}
 }
 
 // beginIteration starts the trace record of iteration st.iterations and
@@ -701,6 +760,11 @@ type tally struct{ equil, interior, ops int64 }
 // can move it; solutions do not depend on it.
 var batchEvents = 1 << 12
 
+// omegaHook, when set, sees the factor the ω rule holds after each checked
+// iteration and returns the one the phases apply. It is a variable only so
+// tests can watch the rule and inject a bad factor.
+var omegaHook func(iteration int, omega float64) float64
+
 // disableWarmStart turns off the kernel's warm-started breakpoint sorts,
 // forcing a full cold sort in every subproblem. Warm starts are exact, so
 // results are bit-identical either way; it is a variable only so the
@@ -747,6 +811,14 @@ func (st *diagState) phaseChunk(sd *side, chunk, lo, hi int) {
 	x0, a, x, lower, upper := sd.x0, sd.a, sd.x, sd.lo, sd.up
 	r, w, balanced, ilo, ihi := sd.r, sd.w, sd.balanced, sd.ilo, sd.ihi
 	states, mult, total, costs := sd.states, sd.mult, sd.total, sd.costs
+	// Each kernel multiplier λ̂ lands in mult as mult + ω(λ̂ − mult),
+	// except on the column side once μ̃ exists: μ takes μ̂ itself, and μ̃
+	// the relaxed step (see run).
+	omega := st.omega
+	var relaxed []float64
+	if sd == &st.cols && len(st.relaxSlab) != 0 {
+		relaxed = st.relaxSlab[:st.n]
+	}
 	perEntry := 1
 	if upper != nil {
 		perEntry = 2
@@ -804,7 +876,12 @@ func (st *diagState) phaseChunk(sd *side, chunk, lo, hi int) {
 				interior++
 			}
 			res := b.Result(k - lo)
-			mult[k] = res.Lambda
+			if relaxed != nil {
+				mult[k] = res.Lambda
+				relaxed[k] = scale.Relax(relaxed[k], res.Lambda, omega)
+			} else {
+				mult[k] = scale.Relax(mult[k], res.Lambda, omega)
+			}
 			total[k] = res.Total
 			cost := res.Ops + int64(2*(ptr[k+1]-ptr[k]))
 			costSum += cost
@@ -822,7 +899,11 @@ func (st *diagState) phaseChunk(sd *side, chunk, lo, hi int) {
 // fail records a worker's first error, attributed to subproblem k of sd.
 func (st *diagState) fail(chunk int, sd *side, k int, err error) {
 	if st.errs[chunk] == nil {
-		st.errs[chunk] = fmt.Errorf("%s %d: %w", sd.name, k, err)
+		name := "row"
+		if sd == &st.cols {
+			name = "column"
+		}
+		st.errs[chunk] = fmt.Errorf("%s %d: %w", name, k, err)
 	}
 }
 

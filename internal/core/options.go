@@ -222,6 +222,20 @@ type Options struct {
 	// The returned Solution then aliases arena-owned memory — valid until
 	// the next solve on the same arena. See Arena.
 	Arena *Arena
+
+	// pinOmega keeps the diagonal solver's SEA iterations plain (ω = 1);
+	// see PinOmega.
+	pinOmega bool
+}
+
+// PinOmega makes the diagonal solver run the paper's plain SEA: it never
+// over-relaxes its iterations (see SolveDiagonal), so iteration counts and
+// iterates are the plain algorithm's. The reproduced paper tables use it.
+// The field it sets is unexported and the facade does not re-export
+// PinOmega, so it is no public option.
+func PinOmega(o *Options) *Options {
+	o.pinOmega = true
+	return o
 }
 
 // DefaultOptions returns the options used throughout the paper's

@@ -20,7 +20,7 @@ type GrowthRow struct {
 // factors make migration-style elastic problems harder: the same 48×48
 // migration table is re-solved with its total priors uniformly grown by an
 // increasing percentage, measuring how far the μ = 0 initialization then is
-// from the optimum.
+// from the optimum. Like Table 4 it runs plain SEA (core.PinOmega).
 func GrowthSweep(ctx context.Context, cfg Config) ([]GrowthRow, error) {
 	x0 := problems.MigrationTable("6570", 1234)
 	const n = 48
@@ -55,7 +55,7 @@ func GrowthSweep(ctx context.Context, cfg Config) ([]GrowthRow, error) {
 		o.Epsilon = cfg.eps(0.01)
 		o.MaxIterations = 500000
 		start := time.Now()
-		sol, err := core.SolveDiagonal(ctx, p, o)
+		sol, err := core.SolveDiagonal(ctx, p, core.PinOmega(o))
 		if err != nil {
 			return rows, fmt.Errorf("growth sweep %d%%: %w", pct, err)
 		}

@@ -75,8 +75,10 @@ func (c Config) eps(def float64) float64 {
 }
 
 // timedSolve runs SolveDiagonal and returns the solution with its wall time.
+// It serves the paper's tables, which reproduce the plain algorithm, so it
+// pins ω at 1 (core.PinOmega): their iteration counts are plain SEA's.
 func timedSolve(ctx context.Context, p *core.DiagonalProblem, o *core.Options) (*core.Solution, float64, error) {
 	start := time.Now()
-	sol, err := core.SolveDiagonal(ctx, p, o)
+	sol, err := core.SolveDiagonal(ctx, p, core.PinOmega(o))
 	return sol, time.Since(start).Seconds(), err
 }

@@ -75,13 +75,14 @@ func table6(ctx context.Context, cfg Config, parallelCheck bool) ([]SpeedupRow, 
 }
 
 // appendSpeedups solves p with tracing enabled and appends the simulated
-// speedup measurements for the Table 6 processor counts.
+// speedup measurements for the Table 6 processor counts. Like timedSolve it
+// runs plain SEA (core.PinOmega).
 func appendSpeedups(ctx context.Context, rows *[]SpeedupRow, name string, p *core.DiagonalProblem, cfg Config, crit core.Criterion, eps float64, checkEvery int, parallelCheck bool) error {
 	o := core.DefaultOptions()
 	o.Criterion = crit
 	o.Epsilon = eps
 	o.CheckEvery = checkEvery
-	cfg.apply(o)
+	cfg.apply(core.PinOmega(o))
 	o.MaxIterations = 500000
 	o.ParallelConvCheck = parallelCheck
 	tr := &parsim.Recorder{}

@@ -72,23 +72,12 @@ type System struct {
 	// zero μ.
 	slab, colBlo, colBhi, colTgt, zeroMu []float64
 
-	// Relaxed/exact escalation and over-relaxation state (see Run). It
-	// persists across Run calls like the duals do, so chunked runs behave
-	// exactly like one long run.
+	// Relaxed/exact escalation state and the over-relaxation rule (see
+	// Run). They persist across Run calls like the duals do, so chunked runs
+	// behave exactly like one long run.
 	runInit  bool
 	runExact bool
-	// rollbacks counts the over-relaxed windows rolled back, and nRatios
-	// (at most 3) the window-to-window ratios of plain relaxed sweeps
-	// recorded since the last rollback, of which ratios holds the last
-	// two, oldest first.
-	rollbacks, nRatios uint8
-	winBest            float64
-	prevWin            float64
-	winCount           int
-	// omega is the relaxed sweeps' over-relaxation factor ω, and ckBest the
-	// best residual of the window that ended at the checkpoint.
-	omega, ckBest float64
-	ratios        [2]float64
+	sor      SOR
 }
 
 // Reuse makes s the system next while keeping s's scratch buffers: the
@@ -559,16 +548,6 @@ func newtonStep(z, g, slope float64, blo, bhi, step *float64) (next float64, ok 
 	return next, true
 }
 
-// relax over-relaxes a Newton step from z to next by the factor ω. At ω = 1
-// it returns next itself: z + 1·(next − z) can differ from next in the last
-// bit.
-func relax(z, next, omega float64) float64 {
-	if omega == 1 {
-		return next
-	}
-	return z + omega*(next-z)
-}
-
 // rowEq is one row equation's safeguarded-Newton state within a row
 // half-sweep: the iterate z = λ_i, its bracket and expansion step, the
 // equation in absolute form, first, the violation at the incoming λ_i, and
@@ -586,7 +565,7 @@ type rowEq struct {
 // below the interval binds the lower bound (λ_i > 0), above it the upper
 // bound (λ_i < 0), and inside it λ_i = 0 with no iteration.
 func (s *System) openRow(i int, lambda, mu []float64) rowEq {
-	e := rowEq{z: lambda[i], blo: math.Inf(-1), bhi: math.Inf(1), step: 1, omega: s.omega, open: true}
+	e := rowEq{z: lambda[i], blo: math.Inf(-1), bhi: math.Inf(1), step: 1, omega: s.sor.Omega(), open: true}
 	if s.RowLo == nil {
 		e.target, e.diag = s.rowAbs(i, mu)
 		return e
@@ -621,7 +600,7 @@ func (e *rowEq) advance(it int, sum, asum, innerTol float64) bool {
 	}
 	next, ok := newtonStep(e.z, g, asum+e.diag, &e.blo, &e.bhi, &e.step)
 	if ok {
-		e.z = relax(e.z, next, e.omega)
+		e.z = Relax(e.z, next, e.omega)
 	}
 	return ok
 }
@@ -739,7 +718,7 @@ func (s *System) solveColumns(lambda, mu, colSum, colASum []float64, innerTol fl
 				s.colBlo[j], s.colBhi[j] = blo, bhi
 			}
 			if ok {
-				mu[j] = relax(mu[j], next, s.omega)
+				mu[j] = Relax(mu[j], next, s.sor.Omega())
 				moved = true
 			}
 		}
@@ -810,23 +789,13 @@ func (s *System) pickColumnTargets(lambda, mu, colSum, colASum []float64) (first
 // sweeps per call sees each window end with its call and can stop there.
 //
 // The relaxed sweeps over-relax once their rate settles: each row and
-// column step becomes z + ω·(z_newton − z). Rows given μ and columns given
-// λ are independent, so near the solution, where the clamps stop changing,
-// a relaxed sweep is Gauss–Seidel on a 2-cyclic, consistently ordered
-// system, and Young's SOR theory gives the best factor from the
-// Gauss–Seidel rate ρ alone: ω = 2/(1+√(1−ρ)). Run reads ρ from its own
-// windows: once three consecutive plain windows' ratios q of best residuals
-// agree within 0.02, it takes ρ = q^(1/StallWindow) and sets ω = 1 +
-// d·(min(1.9, 2/(1+√(1−ρ))) − 1), with the damping d = 2^−k after k
-// rollbacks. (A ratio of 0.98 or more is a stall, so every ratio it sees is
-// below that.) While ω > 1, each window end checkpoints (λ, μ); a window
-// that stalls, or a sweep whose residual is NaN, rolls back: it restores the
-// checkpoint and sets ω = 1, and the rate is measured afresh. After
-// maxRollbacks rollbacks ω stays 1. A sweep that rolls back a NaN reports a
-// residual of +Inf: the restored duals' residual is unknown until the next
-// sweep. While ω is 1 the sweeps are bit-identical to plain Gauss–Seidel,
-// so a system on which the rule never engages runs exactly as it did
-// without it.
+// column step becomes z + ω·(z_newton − z), with ω from Young's rule read
+// off the sweeps' own stall windows (see SOR). While ω > 1, each window end
+// checkpoints (λ, μ); a window that stalls, or a sweep whose residual is NaN,
+// rolls back to the checkpoint at ω = 1. A sweep that rolls back a NaN
+// reports a residual of +Inf: the restored duals' residual is unknown until
+// the next sweep. Exact sweeps never over-relax, so only plain relaxed
+// sweeps escalate.
 //
 // colSum and colASum are caller scratch of length N (nil to allocate): the
 // column half-sweep accumulates per-column sums row-major instead of
@@ -880,8 +849,9 @@ func (s *System) Run(lambda, mu []float64, sweeps int, tol float64, colSum, colA
 			worst = maxViolation(worst, s.solveRow(i, lambda, mu, innerTol, inner))
 		}
 		worst = maxViolation(worst, s.solveColumns(lambda, mu, colSum, colASum, innerTol, inner))
-		if worst != worst && s.omega > 1 {
-			s.rollback(lambda, mu)
+		if worst != worst && s.sor.Omega() > 1 {
+			s.sor.Rollback()
+			s.restore(lambda, mu)
 			worst = math.Inf(1)
 		}
 		res.Residual = worst
@@ -906,102 +876,38 @@ func (s *System) Run(lambda, mu []float64, sweeps int, tol float64, colSum, colA
 		// the staggered iterates, so consecutive-sweep comparisons would
 		// misread a healthy downward trend as a stall. The first exact
 		// window is judged against nothing, so an exact stall always
-		// follows a run of exact sweeps. An over-relaxed window that
-		// stalls rolls back instead, so only plain relaxed sweeps
-		// escalate.
-		best, prev, end := s.closeWindow(worst)
-		if !end {
-			continue
-		}
-		stalled := best >= 0.98*prev
-		switch {
-		case stalled && s.omega > 1:
-			s.rollback(lambda, mu)
-		case stalled && s.runExact:
-			res.Stalled = true
-		case stalled:
-			s.runExact = true
-			s.prevWin = math.Inf(1)
-		case !s.runExact:
-			s.overRelax(best, prev, lambda, mu)
+		// follows a run of exact sweeps.
+		switch s.sor.Observe(worst, !s.runExact) {
+		case WindowCheckpoint:
+			ckLambda, ckMu := s.checkpoint()
+			copy(ckLambda, lambda)
+			copy(ckMu, mu)
+		case WindowRollback:
+			s.restore(lambda, mu)
+		case WindowStalled:
+			if s.runExact {
+				res.Stalled = true
+			} else {
+				s.runExact = true
+				s.sor.Restart()
+			}
 		}
 	}
 	return res
 }
 
-// StallWindow is the length, in sweeps, of Run's stall windows.
-const StallWindow = 6
-
-// maxRollbacks is how many over-relaxed windows Run rolls back before it
-// keeps ω = 1 for good.
-const maxRollbacks = 3
-
 // start sets a fresh System's escalation and over-relaxation state.
 func (s *System) start() {
 	s.runInit = true
 	s.runExact = s.Response == Exponential
-	s.winBest = math.Inf(1)
-	s.prevWin = math.Inf(1)
-	s.omega = 1
+	s.sor.Start(1)
 }
 
-// closeWindow folds a sweep's residual into the current stall window and,
-// on the window's last sweep, reports end with the window's best residual
-// and the previous window's, which the next window is then judged against.
-func (s *System) closeWindow(worst float64) (best, prev float64, end bool) {
-	if worst < s.winBest {
-		s.winBest = worst
-	}
-	if s.winCount++; s.winCount < StallWindow {
-		return 0, 0, false
-	}
-	best, prev = s.winBest, s.prevWin
-	s.prevWin = best
-	s.winBest = math.Inf(1)
-	s.winCount = 0
-	return best, prev, true
-}
-
-// overRelax runs at the end of a relaxed window that did not stall, whose
-// best residual is best against the previous window's prev. At ω = 1 it
-// records the ratio best/prev and sets ω once three consecutive ratios agree
-// (see Run); while ω > 1 it checkpoints the duals.
-func (s *System) overRelax(best, prev float64, lambda, mu []float64) {
-	if s.omega == 1 {
-		if s.rollbacks >= maxRollbacks || math.IsInf(prev, 1) {
-			return
-		}
-		q := best / prev
-		r0, r1 := s.ratios[0], s.ratios[1]
-		s.ratios = [2]float64{r1, q}
-		if s.nRatios < 3 {
-			s.nRatios++
-		}
-		if s.nRatios < 3 || max(r0, r1, q)-min(r0, r1, q) > 0.02 {
-			return
-		}
-		rho := math.Pow(q, 1.0/StallWindow)
-		damp := math.Ldexp(1, -int(s.rollbacks))
-		s.omega = 1 + damp*(min(1.9, 2/(1+math.Sqrt(1-rho)))-1)
-	}
-	if s.omega > 1 {
-		ckLambda, ckMu := s.checkpoint()
-		copy(ckLambda, lambda)
-		copy(ckMu, mu)
-		s.ckBest = best
-	}
-}
-
-// rollback restores the duals checkpointed by overRelax, returns to plain
-// relaxed sweeps, and restarts the windows against the checkpoint's.
-func (s *System) rollback(lambda, mu []float64) {
+// restore copies the over-relaxation checkpoint back into the duals.
+func (s *System) restore(lambda, mu []float64) {
 	ckLambda, ckMu := s.checkpoint()
 	copy(lambda, ckLambda)
 	copy(mu, ckMu)
-	s.omega = 1
-	s.rollbacks++
-	s.nRatios = 0
-	s.winBest, s.winCount, s.prevWin = math.Inf(1), 0, s.ckBest
 }
 
 // checkpoint returns the slab's over-relaxation checkpoint of (λ, μ).

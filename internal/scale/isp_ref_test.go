@@ -103,8 +103,8 @@ func refSolveRow(s *System, i int, lambda, mu []float64, innerTol float64, inner
 		if !ok {
 			break
 		}
-		if s.omega != 1 {
-			next = z + s.omega*(next-z)
+		if s.sor.omega != 1 {
+			next = z + s.sor.omega*(next-z)
 		}
 		z = next
 	}
@@ -184,8 +184,8 @@ func refSolveColumns(s *System, lambda, mu []float64, innerTol float64, inner in
 				continue
 			}
 			if next, ok := newtonStep(mu[j], g, colSlope[j]+diag[j], &blo[j], &bhi[j], &step); ok {
-				if s.omega != 1 {
-					next = mu[j] + s.omega*(next-mu[j])
+				if s.sor.omega != 1 {
+					next = mu[j] + s.sor.omega*(next-mu[j])
 				}
 				mu[j] = next
 				moved = true
@@ -217,9 +217,9 @@ func refRun(s *System, lambda, mu []float64, sweeps int, tol float64) Result {
 	if !s.runInit {
 		s.runInit = true
 		s.runExact = s.Response == Exponential
-		s.winBest = math.Inf(1)
-		s.prevWin = math.Inf(1)
-		s.omega = 1
+		s.sor.winBest = math.Inf(1)
+		s.sor.prevWin = math.Inf(1)
+		s.sor.omega = 1
 	}
 	// The checkpoint lives in the reference's own buffers, the System's
 	// slab in Run.
@@ -233,11 +233,11 @@ func refRun(s *System, lambda, mu []float64, sweeps int, tol float64) Result {
 	rollback := func() {
 		copy(lambda, ck.lambda)
 		copy(mu, ck.mu)
-		s.omega = 1
-		s.rollbacks++
-		s.winBest = math.Inf(1)
-		s.winCount = 0
-		s.prevWin = s.ckBest
+		s.sor.omega = 1
+		s.sor.rollbacks++
+		s.sor.winBest = math.Inf(1)
+		s.sor.winCount = 0
+		s.sor.prevWin = s.sor.ckBest
 		ck.ratios = ck.ratios[:0]
 	}
 	var res Result
@@ -256,7 +256,7 @@ func refRun(s *System, lambda, mu []float64, sweeps int, tol float64) Result {
 		if r := refSolveColumns(s, lambda, mu, innerTol, inner); r > worst || r != r {
 			worst = r
 		}
-		if worst != worst && s.omega > 1 {
+		if worst != worst && s.sor.omega > 1 {
 			rollback()
 			worst = math.Inf(1)
 		}
@@ -275,32 +275,32 @@ func refRun(s *System, lambda, mu []float64, sweeps int, tol float64) Result {
 		// The stall windows run in every mode: a relaxed stall escalates
 		// and restarts the comparison, an exact one is reported, and an
 		// over-relaxed one rolls back.
-		if worst < s.winBest {
-			s.winBest = worst
+		if worst < s.sor.winBest {
+			s.sor.winBest = worst
 		}
-		if s.winCount++; s.winCount < StallWindow {
+		if s.sor.winCount++; s.sor.winCount < StallWindow {
 			continue
 		}
-		best, prev := s.winBest, s.prevWin
-		s.prevWin = best
-		s.winBest = math.Inf(1)
-		s.winCount = 0
+		best, prev := s.sor.winBest, s.sor.prevWin
+		s.sor.prevWin = best
+		s.sor.winBest = math.Inf(1)
+		s.sor.winCount = 0
 		stalled := best >= 0.98*prev
 		if stalled {
-			if s.omega > 1 {
+			if s.sor.omega > 1 {
 				rollback()
 			} else if s.runExact {
 				res.Stalled = true
 			} else {
 				s.runExact = true
-				s.prevWin = math.Inf(1)
+				s.sor.prevWin = math.Inf(1)
 			}
 			continue
 		}
 		if s.runExact {
 			continue
 		}
-		if s.omega == 1 && s.rollbacks < 3 && !math.IsInf(prev, 1) {
+		if s.sor.omega == 1 && s.sor.rollbacks < 3 && !math.IsInf(prev, 1) {
 			q := best / prev
 			ck.ratios = append(ck.ratios, q)
 			if k := len(ck.ratios); k >= 3 {
@@ -309,18 +309,18 @@ func refRun(s *System, lambda, mu []float64, sweeps int, tol float64) Result {
 				hi := math.Max(math.Max(r[0], r[1]), r[2])
 				if hi-lo <= 0.02 && q < 0.98 {
 					damp := 1.0
-					for k := 0; k < int(s.rollbacks); k++ {
+					for k := 0; k < int(s.sor.rollbacks); k++ {
 						damp /= 2
 					}
 					rho := math.Pow(q, 1.0/StallWindow)
-					s.omega = 1 + damp*(math.Min(1.9, 2/(1+math.Sqrt(1-rho)))-1)
+					s.sor.omega = 1 + damp*(math.Min(1.9, 2/(1+math.Sqrt(1-rho)))-1)
 				}
 			}
 		}
-		if s.omega > 1 {
+		if s.sor.omega > 1 {
 			ck.lambda = append(ck.lambda[:0], lambda...)
 			ck.mu = append(ck.mu[:0], mu...)
-			s.ckBest = best
+			s.sor.ckBest = best
 		}
 	}
 	return res
@@ -556,16 +556,16 @@ func TestISPKernelsMatchReference(t *testing.T) {
 									}
 									bitsEqual(t, "lambda", lambda, rl)
 									bitsEqual(t, "mu", mu, rm)
-									if sys.runExact != ref.runExact || sys.winCount != ref.winCount ||
-										math.Float64bits(sys.prevWin) != math.Float64bits(ref.prevWin) ||
-										math.Float64bits(sys.omega) != math.Float64bits(ref.omega) ||
-										sys.rollbacks != ref.rollbacks {
+									if sys.runExact != ref.runExact || sys.sor.winCount != ref.sor.winCount ||
+										math.Float64bits(sys.sor.prevWin) != math.Float64bits(ref.sor.prevWin) ||
+										math.Float64bits(sys.sor.omega) != math.Float64bits(ref.sor.omega) ||
+										sys.sor.rollbacks != ref.sor.rollbacks {
 										t.Fatalf("chunk %d: escalation state diverged", c)
 									}
-									if sys.omega > 1 || sys.rollbacks > 0 {
+									if sys.sor.omega > 1 || sys.sor.rollbacks > 0 {
 										engaged++
 									}
-									if sys.rollbacks > 0 {
+									if sys.sor.rollbacks > 0 {
 										rolledBack++
 									}
 									if got.Stalled && resp == Additive {
@@ -625,7 +625,7 @@ func TestISPOverRelaxationPaths(t *testing.T) {
 			ref := ispCase(Additive, c.m, c.storage, c.bounds, c.totals, c.seed)
 			plain := ispCase(Additive, c.m, c.storage, c.bounds, c.totals, c.seed)
 			plain.start()
-			plain.rollbacks = maxRollbacks
+			plain.sor.rollbacks = maxRollbacks
 			m, n := sys.A.M, sys.A.N
 			lambda, mu := make([]float64, m), make([]float64, n)
 			rl, rm := make([]float64, m), make([]float64, n)
@@ -641,12 +641,12 @@ func TestISPOverRelaxationPaths(t *testing.T) {
 					}
 					bitsEqual(t, "lambda", lambda, rl)
 					bitsEqual(t, "mu", mu, rm)
-					if math.Float64bits(sys.omega) != math.Float64bits(ref.omega) || sys.rollbacks != ref.rollbacks {
-						t.Fatalf("chunk %d: ω %v after %d rollbacks, reference %v after %d", chunk, sys.omega, sys.rollbacks, ref.omega, ref.rollbacks)
+					if math.Float64bits(sys.sor.omega) != math.Float64bits(ref.sor.omega) || sys.sor.rollbacks != ref.sor.rollbacks {
+						t.Fatalf("chunk %d: ω %v after %d rollbacks, reference %v after %d", chunk, sys.sor.omega, sys.sor.rollbacks, ref.sor.omega, ref.sor.rollbacks)
 					}
 					sweeps += res.Iterations
-					engaged = engaged || sys.omega > 1
-					retried = retried || (sys.omega > 1 && sys.rollbacks > 0)
+					engaged = engaged || sys.sor.omega > 1
+					retried = retried || (sys.sor.omega > 1 && sys.sor.rollbacks > 0)
 				}
 				if !pres.Converged {
 					pres = refRun(plain, pl, pm, StallWindow, 1e-10)
@@ -656,15 +656,15 @@ func TestISPOverRelaxationPaths(t *testing.T) {
 			if !res.Converged || !pres.Converged {
 				t.Fatalf("converged %v after %d sweeps, plain %v after %d", res.Converged, sweeps, pres.Converged, plainSweeps)
 			}
-			t.Logf("%d sweeps (ω %.3f, %d rollbacks), plain Gauss–Seidel %d", sweeps, sys.omega, sys.rollbacks, plainSweeps)
+			t.Logf("%d sweeps (ω %.3f, %d rollbacks), plain Gauss–Seidel %d", sweeps, sys.sor.omega, sys.sor.rollbacks, plainSweeps)
 			switch c.name {
 			case "engages":
-				if sys.rollbacks != 0 || 2*sweeps >= plainSweeps {
-					t.Errorf("%d sweeps after %d rollbacks, want under half of plain's %d and none", sweeps, sys.rollbacks, plainSweeps)
+				if sys.sor.rollbacks != 0 || 2*sweeps >= plainSweeps {
+					t.Errorf("%d sweeps after %d rollbacks, want under half of plain's %d and none", sweeps, sys.sor.rollbacks, plainSweeps)
 				}
 			case "retries":
-				if !retried || sys.rollbacks < 2 || sweeps >= plainSweeps {
-					t.Errorf("re-engaged %v after %d rollbacks in %d sweeps, want ≥ 2 rollbacks and fewer than plain's %d", retried, sys.rollbacks, sweeps, plainSweeps)
+				if !retried || sys.sor.rollbacks < 2 || sweeps >= plainSweeps {
+					t.Errorf("re-engaged %v after %d rollbacks in %d sweeps, want ≥ 2 rollbacks and fewer than plain's %d", retried, sys.sor.rollbacks, sweeps, plainSweeps)
 				}
 			case "never":
 				if engaged {
@@ -737,13 +737,13 @@ func TestISPOverRelaxedNaNRollsBack(t *testing.T) {
 	m, n := sys.A.M, sys.A.N
 	lambda, mu := make([]float64, m), make([]float64, n)
 	rl, rm := make([]float64, m), make([]float64, n)
-	for sys.omega <= 1 {
+	for sys.sor.omega <= 1 {
 		if res := sys.Run(lambda, mu, StallWindow, 1e-10, nil, nil, nil); res.Converged || res.Stalled {
 			t.Fatalf("Run = %+v before ω engaged", res)
 		}
 		refRun(ref, rl, rm, StallWindow, 1e-10)
 	}
-	sys.omega, ref.omega = math.Inf(1), math.Inf(1)
+	sys.sor.omega, ref.sor.omega = math.Inf(1), math.Inf(1)
 	var residuals []float64
 	res := sys.Run(lambda, mu, 500, 1e-10, nil, nil, func(_ int, r float64) { residuals = append(residuals, r) })
 	want := refRun(ref, rl, rm, 500, 1e-10)
@@ -752,8 +752,8 @@ func TestISPOverRelaxedNaNRollsBack(t *testing.T) {
 	}
 	bitsEqual(t, "lambda", lambda, rl)
 	bitsEqual(t, "mu", mu, rm)
-	if !res.Converged || sys.rollbacks != 1 || !math.IsInf(residuals[0], 1) {
-		t.Fatalf("Run = %+v after %d rollbacks, first residual %v; want convergence after one rollback that read +Inf", res, sys.rollbacks, residuals[0])
+	if !res.Converged || sys.sor.rollbacks != 1 || !math.IsInf(residuals[0], 1) {
+		t.Fatalf("Run = %+v after %d rollbacks, first residual %v; want convergence after one rollback that read +Inf", res, sys.sor.rollbacks, residuals[0])
 	}
 	for k, r := range residuals {
 		if math.IsNaN(r) {

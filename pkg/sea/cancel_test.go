@@ -4,9 +4,11 @@ import (
 	"context"
 	"errors"
 	"runtime"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"sea/internal/scale"
 	"sea/internal/spe"
 )
 
@@ -155,10 +157,28 @@ func TestCancelWithSharedPool(t *testing.T) {
 	}
 }
 
+// errOnCall is a context whose Err turns context.DeadlineExceeded on its
+// k-th call and stays so, and which counts every call: a test can cut a
+// solve at a chosen check without racing a timer against it.
+type errOnCall struct {
+	context.Context
+	k     int64
+	calls atomic.Int64
+}
+
+func (c *errOnCall) Err() error {
+	if c.calls.Add(1) >= c.k {
+		return context.DeadlineExceeded
+	}
+	return nil
+}
+
 // TestCancelDuringPrecondition: the ISP warm start checks ctx between chunks
-// of sweeps, so a deadline that passes inside the stage ends the solve there
-// — with the context's error, no solution and no worker goroutine left
-// behind — in well under the stage's uncancelled time, instead of after it.
+// of scale.StallWindow sweeps, so a deadline that passes inside the stage
+// ends the solve at that check — with the context's error, no solution, no
+// further look at the context and no worker goroutine left behind — instead
+// of after the stage. The deadline passes at the middle one of the stage's
+// checks, counted from an uncancelled solve's sweeps.
 func TestCancelDuringPrecondition(t *testing.T) {
 	d, err := spe.Generate(200, 200, 1).ToConstrainedMatrix()
 	if err != nil {
@@ -172,19 +192,19 @@ func TestCancelDuringPrecondition(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	stage := time.Duration(full.PrecondNs)
+	checks := (full.PrecondSweeps + scale.StallWindow - 1) / scale.StallWindow
+	if checks < 4 {
+		t.Fatalf("the stage ran %d sweeps, %d checks; want a stage long enough to cut inside", full.PrecondSweeps, checks)
+	}
 	baseline := runtime.NumGoroutine()
 
-	ctx, cancel := context.WithTimeout(context.Background(), stage/8)
-	defer cancel()
-	start := time.Now()
+	ctx := &errOnCall{Context: context.Background(), k: int64(checks / 2)}
 	sol, err := Solve(ctx, "sea", p, o)
-	took := time.Since(start)
 	if !errors.Is(err, context.DeadlineExceeded) || sol != nil {
 		t.Fatalf("Solve returned a solution: %t, error %v; want none and context.DeadlineExceeded", sol != nil, err)
 	}
-	if took >= stage/2 {
-		t.Fatalf("cancelled solve returned after %v; the uncancelled stage takes %v", took, stage)
+	if n := ctx.calls.Load(); n != ctx.k {
+		t.Fatalf("ctx.Err called %d times; want the solve to stop at call %d", n, ctx.k)
 	}
 	waitGoroutines(t, baseline)
 }

@@ -70,7 +70,11 @@ func WithObjective(obj Objective) Option {
 }
 
 // WithPrecondition selects the preconditioning stage run before the SEA
-// sweeps.
+// sweeps. The ISP warm start (PrecondISP) still pays on elastic totals,
+// such as spatial price equilibria: its sweeps cost about an eighth of an
+// iteration each and leave SEA one, 3–4× faster than SEA alone there. On
+// balanced SAMs SEA's own over-relaxed iterations are 2–3× faster than the
+// stage (docs/PERFORMANCE.md, "Over-relaxed SEA"), so leave it off.
 func WithPrecondition(pc Precond) Option {
 	return func(c *solveConfig) { c.opts.Precondition = pc }
 }
