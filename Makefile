@@ -21,7 +21,7 @@ test:
 
 # Race-check the scheduling substrate and everything built on it: the core
 # solvers (including the batched equilibration kernel, its radix sorts, and
-# the CSR column-mirror scatter whose per-column writes must stay disjoint),
+# the column-tile scatter whose per-column writes must stay disjoint),
 # the baselines, the sparse wire codec, the instrumentation channel (trace
 # observers, the atomic counters observer, the parsim cost recorder), and
 # the public facade (whose cancellation suite exercises pool teardown under

@@ -15,8 +15,8 @@ import (
 var ErrArenaBusy = errors.New("core: arena already backs a running solve")
 
 // Arena owns the reusable working state of repeated diagonal (or general)
-// solves: the full iterate/mirror/multiplier buffer set, the per-worker
-// equilibration batch buffers, the per-row and per-column warm-start states
+// solves: the full iterate/multiplier buffer set, the per-worker
+// equilibration batch buffers and column tiles, the per-row and per-column warm-start states
 // of the kernel, a persistent worker pool when the caller supplies no
 // Runner, and the backing arrays of the returned Solution. Attach one via
 // Options.Arena and back-to-back Solve calls on same-shape problems run with

@@ -85,6 +85,56 @@ func TestBatchedMatchesUnbatchedAcrossProcs(t *testing.T) {
 	}
 }
 
+// TestDenseColumnTileBatchBoundaries: the dense column phase gathers each
+// batch of columns from row-major storage into its worker's tile and
+// scatters x back when the batch ends, so a batch boundary falls between
+// any two columns. Every dense family — fixed, elastic, balanced, interval,
+// and bounded above and below — solves to the same bits with one column per
+// batch, with the default budget, and with a budget past all n columns, at
+// one and at two workers.
+func TestDenseColumnTileBatchBoundaries(t *testing.T) {
+	def := restoreBatchEvents(t)
+	rng := rand.New(rand.NewPCG(61, 62))
+	lower := randFixed(rng, 23, 29, 100, 2)
+	lower.Lower = make([]float64, 23*29)
+	for k := range lower.Lower {
+		if rng.Float64() < 0.4 {
+			lower.Lower[k] = rng.Float64() * lower.S0[0] / float64(4*29)
+		}
+	}
+	families := map[string]*DiagonalProblem{
+		"fixed":    randFixed(rng, 37, 53, 100, 1.3),
+		"elastic":  randElastic(rng, 31, 27),
+		"balanced": randBalanced(rng, 33),
+		"interval": randInterval(rng, 26, 35, 0.2),
+		"upper":    determinismProblem(t),
+		"lower":    lower,
+	}
+	for name, p := range families {
+		opts := func(procs int) *Options {
+			o := DefaultOptions()
+			o.Epsilon = 1e-9
+			o.Procs = procs
+			return o
+		}
+		batchEvents = 1
+		ref, err := SolveDiagonal(context.Background(), p, opts(1))
+		if err != nil {
+			t.Fatalf("%s: one-column reference: %v", name, err)
+		}
+		for _, procs := range []int{1, 2} {
+			for _, events := range []int{1, def, 2 * p.M * p.N} {
+				batchEvents = events
+				sol, err := SolveDiagonal(context.Background(), p, opts(procs))
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				sameSolution(t, fmt.Sprintf("%s/procs=%d/events=%d", name, procs, events), sol, ref)
+			}
+		}
+	}
+}
+
 // sameCostTrace requires identical per-phase Row/Col/Serial costs.
 func sameCostTrace(t *testing.T, name string, got, want []trace.PhaseCosts) {
 	t.Helper()

@@ -10,8 +10,8 @@ import (
 )
 
 // determinismProblem builds a fixed-seed 100×150 bounded fixed-totals
-// instance that exercises both phases, the box bounds, and the transposed-
-// constant column path. Every total grows 1.2× inside generous boxes, so
+// instance that exercises both phases, the box bounds, and the tiled
+// column path. Every total grows 1.2× inside generous boxes, so
 // most rows and columns are solved at their interior root; the first ten
 // diagonal cells are capped at their priors, so their rows and columns
 // saturate there and take the kernel's sort and sweep, warm starts

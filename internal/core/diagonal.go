@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"runtime"
 	"time"
 
 	"sea/internal/equilibrate"
@@ -78,12 +79,13 @@ func SolveDiagonal(ctx context.Context, p *DiagonalProblem, opts *Options) (*Sol
 
 // diagState carries the working arrays of one diagonal solve.
 //
-// The iterate is kept in two layouts: x row-major for the row phase and the
-// convergence check, and the mirror xT column-major so the column phase
-// reads and writes contiguous memory instead of stride-n gathers. The
-// problem constants the column phase needs (priors, slopes, bounds) are
-// transposed once up front for the same reason; a blocked transpose
-// reconciles xT back into x after each column phase.
+// The iterate x is kept in storage order only (row-major, or CSR order).
+// The row phase and the convergence check walk it in place; the column
+// phase works a batch of columns at a time through its worker's colTile,
+// into which it gathers the batch's per-cell data and from which it
+// scatters the batch's x back when the batch ends. Dense storage gathers
+// straight from the row-major arrays; CSR storage reads its constants from
+// CSC-order copies taken once per solve (see the pat field).
 //
 // A state can outlive one solve: with Options.Arena the whole struct is
 // cached and re-adopted by the next same-shape solve, which resets the
@@ -98,19 +100,23 @@ type diagState struct {
 	nv    int    // stored cells per per-cell buffer: m·n dense, nnz CSR
 	arena *Arena // nil when not reusing
 
-	// pat is the problem's CSR pattern (nil for dense storage). The column
-	// mirror below is the CSC view of the same support, rebuilt whenever an
-	// adopted state sees a different pattern: cscPtr[j]..cscPtr[j+1] are
-	// column j's stored positions in the mirror arrays, cscRow their row
-	// indices, and cscPos the permutation from mirror position back to CSR
-	// position — the sparse replacement for the dense blocked transpose.
+	// pat is the problem's CSR pattern (nil for dense storage). The CSC
+	// view of the same support is rebuilt whenever an adopted state sees a
+	// different pattern: cscPtr[j]..cscPtr[j+1] are column j's positions in
+	// CSC order, cscRow their row indices, and cscPos the permutation from
+	// CSC position back to CSR position. x0T, aT, upperT and lowerT hold the
+	// prior, slopes and bounds in CSC order (the bounds nil when absent),
+	// gathered once per solve; dense storage has none of them.
 	pat    *Pattern
 	cscPtr []int
 	cscRow []int32
 	cscPos []int32
+	x0T    []float64
+	aT     []float64
+	upperT []float64
+	lowerT []float64
 
 	x        []float64 // current matrix iterate in storage order (row-major / CSR)
-	xT       []float64 // column-major mirror: dense n×m, or CSC order for CSR
 	xPrev    []float64 // previous checked iterate (MaxAbsDelta only)
 	lambda   []float64 // row multipliers λ_i
 	mu       []float64 // column multipliers μ_j
@@ -119,10 +125,6 @@ type diagState struct {
 	checkBuf []float64 // per-row scratch for the parallel convergence check
 
 	aRow       []float64 // slopes a_ij = 1/(2γ_ij), storage order
-	aT         []float64 // aRow in column-mirror order
-	x0T        []float64 // p.X0 in column-mirror order; refreshX0T re-syncs it when X0 mutates
-	upperT     []float64 // p.Upper in column-mirror order, nil when unbounded
-	lowerT     []float64 // p.Lower in column-mirror order, nil when absent
 	supplyBuf  []float64 // supplies scratch for checkConvergence, hoisted off the hot loop
 	checkTasks []int64   // shared parallel-check trace costs (row i's entry is its stored width)
 
@@ -136,6 +138,7 @@ type diagState struct {
 	ownPool *parallel.Pool // set when the state created (and must close) its runner
 
 	batches []*equilibrate.Batch // per-worker batched-kernel buffers
+	tiles   []colTile            // per-worker column-batch tiles
 	errs    []error
 
 	// Per-solve instrumentation. phaseChunk tallies its subproblems in its
@@ -149,13 +152,10 @@ type diagState struct {
 
 	// Phase bodies are bound once per state, not per dispatch, so the hot
 	// loop creates no closures.
-	rowBody       func(chunk, lo, hi int)
-	colBody       func(chunk, lo, hi int)
-	aTBody        func(chunk, lo, hi int)
-	x0TBody       func(chunk, lo, hi int)
-	reconcileBody func(chunk, lo, hi int)
-	deltaBody     func(chunk, lo, hi int)
-	sumBody       func(chunk, lo, hi int)
+	rowBody   func(chunk, lo, hi int)
+	colBody   func(chunk, lo, hi int)
+	deltaBody func(chunk, lo, hi int)
+	sumBody   func(chunk, lo, hi int)
 
 	// Over-relaxation (see run): sor reads Young's ω off the checked
 	// residuals, and omega is the factor the phases apply (1: plain SEA).
@@ -193,15 +193,12 @@ func newDiagState(ctx context.Context, p *DiagonalProblem, o *Options) *diagStat
 		st = &diagState{
 			m: m, n: n, nv: nv,
 			x:         make([]float64, nv),
-			xT:        make([]float64, nv),
 			lambda:    make([]float64, m),
 			mu:        make([]float64, n),
 			rowSum:    make([]float64, m),
 			colSum:    make([]float64, n),
 			checkBuf:  make([]float64, m),
 			aRow:      make([]float64, nv),
-			aT:        make([]float64, nv),
-			x0T:       make([]float64, nv),
 			supplyBuf: make([]float64, m),
 		}
 		if p.Pattern == nil {
@@ -262,6 +259,7 @@ func newDiagState(ctx context.Context, p *DiagonalProblem, o *Options) *diagStat
 	}
 	for len(st.batches) < procs {
 		st.batches = append(st.batches, equilibrate.NewBatch(batchHint))
+		st.tiles = append(st.tiles, colTile{})
 		st.errs = append(st.errs, nil)
 		st.tallies = append(st.tallies, tally{})
 	}
@@ -273,7 +271,7 @@ func newDiagState(ctx context.Context, p *DiagonalProblem, o *Options) *diagStat
 	// Data-dependent constants, recomputed on every solve (an adopted state
 	// may carry a different problem with the same shape).
 	if st.pat != p.Pattern {
-		// The column mirror and the per-row check costs are functions of the
+		// The CSC view and the per-row check costs are functions of the
 		// support, not the values; rebuild them only when the pattern itself
 		// changes under an adopted state.
 		st.pat = p.Pattern
@@ -285,44 +283,27 @@ func newDiagState(ctx context.Context, p *DiagonalProblem, o *Options) *diagStat
 	for k, g := range p.Gamma {
 		st.aRow[k] = 0.5 / g
 	}
-	if st.pat == nil {
-		st.runner.ForChunks(m, st.aTBody)
-	} else {
-		st.runner.ForChunks(n, st.aTBody)
-	}
-	st.refreshX0T()
-	if p.Upper != nil {
-		st.upperT = resizeF(st.upperT, nv)
-		st.mirror(st.upperT, p.Upper)
-	} else {
-		st.upperT = nil
-	}
-	if p.Lower != nil {
-		st.lowerT = resizeF(st.lowerT, nv)
-		st.mirror(st.lowerT, p.Lower)
-	} else {
-		st.lowerT = nil
+	if st.pat != nil {
+		st.x0T = st.cscCopy(st.x0T, p.X0)
+		st.aT = st.cscCopy(st.aT, st.aRow)
+		st.upperT = st.cscCopy(st.upperT, p.Upper)
+		st.lowerT = st.cscCopy(st.lowerT, p.Lower)
 	}
 	st.bindSides()
 	return st
 }
 
 // side is one phase — rows or columns — as the phase body sees it: a run of
-// independent exact-equilibration subproblems over the cells of a per-cell
-// layout. Subproblem k owns cells ptr[k]..ptr[k+1] of the per-cell slices,
-// which are in storage order for the row side and column-mirror order for
-// the column side, so one body serves both phases and both storages.
+// independent exact-equilibration subproblems. Subproblem k owns cells
+// ptr[k]..ptr[k+1] of the side's cell order: storage order for the row side,
+// column order for the column side, so one body serves both phases and both
+// storages. The column side's cells are not in storage order, so phaseChunk
+// reaches them through the worker's colTile (see loadTile).
 type side struct {
 	// ptr holds the subproblem spans (CSR RowPtr / CSC cscPtr, or the dense
-	// arithmetic offsets). idx is the opposite-dimension index of each cell
-	// (ColIdx / cscRow), nil for dense storage, where cell t of every
-	// subproblem faces opposite index t.
+	// arithmetic offsets).
 	ptr []int
-	idx []int32
-
-	x0, a  []float64 // prior and slopes a = 1/(2γ)
-	lo, up []float64 // cell bounds, nil when absent
-	x      []float64 // the iterate the kernel writes
+	cells
 
 	// other is the opposite side's multipliers (μ for rows, λ for columns);
 	// mult and total receive this side's multipliers and kernel totals.
@@ -349,25 +330,47 @@ type side struct {
 	costs  []int64
 }
 
+// cells is the per-cell data of a run of subproblems, indexed in the run's
+// cell order. idx is the opposite-dimension index of each cell (ColIdx /
+// cscRow), nil for dense storage, where cell t of every subproblem faces
+// opposite index t. x is where the kernel writes the iterate.
+type cells struct {
+	idx    []int32
+	x0, a  []float64 // prior and slopes a = 1/(2γ)
+	lo, up []float64 // cell bounds, nil when absent
+	x      []float64
+}
+
+// colTile is one worker's column batch, column after column. The kernel
+// writes the batch's x into it, and the batch scatters x back into storage
+// order when it ends. Dense storage also gathers into it, from row-major
+// storage, each cell's coefficient c = x⁰ + a·λ — the expression the
+// kernel's own gather evaluates, so the kernel reads c as is — its slope,
+// and its bounds when present.
+type colTile struct{ c, a, lo, up, x []float64 }
+
 // bindSides points the row and column sides at the current problem and
 // buffers, keeping their warm-start slot tables.
 func (st *diagState) bindSides() {
 	p := st.p
 	rows := side{
-		ptr: st.rows.ptr,
-		x0:  p.X0, a: st.aRow, lo: p.Lower, up: p.Upper, x: st.x,
+		ptr:   st.rows.ptr,
+		cells: cells{x0: p.X0, a: st.aRow, lo: p.Lower, up: p.Upper, x: st.x},
 		other: st.mu, mult: st.lambda, total: st.rowSum,
 		slots: st.rows.slots,
 	}
+	// The dense column side keeps the storage-order arrays, which loadTile
+	// gathers from.
 	cols := side{
-		ptr: st.cols.ptr,
-		x0:  st.x0T, a: st.aT, lo: st.lowerT, up: st.upperT, x: st.xT,
+		ptr:   st.cols.ptr,
+		cells: rows.cells,
 		other: st.lambda, mult: st.mu, total: st.colSum,
 		slots: st.cols.slots,
 	}
 	if pt := st.pat; pt != nil {
 		rows.ptr, rows.idx = pt.RowPtr, pt.ColIdx
-		cols.ptr, cols.idx = st.cscPtr, st.cscRow
+		cols.ptr = st.cscPtr
+		cols.cells = cells{idx: st.cscRow, x0: st.x0T, a: st.aT, lo: st.lowerT, up: st.upperT}
 	}
 	if st.costs != nil {
 		rows.costs, cols.costs = st.costs[0].Row, st.costs[0].Col
@@ -396,16 +399,6 @@ func spanOffsets(count, w int) []int {
 		ptr[k] = k * w
 	}
 	return ptr
-}
-
-// mirror writes src's column-mirror image into dst: a dense transpose, or a
-// CSC-order gather for CSR storage.
-func (st *diagState) mirror(dst, src []float64) {
-	if st.pat == nil {
-		mat.Transpose(dst, src, st.m, st.n)
-		return
-	}
-	st.gatherCSC(dst, src, 0, st.n)
 }
 
 // buildCSC derives the CSC view of st.pat by counting sort: one pass counts
@@ -444,27 +437,100 @@ func (st *diagState) buildCSC() {
 	}
 }
 
-// gatherCSC fills the column-mirror positions of columns [loCol,hiCol) from a
-// storage-order source array.
-func (st *diagState) gatherCSC(dst, src []float64, loCol, hiCol int) {
-	for q := st.cscPtr[loCol]; q < st.cscPtr[hiCol]; q++ {
-		dst[q] = src[st.cscPos[q]]
+// cscCopy returns the storage-order array src in CSC order, in dst's backing
+// array when it is large enough; nil when src is nil.
+func (st *diagState) cscCopy(dst, src []float64) []float64 {
+	if src == nil {
+		return nil
+	}
+	dst = resizeF(dst, len(src))
+	for q, k := range st.cscPos {
+		dst[q] = src[k]
+	}
+	return dst
+}
+
+// loadTile readies worker tile t for the column batch [lo,end) of sd and
+// returns the batch's cells, indexed from the batch's first cell. Dense
+// storage gathers the coefficients, slopes and bounds row by row, reading
+// each row's stretch of the batch's columns contiguously; CSR storage reads
+// its CSC copies in place. Either way the kernel writes x into the tile.
+func (st *diagState) loadTile(t *colTile, sd *side, lo, end int) cells {
+	base, size := sd.ptr[lo], sd.ptr[end]-sd.ptr[lo]
+	t.x = resizeF(t.x, size)
+	if st.pat != nil {
+		return cells{idx: sd.idx[base:], x0: sd.x0[base:], a: sd.a[base:],
+			lo: tail(sd.lo, base), up: tail(sd.up, base), x: t.x}
+	}
+	t.c, t.a = resizeF(t.c, size), resizeF(t.a, size)
+	cl := cells{x0: t.c, a: t.a, x: t.x}
+	m, n, w := st.m, st.n, end-lo
+	for i := 0; i < m; i++ {
+		li := sd.other[i]
+		r := i*n + lo
+		x0, a := sd.x0[r:r+w], sd.a[r:r+w]
+		for j, v := range a {
+			q := j*m + i
+			t.c[q] = x0[j] + v*li
+			t.a[q] = v
+		}
+	}
+	if sd.lo != nil {
+		t.lo = resizeF(t.lo, size)
+		st.gatherCols(t.lo, sd.lo, lo, end)
+		cl.lo = t.lo
+	}
+	if sd.up != nil {
+		t.up = resizeF(t.up, size)
+		st.gatherCols(t.up, sd.up, lo, end)
+		cl.up = t.up
+	}
+	return cl
+}
+
+// gatherCols copies columns [lo,end) of the dense row-major src into dst,
+// column after column.
+func (st *diagState) gatherCols(dst, src []float64, lo, end int) {
+	m, n := st.m, st.n
+	for i := 0; i < m; i++ {
+		for j, v := range src[i*n+lo : i*n+end] {
+			dst[j*m+i] = v
+		}
 	}
 }
 
-// scatterCSC is the inverse of gatherCSC: it folds the column-mirror values of
-// columns [loCol,hiCol) back into a storage-order destination. Distinct
-// columns touch disjoint storage positions, so parallel bands never race.
-func (st *diagState) scatterCSC(dst, src []float64, loCol, hiCol int) {
-	for q := st.cscPtr[loCol]; q < st.cscPtr[hiCol]; q++ {
-		dst[st.cscPos[q]] = src[q]
+// storeTile scatters the x of tile t, the column batch [lo,end) of sd, back
+// into the storage-order iterate. Distinct columns own disjoint cells, so
+// workers storing concurrently never race.
+func (st *diagState) storeTile(t *colTile, sd *side, lo, end int) {
+	if st.pat != nil {
+		base := sd.ptr[lo]
+		for q, k := range st.cscPos[base:sd.ptr[end]] {
+			st.x[k] = t.x[q]
+		}
+		return
 	}
+	m, n := st.m, st.n
+	for i := 0; i < m; i++ {
+		row := st.x[i*n+lo : i*n+end]
+		for j := range row {
+			row[j] = t.x[j*m+i]
+		}
+	}
+}
+
+// tail returns s[base:], or nil for a nil s.
+func tail(s []float64, base int) []float64 {
+	if s == nil {
+		return nil
+	}
+	return s[base:]
 }
 
 // reset clears the per-solve scalars of an adopted state. Everything not
 // cleared here is either recomputed by newDiagState (the data-dependent
 // constants) or fully overwritten by the first iteration's phases before it
-// is read (x, xT, lambda, rowSum, colSum); the kernel warm-start states are
+// is read (x, lambda, rowSum, colSum); the kernel warm-start states are
 // deliberately kept — that is the point of adoption.
 func (st *diagState) reset() {
 	st.iterations = 0
@@ -481,30 +547,6 @@ func (st *diagState) reset() {
 func (st *diagState) bindBodies() {
 	st.rowBody = func(chunk, lo, hi int) { st.phaseChunk(&st.rows, chunk, lo, hi) }
 	st.colBody = func(chunk, lo, hi int) { st.phaseChunk(&st.cols, chunk, lo, hi) }
-	// The transpose-flavored bodies are chunked over source rows when dense
-	// and over columns of the CSC mirror when sparse; newDiagState and
-	// refreshX0T dispatch over the matching dimension.
-	st.aTBody = func(_, lo, hi int) {
-		if st.pat == nil {
-			mat.TransposeRange(st.aT, st.aRow, st.m, st.n, lo, hi)
-			return
-		}
-		st.gatherCSC(st.aT, st.aRow, lo, hi)
-	}
-	st.x0TBody = func(_, lo, hi int) {
-		if st.pat == nil {
-			mat.TransposeRange(st.x0T, st.p.X0, st.m, st.n, lo, hi)
-			return
-		}
-		st.gatherCSC(st.x0T, st.p.X0, lo, hi)
-	}
-	st.reconcileBody = func(_, lo, hi int) {
-		if st.pat == nil {
-			mat.TransposeRange(st.x, st.xT, st.n, st.m, lo, hi)
-			return
-		}
-		st.scatterCSC(st.x, st.xT, lo, hi)
-	}
 	st.deltaBody = func(_, lo, hi int) {
 		ptr := st.rows.ptr
 		for i := lo; i < hi; i++ {
@@ -534,18 +576,6 @@ func (st *diagState) close() {
 	}
 }
 
-// refreshX0T re-syncs the transposed prior with p.X0. The diagonal solver
-// calls it once (X0 is constant); the general solver calls it after each
-// linear-term update, whose diagonalization rewrites X0 before every column
-// phase.
-func (st *diagState) refreshX0T() {
-	if st.pat == nil {
-		st.runner.ForChunks(st.m, st.x0TBody)
-		return
-	}
-	st.runner.ForChunks(st.n, st.x0TBody)
-}
-
 // run executes the alternating phases until convergence, cancellation, or
 // the iteration limit.
 //
@@ -568,6 +598,13 @@ func (st *diagState) run() error {
 		if err := st.ctx.Err(); err != nil {
 			return err
 		}
+		// Offer the processor at each cancellation poll. A solve that
+		// allocates little can otherwise hold a lone P for its whole
+		// length: a GC cycle started mid-solve then waits for its mark
+		// worker until the runtime preempts the solve (10 ms), and every
+		// allocation in between pays mark assists. With nothing else
+		// runnable the call returns at once.
+		runtime.Gosched()
 		st.iterations = t
 		st.beginIteration("sea")
 		var mark time.Time
@@ -716,18 +753,10 @@ func (st *diagState) rowPhase() error {
 }
 
 // colPhase solves the n independent column equilibrium subproblems in
-// parallel, updating x column-wise, μ, and colSum. Every array it touches
-// per column — the mirrored prior, slopes and bounds, and the column-major
-// mirror the kernel writes into — is contiguous; a blocked transpose (dense)
-// or CSC scatter (CSR) then folds the mirror back into the iterate.
+// parallel, updating x column-wise, μ, and colSum. Each worker takes its
+// columns a batch at a time through its colTile (see phaseChunk).
 func (st *diagState) colPhase() error {
-	if err := st.phase(&st.cols, st.colBody); err != nil {
-		return err
-	}
-	// Each band writes a disjoint set of x entries, so the result is
-	// partition-independent.
-	st.runner.ForChunks(st.p.N, st.reconcileBody)
-	return nil
+	return st.phase(&st.cols, st.colBody)
 }
 
 // phase dispatches one side's subproblems over the workers and folds their
@@ -802,13 +831,17 @@ func batchEnd(lo, hi, perEntry, target int, ptr []int) int {
 // subproblem into the worker's Batch and solving the group with the fused
 // sort. A subproblem's result does not depend on the batch it sits in, so
 // per-subproblem outputs, tallies, task costs, and warm-start states do not
-// depend on the batch boundaries. Structural zeros of CSR storage never enter a subproblem, and
-// the kernel skips pinned (u = l) cells, so a densified copy of a CSR problem
-// walks a bit-identical event stream.
+// depend on the batch boundaries. Structural zeros of CSR storage never
+// enter a subproblem, and the kernel skips pinned (u = l) cells, so a
+// densified copy of a CSR problem walks a bit-identical event stream.
+//
+// The column side works each batch in the worker's colTile: loadTile fills
+// it before the batch's first Add, and storeTile scatters its x once the
+// batch's results are read.
 func (st *diagState) phaseChunk(sd *side, chunk, lo, hi int) {
 	b := st.batches[chunk]
-	ptr, idx, other := sd.ptr, sd.idx, sd.other
-	x0, a, x, lower, upper := sd.x0, sd.a, sd.x, sd.lo, sd.up
+	ptr, other := sd.ptr, sd.other
+	cl := sd.cells
 	r, w, balanced, ilo, ihi := sd.r, sd.w, sd.balanced, sd.ilo, sd.ihi
 	states, mult, total, costs := sd.states, sd.mult, sd.total, sd.costs
 	// Each kernel multiplier λ̂ lands in mult as mult + ω(λ̂ − mult),
@@ -820,28 +853,41 @@ func (st *diagState) phaseChunk(sd *side, chunk, lo, hi int) {
 		relaxed = st.relaxSlab[:st.n]
 	}
 	perEntry := 1
-	if upper != nil {
+	if cl.up != nil {
 		perEntry = 2
 	}
 	tl := &st.tallies[chunk]
+	var tile *colTile
+	if sd == &st.cols {
+		tile = &st.tiles[chunk]
+	}
 	// One Problem serves every subproblem: Add copies what it keeps, and
 	// the kernel gathers each coefficient x⁰ + a·other[idx] itself while it
-	// builds the breakpoints.
+	// builds the breakpoints — except from a dense tile, which holds the
+	// coefficients already.
 	prob := equilibrate.Problem{Other: other}
+	if tile != nil && st.pat == nil {
+		prob.Other = nil
+	}
 	for lo < hi {
 		end := batchEnd(lo, hi, perEntry, batchEvents, ptr)
 		b.Reset()
+		base := 0
+		if tile != nil {
+			base = ptr[lo]
+			cl = st.loadTile(tile, sd, lo, end)
+		}
 		for k := lo; k < end; k++ {
-			s, e := ptr[k], ptr[k+1]
-			prob.C, prob.A = x0[s:e], a[s:e]
-			if idx != nil {
-				prob.Idx = idx[s:e]
+			s, e := ptr[k]-base, ptr[k+1]-base
+			prob.C, prob.A = cl.x0[s:e], cl.a[s:e]
+			if cl.idx != nil {
+				prob.Idx = cl.idx[s:e]
 			}
-			if upper != nil {
-				prob.U = upper[s:e]
+			if cl.up != nil {
+				prob.U = cl.up[s:e]
 			}
-			if lower != nil {
-				prob.L = lower[s:e]
+			if cl.lo != nil {
+				prob.L = cl.lo[s:e]
 			}
 			var est *equilibrate.State
 			if states != nil {
@@ -849,7 +895,7 @@ func (st *diagState) phaseChunk(sd *side, chunk, lo, hi int) {
 			}
 			var err error
 			if ilo != nil {
-				err = b.AddInterval(&prob, ilo[k], ihi[k], x[s:e], est)
+				err = b.AddInterval(&prob, ilo[k], ihi[k], cl.x[s:e], est)
 			} else {
 				prob.R = r[k]
 				if w != nil {
@@ -859,7 +905,7 @@ func (st *diagState) phaseChunk(sd *side, chunk, lo, hi int) {
 						prob.R = r[k] - el*other[k]
 					}
 				}
-				err = b.Add(&prob, x[s:e], est)
+				err = b.Add(&prob, cl.x[s:e], est)
 			}
 			if err != nil {
 				st.fail(chunk, sd, k, err)
@@ -888,6 +934,9 @@ func (st *diagState) phaseChunk(sd *side, chunk, lo, hi int) {
 			if costs != nil {
 				costs[k] = cost
 			}
+		}
+		if tile != nil {
+			st.storeTile(tile, sd, lo, end)
 		}
 		tl.equil += int64(end - lo)
 		tl.interior += interior
@@ -1094,7 +1143,7 @@ func (st *diagState) solution() *Solution {
 	sol.Iterations = st.iterations
 	sol.Converged = st.converged
 	sol.Residual = st.residual
-	obj, z := p.cellSums(st.x, st.lambda, st.mu)
+	obj, z := p.cellSums(st.x, st.lambda, st.mu, st.aRow)
 	sol.Objective = p.addTotalsPenalty(obj, s, d)
 	sol.DualValue = p.addTotalsDual(z, st.lambda, st.mu)
 	return sol

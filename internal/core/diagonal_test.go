@@ -5,6 +5,8 @@ import (
 	"errors"
 	"math"
 	"math/rand/v2"
+	"runtime"
+	"sync/atomic"
 	"testing"
 
 	"sea/internal/metrics"
@@ -700,5 +702,37 @@ func TestKindString(t *testing.T) {
 	}
 	if Kind(9).String() == "" {
 		t.Error("unknown Kind should still format")
+	}
+}
+
+// TestSolveYieldsAtIterationStart: a solve offers its processor at every
+// cancellation poll, so at GOMAXPROCS 1 a goroutine made runnable just
+// before a long solve runs within its first iterations, instead of waiting
+// for the runtime to preempt the solve (up to 10 ms later). A GC mark
+// worker is such a goroutine.
+func TestSolveYieldsAtIterationStart(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	o := DefaultOptions()
+	o.Criterion = MaxAbsDelta
+	o.Epsilon = 1e-11
+	o.MaxIterations = 5000
+	var ran atomic.Bool
+	ranBy2 := false
+	o.Trace = trace.Func(func(e trace.Event) {
+		if e.Iteration == 2 {
+			ranBy2 = ran.Load()
+		}
+	})
+	p := onsetProblem(t)
+	go ran.Store(true)
+	sol, err := SolveDiagonal(context.Background(), p, o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sol.Iterations < 20 {
+		t.Fatalf("solve took %d iterations, want a long one (≥ 20)", sol.Iterations)
+	}
+	if !ranBy2 {
+		t.Fatal("a goroutine started before the solve had not run by iteration 2")
 	}
 }

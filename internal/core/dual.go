@@ -11,15 +11,17 @@ import "math"
 // also covers the upper-bounded (Ohuchi–Kaji) extension the algebraic
 // formulas (24), (41), (51) do not.
 func DualValue(p *DiagonalProblem, lambda, mu []float64) float64 {
-	_, z := p.cellSums(nil, lambda, mu)
+	_, z := p.cellSums(nil, lambda, mu, nil)
 	return p.addTotalsDual(z, lambda, mu)
 }
 
 // cellSums returns the cell parts of Objective at x and of DualValue at
 // (λ, μ) from one sweep over the stored cells; a nil x skips the objective.
-// Each sum keeps its own accumulator and adds the cells in storage order, as
-// the standalone evaluations do, so both are bit-identical to them.
-func (p *DiagonalProblem) cellSums(x, lambda, mu []float64) (obj, z float64) {
+// a holds the slopes 0.5/γ in storage order, which a solve has at hand; a
+// nil a computes each cell's slope by that same expression. Each sum keeps
+// its own accumulator and adds the cells in storage order, as the
+// standalone evaluations do, so both are bit-identical to them.
+func (p *DiagonalProblem) cellSums(x, lambda, mu, a []float64) (obj, z float64) {
 	m, n := p.M, p.N
 	if pt := p.Pattern; pt != nil {
 		// Structural zeros are pinned in [0,0]: their minimizer is 0, their
@@ -30,7 +32,7 @@ func (p *DiagonalProblem) cellSums(x, lambda, mu []float64) (obj, z float64) {
 			for k := pt.RowPtr[i]; k < pt.RowPtr[i+1]; k++ {
 				t := li + mu[pt.ColIdx[k]]
 				g, x0 := p.Gamma[k], p.X0[k]
-				z += dualCell(g, x0, p.clampEntry(k, x0+t/(2*g)), t)
+				z += dualCell(g, x0, p.clampEntry(k, x0+t*slope(a, k, g)), t)
 				if x != nil {
 					obj += p.objectiveCell(k, x[k])
 				}
@@ -44,7 +46,7 @@ func (p *DiagonalProblem) cellSums(x, lambda, mu []float64) (obj, z float64) {
 			k := i*n + j
 			t := li + mu[j]
 			g, x0 := p.Gamma[k], p.X0[k]
-			z += dualCell(g, x0, p.clampEntry(k, x0+t/(2*g)), t)
+			z += dualCell(g, x0, p.clampEntry(k, x0+t*slope(a, k, g)), t)
 			if x != nil {
 				obj += p.objectiveCell(k, x[k])
 			}
@@ -53,10 +55,19 @@ func (p *DiagonalProblem) cellSums(x, lambda, mu []float64) (obj, z float64) {
 	return obj, z
 }
 
+// slope returns cell k's slope 0.5/γ: a[k] when the slopes are at hand,
+// else computed from g = γ by the expression the solve's table holds.
+func slope(a []float64, k int, g float64) float64 {
+	if a != nil {
+		return a[k]
+	}
+	return 0.5 / g
+}
+
 // dualCell is a cell's Lagrangian term γ(x̂−x⁰)² − t·x̂ at t = λ_i + μ_j,
-// given its minimizer x̂ = clamp(x⁰ + t/(2γ)). It takes the cell's values
-// rather than its index so that it, and the clamp beside it, inline into
-// the sweep.
+// given its minimizer x̂ = clamp(x⁰ + t·a), a = 0.5/γ. It takes the cell's
+// values rather than its index so that it, and the clamp beside it, inline
+// into the sweep.
 func dualCell(g, x0, xh, t float64) float64 {
 	dev := xh - x0
 	return g*dev*dev - t*xh

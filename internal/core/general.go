@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"runtime"
 	"time"
 
 	"sea/internal/mat"
@@ -378,6 +379,7 @@ func SolveGeneral(ctx context.Context, p *GeneralProblem, opts *Options) (*Solut
 		if err := st.ctx.Err(); err != nil {
 			return nil, err
 		}
+		runtime.Gosched() // see diagState.run
 		iterations = t
 		st.iterations = t // drives the warm-start slot policy in the phases
 		st.beginIteration("sea-general")
@@ -398,8 +400,7 @@ func SolveGeneral(ctx context.Context, p *GeneralProblem, opts *Options) (*Solut
 			mark = now
 		}
 
-		updateLinear()
-		st.refreshX0T() // the column phase reads the rewritten prior transposed
+		updateLinear() // the column phase gathers the rewritten prior live
 		if err := st.colPhase(); err != nil {
 			return nil, fmt.Errorf("core: general iteration %d: %w", t, err)
 		}

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"math"
+	"runtime"
 	"time"
 
 	"sea/internal/scale"
@@ -198,7 +199,7 @@ func weightScale(p *DiagonalProblem) float64 {
 
 // scaleProblem fills ps.prob with the σ/τ-scaled copy of p. The Pattern
 // pointer is shared verbatim so an arena-adopted diagState keeps its CSC
-// mirror warm across preconditioned solves.
+// view warm across preconditioned solves.
 func (ps *precondState) scaleProblem(p *DiagonalProblem) *DiagonalProblem {
 	σ, τ := ps.sigma, ps.tau
 	div := func(dst *[]float64, src []float64) []float64 {
@@ -309,6 +310,7 @@ func (ps *precondState) ispWarmStart(ctx context.Context, sp *DiagonalProblem, t
 		if err := ctx.Err(); err != nil {
 			return false, err
 		}
+		runtime.Gosched() // see diagState.run
 		res := sys.Run(ps.lambda0, mu, min(scale.StallWindow, budget-ps.sweeps), tol, ps.colSum, ps.colASum, nil)
 		ps.sweeps += res.Iterations
 		if math.IsNaN(res.Residual) {

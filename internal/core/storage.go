@@ -40,7 +40,7 @@ func (s Storage) String() string {
 // RowPtr[i] ≤ k < RowPtr[i+1] and column ColIdx[k].
 //
 // A Pattern is immutable once attached to a problem: solver state caches
-// derived structures (the column mirror) keyed by the pattern's identity.
+// derived structures (the CSC view) keyed by the pattern's identity.
 type Pattern struct {
 	RowPtr []int
 	ColIdx []int32

@@ -66,8 +66,10 @@ import (
 // phase on the first error either way.
 //
 // A Batch must not be shared between concurrent solves; allocate one per
-// worker. Buffers grow on demand and are retained across Reset.
+// worker. Buffers are allocated when first needed, grow on demand, and are
+// retained across Reset.
 type Batch struct {
+	hint   int // initial capacity of the event-sized buffers (NewBatch)
 	segs   []batchSeg
 	events []event     // concatenated, in add order
 	keys   []sortx.Key // build order, Idx global into events (not written for warm unbounded segments); clobbered by Solve
@@ -117,23 +119,18 @@ const (
 	routeInterior                   // solved at Add by its all-interior root: no sort
 )
 
-// NewBatch returns an empty batch pre-sized for about hint concatenated
-// events per Solve (the caller's event budget plus one subproblem of
-// overshoot), so steady dispatching never grows buffers through repeated
-// append doubling. hint ≤ 0 starts empty; everything still grows on demand.
+// NewBatch returns an empty batch sized for about hint concatenated events
+// per Solve (the caller's event budget plus one subproblem of overshoot).
+// Each event-sized buffer is allocated at that capacity by the first
+// segment that needs it, so steady dispatching never grows buffers through
+// repeated append doubling, and a batch whose subproblems all solve at
+// their interior root allocates none of them. hint ≤ 0 grows everything
+// from empty.
 func NewBatch(hint int) *Batch {
 	if hint <= 0 {
 		return &Batch{}
 	}
-	return &Batch{
-		segs:   make([]batchSeg, 0, 64),
-		events: make([]event, 0, hint),
-		keys:   make([]sortx.Key, 0, hint),
-		segOf:  make([]int32, 0, hint),
-		sorted: make([]sortx.Key, hint),
-		alt:    make([]sortx.Key, hint),
-		alt2:   make([]sortx.Key, hint),
-	}
+	return &Batch{hint: hint, segs: make([]batchSeg, 0, 64)}
 }
 
 // Reset discards accumulated subproblems, keeping buffer capacity.
@@ -216,6 +213,10 @@ func (b *Batch) add(p *Problem, x []float64, st *State) error {
 			res: Result{Lambda: lambda, Total: total, Ops: ops}})
 		return nil
 	}
+	if b.events == nil && b.hint > 0 {
+		b.events = make([]event, 0, b.hint)
+		b.keys = make([]sortx.Key, 0, b.hint)
+	}
 	off := len(b.events)
 	// Fill the segment field by field in place: a composite literal would be
 	// zeroed on the stack and then copied. res is written by Solve.
@@ -278,7 +279,7 @@ func (b *Batch) add(p *Problem, x []float64, st *State) error {
 // without losing the warm slots Add has already filled.
 func (b *Batch) slots(end int) []sortx.Key {
 	if len(b.sorted) < end {
-		s := make([]sortx.Key, max(end, 2*len(b.sorted)))
+		s := make([]sortx.Key, max(end, 2*len(b.sorted), b.hint))
 		copy(s, b.sorted)
 		b.sorted = s
 	}
@@ -446,7 +447,7 @@ func (b *Batch) Solve() (int, error) {
 				}
 				// The top-bits passes read the build-order keys without
 				// clobbering them, so the fallback can still sort them.
-				b.alt = growKeys(b.alt, m)
+				b.alt = growKeys(b.alt, m, b.hint)
 				slot := b.sorted[seg.off : int(seg.off)+m]
 				sortx.RadixKeysTop(slot, keys[seg.off:int(seg.off)+m], b.alt, seg.lo, seg.hi)
 				b.repair(seg)
@@ -459,8 +460,8 @@ func (b *Batch) Solve() (int, error) {
 			// Gather the remaining cold keys contiguously. The event→segment
 			// map is filled here, for just these segments — batches that
 			// never reach this route never pay for it.
-			b.alt = growKeys(b.alt, fused)
-			b.segOf = growInt32(b.segOf, total)
+			b.alt = growKeys(b.alt, fused, b.hint)
+			b.segOf = growInt32(b.segOf, total, b.hint)
 			g := b.alt[:0]
 			for i := range b.segs {
 				seg := &b.segs[i]
@@ -472,7 +473,7 @@ func (b *Batch) Solve() (int, error) {
 					b.segOf[j] = int32(i)
 				}
 			}
-			b.alt2 = growKeys(b.alt2, fused)
+			b.alt2 = growKeys(b.alt2, fused, b.hint)
 			exact := sortx.SpanBits(lo, hi) <= sortx.TopBits
 			src := g
 			if exact {
@@ -485,7 +486,7 @@ func (b *Batch) Solve() (int, error) {
 			// passes, stability makes every slot canonical by construction
 			// after an exact sort, and leaves the top-bits order for the
 			// repair otherwise.
-			b.next = growInt32(b.next, len(b.segs))
+			b.next = growInt32(b.next, len(b.segs), 0)
 			next, segOf, sorted := b.next, b.segOf, b.sorted
 			for i := range b.segs {
 				next[i] = b.segs[i].off
@@ -582,17 +583,18 @@ func sortCharge(m int) int64 {
 }
 
 // growKeys returns buf resized to n, reallocating only when capacity is
-// short.
-func growKeys(buf []sortx.Key, n int) []sortx.Key {
+// short, and then with capacity at least hint.
+func growKeys(buf []sortx.Key, n, hint int) []sortx.Key {
 	if cap(buf) < n {
-		return make([]sortx.Key, n)
+		return make([]sortx.Key, n, max(n, hint))
 	}
 	return buf[:n]
 }
 
-func growInt32(buf []int32, n int) []int32 {
+// growInt32 is growKeys for []int32.
+func growInt32(buf []int32, n, hint int) []int32 {
 	if cap(buf) < n {
-		return make([]int32, n)
+		return make([]int32, n, max(n, hint))
 	}
 	return buf[:n]
 }

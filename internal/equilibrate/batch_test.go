@@ -553,3 +553,43 @@ func TestPresizeStatesSpans(t *testing.T) {
 		t.Fatal("neighbor state disturbed by out-of-slab growth")
 	}
 }
+
+// TestBatchInteriorAllocatesNoEventBuffers: a batch whose subproblems all
+// solve at their interior root never allocates its event-sized buffers, and
+// the first subproblem that sorts allocates the ones it uses at the hint's
+// capacity.
+func TestBatchInteriorAllocatesNoEventBuffers(t *testing.T) {
+	const hint = 1 << 12
+	rng := rand.New(rand.NewPCG(12, 34))
+	b := NewBatch(hint)
+	for _, bounded := range []bool{false, true} {
+		p := interiorCase(rng, 40, gatherNone, bounded, bounded, false, false)
+		if err := b.Add(p, make([]float64, 40), nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := b.Solve(); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < b.Len(); i++ {
+		if !b.Interior(i) {
+			t.Fatalf("subproblem %d was not solved at its interior root", i)
+		}
+	}
+	if b.events != nil || b.keys != nil || b.sorted != nil || b.alt != nil || b.alt2 != nil || b.segOf != nil {
+		t.Fatalf("all-interior batch allocated event buffers: events %d, keys %d, sorted %d, alt %d, alt2 %d, segOf %d",
+			cap(b.events), cap(b.keys), cap(b.sorted), cap(b.alt), cap(b.alt2), cap(b.segOf))
+	}
+
+	b.Reset()
+	if err := b.Add(clampedNeighbour(rng, 40), make([]float64, 40), nil); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := b.Solve(); err != nil {
+		t.Fatal(err)
+	}
+	if cap(b.events) != hint || cap(b.keys) != hint || len(b.sorted) != hint {
+		t.Fatalf("sorting segment allocated events %d, keys %d, sorted %d; want %d each",
+			cap(b.events), cap(b.keys), len(b.sorted), hint)
+	}
+}

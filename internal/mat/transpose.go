@@ -10,23 +10,10 @@ const transposeTile = 32
 // unlike a naive loop, neither side's accesses stride across cache lines.
 // dst and src must not alias.
 func Transpose(dst, src []float64, m, n int) {
-	TransposeRange(dst, src, m, n, 0, m)
-}
-
-// TransposeRange transposes the row band [rlo,rhi) of the m×n row-major src
-// into the corresponding columns of the n×m dst. Disjoint row bands write
-// disjoint dst entries, so bands can be transposed concurrently.
-func TransposeRange(dst, src []float64, m, n, rlo, rhi int) {
-	for ib := rlo; ib < rhi; ib += transposeTile {
-		imax := ib + transposeTile
-		if imax > rhi {
-			imax = rhi
-		}
+	for ib := 0; ib < m; ib += transposeTile {
+		imax := min(ib+transposeTile, m)
 		for jb := 0; jb < n; jb += transposeTile {
-			jmax := jb + transposeTile
-			if jmax > n {
-				jmax = n
-			}
+			jmax := min(jb+transposeTile, n)
 			for i := ib; i < imax; i++ {
 				row := src[i*n : i*n+n]
 				for j := jb; j < jmax; j++ {

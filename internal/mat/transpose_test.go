@@ -21,26 +21,6 @@ func TestTranspose(t *testing.T) {
 	}
 }
 
-func TestTransposeRangeBands(t *testing.T) {
-	m, n := 67, 45
-	src := make([]float64, m*n)
-	for k := range src {
-		src[k] = float64(3*k + 1)
-	}
-	want := make([]float64, m*n)
-	Transpose(want, src, m, n)
-	got := make([]float64, m*n)
-	// Transposing disjoint bands must reassemble the full transpose.
-	for _, band := range [][2]int{{0, 10}, {10, 40}, {40, 67}} {
-		TransposeRange(got, src, m, n, band[0], band[1])
-	}
-	for k := range want {
-		if got[k] != want[k] {
-			t.Fatalf("banded transpose differs at %d: got %g, want %g", k, got[k], want[k])
-		}
-	}
-}
-
 func BenchmarkTranspose500(b *testing.B) {
 	m, n := 500, 500
 	src := make([]float64, m*n)

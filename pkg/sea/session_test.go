@@ -275,7 +275,7 @@ func TestSolveWithFunctionalOptions(t *testing.T) {
 // BenchmarkSessionPeriod times one period of a warm session: a 200×150
 // Session with dual warm starts cycling through 24 drifting periods, the
 // shape of the sequence-warm workload. Periods converge in about one
-// iteration, so the per-period fixed cost — validation, the column mirrors,
+// iteration, so the per-period fixed cost — validation, the slope table,
 // packaging the solution — is a large share of ns/period.
 func BenchmarkSessionPeriod(b *testing.B) {
 	periods := driftingPeriods(b, 200, 150, 24)
