@@ -20,7 +20,7 @@ test:
 	cd bench && $(GO) test ./...
 
 # Race-check the scheduling substrate and everything built on it: the core
-# solvers (including the batched equilibration kernel, its radix sorts, and
+# solvers (including the equilibration kernel, its radix sorts, and
 # the column-tile scatter whose per-column writes must stay disjoint),
 # the baselines, the sparse wire codec, the instrumentation channel (trace
 # observers, the atomic counters observer, the parsim cost recorder), and
@@ -69,10 +69,11 @@ bench-check: cmds
 	st=$$?; rm -f .bench_check.json; exit $$st
 
 # Sparse-tier perf snapshot: the CSR storage guards (bit-exact equivalence
-# with the densified form, steady-state allocation flatness, batch-budget and
-# procs independence of the one phase body on dense and CSR input), the
-# kernel's interior-root tests (λ and x against φ and bisection, the same
-# bits on every route, State and batch position), a one-shot smoke of the
+# with the densified form, steady-state allocation flatness, column-tile
+# budget and procs independence of the one phase body on dense and CSR
+# input), the kernel's interior-root tests (λ and x against φ and
+# bisection, the same bits on every route, State and neighbouring
+# subproblem), a one-shot smoke of the
 # row/column phase benchmarks on both storages, of the kernel's
 # short-segment benchmark (ns per equilibration, cold and warm, on the
 # interior and the clamped shape: the layer behind
@@ -84,7 +85,7 @@ bench-sparse: cmds
 	$(GO) test -count=1 -run 'TestCSRMatchesDensifiedAcrossProcs|TestCSRSteadyStateAllocs|TestBatched' ./internal/core/
 	$(GO) test -run xxx -bench 'RowPhase|ColumnPhase' -benchtime 1x ./internal/core/
 	$(GO) test -count=1 -run 'TestInteriorRoot' ./internal/equilibrate/
-	$(GO) test -run xxx -bench BatchShortSegments -benchtime 1x ./internal/equilibrate/
+	$(GO) test -run xxx -bench KernelShortSegments -benchtime 1x ./internal/equilibrate/
 	$(GO) test -run xxx -bench 'KernelInteriorResolve' -benchtime 1x .
 	$(GO) run ./cmd/seabench -table none -benchjson .bench_sparse.json -benchfilter sparse/
 	@cat .bench_sparse.json; rm -f .bench_sparse.json
@@ -114,8 +115,8 @@ bench-sequence: cmds
 	$(GO) test -run xxx -bench SessionPeriod -benchtime 1x ./pkg/sea/
 	$(GO) run ./cmd/seabench -sequence -scale 0.5
 
-# The equilibration kernel, its gather-fused warm build (two solves through
-# one batch of States against cold plain-insertion references), the
+# The equilibration kernel, its gather-fused warm build (two solves of each
+# subproblem through its State against cold plain-insertion references), the
 # breakpoint sorts (span radix and top-bits radix with its repair, against a
 # stable comparison sort), then the problem reader: its round-trip
 # fixed point and the scanner-versus-encoding/json differential. The

@@ -260,7 +260,7 @@ func BenchmarkAblation_KernelBisection(b *testing.B) { benchKernel(b, true) }
 func benchKernel(b *testing.B, bisect bool) {
 	b.Helper()
 	p := kernelProblemFewClamps()
-	batch := equilibrate.NewBatch(0)
+	kern := equilibrate.NewKernel(0)
 	x := make([]float64, len(p.C))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -268,7 +268,7 @@ func benchKernel(b *testing.B, bisect bool) {
 		if bisect {
 			_, err = p.SolveBisection(x, 1e-10)
 		} else {
-			err = solveKernel(batch, p, x, nil)
+			_, err = kern.Solve(p, x, nil)
 		}
 		if err != nil {
 			b.Fatal(err)
@@ -319,16 +319,6 @@ func kernelProblemClamped() *equilibrate.Problem {
 	return p
 }
 
-// solveKernel solves p alone in batch with warm-start state st.
-func solveKernel(batch *equilibrate.Batch, p *equilibrate.Problem, x []float64, st *equilibrate.State) error {
-	batch.Reset()
-	if err := batch.Add(p, x, st); err != nil {
-		return err
-	}
-	_, err := batch.Solve()
-	return err
-}
-
 // Kernel warm start: re-solving a subproblem whose coefficients drifted
 // slightly (the steady state of the dual ascent) with and without a
 // persistent State. Both variants pay the same perturbation cost, so the
@@ -346,10 +336,10 @@ func BenchmarkKernelInteriorResolve(b *testing.B) { benchKernelResolve(b, kernel
 func benchKernelResolve(b *testing.B, p *equilibrate.Problem, warm bool) {
 	b.Helper()
 	n := len(p.C)
-	batch := equilibrate.NewBatch(0)
+	kern := equilibrate.NewKernel(0)
 	x := make([]float64, n)
 	st := &equilibrate.State{}
-	if err := solveKernel(batch, p, x, st); err != nil {
+	if _, err := kern.Solve(p, x, st); err != nil {
 		b.Fatal(err)
 	}
 	if !warm {
@@ -360,7 +350,7 @@ func benchKernelResolve(b *testing.B, p *equilibrate.Problem, warm bool) {
 	for i := 0; i < b.N; i++ {
 		// Small deterministic drift, as between dual-ascent iterations.
 		p.C[i%n] += 1e-3
-		if err := solveKernel(batch, p, x, st); err != nil {
+		if _, err := kern.Solve(p, x, st); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -46,9 +46,10 @@ func SolveDykstra(ctx context.Context, p *core.DiagonalProblem, opts *core.Optio
 	qcorr := make([]float64, mn) // Dykstra correction for the column polytope
 	tmp := make([]float64, mn)
 
-	// One batch solves each projection. The column projection solves into
-	// the column-major xT against the column-major tmpT, aT and upperT.
-	b := equilibrate.NewBatch(0)
+	// One kernel solves each projection's subproblems. The column
+	// projection solves into the column-major xT against the column-major
+	// tmpT, aT and upperT.
+	kern := equilibrate.NewKernel(0)
 	xT := make([]float64, mn)
 	tmpT := make([]float64, mn)
 	a := make([]float64, mn) // the kernel slopes 1/(2γ), row-major
@@ -81,22 +82,17 @@ func SolveDykstra(ctx context.Context, p *core.DiagonalProblem, opts *core.Optio
 		for k := 0; k < mn; k++ {
 			tmp[k] = x[k] + pcorr[k]
 		}
-		b.Reset()
 		for i := 0; i < m; i++ {
 			prob := equilibrate.Problem{C: tmp[i*n : (i+1)*n], A: a[i*n : (i+1)*n], R: p.S0[i]}
 			if p.Upper != nil {
 				prob.U = p.Upper[i*n : (i+1)*n]
 			}
-			if err := b.Add(&prob, y[i*n:(i+1)*n], nil); err != nil {
+			res, err := kern.Solve(&prob, y[i*n:(i+1)*n], nil)
+			if err != nil {
 				return nil, fmt.Errorf("baseline: Dykstra row %d: %w", i, err)
 			}
-		}
-		if i, err := b.Solve(); err != nil {
-			return nil, fmt.Errorf("baseline: Dykstra row %d: %w", i, err)
-		}
-		for i := 0; i < m; i++ {
-			ops += b.Result(i).Ops
-			if b.Interior(i) {
+			ops += res.Ops
+			if res.Interior {
 				interior++
 			}
 		}
@@ -112,27 +108,22 @@ func SolveDykstra(ctx context.Context, p *core.DiagonalProblem, opts *core.Optio
 		for k := 0; k < mn; k++ {
 			tmp[k] = y[k] + qcorr[k]
 		}
-		b.Reset()
 		mat.Transpose(tmpT, tmp, m, n)
 		for j := 0; j < n; j++ {
 			prob := equilibrate.Problem{C: tmpT[j*m : (j+1)*m], A: aT[j*m : (j+1)*m], R: p.D0[j]}
 			if upperT != nil {
 				prob.U = upperT[j*m : (j+1)*m]
 			}
-			if err := b.Add(&prob, xT[j*m:(j+1)*m], nil); err != nil {
+			res, err := kern.Solve(&prob, xT[j*m:(j+1)*m], nil)
+			if err != nil {
 				return nil, fmt.Errorf("baseline: Dykstra column %d: %w", j, err)
 			}
-		}
-		if j, err := b.Solve(); err != nil {
-			return nil, fmt.Errorf("baseline: Dykstra column %d: %w", j, err)
-		}
-		mat.Transpose(x, xT, n, m)
-		for j := 0; j < n; j++ {
-			ops += b.Result(j).Ops
-			if b.Interior(j) {
+			ops += res.Ops
+			if res.Interior {
 				interior++
 			}
 		}
+		mat.Transpose(x, xT, n, m)
 		for k := 0; k < mn; k++ {
 			qcorr[k] = tmp[k] - x[k]
 		}

@@ -88,9 +88,9 @@ func SolveRC(ctx context.Context, p *core.GeneralProblem, opts *core.Options) (*
 	if procs > maxDim {
 		procs = maxDim
 	}
-	st.batches = make([]*equilibrate.Batch, procs)
-	for c := range st.batches {
-		st.batches[c] = equilibrate.NewBatch(0)
+	st.kernels = make([]*equilibrate.Kernel, procs)
+	for c := range st.kernels {
+		st.kernels[c] = equilibrate.NewKernel(0)
 	}
 	st.errs = make([]error, procs)
 	st.tallies = make([]tally, procs)
@@ -181,10 +181,10 @@ type rcState struct {
 	x, z, xdev, gx, xPrev []float64
 
 	runner    *parallel.Pool
-	batches   []*equilibrate.Batch // one per worker chunk
-	rowStates []equilibrate.State  // warm-start state per row
-	colStates []equilibrate.State  // warm-start state per column
-	errs      []error              // first kernel error per worker chunk
+	kernels   []*equilibrate.Kernel // one per worker chunk
+	rowStates []equilibrate.State   // warm-start state per row
+	colStates []equilibrate.State   // warm-start state per column
+	errs      []error               // first kernel error per worker chunk
 
 	// The column stage solves into the column-major xT (n×m) against the
 	// column-major upperT (nil without upper bounds), then scatters each
@@ -261,53 +261,39 @@ func (st *rcState) stage(rowStage bool, lambda, mu []float64) (int, error) {
 
 		if rowStage {
 			st.runner.ForChunks(m, func(chunk, lo, hi int) {
-				b := st.batches[chunk]
-				b.Reset()
+				kern := st.kernels[chunk]
 				for i := lo; i < hi; i++ {
 					prob := equilibrate.Problem{C: st.z[i*n : (i+1)*n], A: st.a[i*n : (i+1)*n], Other: mu, R: p.S0[i]}
 					if p.Upper != nil {
 						prob.U = p.Upper[i*n : (i+1)*n]
 					}
-					if err := b.Add(&prob, st.x[i*n:(i+1)*n], &st.rowStates[i]); err != nil {
+					res, err := kern.Solve(&prob, st.x[i*n:(i+1)*n], &st.rowStates[i])
+					if err != nil {
 						st.fail(chunk, "row", i, err)
 						return
 					}
-				}
-				if bad, err := b.Solve(); err != nil {
-					st.fail(chunk, "row", lo+bad, err)
-					return
-				}
-				for i := lo; i < hi; i++ {
-					res := b.Result(i - lo)
 					lambda[i] = res.Lambda
-					st.record(chunk, tasks, i, res.Ops+int64(2*n), b.Interior(i-lo))
+					st.record(chunk, tasks, i, res.Ops+int64(2*n), res.Interior)
 				}
 			})
 		} else {
 			st.runner.ForChunks(n, func(chunk, lo, hi int) {
-				b := st.batches[chunk]
-				b.Reset()
+				kern := st.kernels[chunk]
 				for j := lo; j < hi; j++ {
 					prob := equilibrate.Problem{C: st.z[j*m : (j+1)*m], A: st.aT[j*m : (j+1)*m], Other: lambda, R: p.D0[j]}
 					if st.upperT != nil {
 						prob.U = st.upperT[j*m : (j+1)*m]
 					}
-					if err := b.Add(&prob, st.xT[j*m:(j+1)*m], &st.colStates[j]); err != nil {
+					res, err := kern.Solve(&prob, st.xT[j*m:(j+1)*m], &st.colStates[j])
+					if err != nil {
 						st.fail(chunk, "column", j, err)
 						return
 					}
-				}
-				if bad, err := b.Solve(); err != nil {
-					st.fail(chunk, "column", lo+bad, err)
-					return
-				}
-				for j := lo; j < hi; j++ {
 					for i, v := range st.xT[j*m : (j+1)*m] {
 						st.x[i*n+j] = v
 					}
-					res := b.Result(j - lo)
 					mu[j] = res.Lambda
-					st.record(chunk, tasks, j, res.Ops+int64(2*m), b.Interior(j-lo))
+					st.record(chunk, tasks, j, res.Ops+int64(2*m), res.Interior)
 				}
 			})
 		}

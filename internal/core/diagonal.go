@@ -137,8 +137,8 @@ type diagState struct {
 	runner  *parallel.Pool
 	ownPool *parallel.Pool // set when the state created (and must close) its runner
 
-	batches []*equilibrate.Batch // per-worker batched-kernel buffers
-	tiles   []colTile            // per-worker column-batch tiles
+	kernels []*equilibrate.Kernel // per-worker kernel scratch
+	tiles   []colTile             // per-worker column-batch tiles
 	errs    []error
 
 	// Per-solve instrumentation. phaseChunk tallies its subproblems in its
@@ -251,14 +251,10 @@ func newDiagState(ctx context.Context, p *DiagonalProblem, o *Options) *diagStat
 	if procs > maxDim {
 		procs = maxDim
 	}
-	// Budget plus one subproblem of overshoot (bounded rows build up to
-	// 2·maxDim events), so a batch never regrows mid-phase.
-	batchHint := batchEvents
-	if batchHint < 2*maxDim {
-		batchHint = 2 * maxDim
-	}
-	for len(st.batches) < procs {
-		st.batches = append(st.batches, equilibrate.NewBatch(batchHint))
+	// Bounded subproblems build up to 2·maxDim events, so a kernel never
+	// regrows mid-phase.
+	for len(st.kernels) < procs {
+		st.kernels = append(st.kernels, equilibrate.NewKernel(2*maxDim))
 		st.tiles = append(st.tiles, colTile{})
 		st.errs = append(st.errs, nil)
 		st.tallies = append(st.tallies, tally{})
@@ -781,12 +777,10 @@ func (st *diagState) phase(sd *side, body func(chunk, lo, hi int)) error {
 // dispatched.
 type tally struct{ equil, interior, ops int64 }
 
-// batchEvents is the batched kernel's per-chunk event budget: enough
-// concatenated breakpoint events (16 bytes of key each) that the fused radix
-// amortizes its counting passes over many subproblems while the working set
-// (keys + ping-pong + canonical ≈ 3×16 B×budget) stays inside L2. See
-// docs/PERFORMANCE.md. It is a variable only so the batch-boundary tests
-// can move it; solutions do not depend on it.
+// batchEvents is the column tile's per-batch event budget (perEntry events
+// per cell): it sizes the batch of columns whose cells loadTile gathers
+// into a worker's tile and storeTile scatters back. It is a variable only
+// so the batch-boundary tests can move it; solutions do not depend on it.
 var batchEvents = 1 << 12
 
 // omegaHook, when set, sees the factor the ω rule holds after each checked
@@ -800,11 +794,8 @@ var omegaHook func(iteration int, omega float64) float64
 // warm ≡ cold test and the warm-start ablation benchmark can flip it.
 var disableWarmStart bool
 
-// maxBatchRows caps the subproblems per batch regardless of their size: past
-// this the per-segment metadata the batch streams (segment descriptors, offsets,
-// results) outgrows the event data itself — the regime of very small
-// subproblems, where huge batches stop paying (measured on the sparse
-// table5/spe250 instances).
+// maxBatchRows caps the columns per tile batch regardless of their size, so
+// a tile of short columns still scatters back after at most this many.
 const maxBatchRows = 128
 
 // batchEnd returns the end of the batch starting at lo: as many subproblems
@@ -827,19 +818,20 @@ func batchEnd(lo, hi, perEntry, target int, ptr []int) int {
 }
 
 // phaseChunk is the phase body for one worker's subproblem range [lo,hi) of
-// either side: it walks the range in event-budget batches, accumulating each
-// subproblem into the worker's Batch and solving the group with the fused
-// sort. A subproblem's result does not depend on the batch it sits in, so
-// per-subproblem outputs, tallies, task costs, and warm-start states do not
-// depend on the batch boundaries. Structural zeros of CSR storage never
-// enter a subproblem, and the kernel skips pinned (u = l) cells, so a
-// densified copy of a CSR problem walks a bit-identical event stream.
+// either side: it hands each subproblem to the worker's Kernel and writes
+// its multiplier, total and task cost at once. Structural zeros of CSR
+// storage never enter a subproblem, and the kernel skips pinned (u = l)
+// cells, so a densified copy of a CSR problem walks a bit-identical event
+// stream.
 //
-// The column side works each batch in the worker's colTile: loadTile fills
-// it before the batch's first Add, and storeTile scatters its x once the
-// batch's results are read.
+// The column side works in event-budget batches of columns, each in the
+// worker's colTile: loadTile fills it before the batch's first subproblem,
+// and storeTile scatters its x once the batch is solved. A subproblem's
+// result does not depend on the batch it sits in, so per-subproblem outputs,
+// tallies, task costs, and warm-start states do not depend on the batch
+// boundaries.
 func (st *diagState) phaseChunk(sd *side, chunk, lo, hi int) {
-	b := st.batches[chunk]
+	kern := st.kernels[chunk]
 	ptr, other := sd.ptr, sd.other
 	cl := sd.cells
 	r, w, balanced, ilo, ihi := sd.r, sd.w, sd.balanced, sd.ilo, sd.ihi
@@ -861,22 +853,20 @@ func (st *diagState) phaseChunk(sd *side, chunk, lo, hi int) {
 	if sd == &st.cols {
 		tile = &st.tiles[chunk]
 	}
-	// One Problem serves every subproblem: Add copies what it keeps, and
-	// the kernel gathers each coefficient x⁰ + a·other[idx] itself while it
-	// builds the breakpoints — except from a dense tile, which holds the
-	// coefficients already.
+	// One Problem serves every subproblem, and the kernel gathers each
+	// coefficient x⁰ + a·other[idx] itself while it builds the breakpoints
+	// — except from a dense tile, which holds the coefficients already.
 	prob := equilibrate.Problem{Other: other}
 	if tile != nil && st.pat == nil {
 		prob.Other = nil
 	}
 	for lo < hi {
-		end := batchEnd(lo, hi, perEntry, batchEvents, ptr)
-		b.Reset()
-		base := 0
+		end, base := hi, 0
 		if tile != nil {
-			base = ptr[lo]
+			end, base = batchEnd(lo, hi, perEntry, batchEvents, ptr), ptr[lo]
 			cl = st.loadTile(tile, sd, lo, end)
 		}
+		var costSum, interior int64
 		for k := lo; k < end; k++ {
 			s, e := ptr[k]-base, ptr[k+1]-base
 			prob.C, prob.A = cl.x0[s:e], cl.a[s:e]
@@ -893,9 +883,10 @@ func (st *diagState) phaseChunk(sd *side, chunk, lo, hi int) {
 			if states != nil {
 				est = &states[k]
 			}
+			var res equilibrate.Result
 			var err error
 			if ilo != nil {
-				err = b.AddInterval(&prob, ilo[k], ihi[k], cl.x[s:e], est)
+				res, err = kern.SolveInterval(&prob, ilo[k], ihi[k], cl.x[s:e], est)
 			} else {
 				prob.R = r[k]
 				if w != nil {
@@ -905,23 +896,15 @@ func (st *diagState) phaseChunk(sd *side, chunk, lo, hi int) {
 						prob.R = r[k] - el*other[k]
 					}
 				}
-				err = b.Add(&prob, cl.x[s:e], est)
+				res, err = kern.Solve(&prob, cl.x[s:e], est)
 			}
 			if err != nil {
 				st.fail(chunk, sd, k, err)
 				return
 			}
-		}
-		if bad, err := b.Solve(); err != nil {
-			st.fail(chunk, sd, lo+bad, err)
-			return
-		}
-		var costSum, interior int64
-		for k := lo; k < end; k++ {
-			if b.Interior(k - lo) {
+			if res.Interior {
 				interior++
 			}
-			res := b.Result(k - lo)
 			if relaxed != nil {
 				mult[k] = res.Lambda
 				relaxed[k] = scale.Relax(relaxed[k], res.Lambda, omega)
@@ -929,7 +912,7 @@ func (st *diagState) phaseChunk(sd *side, chunk, lo, hi int) {
 				mult[k] = scale.Relax(mult[k], res.Lambda, omega)
 			}
 			total[k] = res.Total
-			cost := res.Ops + int64(2*(ptr[k+1]-ptr[k]))
+			cost := res.Ops + int64(2*(e-s))
 			costSum += cost
 			if costs != nil {
 				costs[k] = cost

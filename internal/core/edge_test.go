@@ -2,7 +2,9 @@ package core
 
 import (
 	"context"
+	"errors"
 	"math"
+	"strings"
 	"testing"
 )
 
@@ -231,5 +233,38 @@ func TestSTONERegression(t *testing.T) {
 	}
 	if !sol.Converged {
 		t.Error("STONE did not converge")
+	}
+}
+
+// TestPhaseErrorNamesFirstFailingSubproblem: a worker chunk reports its
+// first failing subproblem in order, whatever stage fails it. Row 1 passes
+// every pre-check and fails in its sweep: c = (1e16, −1e16, 1e16/3), a = 1,
+// u = 1 and R = Σu = 3, whose breakpoint intercepts cancel only in exact
+// arithmetic. Row 3, later in the same chunk, has a NaN coefficient, which
+// its event build rejects. The phase must name row 1.
+func TestPhaseErrorNamesFirstFailingSubproblem(t *testing.T) {
+	const m, n = 5, 3
+	p := &DiagonalProblem{M: m, N: n, Kind: FixedTotals,
+		X0: make([]float64, m*n), Gamma: make([]float64, m*n), Upper: make([]float64, m*n),
+		S0: make([]float64, m), D0: make([]float64, n)}
+	for k := range p.X0 {
+		p.X0[k], p.Gamma[k], p.Upper[k] = 1, 0.5, 10
+	}
+	for i := range p.S0 {
+		p.S0[i] = 3
+	}
+	for j := range p.D0 {
+		p.D0[j] = 5
+	}
+	copy(p.X0[1*n:], []float64{1e16, -1e16, 1e16 / 3})
+	copy(p.Upper[1*n:], []float64{1, 1, 1})
+	p.X0[3*n+1] = math.NaN()
+	o := DefaultOptions()
+	o.Procs = 1
+	st := newDiagState(context.Background(), p, o.WithDefaults())
+	defer st.close()
+	err := st.rowPhase()
+	if !errors.Is(err, ErrInfeasible) || !strings.HasPrefix(err.Error(), "row 1:") {
+		t.Fatalf("err = %v, want row 1's infeasible sweep", err)
 	}
 }

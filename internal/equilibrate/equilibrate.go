@@ -30,7 +30,7 @@
 // order of its own terms, and keeps it when every x_j = c_j + a_j·λ° lies
 // in its box: two linear passes, no breakpoint, no sort. That decision and
 // λ° depend on the subproblem's data alone, so they cannot make a result
-// depend on a warm start, a batch or a sort route. The other subproblems
+// depend on a warm start or a sort route. The other subproblems
 // sort and sweep. Its operation count is what the sort and sweep would
 // charge, so counts do not depend on the path either.
 //
@@ -45,9 +45,10 @@
 // whichever sort produced it, and warm-started solves are bit-identical to
 // cold ones.
 //
-// Batch is the one entry into the kernel: callers add any number of
-// subproblems and solve them together. SolveBisection and Phi evaluate the
-// same subproblem independently, as references for tests and ablations.
+// Kernel is the one entry into the exact solver: each call solves one
+// subproblem, with scratch reused across calls. SolveBisection and Phi
+// evaluate the same subproblem independently, as references for tests and
+// ablations.
 package equilibrate
 
 import (
@@ -89,7 +90,7 @@ type event struct {
 // change is detected and falls back to a cold sort.
 type State struct {
 	// perm[k] is the build index of the k-th event in the previous solve's
-	// sorted order. Batch.Add builds the next solve's keys in this order.
+	// sorted order. Kernel builds the next solve's keys in this order.
 	perm []int32
 	nev  int
 
@@ -186,6 +187,9 @@ type Result struct {
 	// Ops is the abstract operation count charged, following the paper's
 	// model: linear build and sweep work plus n·log₂n for the sort.
 	Ops int64
+	// Interior reports that the subproblem was solved at its all-interior
+	// root, with no sort.
+	Interior bool
 }
 
 // recoverPrimal writes the optimal block of a bounded subproblem at lambda
@@ -232,7 +236,7 @@ func clampZero(v float64) float64 {
 // lb + Σ(c_j − l_j) + (e + Σa_j)·λ that φ follows wherever no non-pinned
 // term clamps. Both sums run in four lanes by a term's index among the
 // non-pinned terms, combined as (s₀+s₁)+(s₂+s₃) — an order fixed by the
-// data's shape alone, never by a State, a sort route or a batch. It then
+// data's shape alone, never by a State or a sort route. It then
 // writes x_j = c_j + a_j·λ° term by term and gives up at the first term
 // outside its box; a term it cannot vouch for (a_j ≤ 0, a NaN or infinite
 // sum, a non-positive slope, a non-finite total) also gives up, leaving
@@ -484,7 +488,7 @@ func (p *Problem) feasible(lb float64) error {
 
 // The event build. One activation event per term (where it leaves its
 // lower bound), plus one saturation event per finite upper bound; each sort
-// key's Idx is its event's index in the batch's concatenated event array. A
+// key's Idx is its event's index in the subproblem's event array. A
 // -0.0 position is normalized to +0.0 so the key order agrees with float
 // comparison (±0 tie under ==, split by their bit patterns). Positions must
 // not be NaN — the canonical comparison is a total order only then — so NaN
@@ -512,9 +516,9 @@ func termError(j int, c, a float64) error {
 
 // buildUnbounded writes the events and keys of an unbounded subproblem
 // with coefficients c and slopes a (L = U = nil, the hottest case) into ev
-// and keys, one per term in build order, with key Idx base+j. c is the
-// output block, into which interiorRoot gathered the coefficients.
-func buildUnbounded(ev []event, keys []sortx.Key, c, a []float64, base int32) error {
+// and keys, one per term in build order, with key Idx j. c is the output
+// block, into which interiorRoot gathered the coefficients.
+func buildUnbounded(ev []event, keys []sortx.Key, c, a []float64) error {
 	n := len(ev)
 	c, a, keys = c[:n], a[:n], keys[:n]
 	for j, cj := range c {
@@ -522,7 +526,7 @@ func buildUnbounded(ev []event, keys []sortx.Key, c, a []float64, base int32) er
 		if !ok {
 			return termError(j, cj, a[j])
 		}
-		ev[j], keys[j] = e, sortx.Key{Bits: bits, Idx: base + int32(j)}
+		ev[j], keys[j] = e, sortx.Key{Bits: bits, Idx: int32(j)}
 	}
 	return nil
 }
@@ -537,7 +541,7 @@ func buildUnbounded(ev []event, keys []sortx.Key, c, a []float64, base int32) er
 // caller rebuilds with buildUnbounded to report it. sorted reports whether
 // the slot came out in strictly increasing key order, that is, already
 // canonical: the replay then needs no repair pass.
-func buildUnboundedPerm(ev []event, slot []sortx.Key, c, a []float64, perm []int32, base int32) (ok, sorted bool) {
+func buildUnboundedPerm(ev []event, slot []sortx.Key, c, a []float64, perm []int32) (ok, sorted bool) {
 	n := len(ev)
 	c, a, slot, perm = c[:n], a[:n], slot[:n], perm[:n]
 	// Build indices are non-negative, so this key precedes every real one.
@@ -548,7 +552,7 @@ func buildUnboundedPerm(ev []event, slot []sortx.Key, c, a []float64, perm []int
 		if !ok {
 			return false, false
 		}
-		key := sortx.Key{Bits: bits, Idx: base + j}
+		key := sortx.Key{Bits: bits, Idx: j}
 		ev[j], slot[k] = e, key
 		sorted = sorted && sortx.KeyLess(prev, key)
 		prev = key
@@ -556,13 +560,13 @@ func buildUnboundedPerm(ev []event, slot []sortx.Key, c, a []float64, perm []int
 	return true, sorted
 }
 
-// buildKeys writes the build-order keys of an unbounded segment's events,
-// with key Idx base+j: the keys buildUnbounded writes, since each event's
-// pos is its breakpoint with −0 already normalized.
-func buildKeys(keys []sortx.Key, ev []event, base int32) {
+// buildKeys writes the build-order keys of an unbounded subproblem's
+// events, with key Idx j: the keys buildUnbounded writes, since each
+// event's pos is its breakpoint with −0 already normalized.
+func buildKeys(keys []sortx.Key, ev []event) {
 	keys = keys[:len(ev)]
 	for j, e := range ev {
-		keys[j] = sortx.Key{Bits: sortx.FloatBits(e.pos), Idx: base + int32(j)}
+		keys[j] = sortx.Key{Bits: sortx.FloatBits(e.pos), Idx: int32(j)}
 	}
 }
 
@@ -616,16 +620,16 @@ func (p *Problem) appendBounded(ev []event, keys []sortx.Key) ([]event, []sortx.
 	return ev, keys, nil
 }
 
-// save caches sk as the slot's sorted permutation, rebasing the batch's
-// concatenated-array indices back to segment-local build indices.
-func (st *State) save(sk []sortx.Key, base int32) {
+// save caches sk, a subproblem's canonical key order, as the slot's sorted
+// permutation of build indices.
+func (st *State) save(sk []sortx.Key) {
 	m := len(sk)
 	if cap(st.perm) < m {
 		st.perm = make([]int32, m)
 	}
 	st.perm = st.perm[:m]
 	for k, e := range sk {
-		st.perm[k] = e.Idx - base
+		st.perm[k] = e.Idx
 	}
 	st.nev = m
 }
@@ -639,8 +643,8 @@ func (st *State) save(sk []sortx.Key, base int32) {
 // division happens once, at the root segment, clamped into the segment to
 // stay robust to rounding at the boundaries.
 //
-// ev is the batch's concatenated event array, into which sk's Idx values
-// index directly; e and r are the subproblem's elastic slope and target,
+// ev is the subproblem's event array, into which sk's Idx values index
+// directly; e and r are the subproblem's elastic slope and target,
 // and lb = Σl. The returned extra op count is the sweep's contribution
 // to the cost model (the segment index where the root landed).
 func sweep(ev []event, sk []sortx.Key, e, r, lb float64, st *State) (lambda float64, extra int64, err error) {

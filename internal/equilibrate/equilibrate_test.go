@@ -35,56 +35,38 @@ func bisect(p *Problem) (float64, bool) {
 	return (lo + hi) / 2, true
 }
 
-// solveOne solves the one subproblem that add puts into b, through the
-// kernel's only entry point.
-func solveOne(b *Batch, add func(*Batch) error) (Result, error) {
-	b.Reset()
-	if err := add(b); err != nil {
-		return Result{}, err
-	}
-	if _, err := b.Solve(); err != nil {
-		return Result{}, err
-	}
-	return b.Result(0), nil
+// step is one kernel call on a subproblem, its output block and State.
+type step func(*Kernel) (Result, error)
+
+// fixed is the call that solves p with output block x and warm-start state
+// st.
+func fixed(p *Problem, x []float64, st *State) step {
+	return func(k *Kernel) (Result, error) { return k.Solve(p, x, st) }
 }
 
-// fixed is the add step of p with output block x and warm-start state st.
-func fixed(p *Problem, x []float64, st *State) func(*Batch) error {
-	return func(b *Batch) error { return b.Add(p, x, st) }
+// interval is the call that solves p with the interval total lo ≤ Σx ≤ hi.
+func interval(p *Problem, lo, hi float64, x []float64, st *State) step {
+	return func(k *Kernel) (Result, error) { return k.SolveInterval(p, lo, hi, x, st) }
 }
 
-// interval is the add step of p with the interval total lo ≤ Σx ≤ hi.
-func interval(p *Problem, lo, hi float64, x []float64, st *State) func(*Batch) error {
-	return func(b *Batch) error { return b.AddInterval(p, lo, hi, x, st) }
-}
-
-// solve solves p alone in a fresh batch.
+// solve solves p cold in a fresh kernel.
 func solve(p *Problem, x []float64) (Result, error) {
-	return solveOne(NewBatch(0), fixed(p, x, nil))
+	return NewKernel(0).Solve(p, x, nil)
 }
 
-// solveInterval solves p alone in a fresh batch with an interval total.
+// solveInterval solves p cold in a fresh kernel with an interval total.
 func solveInterval(p *Problem, lo, hi float64, x []float64) (Result, error) {
-	return solveOne(NewBatch(0), interval(p, lo, hi, x, nil))
+	return NewKernel(0).SolveInterval(p, lo, hi, x, nil)
 }
 
 // solveInsertion is the reference side of the bit-identity tests: the
-// subproblem alone in a fresh batch, sorted by plain insertion whatever its
-// size — the simplest canonical sort. add should pass a nil or freshly
+// subproblem in a fresh kernel, sorted by plain insertion whatever its
+// size — the simplest canonical sort. call should pass a nil or freshly
 // Reset State, so the solve runs cold.
-func solveInsertion(add func(*Batch) error) (Result, error) {
-	res, _, err := solveInsertionInterior(add)
-	return res, err
-}
-
-// solveInsertionInterior is solveInsertion that also reports whether the
-// subproblem was solved at its interior root.
-func solveInsertionInterior(add func(*Batch) error) (Result, bool, error) {
+func solveInsertion(call step) (Result, error) {
 	defer func(old int) { batchInsertionMax = old }(batchInsertionMax)
 	batchInsertionMax = math.MaxInt
-	b := NewBatch(0)
-	res, err := solveOne(b, add)
-	return res, err == nil && b.Interior(0), err
+	return call(NewKernel(0))
 }
 
 func solveOK(t *testing.T, p *Problem) ([]float64, Result) {
@@ -305,12 +287,12 @@ func checkSolution(t *testing.T, p *Problem, x []float64, res Result) {
 
 func TestRandomAgainstBisection(t *testing.T) {
 	rng := rand.New(rand.NewPCG(11, 12))
-	b := NewBatch(0)
+	k := NewKernel(0)
 	for trial := 0; trial < 500; trial++ {
 		n := 1 + rng.IntN(60)
 		p := randomProblem(rng, n, trial%2 == 0, trial%3 == 0)
 		x := make([]float64, n)
-		res, err := solveOne(b, fixed(p, x, nil))
+		res, err := k.Solve(p, x, nil)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
@@ -425,12 +407,11 @@ func TestHugeSpread(t *testing.T) {
 func BenchmarkSolve1000(b *testing.B) {
 	rng := rand.New(rand.NewPCG(21, 22))
 	p := randomProblem(rng, 1000, false, false)
-	batch := NewBatch(0)
+	k := NewKernel(0)
 	x := make([]float64, 1000)
-	add := fixed(p, x, nil)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := solveOne(batch, add); err != nil {
+		if _, err := k.Solve(p, x, nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -439,12 +420,11 @@ func BenchmarkSolve1000(b *testing.B) {
 func BenchmarkSolveElastic1000(b *testing.B) {
 	rng := rand.New(rand.NewPCG(23, 24))
 	p := randomProblem(rng, 1000, true, false)
-	batch := NewBatch(0)
+	k := NewKernel(0)
 	x := make([]float64, 1000)
-	add := fixed(p, x, nil)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := solveOne(batch, add); err != nil {
+		if _, err := k.Solve(p, x, nil); err != nil {
 			b.Fatal(err)
 		}
 	}

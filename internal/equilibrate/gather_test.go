@@ -7,9 +7,9 @@ import (
 	"testing"
 )
 
-// gatherSeg is one subproblem of the gather tests: the gathered form Add
-// sees, the target interval when it has one, and its State and output
-// block across solves.
+// gatherSeg is one subproblem of the gather tests: the gathered form the
+// kernel sees, the target interval when it has one, and its State and
+// output block across solves.
 type gatherSeg struct {
 	p        *Problem
 	interval bool
@@ -132,22 +132,23 @@ func (s *gatherSeg) toBoundary(rng *rand.Rand) {
 	}
 }
 
-// add is the segment's add step over the gathered problem p, with output
-// block x and state st.
-func (s *gatherSeg) add(p *Problem, x []float64, st *State) func(*Batch) error {
+// call is the segment's kernel call over the gathered problem p, with
+// output block x and state st.
+func (s *gatherSeg) call(p *Problem, x []float64, st *State) step {
 	if s.interval {
 		return interval(p, s.lo, s.hi, x, st)
 	}
 	return fixed(p, x, st)
 }
 
-// sameResult requires a batch result and block to match a reference bit
-// for bit.
+// sameResult requires a kernel result — its interior verdict included —
+// and block to match a reference bit for bit.
 func sameResult(t *testing.T, what string, got, want Result, xGot, xWant []float64) {
 	t.Helper()
 	if math.Float64bits(got.Lambda) != math.Float64bits(want.Lambda) ||
-		math.Float64bits(got.Total) != math.Float64bits(want.Total) || got.Ops != want.Ops {
-		t.Fatalf("%s: batch %+v, reference %+v (must be bit-identical)", what, got, want)
+		math.Float64bits(got.Total) != math.Float64bits(want.Total) || got.Ops != want.Ops ||
+		got.Interior != want.Interior {
+		t.Fatalf("%s: kernel %+v, reference %+v (must be bit-identical)", what, got, want)
 	}
 	for j := range xWant {
 		if math.Float64bits(xGot[j]) != math.Float64bits(xWant[j]) {
@@ -156,32 +157,32 @@ func sameResult(t *testing.T, what string, got, want Result, xGot, xWant []float
 	}
 }
 
-// FuzzBatchWarm drives the gather-fused build through two solves of one
-// set of States — through one batch, or (odd seeds) a fresh batch per
-// solve, whose slot buffer grows under the warm slots Add fills: segments of 1–200 events (insertion, fused and own-radix
-// routes, and the top-bits repair's fallback on the outlier shape), bounded
-// and unbounded, with no, dense and indexed gathers, and a drift of the
-// shared multipliers between the solves that ranges from none to large
-// enough to bust the warm repair's budget — after which an unbounded
-// segment, whose warm build wrote no build-order keys, sorts from keys
-// rebuilt from its events. A negative drift (its magnitude is the drift)
-// also moves every target onto the boundary of its interior root, before
-// each solve (toBoundary). Every result — λ, x, Total and Ops — and every
-// interior verdict must be bit-identical to a fresh cold batch that holds
-// the subproblem alone, with its coefficients materialized, sorted by plain
-// insertion.
+// FuzzBatchWarm drives the gather-fused build through two solves of each
+// subproblem through its State — in one kernel, or (odd seeds) a fresh
+// kernel per solve, whose buffers grow under a warm State: subproblems of
+// 1–200 events (insertion, span radix and top-bits routes, and the top-bits
+// repair's fallback on the outlier shape), bounded and unbounded, with no,
+// dense and indexed gathers, and a drift of the shared multipliers between
+// the solves that ranges from none to large enough to bust the warm
+// repair's budget — after which an unbounded subproblem, whose warm build
+// wrote no build-order keys, sorts from keys rebuilt from its events. A
+// negative drift (its magnitude is the drift) also moves every target onto
+// the boundary of its interior root, before each solve (toBoundary). Every
+// result — λ, x, Total, Ops and the interior verdict — must be
+// bit-identical to a fresh cold kernel's, with the coefficients
+// materialized, sorted by plain insertion.
 func FuzzBatchWarm(f *testing.F) {
 	f.Add(uint64(1), []byte{19, 60, 150, 0}, 0.0)
 	f.Add(uint64(2), []byte{5, 23, 24, 25, 127, 128, 199}, 1e-6)
 	f.Add(uint64(3), []byte{90, 90, 90, 250}, 50.0)
 	f.Add(uint64(4), []byte{199, 40}, 1e-3)
 	f.Add(uint64(5), []byte{10, 20, 70, 180}, 100.0)
-	// Drifts that bust the replay budget of unbounded segments on the
-	// insertion route (n = 21) and on the own and fused top-bits routes.
+	// Drifts that bust the replay budget of unbounded subproblems on the
+	// insertion route (n = 21) and on the top-bits route.
 	f.Add(uint64(7), []byte{20, 22, 23, 140, 60}, 1e4)
 	f.Add(uint64(8), []byte{21, 23, 199, 150, 100}, 1e3)
 	// Targets on the boundary of the interior root, one ulp either side of
-	// it, on short and long segments, with and without drift.
+	// it, on short and long subproblems, with and without drift.
 	f.Add(uint64(9), []byte{0, 1, 2, 6, 19}, -0.0)
 	f.Add(uint64(10), []byte{3, 30, 90, 150}, -1e-6)
 	f.Add(uint64(11), []byte{1, 2, 3, 4, 5, 6, 7, 8}, -1.0)
@@ -205,7 +206,7 @@ func FuzzBatchWarm(f *testing.F) {
 			}
 			segs[i] = gatherSegment(rng, n, gatherOf(rng.IntN(3)), other, sh)
 		}
-		b := NewBatch(0)
+		k := NewKernel(0)
 		for solve := 0; solve < 2; solve++ {
 			if solve == 1 {
 				for i := range other {
@@ -222,41 +223,32 @@ func FuzzBatchWarm(f *testing.F) {
 					s.toBoundary(rng)
 				}
 			}
-			b.Reset()
 			if seed&1 == 1 {
-				// A fresh batch grows its canonical array while Add fills
-				// the warm slots.
-				b = NewBatch(0)
+				k = NewKernel(0)
 			}
 			for i, s := range segs {
-				if err := s.add(s.p, s.x, &s.st)(b); err != nil {
-					t.Fatalf("solve %d seg %d: Add: %v", solve, i, err)
-				}
-			}
-			if bad, err := b.Solve(); err != nil {
-				t.Fatalf("solve %d: Solve failed at %d: %v", solve, bad, err)
-			}
-			for i, s := range segs {
-				x := make([]float64, len(s.x))
-				want, interior, err := solveInsertionInterior(s.add(materialize(s.p), x, nil))
-				if err != nil {
-					t.Fatalf("solve %d seg %d: reference: %v", solve, i, err)
-				}
 				what := fmt.Sprintf("solve %d seg %d (n=%d)", solve, i, len(s.x))
-				sameResult(t, what, b.Result(i), want, s.x, x)
-				if b.Interior(i) != interior {
-					t.Fatalf("%s: interior %v, reference %v", what, b.Interior(i), interior)
+				got, err := s.call(s.p, s.x, &s.st)(k)
+				if err != nil {
+					t.Fatalf("%s: %v", what, err)
 				}
+				x := make([]float64, len(s.x))
+				want, err := solveInsertion(s.call(materialize(s.p), x, nil))
+				if err != nil {
+					t.Fatalf("%s: reference: %v", what, err)
+				}
+				sameResult(t, what, got, want, s.x, x)
 			}
 		}
 	})
 }
 
 // TestBatchErrorAttribution: a rejected term is named by its build index —
-// the first bad term in build order — whether Add builds in build order
-// (cold) or walks the State's permutation (warm), with the message text of
-// the kernel's validation; and a batch that rejected an Add solves its
-// other segments, warm and cold, bit-identically.
+// the first bad term in build order — whether the kernel builds in build
+// order (cold) or walks the State's permutation (warm), with the message
+// text of the kernel's validation; a rejected call leaves its State as it
+// was, and the kernel then solves other subproblems, warm and cold,
+// bit-identically.
 func TestBatchErrorAttribution(t *testing.T) {
 	const n, first, second = 30, 11, 23
 	for _, g := range []gatherOf{gatherNone, gatherDense, gatherIndexed} {
@@ -285,7 +277,7 @@ func TestBatchErrorAttribution(t *testing.T) {
 			// The second bad term sorts first, so a warm build meets it
 			// before the first one.
 			bad.p.C[second] = 1e12
-			b := NewBatch(0)
+			k := NewKernel(0)
 			for warm := 0; warm < 2; warm++ {
 				for _, kind := range []string{"a", "nan"} {
 					name := fmt.Sprintf("gather %d bounded=%v warm=%v %s", g, bounded, warm == 1, kind)
@@ -306,38 +298,33 @@ func TestBatchErrorAttribution(t *testing.T) {
 						p.A[second] = 0
 					}
 					fast, full := bad.st.FastSorts, bad.st.FullSorts
-					b.Reset()
-					if err := good1.add(good1.p, good1.x, &good1.st)(b); err != nil {
-						t.Fatalf("%s: good Add: %v", name, err)
+					got1, err := good1.call(good1.p, good1.x, &good1.st)(k)
+					if err != nil {
+						t.Fatalf("%s: good solve: %v", name, err)
 					}
-					err := b.Add(&p, bad.x, &bad.st)
+					_, err = k.Solve(&p, bad.x, &bad.st)
 					if err == nil || err.Error() != want {
-						t.Fatalf("%s: Add error %v, want %q", name, err, want)
+						t.Fatalf("%s: error %v, want %q", name, err, want)
 					}
 					if bad.st.FastSorts != fast || bad.st.FullSorts != full {
-						t.Fatalf("%s: a rejected Add touched its State", name)
+						t.Fatalf("%s: a rejected solve touched its State", name)
 					}
-					if err := good2.add(good2.p, good2.x, &good2.st)(b); err != nil {
-						t.Fatalf("%s: good Add: %v", name, err)
-					}
-					if b.Len() != 2 {
-						t.Fatalf("%s: batch holds %d segments, want 2", name, b.Len())
-					}
-					if bad, err := b.Solve(); err != nil {
-						t.Fatalf("%s: Solve failed at %d: %v", name, bad, err)
+					got2, err := good2.call(good2.p, good2.x, &good2.st)(k)
+					if err != nil {
+						t.Fatalf("%s: good solve: %v", name, err)
 					}
 					for i, s := range []*gatherSeg{good1, good2} {
 						x := make([]float64, n)
-						ref, err := solveInsertion(s.add(materialize(s.p), x, nil))
+						ref, err := solveInsertion(s.call(materialize(s.p), x, nil))
 						if err != nil {
 							t.Fatal(err)
 						}
-						sameResult(t, fmt.Sprintf("%s: segment %d", name, i), b.Result(i), ref, s.x, x)
+						sameResult(t, fmt.Sprintf("%s: subproblem %d", name, i), []Result{got1, got2}[i], ref, s.x, x)
 					}
 				}
 				// Warm the bad slot's State on its valid problem, so the
-				// next round's Add walks its permutation.
-				if _, err := solveOne(b, bad.add(bad.p, bad.x, &bad.st)); err != nil {
+				// next round's build walks its permutation.
+				if _, err := bad.call(bad.p, bad.x, &bad.st)(k); err != nil {
 					t.Fatal(err)
 				}
 				if bounded {
@@ -348,18 +335,18 @@ func TestBatchErrorAttribution(t *testing.T) {
 				}
 			}
 			if good1.st.FastSorts == 0 {
-				t.Fatalf("gather %d bounded=%v: the good segments never solved warm", g, bounded)
+				t.Fatalf("gather %d bounded=%v: the good subproblems never solved warm", g, bounded)
 			}
 		}
 	}
 }
 
-// BenchmarkBatchShortSegments times the kernel on the shape of an
+// BenchmarkKernelShortSegments times the kernel on the shape of an
 // iteration-bound CSR solve: 1,200 subproblems of 20 events gathered
-// through a CSR-style index, in batches of 128 subproblems (the core's
-// per-batch cap), cold (no States) and warm (one State per subproblem, the
-// multipliers drifting slightly between rounds so the repair has a few
-// keys to move). It reports ns per exact equilibration. Two shapes:
+// through a CSR-style index, cold (no States) and warm (one State per
+// subproblem, the multipliers drifting slightly between rounds so the
+// repair has a few keys to move). It reports ns per exact equilibration.
+// Two shapes:
 //
 //   - interior: the sparse-iter shape, where a = x⁰/2, |μ| ≤ 1 and the
 //     targets keep the row sums, so every root lies past every breakpoint
@@ -372,7 +359,7 @@ func TestBatchErrorAttribution(t *testing.T) {
 //     sweep.
 //
 // It also reports the share of subproblems solved at their interior root.
-func BenchmarkBatchShortSegments(b *testing.B) {
+func BenchmarkKernelShortSegments(b *testing.B) {
 	for _, shape := range []string{"interior", "clamped"} {
 		for _, mode := range []string{"cold", "warm"} {
 			b.Run(shape+"/"+mode, func(b *testing.B) { benchShortSegments(b, shape == "clamped", mode == "warm") })
@@ -381,7 +368,7 @@ func BenchmarkBatchShortSegments(b *testing.B) {
 }
 
 func benchShortSegments(b *testing.B, clamped, warm bool) {
-	const rows, width, perBatch = 1200, 20, 128
+	const rows, width = 1200, 20
 	rng := rand.New(rand.NewPCG(3, 5))
 	x0 := make([]float64, rows*width)
 	a := make([]float64, rows*width)
@@ -412,31 +399,26 @@ func benchShortSegments(b *testing.B, clamped, warm bool) {
 	if warm {
 		states = make([]State, rows)
 	}
-	batch := NewBatch(perBatch * width)
+	kern := NewKernel(2 * width)
 	p := Problem{Other: other}
 	var interior int
 	round := func(drift float64) {
 		for i := range other {
 			other[i] += drift * float64(i%7-3)
 		}
-		for lo := 0; lo < rows; lo += perBatch {
-			batch.Reset()
-			for i := lo; i < min(lo+perBatch, rows); i++ {
-				s, e := i*width, (i+1)*width
-				p.C, p.A, p.Idx, p.R, p.E = x0[s:e], a[s:e], idx[s:e], targets[i], 1e-3
-				var st *State
-				if states != nil {
-					st = &states[i]
-				}
-				if err := batch.Add(&p, x[s:e], st); err != nil {
-					b.Fatal(err)
-				}
-				if batch.Interior(i - lo) {
-					interior++
-				}
+		for i := 0; i < rows; i++ {
+			s, e := i*width, (i+1)*width
+			p.C, p.A, p.Idx, p.R, p.E = x0[s:e], a[s:e], idx[s:e], targets[i], 1e-3
+			var st *State
+			if states != nil {
+				st = &states[i]
 			}
-			if bad, err := batch.Solve(); err != nil {
-				b.Fatalf("subproblem %d: %v", lo+bad, err)
+			res, err := kern.Solve(&p, x[s:e], st)
+			if err != nil {
+				b.Fatalf("subproblem %d: %v", i, err)
+			}
+			if res.Interior {
+				interior++
 			}
 		}
 	}

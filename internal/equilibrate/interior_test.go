@@ -10,98 +10,92 @@ import (
 	"sea/internal/sortx"
 )
 
-// addFunc is a subproblem's add step with output block x and State st.
-type addFunc func(x []float64, st *State) func(*Batch) error
+// callFunc is a subproblem's kernel call with output block x and State st.
+type callFunc func(x []float64, st *State) step
 
 // clampedNeighbour is an unbounded subproblem whose term 0 clamps, so it
-// always sorts: the company an interior segment keeps in a batch.
+// always sorts: the company an interior subproblem keeps in a kernel.
 func clampedNeighbour(rng *rand.Rand, n int) *Problem {
 	return withClamp(buildProblem(rng, warmCase{n: n}))
 }
 
-// solveEverywhere solves the n-term subproblem of add six ways and requires
-// the same λ, total, op count, block bits and interior verdict from each:
-// alone in a fresh batch; alone by plain insertion (the reference); through
+// solveEverywhere solves the n-term subproblem of call five ways and
+// requires the same λ, total, op count, block bits and interior verdict
+// from each: in a fresh kernel; by plain insertion (the reference); through
 // a State that already holds a permutation of its shape, which an interior
-// solve must leave as it was; first and in the middle of a batch of clamped
-// subproblems; and in such a batch with every cold segment on a radix
-// route. It returns the reference result, block and verdict.
-func solveEverywhere(t *testing.T, name string, n int, add addFunc) (Result, []float64, bool) {
+// solve must leave as it was; and between clamped subproblems in one
+// kernel, whose scratch they leave behind, on the default routes and with
+// every cold sort on a radix route. It returns the reference result and
+// block.
+func solveEverywhere(t *testing.T, name string, n int, call callFunc) (Result, []float64) {
 	t.Helper()
 	x := make([]float64, n)
-	ref, interior, err := solveInsertionInterior(add(x, nil))
+	ref, err := solveInsertion(call(x, nil))
 	if err != nil {
 		t.Fatalf("%s: reference: %v", name, err)
 	}
 
-	check := func(how string, b *Batch, i int, got []float64) {
+	check := func(how string, got Result, xGot []float64) {
 		t.Helper()
-		sameResult(t, name+": "+how, b.Result(i), ref, got, x)
-		if b.Interior(i) != interior {
-			t.Fatalf("%s: %s: interior %v, reference %v", name, how, b.Interior(i), interior)
-		}
+		sameResult(t, name+": "+how, got, ref, xGot, x)
 	}
 
-	// Alone, in a fresh batch.
-	b := NewBatch(0)
+	// In a fresh kernel.
+	k := NewKernel(0)
 	xs := make([]float64, n)
-	if _, err := solveOne(b, add(xs, nil)); err != nil {
+	got, err := call(xs, nil)(k)
+	if err != nil {
 		t.Fatalf("%s: alone: %v", name, err)
 	}
-	check("alone", b, 0, xs)
+	check("alone", got, xs)
 
 	// Through a State holding a permutation of n events.
 	rng := rand.New(rand.NewPCG(uint64(n), 3))
 	st := &State{}
 	if n >= 3 {
-		if _, err := solveOne(b, fixed(clampedNeighbour(rng, n), make([]float64, n), st)); err != nil {
+		if _, err := k.Solve(clampedNeighbour(rng, n), make([]float64, n), st); err != nil {
 			t.Fatal(err)
 		}
 	}
 	before := *st
 	perm := slices.Clone(st.perm)
-	if _, err := solveOne(b, add(xs, st)); err != nil {
+	if got, err = call(xs, st)(k); err != nil {
 		t.Fatalf("%s: warm: %v", name, err)
 	}
-	check("warm", b, 0, xs)
-	if interior && (st.nev != before.nev || st.cool != before.cool || st.LastSeg != before.LastSeg ||
+	check("warm", got, xs)
+	if ref.Interior && (st.nev != before.nev || st.cool != before.cool || st.LastSeg != before.LastSeg ||
 		st.FastSorts != before.FastSorts || st.FullSorts != before.FullSorts || !slices.Equal(st.perm, perm)) {
 		t.Fatalf("%s: an interior solve touched its State: %+v, before %+v", name, *st, before)
 	}
 
-	// At positions 0 and 1 among clamped neighbours, on the default routes
-	// and on the radix routes.
+	// Between clamped neighbours, on the default routes and on the radix
+	// routes.
 	for _, radix := range []bool{false, true} {
 		func() {
-			defer func(ins, rad int) { batchInsertionMax, segRadixMin = ins, rad }(batchInsertionMax, segRadixMin)
+			defer func(ins int) { batchInsertionMax = ins }(batchInsertionMax)
 			if radix {
-				batchInsertionMax, segRadixMin = 0, 1
+				batchInsertionMax = 0
 			}
-			for pos := 0; pos < 2; pos++ {
-				b.Reset()
-				for i := 0; i < 3; i++ {
-					var err error
-					if i == pos {
-						err = add(xs, nil)(b)
-					} else {
-						err = fixed(clampedNeighbour(rng, 40), make([]float64, 40), nil)(b)
-					}
-					if err != nil {
+			for i := 0; i < 3; i++ {
+				if i != 1 {
+					if _, err := k.Solve(clampedNeighbour(rng, 40), make([]float64, 40), nil); err != nil {
 						t.Fatal(err)
 					}
+					continue
 				}
-				if bad, err := b.Solve(); err != nil {
-					t.Fatalf("%s: batch failed at %d: %v", name, bad, err)
+				got, err := call(xs, nil)(k)
+				if err != nil {
+					t.Fatalf("%s: between neighbours: %v", name, err)
 				}
-				check(fmt.Sprintf("position %d radix=%v", pos, radix), b, pos, xs)
+				check(fmt.Sprintf("between neighbours radix=%v", radix), got, xs)
 			}
 		}()
 	}
-	return ref, x, interior
+	return ref, x
 }
 
 // sweepOnly solves p by the sort and sweep alone, with no interior
-// attempt, and returns its λ and the op count Batch.Solve charges for it.
+// attempt, and returns its λ and the op count the kernel charges for it.
 func sweepOnly(t *testing.T, p *Problem) (float64, int64) {
 	t.Helper()
 	q := materialize(p)
@@ -110,7 +104,7 @@ func sweepOnly(t *testing.T, p *Problem) (float64, int64) {
 	var err error
 	if q.L == nil && q.U == nil {
 		ev, keys = make([]event, len(q.C)), make([]sortx.Key, len(q.C))
-		err = buildUnbounded(ev, keys, q.C, q.A, 0)
+		err = buildUnbounded(ev, keys, q.C, q.A)
 	} else {
 		ev, keys, err = q.appendBounded(nil, nil)
 	}
@@ -238,7 +232,7 @@ func interiorCase(rng *rand.Rand, n int, g gatherOf, bounded, lowered, pinned, e
 // pinned cells, fixed and elastic, with no, dense and indexed gathers — are
 // solved at their interior root, agree with φ, SolveBisection and the sort
 // and sweep (λ to rounding, op counts exactly), and give the same bits
-// alone, warm, at any batch position and on any sort route.
+// alone, warm, between other subproblems and on any sort route.
 func TestInteriorRootRandom(t *testing.T) {
 	rng := rand.New(rand.NewPCG(61, 67))
 	for trial := 0; trial < 60; trial++ {
@@ -251,8 +245,8 @@ func TestInteriorRootRandom(t *testing.T) {
 		p := interiorCase(rng, n, g, bounded, lowered, pinned, elastic)
 		name := fmt.Sprintf("trial %d (n=%d gather=%d bounded=%v lowered=%v pinned=%v elastic=%v)",
 			trial, n, g, bounded, lowered, pinned, elastic)
-		res, x, interior := solveEverywhere(t, name, n, func(x []float64, st *State) func(*Batch) error { return fixed(p, x, st) })
-		if !interior {
+		res, x := solveEverywhere(t, name, n, func(x []float64, st *State) step { return fixed(p, x, st) })
+		if !res.Interior {
 			t.Fatalf("%s: not solved at its interior root", name)
 		}
 		checkInterior(t, name, p, res, x)
@@ -277,14 +271,14 @@ func TestInteriorRootAtLastBreakpoint(t *testing.T) {
 	} {
 		p := base
 		p.R = tc.r
-		res, x, interior := solveEverywhere(t, tc.name, 4, func(x []float64, st *State) func(*Batch) error { return fixed(&p, x, st) })
-		if interior != tc.interior {
-			t.Fatalf("%s: interior %v, want %v", tc.name, interior, tc.interior)
+		res, x := solveEverywhere(t, tc.name, 4, func(x []float64, st *State) step { return fixed(&p, x, st) })
+		if res.Interior != tc.interior {
+			t.Fatalf("%s: interior %v, want %v", tc.name, res.Interior, tc.interior)
 		}
 		if tc.name == "at" && (res.Lambda != 1 || x[3] != 0) {
 			t.Fatalf("at: λ = %v, x = %v; want λ = 1 and x₃ = 0", res.Lambda, x)
 		}
-		if interior {
+		if res.Interior {
 			checkInterior(t, tc.name, &p, res, x)
 		} else {
 			checkSolution(t, &p, x, res)
@@ -305,8 +299,8 @@ func TestInteriorRootSignedZeros(t *testing.T) {
 		{"gathered-zero", Problem{C: []float64{negZero, 0, 5}, A: []float64{1, 2, 1}, Other: []float64{negZero, 0, 0}, R: 5}},
 		{"elastic-zero", Problem{C: []float64{negZero, 0, 5}, A: []float64{1, 2, 1}, E: 0.5, R: 5}},
 	} {
-		res, x, interior := solveEverywhere(t, tc.name, 3, func(x []float64, st *State) func(*Batch) error { return fixed(&tc.p, x, st) })
-		if !interior {
+		res, x := solveEverywhere(t, tc.name, 3, func(x []float64, st *State) step { return fixed(&tc.p, x, st) })
+		if !res.Interior {
 			t.Fatalf("%s: not interior", tc.name)
 		}
 		checkInterior(t, tc.name, &tc.p, res, x)
@@ -376,14 +370,14 @@ func TestInteriorRootOnSaturation(t *testing.T) {
 	} {
 		p := base
 		p.R = tc.r
-		res, x, interior := solveEverywhere(t, tc.name, 3, func(x []float64, st *State) func(*Batch) error { return fixed(&p, x, st) })
-		if interior != tc.interior {
-			t.Fatalf("%s: interior %v, want %v", tc.name, interior, tc.interior)
+		res, x := solveEverywhere(t, tc.name, 3, func(x []float64, st *State) step { return fixed(&p, x, st) })
+		if res.Interior != tc.interior {
+			t.Fatalf("%s: interior %v, want %v", tc.name, res.Interior, tc.interior)
 		}
 		if tc.name == "at" && (res.Lambda != 1 || x[0] != 2) {
 			t.Fatalf("at: λ = %v, x = %v; want λ = 1 and x₀ = u₀", res.Lambda, x)
 		}
-		if interior {
+		if res.Interior {
 			checkInterior(t, tc.name, &p, res, x)
 		} else {
 			checkSolution(t, &p, x, res)
@@ -411,10 +405,10 @@ func TestInteriorRootIntervalSides(t *testing.T) {
 			{"lower binds", 1.5 * total, 2 * total},
 		} {
 			name := fmt.Sprintf("gather=%d %s", g, side.name)
-			res, x, interior := solveEverywhere(t, name, 30, func(x []float64, st *State) func(*Batch) error {
+			res, x := solveEverywhere(t, name, 30, func(x []float64, st *State) step {
 				return interval(p, side.lo, side.hi, x, st)
 			})
-			if !interior {
+			if !res.Interior {
 				t.Fatalf("%s: not interior", name)
 			}
 			q := *p
@@ -443,8 +437,8 @@ func TestInteriorRootHugeSpread(t *testing.T) {
 			}
 			p.R = growth * sum
 			name := fmt.Sprintf("n=%d growth=%v", n, growth)
-			res, x, interior := solveEverywhere(t, name, n, func(x []float64, st *State) func(*Batch) error { return fixed(p, x, st) })
-			if !interior {
+			res, x := solveEverywhere(t, name, n, func(x []float64, st *State) step { return fixed(p, x, st) })
+			if !res.Interior {
 				t.Fatalf("%s: not interior", name)
 			}
 			checkInterior(t, name, p, res, x)
@@ -462,9 +456,9 @@ func TestInteriorRootGivesUpCleanly(t *testing.T) {
 	for _, g := range []gatherOf{gatherNone, gatherDense, gatherIndexed} {
 		late := interiorCase(rng, 40, g, false, false, false, false)
 		late.C[39] -= 1e9 // the last cell clamps: 39 cells written first
-		res, x, interior := solveEverywhere(t, fmt.Sprintf("late clamp gather=%d", g), 40,
-			func(x []float64, st *State) func(*Batch) error { return fixed(late, x, st) })
-		if interior {
+		res, x := solveEverywhere(t, fmt.Sprintf("late clamp gather=%d", g), 40,
+			func(x []float64, st *State) step { return fixed(late, x, st) })
+		if res.Interior {
 			t.Fatalf("gather=%d: a clamped subproblem solved at its interior root", g)
 		}
 		checkSolution(t, materialize(late), x, res)

@@ -88,8 +88,8 @@ func feasibleTarget(rng *rand.Rand, p *Problem) float64 {
 // large enough to flip bound activations and reorder breakpoints — a
 // re-solve through a persistent State is bit-identical to a cold solve of
 // the same instance, for every subproblem family (fixed, elastic, bounded,
-// interval totals) and for sizes on every route of the batch's cold sort.
-// The cold reference is a fresh batch sorted by plain insertion.
+// interval totals) and for sizes on every route of the kernel's cold sort.
+// The cold reference is a fresh kernel sorted by plain insertion.
 func TestWarmStartBitIdentical(t *testing.T) {
 	cases := []warmCase{
 		{name: "fixed-classical-small", n: 7},
@@ -108,7 +108,7 @@ func TestWarmStartBitIdentical(t *testing.T) {
 			rng := rand.New(rand.NewPCG(31, uint64(ci)))
 			p := buildProblem(rng, c)
 			st := &State{}
-			bWarm := NewBatch(0)
+			kWarm := NewKernel(0)
 			xWarm := make([]float64, c.n)
 			xCold := make([]float64, c.n)
 			var lo, hi float64
@@ -135,10 +135,10 @@ func TestWarmStartBitIdentical(t *testing.T) {
 				var warmRes, coldRes Result
 				var warmErr, coldErr error
 				if c.interval {
-					warmRes, warmErr = solveOne(bWarm, interval(p, lo, hi, xWarm, st))
+					warmRes, warmErr = kWarm.SolveInterval(p, lo, hi, xWarm, st)
 					coldRes, coldErr = solveInsertion(interval(p, lo, hi, xCold, nil))
 				} else {
-					warmRes, warmErr = solveOne(bWarm, fixed(p, xWarm, st))
+					warmRes, warmErr = kWarm.Solve(p, xWarm, st)
 					coldRes, coldErr = solveInsertion(fixed(p, xCold, nil))
 				}
 				if (warmErr == nil) != (coldErr == nil) {
@@ -175,14 +175,14 @@ func TestStateReset(t *testing.T) {
 	rng := rand.New(rand.NewPCG(5, 9))
 	p := buildProblem(rng, warmCase{n: 50})
 	st := &State{}
-	b := NewBatch(0)
+	k := NewKernel(0)
 	x := make([]float64, 50)
-	if _, err := solveOne(b, fixed(p, x, st)); err != nil {
+	if _, err := k.Solve(p, x, st); err != nil {
 		t.Fatal(err)
 	}
 	full := st.FullSorts
 	st.Reset()
-	if _, err := solveOne(b, fixed(p, x, st)); err != nil {
+	if _, err := k.Solve(p, x, st); err != nil {
 		t.Fatal(err)
 	}
 	if st.FullSorts != full+1 {
@@ -195,12 +195,12 @@ func TestStateReset(t *testing.T) {
 func TestStateShapeChange(t *testing.T) {
 	rng := rand.New(rand.NewPCG(6, 10))
 	st := &State{}
-	b := NewBatch(0)
+	k := NewKernel(0)
 	for _, n := range []int{40, 64, 12, 64} {
 		p := buildProblem(rng, warmCase{n: n})
 		xWarm := make([]float64, n)
 		xCold := make([]float64, n)
-		warmRes, err := solveOne(b, fixed(p, xWarm, st))
+		warmRes, err := k.Solve(p, xWarm, st)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -220,17 +220,17 @@ func TestStateShapeChange(t *testing.T) {
 }
 
 // TestWarmInOrderReplaySkipsRepair: an unbounded replay whose keys come out
-// of the build already in order is settled at Add — it skips the repair
-// pass, counts as a fast sort, and leaves State.perm as it was — and still
-// matches plain insertion bit for bit. Term 0 clamps, so both solves sort.
+// of the build already in order skips the repair pass, counts as a fast
+// sort, and leaves State.perm as it was — and still matches plain insertion
+// bit for bit. Term 0 clamps, so both solves sort.
 func TestWarmInOrderReplaySkipsRepair(t *testing.T) {
-	for _, n := range []int{12, 60, 300} { // sizes of the insertion, fused and own-radix routes
+	for _, n := range []int{12, 60, 300} { // sizes of the insertion and radix routes
 		rng := rand.New(rand.NewPCG(13, uint64(n)))
 		p := withClamp(buildProblem(rng, warmCase{n: n}))
 		st := &State{}
-		b := NewBatch(0)
+		k := NewKernel(0)
 		x := make([]float64, n)
-		if _, err := solveOne(b, fixed(p, x, st)); err != nil {
+		if _, err := k.Solve(p, x, st); err != nil {
 			t.Fatal(err)
 		}
 		perm := slices.Clone(st.perm)
@@ -238,14 +238,8 @@ func TestWarmInOrderReplaySkipsRepair(t *testing.T) {
 		fast, full := st.FastSorts, st.FullSorts
 		// The same breakpoints with a new target replay in order.
 		p.R = feasibleTarget(rng, p)
-		b.Reset()
-		if err := b.Add(p, x, st); err != nil {
-			t.Fatal(err)
-		}
-		if seg := &b.segs[0]; seg.route != routeWarm || !seg.kept {
-			t.Fatalf("n=%d: route %d kept %v after Add, want a warm slot found in order", n, seg.route, seg.kept)
-		}
-		if _, err := b.Solve(); err != nil {
+		got, err := k.Solve(p, x, st)
+		if err != nil {
 			t.Fatal(err)
 		}
 		if st.FastSorts != fast+1 || st.FullSorts != full {
@@ -259,23 +253,24 @@ func TestWarmInOrderReplaySkipsRepair(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sameResult(t, fmt.Sprintf("n=%d", n), b.Result(0), want, x, xRef)
+		sameResult(t, fmt.Sprintf("n=%d", n), got, want, x, xRef)
 	}
 }
 
 // TestWarmReplayOverBudgetRebuildsKeys: the warm unbounded build writes no
 // build-order keys, so a replay that runs over the repair budget sorts
-// cold from keys rebuilt from its events. The stale keys are poisoned
-// before Solve; the result must still match plain insertion bit for bit,
-// on every cold route. Both solves' roots clamp some terms, so both sort.
+// cold from keys rebuilt from its events. The kernel's stale keys are
+// poisoned before the replay; the result must still match plain insertion
+// bit for bit, on every cold route. Both solves' roots clamp some terms, so
+// both sort.
 func TestWarmReplayOverBudgetRebuildsKeys(t *testing.T) {
-	for _, n := range []int{12, 60, 300} { // insertion, fused and own-radix routes
+	for _, n := range []int{12, 60, 300} { // insertion, span radix and top-bits routes
 		rng := rand.New(rand.NewPCG(17, uint64(n)))
 		p := withClamp(buildProblem(rng, warmCase{n: n}))
 		st := &State{}
-		b := NewBatch(0)
+		k := NewKernel(0)
 		x := make([]float64, n)
-		if _, err := solveOne(b, fixed(p, x, st)); err != nil {
+		if _, err := k.Solve(p, x, st); err != nil {
 			t.Fatal(err)
 		}
 		// Reverse the cached order: n(n−1)/2 inversions against the 4n
@@ -286,31 +281,22 @@ func TestWarmReplayOverBudgetRebuildsKeys(t *testing.T) {
 		}
 		p.R = p.Phi(-float64(n) / 2)
 		full := st.FullSorts
-		b.Reset()
-		if err := b.Add(p, x, st); err != nil {
-			t.Fatal(err)
+		for i := range k.keys {
+			k.keys[i] = sortx.Key{Bits: uint64(i) * 7919, Idx: int32(i % 3)}
 		}
-		if seg := &b.segs[0]; seg.route != routeWarm || seg.kept {
-			t.Fatalf("n=%d: route %d kept %v after Add, want a warm slot out of order", n, seg.route, seg.kept)
-		}
-		for k := range b.keys {
-			b.keys[k] = sortx.Key{Bits: uint64(k) * 7919, Idx: int32(k % 3)}
-		}
-		if _, err := b.Solve(); err != nil {
+		got, err := k.Solve(p, x, st)
+		if err != nil {
 			t.Fatal(err)
 		}
 		if st.FullSorts != full+1 || st.cool != replayCooldown {
 			t.Errorf("n=%d: FullSorts %d→%d cool %d, want a failed replay", n, full, st.FullSorts, st.cool)
-		}
-		if r := b.segs[0].route; r == routeWarm || r == routeNone {
-			t.Errorf("n=%d: route %d, want a cold sort route", n, r)
 		}
 		xRef := make([]float64, n)
 		want, err := solveInsertion(fixed(p, xRef, nil))
 		if err != nil {
 			t.Fatal(err)
 		}
-		sameResult(t, fmt.Sprintf("n=%d", n), b.Result(0), want, x, xRef)
+		sameResult(t, fmt.Sprintf("n=%d", n), got, want, x, xRef)
 	}
 }
 

@@ -175,8 +175,7 @@ func RadixKeysTop(dst, src, scratch []Key, lo, hi uint64) {
 // later pass even though the keys have moved between the buffers by then.
 // Each radix pass is thereby scatter-only — one stream over the keys
 // instead of the count+scatter two — which matters once the key array
-// outgrows L1 (fused multi-subproblem batches; see
-// internal/equilibrate.Batch).
+// outgrows L1.
 func radix(src, a, b []Key, counts [][256]int32, lo uint64, shift uint) []Key {
 	for _, k := range src {
 		d := (k.Bits - lo) >> shift

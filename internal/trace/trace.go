@@ -53,7 +53,7 @@ type Event struct {
 	Equilibrations, Ops, SerialOps int64
 	// Interior is how many of this iteration's Equilibrations the kernel
 	// solved at their all-interior root, with no breakpoint sort (see
-	// equilibrate.Batch).
+	// equilibrate.Result.Interior).
 	Interior int64
 	// Costs holds the per-task operation costs of the phases this event
 	// covers — the iteration's one phase for SEA, every inner phase since
