@@ -71,10 +71,12 @@ bench-check: cmds
 # Sparse-tier perf snapshot: the CSR storage guards (bit-exact equivalence
 # with the densified form, steady-state allocation flatness, column-tile
 # budget and procs independence of the one phase body on dense and CSR
-# input), the kernel's interior-root tests (λ and x against φ and
-# bisection, the same bits on every route, State and neighbouring
-# subproblem), a one-shot smoke of the
-# row/column phase benchmarks on both storages, of the kernel's
+# input, the dense storage-order column pass against the tile route, and
+# the validation screens against the per-cell loops), the kernel's
+# interior-root tests (λ and x against φ and bisection, the same bits on
+# every route, State and neighbouring subproblem, and the exported pieces
+# the dense column pass rebuilds the root from against Solve), a one-shot
+# smoke of the row/column phase benchmarks on both storages, of the kernel's
 # short-segment benchmark (ns per equilibration, cold and warm, on the
 # interior and the clamped shape: the layer behind
 # equilibrate.ns_per_equil) and of the interior kernel re-solve, plus a
@@ -82,9 +84,9 @@ bench-check: cmds
 # committed BENCH_sea.json is regenerated unfiltered by bench-check; this
 # target is the quick iteration loop for sparse hot-path work.
 bench-sparse: cmds
-	$(GO) test -count=1 -run 'TestCSRMatchesDensifiedAcrossProcs|TestCSRSteadyStateAllocs|TestBatched' ./internal/core/
+	$(GO) test -count=1 -run 'TestCSRMatchesDensifiedAcrossProcs|TestCSRSteadyStateAllocs|TestBatched|TestStreamColumnsMatchTileRoute|TestValidateScreenMatchesLoop' ./internal/core/
 	$(GO) test -run xxx -bench 'RowPhase|ColumnPhase' -benchtime 1x ./internal/core/
-	$(GO) test -count=1 -run 'TestInteriorRoot' ./internal/equilibrate/
+	$(GO) test -count=1 -run 'TestInteriorRoot|TestUnboundedRootMatchesSolve' ./internal/equilibrate/
 	$(GO) test -run xxx -bench KernelShortSegments -benchtime 1x ./internal/equilibrate/
 	$(GO) test -run xxx -bench 'KernelInteriorResolve' -benchtime 1x .
 	$(GO) run ./cmd/seabench -table none -benchjson .bench_sparse.json -benchfilter sparse/
@@ -106,13 +108,15 @@ bench-precond: cmds
 
 # Temporal-sequence guard: the session-layer property tests (bit-identity
 # without warm duals, iteration savings with them), a one-shot smoke of the
-# per-period benchmark (a warm 200×150 session's ns/period and allocs), plus
-# the cold-vs-chained sweep at reduced scale. The committed BENCH_sea.json
-# carries the full-scale sequence/ records; -compare gates any
-# chained-iteration growth.
+# per-period benchmark (a warm 200×150 session's ns/period and allocs) and
+# of two of its fixed-cost layers on the same shape (validation and the
+# objective/dual sweep), plus the cold-vs-chained sweep at reduced scale.
+# The committed BENCH_sea.json carries the full-scale sequence/ records;
+# -compare gates any chained-iteration growth.
 bench-sequence: cmds
 	$(GO) test -count=1 -run 'TestSession|TestServerSession|TestSequence' ./pkg/sea/ ./pkg/sea/serve/ ./pkg/sea/serve/http/
 	$(GO) test -run xxx -bench SessionPeriod -benchtime 1x ./pkg/sea/
+	$(GO) test -run xxx -bench 'Validate|SolutionSums' -benchtime 1x ./internal/core/
 	$(GO) run ./cmd/seabench -sequence -scale 0.5
 
 # The equilibration kernel, its gather-fused warm build (two solves of each

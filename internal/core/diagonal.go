@@ -133,6 +133,7 @@ type diagState struct {
 	// newDiagState, since an adopted state may carry a different problem.
 	rows, cols side
 	warm       bool // thread the warm-start states (off only under the disableWarmStart test hook)
+	stream     bool // the column phase in flight runs streamColumns (see colPhase)
 
 	runner  *parallel.Pool
 	ownPool *parallel.Pool // set when the state created (and must close) its runner
@@ -337,13 +338,23 @@ type cells struct {
 	x      []float64
 }
 
-// colTile is one worker's column batch, column after column. The kernel
-// writes the batch's x into it, and the batch scatters x back into storage
-// order when it ends. Dense storage also gathers into it, from row-major
-// storage, each cell's coefficient c = x⁰ + a·λ — the expression the
-// kernel's own gather evaluates, so the kernel reads c as is — its slope,
-// and its bounds when present.
-type colTile struct{ c, a, lo, up, x []float64 }
+// colTile is one worker's column scratch. As a batch tile it holds a batch
+// of columns, column after column: the kernel writes the batch's x into it,
+// and the batch scatters x back into storage order when it ends. Dense
+// storage also gathers into it, from row-major storage, each cell's
+// coefficient c = x⁰ + a·λ — the expression the kernel's own gather
+// evaluates, so the kernel reads c as is — its slope, and its bounds when
+// present. The storage-order column pass (streamColumns) keeps its
+// per-column figures in sums and seg.
+type colTile struct {
+	c, a, lo, up, x []float64
+
+	// sums holds ten runs of one entry per column of the worker's window:
+	// the coefficient sums c by row index mod 4, the slope sums likewise,
+	// each column's interior root μ°, and its total Σx (NaN: fall back).
+	sums []float64
+	seg  []int // each column's count of cells above 0
+}
 
 // bindSides points the row and column sides at the current problem and
 // buffers, keeping their warm-start slot tables.
@@ -542,7 +553,13 @@ func (st *diagState) reset() {
 // bindBodies creates the dispatch closures once for the state's lifetime.
 func (st *diagState) bindBodies() {
 	st.rowBody = func(chunk, lo, hi int) { st.phaseChunk(&st.rows, chunk, lo, hi) }
-	st.colBody = func(chunk, lo, hi int) { st.phaseChunk(&st.cols, chunk, lo, hi) }
+	st.colBody = func(chunk, lo, hi int) {
+		if st.stream {
+			st.streamColumns(chunk, lo, hi)
+		} else {
+			st.phaseChunk(&st.cols, chunk, lo, hi)
+		}
+	}
 	st.deltaBody = func(_, lo, hi int) {
 		ptr := st.rows.ptr
 		for i := lo; i < hi; i++ {
@@ -749,9 +766,21 @@ func (st *diagState) rowPhase() error {
 }
 
 // colPhase solves the n independent column equilibrium subproblems in
-// parallel, updating x column-wise, μ, and colSum. Each worker takes its
-// columns a batch at a time through its colTile (see phaseChunk).
+// parallel, updating x column-wise, μ, and colSum. On dense storage with
+// neither cell bounds nor interval totals, each worker first tries its
+// columns' interior roots in storage order (streamColumns); otherwise, and
+// for the columns that miss, it takes its columns a batch at a time through
+// its colTile (see phaseChunk). The storage-order pass is skipped when the
+// iteration's row phase solved no row at its interior root (ev.Interior,
+// tallied whether or not an observer is attached): its columns are then
+// unlikely to be interior either (on elastic-isp none is), and the pass
+// would add two reads of the matrix and its per-worker sums buffer (10
+// floats and an int per column, allocated by every cold solve) for
+// nothing. The route reads only the data, and either gives the same bits.
 func (st *diagState) colPhase() error {
+	p := st.p
+	st.stream = !tileColumns && st.pat == nil && p.Upper == nil && p.Lower == nil &&
+		p.Kind != IntervalTotals && st.ev.Interior > 0
 	return st.phase(&st.cols, st.colBody)
 }
 
@@ -787,6 +816,12 @@ var batchEvents = 1 << 12
 // iteration and returns the one the phases apply. It is a variable only so
 // tests can watch the rule and inject a bad factor.
 var omegaHook func(iteration int, omega float64) float64
+
+// tileColumns sends every dense column through the batch tile, skipping
+// the storage-order interior pass (streamColumns). Both routes give the
+// same bits; it is a variable only so the equivalence tests can compare
+// them.
+var tileColumns bool
 
 // disableWarmStart turns off the kernel's warm-started breakpoint sorts,
 // forcing a full cold sort in every subproblem. Warm starts are exact, so
@@ -829,21 +864,15 @@ func batchEnd(lo, hi, perEntry, target int, ptr []int) int {
 // and storeTile scatters its x once the batch is solved. A subproblem's
 // result does not depend on the batch it sits in, so per-subproblem outputs,
 // tallies, task costs, and warm-start states do not depend on the batch
-// boundaries.
-func (st *diagState) phaseChunk(sd *side, chunk, lo, hi int) {
+// boundaries. It reports whether every subproblem was solved; on the first
+// failure it records the error and stops.
+func (st *diagState) phaseChunk(sd *side, chunk, lo, hi int) bool {
 	kern := st.kernels[chunk]
 	ptr, other := sd.ptr, sd.other
 	cl := sd.cells
-	r, w, balanced, ilo, ihi := sd.r, sd.w, sd.balanced, sd.ilo, sd.ihi
-	states, mult, total, costs := sd.states, sd.mult, sd.total, sd.costs
-	// Each kernel multiplier λ̂ lands in mult as mult + ω(λ̂ − mult),
-	// except on the column side once μ̃ exists: μ takes μ̂ itself, and μ̃
-	// the relaxed step (see run).
-	omega := st.omega
-	var relaxed []float64
-	if sd == &st.cols && len(st.relaxSlab) != 0 {
-		relaxed = st.relaxSlab[:st.n]
-	}
+	ilo, ihi := sd.ilo, sd.ihi
+	states, total, costs := sd.states, sd.total, sd.costs
+	relaxed := st.relaxed(sd)
 	perEntry := 1
 	if cl.up != nil {
 		perEntry = 2
@@ -888,29 +917,17 @@ func (st *diagState) phaseChunk(sd *side, chunk, lo, hi int) {
 			if ilo != nil {
 				res, err = kern.SolveInterval(&prob, ilo[k], ihi[k], cl.x[s:e], est)
 			} else {
-				prob.R = r[k]
-				if w != nil {
-					el := 0.5 / w[k]
-					prob.E = el
-					if balanced {
-						prob.R = r[k] - el*other[k]
-					}
-				}
+				prob.R, prob.E = sd.target(k)
 				res, err = kern.Solve(&prob, cl.x[s:e], est)
 			}
 			if err != nil {
 				st.fail(chunk, sd, k, err)
-				return
+				return false
 			}
 			if res.Interior {
 				interior++
 			}
-			if relaxed != nil {
-				mult[k] = res.Lambda
-				relaxed[k] = scale.Relax(relaxed[k], res.Lambda, omega)
-			} else {
-				mult[k] = scale.Relax(mult[k], res.Lambda, omega)
-			}
+			st.land(sd, relaxed, k, res.Lambda)
 			total[k] = res.Total
 			cost := res.Ops + int64(2*(e-s))
 			costSum += cost
@@ -925,6 +942,145 @@ func (st *diagState) phaseChunk(sd *side, chunk, lo, hi int) {
 		tl.interior += interior
 		tl.ops += costSum
 		lo = end
+	}
+	return true
+}
+
+// streamColumns is the column phase body for one worker's columns [lo,hi)
+// of a dense problem with neither cell bounds nor interval totals. It tries
+// every column's interior root in two passes over the rows in storage
+// order, so no column is gathered into a tile:
+//
+//   - pass 1 sums each column's coefficients c = x⁰ + a·λ and slopes a into
+//     four lanes by row index mod 4 — the lanes, and the order within each,
+//     of the kernel's interior attempt on the gathered column — and each
+//     column's root then comes from equilibrate.UnboundedRoot, which also
+//     applies the kernel's checks before the attempt;
+//   - pass 2 writes x = c + a·μ° in place, summing each column's total in
+//     row order and counting its cells above 0; a cell that fails
+//     equilibrate.InteriorTerm marks its column's total NaN.
+//
+// A column whose root, cells or total (equilibrate.InteriorTotal) fail goes
+// to the kernel through the batch tile (phaseChunk), a run of consecutive
+// such columns at a time, and overwrites whatever pass 2 wrote. The others
+// take the kernel's interior result bit for bit — multiplier, total, and
+// operation charge — so outputs, tallies, task costs, warm-start states
+// (which an interior solve leaves untouched) and the first failing column's
+// error do not depend on the route. The lane order is the one rule of the
+// kernel's kept here; a drift in it changes nearly every column's root bits,
+// which TestStreamColumnsMatchTileRoute compares.
+func (st *diagState) streamColumns(chunk, lo, hi int) {
+	sd := &st.cols
+	m, n, w := st.m, st.n, hi-lo
+	tile := &st.tiles[chunk]
+	tile.sums, tile.seg = resizeF(tile.sums, 10*w), resizeI(tile.seg, w)
+	lanes, root, tot, seg := tile.sums[:8*w], tile.sums[8*w:9*w], tile.sums[9*w:10*w], tile.seg[:w]
+	clear(lanes)
+	clear(tot)
+	clear(seg)
+	other, x0s, as := sd.other, sd.x0, sd.a
+	for i := 0; i < m; i++ {
+		li := other[i]
+		r := i*n + lo
+		x0, a := x0s[r:r+w], as[r:r+w]
+		lc, la := lanes[(i&3)*w:][:w], lanes[(4+i&3)*w:][:w]
+		for j, v := range a {
+			lc[j] += x0[j] + v*li
+			la[j] += v
+		}
+	}
+	for j := range root {
+		t, e := sd.target(lo + j)
+		sc := equilibrate.LaneSum(lanes[j], lanes[w+j], lanes[2*w+j], lanes[3*w+j])
+		sa := equilibrate.LaneSum(lanes[4*w+j], lanes[5*w+j], lanes[6*w+j], lanes[7*w+j])
+		mu, ok := equilibrate.UnboundedRoot(e, t, sc, sa)
+		if !ok {
+			mu = math.NaN()
+		}
+		root[j] = mu
+	}
+	nan := math.NaN()
+	for i := 0; i < m; i++ {
+		li := other[i]
+		r := i*n + lo
+		x0, a, x := x0s[r:r+w], as[r:r+w], st.x[r:r+w]
+		for j, v := range a {
+			y := (x0[j] + v*li) + v*root[j]
+			x[j] = y
+			tot[j] += y
+			if y > 0 {
+				seg[j]++
+			}
+			if !equilibrate.InteriorTerm(y, v) {
+				tot[j] = nan
+			}
+		}
+	}
+
+	relaxed := st.relaxed(sd)
+	total, costs := sd.total, sd.costs
+	tl := &st.tallies[chunk]
+	var done, ops int64
+	for j := 0; j < w; {
+		if !equilibrate.InteriorTotal(tot[j]) {
+			e := j + 1
+			for e < w && !equilibrate.InteriorTotal(tot[e]) {
+				e++
+			}
+			if !st.phaseChunk(sd, chunk, lo+j, lo+e) {
+				return
+			}
+			j = e
+			continue
+		}
+		k := lo + j
+		st.land(sd, relaxed, k, root[j])
+		total[k] = tot[j]
+		cost := equilibrate.InteriorOps(m, seg[j], m) + int64(2*m)
+		ops += cost
+		if costs != nil {
+			costs[k] = cost
+		}
+		done++
+		j++
+	}
+	tl.equil += done
+	tl.interior += done
+	tl.ops += ops
+}
+
+// target returns subproblem k's kernel target R and elastic slope E: the
+// side's total, less E times the opposite multiplier for a balanced
+// problem, with E = 1/(2w) for estimated totals and 0 for fixed ones.
+func (sd *side) target(k int) (r, e float64) {
+	r = sd.r[k]
+	if sd.w != nil {
+		e = 0.5 / sd.w[k]
+		if sd.balanced {
+			r = sd.r[k] - e*sd.other[k]
+		}
+	}
+	return r, e
+}
+
+// relaxed returns μ̃ when sd is the column side and the ω rule has engaged
+// (see run), else nil.
+func (st *diagState) relaxed(sd *side) []float64 {
+	if sd == &st.cols && len(st.relaxSlab) != 0 {
+		return st.relaxSlab[:st.n]
+	}
+	return nil
+}
+
+// land writes subproblem k's kernel multiplier λ̂: into mult as
+// mult + ω(λ̂ − mult), or, with relaxed (μ̃) at hand, into mult as is and
+// into relaxed as μ̃ + ω(λ̂ − μ̃).
+func (st *diagState) land(sd *side, relaxed []float64, k int, lambda float64) {
+	if relaxed != nil {
+		sd.mult[k] = lambda
+		relaxed[k] = scale.Relax(relaxed[k], lambda, st.omega)
+	} else {
+		sd.mult[k] = scale.Relax(sd.mult[k], lambda, st.omega)
 	}
 }
 

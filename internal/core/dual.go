@@ -22,6 +22,9 @@ func DualValue(p *DiagonalProblem, lambda, mu []float64) float64 {
 // its own accumulator and adds the cells in storage order, as the
 // standalone evaluations do, so both are bit-identical to them.
 func (p *DiagonalProblem) cellSums(x, lambda, mu, a []float64) (obj, z float64) {
+	if x != nil && a != nil && p.Lower == nil && p.Upper == nil {
+		return p.freeCellSums(x, lambda, mu, a)
+	}
 	m, n := p.M, p.N
 	if pt := p.Pattern; pt != nil {
 		// Structural zeros are pinned in [0,0]: their minimizer is 0, their
@@ -53,6 +56,48 @@ func (p *DiagonalProblem) cellSums(x, lambda, mu, a []float64) (obj, z float64) 
 		}
 	}
 	return obj, z
+}
+
+// freeCellSums is cellSums for a problem without cell bounds, with x and
+// the slopes at hand: the same per-cell expressions (freeCell), added in
+// the same storage order, with each row's slices cut once.
+func (p *DiagonalProblem) freeCellSums(x, lambda, mu, a []float64) (obj, z float64) {
+	if pt := p.Pattern; pt != nil {
+		for i, li := range lambda[:p.M] {
+			s, e := pt.RowPtr[i], pt.RowPtr[i+1]
+			g, x0, ar, xr := p.Gamma[s:e], p.X0[s:e], a[s:e], x[s:e]
+			for k, j := range pt.ColIdx[s:e] {
+				o, d := freeCell(g[k], x0[k], ar[k], xr[k], li+mu[j])
+				obj += o
+				z += d
+			}
+		}
+		return obj, z
+	}
+	n := p.N
+	mu = mu[:n]
+	for i, li := range lambda[:p.M] {
+		s := i * n
+		g, x0, ar, xr := p.Gamma[s:s+n], p.X0[s:s+n], a[s:s+n], x[s:s+n]
+		for j, mj := range mu {
+			o, d := freeCell(g[j], x0[j], ar[j], xr[j], li+mj)
+			obj += o
+			z += d
+		}
+	}
+	return obj, z
+}
+
+// freeCell returns an unbounded cell's objective term γ(x−x⁰)² and its
+// Lagrangian term at t = λ_i + μ_j, whose minimizer x⁰ + t·a is clamped at
+// 0 as clampEntry clamps it.
+func freeCell(g, x0, a, x, t float64) (obj, z float64) {
+	xh := x0 + t*a
+	if xh < 0 {
+		xh = 0
+	}
+	dev := x - x0
+	return g * dev * dev, dualCell(g, x0, xh, t)
 }
 
 // slope returns cell k's slope 0.5/γ: a[k] when the slopes are at hand,

@@ -132,3 +132,35 @@ func BenchmarkArenaNoWarm(b *testing.B) {
 		})
 	}
 }
+
+// The per-period fixed cost outside the paper's cost model, on the 200×150
+// session shape: BenchmarkValidate times DiagonalProblem.Validate, and
+// BenchmarkSolutionSums the certificate sweep that yields a solution's
+// Objective and DualValue (cellSums with the slope table at hand).
+
+func BenchmarkValidate(b *testing.B) {
+	p := benchDiagProblem(b, 200, 150, 1.3)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := p.Validate(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func BenchmarkSolutionSums(b *testing.B) {
+	p := benchDiagProblem(b, 200, 150, 1.3)
+	o := DefaultOptions()
+	o.Procs = 1
+	st := newDiagState(context.Background(), p, o.WithDefaults())
+	b.Cleanup(st.close)
+	if err := st.run(); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		p.cellSums(st.x, st.lambda, st.mu, st.aRow)
+	}
+}

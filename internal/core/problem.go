@@ -225,32 +225,41 @@ func (p *DiagonalProblem) validate() error {
 		}
 		nv = p.Pattern.Nnz()
 	}
+	// Each per-cell array is screened first by a branch-free pass that
+	// passes exactly when no cell can fail (see the screens below); only a
+	// flagged array runs its per-cell loop, which names the first bad cell.
 	if len(p.X0) != nv {
 		return fmt.Errorf("core: len(X0) = %d, want %d", len(p.X0), nv)
 	}
-	for k, v := range p.X0 {
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			i, j := p.cell(k)
-			return fmt.Errorf("core: X0[%d,%d] = %v, want finite", i, j, v)
+	if unscreened || !allFinite(p.X0) {
+		for k, v := range p.X0 {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				i, j := p.cell(k)
+				return fmt.Errorf("core: X0[%d,%d] = %v, want finite", i, j, v)
+			}
 		}
 	}
 	if len(p.Gamma) != nv {
 		return fmt.Errorf("core: len(Gamma) = %d, want %d", len(p.Gamma), nv)
 	}
-	for k, g := range p.Gamma {
-		if !(g > 0) || math.IsInf(g, 1) || math.IsNaN(g) {
-			i, j := p.cell(k)
-			return fmt.Errorf("core: Gamma[%d,%d] = %v, want finite positive", i, j, g)
+	if unscreened || !allFinitePositive(p.Gamma) {
+		for k, g := range p.Gamma {
+			if !(g > 0) || math.IsInf(g, 1) || math.IsNaN(g) {
+				i, j := p.cell(k)
+				return fmt.Errorf("core: Gamma[%d,%d] = %v, want finite positive", i, j, g)
+			}
 		}
 	}
 	if p.Upper != nil {
 		if len(p.Upper) != nv {
 			return fmt.Errorf("core: len(Upper) = %d, want %d", len(p.Upper), nv)
 		}
-		for k, u := range p.Upper {
-			if !(u >= 0) {
-				i, j := p.cell(k)
-				return fmt.Errorf("core: Upper[%d,%d] = %v, want nonnegative", i, j, u)
+		if unscreened || !allNonnegative(p.Upper) {
+			for k, u := range p.Upper {
+				if !(u >= 0) {
+					i, j := p.cell(k)
+					return fmt.Errorf("core: Upper[%d,%d] = %v, want nonnegative", i, j, u)
+				}
 			}
 		}
 	}
@@ -258,14 +267,16 @@ func (p *DiagonalProblem) validate() error {
 		if len(p.Lower) != nv {
 			return fmt.Errorf("core: len(Lower) = %d, want %d", len(p.Lower), nv)
 		}
-		for k, l := range p.Lower {
-			if l < 0 || math.IsNaN(l) {
-				i, j := p.cell(k)
-				return fmt.Errorf("core: Lower[%d,%d] = %v, want >= 0", i, j, l)
-			}
-			if p.Upper != nil && l > p.Upper[k] {
-				i, j := p.cell(k)
-				return fmt.Errorf("core: %w: empty box [%g,%g] at (%d,%d)", ErrInfeasible, l, p.Upper[k], i, j)
+		if unscreened || !allNonnegative(p.Lower) || p.Upper != nil && !noneAbove(p.Lower, p.Upper) {
+			for k, l := range p.Lower {
+				if l < 0 || math.IsNaN(l) {
+					i, j := p.cell(k)
+					return fmt.Errorf("core: Lower[%d,%d] = %v, want >= 0", i, j, l)
+				}
+				if p.Upper != nil && l > p.Upper[k] {
+					i, j := p.cell(k)
+					return fmt.Errorf("core: %w: empty box [%g,%g] at (%d,%d)", ErrInfeasible, l, p.Upper[k], i, j)
+				}
 			}
 		}
 	}
@@ -339,6 +350,82 @@ func (p *DiagonalProblem) validate() error {
 		return fmt.Errorf("core: unknown Kind %d", p.Kind)
 	}
 	return nil
+}
+
+// unscreened makes validate run every per-cell loop whatever its screen
+// says. The screens only skip loops that would pass, so errors do not
+// depend on it; it is a variable only so tests can compare the two.
+var unscreened bool
+
+// The screens. Each folds its array in four lanes, branch-free, and passes
+// exactly when no cell fails its per-cell check in validate (Lower's empty
+// box aside, which noneAbove screens); a flagged array may still pass its
+// loop (Upper or Lower holding −0 is flagged, and valid).
+
+// allFinite reports whether every v is finite: v·0 is ±0 for finite v and
+// NaN otherwise, so the lane sums of v·0 are ±0 exactly when all are.
+func allFinite(x []float64) bool {
+	var s0, s1, s2, s3 float64
+	k := 0
+	for ; k < len(x)-3; k += 4 {
+		w := x[k : k+4 : k+4]
+		s0 += w[0] * 0
+		s1 += w[1] * 0
+		s2 += w[2] * 0
+		s3 += w[3] * 0
+	}
+	for _, v := range x[k:] {
+		s0 += v * 0
+	}
+	return (s0+s1)+(s2+s3) == 0
+}
+
+// allFinitePositive reports whether every g is finite and > 0: those are
+// exactly the values whose bits lie in [1, 0x7FEFFFFFFFFFFFFF], so bits−1
+// (wrapping ±0 and every negative above the range) stays below the top.
+func allFinitePositive(x []float64) bool { return maxBits(x, 1) < 0x7FEFFFFFFFFFFFFF }
+
+// allNonnegative reports whether every v is +0, positive or +Inf: exactly
+// the values whose bits are at most +Inf's. It flags NaN, every negative,
+// and −0.
+func allNonnegative(x []float64) bool { return maxBits(x, 0) <= 0x7FF0000000000000 }
+
+// maxBits returns the largest Float64bits(v) − off over x, wrapping.
+func maxBits(x []float64, off uint64) uint64 {
+	var m0, m1, m2, m3 uint64
+	k := 0
+	for ; k < len(x)-3; k += 4 {
+		w := x[k : k+4 : k+4]
+		m0 = max(m0, math.Float64bits(w[0])-off)
+		m1 = max(m1, math.Float64bits(w[1])-off)
+		m2 = max(m2, math.Float64bits(w[2])-off)
+		m3 = max(m3, math.Float64bits(w[3])-off)
+	}
+	for _, v := range x[k:] {
+		m0 = max(m0, math.Float64bits(v)-off)
+	}
+	return max(m0, m1, m2, m3)
+}
+
+// noneAbove reports that no l exceeds its u: l > u makes l − u positive
+// (a difference of distinct finite values never rounds to 0), and a
+// positive difference has a positive int64 bit pattern. A NaN difference
+// (l = u = +Inf) flags a valid pair when its sign bit is clear.
+func noneAbove(l, u []float64) bool {
+	u = u[:len(l)]
+	var m0, m1, m2, m3 int64
+	k := 0
+	for ; k < len(l)-3; k += 4 {
+		lw, uw := l[k:k+4:k+4], u[k:k+4:k+4]
+		m0 = max(m0, int64(math.Float64bits(lw[0]-uw[0])))
+		m1 = max(m1, int64(math.Float64bits(lw[1]-uw[1])))
+		m2 = max(m2, int64(math.Float64bits(lw[2]-uw[2])))
+		m3 = max(m3, int64(math.Float64bits(lw[3]-uw[3])))
+	}
+	for i, v := range l[k:] {
+		m0 = max(m0, int64(math.Float64bits(v-u[k+i])))
+	}
+	return max(m0, m1, m2, m3) == 0
 }
 
 // validInterval checks one side's interval arrays.

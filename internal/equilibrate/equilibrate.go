@@ -266,7 +266,7 @@ func (p *Problem) interiorRoot(x []float64, lb float64) (c []float64, lambda, to
 		for j, cj := range c {
 			a := as[j]
 			v := cj + a*lambda
-			if !(v >= 0 && a > 0) {
+			if !InteriorTerm(v, a) {
 				p.regather(x, j)
 				return c, 0, 0, 0, 0, false
 			}
@@ -276,7 +276,7 @@ func (p *Problem) interiorRoot(x []float64, lb float64) (c []float64, lambda, to
 			x[j] = v
 			total += v
 		}
-		if total-total != 0 {
+		if !InteriorTotal(total) {
 			p.regather(x, len(x))
 			return c, 0, 0, 0, 0, false
 		}
@@ -303,7 +303,7 @@ func (p *Problem) interiorRoot(x []float64, lb float64) (c []float64, lambda, to
 			m++
 		}
 	}
-	lambda, ok = lineRoot(lb+((sc[0]+sc[1])+(sc[2]+sc[3])), p.E+((sa[0]+sa[1])+(sa[2]+sa[3])), p.R)
+	lambda, ok = lineRoot(lb+LaneSum(sc[0], sc[1], sc[2], sc[3]), p.E+LaneSum(sa[0], sa[1], sa[2], sa[3]), p.R)
 	if !ok {
 		return nil, 0, 0, 0, 0, false
 	}
@@ -396,12 +396,12 @@ func (p *Problem) gatherSums(x []float64) (sc, sa float64) {
 			c2, a2 = c2+v, a2+as[j+2]
 		}
 	}
-	return (c0 + c1) + (c2 + c3), (a0 + a1) + (a2 + a3)
+	return LaneSum(c0, c1, c2, c3), LaneSum(a0, a1, a2, a3)
 }
 
 // laneSums returns Σc_j and Σa_j in interiorRoot's four lanes: term j goes
-// to lane j mod 4, and the lanes combine as (s₀+s₁)+(s₂+s₃). One add chain
-// is latency-bound; eight keep the adders busy.
+// to lane j mod 4, and the lanes combine by LaneSum. One add chain is
+// latency-bound; eight keep the adders busy.
 func laneSums(c, a []float64) (sc, sa float64) {
 	var c0, c1, c2, c3, a0, a1, a2, a3 float64
 	a = a[:len(c)]
@@ -432,7 +432,51 @@ func laneSums(c, a []float64) (sc, sa float64) {
 			a2 += a[j+2]
 		}
 	}
-	return (c0 + c1) + (c2 + c3), (a0 + a1) + (a2 + a3)
+	return LaneSum(c0, c1, c2, c3), LaneSum(a0, a1, a2, a3)
+}
+
+// The interior attempt's line. A subproblem's sums Σ(c_j − l_j) and Σa_j
+// run in four lanes each: a term goes to lane f mod 4, f its index among
+// the subproblem's non-pinned terms (every term is free without bounds),
+// and each lane adds its terms in index order from +0. A caller that sums
+// the same lanes in the same order, combines them by LaneSum, and tests the
+// root, each term and the total by UnboundedRoot, InteriorTerm and
+// InteriorTotal takes the kernel's interior result bit for bit, and hands
+// the kernel every subproblem the attempt would not solve.
+
+// LaneSum combines four lanes as the interior attempt does:
+// (s₀+s₁)+(s₂+s₃).
+func LaneSum(s0, s1, s2, s3 float64) float64 { return (s0 + s1) + (s2 + s3) }
+
+// UnboundedRoot returns the root λ° that Solve's interior attempt takes on
+// a non-empty subproblem with no cell bounds, elastic slope e and target r,
+// from its combined lane sums sc = Σc_j and sa = Σa_j. ok is false wherever
+// Solve does not reach that root: it rejects a negative elastic slope and an
+// infeasible fixed total before the attempt, and the attempt gives up on a
+// non-positive slope or a non-finite root.
+func UnboundedRoot(e, r, sc, sa float64) (lambda float64, ok bool) {
+	var lb float64 // Σl_j: no cell bounds
+	p := Problem{R: r, E: e}
+	if p.checkSlope() != nil || p.feasible(lb) != nil {
+		return 0, false
+	}
+	return lineRoot(lb+sc, e+sa, r)
+}
+
+// InteriorTerm reports whether a term with slope a and value v = c + a·λ°
+// at the interior root lets an unbounded subproblem's attempt stand.
+func InteriorTerm(v, a float64) bool { return v >= 0 && a > 0 }
+
+// InteriorTotal reports whether the total Σv of the interior attempt's
+// terms lets it stand: the attempt gives up on a non-finite total.
+func InteriorTotal(total float64) bool { return total-total == 0 }
+
+// InteriorOps is the operation count charged for a subproblem of n terms
+// and m events solved at its interior root with seg terms above their lower
+// bound: what the build, sort and sweep to root segment seg, and the primal
+// recovery, would have been charged.
+func InteriorOps(m, seg, n int) int64 {
+	return int64(7*m) + sortCharge(m) + int64(seg) + int64(2*n)
 }
 
 // lineRoot returns the root of inter + slope·λ = r, when the slope is

@@ -472,3 +472,75 @@ func TestInteriorRootGivesUpCleanly(t *testing.T) {
 		t.Fatal("a NaN coefficient was accepted")
 	}
 }
+
+// TestUnboundedRootMatchesSolve: a caller that rebuilds the interior
+// attempt of an unbounded subproblem from the exported pieces — the four
+// lanes combined by LaneSum, UnboundedRoot, InteriorTerm, InteriorTotal and
+// InteriorOps — takes exactly the subproblems Solve solves at its interior
+// root, with Solve's λ, total and op charge bit for bit, and leaves Solve
+// every other one: clamping cells, fixed totals just inside and just past
+// the feasibility tolerance (on equal cells of 1e8, which all round to 0
+// either way), and negative elastic slopes.
+func TestUnboundedRootMatchesSolve(t *testing.T) {
+	rng := rand.New(rand.NewPCG(5, 8))
+	var interior, other int
+	for trial := 0; trial < 600; trial++ {
+		n := 1 + rng.IntN(24)
+		c, a := make([]float64, n), make([]float64, n)
+		var sum float64
+		for j := range c {
+			switch trial % 3 {
+			case 0: // equal cells of 1e8, all at 0 for a total near 0
+				c[j], a[j] = 1e8, 1
+			case 1:
+				c[j], a[j] = 10*rng.Float64(), 0.1+rng.Float64()
+			default: // a few cells clamp
+				c[j], a[j] = 10*rng.Float64(), 0.1+rng.Float64()
+				if rng.IntN(6) == 0 {
+					c[j] = -c[j]
+				}
+			}
+			sum += c[j]
+		}
+		e := []float64{0, 0, 0.5, -0.25}[rng.IntN(4)]
+		r := []float64{1.2 * sum, 0.5 * sum, 0, -5e-10, -2e-9, -3}[rng.IntN(6)]
+
+		x := make([]float64, n)
+		res, err := solve(&Problem{C: c, A: a, R: r, E: e}, x)
+		var l [8]float64
+		for j := range c {
+			l[j&3] += c[j]
+			l[4+j&3] += a[j]
+		}
+		lambda, ok := UnboundedRoot(e, r, LaneSum(l[0], l[1], l[2], l[3]), LaneSum(l[4], l[5], l[6], l[7]))
+		var total float64
+		seg, xs := 0, make([]float64, n)
+		for j := range c {
+			v := c[j] + a[j]*lambda
+			xs[j] = v
+			ok = ok && InteriorTerm(v, a[j])
+			if v > 0 {
+				seg++
+			}
+			total += v
+		}
+		ok = ok && InteriorTotal(total)
+		name := fmt.Sprintf("trial %d (n=%d e=%g r=%g)", trial, n, e, r)
+		if !ok {
+			other++
+			if err == nil && res.Interior {
+				t.Fatalf("%s: Solve took the interior root λ=%g, the pieces did not", name, res.Lambda)
+			}
+			continue
+		}
+		interior++
+		want := Result{Lambda: lambda, Total: total, Ops: InteriorOps(n, seg, n), Interior: true}
+		if err != nil {
+			t.Fatalf("%s: the pieces took λ=%g, Solve failed: %v", name, lambda, err)
+		}
+		sameResult(t, name, res, want, x, xs)
+	}
+	if interior < 100 || other < 100 {
+		t.Fatalf("cases not mixed: %d interior, %d not", interior, other)
+	}
+}

@@ -96,6 +96,11 @@ func (p *Problem) validate(x []float64) error {
 		return fmt.Errorf("equilibrate: inconsistent gather (c=%d other=%d idx=%d)",
 			n, len(p.Other), len(p.Idx))
 	}
+	return p.checkSlope()
+}
+
+// checkSlope rejects a negative elastic slope.
+func (p *Problem) checkSlope() error {
 	if p.E < 0 {
 		return fmt.Errorf("equilibrate: negative elastic slope %g", p.E)
 	}
@@ -167,9 +172,7 @@ func (k *Kernel) solve(p *Problem, x []float64, st *State) (Result, error) {
 	}
 	c, lambda, total, seg, m, ok := p.interiorRoot(x, lb)
 	if ok {
-		// Charged as a sort and a sweep to root segment seg would be.
-		ops := int64(7*m) + sortCharge(m) + int64(seg) + int64(2*n)
-		return Result{Lambda: lambda, Total: total, Ops: ops, Interior: true}, nil
+		return Result{Lambda: lambda, Total: total, Ops: InteriorOps(m, seg, n), Interior: true}, nil
 	}
 
 	warm := st != nil && st.cool == 0

@@ -119,14 +119,31 @@ func FromCore(p *core.DiagonalProblem) *Problem {
 	return out
 }
 
-// ToCore converts the JSON container to a validated core problem.
+// ToCore converts the JSON container to a validated core problem: the
+// conversion of ToCoreUnvalidated, then DiagonalProblem.Validate, whose
+// error it returns as is.
+func (j *Problem) ToCore() (*core.DiagonalProblem, error) {
+	p, err := j.ToCoreUnvalidated()
+	if err != nil {
+		return nil, err
+	}
+	if err := p.Validate(); err != nil {
+		return nil, err
+	}
+	return p, nil
+}
+
+// ToCoreUnvalidated converts the JSON container to a core problem, with
+// ToCore's structural checks and defaults but without the value check
+// (DiagonalProblem.Validate), for a caller that validates the result
+// itself, as sea.NewDiagonal does.
 //
 // The dimensions are vetted before any defaulting allocates: the container
 // is decoded from untrusted bytes (files, HTTP bodies), and a huge claimed
 // M or N must fail cleanly rather than drive a multi-terabyte allocation.
 // Requiring len(X0) == M×N up front bounds every subsequent allocation by
 // the input's own size.
-func (j *Problem) ToCore() (*core.DiagonalProblem, error) {
+func (j *Problem) ToCoreUnvalidated() (*core.DiagonalProblem, error) {
 	if j.M <= 0 || j.N <= 0 {
 		return nil, fmt.Errorf("matio: invalid dimensions %d×%d", j.M, j.N)
 	}
@@ -203,9 +220,6 @@ func (j *Problem) ToCore() (*core.DiagonalProblem, error) {
 	}
 	if p.Kind == core.ElasticTotals && p.Beta == nil {
 		p.Beta = ones(p.N)
-	}
-	if err := p.Validate(); err != nil {
-		return nil, err
 	}
 	return p, nil
 }

@@ -213,7 +213,9 @@ func (h *Handler) readProblem(w http.ResponseWriter, r *http.Request) (p *sea.Pr
 	if err != nil {
 		return nil, 0, false, fmt.Errorf("%w: %w", sea.ErrInvalidProblem, err)
 	}
-	d, err := jp.ToCore()
+	// NewDiagonal validates the values, with the error ToCore would have
+	// returned in the same wrapping, so the conversion skips that pass.
+	d, err := jp.ToCoreUnvalidated()
 	if err != nil {
 		return nil, 0, false, fmt.Errorf("%w: %w", sea.ErrInvalidProblem, err)
 	}

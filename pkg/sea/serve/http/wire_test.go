@@ -11,6 +11,7 @@ import (
 	"slices"
 	"testing"
 
+	"sea/internal/matio"
 	"sea/internal/problems"
 	"sea/pkg/sea"
 	"sea/pkg/sea/serve"
@@ -103,6 +104,60 @@ func TestWireTraceEventCarriesInterior(t *testing.T) {
 		}
 		if got["equilibrations"] != float64(e.Equilibrations) || got["interior"] != float64(e.Interior) {
 			t.Errorf("event %+v encodes as %s", e, b)
+		}
+	}
+}
+
+// TestInvalidValuesAnswerAsToCore: the handler converts a body without the
+// value check and leaves it to sea.NewDiagonal, so every invalid body must
+// still be answered with ToCore's error in the ErrInvalidProblem wrapping:
+// the same text and the status that error maps to.
+func TestInvalidValuesAnswerAsToCore(t *testing.T) {
+	base, _, _, _ := newStack(t, serve.Config{MaxInFlight: 2}, Config{})
+	valid := func() *matio.Problem {
+		return &matio.Problem{Kind: "fixed", M: 2, N: 2,
+			X0: []float64{1, 2, 3, 4}, Gamma: []float64{1, 1, 1, 1},
+			S0: []float64{3, 7}, D0: []float64{4, 6}}
+	}
+	cases := map[string]func(*matio.Problem){
+		"zero gamma":     func(j *matio.Problem) { j.Gamma[3] = 0 },
+		"negative gamma": func(j *matio.Problem) { j.Gamma[1] = -1 },
+		"negative upper": func(j *matio.Problem) { j.Upper = []float64{5, 5, -1, 5} },
+		"negative lower": func(j *matio.Problem) { j.Lower = []float64{0, -2, 0, 0} },
+		"empty box": func(j *matio.Problem) {
+			j.Upper, j.Lower = []float64{5, 5, 1, 5}, []float64{0, 0, 2, 0}
+		},
+		"imbalanced totals": func(j *matio.Problem) { j.D0[1] = 9 },
+		"negative total":    func(j *matio.Problem) { j.S0[0] = -3 },
+		"elastic weight": func(j *matio.Problem) {
+			j.Kind, j.Alpha, j.Beta = "elastic", []float64{1, 0}, []float64{1, 1}
+		},
+	}
+	for name, mutate := range cases {
+		j := valid()
+		mutate(j)
+		_, cerr := j.ToCore()
+		if cerr == nil {
+			t.Fatalf("%s: ToCore accepted the case", name)
+		}
+		want := fmt.Errorf("%w: %w", sea.ErrInvalidProblem, cerr)
+		wantStatus, _ := errorStatus(want)
+		body, err := json.Marshal(j)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.Post(base+"/v1/solve", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var eb errorBody
+		err = json.NewDecoder(resp.Body).Decode(&eb)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != wantStatus || eb.Error != want.Error() {
+			t.Errorf("%s: %d %q, want %d %q", name, resp.StatusCode, eb.Error, wantStatus, want.Error())
 		}
 	}
 }
