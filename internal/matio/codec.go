@@ -258,71 +258,6 @@ func (s *scanner) str() (string, bool) {
 	return string(v), ok
 }
 
-// int decodes an integer token; a fraction or exponent, which
-// encoding/json rejects for an int field, is refused.
-func (s *scanner) int() (int, bool) {
-	tok, integral := s.number()
-	if tok == nil || !integral {
-		return 0, false
-	}
-	v, err := strconv.Atoi(string(tok))
-	return v, err == nil
-}
-
-func (s *scanner) float() (float64, bool) {
-	tok, _ := s.number()
-	if tok == nil {
-		return 0, false
-	}
-	v, err := strconv.ParseFloat(string(tok), 64)
-	return v, err == nil
-}
-
-// number returns the next token if it matches the JSON number grammar
-// -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?, and whether it has
-// neither fraction nor exponent; tok is nil otherwise.
-func (s *scanner) number() (tok []byte, integral bool) {
-	b, p := s.b, s.p
-	if p < len(b) && b[p] == '-' {
-		p++
-	}
-	switch {
-	case p < len(b) && b[p] == '0':
-		p++
-	case p < len(b) && b[p]-'1' < 9:
-		p = skipDigits(b, p+1)
-	default:
-		return nil, false
-	}
-	integral = true
-	if p < len(b) && b[p] == '.' {
-		integral = false
-		if p = skipDigits(b, p+1); b[p-1] == '.' {
-			return nil, false
-		}
-	}
-	if p < len(b) && b[p]|0x20 == 'e' {
-		integral = false
-		if p++; p < len(b) && (b[p] == '+' || b[p] == '-') {
-			p++
-		}
-		q := skipDigits(b, p)
-		if q == p {
-			return nil, false
-		}
-		p = q
-	}
-	tok, s.p = b[s.p:p], p
-	return tok, integral
-}
-
-func skipDigits(b []byte, p int) int {
-	for p < len(b) && b[p]-'0' <= 9 {
-		p++
-	}
-	return p
-}
-
 // AppendSolution appends the JSON encoding of s to b, byte-identical to
 // json.NewEncoder(w).Encode(s): the same float formatting, HTML-escaped
 // strings, omitted empty lambda, mu, precond_ns and precond_sweeps, and the
