@@ -124,7 +124,8 @@ bench-sequence: cmds
 # breakpoint sorts (span radix and top-bits radix with its repair, against a
 # stable comparison sort), then the problem reader: its round-trip
 # fixed point, the scanner-versus-encoding/json differential, and the
-# one-pass number scan against strconv. The
+# one-pass number scan against strconv; last the solution writer's float
+# formatter against strconv with encoding/json's layout. The
 # reader's seeds are multi-KB problem encodings and the fuzzer's input
 # minimizer is quadratic in input length, so at its default 60 s per new
 # input a 30 s run would spend itself minimizing one; 2 s keeps it fuzzing.
@@ -135,6 +136,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz='^FuzzReadProblem$$' -fuzztime=30s -fuzzminimizetime=2s ./internal/matio/
 	$(GO) test -run '^$$' -fuzz='^FuzzDecodeProblem$$' -fuzztime=30s -fuzzminimizetime=2s ./internal/matio/
 	$(GO) test -run '^$$' -fuzz='^FuzzParseNumber$$' -fuzztime=30s -fuzzminimizetime=2s ./internal/matio/
+	$(GO) test -run '^$$' -fuzz='^FuzzAppendFloat$$' -fuzztime=30s -fuzzminimizetime=2s ./internal/matio/
 
 fmt:
 	gofmt -l .

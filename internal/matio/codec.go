@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"math"
 	"strconv"
 	"sync"
 )
@@ -261,36 +260,24 @@ func (s *scanner) str() (string, bool) {
 // AppendSolution appends the JSON encoding of s to b, byte-identical to
 // json.NewEncoder(w).Encode(s): the same float formatting, HTML-escaped
 // strings, omitted empty lambda, mu, precond_ns and precond_sweeps, and the
-// trailing
-// newline. JSON cannot carry NaN or ±Inf; a non-finite value fails the
-// whole encoding, with b returned unextended.
+// trailing newline. JSON cannot carry NaN or ±Inf; a non-finite value fails
+// the whole encoding, with b returned unextended.
 func AppendSolution(b []byte, s *Solution) ([]byte, error) {
-	for _, vs := range [...][]float64{s.X, s.S, s.D, s.Lambda, s.Mu} {
-		for _, v := range vs {
-			if err := checkFinite(v); err != nil {
-				return b, err
-			}
-		}
-	}
-	if err := checkFinite(s.Residual); err != nil {
-		return b, err
-	}
-	if err := checkFinite(s.Objective); err != nil {
-		return b, err
-	}
+	start := len(b)
+	var bad nonFinite
 	b = append(b, `{"x":`...)
-	b = appendFloats(b, s.X)
+	b = bad.appendFloats(b, s.X)
 	b = append(b, `,"s":`...)
-	b = appendFloats(b, s.S)
+	b = bad.appendFloats(b, s.S)
 	b = append(b, `,"d":`...)
-	b = appendFloats(b, s.D)
+	b = bad.appendFloats(b, s.D)
 	if len(s.Lambda) > 0 {
 		b = append(b, `,"lambda":`...)
-		b = appendFloats(b, s.Lambda)
+		b = bad.appendFloats(b, s.Lambda)
 	}
 	if len(s.Mu) > 0 {
 		b = append(b, `,"mu":`...)
-		b = appendFloats(b, s.Mu)
+		b = bad.appendFloats(b, s.Mu)
 	}
 	b = append(b, `,"iterations":`...)
 	b = strconv.AppendInt(b, int64(s.Iterations), 10)
@@ -299,9 +286,9 @@ func AppendSolution(b []byte, s *Solution) ([]byte, error) {
 	b = append(b, `,"status":`...)
 	b = appendString(b, s.Status)
 	b = append(b, `,"residual":`...)
-	b = appendFloat(b, s.Residual)
+	b = bad.appendFloat(b, s.Residual)
 	b = append(b, `,"objective":`...)
-	b = appendFloat(b, s.Objective)
+	b = bad.appendFloat(b, s.Objective)
 	b = append(b, `,"objective_kind":`...)
 	b = appendString(b, s.ObjectiveKind)
 	if s.PrecondNs != 0 {
@@ -312,17 +299,28 @@ func AppendSolution(b []byte, s *Solution) ([]byte, error) {
 		b = append(b, `,"precond_sweeps":`...)
 		b = strconv.AppendInt(b, int64(s.PrecondSweeps), 10)
 	}
+	if bad.seen {
+		return b[:start], fmt.Errorf("matio: unsupported value: %s", strconv.FormatFloat(bad.v, 'g', -1, 64))
+	}
 	return append(b, "}\n"...), nil
 }
 
-func checkFinite(v float64) error {
-	if math.IsNaN(v) || math.IsInf(v, 0) {
-		return fmt.Errorf("matio: unsupported value: %s", strconv.FormatFloat(v, 'g', -1, 64))
-	}
-	return nil
+// nonFinite remembers the first value an encoding met that JSON cannot
+// carry; the encoding goes on without it and is discarded at the end.
+type nonFinite struct {
+	v    float64
+	seen bool
 }
 
-func appendFloats(b []byte, vs []float64) []byte {
+func (bad *nonFinite) appendFloat(b []byte, v float64) []byte {
+	b, ok := appendFloat(b, v)
+	if !ok && !bad.seen {
+		*bad = nonFinite{v, true}
+	}
+	return b
+}
+
+func (bad *nonFinite) appendFloats(b []byte, vs []float64) []byte {
 	if vs == nil {
 		return append(b, "null"...)
 	}
@@ -331,25 +329,9 @@ func appendFloats(b []byte, vs []float64) []byte {
 		if i > 0 {
 			b = append(b, ',')
 		}
-		b = appendFloat(b, v)
+		b = bad.appendFloat(b, v)
 	}
 	return append(b, ']')
-}
-
-// appendFloat formats a finite v as encoding/json does: shortest
-// round-trip digits, exponent form below 1e-6 and from 1e21 in magnitude,
-// with a one-digit negative exponent unpadded (e-7, not e-07).
-func appendFloat(b []byte, v float64) []byte {
-	format := byte('f')
-	if abs := math.Abs(v); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
-		format = 'e'
-	}
-	b = strconv.AppendFloat(b, v, format, -1, 64)
-	if n := len(b); format == 'e' && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
-		b[n-2] = b[n-1]
-		b = b[:n-1]
-	}
-	return b
 }
 
 // appendString quotes s; a string needing any escape (under

@@ -2,6 +2,7 @@ package matio
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"math"
@@ -206,5 +207,48 @@ func BenchmarkDecodeProblem(b *testing.B) {
 				}
 			})
 		}
+	}
+}
+
+// BenchmarkAppendSolution times AppendSolution on the answers to Table-1
+// problems of the orders the HTTP benchmark draws, with json.Encoder (the
+// bytes it must match) as the reference.
+func BenchmarkAppendSolution(b *testing.B) {
+	for _, n := range []int{16, 40, 60} {
+		sol, err := core.SolveDiagonal(context.Background(), problems.Table1(n, 1), nil)
+		if err != nil {
+			b.Fatal(err)
+		}
+		s := SolutionFromCore(sol)
+		var want bytes.Buffer
+		if err := json.NewEncoder(&want).Encode(s); err != nil {
+			b.Fatal(err)
+		}
+		b.Run(fmt.Sprintf("order%d/append", n), func(b *testing.B) {
+			b.SetBytes(int64(want.Len()))
+			b.ReportAllocs()
+			var out []byte
+			for i := 0; i < b.N; i++ {
+				var err error
+				if out, err = AppendSolution(out[:0], s); err != nil {
+					b.Fatal(err)
+				}
+			}
+			if !bytes.Equal(out, want.Bytes()) {
+				b.Fatal("AppendSolution differs from encoding/json")
+			}
+		})
+		b.Run(fmt.Sprintf("order%d/encoding-json", n), func(b *testing.B) {
+			b.SetBytes(int64(want.Len()))
+			b.ReportAllocs()
+			var buf bytes.Buffer
+			enc := json.NewEncoder(&buf)
+			for i := 0; i < b.N; i++ {
+				buf.Reset()
+				if err := enc.Encode(s); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
