@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race serve-race serve-http-race bench bench-check bench-sparse bench-precond bench-sequence fuzz fmt results check cmds cancel
+.PHONY: all build vet test race serve-race serve-http-race bench bench-check bench-sparse bench-precond bench-sequence bench-codec fuzz fmt results check cmds cancel
 
 all: check
 
@@ -119,6 +119,16 @@ bench-sequence: cmds
 	$(GO) test -run xxx -bench 'Validate|SolutionSums' -benchtime 1x ./internal/core/
 	$(GO) run ./cmd/seabench -sequence -scale 0.5
 
+# Wire-codec guard: the solution writer's float formatter against strconv
+# with encoding/json's layout (subnormals included), the writer against
+# encoding/json, the reader's one-pass number scan against strconv and its
+# fast-path guard on the Table-1 bodies, then one-shot smokes of the
+# writer's and the reader's benchmarks (the layers behind http-mixed's
+# encode and decode).
+bench-codec:
+	$(GO) test -count=1 -run '^(TestAppendFloatMatchesStrconv|TestAppendSolutionMatchesEncodingJSON|TestFloatMatchesStrconv|TestNumbersTakeFastPath)$$' ./internal/matio/
+	$(GO) test -run xxx -bench '^(BenchmarkAppendSolution|BenchmarkDecodeProblem)$$' -benchtime 1x ./internal/matio/
+
 # The equilibration kernel, its gather-fused warm build (two solves of each
 # subproblem through its State against cold plain-insertion references), the
 # breakpoint sorts (span radix and top-bits radix with its repair, against a
@@ -145,5 +155,5 @@ fmt:
 results:
 	$(GO) run ./cmd/seabench -table all -scale 1 -bkmax 900 | tee results_full.txt
 
-check: build vet test race serve-race serve-http-race cmds cancel bench-check bench-sparse bench-precond bench-sequence
+check: build vet test race serve-race serve-http-race cmds cancel bench-check bench-sparse bench-precond bench-sequence bench-codec
 	@test -z "$$(gofmt -l .)" || (echo "gofmt needed:"; gofmt -l .; exit 1)

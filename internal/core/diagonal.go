@@ -658,6 +658,9 @@ func (st *diagState) run() error {
 			st.converged = true
 			return nil
 		}
+		if checked && st.residual != st.residual && !(relax && st.sor.Omega() > 1) {
+			return fmt.Errorf("%w: sea %w at iteration %d", ErrNotConverged, ErrDiverged, t)
+		}
 		if checked && relax {
 			st.adaptOmega()
 		}
@@ -1215,6 +1218,12 @@ func (st *diagState) checkConvergence() bool {
 		}
 	}
 
+	// Duals that left the finite range have diverged, under any criterion;
+	// the NaN residual stops the solve (see run).
+	if !allFinite(st.lambda) || !allFinite(st.mu) {
+		st.residual = math.NaN()
+		return false
+	}
 	switch o.Criterion {
 	case MaxAbsDelta:
 		if !st.havePrev {
@@ -1239,7 +1248,7 @@ func (st *diagState) checkConvergence() bool {
 					r /= denom
 				}
 			}
-			if r > worst {
+			if r > worst || r != r {
 				worst = r
 			}
 		}

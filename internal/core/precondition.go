@@ -144,9 +144,11 @@ func (ps *precondState) unscale(sol *Solution) {
 		scaleBy(sol.Lambda, f)
 		scaleBy(sol.Mu, f)
 	}
-	if f := σ * σ / τ; f != 1 {
-		sol.Objective *= f
-		sol.DualValue *= f
+	// σ²/τ is applied as one exponent: σ² alone can leave the float range
+	// even when the quotient lies inside it.
+	if x := 2*math.Ilogb(σ) - math.Ilogb(τ); x != 0 {
+		sol.Objective = math.Ldexp(sol.Objective, x)
+		sol.DualValue = math.Ldexp(sol.DualValue, x)
 	}
 	sol.PrecondNs = ps.ns
 	sol.PrecondSweeps = ps.sweeps

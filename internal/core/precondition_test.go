@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"math/rand/v2"
 	"testing"
@@ -29,7 +30,8 @@ func precondFamilies(t *testing.T) map[string]*DiagonalProblem {
 // the exact kernel, PrecondScale rescales the problem by power-of-two
 // factors, solves, and unscales — and the result is bit-for-bit the
 // unpreconditioned solution (trajectory relabeling), for every kind, both
-// storages, and every worker count.
+// storages, and every worker count, and its objective and dual value are
+// the plain solve's bits across the float range.
 func TestPrecondScaleBitIdentical(t *testing.T) {
 	for name, p := range precondFamilies(t) {
 		for _, procs := range []int{1, 2, 7, 16} {
@@ -55,9 +57,7 @@ func TestPrecondScaleBitIdentical(t *testing.T) {
 			bitEqual(t, name+"/D", pre.D, base.D)
 			bitEqual(t, name+"/Lambda", pre.Lambda, base.Lambda)
 			bitEqual(t, name+"/Mu", pre.Mu, base.Mu)
-			if pre.Objective != base.Objective {
-				t.Errorf("%s procs=%d: objective %v vs %v", name, procs, pre.Objective, base.Objective)
-			}
+			sameValues(t, fmt.Sprintf("%s procs=%d", name, procs), pre, base)
 			if pre.Residual != base.Residual {
 				t.Errorf("%s procs=%d: residual %v vs %v", name, procs, pre.Residual, base.Residual)
 			}
@@ -69,6 +69,57 @@ func TestPrecondScaleBitIdentical(t *testing.T) {
 			}
 		}
 	}
+
+	// Ranged copies of the dense fixed instance take σ to 2^±1000, where σ²
+	// alone leaves the float range though the objective's factor σ²/τ does
+	// not. At 10^300 the plain solve itself rounds some products in the
+	// subnormal range, so μ's last bits move; these instances hold the
+	// unscaled objective and dual value alone.
+	for _, a := range []int{-300, -200, -100, 0, 100, 200, 300} {
+		p := rangedFixed(a)
+		opts := DefaultOptions()
+		opts.Epsilon = 1e-6 * math.Pow(10, float64(a)) // in mass units
+		opts.Criterion = DualGradient
+		base, err := SolveDiagonal(context.Background(), p, opts)
+		if err != nil {
+			t.Fatalf("1e%d: base solve: %v", a, err)
+		}
+		opts.Precondition = PrecondScale
+		pre, err := SolveDiagonal(context.Background(), p, opts)
+		if err != nil {
+			t.Fatalf("1e%d: preconditioned solve: %v", a, err)
+		}
+		sameValues(t, fmt.Sprintf("dense/fixed×1e%d", a), pre, base)
+	}
+}
+
+// sameValues reports a preconditioned solve whose objective or dual value
+// differs in any bit from the plain solve's.
+func sameValues(t *testing.T, what string, pre, base *Solution) {
+	t.Helper()
+	if math.Float64bits(pre.Objective) != math.Float64bits(base.Objective) {
+		t.Errorf("%s: objective %v vs %v", what, pre.Objective, base.Objective)
+	}
+	if math.Float64bits(pre.DualValue) != math.Float64bits(base.DualValue) {
+		t.Errorf("%s: dual value %v vs %v", what, pre.DualValue, base.DualValue)
+	}
+}
+
+// rangedFixed returns the dense fixed-totals family's instance with its
+// mass data (priors, totals) scaled by 10^a and its weights by 10^-a, so
+// its objective scales by 10^a.
+func rangedFixed(a int) *DiagonalProblem {
+	p := randFixed(rand.New(rand.NewPCG(41, 7)), 14, 11, 100, 1.3)
+	mass, weight := math.Pow(10, float64(a)), math.Pow(10, float64(-a))
+	for _, xs := range [][]float64{p.X0, p.S0, p.D0} {
+		for i := range xs {
+			xs[i] *= mass
+		}
+	}
+	for i := range p.Gamma {
+		p.Gamma[i] *= weight
+	}
+	return p
 }
 
 func bitEqual(t *testing.T, what string, got, want []float64) {

@@ -42,25 +42,27 @@ func AXPY(a float64, x, dst []float64) {
 	}
 }
 
-// MaxAbs returns max_i |xs[i]|, or 0 for an empty slice.
+// MaxAbs returns max_i |xs[i]|, or 0 for an empty slice. A NaN element
+// makes it NaN, so a residual over one passes no tolerance.
 func MaxAbs(xs []float64) float64 {
 	var m float64
 	for _, v := range xs {
-		if a := math.Abs(v); a > m {
+		if a := math.Abs(v); a > m || a != a {
 			m = a
 		}
 	}
 	return m
 }
 
-// MaxAbsDiff returns max_i |xs[i]-ys[i]|. The slices must have equal length.
+// MaxAbsDiff returns max_i |xs[i]-ys[i]|, NaN if any difference is NaN.
+// The slices must have equal length.
 func MaxAbsDiff(xs, ys []float64) float64 {
 	if len(xs) != len(ys) {
 		panic("mat: MaxAbsDiff length mismatch")
 	}
 	var m float64
 	for i, v := range xs {
-		if a := math.Abs(v - ys[i]); a > m {
+		if a := math.Abs(v - ys[i]); a > m || a != a {
 			m = a
 		}
 	}

@@ -1,38 +1,3 @@
-// This file adapts ryuFtoaShortest and its helpers from the Go standard
-// library's strconv/ftoaryu.go, which carries this notice:
-//
-// Copyright 2021 The Go Authors. All rights reserved.
-// Use of this source code is governed by a BSD-style
-// license that can be found in the LICENSE file.
-//
-// That license (the Go distribution's LICENSE file) reads:
-//
-// Redistribution and use in source and binary forms, with or without
-// modification, are permitted provided that the following conditions are
-// met:
-//
-//    * Redistributions of source code must retain the above copyright
-// notice, this list of conditions and the following disclaimer.
-//    * Redistributions in binary form must reproduce the above
-// copyright notice, this list of conditions and the following disclaimer
-// in the documentation and/or other materials provided with the
-// distribution.
-//    * Neither the name of Google LLC nor the names of its
-// contributors may be used to endorse or promote products derived from
-// this software without specific prior written permission.
-//
-// THIS SOFTWARE IS PROVIDED BY THE COPYRIGHT HOLDERS AND CONTRIBUTORS
-// "AS IS" AND ANY EXPRESS OR IMPLIED WARRANTIES, INCLUDING, BUT NOT
-// LIMITED TO, THE IMPLIED WARRANTIES OF MERCHANTABILITY AND FITNESS FOR
-// A PARTICULAR PURPOSE ARE DISCLAIMED. IN NO EVENT SHALL THE COPYRIGHT
-// OWNER OR CONTRIBUTORS BE LIABLE FOR ANY DIRECT, INDIRECT, INCIDENTAL,
-// SPECIAL, EXEMPLARY, OR CONSEQUENTIAL DAMAGES (INCLUDING, BUT NOT
-// LIMITED TO, PROCUREMENT OF SUBSTITUTE GOODS OR SERVICES; LOSS OF USE,
-// DATA, OR PROFITS; OR BUSINESS INTERRUPTION) HOWEVER CAUSED AND ON ANY
-// THEORY OF LIABILITY, WHETHER IN CONTRACT, STRICT LIABILITY, OR TORT
-// (INCLUDING NEGLIGENCE OR OTHERWISE) ARISING IN ANY WAY OUT OF THE USE
-// OF THIS SOFTWARE, EVEN IF ADVISED OF THE POSSIBILITY OF SUCH DAMAGE.
-
 package matio
 
 import (
@@ -63,7 +28,7 @@ func appendFloat(b []byte, v float64) (_ []byte, ok bool) {
 	default:
 		mant |= 1 << 52
 	}
-	d, e := ryuShortest(mant, exp-1075)
+	d, e := schubfach(mant, exp-1075)
 	nd := decimalLen(d)
 	dp := nd + e // v = 0.digits × 10^dp: the point falls after the first dp digits
 
@@ -177,98 +142,65 @@ func digits8(v uint64) uint64 {
 	return x + 0x3030303030303030
 }
 
-// ryuShortest returns the shortest decimal d × 10^e, d without trailing
-// zeros, that rounds to mant × 2^exp > 0, making strconv's
-// ryuFtoaShortest decisions over pow10Tab.
-func ryuShortest(mant uint64, exp int) (d uint64, e int) {
-	// If input is an exact integer with fewer bits than the mantissa,
-	// the previous and next integer are not admissible representations.
-	if exp <= 0 && bits.TrailingZeros64(mant) >= -exp {
-		mant >>= uint(-exp)
-		d, e = ryuDigits(mant, mant, mant, true, false)
-		return trimZeros(d, e)
+// schubfach returns the shortest decimal d × 10^e, d without trailing
+// zeros, that rounds to v = c × 2^q > 0; of several as short, the one
+// nearest v, ties to even d. It is the algorithm of Giulietti, "The
+// Schubfach way to render doubles" (2020).
+//
+// In units of 2^(q-2), v is 4c, and the reals that round to it fill
+// [4c-2, 4c+2], ends included when c is even; at a power of two above
+// the subnormals the next float down is half as near, so the interval
+// starts at 4c-1. For 10^k no wider than the interval and s = ⌊v/10^k⌋,
+// it holds s·10^k or (s+1)·10^k, and at most one multiple of 10^(k+1),
+// which can only be 10⌊s/10⌋ or the next one up. The bounds and v are
+// scaled by g, 10^-k rounded up to 126 bits, and each product keeps two
+// bits below the units of 10^k and is rounded to odd, its low bit
+// marking an inexact one; that is enough to make every comparison below
+// as the exact values would.
+func schubfach(c uint64, q int) (d uint64, e int) {
+	// Both floors below are exact for every q a float64 has.
+	cb := c << 2
+	cbl, k := cb-2, q*315653>>20 // ⌊log10 2^q⌋
+	if c == 1<<52 && q > -1074 {
+		cbl, k = cb-1, (q*315653-131007)>>20 // ⌊log10(¾·2^q)⌋
 	}
-	ml, mc, mu, e2 := computeBounds(mant, exp)
-	if e2 == 0 {
-		d, e = ryuDigits(ml, mc, mu, true, false)
-		return trimZeros(d, e)
+	// g = ⌊10^-k·2^(125-r)⌋ + 1, r = ⌊log2 10^-k⌋, is pow10Tab's 10^-k
+	// shifted right by two, plus one. Then 4v·10^-k = cb·2^q·10^-k
+	// ≈ (cb·2^h)·g / 2^128.
+	pow := &pow10Tab[-k-minPow10]
+	g0, carry := bits.Add64(pow[1]<<62|pow[0]>>2, 1, 0)
+	g1 := pow[1]>>2 + carry
+	h := q + -k*217706>>16 + 3 // q + r + 3, in [3, 6]: cb·2^h < 2^61
+	// rop rounds x·g / 2^128 to odd: the floor, its low bit set when the
+	// quotient is not whole. It leaves out the product's lowest word: x
+	// times g's own error reaches 2^61 there, so bits set in it do not
+	// show an inexact quotient.
+	rop := func(x uint64) uint64 {
+		hi0, _ := bits.Mul64(g0, x)
+		hi, lo := bits.Mul64(g1, x)
+		mid, carry := bits.Add64(lo, hi0, 0)
+		return hi + carry | (mid|-mid)>>63
 	}
-	// Find 10^q *larger* than 2^-e2
-	q := mulByLog2Log10(-e2) + 1
+	vb, vbl, vbr := rop(cb<<h), rop(cbl<<h), rop((cb+2)<<h)
+	if c&1 != 0 { // an open interval
+		vbl++
+		vbr--
+	}
 
-	// We are going to multiply by 10^q using 128-bit arithmetic.
-	// The exponent is the same for all 3 numbers, and so is the power;
-	// 10^0 = 2^127 × 2^-127 is in the table like any other.
-	pow := pow10Tab[q-minPow10]
-	if q < 0 {
-		// Inverse powers of ten must be rounded up.
-		pow[0] += 1
-	}
-	e2 += mulByLog10Log2(q) - 127 + 119
-	dl, dl0 := mult128bitPow10(ml, pow)
-	dc, dc0 := mult128bitPow10(mc, pow)
-	du, du0 := mult128bitPow10(mu, pow)
-	// Is it an exact computation?
-	if q > 55 {
-		// Large positive powers of ten are not exact
-		dl0, dc0, du0 = false, false, false
-	}
-	if q < 0 && q >= -24 {
-		// Division by a power of ten may be exact.
-		// (note that 5^25 is a 59-bit number so division by 5^25 is never exact).
-		if divisibleByPower5(ml, -q) {
-			dl0 = true
+	// Exactly one multiple of ten in the interval is the answer.
+	s := vb >> 2
+	if t := s / 10 * 10; vbl <= 4*t != (4*t+40 <= vbr) {
+		if 4*t < vbl {
+			t += 10
 		}
-		if divisibleByPower5(mc, -q) {
-			dc0 = true
-		}
-		if divisibleByPower5(mu, -q) {
-			du0 = true
-		}
+		return trimZeros(t, k)
 	}
-	// Express the results (dl, dc, du)*2^e2 as integers.
-	// Extra bits must be removed and rounding hints computed.
-	extra := uint(-e2)
-	extraMask := uint64(1<<extra - 1)
-	// Now compute the floored, integral base 10 mantissas.
-	dl, fracl := dl>>extra, dl&extraMask
-	dc, fracc := dc>>extra, dc&extraMask
-	du, fracu := du>>extra, du&extraMask
-	// Is it allowed to use 'du' as a result?
-	// It is always allowed when it is truncated, but also
-	// if it is exact and the original binary mantissa is even
-	// When disallowed, we can subtract 1.
-	uok := !du0 || fracu > 0
-	if du0 && fracu == 0 {
-		uok = mant&1 == 0
+	// Neither multiple of ten is in, so whichever of s and s+1 is one is
+	// out: the pick has no trailing zeros.
+	if vbl > 4*s || 4*s+4 <= vbr && (vb > 4*s+2 || vb == 4*s+2 && s&1 != 0) {
+		s++
 	}
-	if !uok {
-		du--
-	}
-	// Is 'dc' the correctly rounded base 10 mantissa?
-	// The correct rounding might be dc+1
-	var cup bool
-	if dc0 {
-		// If we computed an exact product, the half integer
-		// should round to next (even) integer if 'dc' is odd.
-		cup = fracc > 1<<(extra-1) ||
-			(fracc == 1<<(extra-1) && dc&1 == 1)
-	} else {
-		// otherwise, the result is a lower truncation of the ideal
-		// result.
-		cup = fracc>>(extra-1) == 1
-	}
-	// Is 'dl' an allowed representation?
-	// Only if it is an exact value, and if the original binary mantissa
-	// was even.
-	lok := dl0 && fracl == 0 && (mant&1 == 0)
-	if !lok {
-		dl++
-	}
-	// We need to remember whether the trimmed digits of 'dc' are zero.
-	c0 := dc0 && fracc == 0
-	d, e = ryuDigits(dl, dc, du, c0, cup)
-	return trimZeros(d, e-q)
+	return s, k
 }
 
 // trimZeros strips the trailing zeros of d > 0 into the exponent.
@@ -278,146 +210,4 @@ func trimZeros(d uint64, e int) (uint64, int) {
 		e++
 	}
 	return d, e
-}
-
-// mulByLog2Log10 returns math.Floor(x * log(2)/log(10)) for an integer x in
-// the range -1600 <= x && x <= +1600.
-func mulByLog2Log10(x int) int {
-	// log(2)/log(10) ≈ 0.30102999566 ≈ 78913 / 2^18
-	return (x * 78913) >> 18
-}
-
-// mulByLog10Log2 returns math.Floor(x * log(10)/log(2)) for an integer x in
-// the range -500 <= x && x <= +500.
-func mulByLog10Log2(x int) int {
-	// log(10)/log(2) ≈ 3.32192809489 ≈ 108853 / 2^15
-	return (x * 108853) >> 15
-}
-
-// computeBounds returns a floating-point vector (l, c, u)×2^e2
-// where the mantissas are 55-bit integers, describing the interval
-// represented by the input float64.
-func computeBounds(mant uint64, exp int) (lower, central, upper uint64, e2 int) {
-	if mant != 1<<52 || exp == -1074 {
-		// regular case (or denormals)
-		return 2*mant - 1, 2 * mant, 2*mant + 1, exp - 1
-	}
-	// border of an exponent
-	return 4*mant - 1, 4 * mant, 4*mant + 2, exp - 2
-}
-
-// ryuDigits returns (d, e) with d × 10^e the shortest decimal in
-// [lower, upper], rounded as central would be; d may end in zeros. Where
-// strconv emits digits, it returns their value.
-func ryuDigits(lower, central, upper uint64, c0, cup bool) (uint64, int) {
-	lhi, llo := uint32(lower/1e9), uint32(lower%1e9)
-	chi, clo := uint32(central/1e9), uint32(central%1e9)
-	uhi, ulo := uint32(upper/1e9), uint32(upper%1e9)
-	switch {
-	case uhi == 0:
-		// only low digits (for denormals)
-		d, t := ryuDigits32(llo, clo, ulo, c0, cup)
-		return uint64(d), t
-	case lhi < uhi:
-		// truncate 9 digits at once.
-		if llo != 0 {
-			lhi++
-		}
-		c0 = c0 && clo == 0
-		cup = (clo > 5e8) || (clo == 5e8 && cup)
-		d, t := ryuDigits32(lhi, chi, uhi, c0, cup)
-		return uint64(d), t + 9
-	default:
-		// the high part whole, then the low part
-		d, t := ryuDigits32(llo, clo, ulo, c0, cup)
-		return uint64(chi)*pow10u64[9-t] + uint64(d), t
-	}
-}
-
-// ryuDigits32 returns (c, t) with c × 10^t the shortest decimal in
-// [lower, upper] for numbers less than 1e9; (0, 0) when upper is 0.
-func ryuDigits32(lower, central, upper uint32, c0, cup bool) (uint32, int) {
-	if upper == 0 {
-		return 0, 0
-	}
-	trimmed := 0
-	// Remember last trimmed digit to check for round-up.
-	// c0 will be used to remember zeroness of following digits.
-	cNextDigit := 0
-	for upper > 0 {
-		// Repeatedly compute:
-		// l = Ceil(lower / 10^k)
-		// c = Round(central / 10^k)
-		// u = Floor(upper / 10^k)
-		// and stop when c goes out of the (l, u) interval.
-		l := (lower + 9) / 10
-		c, cdigit := central/10, central%10
-		u := upper / 10
-		if l > u {
-			// don't trim the last digit as it is forbidden to go below l
-			// other, trim and exit now.
-			break
-		}
-		// Check that we didn't cross the lower boundary.
-		// The case where l < u but c == l-1 is essentially impossible,
-		// but may happen if:
-		//    lower   = ..11
-		//    central = ..19
-		//    upper   = ..31
-		// and means that 'central' is very close but less than
-		// an integer ending with many zeros, and usually
-		// the "round-up" logic hides the problem.
-		if l == c+1 && c < u {
-			c++
-			cdigit = 0
-			cup = false
-		}
-		trimmed++
-		// Remember trimmed digits of c
-		c0 = c0 && cNextDigit == 0
-		cNextDigit = int(cdigit)
-		lower, central, upper = l, c, u
-	}
-	// should we round up?
-	if trimmed > 0 {
-		cup = cNextDigit > 5 ||
-			(cNextDigit == 5 && !c0) ||
-			(cNextDigit == 5 && c0 && central&1 == 1)
-	}
-	if central < upper && cup {
-		central++
-	}
-	return central, trimmed
-}
-
-// mult128bitPow10 takes a floating-point input with a 55-bit
-// mantissa and multiplies it with pow, the 128-bit element of pow10Tab
-// for 10^q. The resulting mantissa is m*P >> 119, typically 63 or 64
-// bits wide, and the caller adds mulByLog10Log2(q) - 8 to its exponent.
-// The returned boolean is true if all trimmed bits were zero.
-//
-// That is:
-//
-//	m*2^e2 * round(10^q) = resM * 2^resE + ε
-//	exact = ε == 0
-func mult128bitPow10(m uint64, pow [2]uint64) (resM uint64, exact bool) {
-	// long multiplication
-	l1, l0 := bits.Mul64(m, pow[0])
-	h1, h0 := bits.Mul64(m, pow[1])
-	mid, carry := bits.Add64(l1, h0, 0)
-	h1 += carry
-	return h1<<9 | mid>>55, mid<<9 == 0 && l0 == 0
-}
-
-func divisibleByPower5(m uint64, k int) bool {
-	if m == 0 {
-		return true
-	}
-	for i := 0; i < k; i++ {
-		if m%5 != 0 {
-			return false
-		}
-		m /= 5
-	}
-	return true
 }

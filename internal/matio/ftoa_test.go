@@ -47,9 +47,10 @@ func checkAppendFloat(t *testing.T, buf []byte, v float64) []byte {
 
 // TestAppendFloatMatchesStrconv: appendFloat writes encoding/json's bytes
 // for random bit patterns and uniform values, every power of two and its
-// neighbours, both sides of the 'f'/'e' cut-offs, the integers around
-// 2^53, the extremes, and decimals of 1–17 digits at every exponent a
-// float64 reaches.
+// neighbours, the subnormals with the 2^16 smallest and the 2^16 − 1
+// largest mantissas, both sides of the 'f'/'e' cut-offs, the integers
+// around 2^53, the extremes, and decimals of 1–17 digits at every exponent
+// a float64 reaches.
 func TestAppendFloatMatchesStrconv(t *testing.T) {
 	var buf []byte
 	check := func(v float64) {
@@ -72,6 +73,13 @@ func TestAppendFloatMatchesStrconv(t *testing.T) {
 		check(math.Nextafter(p, 0))
 		check(p)
 		check(math.Nextafter(p, math.Inf(1)))
+	}
+
+	// The bottom subnormals have one to five digits, where a rule that
+	// keeps two digits at least would not be shortest.
+	for m := uint64(1); m < 1<<16; m++ {
+		check(math.Float64frombits(m))
+		check(math.Float64frombits(1<<52 - m))
 	}
 
 	for _, c := range []float64{1e-6, 1e21} {

@@ -301,18 +301,38 @@ func TestInfeasibleBoxSentinel(t *testing.T) {
 	}
 }
 
-// TestDivergedStatus: a dual-scaling solve that stops because its duals
-// diverged is typed as such — ErrDiverged alongside ErrNotConverged, and
+// TestDivergedStatus: a solve that stops because its duals diverged is
+// typed as such — ErrDiverged alongside ErrNotConverged, and
 // StatusDiverged ("diverged") rather than StatusMaxIterations, since the
-// sweep cap was never reached.
+// iteration cap was never reached. The dual-scaling solvers diverge on an
+// infeasible box; SEA's first row phase on Table1(14, 1) with priors,
+// weights and totals scaled by 1e200 sends λ to ±Inf and every cell to
+// NaN, which no criterion may read as converged.
 func TestDivergedStatus(t *testing.T) {
-	p := mustDiagonal(t, infeasibleBox())
-	for _, name := range []string{"isp", "entropy"} {
-		o := DefaultOptions()
-		if name == "entropy" {
-			o.Objective = ObjectiveEntropy
+	box := mustDiagonal(t, infeasibleBox())
+	huge := problems.Table1(14, 1)
+	for _, xs := range [][]float64{huge.X0, huge.Gamma, huge.S0, huge.D0} {
+		for i := range xs {
+			xs[i] *= 1e200
 		}
-		sol, err := Solve(context.Background(), name, p, o)
+	}
+	overflow := mustDiagonal(t, huge)
+	cases := []struct {
+		name string
+		p    *Problem
+		set  func(*Options)
+	}{
+		{"isp", box, func(*Options) {}},
+		{"entropy", box, func(o *Options) { o.Objective = ObjectiveEntropy }},
+		{"sea", overflow, func(o *Options) { o.Criterion = MaxAbsDelta }},
+		{"sea", overflow, func(o *Options) { o.Criterion = RelBalance }},
+		{"sea", overflow, func(o *Options) { o.Criterion = DualGradient }},
+	}
+	for _, c := range cases {
+		o := DefaultOptions()
+		c.set(o)
+		name := fmt.Sprintf("%s/%v", c.name, o.Criterion)
+		sol, err := Solve(context.Background(), c.name, c.p, o)
 		if !errors.Is(err, ErrDiverged) || !errors.Is(err, ErrNotConverged) {
 			t.Errorf("%s: err = %v, want ErrDiverged and ErrNotConverged", name, err)
 			continue

@@ -64,25 +64,35 @@ func checkInternalError(t *testing.T, rec *httptest.ResponseRecorder) {
 // return, so it is answered with the typed 422 envelope, code "diverged",
 // rather than as an exhausted iteration budget or an encoding failure.
 func TestSolveDiverged(t *testing.T) {
-	srv, err := serve.NewSharded(serve.ShardedConfig{Server: serve.Config{Solver: "isp"}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	h := New(srv, Config{})
-	defer h.Close()
 	// Every cell capped at its prior, while each row total is twice the
 	// row's prior sum: the ISP duals run off to infinity.
-	p := problems.Table1(8, 1)
-	p.Upper = slices.Clone(p.X0)
-	rec := httptest.NewRecorder()
-	h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/solve", bytes.NewReader(problemBody(t, p))))
-	var body errorBody
-	if err := json.Unmarshal(rec.Body.Bytes(), &body); err != nil {
-		t.Fatalf("status %d, body %q: %v", rec.Code, rec.Body.Bytes(), err)
+	capped := problems.Table1(8, 1)
+	capped.Upper = slices.Clone(capped.X0)
+	// Priors, weights and totals scaled by 1e200: SEA's duals overflow in
+	// its first row phase.
+	huge := problems.Table1(14, 1)
+	for _, xs := range [][]float64{huge.X0, huge.Gamma, huge.S0, huge.D0} {
+		for i := range xs {
+			xs[i] *= 1e200
+		}
 	}
-	if rec.Code != http.StatusUnprocessableEntity || body.Code != "diverged" {
-		t.Fatalf("got %d %+v, want 422 with code diverged", rec.Code, body)
+	for solver, p := range map[string]*sea.DiagonalProblem{"isp": capped, "sea": huge} {
+		srv, err := serve.NewSharded(serve.ShardedConfig{Server: serve.Config{Solver: solver}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		h := New(srv, Config{})
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/solve", bytes.NewReader(problemBody(t, p))))
+		h.Close()
+		srv.Close()
+		var body errorBody
+		if err := json.Unmarshal(rec.Body.Bytes(), &body); err != nil {
+			t.Fatalf("%s: status %d, body %q: %v", solver, rec.Code, rec.Body.Bytes(), err)
+		}
+		if rec.Code != http.StatusUnprocessableEntity || body.Code != "diverged" {
+			t.Fatalf("%s: got %d %+v, want 422 with code diverged", solver, rec.Code, body)
+		}
 	}
 }
 
